@@ -8,6 +8,7 @@ passed.
 """
 
 import argparse
+import json
 import math
 import sys
 
@@ -153,6 +154,11 @@ def _cmd_verify(args):
     if args.csv:
         harness.emit_report(report, "csv", args.csv)
         print(f"csv report written to {args.csv}")
+    if args.timings:
+        with open(args.timings, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(report.timings, fh, indent=2)
+            fh.write("\n")
+        print(f"check timings written to {args.timings}")
     return 0 if report.overall_pass else 1
 
 
@@ -226,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of: {','.join(harness.CHECK_NAMES)}")
     p.add_argument("--json", default=None, help="write JSON report here")
     p.add_argument("--csv", default=None, help="write CSV report here")
+    p.add_argument("--timings", default=None,
+                   help="write wall seconds per check as JSON here (never in the report)")
     p.add_argument("--tol", action="append",
                    help="override a tolerance as name=value (repeatable)")
     p.set_defaults(fn=_cmd_verify)

@@ -23,7 +23,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .operators import SpectralDecomposition, as_vector, spectral_transform
-from .paley_wiener import best_approx, spectral_tail
+from .paley_wiener import band_count, best_approx, spectral_tail
 from .smoothness import BesovParams, besov_norm
 
 
@@ -50,14 +50,10 @@ def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecompo
     one; supports partition the spectrum exactly, so the bands are
     pairwise orthogonal and sum back to ``f``.
     """
-    if not (a > 1.0):
-        raise InvalidBaseError(f"base must be > 1, got {a}")
+    k_top = band_count(dec.lambda_max, a)
     vec = as_vector(f, dec.dim)
     c = spectral_transform(dec, vec)
     lam = dec.eigenvalues
-    k_top = 0
-    while a ** k_top < dec.lambda_max and k_top < 10_000:
-        k_top += 1
     edges = a ** np.arange(k_top + 1, dtype=np.float64)
 
     bands = []
@@ -175,9 +171,7 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = 
     else:
         frame_q = float(np.sum(terms ** q) ** (1.0 / q))
 
-    k_top = 0
-    while a ** k_top < dec.lambda_max and k_top < 10_000:
-        k_top += 1
+    k_top = band_count(dec.lambda_max, a)
     lhs = max((a ** (n_idx * alpha) * best_approx(dec, f, a ** n_idx)
                for n_idx in range(k_top + 2)), default=0.0)
     constant = 1.0 / (1.0 - a ** (-alpha))

@@ -85,7 +85,7 @@ class IndexOutOfRangeError(BandApproxError):
 # -- decomposition ------------------------------------------------------------
 
 class InvalidBaseError(BandApproxError):
-    """Dyadic base must satisfy a > 1."""
+    """Dyadic base must satisfy a > 1 and give at most ``MAX_BANDS`` bands."""
 
 
 class MembershipViolationError(BandApproxError):

@@ -10,6 +10,7 @@ time, locale or dict ordering.
 
 import json
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from . import smoothness as sm
 from .errors import (
     BadDimensionError,
     DimensionMismatchError,
+    InvalidParamsError,
     ParseError,
     UnsupportedFormatError,
 )
@@ -289,10 +291,17 @@ class CheckRecord:
 
 @dataclass
 class VerificationReport:
+    """Records and constants of one suite run.
+
+    ``timings`` holds the wall seconds of each executed check.  It is
+    never serialized, so the report bytes stay a function of the inputs.
+    """
+
     meta: dict
     records: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)
     overall_pass: bool = True
+    timings: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -561,7 +570,7 @@ def _check_lemma_ratios(ctx):
         for alpha, nn, r in _LEMMA_COMBOS:
             a_emp = 0.0
             c_emp = 0.0
-            for idx in range(3):
+            for idx in range(min(ctx.count, 3)):
                 f = ctx.corpus[n][idx]
                 rep1 = sm.lemma1_check(dec, f, alpha, nn, r)
                 rep2 = sm.lemma2_check(dec, f, alpha, nn, r)
@@ -659,9 +668,7 @@ def _check_synthesis_constant(ctx):
             if rep.rhs > 0:
                 worst_ratio = max(worst_ratio, rep.lhs / rep.rhs)
         # non-orthogonal inputs: each band is a random vector squashed to its edge
-        k_top = 0
-        while a ** k_top < dec.lambda_max and k_top < 10_000:
-            k_top += 1
+        k_top = pw.band_count(dec.lambda_max, a)
         for _ in range(5):
             bands = [pw.pw_project(dec, ctx.corpus[n][int(ctx.rng.integers(ctx.count))],
                                    a ** k) for k in range(k_top + 1)]
@@ -704,8 +711,11 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
     The corpus (one operator per size, ``count`` random vectors each) is
     drawn before any check runs, and each check owns an independent child
     RNG keyed by its canonical position, so the report is a pure function
-    of (spec, count, seed, sizes, checks, tolerances).
+    of (spec, count, seed, sizes, checks, tolerances).  ``count`` must be
+    at least 1.
     """
+    if count < 1:
+        raise InvalidParamsError(f"count must be >= 1, got {count}")
     if checks is None:
         selected = list(CHECK_NAMES)
     else:
@@ -751,7 +761,9 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
         ctx = _SuiteContext(decs=decs, corpus=corpus,
                             rng=np.random.default_rng(children[1 + index]),
                             tols=tols, count=count)
+        start = time.perf_counter()
         records, constants = fn(ctx)
+        report.timings[name] = time.perf_counter() - start
         report.records.extend(records)
         report.constants.update(constants)
 

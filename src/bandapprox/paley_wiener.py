@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeOmegaError, NotBandlimitedError, ZeroVectorError
+from .errors import (
+    InvalidBaseError,
+    NegativeOmegaError,
+    NotBandlimitedError,
+    ZeroVectorError,
+)
 from .operators import (
     SpectralCoefficients,
     SpectralDecomposition,
@@ -26,6 +31,33 @@ from .operators import (
 BANDLIMITED_TOL = 1e-12
 #: default coefficient threshold (relative to ||f||) defining the support
 SUPPORT_TOL = 1e-12
+#: largest top band index a base may produce; bases closer to 1 are rejected
+MAX_BANDS = 100_000
+
+
+def band_count(lambda_max: float, a: float) -> int:
+    """Smallest ``k >= 0`` with ``a^k >= lambda_max``: the top dyadic band edge.
+
+    The bands ``[0, 1], (1, a], ..., (a^{k-1}, a^k]`` then cover the
+    spectrum.  The closed form ``ceil(log lambda_max / log a)`` is
+    corrected with the defining comparison ``a^k < lambda_max``, so the
+    count is exact.  Raises :class:`InvalidBaseError` when ``a <= 1`` or
+    when ``k`` would exceed :data:`MAX_BANDS`, instead of truncating.
+    """
+    if not (a > 1.0):
+        raise InvalidBaseError(f"base must be > 1, got {a}")
+    if not (lambda_max > 1.0):
+        return 0
+    k = math.ceil(math.log(lambda_max) / math.log(a))
+    while a ** k < lambda_max:
+        k += 1
+    while a ** (k - 1) >= lambda_max:
+        k -= 1
+    if k > MAX_BANDS:
+        raise InvalidBaseError(
+            f"base {a} needs {k} bands to reach lambda_max = {lambda_max}, "
+            f"more than MAX_BANDS = {MAX_BANDS}")
+    return k
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,18 @@ equivalent ways:
   consecutive distinct eigenvalues, so the integral norms are evaluated
   in closed form with no quadrature error;
 * the Peetre K-functional between ``H`` and the domain of ``D^r``,
-  minimized exactly along the Tikhonov family ``(I + s D^{2r})^{-1} f``
-  (that family traces the Pareto frontier of the two competing norms, so
-  a 1-D search is exact up to its own tolerance);
+  minimized along the Tikhonov family ``g_s = (I + s D^{2r})^{-1} f``.
+  That family traces the Pareto frontier of the two competing norms
+  ``A(s) = ||f - g_s||`` and ``B(s) = ||D^r g_s||``, so
+  ``K(t) = min_s A(s) + t B(s)`` is the lower envelope of the lines
+  ``A(s) + t B(s)``.  The path is evaluated once on a log-s grid, the
+  envelope is taken for every ``t`` in one broadcast minimum, and each
+  ``t`` is refined by golden section inside its grid bracket;
 * moduli of continuity built from the unitary group ``e^{itD}``, with
   the supremum over shifts taken by grid scan plus golden-section
-  refinement.
+  refinement.  ``Omega_r(g, s)`` is the running maximum of
+  ``||Delta_tau^r g||`` over ``tau <= s``, so the modulus seminorm reads
+  it off one shift scan for all ``s`` at once.
 """
 
 import math
@@ -29,7 +35,7 @@ from .operators import (
     operator_power,
     spectral_transform,
 )
-from .paley_wiener import best_approx, spectral_tail
+from .paley_wiener import band_count, best_approx, spectral_tail
 
 #: tolerance folded into inequality checks that involve a grid supremum
 GRID_TOL = 1e-6
@@ -62,8 +68,33 @@ def _golden_max(fn, lo: float, hi: float, iters: int):
     return best
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int):
-    return -_golden_max(lambda x: -fn(x), lo, hi, iters)
+def _golden_max_many(fn, lo, hi, iters: int):
+    """:func:`_golden_max` on many brackets ``[lo[i], hi[i]]`` at once.
+
+    ``fn`` maps an array with one abscissa per bracket to the values
+    there.  Returns the best evaluated abscissa and value per bracket.
+    Stops before ``iters`` steps once no bracket has a float strictly
+    inside: later steps would only revisit evaluated abscissae.  For a
+    single bracket the scalar version is faster.
+    """
+    a = np.array(lo, dtype=np.float64)
+    b = np.array(hi, dtype=np.float64)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    p1 = np.stack((x1, fn(x1)))  # (abscissa, value) of the two interior points
+    p2 = np.stack((x2, fn(x2)))
+    best = np.where(p2[1] > p1[1], p2, p1)
+    for _ in range(iters):
+        if np.all(np.nextafter(a, b) >= b):
+            break
+        up = p1[1] < p2[1]  # the maximum lies in [x1, b]
+        a, b = np.where(up, (p1[0], b), (a, p2[0]))
+        kept = np.where(up, p2, p1)
+        new_x = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        new = np.stack((new_x, fn(new_x)))
+        p1, p2 = np.where(up, kept, new), np.where(up, new, kept)
+        best = np.where(new[1] > best[1], new, best)
+    return best[0], best[1]
 
 
 @dataclass(frozen=True)
@@ -279,15 +310,13 @@ def _integral_norm_power(dec, f, alpha, q, route):
 
 
 def _discrete_terms(dec, f, alpha, a, route):
-    """Terms ``a^{k alpha} E(f, a^k)`` for k = 0 .. K-1, truncated where E = 0."""
-    lam_max = dec.lambda_max
+    """Terms ``a^{k alpha} E(f, a^k)`` for k = 0 .. K-1, where ``a^K >= lambda_max``.
+
+    Every later term vanishes, so the truncation is exact.
+    """
     measure = best_approx if route == "E" else spectral_tail
-    terms = []
-    k = 0
-    while a ** k < lam_max and k < 10_000:
-        terms.append((a ** (k * alpha)) * measure(dec, f, a ** k))
-        k += 1
-    return np.array(terms)
+    return np.array([(a ** (k * alpha)) * measure(dec, f, a ** k)
+                     for k in range(band_count(dec.lambda_max, a))])
 
 
 def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
@@ -326,19 +355,27 @@ def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
 
 # -- Peetre K-functional -------------------------------------------------------
 
-def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
-                 domain_norm: str = "seminorm", search_iters: int = 100) -> float:
-    """``inf over g`` of ``||f - g|| + t ||D^r g||`` (Peetre K-functional).
+#: log-s grid points per unit of ``log s`` on the Tikhonov path
+_PATH_GRID_DENSITY = 4
 
-    The infimum is taken along the Tikhonov family
-    ``g_s = (I + s W)^{-1} f`` with ``W = D^{2r}``, which traces the exact
-    Pareto frontier of the pair of norms; a golden-section search in
-    ``log s`` is therefore exact up to the search tolerance.  With
-    ``domain_norm="graph"`` the second term is the graph norm
-    ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.
+
+def _k_functional_values(dec: SpectralDecomposition, f, ts, r: int,
+                         domain_norm: str, search_iters: int) -> np.ndarray:
+    """``K(t)`` for every ``t`` in ``ts``: the lower envelope along the Tikhonov path.
+
+    ``A(s)`` and ``B(s)`` are evaluated once on a log-s grid over
+    ``[1e-12 / max w, 1e12 / min w]`` (``w > 0``), ``min_s A + t B`` is
+    taken for all ``t`` in one broadcast minimum, and each ``t`` is then
+    refined by up to ``search_iters`` golden-section steps inside the grid
+    bracket of its minimizer.  ``A + t B`` is unimodal along the path (the
+    frontier is convex), so that bracket holds the minimum.  The two path
+    endpoints ``g = f`` and ``g = projection onto ker W`` are candidates
+    too.  Grid and brackets do not depend on ``f``, so the result is
+    positively 1-homogeneous in ``f`` up to rounding.
     """
-    if not (t > 0.0):
-        raise NonPositiveTError(f"t must be > 0, got {t}")
+    ts = np.asarray(ts, dtype=np.float64)
+    if not np.all(ts > 0.0):
+        raise NonPositiveTError(f"t must be > 0, got {ts[~(ts > 0.0)][0]}")
     if r < 1:
         raise InvalidParamsError("r must be a positive integer")
     if domain_norm not in ("seminorm", "graph"):
@@ -346,30 +383,56 @@ def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
     c = spectral_transform(dec, f)
     mag2 = np.abs(c.coeffs) ** 2
     if not np.any(mag2 > 0.0):
-        return 0.0
+        return np.zeros(ts.shape)
     lam2r = dec.eigenvalues ** (2 * r)
     w = lam2r if domain_norm == "seminorm" else 1.0 + lam2r
+    mag2_w = mag2 * w
 
-    def objective_parts(s):
-        damp = s * w / (1.0 + s * w)
-        a2 = float(np.sum(mag2 * damp ** 2))
-        b2 = float(np.sum(mag2 * w / (1.0 + s * w) ** 2))
-        return math.sqrt(max(a2, 0.0)), math.sqrt(max(b2, 0.0))
+    def path(log_s):
+        """(A, B) at each ``s = exp(log_s)``."""
+        sw = np.exp(log_s)[:, None] * w
+        one_sw = 1.0 + sw
+        a2 = np.sum(mag2 * (sw / one_sw) ** 2, axis=-1)
+        b2 = np.sum(mag2_w / one_sw ** 2, axis=-1)
+        return np.sqrt(np.maximum(a2, 0.0)), np.sqrt(np.maximum(b2, 0.0))
 
-    def objective(log_s):
-        a, b = objective_parts(math.exp(log_s))
-        return a + t * b
-
-    w_pos = w[w > 0.0]
     # endpoints of the path: g = f (s -> 0) and g = projection onto ker W
-    b_at_zero = math.sqrt(float(np.sum(mag2 * w)))
-    candidates = [t * b_at_zero,
-                  math.sqrt(float(np.sum(mag2[w > 0.0])))]
-    if w_pos.size:
-        lo = math.log(1e-12 / float(w_pos.max()))
-        hi = math.log(1e12 / float(w_pos.min()))
-        candidates.append(_golden_min(objective, lo, hi, iters=search_iters))
-    return min(candidates)
+    k_vals = np.minimum(ts * math.sqrt(float(np.sum(mag2_w))),
+                        math.sqrt(float(np.sum(mag2[w > 0.0]))))
+    w_pos = w[w > 0.0]
+    if not w_pos.size:
+        return k_vals
+    lo = math.log(1e-12 / float(w_pos.max()))
+    hi = math.log(1e12 / float(w_pos.min()))
+    u = np.linspace(lo, hi, math.ceil(_PATH_GRID_DENSITY * (hi - lo)) + 1)
+    a_u, b_u = path(u)
+    lines = a_u + ts[:, None] * b_u
+    i_min = np.argmin(lines, axis=1)
+    k_vals = np.minimum(k_vals, lines[np.arange(ts.size), i_min])
+
+    def neg_objective(log_s):
+        a_s, b_s = path(log_s)
+        return -(a_s + ts * b_s)
+
+    _, refined = _golden_max_many(neg_objective, u[np.maximum(i_min - 1, 0)],
+                                  u[np.minimum(i_min + 1, u.size - 1)], search_iters)
+    return np.minimum(k_vals, -refined)
+
+
+def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
+                 domain_norm: str = "seminorm", search_iters: int = 100) -> float:
+    """``inf over g`` of ``||f - g|| + t ||D^r g||`` (Peetre K-functional).
+
+    The infimum is taken along the Tikhonov family
+    ``g_s = (I + s W)^{-1} f`` with ``W = D^{2r}``, which traces the exact
+    Pareto frontier of the pair of norms, so ``K(t)`` is the lower
+    envelope of the lines ``A(s) + t B(s)`` over the path.  The envelope
+    is read off a log-s grid and refined by up to ``search_iters``
+    golden-section steps in ``log s``; it is exact up to that tolerance.
+    With ``domain_norm="graph"`` the second term is the graph norm
+    ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.
+    """
+    return float(_k_functional_values(dec, f, [t], r, domain_norm, search_iters)[0])
 
 
 def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
@@ -379,8 +442,10 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
     ``||f|| + (integral of (t^{-alpha/r} K(t, f))^q dt/t)^{1/q}`` by
     trapezoidal quadrature on a log grid ``t in [1e-6 / lambda_max^r, 1e6]``;
     outside the grid ``K(t, f) <= min(||f||-type, t ||D^r f||)`` makes the
-    tails negligible.  This norm is a measurement (used in equivalence
-    ratios), not a closed form.
+    tails negligible.  ``K`` is evaluated for all grid ``t`` in one pass as
+    the lower envelope of the Tikhonov path (see :func:`k_functional`).
+    This norm is a measurement (used in equivalence ratios), not a closed
+    form.
     """
     vec = as_vector(f, dec.dim)
     norm_f = float(np.linalg.norm(vec))
@@ -394,8 +459,8 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
     t_min = 1e-6 / lam_max ** r
     t_max = 1e6
     u = np.linspace(math.log(t_min), math.log(t_max), grid_points)
-    k_vals = np.array([k_functional(dec, vec, math.exp(ui), r, domain_norm)
-                       for ui in u])
+    ts = [math.exp(ui) for ui in u]  # scalar exp: array exp may differ in the last bit
+    k_vals = _k_functional_values(dec, vec, ts, r, domain_norm, search_iters=100)
     scaled = np.exp(-theta * u) * k_vals
     if params.is_sup:
         return norm_f + float(np.max(scaled))
@@ -404,6 +469,42 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
 
 
 # -- modulus-based seminorm and the two inverse-theorem lemmas -----------------
+
+#: scan points per shortest period of ``||Delta_tau^r g||^2`` (frequency r lambda_max)
+_SCAN_PER_PERIOD = 8
+
+#: bound on scan points times dimension held in memory at once
+_SCAN_CHUNK_ENTRIES = 1 << 20
+
+
+def _running_modulus(eigenvalues, mag2, s_values, m: int, step: float,
+                     refine_iters: int) -> np.ndarray:
+    """``Omega_m(g, s)`` at each of the ascending ``s_values`` from one shift scan.
+
+    ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step`` up to
+    the last ``s``, in chunks so memory stays bounded, and every interior
+    local maximum of the scan is refined by golden section.  Every sampled
+    point, refined maximum and ``phi(s)`` itself lands in the bin of the
+    first ``s >= tau``; the running maximum over the bins is the modulus.
+    """
+    def phi(taus):
+        return _difference_norms(eigenvalues, mag2, taus, m)
+
+    bins = np.append(phi(s_values), 0.0)  # last bin: tau beyond every s
+    n_scan = math.ceil(s_values[-1] / step) + 1
+    chunk = max(16, _SCAN_CHUNK_ENTRIES // eigenvalues.size)
+    for start in range(0, n_scan, chunk):
+        # one point of overlap on each side, so every interior point sees its neighbours
+        taus = np.arange(max(start - 1, 0), min(start + chunk + 1, n_scan)) * step
+        vals = phi(taus)
+        peaks = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
+        peak_taus, peak_vals = _golden_max_many(phi, taus[peaks - 1], taus[peaks + 1],
+                                                refine_iters)
+        points = np.concatenate((taus, peak_taus))
+        np.maximum.at(bins, np.searchsorted(s_values, points),
+                      np.concatenate((vals, peak_vals)))
+    return np.maximum.accumulate(bins[:-1])
+
 
 def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: int,
                        grid_points: int = 512) -> float:
@@ -414,6 +515,15 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
     the scaled modulus decays: for large ``s`` the factor ``s^{n-alpha}``
     kills the bounded modulus, for small ``s`` the modulus itself is
     ``O(s^r)`` and ``r > alpha - n`` makes the product vanish.
+
+    ``Omega_r(g, s)`` is the running maximum over ``tau <= s`` of
+    ``phi(tau) = ||Delta_tau^r g||``, so the moduli at every grid ``s`` come
+    from a single scan of ``phi`` at 8 points per period
+    ``2 pi / (r lambda_max)`` of its fastest component, with every local
+    maximum refined.  The scan stops at the last ``s`` that can still matter:
+    ``Omega_r(g, s) <= 2^r ||g||``, so once ``s^{n-alpha} 2^r ||g||`` falls
+    below ``max_s s^{n-alpha} phi(s)`` (a lower bound of the supremum) no
+    larger ``s`` can attain it, and stopping there changes nothing.
     """
     if n < 0 or r < 1:
         raise InvalidParamsError("need n >= 0 and r >= 1")
@@ -431,11 +541,16 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
         return 0.0  # spectrum is {0}: the group is trivial, all differences vanish
     hi = 100.0 / lam_min_pos
     s_grid = np.exp(np.linspace(math.log(0.01 / lam_max), math.log(hi), grid_points))
-    best = 0.0
-    for s in s_grid:
-        omega_r = _modulus_from_mag2(dec.eigenvalues, mag2, float(s), r, 512, 3)
-        best = max(best, s ** (n - alpha) * omega_r)
-    return best
+    # scalar powers, bit for bit the per-s weights of the definition
+    weights = np.array([s ** (n - alpha) for s in s_grid])
+    floor = float(np.max(weights * _difference_norms(dec.eigenvalues, mag2, s_grid, r)))
+    cap = 2.0 ** r * math.sqrt(float(np.sum(mag2)))
+    # the relative margin keeps rounding in the two sides from dropping a live s
+    live = int(np.flatnonzero(weights * cap >= floor * (1.0 - 1e-9))[-1]) + 1
+    omega = _running_modulus(dec.eigenvalues, mag2, s_grid[:live], r,
+                             step=2.0 * math.pi / (_SCAN_PER_PERIOD * r * lam_max),
+                             refine_iters=90)
+    return float(np.max(weights[:live] * omega))
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,3 +97,95 @@ def modulus_dense_scan(dec, f, s, m, points=200_001):
     mag2 = np.abs(c) ** 2
     taus = np.linspace(0.0, s, points)
     return float(np.max(_difference_norms(dec.eigenvalues, mag2, taus, m)))
+
+
+# -- per-point search routines the library replaced by array passes ------------
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(fn, lo, hi, iters):
+    """Scalar golden-section maximization; returns the best evaluated value."""
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    best = max(f1, f2)
+    for _ in range(iters):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = fn(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = fn(x1)
+        best = max(best, f1, f2)
+    return best
+
+
+def _golden_min(fn, lo, hi, iters):
+    return -_golden_max(lambda x: -fn(x), lo, hi, iters)
+
+
+def k_functional_golden(dec, f, t, r, domain_norm="seminorm", search_iters=100):
+    """K(t) by one golden-section search in log s over the whole Tikhonov path."""
+    from bandapprox import spectral_transform
+
+    mag2 = np.abs(spectral_transform(dec, f).coeffs) ** 2
+    if not np.any(mag2 > 0.0):
+        return 0.0
+    lam2r = dec.eigenvalues ** (2 * r)
+    w = lam2r if domain_norm == "seminorm" else 1.0 + lam2r
+
+    def objective(log_s):
+        s = math.exp(log_s)
+        a2 = float(np.sum(mag2 * (s * w / (1.0 + s * w)) ** 2))
+        b2 = float(np.sum(mag2 * w / (1.0 + s * w) ** 2))
+        return math.sqrt(max(a2, 0.0)) + t * math.sqrt(max(b2, 0.0))
+
+    w_pos = w[w > 0.0]
+    candidates = [t * math.sqrt(float(np.sum(mag2 * w))),
+                  math.sqrt(float(np.sum(mag2[w > 0.0])))]
+    if w_pos.size:
+        lo = math.log(1e-12 / float(w_pos.max()))
+        hi = math.log(1e12 / float(w_pos.min()))
+        candidates.append(_golden_min(objective, lo, hi, search_iters))
+    return min(candidates)
+
+
+def k_besov_norm_golden(dec, f, params, grid_points=200, domain_norm="seminorm"):
+    """K-functional Besov norm with one separate golden search per grid t."""
+    vec = np.asarray(f, dtype=np.complex128)
+    norm_f = float(np.linalg.norm(vec))
+    if norm_f == 0.0:
+        return 0.0
+    r = params.r
+    if dec.lambda_max == 0.0:
+        return norm_f
+    u = np.linspace(math.log(1e-6 / dec.lambda_max ** r), math.log(1e6), grid_points)
+    k_vals = np.array([k_functional_golden(dec, vec, math.exp(ui), r, domain_norm)
+                       for ui in u])
+    scaled = np.exp(-(params.alpha / r) * u) * k_vals
+    if params.is_sup:
+        return norm_f + float(np.max(scaled))
+    return norm_f + float(np.trapezoid(scaled ** params.q, u)) ** (1.0 / params.q)
+
+
+def besov_seminorm_sup_per_s(dec, f, alpha, n, r, grid_points=512):
+    """Modulus seminorm with a separate modulus search at each grid s."""
+    from bandapprox import operator_power, spectral_transform
+    from bandapprox.smoothness import _modulus_from_mag2
+
+    vec = np.asarray(f, dtype=np.complex128)
+    g = operator_power(dec, n, vec) if n > 0 else vec
+    mag2 = np.abs(spectral_transform(dec, g).coeffs) ** 2
+    if not np.any(mag2 > 0.0) or dec.min_positive_eigenvalue == 0.0:
+        return 0.0
+    hi = 100.0 / dec.min_positive_eigenvalue
+    s_grid = np.exp(np.linspace(math.log(0.01 / dec.lambda_max), math.log(hi), grid_points))
+    best = 0.0
+    for s in s_grid:
+        omega_r = _modulus_from_mag2(dec.eigenvalues, mag2, float(s), r, 512, 3)
+        best = max(best, s ** (n - alpha) * omega_r)
+    return best

@@ -6,17 +6,23 @@ import numpy as np
 import pytest
 
 from bandapprox import (
+    RAW_D,
+    BesovParams,
     InvalidBaseError,
     MembershipViolationError,
     ZeroVectorError,
     band_decompose,
+    besov_norm,
     best_approx,
+    eigh,
     equivalence_report,
     frame_norm,
     pw_project,
     spectral_tail,
     synthesis_check,
 )
+from bandapprox.harness import build_operator, parse_operator_arg
+from bandapprox.paley_wiener import MAX_BANDS, band_count
 from conftest import random_vector
 
 
@@ -155,3 +161,34 @@ class TestSynthesis:
         bands = [random_vector(rng, 16)]  # full-spectrum vector claimed in PW_1
         with pytest.raises(MembershipViolationError):
             synthesis_check(cycle16_dec, bands, 0.8, a=2.0)
+
+
+class TestBandCount:
+    def test_matches_defining_loop(self):
+        for a in (2.0, 1.5, 3.0, 1.01):
+            for lam in (0.0, 0.5, 1.0, 1.0000001, 2.0, 3.999, 4.0, 4.0001, 1024.0, 1e6):
+                k = 0
+                while a ** k < lam:
+                    k += 1
+                assert band_count(lam, a) == k, (a, lam)
+
+    def test_base_close_to_one_covers_spectrum(self, rng):
+        # the former loop stopped at 10,000 bands, edge 2.718 < 4, residual 1.0
+        dec = eigh(build_operator(parse_operator_arg("diag:0,1,4", kind=RAW_D)))
+        f = random_vector(rng, 3)
+        band_dec = band_decompose(dec, f, 1.0001)
+        assert band_dec.band_edges[-1] >= dec.lambda_max
+        residual = np.linalg.norm(np.sum(band_dec.bands, axis=0) - f)
+        assert residual <= 1e-10 * np.linalg.norm(f)
+
+    def test_base_too_close_to_one_rejected(self, rng):
+        dec = eigh(build_operator(parse_operator_arg("diag:0,1,4", kind=RAW_D)))
+        a = 1.0 + 1e-9
+        assert math.log(4.0) / math.log(a) > MAX_BANDS
+        f = random_vector(rng, 3)
+        with pytest.raises(InvalidBaseError):
+            band_decompose(dec, f, a)
+        with pytest.raises(InvalidBaseError):
+            synthesis_check(dec, [pw_project(dec, f, 1.0)], 0.8, a=a)
+        with pytest.raises(InvalidBaseError):
+            besov_norm(dec, f, BesovParams(alpha=0.8, q=2.0, a=a, flavor="discrete_R"))

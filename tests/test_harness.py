@@ -9,6 +9,7 @@ import pytest
 from bandapprox import (
     BadDimensionError,
     DimensionMismatchError,
+    InvalidParamsError,
     ParseError,
     UnsupportedFormatError,
     eigh,
@@ -247,6 +248,35 @@ class TestCli:
     def test_bad_operator_spec_exits_2(self, capsys):
         assert main(["spectrum", "--op", "moebius:7"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestSmallCounts:
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_counts_below_three_run_every_check(self, count):
+        report = run_suite(OperatorSpec(builtin="cycle"), count=count, seed=4, sizes=(8,))
+        assert {"lemma1_ratio", "lemma2_ratio"} <= {r.check for r in report.records}
+        assert all(math.isfinite(r.value) for r in report.records)
+
+    def test_count_zero_rejected(self, capsys):
+        with pytest.raises(InvalidParamsError):
+            run_suite(OperatorSpec(builtin="cycle"), count=0, sizes=(8,))
+        assert main(["verify", "--op", "cycle:8", "--count", "0"]) == 2
+        assert "count" in capsys.readouterr().err
+
+
+class TestTimings:
+    def test_timings_file_leaves_report_bytes_alone(self, tmp_path, capsys):
+        argv = ["verify", "--op", "cycle:8", "--count", "5", "--seed", "3", "--sizes", "8",
+                "--checks", "plancherel,lemma_ratios,synthesis_constant"]
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        timings = tmp_path / "timings.json"
+        main(argv + ["--json", str(plain)])
+        main(argv + ["--json", str(timed), "--timings", str(timings)])
+        assert plain.read_bytes() == timed.read_bytes()
+        seconds = json.loads(timings.read_text())
+        assert set(seconds) == {"plancherel", "lemma_ratios", "synthesis_constant"}
+        assert all(value >= 0.0 for value in seconds.values())
+        assert "timings" not in plain.read_text()
 
 
 class TestFullSuite:
