@@ -38,7 +38,6 @@ from .paley_wiener import (
 )
 from .smoothness import (
     BesovParams,
-    ModulusParams,
     besov_norm,
     besov_seminorm_sup,
     difference,

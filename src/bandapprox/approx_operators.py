@@ -27,15 +27,22 @@ from scipy.special import polygamma
 from .errors import (
     IndexOutOfRangeError,
     InvalidConfigError,
+    InvalidParamsError,
     KernelOrderMismatchError,
     NegativeOmegaError,
     NotBandlimitedError,
     OddOrderError,
     OrderTooSmallError,
 )
-from .operators import SpectralDecomposition, as_vector, operator_power, spectral_transform
+from .operators import (
+    SpectralDecomposition,
+    apply_multiplier,
+    as_vector,
+    operator_power,
+    spectral_transform,
+)
 from .paley_wiener import BANDLIMITED_TOL, best_approx, spectral_tail
-from .smoothness import GRID_TOL, modulus
+from .smoothness import GRID_TOL, _safe_ratio, modulus
 
 # -- small numerics ------------------------------------------------------------
 
@@ -214,7 +221,7 @@ def kernel_symbol(kernel: ApproxKernel, xi, method: str = "bspline"):
         return kernel.symbol(xi)
     if method == "quadrature":
         return kernel.symbol_quadrature(xi)
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidParamsError(f"unknown method {method!r}")
 
 
 # -- Riesz interpolation operator ----------------------------------------------
@@ -257,8 +264,7 @@ def riesz_symbol(lam, cfg: RieszConfig) -> np.ndarray:
 
 def riesz_apply(dec: SpectralDecomposition, f, cfg: RieszConfig) -> np.ndarray:
     """Apply the truncated Riesz interpolation operator as a diagonal multiplier."""
-    c = spectral_transform(dec, f)
-    return dec.eigenvectors @ (riesz_symbol(dec.eigenvalues, cfg) * c.coeffs)
+    return apply_multiplier(dec, lambda lam: riesz_symbol(lam, cfg), f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,9 +338,7 @@ def q_apply(dec: SpectralDecomposition, f, omega: float, m: int,
     if kernel.n < m + 3:
         raise KernelOrderMismatchError(
             f"kernel order n={kernel.n} too small for m={m} (needs n >= m + 3)")
-    c = spectral_transform(dec, f)
-    mult = q_symbol(kernel, omega, m, dec.eigenvalues, method)
-    return dec.eigenvectors @ (mult * c.coeffs)
+    return apply_multiplier(dec, lambda lam: q_symbol(kernel, omega, m, lam, method), f)
 
 
 # -- Jackson machinery -----------------------------------------------------------
@@ -397,13 +401,8 @@ def jackson_check(dec: SpectralDecomposition, f, omega: float, m: int, k: int,
     bound = const * omega_mod / omega ** k
 
     scale = max(norm_f, 1.0)
-    vacuous = bound <= 1e-14 * scale
-    if vacuous:
-        ratio_best = 0.0 if e_val <= 1e-12 * scale else math.inf
-        ratio_q = 0.0 if q_err <= 1e-12 * scale else math.inf
-    else:
-        ratio_best = e_val / bound
-        ratio_q = q_err / bound
+    ratio_best, vacuous = _safe_ratio(e_val, bound, scale)
+    ratio_q, _ = _safe_ratio(q_err, bound, scale)
     link_gap = e_val - q_err
     passed = (link_gap <= JACKSON_LINK_TOL
               and ratio_best <= 1.0 + GRID_TOL

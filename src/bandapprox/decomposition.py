@@ -23,7 +23,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .operators import SpectralDecomposition, as_vector, spectral_transform
-from .paley_wiener import band_count, best_approx, spectral_tail
+from .paley_wiener import _distances, band_count, spectral_tail
 from .smoothness import BesovParams, besov_norm
 
 
@@ -56,14 +56,10 @@ def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecompo
     lam = dec.eigenvalues
     edges = a ** np.arange(k_top + 1, dtype=np.float64)
 
-    bands = []
-    for k in range(k_top + 1):
-        if k == 0:
-            mask = lam <= edges[0]
-        else:
-            mask = (lam > edges[k - 1]) & (lam <= edges[k])
-        bands.append(dec.eigenvectors @ np.where(mask, c.coeffs, 0.0))
-    return BandDecomposition(base=a, bands=tuple(bands), band_edges=edges)
+    band_of = np.searchsorted(edges, lam)  # k with a^{k-1} < lambda <= a^k
+    bands = tuple(dec.eigenvectors @ np.where(band_of == k, c.coeffs, 0.0)
+                  for k in range(k_top + 1))
+    return BandDecomposition(base=a, bands=bands, band_edges=edges)
 
 
 def frame_norm(band_dec: BandDecomposition, alpha: float, q: float) -> float:
@@ -171,9 +167,9 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = 
     else:
         frame_q = float(np.sum(terms ** q) ** (1.0 / q))
 
-    k_top = band_count(dec.lambda_max, a)
-    lhs = max((a ** (n_idx * alpha) * best_approx(dec, f, a ** n_idx)
-               for n_idx in range(k_top + 2)), default=0.0)
+    ks = range(band_count(dec.lambda_max, a) + 2)
+    weights = np.array([a ** (k * alpha) for k in ks])
+    lhs = float(np.max(weights * _distances(dec, f, [a ** k for k in ks], "E")))
     constant = 1.0 / (1.0 - a ** (-alpha))
     rhs = constant * sup_band
     passed = lhs <= rhs * (1.0 + SYNTHESIS_TOL) + 1e-300

@@ -49,7 +49,7 @@ class NotBandlimitedError(BandApproxError):
 # -- smoothness ---------------------------------------------------------------
 
 class InvalidParamsError(BandApproxError):
-    """Besov/modulus parameter combination violates its constraints."""
+    """A parameter value or combination violates its constraints."""
 
 
 class NonPositiveTError(BandApproxError):

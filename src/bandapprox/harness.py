@@ -420,8 +420,6 @@ def _check_bernstein(ctx):
 
 
 def _check_growth_bound(ctx):
-    from .operators import schrodinger_group
-
     records = []
     for n, dec in ctx.decs.items():
         worst = 0.0

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParamsError,
     NonFiniteError,
     NonFiniteMultiplierError,
     NotPSDError,
@@ -75,7 +76,8 @@ class SymmetricOperator:
         if not np.array_equal(mat, mat.T):
             raise NotSymmetricError("operator matrix is not exactly symmetric")
         if self.kind not in (RAW_L, RAW_D):
-            raise ValueError(f"kind must be {RAW_L!r} or {RAW_D!r}, got {self.kind!r}")
+            raise InvalidParamsError(
+                f"kind must be {RAW_L!r} or {RAW_D!r}, got {self.kind!r}")
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
@@ -280,8 +282,8 @@ def apply_multiplier(dec: SpectralDecomposition, phi, f) -> np.ndarray:
 
 def operator_power(dec: SpectralDecomposition, s: float, f) -> np.ndarray:
     """Apply ``D^s`` for real ``s >= 0`` (``D^0`` is the identity)."""
-    if s < 0:
-        raise ValueError("power must be nonnegative")
+    if not (s >= 0):
+        raise InvalidParamsError(f"power must be nonnegative, got {s}")
     return apply_multiplier(dec, lambda lam: np.power(lam, s), f)
 
 

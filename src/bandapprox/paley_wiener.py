@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     InvalidBaseError,
+    InvalidParamsError,
     NegativeOmegaError,
     NotBandlimitedError,
     ZeroVectorError,
@@ -22,6 +23,7 @@ from .errors import (
 from .operators import (
     SpectralCoefficients,
     SpectralDecomposition,
+    apply_multiplier,
     as_vector,
     inverse_transform,
     spectral_transform,
@@ -102,25 +104,45 @@ class BandwidthReport:
     final_gap: float
 
 
+def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
+    """0 followed by the distinct eigenvalues: the jump points of E(f, .)."""
+    uniq = np.unique(dec.eigenvalues)
+    if uniq.size == 0:
+        return np.array([0.0])
+    return uniq if uniq[0] == 0.0 else np.concatenate(([0.0], uniq))
+
+
+def _distances(dec: SpectralDecomposition, f, omegas, route: str) -> np.ndarray:
+    """Distance from ``f`` to PW_omega at every band edge in ``omegas``.
+
+    One transform serves every edge.  Route ``"E"`` forms the residual
+    ``f - V (masked c)`` in the vector domain and takes its norm; route
+    ``"R"`` takes the norm of the coefficients above the edge.
+    """
+    vec = as_vector(f, dec.dim)
+    c = spectral_transform(dec, vec).coeffs
+    lam = dec.eigenvalues
+    if route == "R":
+        return np.array([np.linalg.norm(c[lam > w]) for w in omegas])
+    basis = dec.eigenvectors.astype(np.complex128)
+    return np.array([np.linalg.norm(vec - basis @ np.where(lam <= w, c, 0.0))
+                     for w in omegas])
+
+
 def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
     """Orthogonal projection onto PW_omega: zero all coefficients above omega."""
     w = _omega_value(omega)
-    c = spectral_transform(dec, f)
-    kept = np.where(dec.eigenvalues <= w, c.coeffs, 0.0)
-    return dec.eigenvectors @ kept
+    return apply_multiplier(dec, lambda lam: lam <= w, f)
 
 
 def best_approx(dec: SpectralDecomposition, f, omega) -> float:
     """Distance from ``f`` to PW_omega, via the projection residual in H."""
-    vec = as_vector(f, dec.dim)
-    return float(np.linalg.norm(vec - pw_project(dec, vec, omega)))
+    return float(_distances(dec, f, [_omega_value(omega)], "E")[0])
 
 
 def spectral_tail(dec: SpectralDecomposition, f, omega) -> float:
     """Coefficient-tail norm above omega; equals :func:`best_approx`."""
-    w = _omega_value(omega)
-    c = spectral_transform(dec, f)
-    return float(np.linalg.norm(c.coeffs[dec.eigenvalues > w]))
+    return float(_distances(dec, f, [_omega_value(omega)], "R")[0])
 
 
 def log_power_norms(dec: SpectralDecomposition, f, k_max: int) -> np.ndarray:
@@ -228,13 +250,11 @@ def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:
     Candidates are 0 and the distinct eigenvalues; existence is guaranteed
     because ``E(f, lambda_max) = 0``.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    vec = as_vector(f, dec.dim)
-    for candidate in [0.0] + list(np.unique(dec.eigenvalues)):
-        if spectral_tail(dec, vec, candidate) <= eps:
-            return float(candidate)
-    return dec.lambda_max  # unreachable: tail at lambda_max is 0
+    if not (eps > 0.0):
+        raise InvalidParamsError(f"eps must be positive, got {eps}")
+    nodes = _step_nodes(dec)
+    tails = _distances(dec, f, nodes, "R")
+    return float(nodes[np.argmax(tails <= eps)])
 
 
 def vector_from_coeffs(dec: SpectralDecomposition, coeffs) -> np.ndarray:

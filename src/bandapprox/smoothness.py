@@ -7,7 +7,8 @@ equivalent ways:
   turned into integral/discrete norms.  Because the spectrum is finite,
   ``E(f, .)`` is a right-continuous step function constant between
   consecutive distinct eigenvalues, so the integral norms are evaluated
-  in closed form with no quadrature error;
+  in closed form with no quadrature error.  The distances at all band
+  edges come from one coefficient transform;
 * the Peetre K-functional between ``H`` and the domain of ``D^r``,
   minimized along the Tikhonov family ``g_s = (I + s D^{2r})^{-1} f``.
   That family traces the Pareto frontier of the two competing norms
@@ -16,11 +17,13 @@ equivalent ways:
   ``A(s) + t B(s)``.  The path is evaluated once on a log-s grid, the
   envelope is taken for every ``t`` in one broadcast minimum, and each
   ``t`` is refined by golden section inside its grid bracket;
-* moduli of continuity built from the unitary group ``e^{itD}``, with
-  the supremum over shifts taken by grid scan plus golden-section
-  refinement.  ``Omega_r(g, s)`` is the running maximum of
-  ``||Delta_tau^r g||`` over ``tau <= s``, so the modulus seminorm reads
-  it off one shift scan for all ``s`` at once.
+* moduli of continuity built from the unitary group ``e^{itD}``.
+  ``Omega_m(g, s)`` is the running maximum of ``||Delta_tau^m g||`` over
+  ``tau <= s``, so one shift scan with every local maximum refined by
+  golden section serves both moduli: :func:`modulus` reads it at a
+  single ``s`` and the modulus seminorm at all of its ``s`` at once.  The
+  scan is sized from ``m lambda_max`` with no grid cap; a scan beyond
+  :data:`MAX_SCAN_ENTRIES` raises instead of running for hours.
 """
 
 import math
@@ -31,11 +34,12 @@ import numpy as np
 from .errors import InvalidOrderError, InvalidParamsError, NonPositiveTError
 from .operators import (
     SpectralDecomposition,
+    apply_multiplier,
     as_vector,
     operator_power,
     spectral_transform,
 )
-from .paley_wiener import band_count, best_approx, spectral_tail
+from .paley_wiener import _distances, _step_nodes, band_count
 
 #: tolerance folded into inequality checks that involve a grid supremum
 GRID_TOL = 1e-6
@@ -48,34 +52,13 @@ _FLAVORS = BESOV_FLAVORS
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int):
-    """Golden-section maximization; returns the best evaluated value."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    best = max(f1, f2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-        best = max(best, f1, f2)
-    return best
-
-
 def _golden_max_many(fn, lo, hi, iters: int):
-    """:func:`_golden_max` on many brackets ``[lo[i], hi[i]]`` at once.
+    """Golden-section maximization on many brackets ``[lo[i], hi[i]]`` at once.
 
     ``fn`` maps an array with one abscissa per bracket to the values
     there.  Returns the best evaluated abscissa and value per bracket.
     Stops before ``iters`` steps once no bracket has a float strictly
-    inside: later steps would only revisit evaluated abscissae.  For a
-    single bracket the scalar version is faster.
+    inside: later steps would only revisit evaluated abscissae.
     """
     a = np.array(lo, dtype=np.float64)
     b = np.array(hi, dtype=np.float64)
@@ -95,21 +78,6 @@ def _golden_max_many(fn, lo, hi, iters: int):
         p1, p2 = np.where(up, kept, new), np.where(up, new, kept)
         best = np.where(new[1] > best[1], new, best)
     return best[0], best[1]
-
-
-@dataclass(frozen=True)
-class ModulusParams:
-    """Difference order and sup-search configuration for the modulus."""
-
-    m: int
-    sup_grid: int = 512
-    refine_depth: int = 3
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InvalidParamsError("difference order m must be >= 1")
-        if self.sup_grid < 16:
-            raise InvalidParamsError("sup_grid must be >= 16")
 
 
 @dataclass(frozen=True)
@@ -168,9 +136,7 @@ def difference(dec: SpectralDecomposition, f, tau: float, m: int) -> np.ndarray:
     """
     if m < 1:
         raise InvalidParamsError("difference order m must be >= 1")
-    c = spectral_transform(dec, f)
-    mult = (np.exp(1j * tau * dec.eigenvalues) - 1.0) ** m
-    return dec.eigenvectors @ (mult * c.coeffs)
+    return apply_multiplier(dec, lambda lam: (np.exp(1j * tau * lam) - 1.0) ** m, f)
 
 
 def _difference_norms(eigenvalues, mag2, taus, m):
@@ -179,44 +145,79 @@ def _difference_norms(eigenvalues, mag2, taus, m):
     return np.sqrt(np.maximum(sins ** (2 * m) @ mag2, 0.0))
 
 
-def _modulus_from_mag2(eigenvalues, mag2, s, m, sup_grid, refine_depth):
-    if s == 0.0 or m == 0:
-        return math.sqrt(float(np.sum(mag2))) if m == 0 else 0.0
-    lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    if lam_max == 0.0:
-        return 0.0
-    # enough samples to see every oscillation of the sharpest component
-    periods = s * lam_max / (2.0 * math.pi)
-    n_grid = int(min(8192, max(sup_grid, 8 * m * periods + 1)))
-    taus = np.linspace(0.0, s, n_grid)
-    vals = _difference_norms(eigenvalues, mag2, taus, m)
-    i_best = int(np.argmax(vals))
-    lo = taus[max(0, i_best - 1)]
-    hi = taus[min(n_grid - 1, i_best + 1)]
+#: scan points per shortest period of ``||Delta_tau^m g||^2`` (frequency m lambda_max)
+_SCAN_PER_PERIOD = 8
 
-    def g(tau):
-        return float(_difference_norms(eigenvalues, mag2, np.array([tau]), m)[0])
+#: bound on scan points times dimension held in memory at once
+_SCAN_CHUNK_ENTRIES = 1 << 20
 
-    refined = _golden_max(g, lo, hi, iters=30 * refine_depth)
-    return max(float(vals[i_best]), refined)
+#: golden-section steps refining each local maximum of a shift scan
+_REFINE_ITERS = 90
+
+#: largest shift scan, in scan points times dimension; at the 160-300 ns per
+#: entry measured on a 2-vCPU host (refinement included) it takes 3-5 minutes
+MAX_SCAN_ENTRIES = 1 << 30
 
 
-def modulus(dec: SpectralDecomposition, f, s: float, m: int,
-            sup_grid: int = 512, refine_depth: int = 3) -> float:
+def _running_modulus(eigenvalues, mag2, s_values, m: int) -> np.ndarray:
+    """``Omega_m(g, s)`` at each of the ascending ``s_values`` from one shift scan.
+
+    ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step`` up to
+    the last ``s``, with ``_SCAN_PER_PERIOD`` points per period
+    ``2 pi / (m lambda_max)`` of its fastest component, in chunks so memory
+    stays bounded, and every interior local maximum of the scan is refined
+    by golden section.  Every sampled point, refined maximum and ``phi(s)``
+    itself lands in the bin of the first ``s >= tau``; the running maximum
+    over the bins is the modulus.  A scan of more than
+    :data:`MAX_SCAN_ENTRIES` points times dimension raises
+    :class:`InvalidParamsError`.
+    """
+    def phi(taus):
+        return _difference_norms(eigenvalues, mag2, taus, m)
+
+    step = 2.0 * math.pi / (_SCAN_PER_PERIOD * m * float(eigenvalues[-1]))
+    n_scan = math.ceil(s_values[-1] / step) + 1
+    if n_scan * eigenvalues.size > MAX_SCAN_ENTRIES:
+        raise InvalidParamsError(
+            f"shift scan up to s = {s_values[-1]} needs {n_scan} points at dimension "
+            f"{eigenvalues.size}, more than MAX_SCAN_ENTRIES = {MAX_SCAN_ENTRIES}")
+    bins = np.append(phi(s_values), 0.0)  # last bin: tau beyond every s
+    chunk = max(16, _SCAN_CHUNK_ENTRIES // eigenvalues.size)
+    for start in range(0, n_scan, chunk):
+        # one point of overlap on each side, so every interior point sees its neighbours
+        taus = np.arange(max(start - 1, 0), min(start + chunk + 1, n_scan)) * step
+        vals = phi(taus)
+        peaks = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
+        peak_taus, peak_vals = _golden_max_many(phi, taus[peaks - 1], taus[peaks + 1],
+                                                _REFINE_ITERS)
+        points = np.concatenate((taus, peak_taus))
+        np.maximum.at(bins, np.searchsorted(s_values, points),
+                      np.concatenate((vals, peak_vals)))
+    return np.maximum.accumulate(bins[:-1])
+
+
+def modulus(dec: SpectralDecomposition, f, s: float, m: int) -> float:
     """Modulus of continuity: ``sup over |tau| <= s`` of the m-th difference norm.
 
-    The objective is even in ``tau`` so only ``[0, s]`` is scanned.  ``m = 0``
-    is accepted and returns ``||f||`` (the zeroth difference is the identity).
+    The objective is even in ``tau`` so only ``[0, s]`` is scanned, by the
+    same running-maximum shift scan that serves :func:`besov_seminorm_sup`
+    (see ``_running_modulus``); the scan is sized from ``m lambda_max``
+    and has no cap.  ``m = 0`` is accepted and returns ``||f||`` (the
+    zeroth difference is the identity).  ``s`` must be finite and ``>= 0``.
     """
-    if s < 0.0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    if not (math.isfinite(s) and s >= 0.0):
+        raise InvalidParamsError(f"s must be finite and >= 0, got {s}")
     if m < 0:
         raise InvalidParamsError("difference order m must be >= 0")
     c = spectral_transform(dec, f)
     mag2 = np.abs(c.coeffs) ** 2
     if not np.any(mag2 > 0.0):
         return 0.0
-    return _modulus_from_mag2(dec.eigenvalues, mag2, float(s), m, sup_grid, refine_depth)
+    if m == 0:
+        return math.sqrt(float(np.sum(mag2)))
+    if s == 0.0 or dec.lambda_max == 0.0:
+        return 0.0
+    return float(_running_modulus(dec.eigenvalues, mag2, np.array([float(s)]), m)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,20 +271,10 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s: float,
 
 # -- step-function machinery for the approximation norms ----------------------
 
-def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
-    """0 followed by the distinct eigenvalues: the jump points of E(f, .)."""
-    uniq = np.unique(dec.eigenvalues)
-    if uniq.size == 0:
-        return np.array([0.0])
-    return uniq if uniq[0] == 0.0 else np.concatenate(([0.0], uniq))
-
-
 def _step_values(dec: SpectralDecomposition, f, route: str) -> tuple:
     """(nodes, values): E(f, s) = values[i] on [nodes[i], nodes[i+1])."""
     nodes = _step_nodes(dec)
-    measure = best_approx if route == "E" else spectral_tail
-    values = np.array([measure(dec, f, nodes[i]) for i in range(len(nodes) - 1)])
-    return nodes, values
+    return nodes, _distances(dec, f, nodes[:-1], route)
 
 
 def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
@@ -314,9 +305,9 @@ def _discrete_terms(dec, f, alpha, a, route):
 
     Every later term vanishes, so the truncation is exact.
     """
-    measure = best_approx if route == "E" else spectral_tail
-    return np.array([(a ** (k * alpha)) * measure(dec, f, a ** k)
-                     for k in range(band_count(dec.lambda_max, a))])
+    ks = range(band_count(dec.lambda_max, a))
+    weights = np.array([a ** (k * alpha) for k in ks])
+    return weights * _distances(dec, f, [a ** k for k in ks], route)
 
 
 def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
@@ -358,19 +349,25 @@ def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
 #: log-s grid points per unit of ``log s`` on the Tikhonov path
 _PATH_GRID_DENSITY = 4
 
+#: golden-section steps refining each ``t`` inside its grid bracket
+_K_SEARCH_ITERS = 100
+
+#: log-grid points ``t`` of the K-functional norm's quadrature
+_K_GRID_POINTS = 200
+
 
 def _k_functional_values(dec: SpectralDecomposition, f, ts, r: int,
-                         domain_norm: str, search_iters: int) -> np.ndarray:
+                         domain_norm: str) -> np.ndarray:
     """``K(t)`` for every ``t`` in ``ts``: the lower envelope along the Tikhonov path.
 
     ``A(s)`` and ``B(s)`` are evaluated once on a log-s grid over
     ``[1e-12 / max w, 1e12 / min w]`` (``w > 0``), ``min_s A + t B`` is
     taken for all ``t`` in one broadcast minimum, and each ``t`` is then
-    refined by up to ``search_iters`` golden-section steps inside the grid
-    bracket of its minimizer.  ``A + t B`` is unimodal along the path (the
-    frontier is convex), so that bracket holds the minimum.  The two path
-    endpoints ``g = f`` and ``g = projection onto ker W`` are candidates
-    too.  Grid and brackets do not depend on ``f``, so the result is
+    refined by up to ``_K_SEARCH_ITERS`` (100) golden-section steps inside
+    the grid bracket of its minimizer.  ``A + t B`` is unimodal along the
+    path (the frontier is convex), so that bracket holds the minimum.  The
+    two path endpoints ``g = f`` and ``g = projection onto ker W`` are
+    candidates too.  Grid and brackets do not depend on ``f``, so the result is
     positively 1-homogeneous in ``f`` up to rounding.
     """
     ts = np.asarray(ts, dtype=np.float64)
@@ -415,34 +412,34 @@ def _k_functional_values(dec: SpectralDecomposition, f, ts, r: int,
         return -(a_s + ts * b_s)
 
     _, refined = _golden_max_many(neg_objective, u[np.maximum(i_min - 1, 0)],
-                                  u[np.minimum(i_min + 1, u.size - 1)], search_iters)
+                                  u[np.minimum(i_min + 1, u.size - 1)], _K_SEARCH_ITERS)
     return np.minimum(k_vals, -refined)
 
 
 def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
-                 domain_norm: str = "seminorm", search_iters: int = 100) -> float:
+                 domain_norm: str = "seminorm") -> float:
     """``inf over g`` of ``||f - g|| + t ||D^r g||`` (Peetre K-functional).
 
     The infimum is taken along the Tikhonov family
     ``g_s = (I + s W)^{-1} f`` with ``W = D^{2r}``, which traces the exact
     Pareto frontier of the pair of norms, so ``K(t)`` is the lower
     envelope of the lines ``A(s) + t B(s)`` over the path.  The envelope
-    is read off a log-s grid and refined by up to ``search_iters``
-    golden-section steps in ``log s``; it is exact up to that tolerance.
+    is read off a log-s grid and refined by up to 100 golden-section steps
+    in ``log s``; it is exact up to that tolerance.
     With ``domain_norm="graph"`` the second term is the graph norm
     ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.
     """
-    return float(_k_functional_values(dec, f, [t], r, domain_norm, search_iters)[0])
+    return float(_k_functional_values(dec, f, [t], r, domain_norm)[0])
 
 
 def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
-                 grid_points: int = 200, domain_norm: str = "seminorm") -> float:
+                 domain_norm: str = "seminorm") -> float:
     """Interpolation-space norm built from the K-functional.
 
     ``||f|| + (integral of (t^{-alpha/r} K(t, f))^q dt/t)^{1/q}`` by
-    trapezoidal quadrature on a log grid ``t in [1e-6 / lambda_max^r, 1e6]``;
-    outside the grid ``K(t, f) <= min(||f||-type, t ||D^r f||)`` makes the
-    tails negligible.  ``K`` is evaluated for all grid ``t`` in one pass as
+    trapezoidal quadrature on a ``_K_GRID_POINTS`` (200) point log grid
+    ``t in [1e-6 / lambda_max^r, 1e6]``; outside the grid
+    ``K(t, f) <= min(||f||-type, t ||D^r f||)`` makes the tails negligible.  ``K`` is evaluated for all grid ``t`` in one pass as
     the lower envelope of the Tikhonov path (see :func:`k_functional`).
     This norm is a measurement (used in equivalence ratios), not a closed
     form.
@@ -458,9 +455,9 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
         return norm_f  # K(t, f) = 0: take g = f, the seminorm vanishes
     t_min = 1e-6 / lam_max ** r
     t_max = 1e6
-    u = np.linspace(math.log(t_min), math.log(t_max), grid_points)
+    u = np.linspace(math.log(t_min), math.log(t_max), _K_GRID_POINTS)
     ts = [math.exp(ui) for ui in u]  # scalar exp: array exp may differ in the last bit
-    k_vals = _k_functional_values(dec, vec, ts, r, domain_norm, search_iters=100)
+    k_vals = _k_functional_values(dec, vec, ts, r, domain_norm)
     scaled = np.exp(-theta * u) * k_vals
     if params.is_sup:
         return norm_f + float(np.max(scaled))
@@ -470,60 +467,27 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
 
 # -- modulus-based seminorm and the two inverse-theorem lemmas -----------------
 
-#: scan points per shortest period of ``||Delta_tau^r g||^2`` (frequency r lambda_max)
-_SCAN_PER_PERIOD = 8
-
-#: bound on scan points times dimension held in memory at once
-_SCAN_CHUNK_ENTRIES = 1 << 20
+#: log-grid shifts ``s`` at which the modulus seminorm is evaluated
+_SEMINORM_GRID_POINTS = 512
 
 
-def _running_modulus(eigenvalues, mag2, s_values, m: int, step: float,
-                     refine_iters: int) -> np.ndarray:
-    """``Omega_m(g, s)`` at each of the ascending ``s_values`` from one shift scan.
-
-    ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step`` up to
-    the last ``s``, in chunks so memory stays bounded, and every interior
-    local maximum of the scan is refined by golden section.  Every sampled
-    point, refined maximum and ``phi(s)`` itself lands in the bin of the
-    first ``s >= tau``; the running maximum over the bins is the modulus.
-    """
-    def phi(taus):
-        return _difference_norms(eigenvalues, mag2, taus, m)
-
-    bins = np.append(phi(s_values), 0.0)  # last bin: tau beyond every s
-    n_scan = math.ceil(s_values[-1] / step) + 1
-    chunk = max(16, _SCAN_CHUNK_ENTRIES // eigenvalues.size)
-    for start in range(0, n_scan, chunk):
-        # one point of overlap on each side, so every interior point sees its neighbours
-        taus = np.arange(max(start - 1, 0), min(start + chunk + 1, n_scan)) * step
-        vals = phi(taus)
-        peaks = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
-        peak_taus, peak_vals = _golden_max_many(phi, taus[peaks - 1], taus[peaks + 1],
-                                                refine_iters)
-        points = np.concatenate((taus, peak_taus))
-        np.maximum.at(bins, np.searchsorted(s_values, points),
-                      np.concatenate((vals, peak_vals)))
-    return np.maximum.accumulate(bins[:-1])
-
-
-def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: int,
-                       grid_points: int = 512) -> float:
+def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> float:
     """``sup over s > 0`` of ``s^{n - alpha} Omega_r(D^n f, s)``.
 
-    Evaluated on a 512-point log grid of shifts spanning
-    ``[0.01 / lambda_max, 100 / lambda_min_positive]``.  Outside that range
-    the scaled modulus decays: for large ``s`` the factor ``s^{n-alpha}``
-    kills the bounded modulus, for small ``s`` the modulus itself is
-    ``O(s^r)`` and ``r > alpha - n`` makes the product vanish.
+    Evaluated on a log grid of ``_SEMINORM_GRID_POINTS`` (512) shifts
+    spanning ``[0.01 / lambda_max, 100 / lambda_min_positive]``.  Outside
+    that range the scaled modulus decays: for large ``s`` the factor
+    ``s^{n-alpha}`` kills the bounded modulus, for small ``s`` the modulus
+    itself is ``O(s^r)`` and ``r > alpha - n`` makes the product vanish.
 
     ``Omega_r(g, s)`` is the running maximum over ``tau <= s`` of
     ``phi(tau) = ||Delta_tau^r g||``, so the moduli at every grid ``s`` come
-    from a single scan of ``phi`` at 8 points per period
-    ``2 pi / (r lambda_max)`` of its fastest component, with every local
-    maximum refined.  The scan stops at the last ``s`` that can still matter:
-    ``Omega_r(g, s) <= 2^r ||g||``, so once ``s^{n-alpha} 2^r ||g||`` falls
-    below ``max_s s^{n-alpha} phi(s)`` (a lower bound of the supremum) no
-    larger ``s`` can attain it, and stopping there changes nothing.
+    from the single shift scan of :func:`modulus`.  The scan stops at the
+    last ``s`` that can still matter: ``Omega_r(g, s) <= 2^r ||g||``, so
+    once ``s^{n-alpha} 2^r ||g||`` falls below ``max_s s^{n-alpha} phi(s)``
+    (a lower bound of the supremum) no larger ``s`` can attain it, and
+    stopping there changes nothing.  A scan beyond
+    :data:`MAX_SCAN_ENTRIES` raises :class:`InvalidParamsError`.
     """
     if n < 0 or r < 1:
         raise InvalidParamsError("need n >= 0 and r >= 1")
@@ -540,16 +504,15 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
     if lam_min_pos == 0.0:
         return 0.0  # spectrum is {0}: the group is trivial, all differences vanish
     hi = 100.0 / lam_min_pos
-    s_grid = np.exp(np.linspace(math.log(0.01 / lam_max), math.log(hi), grid_points))
+    s_grid = np.exp(np.linspace(math.log(0.01 / lam_max), math.log(hi),
+                                _SEMINORM_GRID_POINTS))
     # scalar powers, bit for bit the per-s weights of the definition
     weights = np.array([s ** (n - alpha) for s in s_grid])
     floor = float(np.max(weights * _difference_norms(dec.eigenvalues, mag2, s_grid, r)))
     cap = 2.0 ** r * math.sqrt(float(np.sum(mag2)))
     # the relative margin keeps rounding in the two sides from dropping a live s
     live = int(np.flatnonzero(weights * cap >= floor * (1.0 - 1e-9))[-1]) + 1
-    omega = _running_modulus(dec.eigenvalues, mag2, s_grid[:live], r,
-                             step=2.0 * math.pi / (_SCAN_PER_PERIOD * r * lam_max),
-                             refine_iters=90)
+    omega = _running_modulus(dec.eigenvalues, mag2, s_grid[:live], r)
     return float(np.max(weights[:live] * omega))
 
 

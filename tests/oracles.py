@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
-from bandapprox import schrodinger_group, best_approx
+from bandapprox import best_approx, operator_power, schrodinger_group, spectral_transform
 from bandapprox.approx_operators import _centered_bspline
+from bandapprox.smoothness import _difference_norms
 
 
 def difference_by_composition(dec, f, tau, m):
@@ -28,8 +29,6 @@ def k_functional_bruteforce(dec, f, t, r, grid=401):
     a grid over the two shrink factors plus one local refinement pass is
     an upper bound accurate to ~1e-6 relative.
     """
-    from bandapprox import spectral_transform
-
     assert dec.dim == 2
     c = spectral_transform(dec, f).coeffs
     mag = np.abs(c)
@@ -90,9 +89,6 @@ def kernel_norm_const_closed_form(n):
 
 def modulus_dense_scan(dec, f, s, m, points=200_001):
     """Modulus by a very dense uniform scan (no refinement)."""
-    from bandapprox.smoothness import _difference_norms
-    from bandapprox import spectral_transform
-
     c = spectral_transform(dec, f).coeffs
     mag2 = np.abs(c) ** 2
     taus = np.linspace(0.0, s, points)
@@ -130,8 +126,6 @@ def _golden_min(fn, lo, hi, iters):
 
 def k_functional_golden(dec, f, t, r, domain_norm="seminorm", search_iters=100):
     """K(t) by one golden-section search in log s over the whole Tikhonov path."""
-    from bandapprox import spectral_transform
-
     mag2 = np.abs(spectral_transform(dec, f).coeffs) ** 2
     if not np.any(mag2 > 0.0):
         return 0.0
@@ -172,11 +166,40 @@ def k_besov_norm_golden(dec, f, params, grid_points=200, domain_norm="seminorm")
     return norm_f + float(np.trapezoid(scaled ** params.q, u)) ** (1.0 / params.q)
 
 
-def besov_seminorm_sup_per_s(dec, f, alpha, n, r, grid_points=512):
-    """Modulus seminorm with a separate modulus search at each grid s."""
-    from bandapprox import operator_power, spectral_transform
-    from bandapprox.smoothness import _modulus_from_mag2
+def modulus_capped_grid(dec, f, s, m, sup_grid=512, refine_depth=3):
+    """The modulus search the library used before its uncapped shift scan.
 
+    A uniform grid of ``max(sup_grid, 8 m periods + 1)`` points on [0, s],
+    capped at 8192, then one golden-section refinement around the best
+    grid point.  The cap makes it a lower bound when ``s lambda_max`` is
+    large.
+    """
+    mag2 = np.abs(spectral_transform(dec, f).coeffs) ** 2
+    if not np.any(mag2 > 0.0):
+        return 0.0
+    if s == 0.0 or m == 0:
+        return math.sqrt(float(np.sum(mag2))) if m == 0 else 0.0
+    lam_max = dec.lambda_max
+    if lam_max == 0.0:
+        return 0.0
+    eigenvalues = dec.eigenvalues
+    periods = s * lam_max / (2.0 * math.pi)
+    n_grid = int(min(8192, max(sup_grid, 8 * m * periods + 1)))
+    taus = np.linspace(0.0, s, n_grid)
+    vals = _difference_norms(eigenvalues, mag2, taus, m)
+    i_best = int(np.argmax(vals))
+    lo = taus[max(0, i_best - 1)]
+    hi = taus[min(n_grid - 1, i_best + 1)]
+
+    def g(tau):
+        return float(_difference_norms(eigenvalues, mag2, np.array([tau]), m)[0])
+
+    refined = _golden_max(g, lo, hi, iters=30 * refine_depth)
+    return max(float(vals[i_best]), refined)
+
+
+def besov_seminorm_sup_per_s(dec, f, alpha, n, r, grid_points=512):
+    """Modulus seminorm with a separate capped-grid modulus search at each grid s."""
     vec = np.asarray(f, dtype=np.complex128)
     g = operator_power(dec, n, vec) if n > 0 else vec
     mag2 = np.abs(spectral_transform(dec, g).coeffs) ** 2
@@ -186,6 +209,13 @@ def besov_seminorm_sup_per_s(dec, f, alpha, n, r, grid_points=512):
     s_grid = np.exp(np.linspace(math.log(0.01 / dec.lambda_max), math.log(hi), grid_points))
     best = 0.0
     for s in s_grid:
-        omega_r = _modulus_from_mag2(dec.eigenvalues, mag2, float(s), r, 512, 3)
+        omega_r = modulus_capped_grid(dec, g, float(s), r)
         best = max(best, s ** (n - alpha) * omega_r)
     return best
+
+
+def distance_by_projector(dec, f, omega):
+    """``||f - P f||`` with the explicit projector ``P = V_w V_w^T`` onto PW_omega."""
+    basis = dec.eigenvectors[:, dec.eigenvalues <= omega]
+    vec = np.asarray(f, dtype=np.complex128)
+    return float(np.linalg.norm(vec - basis @ (basis.T @ vec)))

@@ -8,6 +8,7 @@ import pytest
 from bandapprox import (
     IndexOutOfRangeError,
     InvalidConfigError,
+    InvalidParamsError,
     KernelOrderMismatchError,
     NotBandlimitedError,
     OddOrderError,
@@ -169,7 +170,7 @@ class TestKernelSymbol:
 
     def test_unknown_method_rejected(self):
         kernel = build_kernel(4, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamsError):
             kernel_symbol(kernel, 0.3, "fourier")
 
 

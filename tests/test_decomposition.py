@@ -42,6 +42,14 @@ class TestBandDecompose:
         assert np.argmax(norms) == 2
         assert sum(norm > 1e-12 for norm in norms) == 1
 
+    def test_eigenvalue_on_edge_joins_lower_band(self):
+        # bands are closed above: lambda = 1, 2, 4 sit in bands 0, 1, 2 for base 2
+        dec = eigh(build_operator(parse_operator_arg("diag:0,1,2,4", kind=RAW_D)))
+        bands = band_decompose(dec, np.ones(4, dtype=complex), 2.0).bands
+        # D is diagonal, so vector entry j carries eigenvalue lambda_j
+        supports = [tuple(np.flatnonzero(np.abs(b) > 0)) for b in bands]
+        assert supports == [(0, 1), (2,), (3,)]
+
     def test_membership_orthogonality_reconstruction(self, cycle16_dec, rng):
         f = random_vector(rng, 16)
         band_dec = band_decompose(cycle16_dec, f, 2.0)

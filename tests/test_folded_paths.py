@@ -1,0 +1,103 @@
+"""The shared spectral paths against independent oracles.
+
+``modulus`` reads ``Omega_m(f, s)`` off the uncapped running-maximum shift
+scan; its oracle is the former capped grid search, compared wherever the
+cap does not bind.  Band-edge distances at every step node come from one
+transform and are compared with an explicit projector.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bandapprox import (
+    RAW_D,
+    RAW_L,
+    InvalidParamsError,
+    SymmetricOperator,
+    eigh,
+    modulus,
+)
+from bandapprox.harness import build_operator, parse_operator_arg
+from bandapprox.paley_wiener import _distances, _step_nodes
+from bandapprox.smoothness import MAX_SCAN_ENTRIES
+from conftest import random_vector
+from oracles import distance_by_projector, modulus_capped_grid, modulus_dense_scan
+
+REL = 1e-12
+
+#: cycle/path (degenerate), random PSD, a spectrum containing 0, N = 1, {0}
+SPECS = (("cycle:8", RAW_L), ("cycle:16", RAW_L), ("path:16", RAW_L),
+         ("random:32:3", RAW_L), ("diag:0,0.5,2,3", RAW_D), ("diag:2", RAW_D),
+         ("diag:0,0", RAW_D))
+
+#: shifts in units of 1 / lambda_max; the capped grid stays below its cap
+S_SCALED = (0.05, 0.9, 3.0, 25.0)
+
+
+def _dec(text, kind=RAW_D):
+    return eigh(build_operator(parse_operator_arg(text, kind=kind)))
+
+
+@pytest.fixture(params=SPECS, ids=[text for text, _ in SPECS])
+def case(request, rng):
+    dec = _dec(*request.param)
+    return dec, random_vector(rng, dec.dim)
+
+
+class TestModulusAgainstCappedGrid:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_every_family(self, case, m):
+        dec, f = case
+        lam_max = dec.lambda_max if dec.lambda_max > 0 else 1.0
+        for scaled in S_SCALED:
+            s = scaled / lam_max
+            assert 8 * m * s * dec.lambda_max / (2 * math.pi) + 1 < 8192
+            new = modulus(dec, f, s, m)
+            old = modulus_capped_grid(dec, f, s, m)
+            assert abs(new - old) <= REL * abs(old)
+
+    def test_zero_shift_and_trivial_spectrum(self, rng):
+        dec = _dec("diag:0,0")
+        f = random_vector(rng, 2)
+        assert modulus(dec, f, 5.0, 2) == 0.0
+        assert modulus(_dec("diag:1,2"), f, 0.0, 3) == 0.0
+        assert modulus(dec, f, 5.0, 0) == pytest.approx(np.linalg.norm(f), rel=REL)
+
+    def test_no_cap_on_long_shifts(self):
+        # the capped grid would need ~254k points here but stopped at 8192
+        rng = np.random.default_rng(3)
+        spectrum = np.concatenate(([0.0, 0.01], rng.uniform(1.0, 100.0, 14)))
+        dec = eigh(SymmetricOperator(np.diag(spectrum), kind=RAW_D))
+        f = random_vector(rng, dec.dim)
+        m, s = 2, 1000.0
+        assert 8 * m * s * dec.lambda_max / (2 * math.pi) > 8192
+        new = modulus(dec, f, s, m)
+        assert new >= modulus_dense_scan(dec, f, s, m) * (1.0 - REL)
+
+    def test_scan_limit_raises(self, cycle16_dec, rng):
+        f = random_vector(rng, 16)
+        s = MAX_SCAN_ENTRIES * 2 * math.pi / (8 * cycle16_dec.lambda_max)
+        with pytest.raises(InvalidParamsError, match="MAX_SCAN_ENTRIES"):
+            modulus(cycle16_dec, f, s, 1)
+
+    @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_shift(self, diag_dec, rng, s):
+        with pytest.raises(InvalidParamsError):
+            modulus(diag_dec, random_vector(rng, 3), s, 2)
+
+
+class TestDistancesAgainstProjector:
+    def test_every_step_node(self, case):
+        dec, f = case
+        nodes = _step_nodes(dec)
+        expected = np.array([distance_by_projector(dec, f, w) for w in nodes])
+        scale = 1.0 + np.linalg.norm(f)
+        for route in ("E", "R"):
+            got = _distances(dec, f, nodes, route)
+            assert np.max(np.abs(got - expected)) <= REL * scale
+
+    def test_nodes_are_zero_and_distinct_eigenvalues(self):
+        np.testing.assert_array_equal(_step_nodes(_dec("diag:0,1,1,3")), [0.0, 1.0, 3.0])
+        np.testing.assert_array_equal(_step_nodes(_dec("diag:2,2")), [0.0, 2.0])

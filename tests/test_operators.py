@@ -9,6 +9,7 @@ from bandapprox import (
     RAW_D,
     RAW_L,
     DimensionMismatchError,
+    InvalidParamsError,
     NonFiniteError,
     NotPSDError,
     NotSymmetricError,
@@ -92,6 +93,10 @@ class TestEigh:
         with pytest.raises(NonFiniteError):
             SymmetricOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidParamsError):
+            SymmetricOperator(np.eye(2), kind="raw_X")
+
     def test_degeneracy_grouping_tolerance(self):
         dec = eigh(SymmetricOperator(np.diag([1.0, 1.0 + 1e-12, 2.0]), kind=RAW_D))
         assert [len(g) for g in dec.groups] == [2, 1]
@@ -172,6 +177,11 @@ class TestFunctionalCalculus:
     def test_power_zero_is_identity(self, cycle16_dec, rng):
         f = random_vector(rng, 16)
         np.testing.assert_allclose(operator_power(cycle16_dec, 0.0, f), f, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [-0.5, math.nan])
+    def test_negative_power_rejected(self, diag_dec, rng, s):
+        with pytest.raises(InvalidParamsError):
+            operator_power(diag_dec, s, random_vector(rng, 3))
 
     def test_sqrt_power_composes_to_full(self, random_dec, rng):
         f = random_vector(rng, random_dec.dim)

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from bandapprox import (
+    RAW_D,
+    InvalidParamsError,
     NegativeOmegaError,
     NotBandlimitedError,
+    SymmetricOperator,
     ZeroVectorError,
     bandwidth,
     bernstein_check,
     best_approx,
     dense_union_check,
+    eigh,
     pw_project,
     spectral_tail,
     vector_from_coeffs,
@@ -194,3 +198,15 @@ class TestDenseUnion:
         smaller = [w for w in np.unique(cycle16_dec.eigenvalues) if w < omega]
         for w in smaller:
             assert best_approx(cycle16_dec, f, w) > eps
+
+    def test_first_qualifying_candidate(self):
+        dec = eigh(SymmetricOperator(np.diag([0.0, 1.0, 2.0, 3.0]), kind=RAW_D))
+        f = np.array([1.0, 0.5, 0.25, 0.125], dtype=complex)
+        for eps in (1.0, 0.3, 0.2, 0.125, 0.1, 1e-3):
+            first = next(w for w in (0.0, 1.0, 2.0, 3.0) if spectral_tail(dec, f, w) <= eps)
+            assert dense_union_check(dec, f, eps) == first
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_nonpositive_eps_rejected(self, diag_dec, rng, eps):
+        with pytest.raises(InvalidParamsError):
+            dense_union_check(diag_dec, random_vector(rng, 3), eps)

@@ -309,16 +309,6 @@ class TestLemmas:
 
 
 class TestParamTypes:
-    def test_modulus_params_validation(self):
-        from bandapprox import ModulusParams
-
-        p = ModulusParams(m=2)
-        assert (p.sup_grid, p.refine_depth) == (512, 3)
-        with pytest.raises(InvalidParamsError):
-            ModulusParams(m=0)
-        with pytest.raises(InvalidParamsError):
-            ModulusParams(m=1, sup_grid=8)
-
     def test_band_limit_validation(self, diag_dec, rng):
         from bandapprox import BandLimit, NegativeOmegaError, pw_project
 
