@@ -41,7 +41,7 @@ from .operators import (
     operator_power,
     spectral_transform,
 )
-from .paley_wiener import BANDLIMITED_TOL, best_approx, spectral_tail
+from .paley_wiener import _in_pw, best_approx
 from .smoothness import GRID_TOL, _safe_ratio, modulus
 
 # -- small numerics ------------------------------------------------------------
@@ -291,7 +291,7 @@ def riesz_identity_check(dec: SpectralDecomposition, f, omega: float, power: int
         return RieszIdentityReport(residual=0.0,
                                    tail_bound=RieszConfig(omega, k_trunc).tail_bound,
                                    k_trunc=k_trunc, omega=omega, power=power)
-    if spectral_tail(dec, vec, omega) > BANDLIMITED_TOL * norm_f:
+    if not _in_pw(dec, vec, omega):
         raise NotBandlimitedError(f"vector has spectral mass above omega={omega}")
     cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
     rho = riesz_symbol(dec.eigenvalues, cfg)

@@ -23,8 +23,8 @@ from .errors import (
     ZeroVectorError,
 )
 from .operators import SpectralDecomposition, as_vector, spectral_transform
-from .paley_wiener import _distances, band_count, spectral_tail
-from .smoothness import BesovParams, besov_norm
+from .paley_wiener import _band_powers, _in_pw, _lq_norm, band_count
+from .smoothness import BesovParams, _discrete_terms, besov_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +53,8 @@ def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecompo
     k_top = band_count(dec.lambda_max, a)
     vec = as_vector(f, dec.dim)
     c = spectral_transform(dec, vec)
-    lam = dec.eigenvalues
-    edges = a ** np.arange(k_top + 1, dtype=np.float64)
-
-    band_of = np.searchsorted(edges, lam)  # k with a^{k-1} < lambda <= a^k
+    edges = _band_powers(a, k_top + 1)
+    band_of = np.searchsorted(edges, dec.eigenvalues)  # k with a^{k-1} < lambda <= a^k
     bands = tuple(dec.eigenvectors @ np.where(band_of == k, c.coeffs, 0.0)
                   for k in range(k_top + 1))
     return BandDecomposition(base=a, bands=bands, band_edges=edges)
@@ -69,11 +67,7 @@ def frame_norm(band_dec: BandDecomposition, alpha: float, q: float) -> float:
     if not (q >= 1.0):
         raise InvalidParamsError(f"q must be in [1, inf], got {q}")
     norms = band_dec.band_norms()
-    weights = band_dec.base ** (alpha * np.arange(len(norms)))
-    terms = weights * norms
-    if q == math.inf:
-        return float(np.max(terms)) if terms.size else 0.0
-    return float(np.sum(terms ** q) ** (1.0 / q))
+    return _lq_norm(_band_powers(band_dec.base, len(norms), alpha) * norms, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +126,6 @@ class SynthesisReport:
 #: relative slack on the synthesis inequality
 SYNTHESIS_TOL = 1e-10
 
-#: membership tolerance for supplied band vectors (relative to band norm)
-MEMBERSHIP_TOL = 1e-12
-
 
 def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = math.inf,
                     a: float = 2.0) -> SynthesisReport:
@@ -151,25 +142,18 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = 
     if not (alpha > 0.0):
         raise InvalidParamsError(f"alpha must be > 0, got {alpha}")
     band_list = [as_vector(b, dec.dim) for b in bands]
-    for k, band in enumerate(band_list):
-        norm_b = float(np.linalg.norm(band))
-        if norm_b > 0.0 and spectral_tail(dec, band, a ** k) > MEMBERSHIP_TOL * norm_b:
+    for k, edge in enumerate(_band_powers(a, len(band_list))):
+        if not _in_pw(dec, band_list[k], edge):
             raise MembershipViolationError(
-                f"band {k} has spectral mass above its edge a^{k} = {a ** k}")
+                f"band {k} has spectral mass above its edge a^{k} = {edge}")
 
     f = np.sum(band_list, axis=0) if band_list else np.zeros(dec.dim, complex)
     norms = np.array([float(np.linalg.norm(b)) for b in band_list])
-    weights = a ** (alpha * np.arange(len(band_list)))
-    terms = weights * norms
-    sup_band = float(np.max(terms)) if terms.size else 0.0
-    if q == math.inf or not terms.size:
-        frame_q = sup_band
-    else:
-        frame_q = float(np.sum(terms ** q) ** (1.0 / q))
-
-    ks = range(band_count(dec.lambda_max, a) + 2)
-    weights = np.array([a ** (k * alpha) for k in ks])
-    lhs = float(np.max(weights * _distances(dec, f, [a ** k for k in ks], "E")))
+    terms = _band_powers(a, len(band_list), alpha) * norms
+    sup_band = _lq_norm(terms, math.inf)
+    frame_q = _lq_norm(terms, q)
+    # E(f, a^k) vanishes from k = band_count on, so the discrete terms hold the sup
+    lhs = _lq_norm(_discrete_terms(dec, f, alpha, a, "E"), math.inf)
     constant = 1.0 / (1.0 - a ** (-alpha))
     rhs = constant * sup_band
     passed = lhs <= rhs * (1.0 + SYNTHESIS_TOL) + 1e-300

@@ -33,8 +33,6 @@ PACKAGE_VERSION = "0.1.0"
 
 # -- operator specs and builders ------------------------------------------------
 
-_BUILTINS = ("cycle", "path", "complete", "diagonal", "random_psd")
-
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -467,11 +465,10 @@ def _check_riesz_identity(ctx):
         for j in picks:
             f = dec.eigenvectors[:, j]
             omega = float(lam[j])
-            residuals = [aop.riesz_identity_check(dec, f, omega, 1, k).residual
-                         for k in truncations]
-            slope = np.polyfit(np.log(truncations), np.log(residuals), 1)[0]
+            reps = [aop.riesz_identity_check(dec, f, omega, 1, k) for k in truncations]
+            slope = np.polyfit(np.log(truncations), np.log([r.residual for r in reps]), 1)[0]
             worst_slope_dev = max(worst_slope_dev, abs(slope + 1.0))
-            last = aop.riesz_identity_check(dec, f, omega, 1, truncations[-1])
+            last = reps[-1]
             worst_tail_ratio = max(worst_tail_ratio, last.residual / last.tail_bound)
         records.append(_record("riesz_identity_slope", _params_str(N=n),
                                worst_slope_dev, ctx.tols["riesz_slope"]))
@@ -610,13 +607,10 @@ def _check_theorem1_brackets(ctx):
             records.append(_record("theorem1_bracket", params, hi / lo,
                                    ctx.tols["finite_cap"]))
             # bracket must be scale-invariant: ratios computed from 1000 f match
-            f = ctx.corpus[n][0]
-            base = np.array([sm.besov_norm(dec, f, sm.BesovParams(alpha=alpha, q=q, flavor=fl))
-                             for fl in _THEOREM1_FLAVORS])
-            scaled = np.array([sm.besov_norm(dec, 1e3 * f,
+            scaled = np.array([sm.besov_norm(dec, 1e3 * ctx.corpus[n][0],
                                              sm.BesovParams(alpha=alpha, q=q, flavor=fl))
                                for fl in _THEOREM1_FLAVORS])
-            dev = float(np.max(np.abs(scaled / base / 1e3 - 1.0)))
+            dev = float(np.max(np.abs(scaled / norms[0] / 1e3 - 1.0)))
             records.append(_record("theorem1_scale_invariance", params, dev,
                                    ctx.tols["scale_invariance"]))
     return records, constants
@@ -635,9 +629,8 @@ def _check_frame_equivalence(ctx):
             params = _params_str(N=n, alpha=alpha, q=q_name)
             records.append(_record("frame_equivalence", params,
                                    rep.ratio_hi / rep.ratio_lo, ctx.tols["finite_cap"]))
-            single = dcmp.equivalence_report(dec, ctx.corpus[n][0], alpha, q, a=2.0)
             scaled = dcmp.equivalence_report(dec, 1e3 * ctx.corpus[n][0], alpha, q, a=2.0)
-            dev = abs(scaled.ratios[0] / single.ratios[0] - 1.0)
+            dev = abs(scaled.ratios[0] / rep.ratios[0] - 1.0)
             records.append(_record("frame_scale_invariance", params, dev,
                                    ctx.tols["scale_invariance"]))
     return records, constants
@@ -651,6 +644,7 @@ def _check_synthesis_constant(ctx):
         worst_ratio = 0.0
         worst_recon = 0.0
         worst_tail_dev = 0.0
+        edges = pw._band_powers(a, pw.band_count(dec.lambda_max, a) + 1)
         for idx in range(min(ctx.count, 10)):
             f = ctx.corpus[n][idx]
             norm_f = float(np.linalg.norm(f))
@@ -658,18 +652,16 @@ def _check_synthesis_constant(ctx):
             recon = float(np.linalg.norm(np.sum(band_dec.bands, axis=0) - f))
             worst_recon = max(worst_recon, recon / norm_f)
             norms2 = band_dec.band_norms() ** 2
-            for big_n in range(band_dec.count):
-                e_val = pw.best_approx(dec, f, a ** big_n) ** 2
+            for big_n, e_val in enumerate(pw._distances(dec, f, edges, "E") ** 2):
                 tail = float(np.sum(norms2[big_n + 1:]))
                 worst_tail_dev = max(worst_tail_dev, abs(e_val - tail) / norm_f ** 2)
             rep = dcmp.synthesis_check(dec, band_dec.bands, alpha, a=a)
             if rep.rhs > 0:
                 worst_ratio = max(worst_ratio, rep.lhs / rep.rhs)
         # non-orthogonal inputs: each band is a random vector squashed to its edge
-        k_top = pw.band_count(dec.lambda_max, a)
         for _ in range(5):
-            bands = [pw.pw_project(dec, ctx.corpus[n][int(ctx.rng.integers(ctx.count))],
-                                   a ** k) for k in range(k_top + 1)]
+            bands = [pw.pw_project(dec, ctx.corpus[n][int(ctx.rng.integers(ctx.count))], edge)
+                     for edge in edges]
             rep = dcmp.synthesis_check(dec, bands, alpha, a=a)
             if rep.rhs > 0:
                 worst_ratio = max(worst_ratio, rep.lhs / rep.rhs)

@@ -29,7 +29,7 @@ from .operators import (
     spectral_transform,
 )
 
-#: membership test used by bernstein_check / riesz_identity_check
+#: relative tail below which a vector counts as a member of PW_omega
 BANDLIMITED_TOL = 1e-12
 #: default coefficient threshold (relative to ||f||) defining the support
 SUPPORT_TOL = 1e-12
@@ -60,6 +60,25 @@ def band_count(lambda_max: float, a: float) -> int:
             f"base {a} needs {k} bands to reach lambda_max = {lambda_max}, "
             f"more than MAX_BANDS = {MAX_BANDS}")
     return k
+
+
+def _band_powers(a: float, count: int, x: float = 1.0) -> np.ndarray:
+    """``a^(k x)`` for k = 0 .. count-1: band edges at ``x = 1``, weights at ``x = alpha``.
+
+    Scalar powers, the ones :func:`band_count` compares with; an array
+    power may differ from them in the last bit and move an eigenvalue
+    that sits on an edge into the next band.
+    """
+    return np.array([a ** (k * x) for k in range(count)])
+
+
+def _lq_norm(terms: np.ndarray, q: float) -> float:
+    """``(sum terms^q)^{1/q}``; the maximum at ``q = inf`` and 0 without terms."""
+    if not terms.size:
+        return 0.0
+    if q == math.inf:
+        return float(np.max(terms))
+    return float(np.sum(terms ** q) ** (1.0 / q))
 
 
 @dataclass(frozen=True)
@@ -145,6 +164,12 @@ def spectral_tail(dec: SpectralDecomposition, f, omega) -> float:
     return float(_distances(dec, f, [_omega_value(omega)], "R")[0])
 
 
+def _in_pw(dec: SpectralDecomposition, f, omega: float) -> bool:
+    """Whether ``f`` lies in PW_omega: tail above omega at most ``BANDLIMITED_TOL ||f||``."""
+    vec = as_vector(f, dec.dim)
+    return spectral_tail(dec, vec, omega) <= BANDLIMITED_TOL * float(np.linalg.norm(vec))
+
+
 def log_power_norms(dec: SpectralDecomposition, f, k_max: int) -> np.ndarray:
     """``log ||D^k f||`` for k = 1..k_max, computed in log-space.
 
@@ -217,7 +242,7 @@ BERNSTEIN_TOL = 1e-10
 def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinReport:
     """Verify ``||D^s f|| <= omega^s ||f||`` for each ``s`` in ``s_list``.
 
-    Requires ``f`` in PW_omega (tail below ``1e-12 ||f||``), otherwise
+    Requires ``f`` in PW_omega (tail at most ``1e-12 ||f||``), otherwise
     raises :class:`NotBandlimitedError`.
     """
     w = _omega_value(omega)
@@ -225,7 +250,7 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     norm_f = float(np.linalg.norm(vec))
     if norm_f == 0.0:
         raise ZeroVectorError("Bernstein check needs a nonzero vector")
-    if spectral_tail(dec, vec, w) > BANDLIMITED_TOL * norm_f:
+    if not _in_pw(dec, vec, w):
         raise NotBandlimitedError(f"vector has spectral mass above omega={w}")
     c = spectral_transform(dec, vec)
     mag2 = np.abs(c.coeffs) ** 2

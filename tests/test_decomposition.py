@@ -10,6 +10,7 @@ from bandapprox import (
     BesovParams,
     InvalidBaseError,
     MembershipViolationError,
+    SymmetricOperator,
     ZeroVectorError,
     band_decompose,
     besov_norm,
@@ -200,3 +201,47 @@ class TestBandCount:
             synthesis_check(dec, [pw_project(dec, f, 1.0)], 0.8, a=a)
         with pytest.raises(InvalidBaseError):
             besov_norm(dec, f, BesovParams(alpha=0.8, q=2.0, a=a, flavor="discrete_R"))
+
+
+def _diag_dec(values):
+    """Decomposition of D = diag(values), given directly; entry j carries values[j]."""
+    return eigh(SymmetricOperator(np.diag(values), kind=RAW_D))
+
+
+class TestBandEdges:
+    """Every routine cuts the spectrum at the same edges a^k, also at non-integer bases.
+
+    ``1.1 ** 7`` and ``1.11 ** 4`` are values where an array power of ``a``
+    can differ from the scalar power in the last bit; an eigenvalue sitting
+    on such an edge must still land in one band for every routine.
+    """
+
+    def test_eigenvalue_on_edge_tail_identity(self):
+        a = 1.1
+        dec = _diag_dec([0.5, a ** 7, 3.0])
+        f = np.ones(3, dtype=complex)
+        norms2 = band_decompose(dec, f, a).band_norms() ** 2
+        assert best_approx(dec, f, a ** 7) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert float(np.sum(norms2[8:])) == pytest.approx(1.0, abs=1e-12)
+
+    def test_synthesis_accepts_own_bands_at_edge(self):
+        a = 1.11
+        dec = _diag_dec([0.5, 1.5180704100000006, 1.6])
+        bands = band_decompose(dec, np.ones(3, dtype=complex), a).bands
+        assert synthesis_check(dec, bands, 0.8, a=a).passed
+
+    @pytest.mark.parametrize("a", [1.1, 1.11, 1.5, 3.0, math.sqrt(10.0)])
+    def test_eigenvalue_on_every_edge(self, a):
+        top = 12
+        dec = _diag_dec([a ** k for k in range(top + 1)])
+        f = np.ones(top + 1, dtype=complex)
+        band_dec = band_decompose(dec, f, a)
+        assert band_dec.count == top + 1
+        for k, band in enumerate(band_dec.bands):
+            # entry k carries the eigenvalue a^k, the closed upper edge of band k
+            assert tuple(np.flatnonzero(np.abs(band) > 0)) == (k,), (a, k)
+        norms2 = band_dec.band_norms() ** 2
+        for k in range(top + 1):
+            e2 = best_approx(dec, f, a ** k) ** 2
+            assert abs(e2 - float(np.sum(norms2[k + 1:]))) <= 1e-12, (a, k)
+        assert synthesis_check(dec, band_dec.bands, 0.8, a=a).passed

@@ -245,6 +245,21 @@ class TestCli:
                      "--out", str(out_path)]) == 0
         assert out_path.read_text().startswith("check,params")
 
+    @pytest.mark.parametrize("entries, expected", [
+        ([1.0, 1.0, 0.0], "interpolation identity residual"),
+        ([1.0, 1.0, 1.0], "identity check skipped"),
+        ([0.0, 0.0, 0.0], "interpolation identity residual"),
+    ])
+    def test_riesz_identity_runs_only_for_bandlimited(self, tmp_path, capsys,
+                                                      entries, expected):
+        # D = diag(1, 2, 3): entry 3 carries lambda = 3, above omega = 2
+        vec_path = tmp_path / "f.json"
+        save_vector(str(vec_path), np.array(entries))
+        code = main(["riesz", "--op", "diag:1,2,3", "--kind", "raw_D",
+                     "--vector", str(vec_path), "--omega", "2", "--trunc", "100"])
+        assert code == 0
+        assert expected in capsys.readouterr().out
+
     def test_bad_operator_spec_exits_2(self, capsys):
         assert main(["spectrum", "--op", "moebius:7"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,11 +1,13 @@
-"""Source hygiene: every module-level import in the library is used."""
+"""Source hygiene: every module-level import in the library is used, and
+every private module-level name is referenced somewhere in src/ or tests/."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bandapprox"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bandapprox"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -30,3 +32,43 @@ def test_no_unused_module_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
+
+
+def _private_definitions(tree):
+    """(name, line) for each private function, class or variable the module body defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [(t.id, node.lineno) for n in nodes for t in ast.walk(n)
+                       if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name, line in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, line
+
+
+def _references(tree):
+    """Names read, attributes accessed and names imported anywhere in the module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_no_unreferenced_private_names():
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    refs = set()
+    for path in sources:
+        refs |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    unused = [f"{path.name}:{line} {name}" for path in MODULES
+              for name, line in _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in refs]
+    assert not unused, f"private names nothing references: {', '.join(unused)}"
