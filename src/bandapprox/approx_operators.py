@@ -19,6 +19,7 @@ scaled uniform B-spline supported on [-1, 1].
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ from .paley_wiener import _in_pw, best_approx
 from .smoothness import GRID_TOL, _safe_ratio, modulus
 
 # -- small numerics ------------------------------------------------------------
+
+def _is_int(x) -> bool:
+    """True for integers of any integral type except ``bool``."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
 
 def _sinc(u):
     """sin(u)/u with a series switchover near the removable singularity."""
@@ -234,10 +240,10 @@ class RieszConfig:
     k_trunc: int = 10_000
 
     def __post_init__(self):
-        if not (self.omega > 0.0):
-            raise InvalidConfigError(f"omega must be > 0, got {self.omega}")
-        if self.k_trunc < 1:
-            raise InvalidConfigError(f"k_trunc must be >= 1, got {self.k_trunc}")
+        if not (0.0 < self.omega < math.inf):
+            raise InvalidConfigError(f"omega must be finite and > 0, got {self.omega}")
+        if not (_is_int(self.k_trunc) and self.k_trunc >= 1):
+            raise InvalidConfigError(f"k_trunc must be an integer >= 1, got {self.k_trunc!r}")
 
     @property
     def tail_bound(self) -> float:
@@ -247,19 +253,43 @@ class RieszConfig:
                      * (polygamma(1, k + 0.5) + polygamma(1, k + 1.5)))
 
 
+def _riesz_coefs(k, omega: float):
+    """Series weights ``c_k = (omega / pi^2) (-1)^{k+1} / (k - 1/2)^2``."""
+    return (omega / math.pi ** 2) * np.where(k % 2 == 0, -1.0, 1.0) / (k - 0.5) ** 2
+
+
 def riesz_symbol(lam, cfg: RieszConfig) -> np.ndarray:
     """Truncated spectral symbol of the interpolation series at points ``lam``.
 
     Converges to ``i * lam`` for ``|lam| <= omega`` as the truncation grows;
     its modulus never exceeds ``omega``.
+
+    The series ``sum_{k=-K}^{K} c_k e^{i theta (k - 1/2)}`` with
+    ``theta = pi lam / omega`` is summed with about ``2 N sqrt K``
+    exponentials in O(N sqrt K + K) memory.  Since ``c_{1-k} = -c_k``, the
+    terms ``k`` and ``1 - k`` pair to ``2i c_k sin(theta (k - 1/2))``, which
+    leaves ``k = -K`` unpaired.  The paired sum over ``k = b q + r``
+    (``b = ceil(sqrt K)``, ``r = 1..b``) is one GEMM of the baby steps
+    ``e^{i theta (r - 1/2)}`` against the coefficient block, weighted by the
+    giant steps ``e^{i theta b q}`` (Paterson-Stockmeyer).  The split starts
+    at ``k = 1``, so the dominant terms (``q = 0``) keep their directly
+    computed phase; they are summed smallest first and added after the
+    rest, which keeps the band-edge value within a few ulps of ``omega``.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    k = np.arange(-cfg.k_trunc, cfg.k_trunc + 1)
-    half = k - 0.5
-    signs = np.where(k % 2 == 0, -1.0, 1.0)
-    coefs = (cfg.omega / math.pi ** 2) * signs / half ** 2
-    phases = np.exp(1j * (math.pi / cfg.omega) * np.outer(lam, half))
-    return phases @ coefs
+    k_trunc = cfg.k_trunc
+    scale = math.pi / cfg.omega
+    b = math.isqrt(k_trunc - 1) + 1
+    n_giant = -(-k_trunc // b)
+    r = np.arange(b, 0, -1)  # descending, so each sum adds its largest term last
+    k = r[:, None] + b * np.arange(n_giant)
+    block = np.where(k <= k_trunc, _riesz_coefs(k, cfg.omega), 0.0)
+    baby = np.exp(1j * scale * np.outer(lam, r - 0.5))
+    giant = np.exp(1j * scale * np.outer(lam, b * np.arange(1, n_giant)))
+    steps = baby @ block
+    paired = (steps[:, 0] + np.sum(steps[:, 1:] * giant, axis=1)).imag
+    unpaired = np.exp(1j * scale * (lam * (-k_trunc - 0.5)))
+    return 2j * paired + _riesz_coefs(-k_trunc, cfg.omega) * unpaired
 
 
 def riesz_apply(dec: SpectralDecomposition, f, cfg: RieszConfig) -> np.ndarray:
@@ -285,15 +315,16 @@ def riesz_identity_check(dec: SpectralDecomposition, f, omega: float, power: int
     The residual shrinks as the truncation grows (empirically like 1/K);
     the analytic tail bound of the truncation is attached to the report.
     """
+    if not (_is_int(power) and power >= 1):
+        raise InvalidParamsError(f"power must be an integer >= 1, got {power!r}")
+    cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
     vec = as_vector(f, dec.dim)
     norm_f = float(np.linalg.norm(vec))
     if norm_f == 0.0:
-        return RieszIdentityReport(residual=0.0,
-                                   tail_bound=RieszConfig(omega, k_trunc).tail_bound,
+        return RieszIdentityReport(residual=0.0, tail_bound=cfg.tail_bound,
                                    k_trunc=k_trunc, omega=omega, power=power)
     if not _in_pw(dec, vec, omega):
         raise NotBandlimitedError(f"vector has spectral mass above omega={omega}")
-    cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
     rho = riesz_symbol(dec.eigenvalues, cfg)
     c = spectral_transform(dec, vec)
     exact = (1j * dec.eigenvalues) ** power * c.coeffs

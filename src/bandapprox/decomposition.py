@@ -23,7 +23,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .operators import SpectralDecomposition, as_vector, spectral_transform
-from .paley_wiener import _band_powers, _in_pw, _lq_norm, band_count
+from .paley_wiener import _band_powers, _check_q, _in_pw, _lq_norm, band_count
 from .smoothness import BesovParams, _discrete_terms, besov_norm
 
 
@@ -64,8 +64,7 @@ def frame_norm(band_dec: BandDecomposition, alpha: float, q: float) -> float:
     """Weighted band-norm sum ``(sum_k (a^{k alpha} ||f_k||)^q)^{1/q}`` (sup at q=inf)."""
     if not (alpha > 0.0):
         raise InvalidParamsError(f"alpha must be > 0, got {alpha}")
-    if not (q >= 1.0):
-        raise InvalidParamsError(f"q must be in [1, inf], got {q}")
+    _check_q(q)
     norms = band_dec.band_norms()
     return _lq_norm(_band_powers(band_dec.base, len(norms), alpha) * norms, q)
 
@@ -141,6 +140,7 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = 
         raise InvalidBaseError(f"base must be > 1, got {a}")
     if not (alpha > 0.0):
         raise InvalidParamsError(f"alpha must be > 0, got {alpha}")
+    _check_q(q)
     band_list = [as_vector(b, dec.dim) for b in bands]
     for k, edge in enumerate(_band_powers(a, len(band_list))):
         if not _in_pw(dec, band_list[k], edge):

@@ -63,7 +63,8 @@ class InvalidOrderError(BandApproxError):
 # -- approximation operators --------------------------------------------------
 
 class InvalidConfigError(BandApproxError):
-    """Riesz operator configuration invalid (omega <= 0 or truncation < 1)."""
+    """Riesz operator configuration invalid (omega not in (0, inf) or truncation
+    not an integer >= 1)."""
 
 
 class OddOrderError(BandApproxError):

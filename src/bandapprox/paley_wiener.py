@@ -72,6 +72,12 @@ def _band_powers(a: float, count: int, x: float = 1.0) -> np.ndarray:
     return np.array([a ** (k * x) for k in range(count)])
 
 
+def _check_q(q: float) -> None:
+    """Reject an exponent outside ``[1, inf]``, the range where ``_lq_norm`` is a norm."""
+    if not (q >= 1.0):
+        raise InvalidParamsError(f"q must be in [1, inf], got {q}")
+
+
 def _lq_norm(terms: np.ndarray, q: float) -> float:
     """``(sum terms^q)^{1/q}``; the maximum at ``q = inf`` and 0 without terms."""
     if not terms.size:

@@ -39,7 +39,7 @@ from .operators import (
     operator_power,
     spectral_transform,
 )
-from .paley_wiener import _band_powers, _distances, _lq_norm, _step_nodes, band_count
+from .paley_wiener import _band_powers, _check_q, _distances, _lq_norm, _step_nodes, band_count
 
 #: tolerance folded into inequality checks that involve a grid supremum
 GRID_TOL = 1e-6
@@ -98,8 +98,7 @@ class BesovParams:
     def __post_init__(self):
         if not (self.alpha > 0.0):
             raise InvalidParamsError(f"alpha must be > 0, got {self.alpha}")
-        if not (self.q >= 1.0):
-            raise InvalidParamsError(f"q must be in [1, inf], got {self.q}")
+        _check_q(self.q)
         if not (self.a > 1.0):
             raise InvalidParamsError(f"base a must be > 1, got {self.a}")
         if self.flavor not in _FLAVORS:

@@ -7,6 +7,7 @@ or repeated operator application.  They stay deliberately dumb.
 
 import math
 
+import mpmath
 import numpy as np
 
 from bandapprox import best_approx, operator_power, schrodinger_group, spectral_transform
@@ -219,3 +220,33 @@ def distance_by_projector(dec, f, omega):
     basis = dec.eigenvectors[:, dec.eigenvalues <= omega]
     vec = np.asarray(f, dtype=np.complex128)
     return float(np.linalg.norm(vec - basis @ (basis.T @ vec)))
+
+
+def riesz_symbol_direct(lam, cfg):
+    """All 2K+1 terms of the Riesz series from one N x (2K+1) phase matrix."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    k = np.arange(-cfg.k_trunc, cfg.k_trunc + 1)
+    half = k - 0.5
+    signs = np.where(k % 2 == 0, -1.0, 1.0)
+    coefs = (cfg.omega / math.pi ** 2) * signs / half ** 2
+    phases = np.exp(1j * (math.pi / cfg.omega) * np.outer(lam, half))
+    return phases @ coefs
+
+
+def riesz_symbol_mpmath(lam, omega, k_trunc):
+    """The truncated Riesz series at one float ``lam`` in 30-digit arithmetic.
+
+    Sums all 2K+1 terms from k = -K upward; each phase is the previous one
+    times ``e^{i theta}``, a recurrence whose rounding stays far below
+    double precision at this working precision.
+    """
+    with mpmath.workdps(30):
+        theta = mpmath.pi * mpmath.mpf(lam) / mpmath.mpf(omega)
+        phase = mpmath.expj(theta * (-k_trunc - mpmath.mpf(0.5)))
+        step = mpmath.expj(theta)
+        total = mpmath.mpc(0)
+        for k in range(-k_trunc, k_trunc + 1):
+            half = mpmath.mpf(2 * k - 1) / 2
+            total += (1 if k % 2 else -1) * phase / (half * half)
+            phase *= step
+        return complex(total * mpmath.mpf(omega) / mpmath.pi ** 2)

@@ -1,11 +1,14 @@
 """Riesz interpolation, the sinc-power kernel, Q operator, Jackson chain."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from bandapprox import (
+    RAW_D,
     IndexOutOfRangeError,
     InvalidConfigError,
     InvalidParamsError,
@@ -14,7 +17,9 @@ from bandapprox import (
     OddOrderError,
     OrderTooSmallError,
     RieszConfig,
+    SymmetricOperator,
     build_kernel,
+    eigh,
     jackson_check,
     jackson_constant,
     kernel_symbol,
@@ -29,7 +34,7 @@ from bandapprox import (
 )
 from bandapprox.approx_operators import _psi_moment
 from conftest import random_vector
-from oracles import kernel_norm_const_closed_form
+from oracles import kernel_norm_const_closed_form, riesz_symbol_direct, riesz_symbol_mpmath
 
 
 class TestRiesz:
@@ -89,6 +94,15 @@ class TestRiesz:
         rep = riesz_identity_check(diag_dec, u, 2.0, 2, 10_000)
         assert rep.residual <= 1e-3
 
+    @pytest.mark.parametrize("omega", [0.3085016415179093, 0.317294755324036])
+    def test_identity_tail_at_band_edge_within_verify_bound(self, omega):
+        # at lam = omega the residual equals the tail bound exactly, so the ratio
+        # that verify holds to 1 + 1e-10 measures only the rounding of the symbol;
+        # the sum of all 2K+1 terms reads 1 + 1.28e-10 and 1 + 1.03e-10 here
+        dec = eigh(SymmetricOperator(np.diag([omega]), kind=RAW_D))
+        rep = riesz_identity_check(dec, dec.eigenvectors[:, 0], omega, 1, 10_000)
+        assert rep.residual / rep.tail_bound <= 1 + 1e-10
+
     def test_zero_vector_identity_report(self, diag_dec):
         rep = riesz_identity_check(diag_dec, np.zeros(3), 2.0, 1, 100)
         assert rep.residual == 0.0
@@ -102,6 +116,89 @@ class TestRiesz:
             RieszConfig(omega=0.0)
         with pytest.raises(InvalidConfigError):
             RieszConfig(omega=1.0, k_trunc=0)
+
+    @pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan])
+    def test_non_finite_omega_rejected(self, omega):
+        with pytest.raises(InvalidConfigError):
+            RieszConfig(omega=omega)
+
+    @pytest.mark.parametrize("k_trunc", [2.5, 100.0, True, np.float64(3.0), "100"])
+    def test_non_integer_truncation_rejected(self, k_trunc):
+        with pytest.raises(InvalidConfigError):
+            RieszConfig(omega=1.0, k_trunc=k_trunc)
+
+    def test_numpy_integer_truncation_accepted(self):
+        lams = np.linspace(0.0, 3.0, 7)
+        np.testing.assert_array_equal(riesz_symbol(lams, RieszConfig(2.0, np.int64(100))),
+                                      riesz_symbol(lams, RieszConfig(2.0, 100)))
+
+    @pytest.mark.parametrize("power", [0, -1, 1.5, 2.0, True])
+    def test_identity_power_must_be_positive_integer(self, diag_dec, power):
+        u = diag_dec.eigenvectors[:, 1]
+        with pytest.raises(InvalidParamsError):
+            riesz_identity_check(diag_dec, u, 2.0, power, 100)
+        with pytest.raises(InvalidParamsError):
+            riesz_identity_check(diag_dec, np.zeros(3), 2.0, power, 100)
+
+    def test_identity_accepts_numpy_integer_power(self, diag_dec):
+        u = diag_dec.eigenvectors[:, 1]
+        rep = riesz_identity_check(diag_dec, u, 2.0, np.int64(2), 100)
+        assert rep.residual == riesz_identity_check(diag_dec, u, 2.0, 2, 100).residual
+
+
+class TestRieszSymbolFastPath:
+    """The paired baby-step/giant-step sum against the full 2K+1-term series."""
+
+    @pytest.mark.parametrize("k_trunc", [1, 2, 3, 4, 5, 99, 100, 101, 9_999, 10_000])
+    def test_matches_direct_series(self, k_trunc):
+        for omega in (0.3, 1.7, 4.0):
+            lams = np.concatenate([np.linspace(0.0, 50.0 * omega, 201),
+                                   [omega, omega * (1 - 1e-12), 2.0 * omega, -0.7 * omega]])
+            cfg = RieszConfig(omega, k_trunc)
+            fast = riesz_symbol(lams, cfg)
+            assert fast.shape == lams.shape and fast.dtype == np.complex128
+            dev = np.max(np.abs(fast - riesz_symbol_direct(lams, cfg)))
+            assert dev <= 1e-14 * omega, (omega, dev)
+
+    @pytest.mark.parametrize("k_trunc", [1_000, 10_000])
+    def test_matches_high_precision_reference(self, k_trunc):
+        omega = 1.7
+        lams = [omega, 0.37 * omega, 2.6 * omega, -omega]
+        fast = riesz_symbol(lams, RieszConfig(omega, k_trunc))
+        for lam, value in zip(lams, fast):
+            exact = riesz_symbol_mpmath(lam, omega, k_trunc)
+            assert abs(value - exact) <= 4e-15 * omega, (lam, abs(value - exact))
+
+    @pytest.mark.parametrize("k_trunc", [1_000, 10_000])
+    def test_band_edge_within_few_ulps(self, k_trunc):
+        # at lam = omega every term is in phase: rho = i (omega - tail) exactly, and
+        # the identity-tail check in verify reads this value at the ulp level
+        with mpmath.workdps(30):
+            half_k = mpmath.mpf(k_trunc) + mpmath.mpf(0.5)
+            series = mpmath.pi ** 2 - 2 * mpmath.polygamma(1, half_k) + 1 / half_k ** 2
+            for omega in np.random.default_rng(5).uniform(0.2, 4.5, 60):
+                rho = riesz_symbol(omega, RieszConfig(float(omega), k_trunc))[0]
+                exact = mpmath.mpf(omega) * series / mpmath.pi ** 2
+                assert abs(rho.real) <= 1e-15 * omega
+                assert abs(float(mpmath.mpf(rho.imag) - exact)) <= 4 * math.ulp(omega), omega
+
+    def test_scalar_and_empty_input(self):
+        cfg = RieszConfig(2.0, 100)
+        assert riesz_symbol(1.5, cfg).shape == (1,)
+        assert riesz_symbol(np.array([]), cfg).shape == (0,)
+
+    def test_memory_is_sublinear_in_truncation(self):
+        lams = np.linspace(0.0, 3.0, 4096)
+        cfg = RieszConfig(2.0, 10_000)
+        tracemalloc.start()
+        try:
+            rho = riesz_symbol(lams, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full phase matrix would be 16 * 4096 * 20001 bytes, about 1.3 GB
+        assert peak < 64 * 2 ** 20, peak
+        assert np.max(np.abs(rho)) <= cfg.omega * (1 + 1e-12)
 
 
 class TestKernel:

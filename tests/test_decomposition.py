@@ -9,6 +9,7 @@ from bandapprox import (
     RAW_D,
     BesovParams,
     InvalidBaseError,
+    InvalidParamsError,
     MembershipViolationError,
     SymmetricOperator,
     ZeroVectorError,
@@ -170,6 +171,23 @@ class TestSynthesis:
         bands = [random_vector(rng, 16)]  # full-spectrum vector claimed in PW_1
         with pytest.raises(MembershipViolationError):
             synthesis_check(cycle16_dec, bands, 0.8, a=2.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, math.nan, -math.inf])
+    def test_q_outside_one_to_inf_rejected(self, diag_dec, q):
+        # the same rule as frame_norm and BesovParams: q in [1, inf]
+        bands = [diag_dec.eigenvectors[:, 0]]  # lambda = 1 lies in band 0
+        with pytest.raises(InvalidParamsError):
+            synthesis_check(diag_dec, bands, 0.8, q, a=2.0)
+        with pytest.raises(InvalidParamsError):
+            frame_norm(band_decompose(diag_dec, bands[0], 2.0), 0.8, q)
+        with pytest.raises(InvalidParamsError):
+            BesovParams(alpha=0.8, q=q)
+
+    def test_q_in_range_accepted(self, diag_dec):
+        bands = [diag_dec.eigenvectors[:, 0]]
+        for q in (1.0, 2.0, math.inf):
+            rep = synthesis_check(diag_dec, bands, 0.8, q, a=2.0)
+            assert rep.passed and abs(rep.frame_q - 1.0) <= 1e-15
 
 
 class TestBandCount:
