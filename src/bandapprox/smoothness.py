@@ -16,11 +16,12 @@ equivalent ways:
   ``K(t) = min_s A(s) + t B(s)`` is the lower envelope of the lines
   ``A(s) + t B(s)``.  The path is evaluated once on a log-s grid, the
   envelope is taken for every ``t`` in one broadcast minimum, and each
-  ``t`` is refined by golden section inside its grid bracket;
+  ``t`` is refined by clipped Newton steps on the optimality condition
+  ``s B(s) / A(s) = t`` inside its grid bracket;
 * moduli of continuity built from the unitary group ``e^{itD}``.
   ``Omega_m(g, s)`` is the running maximum of ``||Delta_tau^m g||`` over
   ``tau <= s``, so one shift scan with every local maximum refined by
-  golden section serves both moduli: :func:`modulus` reads it at a
+  clipped Newton steps serves both moduli: :func:`modulus` reads it at a
   single ``s`` and the modulus seminorm at all of its ``s`` at once.  The
   scan is sized from ``m lambda_max`` with no grid cap; a scan beyond
   :data:`MAX_SCAN_ENTRIES` raises instead of running for hours.
@@ -49,35 +50,40 @@ BESOV_FLAVORS = ("integral_E", "discrete_E", "integral_R", "discrete_R",
                  "k_functional", "modulus")
 _FLAVORS = BESOV_FLAVORS
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+def _scaled_mag2(coeffs) -> tuple:
+    """``(|c|^2 4^-e, e)`` with ``max |c| 2^-e`` in ``[0.5, 1)`` (``e = 0`` for ``c = 0``).
 
-def _golden_max_many(fn, lo, hi, iters: int):
-    """Golden-section maximization on many brackets ``[lo[i], hi[i]]`` at once.
-
-    ``fn`` maps an array with one abscissa per bracket to the values
-    there.  Returns the best evaluated abscissa and value per bracket.
-    Stops before ``iters`` steps once no bracket has a float strictly
-    inside: later steps would only revisit evaluated abscissae.
+    Scaling by a power of two is exact: the squares neither overflow nor
+    underflow, and norms of them times ``2^e`` keep their unscaled bits.
     """
-    a = np.array(lo, dtype=np.float64)
-    b = np.array(hi, dtype=np.float64)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    p1 = np.stack((x1, fn(x1)))  # (abscissa, value) of the two interior points
-    p2 = np.stack((x2, fn(x2)))
-    best = np.where(p2[1] > p1[1], p2, p1)
-    for _ in range(iters):
-        if np.all(np.nextafter(a, b) >= b):
-            break
-        up = p1[1] < p2[1]  # the maximum lies in [x1, b]
-        a, b = np.where(up, (p1[0], b), (a, p2[0]))
-        kept = np.where(up, p2, p1)
-        new_x = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
-        new = np.stack((new_x, fn(new_x)))
-        p1, p2 = np.where(up, kept, new), np.where(up, new, kept)
-        best = np.where(new[1] > best[1], new, best)
-    return best[0], best[1]
+    e = math.frexp(float(np.max(np.abs(coeffs), initial=0.0)))[1]
+    return np.ldexp(np.abs(coeffs), -e) ** 2, e
+
+
+def _norm(vec) -> float:
+    """``np.linalg.norm(vec)`` taken at a power-of-two scale, so it cannot overflow or underflow."""
+    e = math.frexp(float(np.max(np.abs(vec), initial=0.0)))[1]
+    scaled = np.ldexp(vec.real, -e) + 1j * np.ldexp(vec.imag, -e)
+    return math.ldexp(float(np.linalg.norm(scaled)), e)
+
+
+def _clipped_newton(fn, x, lo, hi, steps: int) -> tuple:
+    """Newton steps from ``x`` clipped to the brackets ``[lo, hi]``, all brackets at once.
+
+    ``fn(x)`` gives ``(objective, h, dh)``: ``h`` has the sign of the
+    objective's slope and ``dh`` is its derivative.  A step moves to
+    ``x - h / |dh|``, so it never heads uphill.  Returns the abscissa and
+    value of the smallest objective evaluated; NaN (``dh = 0``) never wins.
+    """
+    best_x, best = x, np.full(np.shape(x), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(steps + 1):
+            value, h, dh = fn(x)
+            better = value < best
+            best_x, best = np.where(better, x, best_x), np.where(better, value, best)
+            x = np.clip(x - h / np.abs(dh), lo, hi)
+    return best_x, best
 
 
 @dataclass(frozen=True)
@@ -150,11 +156,11 @@ _SCAN_PER_PERIOD = 8
 #: bound on scan points times dimension held in memory at once
 _SCAN_CHUNK_ENTRIES = 1 << 20
 
-#: golden-section steps refining each local maximum of a shift scan
-_REFINE_ITERS = 90
+#: clipped Newton steps refining each local maximum of a shift scan
+_PEAK_NEWTON_STEPS = 6
 
-#: largest shift scan, in scan points times dimension; at the 160-300 ns per
-#: entry measured on a 2-vCPU host (refinement included) it takes 3-5 minutes
+#: largest shift scan, in scan points times dimension; at the 75-100 ns per
+#: entry measured on a 2-vCPU host (refinement included) it takes 80-110 s
 MAX_SCAN_ENTRIES = 1 << 30
 
 
@@ -164,15 +170,23 @@ def _running_modulus(eigenvalues, mag2, s_values, m: int) -> np.ndarray:
     ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step`` up to
     the last ``s``, with ``_SCAN_PER_PERIOD`` points per period
     ``2 pi / (m lambda_max)`` of its fastest component, in chunks so memory
-    stays bounded, and every interior local maximum of the scan is refined
-    by golden section.  Every sampled point, refined maximum and ``phi(s)``
-    itself lands in the bin of the first ``s >= tau``; the running maximum
-    over the bins is the modulus.  A scan of more than
-    :data:`MAX_SCAN_ENTRIES` points times dimension raises
-    :class:`InvalidParamsError`.
+    stays bounded.  Every interior local maximum ``tau_i`` of the scan is
+    refined by ``_PEAK_NEWTON_STEPS`` Newton steps on the closed-form first
+    and second derivatives of ``phi^2 = sum |c|^2 (2 - 2 cos tau lambda)^m``,
+    clipped to ``[tau_{i-1}, tau_{i+1}]``; the best value evaluated counts.
+    Every sampled point, refined maximum and ``phi(s)`` itself lands in the
+    bin of the first ``s >= tau``; the running maximum over the bins is the
+    modulus.  A scan of more than :data:`MAX_SCAN_ENTRIES` points times
+    dimension raises :class:`InvalidParamsError`.
     """
-    def phi(taus):
-        return _difference_norms(eigenvalues, mag2, taus, m)
+    def neg_phi(taus):
+        """``-phi`` and the slope and curvature of ``-phi^2``, via ``v = 2 - 2 cos(tau lambda)``."""
+        x = np.outer(taus, eigenvalues)  # v'' = 2 lambda^2 cos x = lambda^2 (2 - v)
+        sins = 2.0 * np.abs(np.sin(x / 2.0))
+        v, dv = sins ** 2, 2.0 * eigenvalues * np.sin(x)
+        d1 = v ** (m - 1) * dv
+        d2 = (m - 1) * v ** max(m - 2, 0) * dv ** 2 + v ** (m - 1) * eigenvalues ** 2 * (2.0 - v)
+        return -np.sqrt(np.maximum(sins ** (2 * m) @ mag2, 0.0)), -m * (d1 @ mag2), -m * (d2 @ mag2)
 
     step = 2.0 * math.pi / (_SCAN_PER_PERIOD * m * float(eigenvalues[-1]))
     n_scan = math.ceil(s_values[-1] / step) + 1
@@ -180,19 +194,39 @@ def _running_modulus(eigenvalues, mag2, s_values, m: int) -> np.ndarray:
         raise InvalidParamsError(
             f"shift scan up to s = {s_values[-1]} needs {n_scan} points at dimension "
             f"{eigenvalues.size}, more than MAX_SCAN_ENTRIES = {MAX_SCAN_ENTRIES}")
-    bins = np.append(phi(s_values), 0.0)  # last bin: tau beyond every s
+    # the last bin takes every tau beyond the last s
+    bins = np.append(_difference_norms(eigenvalues, mag2, s_values, m), 0.0)
     chunk = max(16, _SCAN_CHUNK_ENTRIES // eigenvalues.size)
     for start in range(0, n_scan, chunk):
         # one point of overlap on each side, so every interior point sees its neighbours
         taus = np.arange(max(start - 1, 0), min(start + chunk + 1, n_scan)) * step
-        vals = phi(taus)
+        vals = _difference_norms(eigenvalues, mag2, taus, m)
         peaks = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
-        peak_taus, peak_vals = _golden_max_many(phi, taus[peaks - 1], taus[peaks + 1],
-                                                _REFINE_ITERS)
+        peak_taus, peak_vals = _clipped_newton(neg_phi, taus[peaks], taus[peaks - 1],
+                                               taus[peaks + 1], _PEAK_NEWTON_STEPS)
         points = np.concatenate((taus, peak_taus))
         np.maximum.at(bins, np.searchsorted(s_values, points),
-                      np.concatenate((vals, peak_vals)))
+                      np.concatenate((vals, -peak_vals)))
     return np.maximum.accumulate(bins[:-1])
+
+
+def _moduli(dec: SpectralDecomposition, f, s_values, m: int) -> np.ndarray:
+    """``Omega_m(f, s)`` at each of the ``s_values``, in any order, from one transform and scan."""
+    s_values = np.asarray(s_values, dtype=np.float64)
+    bad = ~(np.isfinite(s_values) & (s_values >= 0.0))
+    if np.any(bad):
+        raise InvalidParamsError(f"s must be finite and >= 0, got {s_values[bad][0]}")
+    if m < 0:
+        raise InvalidParamsError("difference order m must be >= 0")
+    mag2, e = _scaled_mag2(spectral_transform(dec, f).coeffs)
+    if m == 0:
+        return np.full(s_values.shape, math.ldexp(math.sqrt(float(np.sum(mag2))), e))
+    if not np.any(mag2 > 0.0) or not np.any(s_values > 0.0) or dec.lambda_max == 0.0:
+        return np.zeros(s_values.shape)
+    order = np.argsort(s_values)
+    omega = np.empty(s_values.shape)
+    omega[order] = _running_modulus(dec.eigenvalues, mag2, s_values[order], m)
+    return np.ldexp(omega, e)
 
 
 def modulus(dec: SpectralDecomposition, f, s: float, m: int) -> float:
@@ -204,19 +238,7 @@ def modulus(dec: SpectralDecomposition, f, s: float, m: int) -> float:
     and has no cap.  ``m = 0`` is accepted and returns ``||f||`` (the
     zeroth difference is the identity).  ``s`` must be finite and ``>= 0``.
     """
-    if not (math.isfinite(s) and s >= 0.0):
-        raise InvalidParamsError(f"s must be finite and >= 0, got {s}")
-    if m < 0:
-        raise InvalidParamsError("difference order m must be >= 0")
-    c = spectral_transform(dec, f)
-    mag2 = np.abs(c.coeffs) ** 2
-    if not np.any(mag2 > 0.0):
-        return 0.0
-    if m == 0:
-        return math.sqrt(float(np.sum(mag2)))
-    if s == 0.0 or dec.lambda_max == 0.0:
-        return 0.0
-    return float(_running_modulus(dec.eigenvalues, mag2, np.array([float(s)]), m)[0])
+    return float(_moduli(dec, f, [s], m)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,14 +272,13 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s: float,
     if a_scale <= 0.0:
         raise InvalidParamsError("a_scale must be positive")
     vec = as_vector(f, dec.dim)
-    norm_f = float(np.linalg.norm(vec))
+    norm_f = _norm(vec)
 
-    lhs = modulus(dec, vec, s, m)
-    dk_f = operator_power(dec, k, vec) if k > 0 else vec
-    rhs = (s ** k) * modulus(dec, dk_f, s, m - k)
+    lhs, lhs_scale = (float(v) for v in _moduli(dec, vec, [s, a_scale * s], m))
+    # at k = 0 the right side is Omega_m(f, s) itself: reuse it, no second scan
+    rhs = (s ** k) * modulus(dec, operator_power(dec, k, vec), s, m - k) if k > 0 else lhs
     ratio_power, vac_power = _safe_ratio(lhs, rhs, norm_f)
 
-    lhs_scale = modulus(dec, vec, a_scale * s, m)
     rhs_scale = ((1.0 + a_scale) ** m) * lhs
     ratio_scale, vac_scale = _safe_ratio(lhs_scale, rhs_scale, norm_f)
 
@@ -316,7 +337,7 @@ def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
     flavors truncate where the terms become identically zero.
     """
     vec = as_vector(f, dec.dim)
-    norm_f = float(np.linalg.norm(vec))
+    norm_f = _norm(vec)
     flavor = params.flavor
     if flavor == "k_functional":
         return k_besov_norm(dec, vec, params)
@@ -339,26 +360,28 @@ def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
 #: log-s grid points per unit of ``log s`` on the Tikhonov path
 _PATH_GRID_DENSITY = 4
 
-#: golden-section steps refining each ``t`` inside its grid bracket
-_K_SEARCH_ITERS = 100
+#: clipped Newton steps refining each ``t`` inside its grid bracket
+_K_NEWTON_STEPS = 4
 
 #: log-grid points ``t`` of the K-functional norm's quadrature
 _K_GRID_POINTS = 200
 
 
 def _k_functional_values(dec: SpectralDecomposition, f, ts, r: int,
-                         domain_norm: str) -> np.ndarray:
-    """``K(t)`` for every ``t`` in ``ts``: the lower envelope along the Tikhonov path.
+                         domain_norm: str) -> tuple:
+    """``(K(t) 2^-e, e)`` for every ``t`` in ``ts``: the lower envelope along the Tikhonov path.
 
     ``A(s)`` and ``B(s)`` are evaluated once on a log-s grid over
-    ``[1e-12 / max w, 1e12 / min w]`` (``w > 0``), ``min_s A + t B`` is
-    taken for all ``t`` in one broadcast minimum, and each ``t`` is then
-    refined by up to ``_K_SEARCH_ITERS`` (100) golden-section steps inside
-    the grid bracket of its minimizer.  ``A + t B`` is unimodal along the
-    path (the frontier is convex), so that bracket holds the minimum.  The
-    two path endpoints ``g = f`` and ``g = projection onto ker W`` are
-    candidates too.  Grid and brackets do not depend on ``f``, so the result is
-    positively 1-homogeneous in ``f`` up to rounding.
+    ``[1e-12 / max w, 1e12 / min w]`` (``w > 0``) and ``min_s A + t B`` is
+    taken for all ``t`` in one broadcast minimum.  With ``u = log s`` and
+    ``x = s w``, ``dA^2/du = 2 sum |c|^2 x^2 / (1+x)^3 = -s dB^2/du``, so
+    ``A + t B`` is stationary where ``g(u) = u + log(B / A) = log t``, and
+    ``g`` increases (the frontier is convex).  Each ``t`` is bracketed on
+    the grid values of ``g`` and refined by ``_K_NEWTON_STEPS`` clipped
+    Newton steps; a ``t`` outside their range has its minimum at a path
+    endpoint, ``g = f`` or ``g = projection onto ker W``, both candidates
+    for every ``t``.  Only coefficients outside ``ker W`` enter, scaled by
+    ``2^-e`` (see ``_scaled_mag2``).
     """
     ts = np.asarray(ts, dtype=np.float64)
     if not np.all(ts > 0.0):
@@ -367,43 +390,47 @@ def _k_functional_values(dec: SpectralDecomposition, f, ts, r: int,
         raise InvalidParamsError("r must be a positive integer")
     if domain_norm not in ("seminorm", "graph"):
         raise InvalidParamsError(f"unknown domain_norm {domain_norm!r}")
-    c = spectral_transform(dec, f)
-    mag2 = np.abs(c.coeffs) ** 2
-    if not np.any(mag2 > 0.0):
-        return np.zeros(ts.shape)
     lam2r = dec.eigenvalues ** (2 * r)
     w = lam2r if domain_norm == "seminorm" else 1.0 + lam2r
+    mag2, e = _scaled_mag2(np.where(w > 0.0, spectral_transform(dec, f).coeffs, 0.0))
+    if not np.any(mag2 > 0.0):
+        return np.zeros(ts.shape), 0  # f in ker W: K(t) = 0 at g = f
     mag2_w = mag2 * w
 
     def path(log_s):
-        """(A, B) at each ``s = exp(log_s)``."""
+        """``A``, ``B`` and ``P = sum |c|^2 x^2 / (1+x)^3`` at each ``s = exp(log_s)``."""
         sw = np.exp(log_s)[:, None] * w
         one_sw = 1.0 + sw
-        a2 = np.sum(mag2 * (sw / one_sw) ** 2, axis=-1)
+        a_terms = mag2 * (sw / one_sw) ** 2
         b2 = np.sum(mag2_w / one_sw ** 2, axis=-1)
-        return np.sqrt(np.maximum(a2, 0.0)), np.sqrt(np.maximum(b2, 0.0))
+        return np.sqrt(np.sum(a_terms, axis=-1)), np.sqrt(b2), np.sum(a_terms / one_sw, axis=-1)
 
     # endpoints of the path: g = f (s -> 0) and g = projection onto ker W
     k_vals = np.minimum(ts * math.sqrt(float(np.sum(mag2_w))),
                         math.sqrt(float(np.sum(mag2[w > 0.0]))))
     w_pos = w[w > 0.0]
-    if not w_pos.size:
-        return k_vals
     lo = math.log(1e-12 / float(w_pos.max()))
     hi = math.log(1e12 / float(w_pos.min()))
     u = np.linspace(lo, hi, math.ceil(_PATH_GRID_DENSITY * (hi - lo)) + 1)
-    a_u, b_u = path(u)
-    lines = a_u + ts[:, None] * b_u
-    i_min = np.argmin(lines, axis=1)
-    k_vals = np.minimum(k_vals, lines[np.arange(ts.size), i_min])
+    a_u, b_u, _ = path(u)
+    k_vals = np.minimum(k_vals, np.min(a_u + ts[:, None] * b_u, axis=1))
 
-    def neg_objective(log_s):
-        a_s, b_s = path(log_s)
-        return -(a_s + ts * b_s)
+    g_u = u + np.log(b_u / a_u)
+    j = np.searchsorted(g_u, np.log(ts))
+    inside = (j > 0) & (j < u.size)
+    j, t_in, log_t = j[inside], ts[inside], np.log(ts[inside])
 
-    _, refined = _golden_max_many(neg_objective, u[np.maximum(i_min - 1, 0)],
-                                  u[np.minimum(i_min + 1, u.size - 1)], _K_SEARCH_ITERS)
-    return np.minimum(k_vals, -refined)
+    def line(log_s):
+        """``A + t B``, ``g - log t`` and ``dg/du = 1 - P / A^2 - P / (s B^2)``."""
+        a, b, p = path(log_s)
+        return (a + t_in * b, log_s + np.log(b / a) - log_t,
+                1.0 - p / a ** 2 - p / (np.exp(log_s) * b ** 2))
+
+    # secant start inside each bracket g(u[j-1]) < log t <= g(u[j])
+    start = u[j - 1] + (log_t - g_u[j - 1]) / (g_u[j] - g_u[j - 1]) * (u[j] - u[j - 1])
+    _, refined = _clipped_newton(line, start, u[j - 1], u[j], _K_NEWTON_STEPS)
+    k_vals[inside] = np.minimum(k_vals[inside], refined)
+    return k_vals, e
 
 
 def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
@@ -414,12 +441,13 @@ def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
     ``g_s = (I + s W)^{-1} f`` with ``W = D^{2r}``, which traces the exact
     Pareto frontier of the pair of norms, so ``K(t)`` is the lower
     envelope of the lines ``A(s) + t B(s)`` over the path.  The envelope
-    is read off a log-s grid and refined by up to 100 golden-section steps
-    in ``log s``; it is exact up to that tolerance.
+    is read off a log-s grid and refined by clipped Newton steps on the
+    optimality condition ``s B(s) / A(s) = t``; it is exact up to rounding.
     With ``domain_norm="graph"`` the second term is the graph norm
     ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.
     """
-    return float(_k_functional_values(dec, f, [t], r, domain_norm)[0])
+    values, e = _k_functional_values(dec, f, [t], r, domain_norm)
+    return math.ldexp(float(values[0]), e)
 
 
 def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
@@ -428,14 +456,15 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
 
     ``||f|| + (integral of (t^{-alpha/r} K(t, f))^q dt/t)^{1/q}`` by
     trapezoidal quadrature on a ``_K_GRID_POINTS`` (200) point log grid
-    ``t in [1e-6 / lambda_max^r, 1e6]``; outside the grid
-    ``K(t, f) <= min(||f||-type, t ||D^r f||)`` makes the tails negligible.  ``K`` is evaluated for all grid ``t`` in one pass as
-    the lower envelope of the Tikhonov path (see :func:`k_functional`).
-    This norm is a measurement (used in equivalence ratios), not a closed
-    form.
+    ``t in [1e-6 / lambda_max^r, 1e6]``.  Outside the grid
+    ``K(t, f) <= min(||f||-type, t ||D^r f||)`` makes the tails negligible.
+    ``K`` is evaluated for all grid ``t`` in one pass (see
+    :func:`k_functional`) and integrated in units of a power of two, so no
+    scale of ``f`` overflows.  This norm is a measurement (used in
+    equivalence ratios), not a closed form.
     """
     vec = as_vector(f, dec.dim)
-    norm_f = float(np.linalg.norm(vec))
+    norm_f = _norm(vec)
     if norm_f == 0.0:
         return 0.0
     r = params.r
@@ -447,12 +476,12 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
     t_max = 1e6
     u = np.linspace(math.log(t_min), math.log(t_max), _K_GRID_POINTS)
     ts = [math.exp(ui) for ui in u]  # scalar exp: array exp may differ in the last bit
-    k_vals = _k_functional_values(dec, vec, ts, r, domain_norm)
+    k_vals, e = _k_functional_values(dec, vec, ts, r, domain_norm)
     scaled = np.exp(-theta * u) * k_vals
     if params.is_sup:
-        return norm_f + float(np.max(scaled))
+        return norm_f + math.ldexp(float(np.max(scaled)), e)
     integral = float(np.trapezoid(scaled ** params.q, u))
-    return norm_f + integral ** (1.0 / params.q)
+    return norm_f + math.ldexp(integral ** (1.0 / params.q), e)
 
 
 # -- modulus-based seminorm and the two inverse-theorem lemmas -----------------
@@ -485,8 +514,7 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
         raise InvalidOrderError(f"need alpha > n, got alpha={alpha}, n={n}")
     vec = as_vector(f, dec.dim)
     g = operator_power(dec, n, vec) if n > 0 else vec
-    c = spectral_transform(dec, g)
-    mag2 = np.abs(c.coeffs) ** 2
+    mag2, e = _scaled_mag2(spectral_transform(dec, g).coeffs)
     if not np.any(mag2 > 0.0):
         return 0.0
     lam_max = dec.lambda_max
@@ -503,7 +531,7 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
     # the relative margin keeps rounding in the two sides from dropping a live s
     live = int(np.flatnonzero(weights * cap >= floor * (1.0 - 1e-9))[-1]) + 1
     omega = _running_modulus(dec.eigenvalues, mag2, s_grid[:live], r)
-    return float(np.max(weights[:live] * omega))
+    return math.ldexp(float(np.max(weights[:live] * omega)), e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,7 +562,7 @@ def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
     vec = as_vector(f, dec.dim)
     lhs = sup_scaled_best_approx(dec, vec, alpha)
     rhs = besov_seminorm_sup(dec, vec, alpha, n, r)
-    norm_f = float(np.linalg.norm(vec))
+    norm_f = _norm(vec)
     ratio, vacuous = _safe_ratio(lhs, rhs, max(norm_f, 1.0))
     return LemmaReport(lhs=lhs, rhs=rhs, ratio=ratio, vacuous=vacuous,
                        passed=bool(math.isfinite(ratio)))
@@ -546,7 +574,7 @@ def lemma2_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
     vec = as_vector(f, dec.dim)
     lhs = besov_seminorm_sup(dec, vec, alpha, n, r)
     t_val = sup_scaled_best_approx(dec, vec, alpha)
-    norm_f = float(np.linalg.norm(vec))
+    norm_f = _norm(vec)
     rhs = norm_f + t_val
     ratio, vacuous = _safe_ratio(lhs, rhs, max(norm_f, 1.0))
     return LemmaReport(lhs=lhs, rhs=rhs, ratio=ratio, vacuous=vacuous,

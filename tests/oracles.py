@@ -125,6 +125,55 @@ def _golden_min(fn, lo, hi, iters):
     return -_golden_max(lambda x: -fn(x), lo, hi, iters)
 
 
+def _golden_max_many(fn, lo, hi, iters):
+    """Golden-section maximization on many brackets ``[lo[i], hi[i]]`` at once.
+
+    ``fn`` maps an array with one abscissa per bracket to the values
+    there.  Returns the best evaluated abscissa and value per bracket.
+    Stops before ``iters`` steps once no bracket has a float strictly
+    inside: later steps would only revisit evaluated abscissae.
+    """
+    a = np.array(lo, dtype=np.float64)
+    b = np.array(hi, dtype=np.float64)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    p1 = np.stack((x1, fn(x1)))  # (abscissa, value) of the two interior points
+    p2 = np.stack((x2, fn(x2)))
+    best = np.where(p2[1] > p1[1], p2, p1)
+    for _ in range(iters):
+        if np.all(np.nextafter(a, b) >= b):
+            break
+        up = p1[1] < p2[1]  # the maximum lies in [x1, b]
+        a, b = np.where(up, (p1[0], b), (a, p2[0]))
+        kept = np.where(up, p2, p1)
+        new_x = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        new = np.stack((new_x, fn(new_x)))
+        p1, p2 = np.where(up, kept, new), np.where(up, new, kept)
+        best = np.where(new[1] > best[1], new, best)
+    return best[0], best[1]
+
+
+def running_modulus_golden(eigenvalues, mag2, s_values, m, iters=90):
+    """The library's shift scan with every local maximum refined by golden section.
+
+    Same scan points (8 per period ``2 pi / (m lambda_max)``) and binning as
+    ``smoothness._running_modulus``, in one piece, with 90 golden-section
+    steps per peak in place of the clipped Newton steps.
+    """
+    def phi(taus):
+        return _difference_norms(eigenvalues, mag2, taus, m)
+
+    step = 2.0 * math.pi / (8 * m * float(eigenvalues[-1]))
+    taus = np.arange(math.ceil(s_values[-1] / step) + 1) * step
+    vals = phi(taus)
+    peaks = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
+    peak_taus, peak_vals = _golden_max_many(phi, taus[peaks - 1], taus[peaks + 1], iters)
+    bins = np.append(phi(s_values), 0.0)
+    np.maximum.at(bins, np.searchsorted(s_values, np.concatenate((taus, peak_taus))),
+                  np.concatenate((vals, peak_vals)))
+    return np.maximum.accumulate(bins[:-1])
+
+
 def k_functional_golden(dec, f, t, r, domain_norm="seminorm", search_iters=100):
     """K(t) by one golden-section search in log s over the whole Tikhonov path."""
     mag2 = np.abs(spectral_transform(dec, f).coeffs) ** 2
