@@ -12,7 +12,6 @@ from .errors import *  # noqa: F401,F403
 from .operators import (
     RAW_D,
     RAW_L,
-    SpectralCoefficients,
     SpectralDecomposition,
     SymmetricOperator,
     apply_multiplier,
@@ -25,7 +24,6 @@ from .operators import (
     spectral_transform,
 )
 from .paley_wiener import (
-    BandLimit,
     BandwidthReport,
     BernsteinReport,
     bandwidth,
@@ -34,7 +32,6 @@ from .paley_wiener import (
     dense_union_check,
     pw_project,
     spectral_tail,
-    vector_from_coeffs,
 )
 from .smoothness import (
     BesovParams,

@@ -22,7 +22,7 @@ from .errors import (
     MembershipViolationError,
     ZeroVectorError,
 )
-from .operators import SpectralDecomposition, as_vector, spectral_transform
+from .operators import SpectralDecomposition, _norm, as_vector, spectral_transform
 from .paley_wiener import _band_powers, _check_q, _in_pw, _lq_norm, band_count
 from .smoothness import BesovParams, _discrete_terms, besov_norm
 
@@ -40,7 +40,7 @@ class BandDecomposition:
         return len(self.bands)
 
     def band_norms(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(b)) for b in self.bands])
+        return np.array([_norm(b) for b in self.bands])
 
 
 def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecomposition:
@@ -51,19 +51,18 @@ def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecompo
     pairwise orthogonal and sum back to ``f``.
     """
     k_top = band_count(dec.lambda_max, a)
-    vec = as_vector(f, dec.dim)
-    c = spectral_transform(dec, vec)
+    c = spectral_transform(dec, f)
     edges = _band_powers(a, k_top + 1)
     band_of = np.searchsorted(edges, dec.eigenvalues)  # k with a^{k-1} < lambda <= a^k
-    bands = tuple(dec.eigenvectors @ np.where(band_of == k, c.coeffs, 0.0)
+    bands = tuple(dec.eigenvectors @ np.where(band_of == k, c, 0.0)
                   for k in range(k_top + 1))
     return BandDecomposition(base=a, bands=bands, band_edges=edges)
 
 
 def frame_norm(band_dec: BandDecomposition, alpha: float, q: float) -> float:
     """Weighted band-norm sum ``(sum_k (a^{k alpha} ||f_k||)^q)^{1/q}`` (sup at q=inf)."""
-    if not (alpha > 0.0):
-        raise InvalidParamsError(f"alpha must be > 0, got {alpha}")
+    if not (0.0 < alpha < math.inf):
+        raise InvalidParamsError(f"alpha must be in (0, inf), got {alpha}")
     _check_q(q)
     norms = band_dec.band_norms()
     return _lq_norm(_band_powers(band_dec.base, len(norms), alpha) * norms, q)
@@ -94,7 +93,7 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha: float, q: flo
     ratios = []
     for f in vectors:
         vec = as_vector(f, dec.dim)
-        norm_f = float(np.linalg.norm(vec))
+        norm_f = _norm(vec)
         if norm_f == 0.0:
             raise ZeroVectorError("equivalence ratio undefined for the zero vector")
         frame_side = norm_f + frame_norm(band_decompose(dec, vec, a), alpha, q)
@@ -138,8 +137,8 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = 
     """
     if not (a > 1.0):
         raise InvalidBaseError(f"base must be > 1, got {a}")
-    if not (alpha > 0.0):
-        raise InvalidParamsError(f"alpha must be > 0, got {alpha}")
+    if not (0.0 < alpha < math.inf):
+        raise InvalidParamsError(f"alpha must be in (0, inf), got {alpha}")
     _check_q(q)
     band_list = [as_vector(b, dec.dim) for b in bands]
     for k, edge in enumerate(_band_powers(a, len(band_list))):
@@ -148,7 +147,7 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = 
                 f"band {k} has spectral mass above its edge a^{k} = {edge}")
 
     f = np.sum(band_list, axis=0) if band_list else np.zeros(dec.dim, complex)
-    norms = np.array([float(np.linalg.norm(b)) for b in band_list])
+    norms = np.array([_norm(b) for b in band_list])
     terms = _band_powers(a, len(band_list), alpha) * norms
     sup_band = _lq_norm(terms, math.inf)
     frame_q = _lq_norm(terms, q)

@@ -374,7 +374,7 @@ def _check_plancherel(ctx):
         for f in ctx.corpus[n]:
             c = spectral_transform(dec, f)
             norm_f = float(np.linalg.norm(f))
-            worst = max(worst, abs(c.norm - norm_f) / (1.0 + norm_f))
+            worst = max(worst, abs(float(np.linalg.norm(c)) - norm_f) / (1.0 + norm_f))
         records.append(_record("plancherel", _params_str(N=n), worst,
                                ctx.tols["plancherel"]))
     return records, {}
@@ -542,8 +542,8 @@ def _check_q_operator(ctx):
             tail = pw.spectral_tail(dec, qf, omega)
             worst_tail = max(worst_tail, tail / norm_f)
             if has_kernel_mode:
-                c_in = spectral_transform(dec, f).coeffs
-                c_out = spectral_transform(dec, qf).coeffs
+                c_in = spectral_transform(dec, f)
+                c_out = spectral_transform(dec, qf)
                 zero_modes = dec.eigenvalues == 0.0
                 dev = float(np.max(np.abs(c_out[zero_modes] - c_in[zero_modes])))
                 worst_pass = max(worst_pass, dev / norm_f)
@@ -702,7 +702,7 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
     drawn before any check runs, and each check owns an independent child
     RNG keyed by its canonical position, so the report is a pure function
     of (spec, count, seed, sizes, checks, tolerances).  ``count`` must be
-    at least 1.
+    at least 1, and each operator needs a positive eigenvalue.
     """
     if count < 1:
         raise InvalidParamsError(f"count must be >= 1, got {count}")
@@ -731,6 +731,8 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
         op = build_operator(inst)
         dec = eigh(op)
         n = dec.dim
+        if dec.lambda_max == 0.0:
+            raise InvalidParamsError(f"spectrum {{0}} at N = {n}: no positive eigenvalue to check")
         decs[n] = dec
         corpus[n] = [corpus_rng.standard_normal(n) + 1j * corpus_rng.standard_normal(n)
                      for _ in range(count)]

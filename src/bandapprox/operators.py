@@ -18,6 +18,7 @@ Conventions
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,35 @@ def as_vector(f, dim=None) -> np.ndarray:
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(f"vector length {arr.shape[0]} != dimension {dim}")
     return arr
+
+
+def _is_int(x) -> bool:
+    """True for integers of any integral type except ``bool``."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _scaled(x) -> tuple:
+    """``(x 2^-e, e)`` with ``max |x| 2^-e`` in ``[0.5, 1)``, or below it when ``e = -1022``.
+
+    Scaling by a power of two is exact: squares of the scaled entries
+    neither overflow nor underflow, and sums of them, their square roots
+    and inner products, times ``2^e``, keep their unscaled bits.  The
+    clamp keeps ``2^-e`` a finite double.
+    """
+    e = max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1022)
+    return x * 2.0 ** -e, e
+
+
+def _scaled_mag2(coeffs) -> tuple:
+    """``(|c|^2 4^-e, e)``: the squared magnitudes of ``_scaled(|c|)``."""
+    mag, e = _scaled(np.abs(coeffs))
+    return mag ** 2, e
+
+
+def _norm(vec) -> float:
+    """``np.linalg.norm(vec)`` taken at a power-of-two scale, so it cannot overflow or underflow."""
+    scaled, e = _scaled(vec)
+    return math.ldexp(float(np.linalg.norm(scaled)), e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,27 +225,6 @@ class SpectralDecomposition:
         return np.array([self.eigenvalues[g[0]] for g in self.groups])
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralCoefficients:
-    """Coefficients of a vector in the eigenbasis, aligned with eigenvalues."""
-
-    coeffs: np.ndarray
-    decomposition: SpectralDecomposition
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
-        if arr.shape != (self.decomposition.dim,):
-            raise DimensionMismatchError(
-                f"coefficient length {arr.shape} != dimension {self.decomposition.dim}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
 def _group_indices(eigenvalues: np.ndarray, eps_group: float) -> tuple:
     """Partition ascending eigenvalues into runs of diameter <= eps_group."""
     groups = []
@@ -254,15 +263,14 @@ def eigh(op: SymmetricOperator, eps_group: float | None = None) -> SpectralDecom
                                  groups=groups, kind=op.kind, eps_group=eps_group)
 
 
-def spectral_transform(dec: SpectralDecomposition, f) -> SpectralCoefficients:
+def spectral_transform(dec: SpectralDecomposition, f) -> np.ndarray:
     """Coefficients ``c_j = <f, u_j>`` of ``f`` in the eigenbasis (unitary)."""
-    vec = as_vector(f, dec.dim)
-    return SpectralCoefficients(coeffs=dec.eigenvectors.T @ vec, decomposition=dec)
+    return dec.eigenvectors.T @ as_vector(f, dec.dim)
 
 
-def inverse_transform(coeffs: SpectralCoefficients) -> np.ndarray:
-    """Synthesize the vector with the given eigenbasis coefficients."""
-    return coeffs.decomposition.eigenvectors @ coeffs.coeffs
+def inverse_transform(dec: SpectralDecomposition, coeffs) -> np.ndarray:
+    """Synthesize the vector whose eigenbasis coefficients are ``coeffs``."""
+    return dec.eigenvectors @ as_vector(coeffs, dec.dim)
 
 
 def apply_multiplier(dec: SpectralDecomposition, phi, f) -> np.ndarray:
@@ -277,7 +285,7 @@ def apply_multiplier(dec: SpectralDecomposition, phi, f) -> np.ndarray:
         values = np.broadcast_to(values, dec.eigenvalues.shape)
     if not np.all(np.isfinite(values)):
         raise NonFiniteMultiplierError("multiplier is not finite on the spectrum")
-    return dec.eigenvectors @ (values * c.coeffs)
+    return dec.eigenvectors @ (values * c)
 
 
 def operator_power(dec: SpectralDecomposition, s: float, f) -> np.ndarray:

@@ -21,11 +21,13 @@ from .errors import (
     ZeroVectorError,
 )
 from .operators import (
-    SpectralCoefficients,
     SpectralDecomposition,
+    _is_int,
+    _norm,
+    _scaled,
+    _scaled_mag2,
     apply_multiplier,
     as_vector,
-    inverse_transform,
     spectral_transform,
 )
 
@@ -79,28 +81,16 @@ def _check_q(q: float) -> None:
 
 
 def _lq_norm(terms: np.ndarray, q: float) -> float:
-    """``(sum terms^q)^{1/q}``; the maximum at ``q = inf`` and 0 without terms."""
+    """``(sum terms^q)^{1/q}`` at a power-of-two scale; the max at ``q = inf``, 0 without terms."""
     if not terms.size:
         return 0.0
     if q == math.inf:
         return float(np.max(terms))
-    return float(np.sum(terms ** q) ** (1.0 / q))
-
-
-@dataclass(frozen=True)
-class BandLimit:
-    """A nonnegative band edge; the band is the closed interval [0, omega]."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not (self.omega >= 0.0):
-            raise NegativeOmegaError(f"omega must be >= 0, got {self.omega}")
+    scaled, e = _scaled(terms)
+    return math.ldexp(float(np.sum(scaled ** q) ** (1.0 / q)), e)
 
 
 def _omega_value(omega) -> float:
-    if isinstance(omega, BandLimit):
-        return omega.omega
     value = float(omega)
     if not (value >= 0.0):
         raise NegativeOmegaError(f"omega must be >= 0, got {omega}")
@@ -140,18 +130,18 @@ def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
 def _distances(dec: SpectralDecomposition, f, omegas, route: str) -> np.ndarray:
     """Distance from ``f`` to PW_omega at every band edge in ``omegas``.
 
-    One transform serves every edge.  Route ``"E"`` forms the residual
-    ``f - V (masked c)`` in the vector domain and takes its norm; route
-    ``"R"`` takes the norm of the coefficients above the edge.
+    One transform of ``f`` scaled by a power of two serves every edge.  Route
+    ``"E"`` forms the residual ``f - V (masked c)`` in the vector domain and
+    takes its norm; route ``"R"`` takes the norm of the coefficients above.
     """
-    vec = as_vector(f, dec.dim)
-    c = spectral_transform(dec, vec).coeffs
+    vec, e = _scaled(as_vector(f, dec.dim))
+    c = spectral_transform(dec, vec)
     lam = dec.eigenvalues
     if route == "R":
-        return np.array([np.linalg.norm(c[lam > w]) for w in omegas])
+        return np.ldexp([np.linalg.norm(c[lam > w]) for w in omegas], e)
     basis = dec.eigenvectors.astype(np.complex128)
-    return np.array([np.linalg.norm(vec - basis @ np.where(lam <= w, c, 0.0))
-                     for w in omegas])
+    return np.ldexp([np.linalg.norm(vec - basis @ np.where(lam <= w, c, 0.0))
+                     for w in omegas], e)
 
 
 def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
@@ -173,7 +163,7 @@ def spectral_tail(dec: SpectralDecomposition, f, omega) -> float:
 def _in_pw(dec: SpectralDecomposition, f, omega: float) -> bool:
     """Whether ``f`` lies in PW_omega: tail above omega at most ``BANDLIMITED_TOL ||f||``."""
     vec = as_vector(f, dec.dim)
-    return spectral_tail(dec, vec, omega) <= BANDLIMITED_TOL * float(np.linalg.norm(vec))
+    return spectral_tail(dec, vec, omega) <= BANDLIMITED_TOL * _norm(vec)
 
 
 def log_power_norms(dec: SpectralDecomposition, f, k_max: int) -> np.ndarray:
@@ -183,14 +173,13 @@ def log_power_norms(dec: SpectralDecomposition, f, k_max: int) -> np.ndarray:
     far beyond double-precision range still give finite logarithms.
     Entries are ``-inf`` when ``D^k f = 0``.
     """
-    c = spectral_transform(dec, f)
-    mag2 = np.abs(c.coeffs) ** 2
-    mask = (mag2 > 0.0) & (dec.eigenvalues > 0.0)
+    mag = np.abs(spectral_transform(dec, f))
+    mask = (mag > 0.0) & (dec.eigenvalues > 0.0)
     out = np.full(k_max, -np.inf)
     if not np.any(mask):
         return out
     log_lam = np.log(dec.eigenvalues[mask])
-    log_mag2 = np.log(mag2[mask])
+    log_mag2 = 2.0 * np.log(mag[mask])
     for k in range(1, k_max + 1):
         terms = 2.0 * k * log_lam + log_mag2
         m = terms.max()
@@ -204,14 +193,15 @@ def bandwidth(dec: SpectralDecomposition, f, tol_support: float = SUPPORT_TOL,
 
     ``omega_f`` is the largest eigenvalue whose coefficient exceeds
     ``tol_support * ||f||`` in magnitude.  ``probe_omega`` defaults to
-    ``omega_f`` itself.
+    ``omega_f`` itself; ``k_max`` must be an integer ``>= 1``.
     """
+    if not (_is_int(k_max) and k_max >= 1):
+        raise InvalidParamsError(f"k_max must be an integer >= 1, got {k_max!r}")
     vec = as_vector(f, dec.dim)
-    norm_f = float(np.linalg.norm(vec))
+    norm_f = _norm(vec)
     if norm_f == 0.0:
         raise ZeroVectorError("bandwidth of the zero vector is undefined")
-    c = spectral_transform(dec, vec)
-    significant = np.abs(c.coeffs) > tol_support * norm_f
+    significant = np.abs(spectral_transform(dec, vec)) > tol_support * norm_f
     omega_f = float(dec.eigenvalues[significant].max()) if np.any(significant) else 0.0
 
     log_norms = log_power_norms(dec, vec, k_max)
@@ -253,16 +243,16 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     """
     w = _omega_value(omega)
     vec = as_vector(f, dec.dim)
-    norm_f = float(np.linalg.norm(vec))
+    norm_f = _norm(vec)
     if norm_f == 0.0:
         raise ZeroVectorError("Bernstein check needs a nonzero vector")
     if not _in_pw(dec, vec, w):
         raise NotBandlimitedError(f"vector has spectral mass above omega={w}")
-    c = spectral_transform(dec, vec)
-    mag2 = np.abs(c.coeffs) ** 2
+    mag2, e = _scaled_mag2(spectral_transform(dec, vec))
     ratios = []
     for s in s_list:
-        power_norm = math.sqrt(float(np.sum(np.power(dec.eigenvalues, 2.0 * s) * mag2)))
+        power_norm = math.ldexp(
+            math.sqrt(float(np.sum(np.power(dec.eigenvalues, 2.0 * s) * mag2))), e)
         if w > 0.0:
             ratios.append(power_norm / (w ** s * norm_f))
         else:
@@ -287,8 +277,3 @@ def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:
     tails = _distances(dec, f, nodes, "R")
     return float(nodes[np.argmax(tails <= eps)])
 
-
-def vector_from_coeffs(dec: SpectralDecomposition, coeffs) -> np.ndarray:
-    """Convenience synthesis of a vector from raw eigenbasis coefficients."""
-    return inverse_transform(SpectralCoefficients(coeffs=as_vector(coeffs, dec.dim),
-                                                  decomposition=dec))

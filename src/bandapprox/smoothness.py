@@ -35,6 +35,9 @@ import numpy as np
 from .errors import InvalidOrderError, InvalidParamsError, NonPositiveTError
 from .operators import (
     SpectralDecomposition,
+    _norm,
+    _scaled,
+    _scaled_mag2,
     apply_multiplier,
     as_vector,
     operator_power,
@@ -48,24 +51,6 @@ GRID_TOL = 1e-6
 #: selectable smoothness-norm flavors
 BESOV_FLAVORS = ("integral_E", "discrete_E", "integral_R", "discrete_R",
                  "k_functional", "modulus")
-_FLAVORS = BESOV_FLAVORS
-
-
-def _scaled_mag2(coeffs) -> tuple:
-    """``(|c|^2 4^-e, e)`` with ``max |c| 2^-e`` in ``[0.5, 1)`` (``e = 0`` for ``c = 0``).
-
-    Scaling by a power of two is exact: the squares neither overflow nor
-    underflow, and norms of them times ``2^e`` keep their unscaled bits.
-    """
-    e = math.frexp(float(np.max(np.abs(coeffs), initial=0.0)))[1]
-    return np.ldexp(np.abs(coeffs), -e) ** 2, e
-
-
-def _norm(vec) -> float:
-    """``np.linalg.norm(vec)`` taken at a power-of-two scale, so it cannot overflow or underflow."""
-    e = math.frexp(float(np.max(np.abs(vec), initial=0.0)))[1]
-    scaled = np.ldexp(vec.real, -e) + 1j * np.ldexp(vec.imag, -e)
-    return math.ldexp(float(np.linalg.norm(scaled)), e)
 
 
 def _clipped_newton(fn, x, lo, hi, steps: int) -> tuple:
@@ -102,12 +87,12 @@ class BesovParams:
     flavor: str = "integral_E"
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
-            raise InvalidParamsError(f"alpha must be > 0, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf):
+            raise InvalidParamsError(f"alpha must be in (0, inf), got {self.alpha}")
         _check_q(self.q)
         if not (self.a > 1.0):
             raise InvalidParamsError(f"base a must be > 1, got {self.a}")
-        if self.flavor not in _FLAVORS:
+        if self.flavor not in BESOV_FLAVORS:
             raise InvalidParamsError(f"unknown flavor {self.flavor!r}")
         r = self.r
         if r is None:
@@ -218,7 +203,7 @@ def _moduli(dec: SpectralDecomposition, f, s_values, m: int) -> np.ndarray:
         raise InvalidParamsError(f"s must be finite and >= 0, got {s_values[bad][0]}")
     if m < 0:
         raise InvalidParamsError("difference order m must be >= 0")
-    mag2, e = _scaled_mag2(spectral_transform(dec, f).coeffs)
+    mag2, e = _scaled_mag2(spectral_transform(dec, f))
     if m == 0:
         return np.full(s_values.shape, math.ldexp(math.sqrt(float(np.sum(mag2))), e))
     if not np.any(mag2 > 0.0) or not np.any(s_values > 0.0) or dec.lambda_max == 0.0:
@@ -303,19 +288,21 @@ def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
 
     On each constancy interval the supremum of ``s^alpha * const`` sits at
     the right endpoint, so the global supremum is a finite maximum.
+    ``alpha`` must lie in ``[0, inf)``: below 0 the supremum is infinite.
     """
+    if not (0.0 <= alpha < math.inf):
+        raise InvalidParamsError(f"alpha must be in [0, inf), got {alpha}")
     nodes, values = _step_values(dec, f, route)
     return _lq_norm(values * nodes[1:] ** alpha, math.inf)
 
 
-def _integral_norm_power(dec, f, alpha, q, route):
-    """Closed form of ``integral of (s^alpha E(f,s))^q ds/s`` over (0, inf)."""
+def _integral_norm(dec, f, alpha, q, route):
+    """Closed form of ``(integral of (s^alpha E(f,s))^q ds/s)^{1/q}`` over (0, inf)."""
     nodes, values = _step_values(dec, f, route)
-    if values.size == 0:
-        return 0.0
     aq = alpha * q
-    pieces = values ** q * (nodes[1:] ** aq - nodes[:-1] ** aq) / aq
-    return float(np.sum(pieces))
+    scaled, e = _scaled(values)
+    pieces = scaled ** q * (nodes[1:] ** aq - nodes[:-1] ** aq) / aq
+    return math.ldexp(float(np.sum(pieces)) ** (1.0 / q), e)
 
 
 def _discrete_terms(dec, f, alpha, a, route):
@@ -349,7 +336,7 @@ def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
         if params.is_sup:
             tail = sup_scaled_best_approx(dec, vec, params.alpha, route)
         else:
-            tail = _integral_norm_power(dec, vec, params.alpha, params.q, route) ** (1.0 / params.q)
+            tail = _integral_norm(dec, vec, params.alpha, params.q, route)
     else:
         tail = _lq_norm(_discrete_terms(dec, vec, params.alpha, params.a, route), params.q)
     return norm_f + tail
@@ -392,7 +379,7 @@ def _k_functional_values(dec: SpectralDecomposition, f, ts, r: int,
         raise InvalidParamsError(f"unknown domain_norm {domain_norm!r}")
     lam2r = dec.eigenvalues ** (2 * r)
     w = lam2r if domain_norm == "seminorm" else 1.0 + lam2r
-    mag2, e = _scaled_mag2(np.where(w > 0.0, spectral_transform(dec, f).coeffs, 0.0))
+    mag2, e = _scaled_mag2(np.where(w > 0.0, spectral_transform(dec, f), 0.0))
     if not np.any(mag2 > 0.0):
         return np.zeros(ts.shape), 0  # f in ker W: K(t) = 0 at g = f
     mag2_w = mag2 * w
@@ -514,7 +501,7 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
         raise InvalidOrderError(f"need alpha > n, got alpha={alpha}, n={n}")
     vec = as_vector(f, dec.dim)
     g = operator_power(dec, n, vec) if n > 0 else vec
-    mag2, e = _scaled_mag2(spectral_transform(dec, g).coeffs)
+    mag2, e = _scaled_mag2(spectral_transform(dec, g))
     if not np.any(mag2 > 0.0):
         return 0.0
     lam_max = dec.lambda_max
@@ -563,7 +550,7 @@ def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
     lhs = sup_scaled_best_approx(dec, vec, alpha)
     rhs = besov_seminorm_sup(dec, vec, alpha, n, r)
     norm_f = _norm(vec)
-    ratio, vacuous = _safe_ratio(lhs, rhs, max(norm_f, 1.0))
+    ratio, vacuous = _safe_ratio(lhs, rhs, norm_f)
     return LemmaReport(lhs=lhs, rhs=rhs, ratio=ratio, vacuous=vacuous,
                        passed=bool(math.isfinite(ratio)))
 
@@ -576,6 +563,6 @@ def lemma2_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
     t_val = sup_scaled_best_approx(dec, vec, alpha)
     norm_f = _norm(vec)
     rhs = norm_f + t_val
-    ratio, vacuous = _safe_ratio(lhs, rhs, max(norm_f, 1.0))
+    ratio, vacuous = _safe_ratio(lhs, rhs, norm_f)
     return LemmaReport(lhs=lhs, rhs=rhs, ratio=ratio, vacuous=vacuous,
                        passed=bool(math.isfinite(ratio)))

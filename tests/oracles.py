@@ -31,7 +31,7 @@ def k_functional_bruteforce(dec, f, t, r, grid=401):
     an upper bound accurate to ~1e-6 relative.
     """
     assert dec.dim == 2
-    c = spectral_transform(dec, f).coeffs
+    c = spectral_transform(dec, f)
     mag = np.abs(c)
     lam_r = dec.eigenvalues ** r
 
@@ -90,7 +90,7 @@ def kernel_norm_const_closed_form(n):
 
 def modulus_dense_scan(dec, f, s, m, points=200_001):
     """Modulus by a very dense uniform scan (no refinement)."""
-    c = spectral_transform(dec, f).coeffs
+    c = spectral_transform(dec, f)
     mag2 = np.abs(c) ** 2
     taus = np.linspace(0.0, s, points)
     return float(np.max(_difference_norms(dec.eigenvalues, mag2, taus, m)))
@@ -176,7 +176,7 @@ def running_modulus_golden(eigenvalues, mag2, s_values, m, iters=90):
 
 def k_functional_golden(dec, f, t, r, domain_norm="seminorm", search_iters=100):
     """K(t) by one golden-section search in log s over the whole Tikhonov path."""
-    mag2 = np.abs(spectral_transform(dec, f).coeffs) ** 2
+    mag2 = np.abs(spectral_transform(dec, f)) ** 2
     if not np.any(mag2 > 0.0):
         return 0.0
     lam2r = dec.eigenvalues ** (2 * r)
@@ -224,7 +224,7 @@ def modulus_capped_grid(dec, f, s, m, sup_grid=512, refine_depth=3):
     grid point.  The cap makes it a lower bound when ``s lambda_max`` is
     large.
     """
-    mag2 = np.abs(spectral_transform(dec, f).coeffs) ** 2
+    mag2 = np.abs(spectral_transform(dec, f)) ** 2
     if not np.any(mag2 > 0.0):
         return 0.0
     if s == 0.0 or m == 0:
@@ -252,7 +252,7 @@ def besov_seminorm_sup_per_s(dec, f, alpha, n, r, grid_points=512):
     """Modulus seminorm with a separate capped-grid modulus search at each grid s."""
     vec = np.asarray(f, dtype=np.complex128)
     g = operator_power(dec, n, vec) if n > 0 else vec
-    mag2 = np.abs(spectral_transform(dec, g).coeffs) ** 2
+    mag2 = np.abs(spectral_transform(dec, g)) ** 2
     if not np.any(mag2 > 0.0) or dec.min_positive_eigenvalue == 0.0:
         return 0.0
     hi = 100.0 / dec.min_positive_eigenvalue

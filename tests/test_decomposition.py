@@ -183,6 +183,17 @@ class TestSynthesis:
         with pytest.raises(InvalidParamsError):
             BesovParams(alpha=0.8, q=q)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_alpha_outside_zero_to_inf_rejected(self, diag_dec, alpha):
+        # the weights a^(k alpha) and the default order r need a finite alpha
+        bands = [diag_dec.eigenvectors[:, 0]]
+        with pytest.raises(InvalidParamsError):
+            synthesis_check(diag_dec, bands, alpha, a=2.0)
+        with pytest.raises(InvalidParamsError):
+            frame_norm(band_decompose(diag_dec, bands[0], 2.0), alpha, 2.0)
+        with pytest.raises(InvalidParamsError):
+            BesovParams(alpha=alpha, q=math.inf)
+
     def test_q_in_range_accepted(self, diag_dec):
         bands = [diag_dec.eigenvectors[:, 0]]
         for q in (1.0, 2.0, math.inf):

@@ -279,6 +279,19 @@ class TestSmallCounts:
         assert "count" in capsys.readouterr().err
 
 
+class TestZeroSpectrum:
+    """Operators whose spectrum is {0}: the checks draw band limits from positive eigenvalues."""
+
+    @pytest.mark.parametrize("op, sizes, n", [("path:8", "1", 1), ("diag:0,0,0", "8", 3),
+                                              ("complete:8", "1,2", 1)])
+    def test_rejected_naming_n(self, capsys, op, sizes, n):
+        spec = parse_operator_arg(op)
+        with pytest.raises(InvalidParamsError, match=f"N = {n}"):
+            run_suite(spec, count=3, sizes=[int(s) for s in sizes.split(",")])
+        assert main(["verify", "--op", op, "--sizes", sizes, "--count", "3"]) == 2
+        assert f"N = {n}" in capsys.readouterr().err
+
+
 class TestTimings:
     def test_timings_file_leaves_report_bytes_alone(self, tmp_path, capsys):
         argv = ["verify", "--op", "cycle:8", "--count", "5", "--seed", "3", "--sizes", "8",

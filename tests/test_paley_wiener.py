@@ -17,9 +17,9 @@ from bandapprox import (
     best_approx,
     dense_union_check,
     eigh,
+    inverse_transform,
     pw_project,
     spectral_tail,
-    vector_from_coeffs,
 )
 from conftest import random_vector
 
@@ -35,9 +35,9 @@ class TestProjection:
         np.testing.assert_allclose(pw_project(diag_dec, f, 0.5), 0.0, atol=1e-12)
 
     def test_definition_on_coefficients(self, diag_dec):
-        f = vector_from_coeffs(diag_dec, [1.0, 1.0, 1.0])
+        f = inverse_transform(diag_dec, [1.0, 1.0, 1.0])
         projected = pw_project(diag_dec, f, 2.0)
-        np.testing.assert_allclose(projected, vector_from_coeffs(diag_dec, [1.0, 1.0, 0.0]),
+        np.testing.assert_allclose(projected, inverse_transform(diag_dec, [1.0, 1.0, 0.0]),
                                    atol=1e-12)
 
     def test_band_edge_is_inside(self, diag_dec):
@@ -65,11 +65,11 @@ class TestProjection:
 
 class TestBestApprox:
     def test_unit_tail(self, diag_dec):
-        f = vector_from_coeffs(diag_dec, [1.0, 1.0, 1.0])
+        f = inverse_transform(diag_dec, [1.0, 1.0, 1.0])
         assert abs(best_approx(diag_dec, f, 2.0) - 1.0) <= 1e-12
 
     def test_nothing_kept(self, diag_dec):
-        f = vector_from_coeffs(diag_dec, [1.0, 1.0, 1.0])
+        f = inverse_transform(diag_dec, [1.0, 1.0, 1.0])
         assert abs(best_approx(diag_dec, f, 0.5) - math.sqrt(3.0)) <= 1e-12
 
     def test_monotone_and_vanishing_at_top(self, cycle16_dec, rng):
@@ -120,7 +120,7 @@ class TestBandwidth:
         from bandapprox import RAW_D, SymmetricOperator, eigh
 
         dec = eigh(SymmetricOperator(np.diag([1.0, 2.0]), kind=RAW_D))
-        f = vector_from_coeffs(dec, [1.0, 1.0])
+        f = inverse_transform(dec, [1.0, 1.0])
         rep = bandwidth(dec, f)
         ks = np.arange(1, 41)
         closed = (1.0 + 2.0 ** (2 * ks)) ** (1.0 / (2 * ks))
@@ -133,7 +133,7 @@ class TestBandwidth:
         from bandapprox import RAW_D, SymmetricOperator, eigh
 
         dec = eigh(SymmetricOperator(np.diag([1.0, 2.0]), kind=RAW_D))
-        f = vector_from_coeffs(dec, np.array([1.0, 1.0]) / math.sqrt(2))
+        f = inverse_transform(dec, np.array([1.0, 1.0]) / math.sqrt(2))
         rep = bandwidth(dec, f)
         assert np.all(np.diff(rep.k_sequence) >= -1e-12)
 
@@ -151,6 +151,11 @@ class TestBandwidth:
     def test_zero_vector_rejected(self, diag_dec):
         with pytest.raises(ZeroVectorError):
             bandwidth(diag_dec, np.zeros(3))
+
+    @pytest.mark.parametrize("k_max", [0, -3, 2.0, True])
+    def test_k_max_must_be_a_positive_integer(self, diag_dec, k_max):
+        with pytest.raises(InvalidParamsError):
+            bandwidth(diag_dec, np.ones(3), k_max=k_max)
 
 
 class TestBernstein:
@@ -174,7 +179,7 @@ class TestBernstein:
             assert rep.passed, rep.ratios
 
     def test_not_bandlimited_rejected(self, diag_dec):
-        f = vector_from_coeffs(diag_dec, [1.0, 0.0, 1.0])
+        f = inverse_transform(diag_dec, [1.0, 0.0, 1.0])
         with pytest.raises(NotBandlimitedError):
             bernstein_check(diag_dec, f, 2.0, [1.0])
 
@@ -185,7 +190,7 @@ class TestDenseUnion:
         assert dense_union_check(cycle16_dec, f, np.linalg.norm(f) * 1.01) == 0.0
 
     def test_tiny_eps_gives_support_edge(self, diag_dec):
-        f = vector_from_coeffs(diag_dec, [1.0, 1.0, 0.0])
+        f = inverse_transform(diag_dec, [1.0, 1.0, 0.0])
         omega = dense_union_check(diag_dec, f, 1e-14)
         assert omega == 2.0
 

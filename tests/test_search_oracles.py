@@ -151,7 +151,7 @@ class TestNewtonScanAgainstGoldenScan:
         if dec.lambda_max == 0.0:
             assert modulus(dec, f, 1.0, m) == 0.0  # spectrum {0}: nothing to scan
             return
-        mag2 = np.abs(spectral_transform(dec, f).coeffs) ** 2
+        mag2 = np.abs(spectral_transform(dec, f)) ** 2
         s_values = np.exp(np.linspace(math.log(0.01 / dec.lambda_max),
                                       math.log(20.0 / dec.min_positive_eigenvalue), 64))
         new = _running_modulus(dec.eigenvalues, mag2, s_values, m)

@@ -14,6 +14,7 @@ from bandapprox import (
     SymmetricOperator,
     besov_norm,
     besov_seminorm_sup,
+    best_approx,
     difference,
     eigh,
     k_besov_norm,
@@ -294,6 +295,14 @@ class TestLemmas:
         rep = lemma1_check(cycle16_dec, f, alpha, 1, 2)
         assert rep.passed
 
+    def test_sup_scaled_alpha_range(self, cycle16_dec, rng):
+        f = random_vector(rng, 16)
+        # alpha = 0: s^0 E(f, s) is largest at s -> 0
+        assert sup_scaled_best_approx(cycle16_dec, f, 0.0) == best_approx(cycle16_dec, f, 0.0)
+        for alpha in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParamsError):
+                sup_scaled_best_approx(cycle16_dec, f, alpha)
+
     def test_zero_vector_vacuous_pass(self, diag_dec):
         rep = lemma1_check(diag_dec, np.zeros(3), 1.5, 1, 2)
         assert rep.vacuous and rep.passed and rep.ratio == 0.0
@@ -306,17 +315,6 @@ class TestLemmas:
             lemma1_check(diag_dec, f, 1.0, 1, 2)  # alpha - n = 0
         with pytest.raises(InvalidOrderError):
             lemma1_check(diag_dec, f, 4.0, 1, 2)  # alpha - n > r
-
-
-class TestParamTypes:
-    def test_band_limit_validation(self, diag_dec, rng):
-        from bandapprox import BandLimit, NegativeOmegaError, pw_project
-
-        f = random_vector(rng, 3)
-        np.testing.assert_array_equal(pw_project(diag_dec, f, BandLimit(2.0)),
-                                      pw_project(diag_dec, f, 2.0))
-        with pytest.raises(NegativeOmegaError):
-            BandLimit(-0.5)
 
 
 class TestModulusFlavor:

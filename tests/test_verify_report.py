@@ -1,21 +1,36 @@
-"""The seeded ``verify`` report, pinned record by record against a committed copy.
+"""Seeded ``verify`` reports, pinned record by record against committed copies.
 
-``data/verify_cycle8_seed401.json`` is the JSON report of::
+Each file in ``data/`` is the JSON report of one command:
+
+* ``verify_cycle8_seed401.json``::
 
     bandapprox verify --op cycle:8 --count 100 --sizes 8,16 --seed 401
 
-A change that moves the report on purpose writes the file again with
-that command (adding ``--json tests/data/verify_cycle8_seed401.json``)
-and lists every moved record and constant in ``CHANGES.md``.
+* ``verify_diag6_rawD_seed5.json`` (raw_D, a kernel mode, and eigenvalues
+  1 and 2 on the band edges of base 2)::
+
+    bandapprox verify --op diag:0,0.5,1,2,3.5,7 --kind raw_D --count 20 --seed 5
+
+A change that moves a report on purpose writes the file again with its
+command (adding ``--json tests/data/<file>``) and lists every moved record
+and constant in ``CHANGES.md``.
 """
 
 import json
 from pathlib import Path
 
+import pytest
+
 from bandapprox import cli
 
-PINNED = Path(__file__).resolve().parent / "data" / "verify_cycle8_seed401.json"
-ARGS = ["verify", "--op", "cycle:8", "--count", "100", "--sizes", "8,16", "--seed", "401"]
+DATA = Path(__file__).resolve().parent / "data"
+PINNED = {
+    "verify_cycle8_seed401.json":
+        ["verify", "--op", "cycle:8", "--count", "100", "--sizes", "8,16", "--seed", "401"],
+    "verify_diag6_rawD_seed5.json":
+        ["verify", "--op", "diag:0,0.5,1,2,3.5,7", "--kind", "raw_D", "--count", "20",
+         "--seed", "5"],
+}
 
 
 def _moved(old: dict, new: dict) -> list:
@@ -24,15 +39,17 @@ def _moved(old: dict, new: dict) -> list:
             for key in sorted(old.keys() | new.keys(), key=str) if old.get(key) != new.get(key)]
 
 
-def test_seed401_report_is_unchanged(tmp_path, capsys):
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_report_is_unchanged(name, tmp_path, capsys):
+    pinned = DATA / name
     out = tmp_path / "report.json"
-    assert cli.main(ARGS + ["--json", str(out)]) == 0
+    assert cli.main(PINNED[name] + ["--json", str(out)]) == 0
     capsys.readouterr()
-    old, new = json.loads(PINNED.read_text()), json.loads(out.read_text())
+    old, new = json.loads(pinned.read_text()), json.loads(out.read_text())
     records = _moved({(r["check"], r["params"]): r for r in old["records"]},
                      {(r["check"], r["params"]): r for r in new["records"]})
     constants = _moved(old["constants"], new["constants"])
     assert not records + constants, "moved:\n" + "\n".join(records + constants)
     assert new["meta"] == old["meta"]
     assert new["overall_pass"] is old["overall_pass"] is True
-    assert out.read_bytes() == PINNED.read_bytes()
+    assert out.read_bytes() == pinned.read_bytes()
