@@ -85,7 +85,7 @@ def _cmd_decompose(args):
     norms = band_dec.band_norms()
     recon = float(np.linalg.norm(np.sum(band_dec.bands, axis=0) - f))
     for k, (edge, norm) in enumerate(zip(band_dec.band_edges, norms)):
-        print(f"band {k}: edge a^{k} = {edge!r}  norm = {norm!r}")
+        print(f"band {k}: edge a^{k} = {float(edge)!r}  norm = {float(norm)!r}")
     print(f"reconstruction residual = {recon!r}")
     if args.alpha is not None:
         q = math.inf if args.q.lower() in ("inf", "infinity") else float(args.q)
@@ -120,8 +120,11 @@ def _cmd_jackson(args):
     print(f"||Qf - f||         = {rep.q_error!r}")
     print(f"modulus bound      = {rep.bound!r}  (constant C = {rep.constant!r})")
     print(f"ratios: E/bound = {rep.ratio_best!r}, ||Qf-f||/bound = {rep.ratio_q!r}")
-    print(f"passed: {rep.passed}")
-    return 0 if rep.passed else 1
+    tols = harness.DEFAULT_TOLERANCES
+    passed = (rep.link_gap <= tols["jackson_link"]
+              and max(rep.ratio_best, rep.ratio_q) <= 1.0 + tols["jackson_grid"])
+    print(f"passed: {passed}")
+    return 0 if passed else 1
 
 
 def _parse_tolerance_overrides(pairs):
@@ -132,7 +135,10 @@ def _parse_tolerance_overrides(pairs):
             raise BandApproxError(f"bad tolerance override {pair!r}, expected name=value")
         if name not in harness.DEFAULT_TOLERANCES:
             raise BandApproxError(f"unknown tolerance {name!r}")
-        overrides[name] = float(value)
+        try:
+            overrides[name] = float(value)
+        except ValueError as exc:
+            raise BandApproxError(f"bad tolerance value in {pair!r}") from exc
     return overrides
 
 

@@ -99,6 +99,8 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha: float, q: flo
         frame_side = norm_f + frame_norm(band_decompose(dec, vec, a), alpha, q)
         besov_side = besov_norm(dec, vec, params)
         ratios.append(frame_side / besov_side)
+    if not ratios:
+        raise InvalidParamsError("equivalence_report needs at least one vector")
     ratios = np.array(ratios)
     return EquivalenceReport(alpha=alpha, q=q, a=a, ratios=ratios,
                              ratio_lo=float(ratios.min()), ratio_hi=float(ratios.max()))
@@ -106,7 +108,7 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha: float, q: flo
 
 @dataclass(frozen=True, eq=False)
 class SynthesisReport:
-    """Outcome of the converse (synthesis) inequality with its explicit constant.
+    """Both sides of the converse (synthesis) inequality ``lhs <= rhs``.
 
     The core inequality uses the weighted supremum of band norms; the
     q-weighted sum ``frame_q`` dominates that supremum, so the same bound
@@ -118,16 +120,11 @@ class SynthesisReport:
     constant: float
     sup_band: float
     frame_q: float
-    passed: bool
-
-
-#: relative slack on the synthesis inequality
-SYNTHESIS_TOL = 1e-10
 
 
 def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = math.inf,
                     a: float = 2.0) -> SynthesisReport:
-    """Verify the synthesis inequality for arbitrary admissible band vectors.
+    """Measure the synthesis inequality for arbitrary admissible band vectors.
 
     Each ``bands[k]`` must lie in ``PW_{a^k}`` (they need not be orthogonal
     or canonical).  With ``f = sum_k bands[k]``, the scaled best
@@ -154,7 +151,5 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = 
     # E(f, a^k) vanishes from k = band_count on, so the discrete terms hold the sup
     lhs = _lq_norm(_discrete_terms(dec, f, alpha, a, "E"), math.inf)
     constant = 1.0 / (1.0 - a ** (-alpha))
-    rhs = constant * sup_band
-    passed = lhs <= rhs * (1.0 + SYNTHESIS_TOL) + 1e-300
-    return SynthesisReport(lhs=lhs, rhs=rhs, constant=constant,
-                           sup_band=sup_band, frame_q=frame_q, passed=bool(passed))
+    return SynthesisReport(lhs=lhs, rhs=constant * sup_band, constant=constant,
+                           sup_band=sup_band, frame_q=frame_q)

@@ -79,9 +79,15 @@ def _scaled_mag2(coeffs) -> tuple:
 
 
 def _norm(vec) -> float:
-    """``np.linalg.norm(vec)`` taken at a power-of-two scale, so it cannot overflow or underflow."""
+    """``np.linalg.norm(vec)`` taken at a power-of-two scale, so it cannot overflow or underflow.
+
+    A norm beyond the largest double raises :class:`NonFiniteError`.
+    """
     scaled, e = _scaled(vec)
-    return math.ldexp(float(np.linalg.norm(scaled)), e)
+    try:
+        return math.ldexp(float(np.linalg.norm(scaled)), e)
+    except OverflowError:
+        raise NonFiniteError("vector norm exceeds the largest double") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +226,6 @@ class SpectralDecomposition:
         pos = self.eigenvalues[self.eigenvalues > 0]
         return float(pos[0]) if pos.size else 0.0
 
-    def distinct_eigenvalues(self) -> np.ndarray:
-        """One representative eigenvalue per degeneracy group."""
-        return np.array([self.eigenvalues[g[0]] for g in self.groups])
-
 
 def _group_indices(eigenvalues: np.ndarray, eps_group: float) -> tuple:
     """Partition ascending eigenvalues into runs of diameter <= eps_group."""
@@ -239,12 +241,14 @@ def _group_indices(eigenvalues: np.ndarray, eps_group: float) -> tuple:
     return tuple(groups)
 
 
-def eigh(op: SymmetricOperator, eps_group: float | None = None) -> SpectralDecomposition:
+def eigh(op: SymmetricOperator) -> SpectralDecomposition:
     """Decompose a symmetric PSD operator into eigenvalues/eigenvectors of D.
 
     For ``raw_L`` input the returned eigenvalues are the square roots of the
     matrix eigenvalues.  Eigenvalues in ``[-tol_psd, 0]`` are clamped to 0;
-    anything below ``-tol_psd`` raises :class:`NotPSDError`.
+    anything below ``-tol_psd`` raises :class:`NotPSDError`.  Eigenvalues of
+    D within ``GROUP_TOL_FACTOR * max(1, lambda_max)`` of a group's first
+    share its group.
     """
     w, v = jacobi_eigh(op.entries)
     tol_psd = op.psd_tolerance
@@ -256,8 +260,7 @@ def eigh(op: SymmetricOperator, eps_group: float | None = None) -> SpectralDecom
     # would otherwise inflate positive noise to ~1e-8 ghost frequencies)
     w = np.where(np.abs(w) <= tol_psd, 0.0, w)
     d_eigs = np.sqrt(w) if op.kind == RAW_L else w
-    if eps_group is None:
-        eps_group = GROUP_TOL_FACTOR * max(1.0, float(d_eigs[-1]) if d_eigs.size else 1.0)
+    eps_group = GROUP_TOL_FACTOR * max(1.0, float(d_eigs[-1]) if d_eigs.size else 1.0)
     groups = _group_indices(d_eigs, eps_group)
     return SpectralDecomposition(eigenvalues=d_eigs, eigenvectors=v,
                                  groups=groups, kind=op.kind, eps_group=eps_group)

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import InvalidOrderError, InvalidParamsError, NonPositiveTError
 from .operators import (
     SpectralDecomposition,
+    _is_int,
     _norm,
     _scaled,
     _scaled_mag2,
@@ -44,9 +45,6 @@ from .operators import (
     spectral_transform,
 )
 from .paley_wiener import _band_powers, _check_q, _distances, _lq_norm, _step_nodes, band_count
-
-#: tolerance folded into inequality checks that involve a grid supremum
-GRID_TOL = 1e-6
 
 #: selectable smoothness-norm flavors
 BESOV_FLAVORS = ("integral_E", "discrete_E", "integral_R", "discrete_R",
@@ -124,8 +122,8 @@ def difference(dec: SpectralDecomposition, f, tau: float, m: int) -> np.ndarray:
     On coefficients this is multiplication by ``(e^{i tau lambda} - 1)^m``,
     which agrees with ``m`` successive first-order differences.
     """
-    if m < 1:
-        raise InvalidParamsError("difference order m must be >= 1")
+    if not (_is_int(m) and m >= 1):
+        raise InvalidParamsError(f"difference order m must be an integer >= 1, got {m!r}")
     return apply_multiplier(dec, lambda lam: (np.exp(1j * tau * lam) - 1.0) ** m, f)
 
 
@@ -201,8 +199,8 @@ def _moduli(dec: SpectralDecomposition, f, s_values, m: int) -> np.ndarray:
     bad = ~(np.isfinite(s_values) & (s_values >= 0.0))
     if np.any(bad):
         raise InvalidParamsError(f"s must be finite and >= 0, got {s_values[bad][0]}")
-    if m < 0:
-        raise InvalidParamsError("difference order m must be >= 0")
+    if not (_is_int(m) and m >= 0):
+        raise InvalidParamsError(f"difference order m must be an integer >= 0, got {m!r}")
     mag2, e = _scaled_mag2(spectral_transform(dec, f))
     if m == 0:
         return np.full(s_values.shape, math.ldexp(math.sqrt(float(np.sum(mag2))), e))
@@ -232,26 +230,24 @@ class ModulusInequalityReport:
 
     ``ratio_power``:  Omega_m(f, s) / (s^k Omega_{m-k}(D^k f, s))
     ``ratio_scale``:  Omega_m(f, a s) / ((1+a)^m Omega_m(f, s))
-    Both should not exceed 1 up to the grid tolerance.
+    The inequalities say both are at most 1.  A ratio is 0 when both of its
+    sides vanish and ``inf`` when only the right side does.
     """
 
     ratio_power: float
     ratio_scale: float
-    vacuous_power: bool
-    vacuous_scale: bool
-    passed: bool
 
 
-def _safe_ratio(num: float, den: float, scale: float):
-    """Ratio with a vacuous flag when the denominator is numerically zero."""
+def _safe_ratio(num: float, den: float, scale: float) -> float:
+    """``num / den``, or 0 when both vanish next to ``scale`` and ``inf`` when only ``den`` does."""
     if den <= 1e-14 * scale:
-        return (0.0, True) if num <= 1e-12 * scale else (math.inf, True)
-    return num / den, False
+        return 0.0 if num <= 1e-12 * scale else math.inf
+    return num / den
 
 
 def modulus_inequality_checks(dec: SpectralDecomposition, f, s: float,
                               a_scale: float, m: int, k: int) -> ModulusInequalityReport:
-    """Check the power-transfer and scale-doubling modulus inequalities."""
+    """Measure the power-transfer and scale-doubling modulus inequalities."""
     if not 0 <= k <= m:
         raise InvalidParamsError(f"need 0 <= k <= m, got k={k}, m={m}")
     if a_scale <= 0.0:
@@ -262,16 +258,9 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s: float,
     lhs, lhs_scale = (float(v) for v in _moduli(dec, vec, [s, a_scale * s], m))
     # at k = 0 the right side is Omega_m(f, s) itself: reuse it, no second scan
     rhs = (s ** k) * modulus(dec, operator_power(dec, k, vec), s, m - k) if k > 0 else lhs
-    ratio_power, vac_power = _safe_ratio(lhs, rhs, norm_f)
-
     rhs_scale = ((1.0 + a_scale) ** m) * lhs
-    ratio_scale, vac_scale = _safe_ratio(lhs_scale, rhs_scale, norm_f)
-
-    passed = (vac_power or ratio_power <= 1.0 + GRID_TOL) and \
-             (vac_scale or ratio_scale <= 1.0 + GRID_TOL)
-    return ModulusInequalityReport(ratio_power=ratio_power, ratio_scale=ratio_scale,
-                                   vacuous_power=vac_power, vacuous_scale=vac_scale,
-                                   passed=bool(passed))
+    return ModulusInequalityReport(ratio_power=_safe_ratio(lhs, rhs, norm_f),
+                                   ratio_scale=_safe_ratio(lhs_scale, rhs_scale, norm_f))
 
 
 # -- step-function machinery for the approximation norms ----------------------
@@ -528,8 +517,6 @@ class LemmaReport:
     lhs: float
     rhs: float
     ratio: float
-    vacuous: bool
-    passed: bool
 
 
 def _lemma_orders_ok(alpha: float, n: int, r: int):
@@ -542,17 +529,14 @@ def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
     """Measure ``sup_s s^alpha E(f, s)`` against the modulus seminorm.
 
     The inequality direction says the sup is bounded by a constant times
-    the seminorm; the returned ratio is that empirical constant.  Both
-    sides zero is reported as a vacuous pass.
+    the seminorm; the returned ratio is that empirical constant, 0 when
+    both sides vanish.
     """
     _lemma_orders_ok(alpha, n, r)
     vec = as_vector(f, dec.dim)
     lhs = sup_scaled_best_approx(dec, vec, alpha)
     rhs = besov_seminorm_sup(dec, vec, alpha, n, r)
-    norm_f = _norm(vec)
-    ratio, vacuous = _safe_ratio(lhs, rhs, norm_f)
-    return LemmaReport(lhs=lhs, rhs=rhs, ratio=ratio, vacuous=vacuous,
-                       passed=bool(math.isfinite(ratio)))
+    return LemmaReport(lhs=lhs, rhs=rhs, ratio=_safe_ratio(lhs, rhs, _norm(vec)))
 
 
 def lemma2_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
@@ -563,6 +547,4 @@ def lemma2_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
     t_val = sup_scaled_best_approx(dec, vec, alpha)
     norm_f = _norm(vec)
     rhs = norm_f + t_val
-    ratio, vacuous = _safe_ratio(lhs, rhs, norm_f)
-    return LemmaReport(lhs=lhs, rhs=rhs, ratio=ratio, vacuous=vacuous,
-                       passed=bool(math.isfinite(ratio)))
+    return LemmaReport(lhs=lhs, rhs=rhs, ratio=_safe_ratio(lhs, rhs, norm_f))

@@ -33,6 +33,7 @@ from bandapprox import (
     spectral_transform,
 )
 from bandapprox.approx_operators import _psi_moment
+from bandapprox.harness import DEFAULT_TOLERANCES as TOLS
 from conftest import random_vector
 from oracles import kernel_norm_const_closed_form, riesz_symbol_direct, riesz_symbol_mpmath
 
@@ -363,6 +364,12 @@ class TestJacksonConstant:
             jackson_constant(kernel, 3, 2)
 
 
+def _jackson_holds(rep) -> bool:
+    """The bounds ``verify`` applies to the chain's ratios and its link gap."""
+    return (rep.link_gap <= TOLS["jackson_link"]
+            and max(rep.ratio_best, rep.ratio_q) <= 1.0 + TOLS["jackson_grid"])
+
+
 class TestJacksonCheck:
     def test_bandlimited_input_vacuous_or_tiny(self, cycle16_dec, rng):
         kernel = build_kernel(6, 2)
@@ -370,7 +377,7 @@ class TestJacksonCheck:
         f = pw_project(cycle16_dec, random_vector(rng, 16), omega)
         rep = jackson_check(cycle16_dec, f, omega, 2, 0, kernel)
         assert rep.best <= 1e-12 * np.linalg.norm(f)
-        assert rep.passed
+        assert _jackson_holds(rep)
 
     def test_single_eigenvector_closed_forms(self, diag_dec):
         # E = 1 below the eigenvalue; the bound reduces to single-mode values
@@ -384,7 +391,7 @@ class TestJacksonCheck:
                                for tau in np.linspace(0, 1 / omega, 4097))
         expected_bound = jackson_constant(kernel, m, k) * expected_modulus / omega
         assert abs(rep.bound - expected_bound) <= 1e-4 * expected_bound
-        assert rep.passed
+        assert _jackson_holds(rep)
 
     def test_random_sweep(self, random_dec, rng):
         combos = ((2, 0, 6), (2, 1, 6), (3, 1, 8))
@@ -397,4 +404,4 @@ class TestJacksonCheck:
                 f = random_vector(rng, random_dec.dim)
                 for omega in omegas:
                     rep = jackson_check(random_dec, f, float(omega), m, k, kernel)
-                    assert rep.passed, (m, k, omega, rep)
+                    assert _jackson_holds(rep), (m, k, omega, rep)

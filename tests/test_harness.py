@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from bandapprox import (
     UnsupportedFormatError,
     eigh,
 )
+from bandapprox import harness
+from bandapprox import smoothness as sm
 from bandapprox.cli import main
 from bandapprox.harness import (
     OperatorSpec,
@@ -133,6 +136,16 @@ class TestSuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(ParseError):
             run_suite(OperatorSpec(builtin="cycle"), checks=["nonsense"])
+
+    def test_an_inf_ratio_fails_its_record(self, monkeypatch):
+        # a bound that vanishes under a nonzero left side is a violation, not a skip
+        measure = sm.modulus_inequality_checks
+        monkeypatch.setattr(sm, "modulus_inequality_checks",
+                            lambda *args: replace(measure(*args), ratio_scale=math.inf))
+        report = run_suite(OperatorSpec(builtin="cycle"), count=3, seed=1, sizes=(8,),
+                           checks=["modulus_inequalities"])
+        [record] = report.records
+        assert record.value == math.inf and not record.passed and not report.overall_pass
 
     def test_fixed_seed_byte_identical_json(self, tmp_path):
         spec = OperatorSpec(builtin="cycle")
@@ -263,6 +276,72 @@ class TestCli:
     def test_bad_operator_spec_exits_2(self, capsys):
         assert main(["spectrum", "--op", "moebius:7"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--alpha", "0.8", "--q", "inf"]])
+    def test_decompose_command(self, tmp_path, rng, capsys, extra):
+        vec_path = tmp_path / "f.csv"
+        save_vector(str(vec_path), random_vector(rng, 8))
+        assert main(["decompose", "--op", "cycle:8", "--vector", str(vec_path)] + extra) == 0
+        out = capsys.readouterr().out
+        # lambda_max = 2 on cycle:8: bands [0, 1] and (1, 2]
+        assert "band 1: edge a^1 = 2.0  norm = " in out and "band 2:" not in out
+        assert "np.float64" not in out
+        assert "reconstruction residual" in out
+        assert ("frame norm" in out) == bool(extra)
+
+    def test_jackson_verdict_reads_the_tolerance_table(self, tmp_path, rng, capsys,
+                                                       monkeypatch):
+        vec_path = tmp_path / "f.json"
+        save_vector(str(vec_path), random_vector(rng, 16))
+        argv = ["jackson", "--op", "cycle:16", "--vector", str(vec_path), "--omega", "1.2",
+                "-m", "2", "-k", "1"]
+        assert main(argv) == 0
+        assert "passed: True" in capsys.readouterr().out
+        # E(f, 1.2) > 0, so no ratio is at most 1 - 2
+        monkeypatch.setitem(harness.DEFAULT_TOLERANCES, "jackson_grid", -2.0)
+        assert main(argv) == 1
+        assert "passed: False" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("override", ["plancherel", "no_such_tol=1e-3", "plancherel=tiny"])
+    def test_bad_tolerance_override_exits_2(self, capsys, override):
+        argv = ["verify", "--op", "cycle:8", "--count", "2", "--sizes", "8",
+                "--checks", "plancherel", "--tol", override]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_tolerance_override_reaches_the_record(self, tmp_path, capsys):
+        json_path = tmp_path / "report.json"
+        assert main(["verify", "--op", "cycle:8", "--count", "2", "--sizes", "8",
+                     "--checks", "plancherel", "--tol", "plancherel=1e-5",
+                     "--json", str(json_path)]) == 0
+        records = json.loads(json_path.read_text())["records"]
+        assert [(r["check"], r["tolerance"]) for r in records] == [("plancherel", 1e-5)]
+
+    def test_file_specs_build_the_same_operator(self, tmp_path):
+        edges = tmp_path / "graph.txt"
+        edges.write_text("0 1\n1 2 2.0  # weighted\n")
+        matrix = tmp_path / "lap.csv"
+        matrix.write_text("# the same Laplacian\n1,-1,0\n-1,3,-2\n0,-2,2\n")
+        from_edges = build_operator(parse_operator_arg(f"edges:{edges}"))
+        from_matrix = build_operator(parse_operator_arg(f"matrix:{matrix}"))
+        np.testing.assert_array_equal(from_edges.entries, from_matrix.entries)
+        np.testing.assert_array_equal(from_matrix.entries,
+                                      [[1.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]])
+
+    def test_verify_matrix_file_matches_builtin(self, tmp_path, capsys):
+        # the cycle:8 Laplacian written out: same operator, same corpus, same records
+        lap = build_operator(OperatorSpec(builtin="cycle", size=8)).entries
+        matrix = tmp_path / "cycle8.csv"
+        matrix.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in lap))
+        argv = ["--count", "4", "--seed", "11", "--sizes", "8",
+                "--checks", "plancherel,e_equals_r,bernstein"]
+        reports = []
+        for op in (f"matrix:{matrix}", "cycle:8"):
+            path = tmp_path / "report.json"
+            assert main(["verify", "--op", op, "--json", str(path)] + argv) == 0
+            reports.append(json.loads(path.read_text()))
+        assert reports[0]["meta"]["operator"] == f"matrix_file:{matrix}"
+        assert reports[0]["records"] == reports[1]["records"]
 
 
 class TestSmallCounts:

@@ -22,7 +22,7 @@ from bandapprox import (
     schrodinger_group,
     spectral_transform,
 )
-from bandapprox.harness import OperatorSpec, build_operator
+from bandapprox.harness import OperatorSpec, build_operator, parse_operator_arg
 from conftest import random_vector
 
 
@@ -103,6 +103,29 @@ class TestEigh:
         for g in dec.groups:
             lam = dec.eigenvalues[list(g)]
             assert lam.max() - lam.min() <= dec.eps_group
+
+
+class TestLapackOracle:
+    """``eigh`` against ``np.linalg.eigh``: eigenvalues and per-group spectral projectors.
+
+    Projectors, not vectors: a cycle has degenerate pairs, whose basis
+    vectors each solver may rotate freely inside their eigenspace.
+    """
+
+    @pytest.mark.parametrize("text, kind", [
+        ("cycle:16", RAW_L), ("cycle:64", RAW_L), ("path:33", RAW_L), ("complete:12", RAW_L),
+        ("random:40:3", RAW_L), ("diag:0,0.5,1,2,2,3.5,7", RAW_D), ("diag:2", RAW_L),
+        ("diag:0,0", RAW_L)])
+    def test_eigenvalues_and_group_projectors(self, text, kind):
+        op = build_operator(parse_operator_arg(text, kind=kind))
+        dec = eigh(op)
+        w, u = np.linalg.eigh(op.entries)
+        matrix_eigs = dec.eigenvalues ** 2 if kind == RAW_L else dec.eigenvalues
+        assert np.max(np.abs(matrix_eigs - w)) <= 1e-10
+        v = dec.eigenvectors
+        for group in dec.groups:
+            g = list(group)
+            assert np.max(np.abs(v[:, g] @ v[:, g].T - u[:, g] @ u[:, g].T)) <= 1e-10, group
 
 
 class TestJacobi:

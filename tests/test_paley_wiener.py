@@ -21,6 +21,7 @@ from bandapprox import (
     pw_project,
     spectral_tail,
 )
+from bandapprox.harness import DEFAULT_TOLERANCES as TOLS
 from conftest import random_vector
 
 
@@ -157,6 +158,12 @@ class TestBandwidth:
         with pytest.raises(InvalidParamsError):
             bandwidth(diag_dec, np.ones(3), k_max=k_max)
 
+    @pytest.mark.parametrize("probe", [-1.0, math.nan])
+    def test_probe_below_zero_or_nan_rejected(self, diag_dec, probe):
+        # the one band-limit rule of pw_project and best_approx, not sup_ratio = inf
+        with pytest.raises(NegativeOmegaError):
+            bandwidth(diag_dec, np.ones(3), probe_omega=probe)
+
 
 class TestBernstein:
     def test_equality_on_top_band_eigenvector(self, diag_dec):
@@ -176,7 +183,13 @@ class TestBernstein:
             if np.linalg.norm(f) < 1e-12:
                 continue
             rep = bernstein_check(cycle16_dec, f, omega, [0.5, 1.0, 2.0, 7.0])
-            assert rep.passed, rep.ratios
+            assert rep.max_ratio <= 1.0 + TOLS["bernstein"], rep.ratios
+
+    @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
+    def test_power_outside_zero_to_inf_rejected(self, diag_dec, s):
+        # s = -1 would give 0^-2 = inf at a kernel mode and a ratio of inf elsewhere
+        with pytest.raises(InvalidParamsError):
+            bernstein_check(diag_dec, diag_dec.eigenvectors[:, 0], 1.0, [0.5, s])
 
     def test_not_bandlimited_rejected(self, diag_dec):
         f = inverse_transform(diag_dec, [1.0, 0.0, 1.0])

@@ -12,15 +12,18 @@ import pytest
 
 from bandapprox import (
     BesovParams,
+    NonFiniteError,
     band_decompose,
     bandwidth,
     bernstein_check,
     besov_norm,
     best_approx,
     build_kernel,
+    eigh,
     equivalence_report,
     frame_norm,
     jackson_check,
+    k_besov_norm,
     lemma1_check,
     lemma2_check,
     pw_project,
@@ -29,6 +32,8 @@ from bandapprox import (
     sup_scaled_best_approx,
     synthesis_check,
 )
+from bandapprox.cli import main
+from bandapprox.harness import build_operator, parse_operator_arg, save_vector
 from conftest import random_vector
 
 SCALES = (1e150, 1e-150, 1e160, 1e-160, 1e-300)
@@ -82,3 +87,19 @@ def test_ratios_scale_invariant(cycle16_dec, rng, scale):
     # a residual relative to ||f||, near 1e-8 at this truncation: compared absolutely
     residuals = [riesz_identity_check(dec, h, 1.5, power=2).residual for h in (scale * g, g)]
     assert abs(residuals[0] - residuals[1]) <= TOL
+
+
+def test_norm_beyond_largest_double_is_a_typed_error(tmp_path, capsys):
+    # ||f|| = sqrt(8) 1e308 is no double: NonFiniteError, not a bare OverflowError
+    dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+    f = np.full(8, 1e308)
+    params = BesovParams(alpha=0.8, q=2.0, flavor="discrete_E")
+    for call in (lambda: besov_norm(dec, f, params),
+                 lambda: k_besov_norm(dec, f, params),
+                 lambda: equivalence_report(dec, [f], 0.8, 2.0)):
+        with pytest.raises(NonFiniteError):
+            call()
+    path = tmp_path / "f.csv"
+    save_vector(str(path), f)
+    assert main(["besov", "--op", "cycle:8", "--vector", str(path), "--alpha", "0.8"]) == 2
+    assert "error:" in capsys.readouterr().err
