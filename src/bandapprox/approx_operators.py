@@ -36,15 +36,14 @@ from .errors import (
 )
 from .operators import (
     SpectralDecomposition,
+    _coefficients,
     _is_int,
     _norm,
+    _power_coefficients,
     apply_multiplier,
-    as_vector,
-    operator_power,
-    spectral_transform,
 )
-from .paley_wiener import _in_pw, best_approx
-from .smoothness import _safe_ratio, modulus
+from .paley_wiener import _distances, _in_pw
+from .smoothness import _moduli, _safe_ratio
 
 # -- small numerics ------------------------------------------------------------
 
@@ -314,16 +313,14 @@ def riesz_identity_check(dec: SpectralDecomposition, f, omega: float, power: int
     if not (_is_int(power) and power >= 1):
         raise InvalidParamsError(f"power must be an integer >= 1, got {power!r}")
     cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
-    vec = as_vector(f, dec.dim)
-    norm_f = _norm(vec)
-    if norm_f == 0.0:
-        return RieszIdentityReport(residual=0.0, tail_bound=cfg.tail_bound,
-                                   k_trunc=k_trunc, omega=omega, power=power)
-    if not _in_pw(dec, vec, omega):
-        raise NotBandlimitedError(f"vector has spectral mass above omega={omega}")
-    rho = riesz_symbol(dec.eigenvalues, cfg)
-    c = spectral_transform(dec, vec)
-    residual = _norm((1j * dec.eigenvalues) ** power * c - rho ** power * c) / norm_f
+    v, c, e = fc = _coefficients(dec, f)
+    norm_f = _norm(v, e)
+    residual = 0.0
+    if norm_f > 0.0:
+        if not _in_pw(dec, fc, omega):
+            raise NotBandlimitedError(f"vector has spectral mass above omega={omega}")
+        rho = riesz_symbol(dec.eigenvalues, cfg)
+        residual = _norm((1j * dec.eigenvalues) ** power * c - rho ** power * c, e) / norm_f
     return RieszIdentityReport(residual=residual, tail_bound=cfg.tail_bound,
                                k_trunc=k_trunc, omega=omega, power=power)
 
@@ -338,6 +335,13 @@ def shift_coefficients(m: int) -> np.ndarray:
 def q_symbol(kernel: ApproxKernel, omega: float, m: int, lam,
              method: str = "bspline") -> np.ndarray:
     """Spectral symbol ``sum_j b_j h_transform(j lam / omega)`` of the Q operator."""
+    if not (omega > 0.0):
+        raise NegativeOmegaError(f"omega must be > 0, got {omega}")
+    if m < 1:
+        raise KernelOrderMismatchError(f"difference order must be >= 1, got {m}")
+    if kernel.n < m + 3:
+        raise KernelOrderMismatchError(
+            f"kernel order n={kernel.n} too small for m={m} (needs n >= m + 3)")
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     b = shift_coefficients(m)
     out = np.zeros_like(lam)
@@ -356,33 +360,22 @@ def q_apply(dec: SpectralDecomposition, f, omega: float, m: int,
     The zero-eigenvalue component passes through unchanged because the
     shift weights sum to 1 and the transform is 1 at the origin.
     """
-    if not (omega > 0.0):
-        raise NegativeOmegaError(f"omega must be > 0, got {omega}")
-    if m < 1:
-        raise KernelOrderMismatchError(f"difference order must be >= 1, got {m}")
-    if kernel.n < m + 3:
-        raise KernelOrderMismatchError(
-            f"kernel order n={kernel.n} too small for m={m} (needs n >= m + 3)")
     return apply_multiplier(dec, lambda lam: q_symbol(kernel, omega, m, lam, method), f)
 
 
 # -- Jackson machinery -----------------------------------------------------------
 
-def jackson_constant(kernel: ApproxKernel, m: int, k: int,
-                     proof_exponent: bool = False) -> float:
-    """``integral of h(t) |t|^k (1 + |t|)^p dt`` with ``p = m`` (or ``m - k``).
+def jackson_constant(kernel: ApproxKernel, m: int, k: int) -> float:
+    """``integral of h(t) |t|^k (1 + |t|)^m dt``; finiteness needs ``n >= k + m + 2``.
 
-    The default exponent ``m`` dominates the ``m - k`` variant, so the
-    direct estimate stays valid; both are exposed.  Finiteness needs
-    ``n >= k + p + 2``.
+    The exponent ``m`` dominates the proof's ``m - k``, so the direct estimate stays valid.
     """
     if not 0 <= k <= m:
         raise IndexOutOfRangeError(f"need 0 <= k <= m, got k={k}, m={m}")
-    p = (m - k) if proof_exponent else m
-    if kernel.n < k + p + 2:
+    if kernel.n < k + m + 2:
         raise OrderTooSmallError(
-            f"kernel order n={kernel.n} too small for moment k + p = {k + p}")
-    return float(sum(math.comb(p, i) * kernel.moment(k + i) for i in range(p + 1)))
+            f"kernel order n={kernel.n} too small for moment k + m = {k + m}")
+    return float(sum(math.comb(m, i) * kernel.moment(k + i) for i in range(m + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,13 +403,13 @@ def jackson_check(dec: SpectralDecomposition, f, omega: float, m: int, k: int,
     """Measure the direct-estimate chain for one vector and band edge."""
     if not 0 <= k <= m:
         raise IndexOutOfRangeError(f"need 0 <= k <= m, got k={k}, m={m}")
-    vec = as_vector(f, dec.dim)
-    norm_f = _norm(vec)
-    e_val = best_approx(dec, vec, omega)
-    q_err = _norm(q_apply(dec, vec, omega, m, kernel) - vec)
+    q_values = q_symbol(kernel, omega, m, dec.eigenvalues)
+    v, c, e = fc = _coefficients(dec, f)
+    norm_f = _norm(v, e)
+    e_val = float(_distances(dec, fc, [float(omega)], "E")[0])
+    q_err = _norm(dec.eigenvectors @ (q_values * c) - v, e)
     const = jackson_constant(kernel, m, k)
-    dk_f = operator_power(dec, k, vec) if k > 0 else vec
-    omega_mod = modulus(dec, dk_f, 1.0 / omega, m - k)
+    omega_mod = float(_moduli(dec, _power_coefficients(dec, c, k), e, [1.0 / omega], m - k)[0])
     bound = const * omega_mod / omega ** k
 
     return JacksonReport(best=e_val, q_error=q_err, bound=bound, constant=const,

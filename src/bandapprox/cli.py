@@ -9,7 +9,6 @@ passed.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -32,16 +31,16 @@ def _add_operator_args(parser):
 
 
 def _decomposition(args):
-    spec = harness.parse_operator_arg(args.op, kind=args.kind)
-    return eigh(harness.build_operator(spec)), spec
+    return eigh(harness.build_operator(harness.parse_operator_arg(args.op, kind=args.kind)))
 
 
-def _load_vec(args, dec):
-    return harness.load_vector(args.vector, expected_dim=dec.dim)
+def _decomposition_and_vector(args):
+    dec = _decomposition(args)
+    return dec, harness.load_vector(args.vector, expected_dim=dec.dim)
 
 
 def _cmd_spectrum(args):
-    dec, _ = _decomposition(args)
+    dec = _decomposition(args)
     print(f"dim: {dec.dim}")
     print("eigenvalues of D:")
     for value in dec.eigenvalues:
@@ -53,8 +52,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_project(args):
-    dec, _ = _decomposition(args)
-    f = _load_vec(args, dec)
+    dec, f = _decomposition_and_vector(args)
     projected = pw.pw_project(dec, f, args.omega)
     e_val = pw.best_approx(dec, f, args.omega)
     r_val = pw.spectral_tail(dec, f, args.omega)
@@ -67,10 +65,8 @@ def _cmd_project(args):
 
 
 def _cmd_besov(args):
-    dec, _ = _decomposition(args)
-    f = _load_vec(args, dec)
-    q = math.inf if args.q.lower() in ("inf", "infinity") else float(args.q)
-    params = sm.BesovParams(alpha=args.alpha, q=q, r=args.r, a=args.base,
+    dec, f = _decomposition_and_vector(args)
+    params = sm.BesovParams(alpha=args.alpha, q=args.q, r=args.r, a=args.base,
                             flavor=args.flavor)
     value = sm.besov_norm(dec, f, params)
     print(f"besov_norm[{args.flavor}](alpha={args.alpha}, q={args.q}, "
@@ -79,8 +75,7 @@ def _cmd_besov(args):
 
 
 def _cmd_decompose(args):
-    dec, _ = _decomposition(args)
-    f = _load_vec(args, dec)
+    dec, f = _decomposition_and_vector(args)
     band_dec = dcmp.band_decompose(dec, f, args.base)
     norms = band_dec.band_norms()
     recon = float(np.linalg.norm(np.sum(band_dec.bands, axis=0) - f))
@@ -88,14 +83,12 @@ def _cmd_decompose(args):
         print(f"band {k}: edge a^{k} = {float(edge)!r}  norm = {float(norm)!r}")
     print(f"reconstruction residual = {recon!r}")
     if args.alpha is not None:
-        q = math.inf if args.q.lower() in ("inf", "infinity") else float(args.q)
-        print(f"frame norm = {dcmp.frame_norm(band_dec, args.alpha, q)!r}")
+        print(f"frame norm = {dcmp.frame_norm(band_dec, args.alpha, args.q)!r}")
     return 0
 
 
 def _cmd_riesz(args):
-    dec, _ = _decomposition(args)
-    f = _load_vec(args, dec)
+    dec, f = _decomposition_and_vector(args)
     cfg = aop.RieszConfig(omega=args.omega, k_trunc=args.trunc)
     applied = aop.riesz_apply(dec, f, cfg)
     norm_f = float(np.linalg.norm(f))
@@ -111,8 +104,7 @@ def _cmd_riesz(args):
 
 
 def _cmd_jackson(args):
-    dec, _ = _decomposition(args)
-    f = _load_vec(args, dec)
+    dec, f = _decomposition_and_vector(args)
     order = args.kernel_order if args.kernel_order else args.m + 4 + (args.m % 2)
     kernel = aop.build_kernel(order, args.m)
     rep = aop.jackson_check(dec, f, args.omega, args.m, args.k, kernel)
@@ -144,10 +136,9 @@ def _parse_tolerance_overrides(pairs):
 
 def _cmd_verify(args):
     spec = harness.parse_operator_arg(args.op, kind=args.kind)
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else (8, 16)
     checks = args.checks.split(",") if args.checks else None
     report = harness.run_suite(spec, count=args.count, seed=args.seed,
-                               sizes=sizes, checks=checks,
+                               sizes=args.sizes, checks=checks,
                                tolerances=_parse_tolerance_overrides(args.tol))
     for record in report.records:
         status = "PASS" if record.passed else "FAIL"
@@ -175,6 +166,15 @@ def _cmd_report(args):
     return 0
 
 
+def _int_list(text: str) -> list:
+    """``"8,16"`` as ``[8, 16]``: the type of ``verify --sizes``."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bandapprox",
@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_operator_args(p)
     p.add_argument("--vector", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--q", default="2", help="integrability in [1, inf]; 'inf' for sup forms")
+    p.add_argument("--q", type=float, default=2.0,
+                   help="integrability in [1, inf]; 'inf' for sup forms")
     p.add_argument("--r", type=int, default=None, help="smoothness order (K-functional)")
     p.add_argument("--base", type=float, default=2.0)
     p.add_argument("--flavor", default="integral_E",
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", required=True)
     p.add_argument("--base", type=float, default=2.0)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--q", default="2")
+    p.add_argument("--q", type=float, default=2.0)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("riesz", help="apply the Riesz interpolation operator")
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_operator_args(p)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--sizes", default="8,16")
+    p.add_argument("--sizes", type=_int_list, default="8,16")
     p.add_argument("--checks", default=None,
                    help=f"comma-separated subset of: {','.join(harness.CHECK_NAMES)}")
     p.add_argument("--json", default=None, help="write JSON report here")

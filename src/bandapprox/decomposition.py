@@ -22,9 +22,9 @@ from .errors import (
     MembershipViolationError,
     ZeroVectorError,
 )
-from .operators import SpectralDecomposition, _norm, as_vector, spectral_transform
+from .operators import SpectralDecomposition, _coefficients, _ldexp, _norm, as_vector
 from .paley_wiener import _band_powers, _check_q, _in_pw, _lq_norm, band_count
-from .smoothness import BesovParams, _discrete_terms, besov_norm
+from .smoothness import BesovParams, _besov_norm, _discrete_terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +50,16 @@ def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecompo
     one; supports partition the spectrum exactly, so the bands are
     pairwise orthogonal and sum back to ``f``.
     """
+    _, c, e = _coefficients(dec, f)
+    return _band_split(dec, c, e, a)
+
+
+def _band_split(dec: SpectralDecomposition, c, e: int, a: float) -> BandDecomposition:
+    """:func:`band_decompose` of the vector with coefficients ``c 2^e``."""
     k_top = band_count(dec.lambda_max, a)
-    c = spectral_transform(dec, f)
     edges = _band_powers(a, k_top + 1)
     band_of = np.searchsorted(edges, dec.eigenvalues)  # k with a^{k-1} < lambda <= a^k
-    bands = tuple(dec.eigenvectors @ np.where(band_of == k, c, 0.0)
+    bands = tuple(_ldexp(dec.eigenvectors @ np.where(band_of == k, c, 0.0), e)
                   for k in range(k_top + 1))
     return BandDecomposition(base=a, bands=bands, band_edges=edges)
 
@@ -92,12 +97,12 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha: float, q: flo
     params = BesovParams(alpha=alpha, q=q, a=a, flavor="discrete_E")
     ratios = []
     for f in vectors:
-        vec = as_vector(f, dec.dim)
-        norm_f = _norm(vec)
+        v, c, e = fc = _coefficients(dec, f)
+        norm_f = _norm(v, e)
         if norm_f == 0.0:
             raise ZeroVectorError("equivalence ratio undefined for the zero vector")
-        frame_side = norm_f + frame_norm(band_decompose(dec, vec, a), alpha, q)
-        besov_side = besov_norm(dec, vec, params)
+        frame_side = norm_f + frame_norm(_band_split(dec, c, e, a), alpha, q)
+        besov_side = _besov_norm(dec, fc, params)
         ratios.append(frame_side / besov_side)
     if not ratios:
         raise InvalidParamsError("equivalence_report needs at least one vector")
@@ -108,21 +113,15 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha: float, q: flo
 
 @dataclass(frozen=True, eq=False)
 class SynthesisReport:
-    """Both sides of the converse (synthesis) inequality ``lhs <= rhs``.
-
-    The core inequality uses the weighted supremum of band norms; the
-    q-weighted sum ``frame_q`` dominates that supremum, so the same bound
-    holds a fortiori with it, and it is reported for context.
-    """
+    """Both sides of the synthesis inequality ``lhs <= rhs``, with ``rhs = constant * sup_band``."""
 
     lhs: float
     rhs: float
     constant: float
     sup_band: float
-    frame_q: float
 
 
-def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = math.inf,
+def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
                     a: float = 2.0) -> SynthesisReport:
     """Measure the synthesis inequality for arbitrary admissible band vectors.
 
@@ -136,20 +135,17 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float, q: float = 
         raise InvalidBaseError(f"base must be > 1, got {a}")
     if not (0.0 < alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in (0, inf), got {alpha}")
-    _check_q(q)
     band_list = [as_vector(b, dec.dim) for b in bands]
     for k, edge in enumerate(_band_powers(a, len(band_list))):
-        if not _in_pw(dec, band_list[k], edge):
+        if not _in_pw(dec, _coefficients(dec, band_list[k]), edge):
             raise MembershipViolationError(
                 f"band {k} has spectral mass above its edge a^{k} = {edge}")
 
     f = np.sum(band_list, axis=0) if band_list else np.zeros(dec.dim, complex)
     norms = np.array([_norm(b) for b in band_list])
-    terms = _band_powers(a, len(band_list), alpha) * norms
-    sup_band = _lq_norm(terms, math.inf)
-    frame_q = _lq_norm(terms, q)
+    sup_band = _lq_norm(_band_powers(a, len(band_list), alpha) * norms, math.inf)
     # E(f, a^k) vanishes from k = band_count on, so the discrete terms hold the sup
-    lhs = _lq_norm(_discrete_terms(dec, f, alpha, a, "E"), math.inf)
+    lhs = _lq_norm(_discrete_terms(dec, _coefficients(dec, f), alpha, a, "E"), math.inf)
     constant = 1.0 / (1.0 - a ** (-alpha))
     return SynthesisReport(lhs=lhs, rhs=constant * sup_band, constant=constant,
-                           sup_band=sup_band, frame_q=frame_q)
+                           sup_band=sup_band)

@@ -26,7 +26,14 @@ from .errors import (
     ParseError,
     UnsupportedFormatError,
 )
-from .operators import RAW_L, SymmetricOperator, eigh, schrodinger_group, spectral_transform
+from .operators import (
+    RAW_L,
+    SymmetricOperator,
+    _coefficients,
+    eigh,
+    schrodinger_group,
+    spectral_transform,
+)
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -636,9 +643,9 @@ def _check_synthesis_constant(ctx):
             recon = float(np.linalg.norm(np.sum(band_dec.bands, axis=0) - f))
             worst_recon = max(worst_recon, recon / norm_f)
             norms2 = band_dec.band_norms() ** 2
-            for big_n, e_val in enumerate(pw._distances(dec, f, edges, "E") ** 2):
+            for big_n, e2 in enumerate(pw._distances(dec, _coefficients(dec, f), edges, "E") ** 2):
                 tail = float(np.sum(norms2[big_n + 1:]))
-                worst_tail_dev = max(worst_tail_dev, abs(e_val - tail) / norm_f ** 2)
+                worst_tail_dev = max(worst_tail_dev, abs(e2 - tail) / norm_f ** 2)
             rep = dcmp.synthesis_check(dec, band_dec.bands, alpha, a=a)
             worst_ratio = max(worst_ratio, sm._safe_ratio(rep.lhs, rep.rhs, 0.0))
         # non-orthogonal inputs: each band is a random vector squashed to its edge

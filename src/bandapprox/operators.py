@@ -72,20 +72,26 @@ def _scaled(x) -> tuple:
     return x * 2.0 ** -e, e
 
 
-def _scaled_mag2(coeffs) -> tuple:
-    """``(|c|^2 4^-e, e)``: the squared magnitudes of ``_scaled(|c|)``."""
-    mag, e = _scaled(np.abs(coeffs))
-    return mag ** 2, e
+def _scaled_mag2(coeffs, e: int = 0) -> tuple:
+    """``(|c|^2 4^-d, e + d)``: the squared magnitudes of ``(|c| 2^-d, d) = _scaled(|c|)``."""
+    mag, d = _scaled(np.abs(coeffs))
+    return mag ** 2, e + d
 
 
-def _norm(vec) -> float:
-    """``np.linalg.norm(vec)`` taken at a power-of-two scale, so it cannot overflow or underflow.
+def _ldexp(z, e: int) -> np.ndarray:
+    """``z 2^e`` for a complex array: exact, ``inf`` where it passes the largest double."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(z.view(np.float64), e).view(np.complex128)
+
+
+def _norm(vec, e: int = 0) -> float:
+    """``||vec|| 2^e``, taken at a power-of-two scale, so it cannot overflow or underflow.
 
     A norm beyond the largest double raises :class:`NonFiniteError`.
     """
-    scaled, e = _scaled(vec)
+    scaled, d = _scaled(vec)
     try:
-        return math.ldexp(float(np.linalg.norm(scaled)), e)
+        return math.ldexp(float(np.linalg.norm(scaled)), e + d)
     except OverflowError:
         raise NonFiniteError("vector norm exceeds the largest double") from None
 
@@ -271,6 +277,21 @@ def spectral_transform(dec: SpectralDecomposition, f) -> np.ndarray:
     return dec.eigenvectors.T @ as_vector(f, dec.dim)
 
 
+def _coefficients(dec: SpectralDecomposition, f) -> tuple:
+    """``(v, c, e)``: ``f`` checked and scaled to ``v = f 2^-e`` (see ``_scaled``), ``c = V^T v``.
+
+    Each public function takes each vector argument through this once; the
+    coefficients of ``f`` are ``c 2^e``.
+    """
+    v, e = _scaled(as_vector(f, dec.dim))
+    return v, spectral_transform(dec, v), e
+
+
+def _power_coefficients(dec: SpectralDecomposition, c, k) -> np.ndarray:
+    """Coefficients of ``D^k f`` from those of ``f``: ``lambda^k c``, with no round trip."""
+    return np.power(dec.eigenvalues, k) * c
+
+
 def inverse_transform(dec: SpectralDecomposition, coeffs) -> np.ndarray:
     """Synthesize the vector whose eigenbasis coefficients are ``coeffs``."""
     return dec.eigenvectors @ as_vector(coeffs, dec.dim)
@@ -280,15 +301,17 @@ def apply_multiplier(dec: SpectralDecomposition, phi, f) -> np.ndarray:
     """Apply the operator ``phi(D)``: multiply coefficients by ``phi(lambda_j)``.
 
     ``phi`` is called once with the full eigenvalue array and may return
-    real or complex values; they must all be finite.
+    real or complex values; they must all be finite.  It acts at the scale
+    of ``f``; a result beyond the largest double raises :class:`NonFiniteError`.
     """
-    c = spectral_transform(dec, f)
+    _, c, e = _coefficients(dec, f)
     values = np.asarray(phi(dec.eigenvalues))
-    if values.shape != dec.eigenvalues.shape:
-        values = np.broadcast_to(values, dec.eigenvalues.shape)
     if not np.all(np.isfinite(values)):
         raise NonFiniteMultiplierError("multiplier is not finite on the spectrum")
-    return dec.eigenvectors @ (values * c)
+    out = _ldexp(dec.eigenvectors @ (values * c), e)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("result exceeds the largest double")
+    return out
 
 
 def operator_power(dec: SpectralDecomposition, s: float, f) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import (
     InvalidBaseError,
@@ -22,13 +23,12 @@ from .errors import (
 )
 from .operators import (
     SpectralDecomposition,
+    _coefficients,
     _is_int,
     _norm,
     _scaled,
     _scaled_mag2,
     apply_multiplier,
-    as_vector,
-    spectral_transform,
 )
 
 #: relative tail below which a vector counts as a member of PW_omega
@@ -126,20 +126,18 @@ def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
     return uniq if uniq[0] == 0.0 else np.concatenate(([0.0], uniq))
 
 
-def _distances(dec: SpectralDecomposition, f, omegas, route: str) -> np.ndarray:
-    """Distance from ``f`` to PW_omega at every band edge in ``omegas``.
+def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray:
+    """Distance from ``f`` to PW_omega at every band edge in ``omegas``, from its ``(v, c, e)``.
 
-    One transform of ``f`` scaled by a power of two serves every edge.  Route
-    ``"E"`` forms the residual ``f - V (masked c)`` in the vector domain and
-    takes its norm; route ``"R"`` takes the norm of the coefficients above.
+    Route ``"E"`` takes the norm of the residual ``v - V (masked c)`` in the
+    vector domain; route ``"R"`` the norm of the coefficients above.
     """
-    vec, e = _scaled(as_vector(f, dec.dim))
-    c = spectral_transform(dec, vec)
+    v, c, e = fc
     lam = dec.eigenvalues
     if route == "R":
         return np.ldexp([np.linalg.norm(c[lam > w]) for w in omegas], e)
     basis = dec.eigenvectors.astype(np.complex128)
-    return np.ldexp([np.linalg.norm(vec - basis @ np.where(lam <= w, c, 0.0))
+    return np.ldexp([np.linalg.norm(v - basis @ np.where(lam <= w, c, 0.0))
                      for w in omegas], e)
 
 
@@ -151,39 +149,18 @@ def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
 
 def best_approx(dec: SpectralDecomposition, f, omega) -> float:
     """Distance from ``f`` to PW_omega, via the projection residual in H."""
-    return float(_distances(dec, f, [_omega_value(omega)], "E")[0])
+    return float(_distances(dec, _coefficients(dec, f), [_omega_value(omega)], "E")[0])
 
 
 def spectral_tail(dec: SpectralDecomposition, f, omega) -> float:
     """Coefficient-tail norm above omega; equals :func:`best_approx`."""
-    return float(_distances(dec, f, [_omega_value(omega)], "R")[0])
+    return float(_distances(dec, _coefficients(dec, f), [_omega_value(omega)], "R")[0])
 
 
-def _in_pw(dec: SpectralDecomposition, f, omega: float) -> bool:
+def _in_pw(dec: SpectralDecomposition, fc, omega: float) -> bool:
     """Whether ``f`` lies in PW_omega: tail above omega at most ``BANDLIMITED_TOL ||f||``."""
-    vec = as_vector(f, dec.dim)
-    return spectral_tail(dec, vec, omega) <= BANDLIMITED_TOL * _norm(vec)
-
-
-def log_power_norms(dec: SpectralDecomposition, f, k_max: int) -> np.ndarray:
-    """``log ||D^k f||`` for k = 1..k_max, computed in log-space.
-
-    Uses a logsumexp over ``2k log(lambda_j) + 2 log|c_j|`` so that powers
-    far beyond double-precision range still give finite logarithms.
-    Entries are ``-inf`` when ``D^k f = 0``.
-    """
-    mag = np.abs(spectral_transform(dec, f))
-    mask = (mag > 0.0) & (dec.eigenvalues > 0.0)
-    out = np.full(k_max, -np.inf)
-    if not np.any(mask):
-        return out
-    log_lam = np.log(dec.eigenvalues[mask])
-    log_mag2 = 2.0 * np.log(mag[mask])
-    for k in range(1, k_max + 1):
-        terms = 2.0 * k * log_lam + log_mag2
-        m = terms.max()
-        out[k - 1] = 0.5 * (m + math.log(np.sum(np.exp(terms - m))))
-    return out
+    v, c, _ = fc
+    return np.linalg.norm(c[dec.eigenvalues > omega]) <= BANDLIMITED_TOL * np.linalg.norm(v)
 
 
 def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
@@ -197,15 +174,19 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     """
     if not (_is_int(k_max) and k_max >= 1):
         raise InvalidParamsError(f"k_max must be an integer >= 1, got {k_max!r}")
-    vec = as_vector(f, dec.dim)
-    norm_f = _norm(vec)
-    if norm_f == 0.0:
+    v, c, e = _coefficients(dec, f)
+    norm_v = np.linalg.norm(v)
+    if norm_v == 0.0:
         raise ZeroVectorError("bandwidth of the zero vector is undefined")
-    significant = np.abs(spectral_transform(dec, vec)) > SUPPORT_TOL * norm_f
+    significant = np.abs(c) > SUPPORT_TOL * norm_v
     omega_f = float(dec.eigenvalues[significant].max()) if np.any(significant) else 0.0
 
-    log_norms = log_power_norms(dec, vec, k_max)
+    # log ||D^k f|| as a logsumexp over 2 (k log lambda_j + log |c_j 2^e|), finite far
+    # beyond the double range; -inf when D^k f = 0
+    live = (c != 0.0) & (dec.eigenvalues > 0.0)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
+    log_terms = ks[:, None] * np.log(dec.eigenvalues[live]) + np.log(np.abs(c[live]))
+    log_norms = 0.5 * logsumexp(2.0 * log_terms, axis=1) + e * math.log(2.0)
     k_sequence = np.exp(log_norms / ks)
 
     probe = omega_f if probe_omega is None else _omega_value(probe_omega)
@@ -240,13 +221,13 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     bad = [s for s in s_values if not 0.0 <= s < math.inf]
     if bad:
         raise InvalidParamsError(f"s must be finite and >= 0, got {bad[0]}")
-    vec = as_vector(f, dec.dim)
-    norm_f = _norm(vec)
+    v, c, e = fc = _coefficients(dec, f)
+    norm_f = _norm(v, e)
     if norm_f == 0.0:
         raise ZeroVectorError("Bernstein check needs a nonzero vector")
-    if not _in_pw(dec, vec, w):
+    if not _in_pw(dec, fc, w):
         raise NotBandlimitedError(f"vector has spectral mass above omega={w}")
-    mag2, e = _scaled_mag2(spectral_transform(dec, vec))
+    mag2, e = _scaled_mag2(c, e)
     ratios = []
     for s in s_values:
         power_norm = math.ldexp(
@@ -271,6 +252,6 @@ def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:
     if not (eps > 0.0):
         raise InvalidParamsError(f"eps must be positive, got {eps}")
     nodes = _step_nodes(dec)
-    tails = _distances(dec, f, nodes, "R")
+    tails = _distances(dec, _coefficients(dec, f), nodes, "R")
     return float(nodes[np.argmax(tails <= eps)])
 

@@ -35,14 +35,13 @@ import numpy as np
 from .errors import InvalidOrderError, InvalidParamsError, NonPositiveTError
 from .operators import (
     SpectralDecomposition,
+    _coefficients,
     _is_int,
     _norm,
+    _power_coefficients,
     _scaled,
     _scaled_mag2,
     apply_multiplier,
-    as_vector,
-    operator_power,
-    spectral_transform,
 )
 from .paley_wiener import _band_powers, _check_q, _distances, _lq_norm, _step_nodes, band_count
 
@@ -193,15 +192,15 @@ def _running_modulus(eigenvalues, mag2, s_values, m: int) -> np.ndarray:
     return np.maximum.accumulate(bins[:-1])
 
 
-def _moduli(dec: SpectralDecomposition, f, s_values, m: int) -> np.ndarray:
-    """``Omega_m(f, s)`` at each of the ``s_values``, in any order, from one transform and scan."""
+def _moduli(dec: SpectralDecomposition, c, e: int, s_values, m: int) -> np.ndarray:
+    """``Omega_m(f, s)`` at each of the ``s_values``, any order, from the coefficients ``c 2^e``."""
     s_values = np.asarray(s_values, dtype=np.float64)
     bad = ~(np.isfinite(s_values) & (s_values >= 0.0))
     if np.any(bad):
         raise InvalidParamsError(f"s must be finite and >= 0, got {s_values[bad][0]}")
     if not (_is_int(m) and m >= 0):
         raise InvalidParamsError(f"difference order m must be an integer >= 0, got {m!r}")
-    mag2, e = _scaled_mag2(spectral_transform(dec, f))
+    mag2, e = _scaled_mag2(c, e)
     if m == 0:
         return np.full(s_values.shape, math.ldexp(math.sqrt(float(np.sum(mag2))), e))
     if not np.any(mag2 > 0.0) or not np.any(s_values > 0.0) or dec.lambda_max == 0.0:
@@ -215,13 +214,12 @@ def _moduli(dec: SpectralDecomposition, f, s_values, m: int) -> np.ndarray:
 def modulus(dec: SpectralDecomposition, f, s: float, m: int) -> float:
     """Modulus of continuity: ``sup over |tau| <= s`` of the m-th difference norm.
 
-    The objective is even in ``tau`` so only ``[0, s]`` is scanned, by the
-    same running-maximum shift scan that serves :func:`besov_seminorm_sup`
-    (see ``_running_modulus``); the scan is sized from ``m lambda_max``
-    and has no cap.  ``m = 0`` is accepted and returns ``||f||`` (the
+    The objective is even in ``tau``, so one shift scan of ``[0, s]`` (see
+    ``_running_modulus``) gives it.  ``m = 0`` returns ``||f||`` (the
     zeroth difference is the identity).  ``s`` must be finite and ``>= 0``.
     """
-    return float(_moduli(dec, f, [s], m)[0])
+    _, c, e = _coefficients(dec, f)
+    return float(_moduli(dec, c, e, [s], m)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,12 +250,13 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s: float,
         raise InvalidParamsError(f"need 0 <= k <= m, got k={k}, m={m}")
     if a_scale <= 0.0:
         raise InvalidParamsError("a_scale must be positive")
-    vec = as_vector(f, dec.dim)
-    norm_f = _norm(vec)
+    v, c, e = _coefficients(dec, f)
+    norm_f = _norm(v, e)
 
-    lhs, lhs_scale = (float(v) for v in _moduli(dec, vec, [s, a_scale * s], m))
+    lhs, lhs_scale = (float(x) for x in _moduli(dec, c, e, [s, a_scale * s], m))
     # at k = 0 the right side is Omega_m(f, s) itself: reuse it, no second scan
-    rhs = (s ** k) * modulus(dec, operator_power(dec, k, vec), s, m - k) if k > 0 else lhs
+    dk_c = _power_coefficients(dec, c, k)
+    rhs = s ** k * float(_moduli(dec, dk_c, e, [s], m - k)[0]) if k else lhs
     rhs_scale = ((1.0 + a_scale) ** m) * lhs
     return ModulusInequalityReport(ratio_power=_safe_ratio(lhs, rhs, norm_f),
                                    ratio_scale=_safe_ratio(lhs_scale, rhs_scale, norm_f))
@@ -265,42 +264,40 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s: float,
 
 # -- step-function machinery for the approximation norms ----------------------
 
-def _step_values(dec: SpectralDecomposition, f, route: str) -> tuple:
-    """(nodes, values): E(f, s) = values[i] on [nodes[i], nodes[i+1])."""
-    nodes = _step_nodes(dec)
-    return nodes, _distances(dec, f, nodes[:-1], route)
+def _integral_norm(dec, fc, alpha, q, route):
+    """``(integral of (s^alpha E(f,s))^q ds/s)^{1/q}`` over (0, inf) in closed form; sup at q = inf.
 
-
-def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
-                           route: str = "E") -> float:
-    """``sup over s > 0`` of ``s^alpha E(f, s)``, exact for step functions.
-
-    On each constancy interval the supremum of ``s^alpha * const`` sits at
-    the right endpoint, so the global supremum is a finite maximum.
-    ``alpha`` must lie in ``[0, inf)``: below 0 the supremum is infinite.
+    ``E(f, .)`` is constant on ``[nodes[i], nodes[i+1])``, where the supremum of
+    ``s^alpha * const`` sits at the right end, so the sup is a finite maximum.
     """
-    if not (0.0 <= alpha < math.inf):
-        raise InvalidParamsError(f"alpha must be in [0, inf), got {alpha}")
-    nodes, values = _step_values(dec, f, route)
-    return _lq_norm(values * nodes[1:] ** alpha, math.inf)
-
-
-def _integral_norm(dec, f, alpha, q, route):
-    """Closed form of ``(integral of (s^alpha E(f,s))^q ds/s)^{1/q}`` over (0, inf)."""
-    nodes, values = _step_values(dec, f, route)
+    nodes = _step_nodes(dec)
+    values = _distances(dec, fc, nodes[:-1], route)
+    if q == math.inf:
+        return _lq_norm(values * nodes[1:] ** alpha, math.inf)
     aq = alpha * q
     scaled, e = _scaled(values)
     pieces = scaled ** q * (nodes[1:] ** aq - nodes[:-1] ** aq) / aq
     return math.ldexp(float(np.sum(pieces)) ** (1.0 / q), e)
 
 
-def _discrete_terms(dec, f, alpha, a, route):
+def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
+                           route: str = "E") -> float:
+    """``sup over s > 0`` of ``s^alpha E(f, s)``, exact for step functions.
+
+    ``alpha`` must lie in ``[0, inf)``: below 0 the supremum is infinite.
+    """
+    if not (0.0 <= alpha < math.inf):
+        raise InvalidParamsError(f"alpha must be in [0, inf), got {alpha}")
+    return _integral_norm(dec, _coefficients(dec, f), alpha, math.inf, route)
+
+
+def _discrete_terms(dec, fc, alpha, a, route):
     """Terms ``a^{k alpha} E(f, a^k)`` for k = 0 .. K-1, where ``a^K >= lambda_max``.
 
     Every later term vanishes, so the truncation is exact.
     """
     count = band_count(dec.lambda_max, a)
-    return _band_powers(a, count, alpha) * _distances(dec, f, _band_powers(a, count), route)
+    return _band_powers(a, count, alpha) * _distances(dec, fc, _band_powers(a, count), route)
 
 
 def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
@@ -312,22 +309,24 @@ def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
     exploit.  Integral flavors are exact (piecewise evaluation); discrete
     flavors truncate where the terms become identically zero.
     """
-    vec = as_vector(f, dec.dim)
-    norm_f = _norm(vec)
+    if params.flavor == "k_functional":
+        return k_besov_norm(dec, f, params)  # it transforms f itself
+    return _besov_norm(dec, _coefficients(dec, f), params)
+
+
+def _besov_norm(dec: SpectralDecomposition, fc, params: BesovParams) -> float:
+    """:func:`besov_norm` from ``fc = (v, c, e)``, for every flavor but ``k_functional``."""
+    v, c, e = fc
+    norm_f = _norm(v, e)
     flavor = params.flavor
-    if flavor == "k_functional":
-        return k_besov_norm(dec, vec, params)
     if flavor == "modulus":
-        return norm_f + besov_seminorm_sup(dec, vec, params.alpha, 0, params.r)
+        return norm_f + _seminorm_sup(dec, c, e, params.alpha, 0, params.r)
 
     route = "E" if flavor.endswith("_E") else "R"
     if flavor.startswith("integral"):
-        if params.is_sup:
-            tail = sup_scaled_best_approx(dec, vec, params.alpha, route)
-        else:
-            tail = _integral_norm(dec, vec, params.alpha, params.q, route)
+        tail = _integral_norm(dec, fc, params.alpha, params.q, route)
     else:
-        tail = _lq_norm(_discrete_terms(dec, vec, params.alpha, params.a, route), params.q)
+        tail = _lq_norm(_discrete_terms(dec, fc, params.alpha, params.a, route), params.q)
     return norm_f + tail
 
 
@@ -343,21 +342,22 @@ _K_NEWTON_STEPS = 4
 _K_GRID_POINTS = 200
 
 
-def _k_functional_values(dec: SpectralDecomposition, f, ts, r: int,
+def _k_functional_values(dec: SpectralDecomposition, c, e: int, ts, r: int,
                          domain_norm: str) -> tuple:
-    """``(K(t) 2^-e, e)`` for every ``t`` in ``ts``: the lower envelope along the Tikhonov path.
+    """``(K(t) 2^-d, d)`` for every ``t`` in ``ts``: the lower envelope along the Tikhonov path.
 
-    ``A(s)`` and ``B(s)`` are evaluated once on a log-s grid over
-    ``[1e-12 / max w, 1e12 / min w]`` (``w > 0``) and ``min_s A + t B`` is
-    taken for all ``t`` in one broadcast minimum.  With ``u = log s`` and
-    ``x = s w``, ``dA^2/du = 2 sum |c|^2 x^2 / (1+x)^3 = -s dB^2/du``, so
-    ``A + t B`` is stationary where ``g(u) = u + log(B / A) = log t``, and
-    ``g`` increases (the frontier is convex).  Each ``t`` is bracketed on
-    the grid values of ``g`` and refined by ``_K_NEWTON_STEPS`` clipped
-    Newton steps; a ``t`` outside their range has its minimum at a path
-    endpoint, ``g = f`` or ``g = projection onto ker W``, both candidates
-    for every ``t``.  Only coefficients outside ``ker W`` enter, scaled by
-    ``2^-e`` (see ``_scaled_mag2``).
+    From the coefficients ``c 2^e`` of ``f``, ``A(s)`` and ``B(s)`` are
+    evaluated once on a log-s grid over ``[1e-12 / max w, 1e12 / min w]``
+    (``w > 0``) and ``min_s A + t B`` is taken for all ``t`` in one
+    broadcast minimum.  With ``u = log s`` and ``x = s w``,
+    ``dA^2/du = 2 sum |c|^2 x^2 / (1+x)^3 = -s dB^2/du``, so ``A + t B``
+    is stationary where ``g(u) = u + log(B / A) = log t``, and ``g``
+    increases (the frontier is convex).  Each ``t`` is bracketed on the
+    grid values of ``g`` and refined by ``_K_NEWTON_STEPS`` clipped Newton
+    steps; a ``t`` outside their range has its minimum at a path endpoint,
+    ``g = f`` or ``g = projection onto ker W``, both candidates for every
+    ``t``.  Only coefficients outside ``ker W`` enter, scaled by ``2^-d``
+    (see ``_scaled_mag2``).
     """
     ts = np.asarray(ts, dtype=np.float64)
     if not np.all(ts > 0.0):
@@ -368,7 +368,7 @@ def _k_functional_values(dec: SpectralDecomposition, f, ts, r: int,
         raise InvalidParamsError(f"unknown domain_norm {domain_norm!r}")
     lam2r = dec.eigenvalues ** (2 * r)
     w = lam2r if domain_norm == "seminorm" else 1.0 + lam2r
-    mag2, e = _scaled_mag2(np.where(w > 0.0, spectral_transform(dec, f), 0.0))
+    mag2, e = _scaled_mag2(np.where(w > 0.0, c, 0.0), e)
     if not np.any(mag2 > 0.0):
         return np.zeros(ts.shape), 0  # f in ker W: K(t) = 0 at g = f
     mag2_w = mag2 * w
@@ -413,16 +413,13 @@ def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
                  domain_norm: str = "seminorm") -> float:
     """``inf over g`` of ``||f - g|| + t ||D^r g||`` (Peetre K-functional).
 
-    The infimum is taken along the Tikhonov family
-    ``g_s = (I + s W)^{-1} f`` with ``W = D^{2r}``, which traces the exact
-    Pareto frontier of the pair of norms, so ``K(t)`` is the lower
-    envelope of the lines ``A(s) + t B(s)`` over the path.  The envelope
-    is read off a log-s grid and refined by clipped Newton steps on the
-    optimality condition ``s B(s) / A(s) = t``; it is exact up to rounding.
-    With ``domain_norm="graph"`` the second term is the graph norm
-    ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.
+    The lower envelope along the Tikhonov family ``g_s = (I + s W)^{-1} f``
+    with ``W = D^{2r}`` (see ``_k_functional_values``), exact up to
+    rounding.  With ``domain_norm="graph"`` the second term is the graph
+    norm ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.
     """
-    values, e = _k_functional_values(dec, f, [t], r, domain_norm)
+    _, c, e = _coefficients(dec, f)
+    values, e = _k_functional_values(dec, c, e, [t], r, domain_norm)
     return math.ldexp(float(values[0]), e)
 
 
@@ -439,8 +436,8 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
     scale of ``f`` overflows.  This norm is a measurement (used in
     equivalence ratios), not a closed form.
     """
-    vec = as_vector(f, dec.dim)
-    norm_f = _norm(vec)
+    v, c, e = _coefficients(dec, f)
+    norm_f = _norm(v, e)
     if norm_f == 0.0:
         return 0.0
     r = params.r
@@ -452,7 +449,7 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
     t_max = 1e6
     u = np.linspace(math.log(t_min), math.log(t_max), _K_GRID_POINTS)
     ts = [math.exp(ui) for ui in u]  # scalar exp: array exp may differ in the last bit
-    k_vals, e = _k_functional_values(dec, vec, ts, r, domain_norm)
+    k_vals, e = _k_functional_values(dec, c, e, ts, r, domain_norm)
     scaled = np.exp(-theta * u) * k_vals
     if params.is_sup:
         return norm_f + math.ldexp(float(np.max(scaled)), e)
@@ -484,13 +481,17 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
     stopping there changes nothing.  A scan beyond
     :data:`MAX_SCAN_ENTRIES` raises :class:`InvalidParamsError`.
     """
+    _, c, e = _coefficients(dec, f)
+    return _seminorm_sup(dec, c, e, alpha, n, r)
+
+
+def _seminorm_sup(dec: SpectralDecomposition, c, e: int, alpha: float, n: int, r: int) -> float:
+    """:func:`besov_seminorm_sup` from the coefficients ``c 2^e`` of ``f``."""
     if n < 0 or r < 1:
         raise InvalidParamsError("need n >= 0 and r >= 1")
     if not (alpha > n):
         raise InvalidOrderError(f"need alpha > n, got alpha={alpha}, n={n}")
-    vec = as_vector(f, dec.dim)
-    g = operator_power(dec, n, vec) if n > 0 else vec
-    mag2, e = _scaled_mag2(spectral_transform(dec, g))
+    mag2, e = _scaled_mag2(_power_coefficients(dec, c, n), e)
     if not np.any(mag2 > 0.0):
         return 0.0
     lam_max = dec.lambda_max
@@ -519,10 +520,13 @@ class LemmaReport:
     ratio: float
 
 
-def _lemma_orders_ok(alpha: float, n: int, r: int):
+def _lemma_sides(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> tuple:
+    """``(sup_s s^alpha E(f, s), modulus seminorm, ||f||)`` from one transform of ``f``."""
     if not (alpha - n > 0.0 and r > alpha - n):
-        raise InvalidOrderError(
-            f"need r > alpha - n > 0, got alpha={alpha}, n={n}, r={r}")
+        raise InvalidOrderError(f"need r > alpha - n > 0, got alpha={alpha}, n={n}, r={r}")
+    v, c, e = fc = _coefficients(dec, f)
+    return (_integral_norm(dec, fc, alpha, math.inf, "E"), _seminorm_sup(dec, c, e, alpha, n, r),
+            _norm(v, e))
 
 
 def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
@@ -532,19 +536,12 @@ def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
     the seminorm; the returned ratio is that empirical constant, 0 when
     both sides vanish.
     """
-    _lemma_orders_ok(alpha, n, r)
-    vec = as_vector(f, dec.dim)
-    lhs = sup_scaled_best_approx(dec, vec, alpha)
-    rhs = besov_seminorm_sup(dec, vec, alpha, n, r)
-    return LemmaReport(lhs=lhs, rhs=rhs, ratio=_safe_ratio(lhs, rhs, _norm(vec)))
+    sup_e, seminorm, norm_f = _lemma_sides(dec, f, alpha, n, r)
+    return LemmaReport(lhs=sup_e, rhs=seminorm, ratio=_safe_ratio(sup_e, seminorm, norm_f))
 
 
 def lemma2_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
     """Measure the modulus seminorm against ``||f|| + sup_s s^alpha E(f, s)``."""
-    _lemma_orders_ok(alpha, n, r)
-    vec = as_vector(f, dec.dim)
-    lhs = besov_seminorm_sup(dec, vec, alpha, n, r)
-    t_val = sup_scaled_best_approx(dec, vec, alpha)
-    norm_f = _norm(vec)
-    rhs = norm_f + t_val
-    return LemmaReport(lhs=lhs, rhs=rhs, ratio=_safe_ratio(lhs, rhs, norm_f))
+    sup_e, seminorm, norm_f = _lemma_sides(dec, f, alpha, n, r)
+    rhs = norm_f + sup_e
+    return LemmaReport(lhs=seminorm, rhs=rhs, ratio=_safe_ratio(seminorm, rhs, norm_f))

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bandapprox import RAW_D, SymmetricOperator, eigh
+from bandapprox import RAW_D, SymmetricOperator, eigh, operators
 from bandapprox.harness import OperatorSpec, build_operator
 
 
@@ -34,3 +34,26 @@ def random_dec():
 
 def random_vector(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """A list that grows by one on every ``spectral_transform`` call.
+
+    Every module-level binding of the function across ``bandapprox.*`` is
+    wrapped, the ``from .operators import`` copies included, so calls from
+    any layer count.
+    """
+    original = operators.spectral_transform
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for name, module in sorted(sys.modules.items()):
+        if module is not None and (name == "bandapprox" or name.startswith("bandapprox.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls

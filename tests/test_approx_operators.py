@@ -343,12 +343,6 @@ class TestJacksonConstant:
                       * _psi_moment(6, 1 + i, refine=2) for i in range(3))
         assert abs(base - refined) <= 1e-6 * base
 
-    def test_proof_exponent_variant_is_smaller(self):
-        kernel = build_kernel(8, 3)
-        full = jackson_constant(kernel, 3, 1)
-        proof = jackson_constant(kernel, 3, 1, proof_exponent=True)
-        assert 0 < proof <= full
-
     def test_index_out_of_range(self):
         kernel = build_kernel(6, 2)
         with pytest.raises(IndexOutOfRangeError):

@@ -184,12 +184,9 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("q", [0.0, 0.5, math.nan, -math.inf])
     def test_q_outside_one_to_inf_rejected(self, diag_dec, q):
-        # the same rule as frame_norm and BesovParams: q in [1, inf]
-        bands = [diag_dec.eigenvectors[:, 0]]  # lambda = 1 lies in band 0
+        # the same rule as BesovParams: q in [1, inf]
         with pytest.raises(InvalidParamsError):
-            synthesis_check(diag_dec, bands, 0.8, q, a=2.0)
-        with pytest.raises(InvalidParamsError):
-            frame_norm(band_decompose(diag_dec, bands[0], 2.0), 0.8, q)
+            frame_norm(band_decompose(diag_dec, diag_dec.eigenvectors[:, 0], 2.0), 0.8, q)
         with pytest.raises(InvalidParamsError):
             BesovParams(alpha=0.8, q=q)
 
@@ -203,12 +200,6 @@ class TestSynthesis:
             frame_norm(band_decompose(diag_dec, bands[0], 2.0), alpha, 2.0)
         with pytest.raises(InvalidParamsError):
             BesovParams(alpha=alpha, q=math.inf)
-
-    def test_q_in_range_accepted(self, diag_dec):
-        bands = [diag_dec.eigenvectors[:, 0]]
-        for q in (1.0, 2.0, math.inf):
-            rep = synthesis_check(diag_dec, bands, 0.8, q, a=2.0)
-            assert _synthesis_holds(rep) and abs(rep.frame_q - 1.0) <= 1e-15
 
 
 class TestBandCount:

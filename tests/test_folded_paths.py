@@ -20,6 +20,7 @@ from bandapprox import (
     modulus,
 )
 from bandapprox.harness import build_operator, parse_operator_arg
+from bandapprox.operators import _coefficients
 from bandapprox.paley_wiener import _distances, _step_nodes
 from bandapprox.smoothness import MAX_SCAN_ENTRIES
 from conftest import random_vector
@@ -95,7 +96,7 @@ class TestDistancesAgainstProjector:
         expected = np.array([distance_by_projector(dec, f, w) for w in nodes])
         scale = 1.0 + np.linalg.norm(f)
         for route in ("E", "R"):
-            got = _distances(dec, f, nodes, route)
+            got = _distances(dec, _coefficients(dec, f), nodes, route)
             assert np.max(np.abs(got - expected)) <= REL * scale
 
     def test_nodes_are_zero_and_distinct_eigenvalues(self):

@@ -277,7 +277,20 @@ class TestCli:
         assert main(["spectrum", "--op", "moebius:7"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [[], ["--alpha", "0.8", "--q", "inf"]])
+    @pytest.mark.parametrize("argv", [
+        ["besov", "--op", "cycle:4", "--vector", "f.json", "--alpha", "0.8", "--q", "two"],
+        ["decompose", "--op", "cycle:4", "--vector", "f.json", "--alpha", "0.8", "--q", "two"],
+        ["verify", "--op", "cycle:4", "--sizes", "4,x"],
+        ["verify", "--op", "cycle:4", "--sizes", ""],
+    ])
+    def test_malformed_number_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--alpha", "0.8", "--q", "inf"],
+                                       ["--alpha", "0.8", "--q", "Infinity"]])
     def test_decompose_command(self, tmp_path, rng, capsys, extra):
         vec_path = tmp_path / "f.csv"
         save_vector(str(vec_path), random_vector(rng, 8))

@@ -13,6 +13,7 @@ import pytest
 from bandapprox import (
     BesovParams,
     NonFiniteError,
+    RieszConfig,
     band_decompose,
     bandwidth,
     bernstein_check,
@@ -26,7 +27,10 @@ from bandapprox import (
     k_besov_norm,
     lemma1_check,
     lemma2_check,
+    operator_power,
     pw_project,
+    q_apply,
+    riesz_apply,
     riesz_identity_check,
     spectral_tail,
     sup_scaled_best_approx,
@@ -103,3 +107,18 @@ def test_norm_beyond_largest_double_is_a_typed_error(tmp_path, capsys):
     save_vector(str(path), f)
     assert main(["besov", "--op", "cycle:8", "--vector", str(path), "--alpha", "0.8"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_multipliers_at_the_largest_scale():
+    # the constant vector spans the kernel of cycle:8; its unscaled transform
+    # overflowed to inf+nanj and every multiplier returned NaN
+    dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+    f = np.full(8, 1e308)
+    assert _off(pw_project(dec, f, 1.0), f) <= 1e-15
+    for out in (riesz_apply(dec, f, RieszConfig(omega=1.0)),
+                q_apply(dec, f, 1.0, 2, build_kernel(6, 2)),
+                operator_power(dec, 1, f)):
+        assert np.all(np.isfinite(out))
+    # the alternating vector has lambda = lambda_max = 2: D^2 of it is 4e308 [1, -1, ...]
+    with pytest.raises(NonFiniteError):
+        operator_power(dec, 2, 1e308 * np.array([1.0, -1.0] * 4))

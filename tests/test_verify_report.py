@@ -32,6 +32,11 @@ PINNED = {
          "--seed", "5"],
 }
 
+#: coefficient transforms one run of the cycle:8 seed-401 command makes: one per
+#: vector argument of each library call (4,370 when composite checks transformed
+#: their vector up to four times)
+CYCLE8_SEED401_TRANSFORMS = 3098
+
 
 def _moved(old: dict, new: dict) -> list:
     """``key: old -> new`` for every key whose value differs or exists on one side only."""
@@ -53,3 +58,9 @@ def test_pinned_report_is_unchanged(name, tmp_path, capsys):
     assert new["meta"] == old["meta"]
     assert new["overall_pass"] is old["overall_pass"] is True
     assert out.read_bytes() == pinned.read_bytes()
+
+
+def test_cycle8_seed401_transform_count(tmp_path, capsys, transforms):
+    argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert len(transforms) <= CYCLE8_SEED401_TRANSFORMS
