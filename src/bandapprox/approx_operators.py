@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
 
 from .errors import (
     IndexOutOfRangeError,
@@ -192,7 +191,7 @@ def build_kernel(n: int, m: int) -> ApproxKernel:
     ``n`` must be even and at least ``m + 3``.  The normalization constant
     comes from quadrature; it is verified against a refined quadrature
     (doubled range and node count) and the moment of order ``m`` is
-    computed to confirm finiteness.
+    computed to confirm finiteness; a constant beyond the doubles raises InvalidParamsError.
     """
     if n != int(n) or int(n) % 2 != 0:
         raise OddOrderError(f"kernel order must be even, got {n}")
@@ -202,8 +201,10 @@ def build_kernel(n: int, m: int) -> ApproxKernel:
     if n < m + 3:
         raise OrderTooSmallError(f"kernel order n={n} must be >= m + 3 = {m + 3}")
     if n not in _KERNEL_CACHE:
-        half_mass = _psi_moment(n, 0)
-        a = 1.0 / (2.0 * half_mass)
+        with np.errstate(divide="ignore", over="ignore"):
+            a = 1.0 / (2.0 * np.float64(_psi_moment(n, 0)))
+        if not 0.0 < a < math.inf:  # (sin(t/n)/t)^n underflows, and the mass with it
+            raise InvalidParamsError(f"kernel order n={n} too large: constant {float(a)!r}")
         refined = _psi_moment(n, 0, refine=2)
         mass_refined = 2.0 * a * refined
         if abs(mass_refined - 1.0) > KERNEL_MASS_TOL:
@@ -227,6 +228,17 @@ def kernel_symbol(kernel: ApproxKernel, xi, method: str = "bspline"):
 
 # -- Riesz interpolation operator ----------------------------------------------
 
+def _trigamma(x: float) -> float:
+    """``psi_1(x)``, ``x > 0``: ``1/x^2 + psi_1(x + 1)`` (smallest terms first) up to ``x >= 20``,
+    then ``1/x + 1/(2x^2) + sum_{j=1..5} B_2j / x^(2j+1)`` (DLMF 5.15.8; A&S 6.4.12)."""
+    if x < 20.0:
+        return 1.0 / (x * x) + _trigamma(x + 1.0)
+    series = 0.0
+    for b2j in (5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6):  # B_10 down to B_2
+        series = b2j + series / (x * x)
+    return (1.0 + (0.5 + series / x) / x) / x
+
+
 @dataclass(frozen=True)
 class RieszConfig:
     """Band edge and symmetric truncation order of the interpolation series."""
@@ -244,8 +256,7 @@ class RieszConfig:
     def tail_bound(self) -> float:
         """Operator-norm bound on the dropped part of the series (trigamma tails)."""
         k = self.k_trunc
-        return float(self.omega / math.pi ** 2
-                     * (polygamma(1, k + 0.5) + polygamma(1, k + 1.5)))
+        return float(self.omega / math.pi ** 2 * (_trigamma(k + 0.5) + _trigamma(k + 1.5)))
 
 
 def _riesz_coefs(k, omega: float):

@@ -278,12 +278,13 @@ def spectral_transform(dec: SpectralDecomposition, f) -> np.ndarray:
 
 
 def _coefficients(dec: SpectralDecomposition, f) -> tuple:
-    """``(v, c, e)``: ``f`` checked and scaled to ``v = f 2^-e`` (see ``_scaled``), ``c = V^T v``.
+    """``(v, c, e)``: ``f`` scaled to ``v = f 2^-e`` (see ``_scaled``) and checked, ``c = V^T v``.
 
     Each public function takes each vector argument through this once; the
-    coefficients of ``f`` are ``c 2^e``.
+    coefficients of ``f`` are ``c 2^e``.  Scaling keeps what ``spectral_transform`` checks.
     """
-    v, e = _scaled(as_vector(f, dec.dim))
+    with np.errstate(invalid="ignore"):  # inf (1 + 0j) is NaN, which the check rejects
+        v, e = _scaled(np.asarray(f, dtype=np.complex128))
     return v, spectral_transform(dec, v), e
 
 

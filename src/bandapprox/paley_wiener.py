@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     InvalidBaseError,
@@ -181,12 +180,15 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     significant = np.abs(c) > SUPPORT_TOL * norm_v
     omega_f = float(dec.eigenvalues[significant].max()) if np.any(significant) else 0.0
 
-    # log ||D^k f|| as a logsumexp over 2 (k log lambda_j + log |c_j 2^e|), finite far
-    # beyond the double range; -inf when D^k f = 0
+    # log ||D^k f|| = top + log(sum exp(2 (t - top))) / 2 over t = k log lambda_j + log |c_j|,
+    # top = max t: finite far beyond the double range, -inf when D^k f = 0
     live = (c != 0.0) & (dec.eigenvalues > 0.0)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     log_terms = ks[:, None] * np.log(dec.eigenvalues[live]) + np.log(np.abs(c[live]))
-    log_norms = 0.5 * logsumexp(2.0 * log_terms, axis=1) + e * math.log(2.0)
+    top = log_terms.max(axis=1, initial=-math.inf)
+    with np.errstate(divide="ignore"):  # log 0 = -inf without live terms
+        shifted = 0.5 * np.log(np.sum(np.exp(2.0 * (log_terms - top[:, None])), axis=1))
+    log_norms = top + shifted + e * math.log(2.0)
     k_sequence = np.exp(log_norms / ks)
 
     probe = omega_f if probe_omega is None else _omega_value(probe_omega)
@@ -215,6 +217,8 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
 
     Requires ``f`` in PW_omega (tail at most ``1e-12 ||f||``), otherwise
     raises :class:`NotBandlimitedError`.  Every ``s`` must be finite and ``>= 0``.
+    ``||D^s f||`` sums over ``lambda <= omega`` only, the part the inequality bounds:
+    the admitted tail, round-off of a projection, would grow like ``(lambda_max/omega)^s``.
     """
     w = _omega_value(omega)
     s_values = tuple(s_list)
@@ -227,11 +231,12 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
         raise ZeroVectorError("Bernstein check needs a nonzero vector")
     if not _in_pw(dec, fc, w):
         raise NotBandlimitedError(f"vector has spectral mass above omega={w}")
-    mag2, e = _scaled_mag2(c, e)
+    inside = dec.eigenvalues <= w
+    mag2, e = _scaled_mag2(c[inside], e)
     ratios = []
     for s in s_values:
         power_norm = math.ldexp(
-            math.sqrt(float(np.sum(np.power(dec.eigenvalues, 2.0 * s) * mag2))), e)
+            math.sqrt(float(np.sum(np.power(dec.eigenvalues[inside], 2.0 * s) * mag2))), e)
         if w > 0.0:
             ratios.append(power_norm / (w ** s * norm_f))
         else:

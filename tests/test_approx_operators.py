@@ -32,7 +32,7 @@ from bandapprox import (
     spectral_tail,
     spectral_transform,
 )
-from bandapprox.approx_operators import _psi_moment
+from bandapprox.approx_operators import _psi_moment, _trigamma
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS
 from conftest import random_vector
 from oracles import kernel_norm_const_closed_form, riesz_symbol_direct, riesz_symbol_mpmath
@@ -59,6 +59,23 @@ class TestRiesz:
         # the brute sum stops at the cutoff, so it brackets the bound from below
         assert brute <= cfg.tail_bound <= brute * (1 + 1e-12) \
             + 2.1 * (cfg.omega / math.pi ** 2) / (cutoff - 1)
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 1.5, 2.5, 19.5, 20.0, 20.5, 100.5, 10000.5,
+                                   10001.5, 1e8 + 0.5])
+    def test_trigamma_matches_mpmath(self, x):
+        # both sides of the switch from the recurrence to the series at x = 20
+        with mpmath.workdps(40):
+            exact = mpmath.polygamma(1, x)
+            assert abs(float((mpmath.mpf(_trigamma(x)) - exact) / math.ulp(float(exact)))) <= 2
+
+    @pytest.mark.parametrize("k_trunc", [1, 2, 3, 99, 10_000, 1_000_000])
+    def test_tail_bound_matches_mpmath(self, k_trunc):
+        cfg = RieszConfig(omega=1.7, k_trunc=k_trunc)
+        with mpmath.workdps(40):
+            half_k = mpmath.mpf(k_trunc) + mpmath.mpf(0.5)
+            exact = (mpmath.mpf(cfg.omega) / mpmath.pi ** 2
+                     * (mpmath.polygamma(1, half_k) + mpmath.polygamma(1, half_k + 1)))
+            assert abs(float(mpmath.mpf(cfg.tail_bound) / exact - 1)) <= 1e-15
 
     def test_symbol_converges_to_ilambda_on_band(self):
         omega = 2.0
@@ -213,8 +230,15 @@ class TestKernel:
         kernel = build_kernel(4, 1)
         assert abs(float(kernel.h(0.0)) - kernel.norm_const * 4.0 ** (-4)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [144, 150, 200])
+    def test_order_beyond_the_double_range_rejected(self, n):
+        # (sin(t/n)/t)^n underflows, so the normalization constant is no finite double
+        with pytest.raises(InvalidParamsError, match=f"n={n}"):
+            build_kernel(n, 2)
+
     def test_mass_is_one_under_refinement(self):
-        for n in (4, 6, 8):
+        # 142 is the largest even order whose normalization constant is a double
+        for n in (4, 6, 8, 142):
             kernel = build_kernel(n, 1)
             refined = 2.0 * kernel.norm_const * _psi_moment(n, 0, refine=2)
             assert abs(refined - 1.0) <= 1e-8

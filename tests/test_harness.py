@@ -249,6 +249,14 @@ class TestCli:
         assert json.loads(json_path.read_text())["overall_pass"] is True
         assert csv_path.exists()
 
+    @pytest.mark.parametrize("op, seed", [("random:10:5", "5"), ("random:10", "17")])
+    def test_verify_random_operators_pass_bernstein(self, capsys, op, seed):
+        # omega at a small eigenvalue multiplied the projection round-off above it by
+        # (lambda_max / omega)^7: bernstein read 13.60 and 1.000246 here
+        assert main(["verify", "--op", op, "--sizes", "10", "--seed", seed,
+                     "--count", "20"]) == 0
+        assert "[PASS] bernstein (" in capsys.readouterr().out
+
     def test_report_reemission(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"
         main(["verify", "--op", "cycle:8", "--count", "5", "--seed", "3",

@@ -1,7 +1,11 @@
-"""Source hygiene: every module-level import in the library is used, and
-every private module-level name is referenced somewhere in src/ or tests/."""
+"""Source hygiene: every module-level import in the library is used, every
+private module-level name is referenced somewhere in src/ or tests/, and
+the library imports no third-party package but NumPy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +76,13 @@ def test_no_unreferenced_private_names():
               for name, line in _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
               if name not in refs]
     assert not unused, f"private names nothing references: {', '.join(unused)}"
+
+
+def test_import_loads_no_scipy():
+    # bench/run_bench.py imports SciPy for its provenance record; the library must not
+    code = ("import sys, bandapprox; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]", out

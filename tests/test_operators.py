@@ -1,6 +1,7 @@
 """Spectral core: eigendecomposition and functional calculus."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bandapprox import (
     NotSymmetricError,
     SymmetricOperator,
     apply_multiplier,
+    best_approx,
     eigh,
     inverse_transform,
     jacobi_eigh,
@@ -139,6 +141,17 @@ class TestJacobi:
         assert w[0] == 5.0 and v[0, 0] == 1.0
 
 
+#: the ways a vector enters the library: the two transforms, and the one step
+#: (``operators._coefficients``) behind every other public function, which
+#: leaves its check to ``spectral_transform``
+VECTOR_ENTRIES = {
+    "spectral_transform": spectral_transform,
+    "inverse_transform": inverse_transform,
+    "apply_multiplier": lambda dec, f: apply_multiplier(dec, np.cos, f),
+    "best_approx": lambda dec, f: best_approx(dec, f, 2.0),
+}
+
+
 class TestTransforms:
     def test_basis_vector_coefficients(self, diag_dec):
         f = diag_dec.eigenvectors[:, 1]
@@ -176,15 +189,20 @@ class TestTransforms:
     def test_zero_coefficients(self, diag_dec):
         np.testing.assert_array_equal(inverse_transform(diag_dec, np.zeros(3)), np.zeros(3))
 
-    def test_dimension_mismatch(self, diag_dec):
+    @pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
+    @pytest.mark.parametrize("bad", [np.ones(4), np.ones((3, 1)), np.ones((3, 3)),
+                                     np.float64(1.0)], ids=["length", "column", "matrix", "0-d"])
+    def test_dimension_mismatch(self, diag_dec, entry, bad):
         with pytest.raises(DimensionMismatchError):
-            spectral_transform(diag_dec, np.ones(4))
-        with pytest.raises(DimensionMismatchError):
-            inverse_transform(diag_dec, np.ones(4))
+            VECTOR_ENTRIES[entry](diag_dec, bad)
 
-    def test_nonfinite_coefficients_rejected(self, diag_dec):
-        with pytest.raises(NonFiniteError):
-            inverse_transform(diag_dec, [1.0, math.nan, 0.0])
+    @pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_nonfinite_coefficients_rejected(self, diag_dec, entry, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                VECTOR_ENTRIES[entry](diag_dec, [1.0, bad, 0.0])
 
 
 class TestFunctionalCalculus:

@@ -1,6 +1,7 @@
 """Band projections, best approximation, bandwidth, Bernstein ratios."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from bandapprox import (
     inverse_transform,
     pw_project,
     spectral_tail,
+    spectral_transform,
 )
-from bandapprox.harness import DEFAULT_TOLERANCES as TOLS
+from bandapprox.harness import DEFAULT_TOLERANCES as TOLS, build_operator, parse_operator_arg
 from conftest import random_vector
 
 
@@ -149,6 +151,25 @@ class TestBandwidth:
         below = bandwidth(cycle16_dec, f, probe_omega=rep.omega_f * 0.7, k_max=40)
         assert below.sup_ratio > 2 * norm_f
 
+    def test_sequence_matches_direct_power_norms(self, cycle16_dec, rng):
+        f = random_vector(rng, 16)
+        rep = bandwidth(cycle16_dec, f)
+        c = spectral_transform(cycle16_dec, f)
+        direct = [np.linalg.norm(cycle16_dec.eigenvalues ** k * c) ** (1.0 / k)
+                  for k in range(1, 41)]
+        np.testing.assert_allclose(rep.k_sequence, direct, rtol=1e-13)
+
+    def test_no_positive_mode_gives_zero_sequence_without_warning(self):
+        # every coefficient on a positive eigenvalue is exactly 0, so D^k f = 0; on a
+        # graph the kernel mode keeps ~1e-16 of round-off there (constant vector of
+        # cycle:8: k_sequence[0] = 1.9e-15 and sup_ratio = inf at probe 0)
+        dec = eigh(SymmetricOperator(np.diag([0.0, 1.0, 2.0]), kind=RAW_D))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = bandwidth(dec, [3.0, 0.0, 0.0])
+        assert rep.omega_f == 0.0 and rep.sup_ratio == 0.0
+        np.testing.assert_array_equal(rep.k_sequence, 0.0)
+
     def test_zero_vector_rejected(self, diag_dec):
         with pytest.raises(ZeroVectorError):
             bandwidth(diag_dec, np.zeros(3))
@@ -184,6 +205,17 @@ class TestBernstein:
                 continue
             rep = bernstein_check(cycle16_dec, f, omega, [0.5, 1.0, 2.0, 7.0])
             assert rep.max_ratio <= 1.0 + TOLS["bernstein"], rep.ratios
+
+    def test_projected_vectors_on_random_operators(self):
+        # omega at the least positive eigenvalue: the round-off pw_project leaves above
+        # it, times (lambda_max / omega)^7, once read 2.31 (random:10:592)
+        worst = 0.0
+        for seed in range(200):
+            dec = eigh(build_operator(parse_operator_arg(f"random:10:{seed}")))
+            omega = dec.min_positive_eigenvalue
+            f = pw_project(dec, random_vector(np.random.default_rng(seed), 10), omega)
+            worst = max(worst, bernstein_check(dec, f, omega, [0.5, 1.0, 2.0, 7.0]).max_ratio)
+        assert worst <= 1.0 + TOLS["bernstein"]
 
     @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
     def test_power_outside_zero_to_inf_rejected(self, diag_dec, s):

@@ -93,6 +93,17 @@ def test_ratios_scale_invariant(cycle16_dec, rng, scale):
     assert abs(residuals[0] - residuals[1]) <= TOL
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_bandwidth_at_the_ends_of_the_double_range(cycle16_dec, rng, scale):
+    # ||D^40 f|| passes 1e308 at 1e300; its log-sum-exp stays finite either way
+    f = random_vector(rng, 16)
+    rep, base = bandwidth(cycle16_dec, scale * f), bandwidth(cycle16_dec, f)
+    ks = np.arange(1, 41)
+    assert _off(rep.k_sequence, base.k_sequence * np.exp(math.log(scale) / ks)) <= TOL
+    assert _off(rep.sup_ratio, base.sup_ratio, scale) <= TOL
+    assert rep.omega_f == base.omega_f
+
+
 def test_norm_beyond_largest_double_is_a_typed_error(tmp_path, capsys):
     # ||f|| = sqrt(8) 1e308 is no double: NonFiniteError, not a bare OverflowError
     dec = eigh(build_operator(parse_operator_arg("cycle:8")))
