@@ -409,20 +409,34 @@ class JacksonReport:
     link_gap: float
 
 
-def jackson_check(dec: SpectralDecomposition, f, omega: float, m: int, k: int,
-                  kernel: ApproxKernel) -> JacksonReport:
-    """Measure the direct-estimate chain for one vector and band edge."""
+def _jackson_reports(dec: SpectralDecomposition, vectors, omegas, m: int, k: int,
+                     kernel: ApproxKernel) -> list:
+    """``JacksonReport`` of every vector (outer list) at every band edge in ``omegas`` (inner).
+
+    Each Q symbol is evaluated once per edge; each vector is transformed once and takes
+    one ``_distances`` call and one shift scan, whose grid depends on ``m - k`` and
+    ``lambda_max`` only, so its moduli at every ``1/omega`` equal one scan per edge.
+    """
     if not 0 <= k <= m:
         raise IndexOutOfRangeError(f"need 0 <= k <= m, got k={k}, m={m}")
-    q_values = q_symbol(kernel, omega, m, dec.eigenvalues)
-    v, c, e = fc = _coefficients(dec, f)
-    norm_f = _norm(v, e)
-    e_val = float(_distances(dec, fc, [float(omega)], "E")[0])
-    q_err = _norm(dec.eigenvectors @ (q_values * c) - v, e)
+    omegas = np.asarray(omegas, dtype=np.float64)
+    symbols = [q_symbol(kernel, w, m, dec.eigenvalues) for w in omegas.tolist()]
     const = jackson_constant(kernel, m, k)
-    omega_mod = float(_moduli(dec, _power_coefficients(dec, c, k), e, [1.0 / omega], m - k)[0])
-    bound = const * omega_mod / omega ** k
+    reports = []
+    for f in vectors:
+        v, c, e = fc = _coefficients(dec, f)
+        norm_f = _norm(v, e)
+        q_errs = [_norm(dec.eigenvectors @ (sym * c) - v, e) for sym in symbols]
+        moduli = _moduli(dec, _power_coefficients(dec, c, k), e, 1.0 / omegas, m - k)
+        reports.append([JacksonReport(best=b, q_error=q, bound=bd, constant=const,
+                                      ratio_best=_safe_ratio(b, bd, norm_f),
+                                      ratio_q=_safe_ratio(q, bd, norm_f), link_gap=b - q)
+                        for b, q, bd in zip(_distances(dec, fc, omegas, "E").tolist(), q_errs,
+                                            (const * moduli / omegas ** k).tolist())])
+    return reports
 
-    return JacksonReport(best=e_val, q_error=q_err, bound=bound, constant=const,
-                         ratio_best=_safe_ratio(e_val, bound, norm_f),
-                         ratio_q=_safe_ratio(q_err, bound, norm_f), link_gap=e_val - q_err)
+
+def jackson_check(dec: SpectralDecomposition, f, omega: float, m: int, k: int,
+                  kernel: ApproxKernel) -> JacksonReport:
+    """Measure the direct-estimate chain for one vector and band edge (``_jackson_reports``)."""
+    return _jackson_reports(dec, [f], [omega], m, k, kernel)[0][0]

@@ -498,6 +498,8 @@ _JACKSON_COMBOS = ((2, 0, 6), (2, 1, 6), (3, 1, 8))
 
 
 def _check_jackson_chain(ctx):
+    """Worst Jackson ratio and link gap of up to 10 vectors at 5 band edges per size and kernel
+    combination, from one ``_jackson_reports`` call: one Q symbol per edge, one scan per vector."""
     records = []
     constants = {}
     for n, dec in ctx.decs.items():
@@ -506,14 +508,10 @@ def _check_jackson_chain(ctx):
         for m, k, order in _JACKSON_COMBOS:
             kernel = aop.build_kernel(order, m)
             constants[f"jackson_C[m={m},k={k},n={order}]"] = aop.jackson_constant(kernel, m, k)
-            worst_ratio = 0.0
-            worst_link = 0.0
-            for idx in range(min(ctx.count, 10)):
-                f = ctx.corpus[n][idx]
-                for omega in omegas:
-                    rep = aop.jackson_check(dec, f, float(omega), m, k, kernel)
-                    worst_ratio = max(worst_ratio, rep.ratio_best, rep.ratio_q)
-                    worst_link = max(worst_link, rep.link_gap)
+            reports = [rep for row in aop._jackson_reports(dec, ctx.corpus[n][:10], omegas,
+                                                           m, k, kernel) for rep in row]
+            worst_ratio = max(0.0, *(max(rep.ratio_best, rep.ratio_q) for rep in reports))
+            worst_link = max(0.0, *(rep.link_gap for rep in reports))
             records.append(_record("jackson_chain", _params_str(N=n, m=m, k=k, n_kernel=order),
                                    worst_ratio, 1.0 + ctx.tols["jackson_grid"]))
             records.append(_record("jackson_link", _params_str(N=n, m=m, k=k, n_kernel=order),

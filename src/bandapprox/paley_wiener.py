@@ -135,9 +135,9 @@ def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray
     lam = dec.eigenvalues
     if route == "R":
         return np.ldexp([np.linalg.norm(c[lam > w]) for w in omegas], e)
-    basis = dec.eigenvectors.astype(np.complex128)
-    return np.ldexp([np.linalg.norm(v - basis @ np.where(lam <= w, c, 0.0))
-                     for w in omegas], e)
+    basis = dec.eigenvectors  # real: it takes the real and imaginary parts, with no complex copy
+    return np.ldexp([np.linalg.norm(v - (basis @ x.real + 1j * (basis @ x.imag)))
+                     for x in (np.where(lam <= w, c, 0.0) for w in omegas)], e)
 
 
 def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
@@ -169,7 +169,10 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     ``omega_f`` is the largest eigenvalue whose coefficient exceeds
     ``SUPPORT_TOL * ||f||`` in magnitude.  ``probe_omega`` defaults to
     ``omega_f`` itself and must be ``>= 0``; ``k_max`` must be an integer
-    ``>= 1``.
+    ``>= 1``.  ``||D^k f||`` sums over those coefficients only, the support
+    ``omega_f`` counts: the round-off tail left above it (of a projection, or
+    of a kernel mode on a graph) would grow like ``(lambda_max/omega_f)^k``.
+    So ``sup_ratio <= ||f||`` whenever the probe is ``>= omega_f``.
     """
     if not (_is_int(k_max) and k_max >= 1):
         raise InvalidParamsError(f"k_max must be an integer >= 1, got {k_max!r}")
@@ -182,7 +185,7 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
 
     # log ||D^k f|| = top + log(sum exp(2 (t - top))) / 2 over t = k log lambda_j + log |c_j|,
     # top = max t: finite far beyond the double range, -inf when D^k f = 0
-    live = (c != 0.0) & (dec.eigenvalues > 0.0)
+    live = significant & (dec.eigenvalues > 0.0)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     log_terms = ks[:, None] * np.log(dec.eigenvalues[live]) + np.log(np.abs(c[live]))
     top = log_terms.max(axis=1, initial=-math.inf)

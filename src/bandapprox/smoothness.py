@@ -149,17 +149,16 @@ MAX_SCAN_ENTRIES = 1 << 30
 def _running_modulus(eigenvalues, mag2, s_values, m: int) -> np.ndarray:
     """``Omega_m(g, s)`` at each of the ascending ``s_values`` from one shift scan.
 
-    ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step`` up to
-    the last ``s``, with ``_SCAN_PER_PERIOD`` points per period
-    ``2 pi / (m lambda_max)`` of its fastest component, in chunks so memory
-    stays bounded.  Every interior local maximum ``tau_i`` of the scan is
-    refined by ``_PEAK_NEWTON_STEPS`` Newton steps on the closed-form first
-    and second derivatives of ``phi^2 = sum |c|^2 (2 - 2 cos tau lambda)^m``,
-    clipped to ``[tau_{i-1}, tau_{i+1}]``; the best value evaluated counts.
-    Every sampled point, refined maximum and ``phi(s)`` itself lands in the
-    bin of the first ``s >= tau``; the running maximum over the bins is the
-    modulus.  A scan of more than :data:`MAX_SCAN_ENTRIES` points times
-    dimension raises :class:`InvalidParamsError`.
+    ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step`` up to two points past
+    the last ``s`` (so a maximum just below any ``s`` is interior, however many ``s_values``
+    share the scan), with ``_SCAN_PER_PERIOD`` points per period ``2 pi / (m lambda_max)``
+    of its fastest component, in chunks so memory stays bounded.  Every interior local
+    maximum ``tau_i`` is refined by ``_PEAK_NEWTON_STEPS`` Newton steps on the closed-form
+    first and second derivatives of ``phi^2 = sum |c|^2 (2 - 2 cos tau lambda)^m``, clipped
+    to ``[tau_{i-1}, tau_{i+1}]``; the best value evaluated counts.  Every sampled point,
+    refined maximum and ``phi(s)`` itself lands in the bin of the first ``s >= tau``; the
+    running maximum over the bins is the modulus.  A scan of more than
+    :data:`MAX_SCAN_ENTRIES` points times dimension raises :class:`InvalidParamsError`.
     """
     def neg_phi(taus):
         """``-phi`` and the slope and curvature of ``-phi^2``, via ``v = 2 - 2 cos(tau lambda)``."""
@@ -171,7 +170,7 @@ def _running_modulus(eigenvalues, mag2, s_values, m: int) -> np.ndarray:
         return -np.sqrt(np.maximum(sins ** (2 * m) @ mag2, 0.0)), -m * (d1 @ mag2), -m * (d2 @ mag2)
 
     step = 2.0 * math.pi / (_SCAN_PER_PERIOD * m * float(eigenvalues[-1]))
-    n_scan = math.ceil(s_values[-1] / step) + 1
+    n_scan = math.ceil(s_values[-1] / step) + 2
     if n_scan * eigenvalues.size > MAX_SCAN_ENTRIES:
         raise InvalidParamsError(
             f"shift scan up to s = {s_values[-1]} needs {n_scan} points at dimension "

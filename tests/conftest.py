@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bandapprox import RAW_D, SymmetricOperator, eigh, operators
+from bandapprox import RAW_D, SymmetricOperator, approx_operators, eigh, operators
 from bandapprox.harness import OperatorSpec, build_operator
 
 
@@ -36,15 +36,13 @@ def random_vector(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-@pytest.fixture
-def transforms(monkeypatch):
-    """A list that grows by one on every ``spectral_transform`` call.
+def _count_calls(monkeypatch, original) -> list:
+    """A list that grows by one on every call of ``original``.
 
     Every module-level binding of the function across ``bandapprox.*`` is
-    wrapped, the ``from .operators import`` copies included, so calls from
+    wrapped, the ``from .module import`` copies included, so calls from
     any layer count.
     """
-    original = operators.spectral_transform
     calls = []
 
     def counted(*args, **kwargs):
@@ -57,3 +55,15 @@ def transforms(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
     return calls
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """The ``spectral_transform`` calls, counted as in ``_count_calls``."""
+    return _count_calls(monkeypatch, operators.spectral_transform)
+
+
+@pytest.fixture
+def q_symbols(monkeypatch):
+    """The ``q_symbol`` calls, counted as in ``_count_calls``."""
+    return _count_calls(monkeypatch, approx_operators.q_symbol)

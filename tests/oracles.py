@@ -156,15 +156,16 @@ def _golden_max_many(fn, lo, hi, iters):
 def running_modulus_golden(eigenvalues, mag2, s_values, m, iters=90):
     """The library's shift scan with every local maximum refined by golden section.
 
-    Same scan points (8 per period ``2 pi / (m lambda_max)``) and binning as
-    ``smoothness._running_modulus``, in one piece, with 90 golden-section
-    steps per peak in place of the clipped Newton steps.
+    Same scan points (8 per period ``2 pi / (m lambda_max)``, up to two past
+    the last ``s``) and binning as ``smoothness._running_modulus``, in one
+    piece, with 90 golden-section steps per peak in place of the clipped
+    Newton steps.
     """
     def phi(taus):
         return _difference_norms(eigenvalues, mag2, taus, m)
 
     step = 2.0 * math.pi / (8 * m * float(eigenvalues[-1]))
-    taus = np.arange(math.ceil(s_values[-1] / step) + 1) * step
+    taus = np.arange(math.ceil(s_values[-1] / step) + 2) * step
     vals = phi(taus)
     peaks = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
     peak_taus, peak_vals = _golden_max_many(phi, taus[peaks - 1], taus[peaks + 1], iters)

@@ -9,6 +9,7 @@ import pytest
 
 from bandapprox import (
     RAW_D,
+    RAW_L,
     IndexOutOfRangeError,
     InvalidConfigError,
     InvalidParamsError,
@@ -18,11 +19,14 @@ from bandapprox import (
     OrderTooSmallError,
     RieszConfig,
     SymmetricOperator,
+    best_approx,
     build_kernel,
     eigh,
     jackson_check,
     jackson_constant,
     kernel_symbol,
+    modulus,
+    operator_power,
     pw_project,
     q_apply,
     riesz_apply,
@@ -32,8 +36,8 @@ from bandapprox import (
     spectral_tail,
     spectral_transform,
 )
-from bandapprox.approx_operators import _psi_moment, _trigamma
-from bandapprox.harness import DEFAULT_TOLERANCES as TOLS
+from bandapprox.approx_operators import _jackson_reports, _psi_moment, _trigamma
+from bandapprox.harness import DEFAULT_TOLERANCES as TOLS, build_operator, parse_operator_arg
 from conftest import random_vector
 from oracles import kernel_norm_const_closed_form, riesz_symbol_direct, riesz_symbol_mpmath
 
@@ -423,3 +427,44 @@ class TestJacksonCheck:
                 for omega in omegas:
                     rep = jackson_check(random_dec, f, float(omega), m, k, kernel)
                     assert _jackson_holds(rep), (m, k, omega, rep)
+
+
+#: a degenerate spectrum, a path, random PSD, and raw_D with a kernel mode
+BATCH_SPECS = (("cycle:16", RAW_L), ("path:9", RAW_L), ("random:12:3", RAW_L),
+               ("diag:0,0.5,1,2,3.5,7", RAW_D))
+
+
+class TestJacksonReports:
+    """Every vector and band edge in one pass, against the public functions edge by edge."""
+
+    @pytest.mark.parametrize("m,order", [(2, 6), (3, 8)])
+    @pytest.mark.parametrize("text,kind", BATCH_SPECS, ids=[t for t, _ in BATCH_SPECS])
+    def test_matches_public_functions(self, text, kind, m, order, rng):
+        dec = eigh(build_operator(parse_operator_arg(text, kind=kind)))
+        kernel = build_kernel(order, m)
+        vectors = [random_vector(rng, dec.dim) for _ in range(3)]
+        top, low = dec.lambda_max, dec.min_positive_eigenvalue
+        omegas = [1.3 * top, 0.4 * top, 0.6 * low, 2.1 * top, 0.4 * top]  # unsorted, a repeat
+        for k in range(m + 1):
+            const = jackson_constant(kernel, m, k)
+            reports = _jackson_reports(dec, vectors, omegas, m, k, kernel)
+            assert [len(row) for row in reports] == [len(omegas)] * len(vectors)
+            for f, row in zip(vectors, reports):
+                norm_f = np.linalg.norm(f)
+                for omega, rep in zip(omegas, row):
+                    q_err = np.linalg.norm(q_apply(dec, f, omega, m, kernel) - f)
+                    bound = const * modulus(dec, operator_power(dec, k, f), 1.0 / omega,
+                                            m - k) / omega ** k
+                    assert abs(rep.best - best_approx(dec, f, omega)) <= 1e-12 * norm_f
+                    assert abs(rep.q_error - q_err) <= 1e-12 * norm_f
+                    assert abs(rep.bound - bound) <= 1e-12 * bound
+                    assert rep.constant == const and rep.link_gap == rep.best - rep.q_error
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_power_outside_zero_to_m_rejected(self, cycle16_dec, rng, k):
+        kernel = build_kernel(8, 2)
+        f = random_vector(rng, 16)
+        with pytest.raises(IndexOutOfRangeError):
+            _jackson_reports(cycle16_dec, [f], [1.0, 2.0], 2, k, kernel)
+        with pytest.raises(IndexOutOfRangeError):
+            jackson_check(cycle16_dec, f, 1.0, 2, k, kernel)

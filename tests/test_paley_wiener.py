@@ -159,10 +159,31 @@ class TestBandwidth:
                   for k in range(1, 41)]
         np.testing.assert_allclose(rep.k_sequence, direct, rtol=1e-13)
 
+    def test_round_off_tail_above_the_support_is_not_counted(self):
+        # omega at the least positive eigenvalue: pw_project leaves ~1e-16 above it,
+        # which once read k_sequence[39] = 0.69 and sup_ratio = 1.2e76 (random:10:592)
+        for seed in [592] + list(range(20)):
+            dec = eigh(build_operator(parse_operator_arg(f"random:10:{seed}")))
+            omega = dec.min_positive_eigenvalue
+            f = pw_project(dec, random_vector(np.random.default_rng(seed), 10), omega)
+            norm_f = np.linalg.norm(f)
+            rep = bandwidth(dec, f)
+            assert rep.omega_f <= omega
+            assert np.all(rep.k_sequence <= omega * norm_f ** (1.0 / np.arange(1, 41))
+                          * (1 + 1e-12))
+            for probe in (rep.omega_f, omega, 2.0 * omega, dec.lambda_max):
+                assert bandwidth(dec, f, probe_omega=probe).sup_ratio <= norm_f * (1 + 1e-12)
+
+    def test_kernel_mode_on_a_graph_has_zero_sequence(self):
+        # the constant vector keeps ~1e-16 on the positive modes of cycle:8, which once
+        # read k_sequence[0] = 1.9e-15 and sup_ratio = inf at probe omega_f = 0
+        dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+        rep = bandwidth(dec, np.ones(8))
+        assert rep.omega_f == 0.0 and rep.sup_ratio == 0.0
+        np.testing.assert_array_equal(rep.k_sequence, 0.0)
+
     def test_no_positive_mode_gives_zero_sequence_without_warning(self):
-        # every coefficient on a positive eigenvalue is exactly 0, so D^k f = 0; on a
-        # graph the kernel mode keeps ~1e-16 of round-off there (constant vector of
-        # cycle:8: k_sequence[0] = 1.9e-15 and sup_ratio = inf at probe 0)
+        # every coefficient on a positive eigenvalue is exactly 0, so D^k f = 0
         dec = eigh(SymmetricOperator(np.diag([0.0, 1.0, 2.0]), kind=RAW_D))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -33,9 +33,15 @@ PINNED = {
 }
 
 #: coefficient transforms one run of the cycle:8 seed-401 command makes: one per
-#: vector argument of each library call (4,370 when composite checks transformed
-#: their vector up to four times)
-CYCLE8_SEED401_TRANSFORMS = 3098
+#: vector argument of each library call, and one per vector and kernel combination
+#: in the Jackson chain (4,370 when composite checks transformed their vector up to
+#: four times, 3,098 when the Jackson chain transformed it once per band edge)
+CYCLE8_SEED401_TRANSFORMS = 2858
+
+#: Q symbols the same run evaluates: 30 in the Jackson chain, one per band edge, size
+#: and kernel combination, and 40 in ``q_operator``, one per ``q_apply`` (340 when the
+#: Jackson chain evaluated each symbol once per vector)
+CYCLE8_SEED401_Q_SYMBOLS = 70
 
 
 def _moved(old: dict, new: dict) -> list:
@@ -64,3 +70,9 @@ def test_cycle8_seed401_transform_count(tmp_path, capsys, transforms):
     argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert len(transforms) <= CYCLE8_SEED401_TRANSFORMS
+
+
+def test_cycle8_seed401_q_symbol_count(tmp_path, capsys, q_symbols):
+    argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert len(q_symbols) <= CYCLE8_SEED401_Q_SYMBOLS
