@@ -9,6 +9,10 @@ norms is the discrete characterization of the smoothness classes; the
 synthesis direction holds with the explicit geometric-series constant
 ``1 / (1 - a^{-alpha})`` even for overlapping, non-orthogonal band
 inputs.
+
+A sweep over ``(alpha, q)`` takes one pass per vector: ``_equivalence_ratios``
+transforms, band-splits and measures each vector at the band edges once, then
+reads every ratio off that; :func:`equivalence_report` is its one-pair call.
 """
 
 import math
@@ -24,7 +28,7 @@ from .errors import (
 )
 from .operators import SpectralDecomposition, _coefficients, _ldexp, _norm, as_vector
 from .paley_wiener import _band_powers, _check_q, _in_pw, _lq_norm, band_count
-from .smoothness import BesovParams, _besov_norm, _discrete_terms
+from .smoothness import BesovParams, _discrete_norm, _edge_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,21 +98,28 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha: float, q: flo
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 1:
         vectors = [vectors]
-    params = BesovParams(alpha=alpha, q=q, a=a, flavor="discrete_E")
-    ratios = []
+    ratios = _equivalence_ratios(dec, vectors, [(alpha, q)], a)[:, 0]
+    if not ratios.size:
+        raise InvalidParamsError("equivalence_report needs at least one vector")
+    return EquivalenceReport(alpha=alpha, q=q, a=a, ratios=ratios,
+                             ratio_lo=float(ratios.min()), ratio_hi=float(ratios.max()))
+
+
+def _equivalence_ratios(dec: SpectralDecomposition, vectors, combos, a: float) -> np.ndarray:
+    """:func:`equivalence_report` ratios of every vector (rows) for every ``(alpha, q)`` (columns),
+    one pass per vector (see the module notes)."""
+    params = [BesovParams(alpha=alpha, q=q, a=a, flavor="discrete_E") for alpha, q in combos]
+    rows = []
     for f in vectors:
         v, c, e = fc = _coefficients(dec, f)
         norm_f = _norm(v, e)
         if norm_f == 0.0:
             raise ZeroVectorError("equivalence ratio undefined for the zero vector")
-        frame_side = norm_f + frame_norm(_band_split(dec, c, e, a), alpha, q)
-        besov_side = _besov_norm(dec, fc, params)
-        ratios.append(frame_side / besov_side)
-    if not ratios:
-        raise InvalidParamsError("equivalence_report needs at least one vector")
-    ratios = np.array(ratios)
-    return EquivalenceReport(alpha=alpha, q=q, a=a, ratios=ratios,
-                             ratio_lo=float(ratios.min()), ratio_hi=float(ratios.max()))
+        band_dec = _band_split(dec, c, e, a)
+        distances = _edge_distances(dec, fc, a, "E")
+        rows.append([(norm_f + frame_norm(band_dec, p.alpha, p.q))
+                     / (norm_f + _discrete_norm(distances, p.alpha, p.q, a)) for p in params])
+    return np.array(rows).reshape(len(rows), len(params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +156,7 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
     norms = np.array([_norm(b) for b in band_list])
     sup_band = _lq_norm(_band_powers(a, len(band_list), alpha) * norms, math.inf)
     # E(f, a^k) vanishes from k = band_count on, so the discrete terms hold the sup
-    lhs = _lq_norm(_discrete_terms(dec, _coefficients(dec, f), alpha, a, "E"), math.inf)
+    lhs = _discrete_norm(_edge_distances(dec, _coefficients(dec, f), a, "E"), alpha, math.inf, a)
     constant = 1.0 / (1.0 - a ** (-alpha))
     return SynthesisReport(lhs=lhs, rhs=constant * sup_band, constant=constant,
                            sup_band=sup_band)

@@ -30,8 +30,9 @@ from .operators import (
     RAW_L,
     SymmetricOperator,
     _coefficients,
+    _ldexp,
+    _synthesize,
     eigh,
-    schrodinger_group,
     spectral_transform,
 )
 
@@ -385,8 +386,8 @@ def _check_e_equals_r(ctx):
         worst = 0.0
         for f in ctx.corpus[n]:
             omega = float(ctx.rng.uniform(0.0, 1.2 * dec.lambda_max))
-            e_val = pw.best_approx(dec, f, omega)
-            r_val = pw.spectral_tail(dec, f, omega)
+            fc = _coefficients(dec, f)  # both routes from one transform: E = R stays a real check
+            e_val, r_val = (float(pw._distances(dec, fc, [omega], route)[0]) for route in "ER")
             worst = max(worst, abs(e_val - r_val) / (1.0 + float(np.linalg.norm(f))))
         records.append(_record("e_equals_r", _params_str(N=n), worst,
                                ctx.tols["e_equals_r"]))
@@ -425,9 +426,12 @@ def _check_growth_bound(ctx):
             norm_f = float(np.linalg.norm(f))
             if norm_f < 1e-12 or omega == 0.0:
                 continue
+            _, c, e = _coefficients(dec, f)
             for _ in range(20):
                 z = complex(ctx.rng.uniform(-2, 2), ctx.rng.uniform(-2, 2))
-                grown = float(np.linalg.norm(schrodinger_group(dec, z, f)))
+                # e^{izD} f, as schrodinger_group applies it, from the one transform of f
+                grown = float(np.linalg.norm(_synthesize(dec, np.exp(1j * z * dec.eigenvalues),
+                                                         c, e)))
                 worst = max(worst, grown / (math.exp(omega * abs(z.imag)) * norm_f))
         records.append(_record("growth_bound", _params_str(N=n), worst,
                                1.0 + ctx.tols["growth_bound"]))
@@ -532,11 +536,12 @@ def _check_q_operator(ctx):
             norm_f = float(np.linalg.norm(f))
             omega = float(ctx.rng.uniform(0.3, 1.0) * dec.lambda_max)
             qf = aop.q_apply(dec, f, omega, m, kernel)
-            tail = pw.spectral_tail(dec, qf, omega)
+            fc_out = _coefficients(dec, qf)
+            tail = float(pw._distances(dec, fc_out, [omega], "R")[0])
             worst_tail = max(worst_tail, tail / norm_f)
             if has_kernel_mode:
                 c_in = spectral_transform(dec, f)
-                c_out = spectral_transform(dec, qf)
+                c_out = _ldexp(fc_out[1], fc_out[2])
                 zero_modes = dec.eigenvalues == 0.0
                 dev = float(np.max(np.abs(c_out[zero_modes] - c_in[zero_modes])))
                 worst_pass = max(worst_pass, dev / norm_f)
@@ -559,9 +564,9 @@ def _check_lemma_ratios(ctx):
             a_emp = 0.0
             c_emp = 0.0
             for idx in range(min(ctx.count, 3)):
-                f = ctx.corpus[n][idx]
-                a_emp = max(a_emp, sm.lemma1_check(dec, f, alpha, nn, r).ratio)
-                c_emp = max(c_emp, sm.lemma2_check(dec, f, alpha, nn, r).ratio)
+                rep1, rep2 = sm._lemma_reports(dec, ctx.corpus[n][idx], alpha, nn, r)
+                a_emp = max(a_emp, rep1.ratio)
+                c_emp = max(c_emp, rep2.ratio)
             key = f"alpha={alpha},n={nn},r={r},N={n}"
             constants[f"lemma1_A[{key}]"] = a_emp
             constants[f"lemma2_C[{key}]"] = c_emp
@@ -576,17 +581,18 @@ _THEOREM1_FLAVORS = ("integral_E", "discrete_E", "integral_R", "discrete_R", "k_
 
 
 def _check_theorem1_brackets(ctx):
+    """Norm brackets of up to 10 vectors and 1000 f_0, from one ``_besov_norms`` table per size."""
     records = []
     constants = {}
+    grid = [sm.BesovParams(alpha=alpha, q=q, flavor=fl)
+            for alpha, q in _THEOREM1_COMBOS for fl in _THEOREM1_FLAVORS]
     for n, dec in ctx.decs.items():
-        for alpha, q in _THEOREM1_COMBOS:
-            norms = []
-            for idx in range(min(ctx.count, 10)):
-                f = ctx.corpus[n][idx]
-                row = [sm.besov_norm(dec, f, sm.BesovParams(alpha=alpha, q=q, flavor=fl))
-                       for fl in _THEOREM1_FLAVORS]
-                norms.append(row)
-            norms = np.array(norms)
+        corpus = ctx.corpus[n]
+        # the last row is 1000 f_0: the bracket must be scale-invariant
+        table = sm._besov_norms(dec, corpus[:min(ctx.count, 10)] + [1e3 * corpus[0]], grid)
+        table = table.reshape(len(table), len(_THEOREM1_COMBOS), len(_THEOREM1_FLAVORS))
+        for (alpha, q), block in zip(_THEOREM1_COMBOS, table.transpose(1, 0, 2)):
+            norms, scaled = block[:-1], block[-1]
             ratios = norms[:, :, None] / norms[:, None, :]
             lo, hi = float(ratios.min()), float(ratios.max())
             q_name = "inf" if q == math.inf else q
@@ -595,10 +601,6 @@ def _check_theorem1_brackets(ctx):
             params = _params_str(N=n, alpha=alpha, q=q_name)
             records.append(_record("theorem1_bracket", params, hi / lo,
                                    ctx.tols["finite_cap"]))
-            # bracket must be scale-invariant: ratios computed from 1000 f match
-            scaled = np.array([sm.besov_norm(dec, 1e3 * ctx.corpus[n][0],
-                                             sm.BesovParams(alpha=alpha, q=q, flavor=fl))
-                               for fl in _THEOREM1_FLAVORS])
             dev = float(np.max(np.abs(scaled / norms[0] / 1e3 - 1.0)))
             records.append(_record("theorem1_scale_invariance", params, dev,
                                    ctx.tols["scale_invariance"]))
@@ -606,21 +608,23 @@ def _check_theorem1_brackets(ctx):
 
 
 def _check_frame_equivalence(ctx):
+    """Frame ratios of up to 20 vectors and 1000 f_0, from one ``_equivalence_ratios`` per size."""
     records = []
     constants = {}
     for n, dec in ctx.decs.items():
-        for alpha, q in _THEOREM1_COMBOS:
-            vectors = ctx.corpus[n][:min(ctx.count, 20)]
-            rep = dcmp.equivalence_report(dec, vectors, alpha, q, a=2.0)
+        corpus = ctx.corpus[n]
+        # the last row is 1000 f_0: the ratio must be scale-invariant
+        ratios = dcmp._equivalence_ratios(dec, corpus[:min(ctx.count, 20)] + [1e3 * corpus[0]],
+                                          _THEOREM1_COMBOS, 2.0)
+        for (alpha, q), column in zip(_THEOREM1_COMBOS, ratios.T):
+            lo, hi = float(column[:-1].min()), float(column[:-1].max())
             q_name = "inf" if q == math.inf else q
-            constants[f"c1[alpha={alpha},q={q_name},N={n}]"] = rep.ratio_lo
-            constants[f"c2[alpha={alpha},q={q_name},N={n}]"] = rep.ratio_hi
+            constants[f"c1[alpha={alpha},q={q_name},N={n}]"] = lo
+            constants[f"c2[alpha={alpha},q={q_name},N={n}]"] = hi
             params = _params_str(N=n, alpha=alpha, q=q_name)
-            records.append(_record("frame_equivalence", params,
-                                   rep.ratio_hi / rep.ratio_lo, ctx.tols["finite_cap"]))
-            scaled = dcmp.equivalence_report(dec, 1e3 * ctx.corpus[n][0], alpha, q, a=2.0)
-            dev = abs(scaled.ratios[0] / rep.ratios[0] - 1.0)
-            records.append(_record("frame_scale_invariance", params, dev,
+            records.append(_record("frame_equivalence", params, hi / lo, ctx.tols["finite_cap"]))
+            records.append(_record("frame_scale_invariance", params,
+                                   abs(column[-1] / column[0] - 1.0),
                                    ctx.tols["scale_invariance"]))
     return records, constants
 
@@ -689,7 +693,8 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
     drawn before any check runs, and each check owns an independent child
     RNG keyed by its canonical position, so the report is a pure function
     of (spec, count, seed, sizes, checks, tolerances).  ``count`` must be
-    at least 1, and each operator needs a positive eigenvalue.
+    at least 1, the sizes must be distinct (a repeated size would draw its
+    corpus twice), and each operator needs a positive eigenvalue.
     """
     if count < 1:
         raise InvalidParamsError(f"count must be >= 1, got {count}")
@@ -708,7 +713,11 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
     children = seed_seq.spawn(1 + len(ALL_CHECKS))
     corpus_rng = np.random.default_rng(children[0])
 
-    sizes = tuple(int(n) for n in sizes) if spec.sized else (None,)
+    sizes = tuple(int(n) for n in sizes)
+    if len(set(sizes)) != len(sizes):
+        raise InvalidParamsError(f"sizes must be distinct, got {list(sizes)}")
+    if not spec.sized:
+        sizes = (None,)
     decs = {}
     corpus = {}
     for size in sizes:

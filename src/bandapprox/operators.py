@@ -306,7 +306,12 @@ def apply_multiplier(dec: SpectralDecomposition, phi, f) -> np.ndarray:
     of ``f``; a result beyond the largest double raises :class:`NonFiniteError`.
     """
     _, c, e = _coefficients(dec, f)
-    values = np.asarray(phi(dec.eigenvalues))
+    return _synthesize(dec, phi(dec.eigenvalues), c, e)
+
+
+def _synthesize(dec: SpectralDecomposition, values, c, e: int) -> np.ndarray:
+    """:func:`apply_multiplier` from ``values = phi(lambda)`` and the coefficients ``c 2^e``."""
+    values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise NonFiniteMultiplierError("multiplier is not finite on the spectrum")
     out = _ldexp(dec.eigenvectors @ (values * c), e)

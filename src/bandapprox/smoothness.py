@@ -25,10 +25,19 @@ equivalent ways:
   single ``s`` and the modulus seminorm at all of its ``s`` at once.  The
   scan is sized from ``m lambda_max`` with no grid cap; a scan beyond
   :data:`MAX_SCAN_ENTRIES` raises instead of running for hours.
+
+A sweep over ``(alpha, q, flavor)`` takes one pass per vector:
+``_besov_norms`` transforms each vector once, computes once what does not
+depend on ``(alpha, q)`` (the E or R distances at the step nodes per route
+and at the band edges per ``(route, a)``, ``K(t)`` per order ``r``, the
+modulus seminorm per ``(alpha, r)``) and reads every norm off that.
+:func:`besov_norm` and :func:`k_besov_norm` are its one-vector,
+one-parameter calls, so every flavor has one code path.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -263,14 +272,12 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s: float,
 
 # -- step-function machinery for the approximation norms ----------------------
 
-def _integral_norm(dec, fc, alpha, q, route):
+def _integral_norm(nodes, values, alpha, q):
     """``(integral of (s^alpha E(f,s))^q ds/s)^{1/q}`` over (0, inf) in closed form; sup at q = inf.
 
-    ``E(f, .)`` is constant on ``[nodes[i], nodes[i+1])``, where the supremum of
+    ``values[i]`` is ``E(f, .)`` on ``[nodes[i], nodes[i+1])``, where the supremum of
     ``s^alpha * const`` sits at the right end, so the sup is a finite maximum.
     """
-    nodes = _step_nodes(dec)
-    values = _distances(dec, fc, nodes[:-1], route)
     if q == math.inf:
         return _lq_norm(values * nodes[1:] ** alpha, math.inf)
     aq = alpha * q
@@ -287,16 +294,19 @@ def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
     """
     if not (0.0 <= alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in [0, inf), got {alpha}")
-    return _integral_norm(dec, _coefficients(dec, f), alpha, math.inf, route)
+    nodes = _step_nodes(dec)
+    values = _distances(dec, _coefficients(dec, f), nodes[:-1], route)
+    return _integral_norm(nodes, values, alpha, math.inf)
 
 
-def _discrete_terms(dec, fc, alpha, a, route):
-    """Terms ``a^{k alpha} E(f, a^k)`` for k = 0 .. K-1, where ``a^K >= lambda_max``.
+def _edge_distances(dec: SpectralDecomposition, fc, a: float, route: str) -> np.ndarray:
+    """Distances to ``PW_{a^k}``, k < K with ``a^K >= lambda_max``: exact, as the rest vanish."""
+    return _distances(dec, fc, _band_powers(a, band_count(dec.lambda_max, a)), route)
 
-    Every later term vanishes, so the truncation is exact.
-    """
-    count = band_count(dec.lambda_max, a)
-    return _band_powers(a, count, alpha) * _distances(dec, fc, _band_powers(a, count), route)
+
+def _discrete_norm(distances: np.ndarray, alpha: float, q: float, a: float) -> float:
+    """``(sum_k (a^{k alpha} d_k)^q)^{1/q}`` (the max at ``q = inf``) of band-edge distances."""
+    return _lq_norm(_band_powers(a, distances.size, alpha) * distances, q)
 
 
 def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
@@ -308,25 +318,52 @@ def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
     exploit.  Integral flavors are exact (piecewise evaluation); discrete
     flavors truncate where the terms become identically zero.
     """
-    if params.flavor == "k_functional":
-        return k_besov_norm(dec, f, params)  # it transforms f itself
-    return _besov_norm(dec, _coefficients(dec, f), params)
+    return float(_besov_norms(dec, [f], [params])[0, 0])
 
 
-def _besov_norm(dec: SpectralDecomposition, fc, params: BesovParams) -> float:
-    """:func:`besov_norm` from ``fc = (v, c, e)``, for every flavor but ``k_functional``."""
-    v, c, e = fc
-    norm_f = _norm(v, e)
-    flavor = params.flavor
-    if flavor == "modulus":
-        return norm_f + _seminorm_sup(dec, c, e, params.alpha, 0, params.r)
+def _besov_norms(dec: SpectralDecomposition, vectors, params_list,
+                 domain_norm: str = "seminorm") -> np.ndarray:
+    """:func:`besov_norm` of every vector (rows) for every ``BesovParams`` (columns).
 
-    route = "E" if flavor.endswith("_E") else "R"
-    if flavor.startswith("integral"):
-        tail = _integral_norm(dec, fc, params.alpha, params.q, route)
-    else:
-        tail = _lq_norm(_discrete_terms(dec, fc, params.alpha, params.a, route), params.q)
-    return norm_f + tail
+    One pass per vector (see the module notes); the t-grid is built once per
+    ``r``.  A ``k_functional`` column measures ``K`` in ``domain_norm``, as
+    :func:`k_besov_norm` does.
+    """
+    nodes = _step_nodes(dec)
+    lam_max = dec.lambda_max
+    t_grids = {}
+    for p in params_list:
+        if p.flavor == "k_functional" and lam_max > 0.0 and p.r not in t_grids:
+            u = np.linspace(math.log(1e-6 / lam_max ** p.r), math.log(1e6), _K_GRID_POINTS)
+            # scalar exp: array exp may differ in the last bit
+            t_grids[p.r] = u, [math.exp(ui) for ui in u]
+    table = np.empty((len(vectors), len(params_list)))
+    for row, f in zip(table, vectors):
+        v, c, e = fc = _coefficients(dec, f)
+        norm_f = _norm(v, e)
+        # this vector's spectral data, each piece computed on first use
+        step = functools.cache(lambda route: _distances(dec, fc, nodes[:-1], route))
+        edges = functools.cache(lambda route, a: _edge_distances(dec, fc, a, route))
+        k_values = functools.cache(
+            lambda r: _k_functional_values(dec, c, e, t_grids[r][1], r, domain_norm))
+        seminorm = functools.cache(lambda alpha, r: _seminorm_sup(dec, c, e, alpha, 0, r))
+        for j, p in enumerate(params_list):
+            route = "E" if p.flavor.endswith("_E") else "R"
+            if p.flavor == "modulus":
+                tail = seminorm(p.alpha, p.r)
+            elif p.flavor == "k_functional":
+                tail = 0.0  # with f = 0 or D = 0, K(t, f) = 0: take g = f
+                if norm_f > 0.0 and lam_max > 0.0:
+                    (u, _), (k_vals, d) = t_grids[p.r], k_values(p.r)
+                    scaled = np.exp(-(p.alpha / p.r) * u) * k_vals
+                    tail = math.ldexp(float(np.max(scaled)) if p.is_sup else
+                                      float(np.trapezoid(scaled ** p.q, u)) ** (1.0 / p.q), d)
+            elif p.flavor.startswith("integral"):
+                tail = _integral_norm(nodes, step(route), p.alpha, p.q)
+            else:
+                tail = _discrete_norm(edges(route, p.a), p.alpha, p.q, p.a)
+            row[j] = norm_f + tail
+    return table
 
 
 # -- Peetre K-functional -------------------------------------------------------
@@ -433,27 +470,12 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
     ``K`` is evaluated for all grid ``t`` in one pass (see
     :func:`k_functional`) and integrated in units of a power of two, so no
     scale of ``f`` overflows.  This norm is a measurement (used in
-    equivalence ratios), not a closed form.
+    equivalence ratios), not a closed form.  ``params.flavor`` is ignored:
+    this is the ``k_functional`` flavor of :func:`besov_norm`, with the
+    second term measured in ``domain_norm``.
     """
-    v, c, e = _coefficients(dec, f)
-    norm_f = _norm(v, e)
-    if norm_f == 0.0:
-        return 0.0
-    r = params.r
-    theta = params.alpha / r
-    lam_max = dec.lambda_max
-    if lam_max == 0.0:
-        return norm_f  # K(t, f) = 0: take g = f, the seminorm vanishes
-    t_min = 1e-6 / lam_max ** r
-    t_max = 1e6
-    u = np.linspace(math.log(t_min), math.log(t_max), _K_GRID_POINTS)
-    ts = [math.exp(ui) for ui in u]  # scalar exp: array exp may differ in the last bit
-    k_vals, e = _k_functional_values(dec, c, e, ts, r, domain_norm)
-    scaled = np.exp(-theta * u) * k_vals
-    if params.is_sup:
-        return norm_f + math.ldexp(float(np.max(scaled)), e)
-    integral = float(np.trapezoid(scaled ** params.q, u))
-    return norm_f + math.ldexp(integral ** (1.0 / params.q), e)
+    return float(_besov_norms(dec, [f], [replace(params, flavor="k_functional")],
+                              domain_norm)[0, 0])
 
 
 # -- modulus-based seminorm and the two inverse-theorem lemmas -----------------
@@ -519,13 +541,17 @@ class LemmaReport:
     ratio: float
 
 
-def _lemma_sides(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> tuple:
-    """``(sup_s s^alpha E(f, s), modulus seminorm, ||f||)`` from one transform of ``f``."""
+def _lemma_reports(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> tuple:
+    """The reports of :func:`lemma1_check` and :func:`lemma2_check`, from one transform of ``f``."""
     if not (alpha - n > 0.0 and r > alpha - n):
         raise InvalidOrderError(f"need r > alpha - n > 0, got alpha={alpha}, n={n}, r={r}")
     v, c, e = fc = _coefficients(dec, f)
-    return (_integral_norm(dec, fc, alpha, math.inf, "E"), _seminorm_sup(dec, c, e, alpha, n, r),
-            _norm(v, e))
+    nodes = _step_nodes(dec)
+    sup_e = _integral_norm(nodes, _distances(dec, fc, nodes[:-1], "E"), alpha, math.inf)
+    seminorm, norm_f = _seminorm_sup(dec, c, e, alpha, n, r), _norm(v, e)
+    rhs = norm_f + sup_e
+    return (LemmaReport(lhs=sup_e, rhs=seminorm, ratio=_safe_ratio(sup_e, seminorm, norm_f)),
+            LemmaReport(lhs=seminorm, rhs=rhs, ratio=_safe_ratio(seminorm, rhs, norm_f)))
 
 
 def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
@@ -535,12 +561,9 @@ def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
     the seminorm; the returned ratio is that empirical constant, 0 when
     both sides vanish.
     """
-    sup_e, seminorm, norm_f = _lemma_sides(dec, f, alpha, n, r)
-    return LemmaReport(lhs=sup_e, rhs=seminorm, ratio=_safe_ratio(sup_e, seminorm, norm_f))
+    return _lemma_reports(dec, f, alpha, n, r)[0]
 
 
 def lemma2_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
     """Measure the modulus seminorm against ``||f|| + sup_s s^alpha E(f, s)``."""
-    sup_e, seminorm, norm_f = _lemma_sides(dec, f, alpha, n, r)
-    rhs = norm_f + sup_e
-    return LemmaReport(lhs=seminorm, rhs=rhs, ratio=_safe_ratio(seminorm, rhs, norm_f))
+    return _lemma_reports(dec, f, alpha, n, r)[1]

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bandapprox import RAW_D, SymmetricOperator, approx_operators, eigh, operators
+from bandapprox import RAW_D, SymmetricOperator, approx_operators, eigh, operators, smoothness
 from bandapprox.harness import OperatorSpec, build_operator
 
 
@@ -67,3 +67,9 @@ def transforms(monkeypatch):
 def q_symbols(monkeypatch):
     """The ``q_symbol`` calls, counted as in ``_count_calls``."""
     return _count_calls(monkeypatch, approx_operators.q_symbol)
+
+
+@pytest.fixture
+def k_functionals(monkeypatch):
+    """The ``smoothness._k_functional_values`` calls, counted as in ``_count_calls``."""
+    return _count_calls(monkeypatch, smoothness._k_functional_values)

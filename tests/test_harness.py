@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,15 @@ class TestSuite:
         assert keys == sorted(keys)
         assert all(math.isfinite(r.value) for r in report.records)
         assert report.overall_pass
+
+    def test_duplicate_sizes_rejected(self, capsys):
+        # a repeated size drew its corpus twice under one "sizes" entry of the meta
+        with pytest.raises(InvalidParamsError, match="distinct"):
+            run_suite(OperatorSpec(builtin="cycle"), count=5, seed=3, sizes=(8, 8),
+                      checks=["plancherel", "e_equals_r"])
+        assert main(["verify", "--op", "cycle:8", "--count", "5", "--seed", "3",
+                     "--sizes", "8,8", "--checks", "plancherel,e_equals_r"]) == 2
+        assert "distinct" in capsys.readouterr().err
 
     def test_diagonal_spec_ignores_sizes(self):
         spec = OperatorSpec(builtin="diagonal", spectrum=(1.0, 2.0, 5.0), kind="raw_D")
@@ -423,3 +436,27 @@ class TestFullSuite:
             "frame_equivalence", "frame_scale_invariance",
             "synthesis_constant", "band_reconstruction", "band_tail_identity",
         }
+
+
+class TestFamilies:
+    """Families beyond the cycle: the fully degenerate complete graph, a disconnected graph."""
+
+    def test_verify_passes_on_complete_graph(self, capsys):
+        assert main(["verify", "--op", "complete:6", "--sizes", "6", "--count", "20"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
+    def test_verify_passes_on_disconnected_graph(self, tmp_path, capsys):
+        path = tmp_path / "graph.txt"
+        path.write_text("0 1\n1 2\n2 0\n3 4\n")  # a triangle beside an edge
+        assert main(["verify", "--op", f"edges:{path}", "--count", "20"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "bandapprox", "verify", "--op", "cycle:4",
+                           "--sizes", "4", "--count", "3"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "overall: PASS" in done.stdout

@@ -45,8 +45,9 @@ from bandapprox import (
     sup_scaled_best_approx,
     synthesis_check,
 )
+from bandapprox.decomposition import _equivalence_ratios
 from bandapprox.operators import _coefficients, _ldexp, _power_coefficients
-from bandapprox.smoothness import BESOV_FLAVORS
+from bandapprox.smoothness import BESOV_FLAVORS, _besov_norms
 from conftest import random_vector
 
 KERNEL = build_kernel(6, 2)
@@ -103,6 +104,20 @@ def test_one_transform_per_vector_argument(cycle16_dec, rng, transforms, name, c
 def test_every_besov_flavor_transforms_once(cycle16_dec, rng, transforms, flavor, q):
     besov_norm(cycle16_dec, random_vector(rng, 16), BesovParams(alpha=0.8, q=q, flavor=flavor))
     assert len(transforms) == 1
+
+
+def test_norm_table_transforms_each_vector_once(cycle16_dec, rng, transforms):
+    params = [BesovParams(alpha=alpha, q=q, flavor=flavor) for flavor in BESOV_FLAVORS
+              for alpha in (0.7, 1.5) for q in (1.0, 2.0, math.inf)
+              if flavor != "modulus" or q == math.inf]
+    _besov_norms(cycle16_dec, [random_vector(rng, 16) for _ in range(3)], params)
+    assert len(transforms) == 3
+
+
+def test_equivalence_ratios_transform_each_vector_once(cycle16_dec, rng, transforms):
+    combos = [(alpha, q) for alpha in (0.7, 1.5) for q in (1.0, 2.0, math.inf)]
+    _equivalence_ratios(cycle16_dec, [random_vector(rng, 16) for _ in range(3)], combos, 2.0)
+    assert len(transforms) == 3
 
 
 def test_synthesis_check_transforms_each_band_and_the_sum(cycle16_dec, rng, transforms):

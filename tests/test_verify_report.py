@@ -33,10 +33,16 @@ PINNED = {
 }
 
 #: coefficient transforms one run of the cycle:8 seed-401 command makes: one per
-#: vector argument of each library call, and one per vector and kernel combination
-#: in the Jackson chain (4,370 when composite checks transformed their vector up to
-#: four times, 3,098 when the Jackson chain transformed it once per band edge)
-CYCLE8_SEED401_TRANSFORMS = 2858
+#: vector argument of each library call, one per vector and kernel combination in
+#: the Jackson chain, and one per vector in each parameter sweep (4,370 when composite
+#: checks transformed their vector up to four times, 3,098 when the Jackson chain
+#: transformed it once per band edge, 2,858 when the norm brackets, frame ratios,
+#: growth bound and E = R check transformed it once per parameter or route)
+CYCLE8_SEED401_TRANSFORMS = 1460
+
+#: K-functional evaluations of the same run: one per vector and order r in the norm
+#: brackets, 11 vectors, 2 orders and 2 sizes (66 when each (alpha, q) evaluated its own)
+CYCLE8_SEED401_K_FUNCTIONALS = 44
 
 #: Q symbols the same run evaluates: 30 in the Jackson chain, one per band edge, size
 #: and kernel combination, and 40 in ``q_operator``, one per ``q_apply`` (340 when the
@@ -76,3 +82,9 @@ def test_cycle8_seed401_q_symbol_count(tmp_path, capsys, q_symbols):
     argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert len(q_symbols) <= CYCLE8_SEED401_Q_SYMBOLS
+
+
+def test_cycle8_seed401_k_functional_count(tmp_path, capsys, k_functionals):
+    argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert len(k_functionals) <= CYCLE8_SEED401_K_FUNCTIONALS
