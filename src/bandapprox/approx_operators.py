@@ -35,6 +35,8 @@ from .errors import (
 )
 from .operators import (
     SpectralDecomposition,
+    _basis_product,
+    _coefficient_block,
     _coefficients,
     _is_int,
     _norm,
@@ -413,26 +415,26 @@ def _jackson_reports(dec: SpectralDecomposition, vectors, omegas, m: int, k: int
                      kernel: ApproxKernel) -> list:
     """``JacksonReport`` of every vector (outer list) at every band edge in ``omegas`` (inner).
 
-    Each Q symbol is evaluated once per edge; each vector is transformed once and takes
-    one ``_distances`` call and one shift scan, whose grid depends on ``m - k`` and
-    ``lambda_max`` only, so its moduli at every ``1/omega`` equal one scan per edge.
+    Each Q symbol is evaluated once per edge; each vector is transformed once and takes one
+    ``_distances`` call.  One shift scan gives the moduli of every vector at every ``1/omega``:
+    its grid depends on ``m - k`` and ``lambda_max`` only, so they equal one scan per edge.
     """
     if not 0 <= k <= m:
         raise IndexOutOfRangeError(f"need 0 <= k <= m, got k={k}, m={m}")
     omegas = np.asarray(omegas, dtype=np.float64)
     symbols = [q_symbol(kernel, w, m, dec.eigenvalues) for w in omegas.tolist()]
     const = jackson_constant(kernel, m, k)
+    fcs, c, e = _coefficient_block(dec, vectors)
+    moduli = _moduli(dec, _power_coefficients(dec, c, k), e, 1.0 / omegas, m - k)
     reports = []
-    for f in vectors:
-        v, c, e = fc = _coefficients(dec, f)
-        norm_f = _norm(v, e)
-        q_errs = [_norm(dec.eigenvectors @ (sym * c) - v, e) for sym in symbols]
-        moduli = _moduli(dec, _power_coefficients(dec, c, k), e, 1.0 / omegas, m - k)
+    for (v, c_i, e_i), row in zip(fcs, moduli):
+        norm_f = _norm(v, e_i)
+        q_errs = [_norm(_basis_product(dec.eigenvectors, sym * c_i) - v, e_i) for sym in symbols]
         reports.append([JacksonReport(best=b, q_error=q, bound=bd, constant=const,
                                       ratio_best=_safe_ratio(b, bd, norm_f),
                                       ratio_q=_safe_ratio(q, bd, norm_f), link_gap=b - q)
-                        for b, q, bd in zip(_distances(dec, fc, omegas, "E").tolist(), q_errs,
-                                            (const * moduli / omegas ** k).tolist())])
+                        for b, q, bd in zip(_distances(dec, (v, c_i, e_i), omegas, "E").tolist(),
+                                            q_errs, (const * row / omegas ** k).tolist())])
     return reports
 
 

@@ -26,7 +26,8 @@ from .errors import (
     MembershipViolationError,
     ZeroVectorError,
 )
-from .operators import SpectralDecomposition, _coefficients, _ldexp, _norm, as_vector
+from .operators import SpectralDecomposition, _basis_product, _coefficients, _ldexp, _norm
+from .operators import as_vector
 from .paley_wiener import _band_powers, _check_q, _in_pw, _lq_norm, band_count
 from .smoothness import BesovParams, _discrete_norm, _edge_distances
 
@@ -63,7 +64,7 @@ def _band_split(dec: SpectralDecomposition, c, e: int, a: float) -> BandDecompos
     k_top = band_count(dec.lambda_max, a)
     edges = _band_powers(a, k_top + 1)
     band_of = np.searchsorted(edges, dec.eigenvalues)  # k with a^{k-1} < lambda <= a^k
-    bands = tuple(_ldexp(dec.eigenvectors @ np.where(band_of == k, c, 0.0), e)
+    bands = tuple(_ldexp(_basis_product(dec.eigenvectors, np.where(band_of == k, c, 0.0)), e)
                   for k in range(k_top + 1))
     return BandDecomposition(base=a, bands=bands, band_edges=edges)
 

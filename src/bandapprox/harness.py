@@ -481,18 +481,20 @@ def _check_riesz_identity(ctx):
 
 
 def _check_modulus_inequalities(ctx):
+    """Worst ratio of 50 trials per size; power ratios of ``k >= 1`` only (at ``k = 0`` it is 1)."""
     records = []
     for n, dec in ctx.decs.items():
         lam_max = dec.lambda_max
-        worst = 0.0
+        trials = []
         for trial in range(50):
             f = ctx.corpus[n][trial % ctx.count]
             s = float(np.exp(ctx.rng.uniform(math.log(0.05), math.log(20.0))) / lam_max)
             a_scale = float(np.exp(ctx.rng.uniform(math.log(0.3), math.log(4.0))))
             m = int(ctx.rng.integers(1, 4))
-            k = int(ctx.rng.integers(0, m + 1))
-            rep = sm.modulus_inequality_checks(dec, f, s, a_scale, m, k)
-            worst = max(worst, rep.ratio_power, rep.ratio_scale)
+            trials.append((f, s, a_scale, m, int(ctx.rng.integers(0, m + 1))))
+        reports = sm._modulus_inequality_reports(dec, *zip(*trials))
+        worst = max(0.0, *(rep.ratio_scale for rep in reports),
+                    *(rep.ratio_power for rep, trial in zip(reports, trials) if trial[-1]))
         records.append(_record("modulus_inequalities", _params_str(N=n, trials=50),
                                worst, 1.0 + ctx.tols["modulus_grid"]))
     return records, {}
@@ -503,7 +505,7 @@ _JACKSON_COMBOS = ((2, 0, 6), (2, 1, 6), (3, 1, 8))
 
 def _check_jackson_chain(ctx):
     """Worst Jackson ratio and link gap of up to 10 vectors at 5 band edges per size and kernel
-    combination, from one ``_jackson_reports`` call: one Q symbol per edge, one scan per vector."""
+    combination, from one ``_jackson_reports`` call: one Q symbol per edge, one scan in all."""
     records = []
     constants = {}
     for n, dec in ctx.decs.items():
@@ -561,12 +563,9 @@ def _check_lemma_ratios(ctx):
     constants = {}
     for n, dec in ctx.decs.items():
         for alpha, nn, r in _LEMMA_COMBOS:
-            a_emp = 0.0
-            c_emp = 0.0
-            for idx in range(min(ctx.count, 3)):
-                rep1, rep2 = sm._lemma_reports(dec, ctx.corpus[n][idx], alpha, nn, r)
-                a_emp = max(a_emp, rep1.ratio)
-                c_emp = max(c_emp, rep2.ratio)
+            reports = sm._lemma_reports(dec, ctx.corpus[n][:min(ctx.count, 3)], alpha, nn, r)
+            a_emp = max(0.0, *(rep1.ratio for rep1, _ in reports))
+            c_emp = max(0.0, *(rep2.ratio for _, rep2 in reports))
             key = f"alpha={alpha},n={nn},r={r},N={n}"
             constants[f"lemma1_A[{key}]"] = a_emp
             constants[f"lemma2_C[{key}]"] = c_emp

@@ -72,10 +72,11 @@ def _scaled(x) -> tuple:
     return x * 2.0 ** -e, e
 
 
-def _scaled_mag2(coeffs, e: int = 0) -> tuple:
-    """``(|c|^2 4^-d, e + d)``: the squared magnitudes of ``(|c| 2^-d, d) = _scaled(|c|)``."""
-    mag, d = _scaled(np.abs(coeffs))
-    return mag ** 2, e + d
+def _scaled_mag2(coeffs, e=0) -> tuple:
+    """``(|c|^2 4^-d, e + d)`` with ``(|c| 2^-d, d) = _scaled(|c|)``, row by row for a block."""
+    mag = np.abs(coeffs)
+    d = np.maximum(np.frexp(mag.max(axis=-1, initial=0.0))[1], -1022)
+    return (mag * np.ldexp(1.0, -d)[..., None]) ** 2, e + d
 
 
 def _ldexp(z, e: int) -> np.ndarray:
@@ -272,9 +273,14 @@ def eigh(op: SymmetricOperator) -> SpectralDecomposition:
                                  groups=groups, kind=op.kind, eps_group=eps_group)
 
 
+def _basis_product(basis: np.ndarray, z) -> np.ndarray:
+    """``basis @ z`` for a real ``basis``, as two real products: no complex copy of the basis."""
+    return basis @ z.real + 1j * (basis @ z.imag)
+
+
 def spectral_transform(dec: SpectralDecomposition, f) -> np.ndarray:
     """Coefficients ``c_j = <f, u_j>`` of ``f`` in the eigenbasis (unitary)."""
-    return dec.eigenvectors.T @ as_vector(f, dec.dim)
+    return _basis_product(dec.eigenvectors.T, as_vector(f, dec.dim))
 
 
 def _coefficients(dec: SpectralDecomposition, f) -> tuple:
@@ -288,6 +294,13 @@ def _coefficients(dec: SpectralDecomposition, f) -> tuple:
     return v, spectral_transform(dec, v), e
 
 
+def _coefficient_block(dec: SpectralDecomposition, vectors) -> tuple:
+    """``(fcs, c, e)``: each vector's ``_coefficients``, and the block of their ``c`` and ``e``."""
+    fcs = [_coefficients(dec, f) for f in vectors]
+    return (fcs, np.array([c for _, c, _ in fcs]).reshape(len(fcs), dec.dim),
+            np.array([e for *_, e in fcs], dtype=int))
+
+
 def _power_coefficients(dec: SpectralDecomposition, c, k) -> np.ndarray:
     """Coefficients of ``D^k f`` from those of ``f``: ``lambda^k c``, with no round trip."""
     return np.power(dec.eigenvalues, k) * c
@@ -295,7 +308,7 @@ def _power_coefficients(dec: SpectralDecomposition, c, k) -> np.ndarray:
 
 def inverse_transform(dec: SpectralDecomposition, coeffs) -> np.ndarray:
     """Synthesize the vector whose eigenbasis coefficients are ``coeffs``."""
-    return dec.eigenvectors @ as_vector(coeffs, dec.dim)
+    return _basis_product(dec.eigenvectors, as_vector(coeffs, dec.dim))
 
 
 def apply_multiplier(dec: SpectralDecomposition, phi, f) -> np.ndarray:
@@ -314,7 +327,7 @@ def _synthesize(dec: SpectralDecomposition, values, c, e: int) -> np.ndarray:
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise NonFiniteMultiplierError("multiplier is not finite on the spectrum")
-    out = _ldexp(dec.eigenvectors @ (values * c), e)
+    out = _ldexp(_basis_product(dec.eigenvectors, values * c), e)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("result exceeds the largest double")
     return out

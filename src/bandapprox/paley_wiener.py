@@ -22,6 +22,7 @@ from .errors import (
 )
 from .operators import (
     SpectralDecomposition,
+    _basis_product,
     _coefficients,
     _is_int,
     _norm,
@@ -135,9 +136,8 @@ def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray
     lam = dec.eigenvalues
     if route == "R":
         return np.ldexp([np.linalg.norm(c[lam > w]) for w in omegas], e)
-    basis = dec.eigenvectors  # real: it takes the real and imaginary parts, with no complex copy
-    return np.ldexp([np.linalg.norm(v - (basis @ x.real + 1j * (basis @ x.imag)))
-                     for x in (np.where(lam <= w, c, 0.0) for w in omegas)], e)
+    return np.ldexp([np.linalg.norm(v - _basis_product(dec.eigenvectors, np.where(lam <= w, c, 0)))
+                     for w in omegas], e)
 
 
 def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
@@ -236,6 +236,7 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
         raise NotBandlimitedError(f"vector has spectral mass above omega={w}")
     inside = dec.eigenvalues <= w
     mag2, e = _scaled_mag2(c[inside], e)
+    e = int(e)
     ratios = []
     for s in s_values:
         power_norm = math.ldexp(

@@ -32,7 +32,12 @@ depend on ``(alpha, q)`` (the E or R distances at the step nodes per route
 and at the band edges per ``(route, a)``, ``K(t)`` per order ``r``, the
 modulus seminorm per ``(alpha, r)``) and reads every norm off that.
 :func:`besov_norm` and :func:`k_besov_norm` are its one-vector,
-one-parameter calls, so every flavor has one code path.
+one-parameter calls, so every flavor has one code path.  The scan grid and
+the log-s path do not depend on ``f``, so a block of vectors takes one scan
+per order (``_moduli``, ``_seminorm_sup``) and one path per ``r``
+(``_k_functional_values``).  Every sum over the eigenvalues is one per row
+and point, so a row's result does not depend on its block, bit for bit, and
+the public functions are the 1-row calls.
 """
 
 import functools
@@ -44,6 +49,7 @@ import numpy as np
 from .errors import InvalidOrderError, InvalidParamsError, NonPositiveTError
 from .operators import (
     SpectralDecomposition,
+    _coefficient_block,
     _coefficients,
     _is_int,
     _norm,
@@ -136,15 +142,15 @@ def difference(dec: SpectralDecomposition, f, tau: float, m: int) -> np.ndarray:
 
 
 def _difference_norms(eigenvalues, mag2, taus, m):
-    """||Delta_tau^m f|| for an array of shifts, from |coefficients|^2."""
-    sins = 2.0 * np.abs(np.sin(np.outer(taus, eigenvalues) / 2.0))
-    return np.sqrt(np.maximum(sins ** (2 * m) @ mag2, 0.0))
+    """``||Delta_tau^m g||`` from ``|c|^2`` (rows ``mag2``), each one sum over the last axis."""
+    sins = 2.0 * np.abs(np.sin(np.multiply.outer(taus, eigenvalues) / 2.0))
+    return np.sqrt(np.maximum(np.sum(sins ** (2 * m) * mag2, axis=-1), 0.0))
 
 
 #: scan points per shortest period of ``||Delta_tau^m g||^2`` (frequency m lambda_max)
 _SCAN_PER_PERIOD = 8
 
-#: bound on scan points times dimension held in memory at once
+#: bound on scan points times dimension times rows held in memory at once
 _SCAN_CHUNK_ENTRIES = 1 << 20
 
 #: clipped Newton steps refining each local maximum of a shift scan
@@ -155,68 +161,77 @@ _PEAK_NEWTON_STEPS = 6
 MAX_SCAN_ENTRIES = 1 << 30
 
 
-def _running_modulus(eigenvalues, mag2, s_values, m: int) -> np.ndarray:
-    """``Omega_m(g, s)`` at each of the ascending ``s_values`` from one shift scan.
+def _running_modulus(eigenvalues, mag2, s_rows, m: int) -> list:
+    """``Omega_m(g_i, s)`` at each of the ascending ``s_rows[i]`` of every row ``mag2[i]``.
 
-    ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step`` up to two points past
-    the last ``s`` (so a maximum just below any ``s`` is interior, however many ``s_values``
-    share the scan), with ``_SCAN_PER_PERIOD`` points per period ``2 pi / (m lambda_max)``
-    of its fastest component, in chunks so memory stays bounded.  Every interior local
-    maximum ``tau_i`` is refined by ``_PEAK_NEWTON_STEPS`` Newton steps on the closed-form
-    first and second derivatives of ``phi^2 = sum |c|^2 (2 - 2 cos tau lambda)^m``, clipped
-    to ``[tau_{i-1}, tau_{i+1}]``; the best value evaluated counts.  Every sampled point,
-    refined maximum and ``phi(s)`` itself lands in the bin of the first ``s >= tau``; the
-    running maximum over the bins is the modulus.  A scan of more than
-    :data:`MAX_SCAN_ENTRIES` points times dimension raises :class:`InvalidParamsError`.
+    ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step`` up to the largest ``s``,
+    with ``_SCAN_PER_PERIOD`` points per period ``2 pi / (m lambda_max)`` of its fastest
+    component, in chunks so memory stays bounded.  Row ``i`` owns the points up to two past
+    its last ``s`` (so a maximum just below any ``s`` is interior, and the row's values do not
+    depend on its block).  Every interior local maximum ``tau_j`` of a row's points is refined
+    by ``_PEAK_NEWTON_STEPS`` Newton steps on the closed-form first and second derivatives of
+    ``phi^2 = sum |c|^2 (2 - 2 cos tau lambda)^m``, clipped to ``[tau_{j-1}, tau_{j+1}]``;
+    the best value evaluated counts.  Every sampled point, refined maximum and ``phi(s)``
+    lands in the row's bin of the first ``s >= tau``; the running maximum over the bins is
+    the modulus.  A scan of more than :data:`MAX_SCAN_ENTRIES` points times dimension raises
+    :class:`InvalidParamsError`.
     """
-    def neg_phi(taus):
+    def neg_phi(taus, weights):
         """``-phi`` and the slope and curvature of ``-phi^2``, via ``v = 2 - 2 cos(tau lambda)``."""
-        x = np.outer(taus, eigenvalues)  # v'' = 2 lambda^2 cos x = lambda^2 (2 - v)
+        x = np.multiply.outer(taus, eigenvalues)  # v'' = 2 lambda^2 cos x = lambda^2 (2 - v)
         sins = 2.0 * np.abs(np.sin(x / 2.0))
         v, dv = sins ** 2, 2.0 * eigenvalues * np.sin(x)
         d1 = v ** (m - 1) * dv
         d2 = (m - 1) * v ** max(m - 2, 0) * dv ** 2 + v ** (m - 1) * eigenvalues ** 2 * (2.0 - v)
-        return -np.sqrt(np.maximum(sins ** (2 * m) @ mag2, 0.0)), -m * (d1 @ mag2), -m * (d2 @ mag2)
+        return (-np.sqrt(np.maximum(np.sum(sins ** (2 * m) * weights, axis=-1), 0.0)),
+                -m * np.sum(d1 * weights, axis=-1), -m * np.sum(d2 * weights, axis=-1))
 
     step = 2.0 * math.pi / (_SCAN_PER_PERIOD * m * float(eigenvalues[-1]))
-    n_scan = math.ceil(s_values[-1] / step) + 2
+    ends = np.array([math.ceil(s[-1] / step) + 2 for s in s_rows])  # each row's own points
+    n_scan = int(ends.max())
     if n_scan * eigenvalues.size > MAX_SCAN_ENTRIES:
         raise InvalidParamsError(
-            f"shift scan up to s = {s_values[-1]} needs {n_scan} points at dimension "
-            f"{eigenvalues.size}, more than MAX_SCAN_ENTRIES = {MAX_SCAN_ENTRIES}")
-    # the last bin takes every tau beyond the last s
-    bins = np.append(_difference_norms(eigenvalues, mag2, s_values, m), 0.0)
-    chunk = max(16, _SCAN_CHUNK_ENTRIES // eigenvalues.size)
+            f"shift scan up to s = {max(s[-1] for s in s_rows)} needs {n_scan} points at "
+            f"dimension {eigenvalues.size}, more than MAX_SCAN_ENTRIES = {MAX_SCAN_ENTRIES}")
+    # each row's last bin takes every tau beyond its last s
+    bins = [np.append(_difference_norms(eigenvalues, g, s, m), 0.0) for g, s in zip(mag2, s_rows)]
+    chunk = max(16, _SCAN_CHUNK_ENTRIES // (eigenvalues.size * len(s_rows)))
     for start in range(0, n_scan, chunk):
         # one point of overlap on each side, so every interior point sees its neighbours
-        taus = np.arange(max(start - 1, 0), min(start + chunk + 1, n_scan)) * step
-        vals = _difference_norms(eigenvalues, mag2, taus, m)
-        peaks = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
-        peak_taus, peak_vals = _clipped_newton(neg_phi, taus[peaks], taus[peaks - 1],
-                                               taus[peaks + 1], _PEAK_NEWTON_STEPS)
-        points = np.concatenate((taus, peak_taus))
-        np.maximum.at(bins, np.searchsorted(s_values, points),
-                      np.concatenate((vals, -peak_vals)))
-    return np.maximum.accumulate(bins[:-1])
+        index = np.arange(max(start - 1, 0), min(start + chunk + 1, n_scan))
+        taus = index * step
+        vals = _difference_norms(eigenvalues, mag2, taus[:, None], m)  # points x rows
+        at, row = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])
+                             & (index[1:-1, None] < ends - 1))
+        peak_taus, peak_vals = _clipped_newton(lambda t, w=mag2[row]: neg_phi(t, w), taus[at + 1],
+                                               taus[at], taus[at + 2], _PEAK_NEWTON_STEPS)
+        for i, (s, b) in enumerate(zip(s_rows, bins)):
+            mine = row == i
+            np.maximum.at(b, np.searchsorted(s, np.concatenate((taus, peak_taus[mine]))),
+                          np.concatenate((vals[:, i], -peak_vals[mine])))
+    return [np.maximum.accumulate(b[:-1]) for b in bins]
 
 
-def _moduli(dec: SpectralDecomposition, c, e: int, s_values, m: int) -> np.ndarray:
-    """``Omega_m(f, s)`` at each of the ``s_values``, any order, from the coefficients ``c 2^e``."""
+def _moduli(dec: SpectralDecomposition, c, e, s_values, m: int) -> np.ndarray:
+    """``Omega_m(f_i, s)``, any ``m``, at ``s_values`` (broadcast) of each row ``c_i 2^{e_i}``."""
+    c = np.asarray(c)
     s_values = np.asarray(s_values, dtype=np.float64)
     bad = ~(np.isfinite(s_values) & (s_values >= 0.0))
     if np.any(bad):
         raise InvalidParamsError(f"s must be finite and >= 0, got {s_values[bad][0]}")
     if not (_is_int(m) and m >= 0):
         raise InvalidParamsError(f"difference order m must be an integer >= 0, got {m!r}")
-    mag2, e = _scaled_mag2(c, e)
-    if m == 0:
-        return np.full(s_values.shape, math.ldexp(math.sqrt(float(np.sum(mag2))), e))
-    if not np.any(mag2 > 0.0) or not np.any(s_values > 0.0) or dec.lambda_max == 0.0:
-        return np.zeros(s_values.shape)
-    order = np.argsort(s_values)
-    omega = np.empty(s_values.shape)
-    omega[order] = _running_modulus(dec.eigenvalues, mag2, s_values[order], m)
-    return np.ldexp(omega, e)
+    shape = c.shape[:-1] + s_values.shape[-1:]
+    s_values = np.broadcast_to(s_values, shape).reshape(-1, shape[-1])
+    mag2, e = _scaled_mag2(c.reshape(-1, c.shape[-1]), np.reshape(e, -1))
+    omega = np.zeros(s_values.shape) + (np.sqrt(np.sum(mag2, axis=-1))[:, None] if m == 0 else 0)
+    live = np.any(mag2 > 0.0, axis=-1) & np.any(s_values > 0.0, axis=-1)
+    if m > 0 and dec.lambda_max > 0.0 and np.any(live):
+        order = np.argsort(s_values[live], axis=-1)
+        scans = _running_modulus(dec.eigenvalues, mag2[live],
+                                 list(np.take_along_axis(s_values[live], order, axis=-1)), m)
+        omega[live] = np.take_along_axis(np.array(scans), np.argsort(order, axis=-1), axis=-1)
+    return np.ldexp(omega, e[:, None]).reshape(shape)
 
 
 def modulus(dec: SpectralDecomposition, f, s: float, m: int) -> float:
@@ -254,20 +269,37 @@ def _safe_ratio(num: float, den: float, scale: float) -> float:
 def modulus_inequality_checks(dec: SpectralDecomposition, f, s: float,
                               a_scale: float, m: int, k: int) -> ModulusInequalityReport:
     """Measure the power-transfer and scale-doubling modulus inequalities."""
-    if not 0 <= k <= m:
-        raise InvalidParamsError(f"need 0 <= k <= m, got k={k}, m={m}")
-    if a_scale <= 0.0:
-        raise InvalidParamsError("a_scale must be positive")
-    v, c, e = _coefficients(dec, f)
-    norm_f = _norm(v, e)
+    return _modulus_inequality_reports(dec, [f], [s], [a_scale], [m], [k])[0]
 
-    lhs, lhs_scale = (float(x) for x in _moduli(dec, c, e, [s, a_scale * s], m))
-    # at k = 0 the right side is Omega_m(f, s) itself: reuse it, no second scan
-    dk_c = _power_coefficients(dec, c, k)
-    rhs = s ** k * float(_moduli(dec, dk_c, e, [s], m - k)[0]) if k else lhs
-    rhs_scale = ((1.0 + a_scale) ** m) * lhs
-    return ModulusInequalityReport(ratio_power=_safe_ratio(lhs, rhs, norm_f),
-                                   ratio_scale=_safe_ratio(lhs_scale, rhs_scale, norm_f))
+
+def _modulus_inequality_reports(dec: SpectralDecomposition, vectors, s_values, a_scales,
+                                orders, powers) -> list:
+    """:func:`modulus_inequality_checks` of every trial ``(f, s, a_scale, m, k)`` of the columns.
+
+    One shift scan per order ``m`` gives ``Omega_m(f, s)`` and ``Omega_m(f, a s)``, one per
+    order ``m - k`` gives ``Omega_{m-k}(D^k f, s)``; at ``k = 0`` that is ``Omega_m(f, s)``.
+    """
+    for m, k, a_scale in zip(orders, powers, a_scales):
+        if not 0 <= k <= m:
+            raise InvalidParamsError(f"need 0 <= k <= m, got k={k}, m={m}")
+        if a_scale <= 0.0:
+            raise InvalidParamsError("a_scale must be positive")
+    fcs, c, e = _coefficient_block(dec, vectors)
+    lhs = np.empty((len(fcs), 2))
+    for m in set(orders):
+        rows = [i for i, m_i in enumerate(orders) if m_i == m]
+        lhs[rows] = _moduli(dec, c[rows], e[rows],
+                            [[s_values[i], a_scales[i] * s_values[i]] for i in rows], m)
+    rhs = lhs[:, 0].copy()
+    for j in {m - k for m, k in zip(orders, powers) if k}:
+        rows = [i for i, (m, k) in enumerate(zip(orders, powers)) if k and m - k == j]
+        dk_c = np.array([_power_coefficients(dec, c[i], powers[i]) for i in rows])
+        moduli = _moduli(dec, dk_c, e[rows], [[s_values[i]] for i in rows], j)[:, 0].tolist()
+        rhs[rows] = [s_values[i] ** powers[i] * x for i, x in zip(rows, moduli)]
+    return [ModulusInequalityReport(ratio_power=_safe_ratio(left, right, norm),
+                                    ratio_scale=_safe_ratio(left_a, (1.0 + a_i) ** m * left, norm))
+            for (left, left_a), right, norm, a_i, m in zip(lhs.tolist(), rhs.tolist(), [
+                _norm(v, e_i) for v, _, e_i in fcs], a_scales, orders)]
 
 
 # -- step-function machinery for the approximation norms ----------------------
@@ -325,39 +357,38 @@ def _besov_norms(dec: SpectralDecomposition, vectors, params_list,
                  domain_norm: str = "seminorm") -> np.ndarray:
     """:func:`besov_norm` of every vector (rows) for every ``BesovParams`` (columns).
 
-    One pass per vector (see the module notes); the t-grid is built once per
-    ``r``.  A ``k_functional`` column measures ``K`` in ``domain_norm``, as
-    :func:`k_besov_norm` does.
+    One pass per vector and one K path per ``r`` and seminorm per ``(alpha, r)`` for the
+    whole block (see the module notes).  A ``k_functional`` column measures ``K`` in
+    ``domain_norm``, as :func:`k_besov_norm` does.
     """
     nodes = _step_nodes(dec)
     lam_max = dec.lambda_max
-    t_grids = {}
-    for p in params_list:
-        if p.flavor == "k_functional" and lam_max > 0.0 and p.r not in t_grids:
-            u = np.linspace(math.log(1e-6 / lam_max ** p.r), math.log(1e6), _K_GRID_POINTS)
-            # scalar exp: array exp may differ in the last bit
-            t_grids[p.r] = u, [math.exp(ui) for ui in u]
+    fcs, c, e = _coefficient_block(dec, vectors)
+
+    @functools.cache
+    def k_values(r):
+        """``u = log t`` on the t-grid of order ``r`` (from 1e-6 if lambda_max = 0) and ``K(t)``."""
+        u = np.linspace(math.log(1e-6 / (lam_max ** r if lam_max > 0.0 else 1.0)),
+                        math.log(1e6), _K_GRID_POINTS)
+        # scalar exp: array exp may differ in the last bit
+        return u, _k_functional_values(dec, c, e, [math.exp(ui) for ui in u], r, domain_norm)
+
+    seminorm = functools.cache(lambda alpha, r: _seminorm_sup(dec, c, e, alpha, 0, r))
     table = np.empty((len(vectors), len(params_list)))
-    for row, f in zip(table, vectors):
-        v, c, e = fc = _coefficients(dec, f)
-        norm_f = _norm(v, e)
-        # this vector's spectral data, each piece computed on first use
+    for i, (row, fc) in enumerate(zip(table, fcs)):
+        norm_f = _norm(fc[0], fc[2])
+        # this vector's distances, each computed on first use
         step = functools.cache(lambda route: _distances(dec, fc, nodes[:-1], route))
         edges = functools.cache(lambda route, a: _edge_distances(dec, fc, a, route))
-        k_values = functools.cache(
-            lambda r: _k_functional_values(dec, c, e, t_grids[r][1], r, domain_norm))
-        seminorm = functools.cache(lambda alpha, r: _seminorm_sup(dec, c, e, alpha, 0, r))
         for j, p in enumerate(params_list):
             route = "E" if p.flavor.endswith("_E") else "R"
             if p.flavor == "modulus":
-                tail = seminorm(p.alpha, p.r)
+                tail = float(seminorm(p.alpha, p.r)[i])
             elif p.flavor == "k_functional":
-                tail = 0.0  # with f = 0 or D = 0, K(t, f) = 0: take g = f
-                if norm_f > 0.0 and lam_max > 0.0:
-                    (u, _), (k_vals, d) = t_grids[p.r], k_values(p.r)
-                    scaled = np.exp(-(p.alpha / p.r) * u) * k_vals
-                    tail = math.ldexp(float(np.max(scaled)) if p.is_sup else
-                                      float(np.trapezoid(scaled ** p.q, u)) ** (1.0 / p.q), d)
+                u, (k_vals, d) = k_values(p.r)
+                scaled = np.exp(-(p.alpha / p.r) * u) * k_vals[i]
+                tail = math.ldexp(float(np.max(scaled)) if p.is_sup else
+                                  float(np.trapezoid(scaled ** p.q, u)) ** (1.0 / p.q), int(d[i]))
             elif p.flavor.startswith("integral"):
                 tail = _integral_norm(nodes, step(route), p.alpha, p.q)
             else:
@@ -378,22 +409,22 @@ _K_NEWTON_STEPS = 4
 _K_GRID_POINTS = 200
 
 
-def _k_functional_values(dec: SpectralDecomposition, c, e: int, ts, r: int,
+def _k_functional_values(dec: SpectralDecomposition, c, e, ts, r: int,
                          domain_norm: str) -> tuple:
-    """``(K(t) 2^-d, d)`` for every ``t`` in ``ts``: the lower envelope along the Tikhonov path.
+    """``(K_i(t) 2^-d_i, d)`` for every ``t`` in ``ts``: the lower envelope along the Tikhonov path.
 
-    From the coefficients ``c 2^e`` of ``f``, ``A(s)`` and ``B(s)`` are
+    From the coefficient rows ``c_i 2^{e_i}``, ``A(s)`` and ``B(s)`` are
     evaluated once on a log-s grid over ``[1e-12 / max w, 1e12 / min w]``
-    (``w > 0``) and ``min_s A + t B`` is taken for all ``t`` in one
-    broadcast minimum.  With ``u = log s`` and ``x = s w``,
+    (``w > 0``, so every row shares it) and ``min_s A + t B`` is taken for
+    all ``t`` in one broadcast minimum.  With ``u = log s`` and ``x = s w``,
     ``dA^2/du = 2 sum |c|^2 x^2 / (1+x)^3 = -s dB^2/du``, so ``A + t B``
     is stationary where ``g(u) = u + log(B / A) = log t``, and ``g``
-    increases (the frontier is convex).  Each ``t`` is bracketed on the
-    grid values of ``g`` and refined by ``_K_NEWTON_STEPS`` clipped Newton
-    steps; a ``t`` outside their range has its minimum at a path endpoint,
-    ``g = f`` or ``g = projection onto ker W``, both candidates for every
-    ``t``.  Only coefficients outside ``ker W`` enter, scaled by ``2^-d``
-    (see ``_scaled_mag2``).
+    increases (the frontier is convex).  Each ``(row, t)`` is bracketed on
+    its grid values of ``g`` and refined by ``_K_NEWTON_STEPS`` clipped
+    Newton steps; a ``t`` outside their range has its minimum at a path
+    endpoint, ``g = f`` or ``g = projection onto ker W``, both candidates
+    for every ``t``.  Only coefficients outside ``ker W`` enter, each row
+    scaled by ``2^-d_i`` (see ``_scaled_mag2``).
     """
     ts = np.asarray(ts, dtype=np.float64)
     if not np.all(ts > 0.0):
@@ -404,45 +435,50 @@ def _k_functional_values(dec: SpectralDecomposition, c, e: int, ts, r: int,
         raise InvalidParamsError(f"unknown domain_norm {domain_norm!r}")
     lam2r = dec.eigenvalues ** (2 * r)
     w = lam2r if domain_norm == "seminorm" else 1.0 + lam2r
-    mag2, e = _scaled_mag2(np.where(w > 0.0, c, 0.0), e)
-    if not np.any(mag2 > 0.0):
-        return np.zeros(ts.shape), 0  # f in ker W: K(t) = 0 at g = f
-    mag2_w = mag2 * w
+    mag2, d = _scaled_mag2(np.where(w > 0.0, c, 0.0), e)
+    live = np.any(mag2 > 0.0, axis=-1)
+    k_vals, d = np.zeros((len(mag2), ts.size)), np.where(live, d, 0)
+    if not np.any(live):
+        return k_vals, d  # f in ker W: K(t) = 0 at g = f
+    mag2 = mag2[live]
 
-    def path(log_s):
+    def path(log_s, mag2):
         """``A``, ``B`` and ``P = sum |c|^2 x^2 / (1+x)^3`` at each ``s = exp(log_s)``."""
-        sw = np.exp(log_s)[:, None] * w
+        sw = np.multiply.outer(np.exp(log_s), w)
         one_sw = 1.0 + sw
         a_terms = mag2 * (sw / one_sw) ** 2
-        b2 = np.sum(mag2_w / one_sw ** 2, axis=-1)
+        b2 = np.sum(mag2 * w / one_sw ** 2, axis=-1)
         return np.sqrt(np.sum(a_terms, axis=-1)), np.sqrt(b2), np.sum(a_terms / one_sw, axis=-1)
 
     # endpoints of the path: g = f (s -> 0) and g = projection onto ker W
-    k_vals = np.minimum(ts * math.sqrt(float(np.sum(mag2_w))),
-                        math.sqrt(float(np.sum(mag2[w > 0.0]))))
+    values = np.minimum(ts * np.sqrt(np.sum(mag2 * w, axis=-1))[:, None],
+                        np.sqrt(np.sum(mag2.compress(w > 0.0, axis=-1), axis=-1))[:, None])
     w_pos = w[w > 0.0]
     lo = math.log(1e-12 / float(w_pos.max()))
     hi = math.log(1e12 / float(w_pos.min()))
     u = np.linspace(lo, hi, math.ceil(_PATH_GRID_DENSITY * (hi - lo)) + 1)
-    a_u, b_u, _ = path(u)
-    k_vals = np.minimum(k_vals, np.min(a_u + ts[:, None] * b_u, axis=1))
-
+    a_u, b_u, _ = path(u, mag2[:, None])  # rows x grid
     g_u = u + np.log(b_u / a_u)
-    j = np.searchsorted(g_u, np.log(ts))
-    inside = (j > 0) & (j < u.size)
-    j, t_in, log_t = j[inside], ts[inside], np.log(ts[inside])
+    log_ts = np.log(ts)
+    # row by row: a rows x t x grid block would be large
+    values = np.minimum(values, [np.min(a + ts[:, None] * b, axis=1) for a, b in zip(a_u, b_u)])
+    j = np.array([np.searchsorted(g, log_ts) for g in g_u])
+    row, col = np.nonzero((j > 0) & (j < u.size))
+    j, t_in, log_t = j[row, col], ts[col], log_ts[col]
 
     def line(log_s):
         """``A + t B``, ``g - log t`` and ``dg/du = 1 - P / A^2 - P / (s B^2)``."""
-        a, b, p = path(log_s)
+        a, b, p = path(log_s, mag2[row])
         return (a + t_in * b, log_s + np.log(b / a) - log_t,
                 1.0 - p / a ** 2 - p / (np.exp(log_s) * b ** 2))
 
     # secant start inside each bracket g(u[j-1]) < log t <= g(u[j])
-    start = u[j - 1] + (log_t - g_u[j - 1]) / (g_u[j] - g_u[j - 1]) * (u[j] - u[j - 1])
+    g_lo, g_hi = g_u[row, j - 1], g_u[row, j]  # the bracket of each (row, t)
+    start = u[j - 1] + (log_t - g_lo) / (g_hi - g_lo) * (u[j] - u[j - 1])
     _, refined = _clipped_newton(line, start, u[j - 1], u[j], _K_NEWTON_STEPS)
-    k_vals[inside] = np.minimum(k_vals[inside], refined)
-    return k_vals, e
+    values[row, col] = np.minimum(values[row, col], refined)
+    k_vals[live] = values
+    return k_vals, d
 
 
 def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
@@ -455,8 +491,8 @@ def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
     norm ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.
     """
     _, c, e = _coefficients(dec, f)
-    values, e = _k_functional_values(dec, c, e, [t], r, domain_norm)
-    return math.ldexp(float(values[0]), e)
+    values, d = _k_functional_values(dec, c[None], [e], [t], r, domain_norm)
+    return math.ldexp(float(values[0, 0]), int(d[0]))
 
 
 def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
@@ -465,7 +501,8 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
 
     ``||f|| + (integral of (t^{-alpha/r} K(t, f))^q dt/t)^{1/q}`` by
     trapezoidal quadrature on a ``_K_GRID_POINTS`` (200) point log grid
-    ``t in [1e-6 / lambda_max^r, 1e6]``.  Outside the grid
+    ``t in [1e-6 / lambda_max^r, 1e6]``, or ``[1e-6, 1e6]`` on the spectrum
+    {0}, where ``W = I`` for the graph norm.  Outside the grid
     ``K(t, f) <= min(||f||-type, t ||D^r f||)`` makes the tails negligible.
     ``K`` is evaluated for all grid ``t`` in one pass (see
     :func:`k_functional`) and integrated in units of a power of two, so no
@@ -503,33 +540,34 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
     :data:`MAX_SCAN_ENTRIES` raises :class:`InvalidParamsError`.
     """
     _, c, e = _coefficients(dec, f)
-    return _seminorm_sup(dec, c, e, alpha, n, r)
+    return float(_seminorm_sup(dec, c[None], [e], alpha, n, r)[0])
 
 
-def _seminorm_sup(dec: SpectralDecomposition, c, e: int, alpha: float, n: int, r: int) -> float:
-    """:func:`besov_seminorm_sup` from the coefficients ``c 2^e`` of ``f``."""
+def _seminorm_sup(dec: SpectralDecomposition, c, e, alpha: float, n: int, r: int) -> np.ndarray:
+    """:func:`besov_seminorm_sup` of every row ``c_i 2^{e_i}`` of a block, from one shift scan."""
     if n < 0 or r < 1:
         raise InvalidParamsError("need n >= 0 and r >= 1")
     if not (alpha > n):
         raise InvalidOrderError(f"need alpha > n, got alpha={alpha}, n={n}")
     mag2, e = _scaled_mag2(_power_coefficients(dec, c, n), e)
-    if not np.any(mag2 > 0.0):
-        return 0.0
-    lam_max = dec.lambda_max
+    live, sup = np.any(mag2 > 0.0, axis=-1), np.zeros(len(mag2))
     lam_min_pos = dec.min_positive_eigenvalue
-    if lam_min_pos == 0.0:
-        return 0.0  # spectrum is {0}: the group is trivial, all differences vanish
-    hi = 100.0 / lam_min_pos
-    s_grid = np.exp(np.linspace(math.log(0.01 / lam_max), math.log(hi),
+    if lam_min_pos == 0.0 or not np.any(live):
+        return sup  # f = 0, or the spectrum is {0}: the group is trivial, all differences vanish
+    mag2 = mag2[live]
+    s_grid = np.exp(np.linspace(math.log(0.01 / dec.lambda_max), math.log(100.0 / lam_min_pos),
                                 _SEMINORM_GRID_POINTS))
     # scalar powers, bit for bit the per-s weights of the definition
     weights = np.array([s ** (n - alpha) for s in s_grid])
-    floor = float(np.max(weights * _difference_norms(dec.eigenvalues, mag2, s_grid, r)))
-    cap = 2.0 ** r * math.sqrt(float(np.sum(mag2)))
+    floor = np.max(weights * _difference_norms(dec.eigenvalues, mag2, s_grid[:, None], r).T,
+                   axis=-1)
+    cap = 2.0 ** r * np.sqrt(np.sum(mag2, axis=-1))
     # the relative margin keeps rounding in the two sides from dropping a live s
-    live = int(np.flatnonzero(weights * cap >= floor * (1.0 - 1e-9))[-1]) + 1
-    omega = _running_modulus(dec.eigenvalues, mag2, s_grid[:live], r)
-    return math.ldexp(float(np.max(weights[:live] * omega)), e)
+    ends = [int(np.flatnonzero(weights * cap_i >= floor_i * (1.0 - 1e-9))[-1]) + 1
+            for cap_i, floor_i in zip(cap, floor)]
+    omega = _running_modulus(dec.eigenvalues, mag2, [s_grid[:end] for end in ends], r)
+    sup[live] = np.ldexp([np.max(weights[:end] * row) for end, row in zip(ends, omega)], e[live])
+    return sup
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,17 +579,21 @@ class LemmaReport:
     ratio: float
 
 
-def _lemma_reports(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> tuple:
-    """The reports of :func:`lemma1_check` and :func:`lemma2_check`, from one transform of ``f``."""
+def _lemma_reports(dec: SpectralDecomposition, vectors, alpha: float, n: int, r: int) -> list:
+    """The reports of :func:`lemma1_check` and :func:`lemma2_check` of every vector, one scan."""
     if not (alpha - n > 0.0 and r > alpha - n):
         raise InvalidOrderError(f"need r > alpha - n > 0, got alpha={alpha}, n={n}, r={r}")
-    v, c, e = fc = _coefficients(dec, f)
+    fcs, c, e = _coefficient_block(dec, vectors)
     nodes = _step_nodes(dec)
-    sup_e = _integral_norm(nodes, _distances(dec, fc, nodes[:-1], "E"), alpha, math.inf)
-    seminorm, norm_f = _seminorm_sup(dec, c, e, alpha, n, r), _norm(v, e)
-    rhs = norm_f + sup_e
-    return (LemmaReport(lhs=sup_e, rhs=seminorm, ratio=_safe_ratio(sup_e, seminorm, norm_f)),
-            LemmaReport(lhs=seminorm, rhs=rhs, ratio=_safe_ratio(seminorm, rhs, norm_f)))
+    reports = []
+    for fc, seminorm in zip(fcs, _seminorm_sup(dec, c, e, alpha, n, r).tolist()):
+        sup_e = _integral_norm(nodes, _distances(dec, fc, nodes[:-1], "E"), alpha, math.inf)
+        norm_f = _norm(fc[0], fc[2])
+        reports.append((
+            LemmaReport(lhs=sup_e, rhs=seminorm, ratio=_safe_ratio(sup_e, seminorm, norm_f)),
+            LemmaReport(lhs=seminorm, rhs=norm_f + sup_e,
+                        ratio=_safe_ratio(seminorm, norm_f + sup_e, norm_f))))
+    return reports
 
 
 def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
@@ -561,9 +603,9 @@ def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
     the seminorm; the returned ratio is that empirical constant, 0 when
     both sides vanish.
     """
-    return _lemma_reports(dec, f, alpha, n, r)[0]
+    return _lemma_reports(dec, [f], alpha, n, r)[0][0]
 
 
 def lemma2_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
     """Measure the modulus seminorm against ``||f|| + sup_s s^alpha E(f, s)``."""
-    return _lemma_reports(dec, f, alpha, n, r)[1]
+    return _lemma_reports(dec, [f], alpha, n, r)[0][1]

@@ -73,3 +73,9 @@ def q_symbols(monkeypatch):
 def k_functionals(monkeypatch):
     """The ``smoothness._k_functional_values`` calls, counted as in ``_count_calls``."""
     return _count_calls(monkeypatch, smoothness._k_functional_values)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The ``smoothness._running_modulus`` calls (shift scans), counted as in ``_count_calls``."""
+    return _count_calls(monkeypatch, smoothness._running_modulus)

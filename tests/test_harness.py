@@ -143,9 +143,9 @@ class TestSuite:
 
     def test_an_inf_ratio_fails_its_record(self, monkeypatch):
         # a bound that vanishes under a nonzero left side is a violation, not a skip
-        measure = sm.modulus_inequality_checks
-        monkeypatch.setattr(sm, "modulus_inequality_checks",
-                            lambda *args: replace(measure(*args), ratio_scale=math.inf))
+        measure = sm._modulus_inequality_reports
+        monkeypatch.setattr(sm, "_modulus_inequality_reports", lambda *args: [
+            replace(rep, ratio_scale=math.inf) for rep in measure(*args)])
         report = run_suite(OperatorSpec(builtin="cycle"), count=3, seed=1, sizes=(8,),
                            checks=["modulus_inequalities"])
         [record] = report.records

@@ -266,6 +266,20 @@ class TestKBesovNorm:
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
         assert ratios.max() / ratios.min() < 100.0
 
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    def test_graph_norm_on_the_spectrum_zero(self, q):
+        # lambda_max = 0: W = I, so K(t) = min(t, 1) ||f|| is not 0, and the t-grid
+        # [1e-6 / lambda_max^r, 1e6] starts at 1e-6
+        dec = eigh(SymmetricOperator(np.diag([0.0, 0.0]), kind=RAW_D))
+        f = np.array([3.0, 4.0])
+        params = BesovParams(alpha=0.5, q=q, r=1, flavor="k_functional")
+        u = np.linspace(math.log(1e-6), math.log(1e6), 200)
+        scaled = np.exp(-0.5 * u) * [k_functional(dec, f, math.exp(ui), 1, "graph") for ui in u]
+        tail = float(np.max(scaled) if q == math.inf else np.trapezoid(scaled ** q, u) ** (1 / q))
+        assert tail > 1.0
+        assert math.isclose(k_besov_norm(dec, f, params, "graph"), 5.0 + tail, rel_tol=1e-12)
+        assert k_besov_norm(dec, f, params) == 5.0  # seminorm: W = 0, so K(t) = 0
+
 
 class TestSeminormSup:
     def test_zero_vector(self, diag_dec):

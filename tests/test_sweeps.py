@@ -1,4 +1,5 @@
-"""Parameter sweeps in one pass per vector, bit for bit against the per-call functions.
+"""Parameter sweeps in one pass per vector and blocks of vectors, bit for bit against the
+per-call functions.
 
 ``smoothness._besov_norms`` computes each vector's spectral data once and
 reads every ``(alpha, q, flavor)`` off it; ``decomposition._equivalence_ratios``
@@ -8,6 +9,11 @@ operator family, for the zero vector and at scales 1e+-150.  Since the
 public norms are the table's one-by-one calls, each column is also rebuilt
 from the per-omega ``best_approx`` or ``spectral_tail`` calls of its own
 route and base.
+
+The shift scan, the K path and the seminorm take a block of vectors
+(``_moduli``, ``_k_functional_values``, ``_seminorm_sup``); every row of a
+block equals the same helper called with that row alone, 0 ulp, and so
+does every composite check built on them.
 """
 
 import math
@@ -22,16 +28,33 @@ from bandapprox import (
     besov_norm,
     besov_seminorm_sup,
     best_approx,
+    build_kernel,
     eigh,
     equivalence_report,
+    jackson_check,
     k_besov_norm,
+    k_functional,
+    lemma1_check,
+    lemma2_check,
+    modulus_inequality_checks,
     spectral_tail,
 )
+from bandapprox.approx_operators import _jackson_reports
 from bandapprox.decomposition import _equivalence_ratios
 from bandapprox.harness import build_operator, load_edge_list, parse_operator_arg
-from bandapprox.operators import _norm
+from bandapprox.operators import _coefficient_block, _norm
 from bandapprox.paley_wiener import _band_powers, _step_nodes, band_count
-from bandapprox.smoothness import BESOV_FLAVORS, _besov_norms, _discrete_norm, _integral_norm
+from bandapprox.smoothness import (
+    BESOV_FLAVORS,
+    _besov_norms,
+    _discrete_norm,
+    _integral_norm,
+    _k_functional_values,
+    _lemma_reports,
+    _moduli,
+    _modulus_inequality_reports,
+    _seminorm_sup,
+)
 from conftest import random_vector
 
 #: cycle, path, random PSD, raw_D with eigenvalues on the base-2 band edges, N = 1,
@@ -111,3 +134,66 @@ def test_equivalence_ratios_match_equivalence_report(dec, rng, a):
     for column, (alpha, q) in zip(ratios.T, combos):
         np.testing.assert_array_equal(column, equivalence_report(dec, vectors, alpha, q, a).ratios)
 
+
+
+def _shifts(dec):
+    """Per-row shifts: unsorted, with a repeat and s = 0, and a different largest s per row."""
+    top = dec.lambda_max or 1.0
+    low = dec.min_positive_eigenvalue or 1.0
+    base = [1.0 / low, 0.3 / top, 0.0, 4.0 / top, 0.3 / top, 2.5 / low, 0.05 / top]
+    return np.array([[s * (1.0 + 0.37 * i) for s in base] for i in range(4)])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_scan_block_rows_match_one_row_scans(dec, rng, m):
+    fcs, c, e = _coefficient_block(dec, _vectors(rng, dec.dim))
+    s_values = _shifts(dec)
+    block = _moduli(dec, c, e, s_values, m)
+    assert block.shape == s_values.shape
+    for c_i, e_i, s_i, row in zip(c, e, s_values, block):
+        np.testing.assert_array_equal(row, _moduli(dec, c_i, e_i, s_i, m))
+    # one s axis broadcast against every row, as the Jackson chain passes it
+    shared = _moduli(dec, c, e, s_values[1], m)
+    for (_, c_i, e_i), row in zip(fcs, shared):
+        np.testing.assert_array_equal(row, _moduli(dec, c_i, e_i, s_values[1], m))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("domain_norm", ["seminorm", "graph"])
+def test_k_path_block_rows_match_one_row_paths(dec, rng, r, domain_norm):
+    vectors = _vectors(rng, dec.dim)
+    _, c, e = _coefficient_block(dec, vectors)
+    ts = np.exp(np.linspace(math.log(1e-9), math.log(1e9), 37))
+    values, d = _k_functional_values(dec, c, e, ts, r, domain_norm)
+    for f, c_i, e_i, row, d_i in zip(vectors, c, e, values, d):
+        one, d_one = _k_functional_values(dec, c_i[None], [e_i], ts, r, domain_norm)
+        np.testing.assert_array_equal(row, one[0])
+        assert d_i == d_one[0]
+        for t, value in zip(ts[::9], row[::9]):
+            assert math.ldexp(value, int(d_i)) == k_functional(dec, f, t, r, domain_norm)
+
+
+@pytest.mark.parametrize("alpha,n,r", [(1.5, 1, 2), (0.8, 0, 2), (0.5, 0, 1)])
+def test_seminorm_block_rows_match_besov_seminorm_sup(dec, rng, alpha, n, r):
+    vectors = _vectors(rng, dec.dim)
+    _, c, e = _coefficient_block(dec, vectors)
+    expected = [besov_seminorm_sup(dec, f, alpha, n, r) for f in vectors]
+    np.testing.assert_array_equal(_seminorm_sup(dec, c, e, alpha, n, r), expected)
+
+
+def test_composite_checks_match_their_one_vector_calls(dec, rng):
+    vectors = _vectors(rng, dec.dim)
+    trials = [(f, s, a, m, k) for f, s, a, (m, k)
+              in zip(vectors * 3, [0.4, 2.0, 7.5] * 4, [0.5, 3.0] * 6,
+                     [(1, 0), (1, 1), (2, 1), (3, 1), (3, 2), (2, 2)] * 2)]
+    for rep, trial in zip(_modulus_inequality_reports(dec, *zip(*trials)), trials):
+        assert vars(rep) == vars(modulus_inequality_checks(dec, *trial))
+    for (rep1, rep2), f in zip(_lemma_reports(dec, vectors, 1.5, 1, 2), vectors):
+        assert vars(rep1) == vars(lemma1_check(dec, f, 1.5, 1, 2))
+        assert vars(rep2) == vars(lemma2_check(dec, f, 1.5, 1, 2))
+    if dec.lambda_max > 0.0:
+        omegas = [0.4 * dec.lambda_max, 1.3 * dec.lambda_max]
+        kernel = build_kernel(6, 2)
+        for f, row in zip(vectors, _jackson_reports(dec, vectors, omegas, 2, 1, kernel)):
+            assert [vars(rep) for rep in row] == [vars(jackson_check(dec, f, omega, 2, 1, kernel))
+                                                  for omega in omegas]

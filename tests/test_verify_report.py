@@ -40,9 +40,16 @@ PINNED = {
 #: growth bound and E = R check transformed it once per parameter or route)
 CYCLE8_SEED401_TRANSFORMS = 1460
 
-#: K-functional evaluations of the same run: one per vector and order r in the norm
-#: brackets, 11 vectors, 2 orders and 2 sizes (66 when each (alpha, q) evaluated its own)
-CYCLE8_SEED401_K_FUNCTIONALS = 44
+#: K-functional evaluations of the same run: one per order r and size in the norm
+#: brackets, for all 11 vectors at once (66 when each (alpha, q) evaluated its own, 44
+#: when each vector evaluated its own)
+CYCLE8_SEED401_K_FUNCTIONALS = 4
+
+#: shift scans of the same run, per size: one per order m and one per order m - k
+#: in the modulus inequalities, one per kernel combination in the Jackson chain and
+#: one in the lemma ratios, each for all its vectors at once (183 when each vector and
+#: trial scanned on its own)
+CYCLE8_SEED401_SCANS = 24
 
 #: Q symbols the same run evaluates: 30 in the Jackson chain, one per band edge, size
 #: and kernel combination, and 40 in ``q_operator``, one per ``q_apply`` (340 when the
@@ -88,3 +95,9 @@ def test_cycle8_seed401_k_functional_count(tmp_path, capsys, k_functionals):
     argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert len(k_functionals) <= CYCLE8_SEED401_K_FUNCTIONALS
+
+
+def test_cycle8_seed401_scan_count(tmp_path, capsys, scans):
+    argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert len(scans) <= CYCLE8_SEED401_SCANS
