@@ -32,6 +32,10 @@ class NonFiniteMultiplierError(BandApproxError):
     """Spectral multiplier evaluates to NaN/inf on the spectrum."""
 
 
+class InvalidSpectrumError(BandApproxError):
+    """Eigen-data are not finite, nonnegative, ascending eigenvalues with a square basis."""
+
+
 # -- Paley-Wiener -------------------------------------------------------------
 
 class NegativeOmegaError(BandApproxError):

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
+    InvalidSpectrumError,
     NonFiniteError,
     NonFiniteMultiplierError,
     NotPSDError,
@@ -218,6 +219,15 @@ class SpectralDecomposition:
             arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        lam = self.eigenvalues
+        if lam.ndim != 1 or self.eigenvectors.shape != (lam.size, lam.size):
+            raise InvalidSpectrumError(
+                f"need N eigenvalues and an N x N basis, got shapes {lam.shape} "
+                f"and {self.eigenvectors.shape}")
+        if not np.all(np.isfinite(lam)):
+            raise InvalidSpectrumError("eigenvalues have NaN or infinite entries")
+        if np.any(lam < 0.0) or np.any(np.diff(lam) < 0.0):
+            raise InvalidSpectrumError("eigenvalues must be nonnegative and ascending")
 
     @property
     def dim(self) -> int:

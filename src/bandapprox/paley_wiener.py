@@ -25,7 +25,6 @@ from .operators import (
     _basis_product,
     _coefficients,
     _is_int,
-    _norm,
     _scaled,
     _scaled_mag2,
     apply_multiplier,
@@ -156,10 +155,15 @@ def spectral_tail(dec: SpectralDecomposition, f, omega) -> float:
     return float(_distances(dec, _coefficients(dec, f), [_omega_value(omega)], "R")[0])
 
 
-def _in_pw(dec: SpectralDecomposition, fc, omega: float) -> bool:
-    """Whether ``f`` lies in PW_omega: tail above omega at most ``BANDLIMITED_TOL ||f||``."""
+def _in_pw(dec: SpectralDecomposition, fc, omega: float, norm_v=None) -> bool:
+    """Whether ``f`` lies in PW_omega: tail above omega at most ``BANDLIMITED_TOL ||f||``.
+
+    ``norm_v`` is ``||v||`` of ``fc = (v, c, e)`` when the caller has it already.
+    """
     v, c, _ = fc
-    return np.linalg.norm(c[dec.eigenvalues > omega]) <= BANDLIMITED_TOL * np.linalg.norm(v)
+    if norm_v is None:
+        norm_v = np.linalg.norm(v)
+    return np.linalg.norm(c[dec.eigenvalues > omega]) <= BANDLIMITED_TOL * norm_v
 
 
 def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
@@ -222,34 +226,49 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     raises :class:`NotBandlimitedError`.  Every ``s`` must be finite and ``>= 0``.
     ``||D^s f||`` sums over ``lambda <= omega`` only, the part the inequality bounds:
     the admitted tail, round-off of a projection, would grow like ``(lambda_max/omega)^s``.
+    The ratio is taken at the scale of ``f``, so it is finite wherever ``f`` is.
     """
-    w = _omega_value(omega)
+    return _bernstein_reports(dec, [f], [omega], s_list)[0]
+
+
+def _bernstein_reports(dec: SpectralDecomposition, vectors, omegas, s_list) -> list:
+    """:func:`bernstein_check` of each vector at its own ``omega``, from one ``lambda^{2s}`` table.
+
+    Row ``i`` keeps ``lambda <= omegas[i]``, a prefix of the ascending spectrum.  Rows with
+    the same prefix share one elementwise product with the table and one last-axis sum per
+    ``s``, so a row's bits do not depend on its block.
+    """
+    ws = [_omega_value(w) for w in omegas]
     s_values = tuple(s_list)
     bad = [s for s in s_values if not 0.0 <= s < math.inf]
     if bad:
         raise InvalidParamsError(f"s must be finite and >= 0, got {bad[0]}")
-    v, c, e = fc = _coefficients(dec, f)
-    norm_f = _norm(v, e)
-    if norm_f == 0.0:
-        raise ZeroVectorError("Bernstein check needs a nonzero vector")
-    if not _in_pw(dec, fc, w):
-        raise NotBandlimitedError(f"vector has spectral mass above omega={w}")
-    inside = dec.eigenvalues <= w
-    mag2, e = _scaled_mag2(c[inside], e)
-    e = int(e)
-    ratios = []
-    for s in s_values:
-        power_norm = math.ldexp(
-            math.sqrt(float(np.sum(np.power(dec.eigenvalues[inside], 2.0 * s) * mag2))), e)
-        if w > 0.0:
-            ratios.append(power_norm / (w ** s * norm_f))
-        else:
-            # f in PW_0 means D^s f = 0 for s > 0; report 0 rather than 0/0
-            ratios.append(0.0 if s > 0 else 1.0)
-    ratios = np.array(ratios)
-    max_ratio = float(ratios.max()) if ratios.size else 0.0
-    return BernsteinReport(omega=w, s_values=s_values, ratios=ratios,
-                           max_ratio=max_ratio)
+    fcs = [_coefficients(dec, f) for f in vectors]
+    norms = [np.linalg.norm(v) for v, _, _ in fcs]  # ||f|| 2^-e
+    for fc, w, norm_v in zip(fcs, ws, norms):
+        if norm_v == 0.0:
+            raise ZeroVectorError("Bernstein check needs a nonzero vector")
+        if not _in_pw(dec, fc, w, norm_v):
+            raise NotBandlimitedError(f"vector has spectral mass above omega={w}")
+    groups = {}  # prefix length -> rows; None for omega = 0
+    ends = dec.eigenvalues.searchsorted(ws, side="right").tolist()
+    for row, (w, end) in enumerate(zip(ws, ends)):
+        groups.setdefault(end if w > 0.0 else None, []).append(row)
+    ratios = np.empty((len(ws), len(s_values)))
+    zero = groups.pop(None, None)
+    if zero:  # f in PW_0 means D^s f = 0 for s > 0; report 0 rather than 0/0
+        ratios[zero] = [0.0 if s > 0 else 1.0 for s in s_values]
+    lam = dec.eigenvalues[:max(groups, default=0)]
+    table = np.array([np.power(lam, 2.0 * s) for s in s_values]).reshape(len(s_values), lam.size)
+    for end, rows in groups.items():
+        mag2, d = _scaled_mag2(np.array([fcs[row][1][:end] for row in rows]))
+        sums = (mag2[:, None] * table[:, :end]).sum(axis=-1)
+        # omega^s ||f|| at the scale of c: the 2^e of f cancels from every ratio
+        bounds = np.array([[ws[row] ** s * norms[row] for s in s_values] for row in rows])
+        ratios[rows] = np.ldexp(np.sqrt(sums) / bounds, d[:, None])
+    # the ratios are nonnegative: the initial 0.0 only shows without any s
+    return [BernsteinReport(omega=w, s_values=s_values, ratios=row, max_ratio=float(top))
+            for w, row, top in zip(ws, ratios, ratios.max(axis=1, initial=0.0))]
 
 
 def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:

@@ -64,6 +64,12 @@ def transforms(monkeypatch):
 
 
 @pytest.fixture
+def syntheses(monkeypatch):
+    """The ``operators._synthesize`` calls (every ``phi(D) f``), counted as in ``_count_calls``."""
+    return _count_calls(monkeypatch, operators._synthesize)
+
+
+@pytest.fixture
 def q_symbols(monkeypatch):
     """The ``q_symbol`` calls, counted as in ``_count_calls``."""
     return _count_calls(monkeypatch, approx_operators.q_symbol)

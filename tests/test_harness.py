@@ -172,6 +172,17 @@ class TestSuite:
         value_solo = [r for r in solo.records if r.check == "plancherel"][0].value
         assert value_full == value_solo
 
+    def test_shared_corpus_transforms_do_not_depend_on_the_checks_run(self):
+        # the corpus transforms are made by whichever selected check reads them first
+        spec = OperatorSpec(builtin="cycle")
+        shared = {"plancherel": ("plancherel",), "e_equals_r": ("e_equals_r",),
+                  "bernstein": ("bernstein", "bernstein_equality"),
+                  "growth_bound": ("growth_bound",)}
+        full = run_suite(spec, count=12, seed=5, sizes=(8, 16), checks=list(shared))
+        for name, records in shared.items():
+            solo = run_suite(spec, count=12, seed=5, sizes=(8, 16), checks=[name])
+            assert solo.records == [r for r in full.records if r.check in records]
+
     def test_records_sorted_and_finite(self):
         report = run_suite(OperatorSpec(builtin="cycle"), count=10, seed=2, sizes=(8,),
                            checks=["plancherel", "e_equals_r", "q_operator"])
@@ -193,6 +204,49 @@ class TestSuite:
         spec = OperatorSpec(builtin="diagonal", spectrum=(1.0, 2.0, 5.0), kind="raw_D")
         report = run_suite(spec, count=5, seed=1, sizes=(8, 16), checks=["plancherel"])
         assert report.meta["sizes"] == [3]
+
+
+class TestVectorisedDraws:
+    """Some checks draw their parameters in one call.  Each call must return the values, and
+    leave the Generator in the state, of the scalar calls it replaced, for the Generator that
+    ``run_suite`` hands each check (PCG64 from a child of the run's ``SeedSequence``)."""
+
+    @pytest.fixture(params=[(401, "bernstein"), (5, "e_equals_r"), (7, "growth_bound")],
+                    ids=lambda p: f"seed{p[0]}-{p[1]}")
+    def pair(self, request):
+        seed, check = request.param
+        children = np.random.SeedSequence(seed).spawn(1 + len(harness.ALL_CHECKS))
+        child = children[1 + harness.CHECK_NAMES.index(check)]
+        return np.random.default_rng(child), np.random.default_rng(child)
+
+    @staticmethod
+    def _same_state(scalar, block):
+        assert scalar.bit_generator.state == block.bit_generator.state
+        assert scalar.uniform() == block.uniform()
+
+    @pytest.mark.parametrize("op", ["cycle:8", "cycle:16", "random:10:592"])
+    def test_band_choices(self, pair, op):
+        lam_pos = eigh(build_operator(parse_operator_arg(op))).eigenvalues
+        lam_pos = lam_pos[lam_pos > 0]
+        scalar, block = pair
+        assert [float(scalar.choice(lam_pos)) for _ in range(100)] == \
+            block.choice(lam_pos, size=100).tolist()
+        self._same_state(scalar, block)
+
+    @pytest.mark.parametrize("lambda_max", [2.0, 3.9231411216129217, 7.0])
+    def test_e_equals_r_omegas(self, pair, lambda_max):
+        scalar, block = pair
+        assert [float(scalar.uniform(0.0, 1.2 * lambda_max)) for _ in range(100)] == \
+            block.uniform(0.0, 1.2 * lambda_max, size=100).tolist()
+        self._same_state(scalar, block)
+
+    def test_growth_arguments(self, pair):
+        scalar, block = pair
+        for _ in range(5):
+            re, im = block.uniform(-2, 2, size=(20, 2)).T
+            assert [complex(scalar.uniform(-2, 2), scalar.uniform(-2, 2))
+                    for _ in range(20)] == (re + 1j * im).tolist()
+        self._same_state(scalar, block)
 
 
 class TestReports:

@@ -11,9 +11,11 @@ from bandapprox import (
     RAW_L,
     DimensionMismatchError,
     InvalidParamsError,
+    InvalidSpectrumError,
     NonFiniteError,
     NotPSDError,
     NotSymmetricError,
+    SpectralDecomposition,
     SymmetricOperator,
     apply_multiplier,
     best_approx,
@@ -98,6 +100,27 @@ class TestEigh:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParamsError):
             SymmetricOperator(np.eye(2), kind="raw_X")
+
+    @pytest.mark.parametrize("eigenvalues, eigenvectors", [
+        ([2.0, 1.0, 0.0], np.eye(3)),        # descending: lambda_max would read 0.0
+        ([0.0, 2.0, 1.0], np.eye(3)),        # not ascending
+        ([0.0, math.nan, 1.0], np.eye(3)),
+        ([0.0, 1.0, math.inf], np.eye(3)),
+        ([-1.0, 0.0, 1.0], np.eye(3)),
+        ([0.0, 1.0, 2.0], np.eye(2)),
+        ([0.0, 1.0, 2.0], np.ones((3, 2))),
+        ([[0.0, 1.0]], np.eye(2)),
+    ])
+    def test_malformed_spectrum_rejected(self, eigenvalues, eigenvectors):
+        # the descending case used to give lambda_max 0.0 and best_approx(ones(3), 1.5) = 1.0
+        with pytest.raises(InvalidSpectrumError):
+            SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors, groups=())
+
+    def test_well_formed_spectrum_accepted(self):
+        dec = SpectralDecomposition(eigenvalues=[0.0, 1.0, 1.0, 2.0], eigenvectors=np.eye(4),
+                                    groups=((0,), (1, 2), (3,)))
+        assert dec.lambda_max == 2.0
+        assert best_approx(dec, np.ones(4), 1.5) == 1.0
 
     def test_degeneracy_grouping_tolerance(self):
         dec = eigh(SymmetricOperator(np.diag([1.0, 1.0 + 1e-12, 2.0]), kind=RAW_D))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bandapprox import (
+    RAW_D,
     BesovParams,
     NonFiniteError,
     RieszConfig,
@@ -33,6 +34,7 @@ from bandapprox import (
     riesz_apply,
     riesz_identity_check,
     spectral_tail,
+    SymmetricOperator,
     sup_scaled_best_approx,
     synthesis_check,
 )
@@ -91,6 +93,20 @@ def test_ratios_scale_invariant(cycle16_dec, rng, scale):
     # a residual relative to ||f||, near 1e-8 at this truncation: compared absolutely
     residuals = [riesz_identity_check(dec, h, 1.5, power=2).residual for h in (scale * g, g)]
     assert abs(residuals[0] - residuals[1]) <= TOL
+
+
+def test_bernstein_ratio_beyond_the_largest_double():
+    # ||D^7 f|| of 1e303 f is near 7^7 1e303; the ratio is taken at the scale of f, where
+    # it was the quotient of two unscaled norms and raised a bare OverflowError
+    dec = eigh(SymmetricOperator(np.diag([0.0, 0.5, 1.0, 2.0, 3.5, 7.0]), kind=RAW_D))
+    f = pw_project(dec, np.ones(6), 7.0)
+    base = bernstein_check(dec, f, 7.0, (0.5, 7.0)).ratios
+    assert _off(bernstein_check(dec, 1e303 * f, 7.0, (0.5, 7.0)).ratios, base) <= TOL
+    # ||f|| itself passes the largest double, where the unscaled quotient raised NonFiniteError;
+    # the alternating vector spans lambda = 2 of cycle:8, so every ratio at omega = 2 is 1
+    dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+    ratios = bernstein_check(dec, 1e308 * np.array([1.0, -1.0] * 4), 2.0, (0.0, 0.5, 7.0)).ratios
+    assert _off(ratios, np.ones(3)) <= TOL
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-300])

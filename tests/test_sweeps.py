@@ -13,7 +13,10 @@ route and base.
 The shift scan, the K path and the seminorm take a block of vectors
 (``_moduli``, ``_k_functional_values``, ``_seminorm_sup``); every row of a
 block equals the same helper called with that row alone, 0 ulp, and so
-does every composite check built on them.
+does every composite check built on them.  ``paley_wiener._bernstein_reports``
+takes a block of band-limited vectors, each at its own ``omega``; every row
+equals ``bernstein_check`` of that vector alone, field by field, whatever
+the rest of the block holds.
 """
 
 import math
@@ -25,6 +28,9 @@ from bandapprox import (
     RAW_D,
     RAW_L,
     BesovParams,
+    NotBandlimitedError,
+    ZeroVectorError,
+    bernstein_check,
     besov_norm,
     besov_seminorm_sup,
     best_approx,
@@ -37,13 +43,14 @@ from bandapprox import (
     lemma1_check,
     lemma2_check,
     modulus_inequality_checks,
+    pw_project,
     spectral_tail,
 )
 from bandapprox.approx_operators import _jackson_reports
 from bandapprox.decomposition import _equivalence_ratios
 from bandapprox.harness import build_operator, load_edge_list, parse_operator_arg
 from bandapprox.operators import _coefficient_block, _norm
-from bandapprox.paley_wiener import _band_powers, _step_nodes, band_count
+from bandapprox.paley_wiener import _band_powers, _bernstein_reports, _step_nodes, band_count
 from bandapprox.smoothness import (
     BESOV_FLAVORS,
     _besov_norms,
@@ -197,3 +204,55 @@ def test_composite_checks_match_their_one_vector_calls(dec, rng):
         for f, row in zip(vectors, _jackson_reports(dec, vectors, omegas, 2, 1, kernel)):
             assert [vars(rep) for rep in row] == [vars(jackson_check(dec, f, omega, 2, 1, kernel))
                                                   for omega in omegas]
+
+
+#: unsorted, with a repeat and s = 0
+BERNSTEIN_S = (2.0, 0.5, 7.0, 0.0, 0.5, 1.0)
+
+
+def _bandlimited_rows(dec, rng):
+    """``(f, omega)``: a random vector projected onto PW_omega at 0, at every eigenvalue, between
+    eigenvalues and above ``lambda_max``, each at the scales 1, 1e150 and 1e-150."""
+    nodes = _step_nodes(dec)
+    omegas = [*nodes, *(0.5 * (nodes[:-1] + nodes[1:])), 1.5 * nodes[-1] + 1.0]
+    rows = []
+    for omega in omegas:
+        f = pw_project(dec, random_vector(rng, dec.dim), omega)
+        if np.any(f):  # PW_0 is {0} without a kernel mode
+            rows += [(scale * f, float(omega)) for scale in (1.0, 1e150, 1e-150)]
+    return rows
+
+
+def _assert_same_report(rep, one):
+    assert (rep.omega, rep.s_values, rep.max_ratio) == (one.omega, one.s_values, one.max_ratio)
+    np.testing.assert_array_equal(rep.ratios, one.ratios)
+
+
+def test_bernstein_block_rows_match_bernstein_check(dec, rng):
+    rows = _bandlimited_rows(dec, rng)
+    expected = [bernstein_check(dec, f, omega, BERNSTEIN_S) for f, omega in rows]
+    # the whole block, reversed, every third row, and one row beside copies of another
+    for order in (range(len(rows)), range(len(rows) - 1, -1, -1), range(0, len(rows), 3),
+                  [len(rows) - 1] + [0] * 5):
+        block = [rows[i] for i in order]
+        reports = _bernstein_reports(dec, [f for f, _ in block], [w for _, w in block],
+                                     BERNSTEIN_S)
+        assert len(reports) == len(block)
+        for rep, i in zip(reports, order):
+            _assert_same_report(rep, expected[i])
+
+
+def test_bernstein_block_raises_as_its_one_row_call(dec, rng):
+    rows = _bandlimited_rows(dec, rng)
+    vectors, omegas = [f for f, _ in rows], [w for _, w in rows]
+    middle = len(rows) // 2
+    bad = [(np.zeros(dec.dim), omegas[middle], ZeroVectorError)]
+    if dec.lambda_max > 0.0:  # a random vector has mass above half the smallest eigenvalue
+        bad.append((random_vector(rng, dec.dim), 0.5 * dec.min_positive_eigenvalue,
+                    NotBandlimitedError))
+    for f, omega, error in bad:
+        with pytest.raises(error):
+            bernstein_check(dec, f, omega, BERNSTEIN_S)
+        with pytest.raises(error):
+            _bernstein_reports(dec, vectors[:middle] + [f] + vectors[middle:],
+                               omegas[:middle] + [omega] + omegas[middle:], BERNSTEIN_S)

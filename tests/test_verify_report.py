@@ -34,11 +34,17 @@ PINNED = {
 
 #: coefficient transforms one run of the cycle:8 seed-401 command makes: one per
 #: vector argument of each library call, one per vector and kernel combination in
-#: the Jackson chain, and one per vector in each parameter sweep (4,370 when composite
+#: the Jackson chain, one per vector in each parameter sweep, and one per corpus vector
+#: for the Plancherel, E = R, Bernstein and growth checks together (4,370 when composite
 #: checks transformed their vector up to four times, 3,098 when the Jackson chain
 #: transformed it once per band edge, 2,858 when the norm brackets, frame ratios,
-#: growth bound and E = R check transformed it once per parameter or route)
-CYCLE8_SEED401_TRANSFORMS = 1460
+#: growth bound and E = R check transformed it once per parameter or route, 1,460 when
+#: each of those four checks transformed the corpus vectors it read on its own)
+CYCLE8_SEED401_TRANSFORMS = 1020
+
+#: syntheses ``phi(D) f`` of the same run: the growth bound makes one 20-column
+#: synthesis per vector (1,145 when it made one per vector and ``z``)
+CYCLE8_SEED401_SYNTHESES = 385
 
 #: K-functional evaluations of the same run: one per order r and size in the norm
 #: brackets, for all 11 vectors at once (66 when each (alpha, q) evaluated its own, 44
@@ -83,6 +89,12 @@ def test_cycle8_seed401_transform_count(tmp_path, capsys, transforms):
     argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert len(transforms) <= CYCLE8_SEED401_TRANSFORMS
+
+
+def test_cycle8_seed401_synthesis_count(tmp_path, capsys, syntheses):
+    argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert len(syntheses) <= CYCLE8_SEED401_SYNTHESES
 
 
 def test_cycle8_seed401_q_symbol_count(tmp_path, capsys, q_symbols):
