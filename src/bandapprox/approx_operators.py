@@ -411,12 +411,13 @@ class JacksonReport:
     link_gap: float
 
 
-def _jackson_reports(dec: SpectralDecomposition, vectors, omegas, m: int, k: int,
+def _jackson_reports(dec: SpectralDecomposition, fcs, omegas, m: int, k: int,
                      kernel: ApproxKernel) -> list:
-    """``JacksonReport`` of every vector (outer list) at every band edge in ``omegas`` (inner).
+    """``JacksonReport`` of every ``_coefficients`` triple (outer list) at every band edge in
+    ``omegas`` (inner).
 
-    Each Q symbol is evaluated once per edge; each vector is transformed once and takes one
-    ``_distances`` call.  One shift scan gives the moduli of every vector at every ``1/omega``:
+    Each Q symbol is evaluated once per edge, and each triple takes one ``_distances`` call.
+    One shift scan gives the moduli of every vector at every ``1/omega``:
     its grid depends on ``m - k`` and ``lambda_max`` only, so they equal one scan per edge.
     """
     if not 0 <= k <= m:
@@ -424,7 +425,7 @@ def _jackson_reports(dec: SpectralDecomposition, vectors, omegas, m: int, k: int
     omegas = np.asarray(omegas, dtype=np.float64)
     symbols = [q_symbol(kernel, w, m, dec.eigenvalues) for w in omegas.tolist()]
     const = jackson_constant(kernel, m, k)
-    fcs, c, e = _coefficient_block(dec, vectors)
+    c, e = _coefficient_block(dec, fcs)
     moduli = _moduli(dec, _power_coefficients(dec, c, k), e, 1.0 / omegas, m - k)
     reports = []
     for (v, c_i, e_i), row in zip(fcs, moduli):
@@ -441,4 +442,4 @@ def _jackson_reports(dec: SpectralDecomposition, vectors, omegas, m: int, k: int
 def jackson_check(dec: SpectralDecomposition, f, omega: float, m: int, k: int,
                   kernel: ApproxKernel) -> JacksonReport:
     """Measure the direct-estimate chain for one vector and band edge (``_jackson_reports``)."""
-    return _jackson_reports(dec, [f], [omega], m, k, kernel)[0][0]
+    return _jackson_reports(dec, [_coefficients(dec, f)], [omega], m, k, kernel)[0][0]

@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, help="write JSON report here")
     p.add_argument("--csv", default=None, help="write CSV report here")
     p.add_argument("--timings", default=None,
-                   help="write wall seconds per check as JSON here (never in the report)")
+                   help="write each check's wall seconds, summed over sizes, as JSON here")
     p.add_argument("--tol", action="append",
                    help="override a tolerance as name=value (repeatable)")
     p.set_defaults(fn=_cmd_verify)

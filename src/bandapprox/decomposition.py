@@ -11,8 +11,8 @@ synthesis direction holds with the explicit geometric-series constant
 inputs.
 
 A sweep over ``(alpha, q)`` takes one pass per vector: ``_equivalence_ratios``
-transforms, band-splits and measures each vector at the band edges once, then
-reads every ratio off that; :func:`equivalence_report` is its one-pair call.
+band-splits and measures each ``_coefficients`` triple at the band edges once,
+then reads every ratio off that; :func:`equivalence_report` is its one-pair call.
 """
 
 import math
@@ -27,7 +27,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .operators import SpectralDecomposition, _basis_product, _coefficients, _ldexp, _norm
-from .operators import as_vector
+from .operators import _weighted, as_vector
 from .paley_wiener import _band_powers, _check_q, _in_pw, _lq_norm, band_count
 from .smoothness import BesovParams, _discrete_norm, _edge_distances
 
@@ -75,7 +75,7 @@ def frame_norm(band_dec: BandDecomposition, alpha: float, q: float) -> float:
         raise InvalidParamsError(f"alpha must be in (0, inf), got {alpha}")
     _check_q(q)
     norms = band_dec.band_norms()
-    return _lq_norm(_band_powers(band_dec.base, len(norms), alpha) * norms, q)
+    return _lq_norm(_weighted(_band_powers(band_dec.base, len(norms), alpha), norms), q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,25 +99,25 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha: float, q: flo
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 1:
         vectors = [vectors]
-    ratios = _equivalence_ratios(dec, vectors, [(alpha, q)], a)[:, 0]
+    ratios = _equivalence_ratios(dec, [_coefficients(dec, f) for f in vectors], [(alpha, q)],
+                                 a)[:, 0]
     if not ratios.size:
         raise InvalidParamsError("equivalence_report needs at least one vector")
     return EquivalenceReport(alpha=alpha, q=q, a=a, ratios=ratios,
                              ratio_lo=float(ratios.min()), ratio_hi=float(ratios.max()))
 
 
-def _equivalence_ratios(dec: SpectralDecomposition, vectors, combos, a: float) -> np.ndarray:
-    """:func:`equivalence_report` ratios of every vector (rows) for every ``(alpha, q)`` (columns),
-    one pass per vector (see the module notes)."""
+def _equivalence_ratios(dec: SpectralDecomposition, fcs, combos, a: float) -> np.ndarray:
+    """:func:`equivalence_report` ratios of every ``_coefficients`` triple (rows) for every
+    ``(alpha, q)`` (columns), one pass per vector (see the module notes)."""
     params = [BesovParams(alpha=alpha, q=q, a=a, flavor="discrete_E") for alpha, q in combos]
     rows = []
-    for f in vectors:
-        v, c, e = fc = _coefficients(dec, f)
+    for v, c, e in fcs:
         norm_f = _norm(v, e)
         if norm_f == 0.0:
             raise ZeroVectorError("equivalence ratio undefined for the zero vector")
         band_dec = _band_split(dec, c, e, a)
-        distances = _edge_distances(dec, fc, a, "E")
+        distances = _edge_distances(dec, (v, c, e), a, "E")
         rows.append([(norm_f + frame_norm(band_dec, p.alpha, p.q))
                      / (norm_f + _discrete_norm(distances, p.alpha, p.q, a)) for p in params])
     return np.array(rows).reshape(len(rows), len(params))
@@ -148,14 +148,14 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
     if not (0.0 < alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in (0, inf), got {alpha}")
     band_list = [as_vector(b, dec.dim) for b in bands]
-    for k, edge in enumerate(_band_powers(a, len(band_list))):
+    edges = _band_powers(a, len(band_list))
+    for k, edge in enumerate(edges):
         if not _in_pw(dec, _coefficients(dec, band_list[k]), edge):
             raise MembershipViolationError(
                 f"band {k} has spectral mass above its edge a^{k} = {edge}")
 
     f = np.sum(band_list, axis=0) if band_list else np.zeros(dec.dim, complex)
-    norms = np.array([_norm(b) for b in band_list])
-    sup_band = _lq_norm(_band_powers(a, len(band_list), alpha) * norms, math.inf)
+    sup_band = frame_norm(BandDecomposition(a, tuple(band_list), edges), alpha, math.inf)
     # E(f, a^k) vanishes from k = band_count on, so the discrete terms hold the sup
     lhs = _discrete_norm(_edge_distances(dec, _coefficients(dec, f), a, "E"), alpha, math.inf, a)
     constant = 1.0 / (1.0 - a ** (-alpha))

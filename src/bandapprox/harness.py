@@ -7,16 +7,20 @@ order-normalized report.  Identical spec + seed yields byte-identical
 JSON output: grids and iteration orders are fixed and nothing depends on
 time, locale or dict ordering.
 
-Each corpus vector is transformed once per run, and the Plancherel,
-``E = R``, Bernstein and growth checks all read that shared transform.
-Most checks pass each size's vectors to a library helper as one block:
-the Bernstein ratios (``paley_wiener._bernstein_reports``), the Jackson
-chain, the modulus inequalities, the lemma ratios, the norm brackets and
-the frame ratios.  The growth check synthesises the 20 ``e^{izD} f`` of
-a vector as one 20-column product.  In each block helper, every sum over
-the eigenvalues is taken once per row.  So a row's bits do not depend on
-the rest of its block, and the row equals the public function called on
-that vector alone.
+A vector is transformed (``operators._coefficients``) where it enters: a
+public function transforms its vector arguments, and ``run_suite`` each
+corpus vector, right after drawing it; private library helpers take the
+``(v, c, e)`` triples.  ``run_suite`` calls each check once per size, on a
+``_SuiteContext`` with that size's operator, corpus and corpus transforms,
+so only the vectors a check builds (projections, ``1000 f_0``, ``Q f``) and
+the public calls' arguments are transformed again.  Most checks pass a
+size's triples to a library helper as one block: the Bernstein ratios
+(``paley_wiener._bernstein_reports``), the Jackson chain, the modulus
+inequalities, the lemma ratios, the norm brackets and the frame ratios.
+The growth check synthesises the 20 ``e^{izD} f`` of a vector as one
+20-column product.  In each block helper, every sum over the eigenvalues is
+taken once per row, so a row's bits do not depend on the rest of its block,
+and the row equals the public function called on that vector alone.
 """
 
 import json
@@ -39,12 +43,12 @@ from .errors import (
 )
 from .operators import (
     RAW_L,
+    SpectralDecomposition,
     SymmetricOperator,
     _coefficients,
     _ldexp,
     _synthesize,
     eigh,
-    spectral_transform,
 )
 
 PACKAGE_VERSION = "0.1.0"
@@ -302,8 +306,8 @@ class CheckRecord:
 class VerificationReport:
     """Records and constants of one suite run.
 
-    ``timings`` holds the wall seconds of each executed check.  It is
-    never serialized, so the report bytes stay a function of the inputs.
+    ``timings`` holds each executed check's wall seconds, summed over its sizes.  It is never
+    serialized, so the report bytes stay a function of the inputs.
     """
 
     meta: dict
@@ -363,52 +367,45 @@ DEFAULT_TOLERANCES = {
 
 @dataclass
 class _SuiteContext:
-    decs: dict
-    corpus: dict
+    """One size of one check: the operator, the corpus, its ``_coefficients`` triples (in the
+    corpus order) and the check's RNG, which carries over from size to size."""
+
+    n: int
+    dec: SpectralDecomposition
+    corpus: list
+    coefficients: list
     rng: np.random.Generator
     tols: dict
     count: int
-    transforms: dict = field(default_factory=dict)
 
-    def coefficients(self, n) -> list:
-        """``_coefficients`` of each size-``n`` corpus vector, made once per run and shared."""
-        if n not in self.transforms:
-            self.transforms[n] = [_coefficients(self.decs[n], f) for f in self.corpus[n]]
-        return self.transforms[n]
+    def record(self, check: str, value: float, tolerance: float, **params) -> CheckRecord:
+        """The record of ``check`` at this size, named by ``params`` and ``N``."""
+        return _record(check, _params_str(N=self.n, **params), value, tolerance)
 
 
-def _bandlimited(ctx, n, idx, omega):
+def _bandlimited(ctx, idx, omega):
     """``pw_project`` of corpus vector ``idx`` onto PW_omega, from its shared transform."""
-    dec = ctx.decs[n]
-    _, c, e = ctx.coefficients(n)[idx]
-    return _synthesize(dec, dec.eigenvalues <= omega, c, e)
+    _, c, e = ctx.coefficients[idx]
+    return _synthesize(ctx.dec, ctx.dec.eigenvalues <= omega, c, e)
 
 
 def _check_plancherel(ctx):
-    records = []
-    for n, dec in ctx.decs.items():
-        worst = 0.0
-        for f, (_, c, e) in zip(ctx.corpus[n], ctx.coefficients(n)):
-            norm_f = float(np.linalg.norm(f))
-            norm_c = math.ldexp(float(np.linalg.norm(c)), e)
-            worst = max(worst, abs(norm_c - norm_f) / (1.0 + norm_f))
-        records.append(_record("plancherel", _params_str(N=n), worst,
-                               ctx.tols["plancherel"]))
-    return records, {}
+    worst = 0.0
+    for f, (_, c, e) in zip(ctx.corpus, ctx.coefficients):
+        norm_f = float(np.linalg.norm(f))
+        norm_c = math.ldexp(float(np.linalg.norm(c)), e)
+        worst = max(worst, abs(norm_c - norm_f) / (1.0 + norm_f))
+    return [ctx.record("plancherel", worst, ctx.tols["plancherel"])], {}
 
 
 def _check_e_equals_r(ctx):
-    records = []
-    for n, dec in ctx.decs.items():
-        worst = 0.0
-        omegas = ctx.rng.uniform(0.0, 1.2 * dec.lambda_max, size=ctx.count).tolist()
-        # both routes from one transform: E = R stays a real check
-        for f, fc, omega in zip(ctx.corpus[n], ctx.coefficients(n), omegas):
-            e_val, r_val = (float(pw._distances(dec, fc, [omega], route)[0]) for route in "ER")
-            worst = max(worst, abs(e_val - r_val) / (1.0 + float(np.linalg.norm(f))))
-        records.append(_record("e_equals_r", _params_str(N=n), worst,
-                               ctx.tols["e_equals_r"]))
-    return records, {}
+    worst = 0.0
+    omegas = ctx.rng.uniform(0.0, 1.2 * ctx.dec.lambda_max, size=ctx.count).tolist()
+    # both routes from one transform: E = R stays a real check
+    for f, fc, omega in zip(ctx.corpus, ctx.coefficients, omegas):
+        e_val, r_val = (float(pw._distances(ctx.dec, fc, [omega], route)[0]) for route in "ER")
+        worst = max(worst, abs(e_val - r_val) / (1.0 + float(np.linalg.norm(f))))
+    return [ctx.record("e_equals_r", worst, ctx.tols["e_equals_r"])], {}
 
 
 _BERNSTEIN_POWERS = (0.5, 1.0, 2.0, 7.0)
@@ -416,165 +413,130 @@ _BERNSTEIN_POWERS = (0.5, 1.0, 2.0, 7.0)
 
 def _check_bernstein(ctx):
     """Worst Bernstein ratio of every corpus vector, each projected onto a random eigenvalue
-    band, from one ``_bernstein_reports`` call per size."""
-    records = []
-    for n, dec in ctx.decs.items():
-        omegas = ctx.rng.choice(dec.eigenvalues[dec.eigenvalues > 0], size=ctx.count).tolist()
-        drawn = [(_bandlimited(ctx, n, idx, omega), omega) for idx, omega in enumerate(omegas)]
-        kept = [(f, omega) for f, omega in drawn if np.linalg.norm(f) >= 1e-12]
-        reports = pw._bernstein_reports(dec, [f for f, _ in kept], [w for _, w in kept],
-                                        _BERNSTEIN_POWERS)
-        worst = max([0.0] + [rep.max_ratio for rep in reports])
-        records.append(_record("bernstein", _params_str(N=n, s=str(_BERNSTEIN_POWERS)),
-                               worst, 1.0 + ctx.tols["bernstein"]))
-        top = dec.eigenvectors[:, -1]
-        rep = pw.bernstein_check(dec, top, dec.lambda_max, _BERNSTEIN_POWERS)
-        records.append(_record("bernstein_equality", _params_str(N=n),
-                               float(np.max(np.abs(rep.ratios - 1.0))),
-                               ctx.tols["bernstein_equality"]))
-    return records, {}
+    band, from one ``_bernstein_reports`` call."""
+    dec = ctx.dec
+    omegas = ctx.rng.choice(dec.eigenvalues[dec.eigenvalues > 0], size=ctx.count).tolist()
+    drawn = [(_bandlimited(ctx, idx, omega), omega) for idx, omega in enumerate(omegas)]
+    kept = [(_coefficients(dec, f), omega) for f, omega in drawn if np.linalg.norm(f) >= 1e-12]
+    reports = pw._bernstein_reports(dec, [fc for fc, _ in kept], [w for _, w in kept],
+                                    _BERNSTEIN_POWERS)
+    worst = max([0.0] + [rep.max_ratio for rep in reports])
+    rep = pw.bernstein_check(dec, dec.eigenvectors[:, -1], dec.lambda_max, _BERNSTEIN_POWERS)
+    return [ctx.record("bernstein", worst, 1.0 + ctx.tols["bernstein"],
+                       s=str(_BERNSTEIN_POWERS)),
+            ctx.record("bernstein_equality", float(np.max(np.abs(rep.ratios - 1.0))),
+                       ctx.tols["bernstein_equality"])], {}
 
 
 def _check_growth_bound(ctx):
-    """Worst ``||e^{izD} f|| / (e^{omega |Im z|} ||f||)`` of up to 20 band-limited vectors per
-    size, each at 20 random ``z``, synthesised together as one 20-column block per vector."""
-    records = []
-    for n, dec in ctx.decs.items():
-        worst = 0.0
-        for idx in range(min(ctx.count, 20)):
-            omega = float(ctx.rng.choice(dec.eigenvalues[dec.eigenvalues > 0]))
-            f = _bandlimited(ctx, n, idx, omega)
-            norm_f = float(np.linalg.norm(f))
-            if norm_f < 1e-12 or omega == 0.0:
-                continue
-            _, c, e = _coefficients(dec, f)
-            # row k holds Re z_k and Im z_k, drawn in the order of 40 scalar draws
-            re, im = ctx.rng.uniform(-2, 2, size=(20, 2)).T
-            zs = re + 1j * im
-            # column k is e^{i z_k D} f, as schrodinger_group applies it
-            grown = np.linalg.norm(_synthesize(dec, np.exp(np.outer(dec.eigenvalues, 1j * zs)),
-                                               c[:, None], e), axis=0)
-            bounds = np.array([math.exp(omega * abs(z.imag)) for z in zs]) * norm_f
-            worst = max(worst, float(np.max(grown / bounds)))
-        records.append(_record("growth_bound", _params_str(N=n), worst,
-                               1.0 + ctx.tols["growth_bound"]))
-    return records, {}
+    """Worst ``||e^{izD} f|| / (e^{omega |Im z|} ||f||)`` of up to 20 band-limited vectors,
+    each at 20 random ``z``, synthesised together as one 20-column block per vector."""
+    dec = ctx.dec
+    worst = 0.0
+    for idx in range(min(ctx.count, 20)):
+        omega = float(ctx.rng.choice(dec.eigenvalues[dec.eigenvalues > 0]))
+        f = _bandlimited(ctx, idx, omega)
+        norm_f = float(np.linalg.norm(f))
+        if norm_f < 1e-12 or omega == 0.0:
+            continue
+        _, c, e = _coefficients(dec, f)
+        # row k holds Re z_k and Im z_k, drawn in the order of 40 scalar draws
+        re, im = ctx.rng.uniform(-2, 2, size=(20, 2)).T
+        zs = re + 1j * im
+        # column k is e^{i z_k D} f, as schrodinger_group applies it
+        grown = np.linalg.norm(_synthesize(dec, np.exp(np.outer(dec.eigenvalues, 1j * zs)),
+                                           c[:, None], e), axis=0)
+        bounds = np.array([math.exp(omega * abs(z.imag)) for z in zs]) * norm_f
+        worst = max(worst, float(np.max(grown / bounds)))
+    return [ctx.record("growth_bound", worst, 1.0 + ctx.tols["growth_bound"])], {}
 
 
 def _check_riesz_norm(ctx):
-    records = []
-    for n, dec in ctx.decs.items():
-        worst = 0.0
-        for idx in range(min(ctx.count, 20)):
-            f = ctx.corpus[n][idx]
-            omega = float(ctx.rng.uniform(0.3, 1.2) * dec.lambda_max)
-            cfg = aop.RieszConfig(omega=omega)
-            applied = float(np.linalg.norm(aop.riesz_apply(dec, f, cfg)))
-            worst = max(worst, applied / (omega * float(np.linalg.norm(f))))
-        records.append(_record("riesz_norm", _params_str(N=n, K=10_000), worst,
-                               1.0 + ctx.tols["riesz_norm"]))
-    return records, {}
+    worst = 0.0
+    for f in ctx.corpus[:20]:
+        omega = float(ctx.rng.uniform(0.3, 1.2) * ctx.dec.lambda_max)
+        applied = float(np.linalg.norm(aop.riesz_apply(ctx.dec, f, aop.RieszConfig(omega=omega))))
+        worst = max(worst, applied / (omega * float(np.linalg.norm(f))))
+    return [ctx.record("riesz_norm", worst, 1.0 + ctx.tols["riesz_norm"], K=10_000)], {}
 
 
 def _check_riesz_identity(ctx):
     # the truncation error peaks at the band edge, where it decays like 1/K;
     # strictly inside the band the phases cancel one order better, so the
     # slope is measured with each eigenvector at its own edge omega = lambda_j
-    records = []
+    dec = ctx.dec
     truncations = (100, 1000, 10_000)
-    for n, dec in ctx.decs.items():
-        lam = dec.eigenvalues
-        eligible = np.where(lam > 0.2 * dec.lambda_max)[0]
-        picks = eligible[np.linspace(0, len(eligible) - 1, min(3, len(eligible))).astype(int)]
-        worst_slope_dev = 0.0
-        worst_tail_ratio = 0.0
-        for j in picks:
-            f = dec.eigenvectors[:, j]
-            omega = float(lam[j])
-            reps = [aop.riesz_identity_check(dec, f, omega, 1, k) for k in truncations]
-            slope = np.polyfit(np.log(truncations), np.log([r.residual for r in reps]), 1)[0]
-            worst_slope_dev = max(worst_slope_dev, abs(slope + 1.0))
-            last = reps[-1]
-            worst_tail_ratio = max(worst_tail_ratio, last.residual / last.tail_bound)
-        records.append(_record("riesz_identity_slope", _params_str(N=n),
-                               worst_slope_dev, ctx.tols["riesz_slope"]))
-        records.append(_record("riesz_identity_tail", _params_str(N=n, K=10_000),
-                               worst_tail_ratio, 1.0 + 1e-10))
-    return records, {}
+    lam = dec.eigenvalues
+    eligible = np.where(lam > 0.2 * dec.lambda_max)[0]
+    picks = eligible[np.linspace(0, len(eligible) - 1, min(3, len(eligible))).astype(int)]
+    worst_slope_dev = worst_tail_ratio = 0.0
+    for j in picks:
+        reps = [aop.riesz_identity_check(dec, dec.eigenvectors[:, j], float(lam[j]), 1, k)
+                for k in truncations]
+        slope = np.polyfit(np.log(truncations), np.log([r.residual for r in reps]), 1)[0]
+        worst_slope_dev = max(worst_slope_dev, abs(slope + 1.0))
+        worst_tail_ratio = max(worst_tail_ratio, reps[-1].residual / reps[-1].tail_bound)
+    return [ctx.record("riesz_identity_slope", worst_slope_dev, ctx.tols["riesz_slope"]),
+            ctx.record("riesz_identity_tail", worst_tail_ratio, 1.0 + 1e-10, K=10_000)], {}
 
 
 def _check_modulus_inequalities(ctx):
-    """Worst ratio of 50 trials per size; power ratios of ``k >= 1`` only (at ``k = 0`` it is 1)."""
-    records = []
-    for n, dec in ctx.decs.items():
-        lam_max = dec.lambda_max
-        trials = []
-        for trial in range(50):
-            f = ctx.corpus[n][trial % ctx.count]
-            s = float(np.exp(ctx.rng.uniform(math.log(0.05), math.log(20.0))) / lam_max)
-            a_scale = float(np.exp(ctx.rng.uniform(math.log(0.3), math.log(4.0))))
-            m = int(ctx.rng.integers(1, 4))
-            trials.append((f, s, a_scale, m, int(ctx.rng.integers(0, m + 1))))
-        reports = sm._modulus_inequality_reports(dec, *zip(*trials))
-        worst = max(0.0, *(rep.ratio_scale for rep in reports),
-                    *(rep.ratio_power for rep, trial in zip(reports, trials) if trial[-1]))
-        records.append(_record("modulus_inequalities", _params_str(N=n, trials=50),
-                               worst, 1.0 + ctx.tols["modulus_grid"]))
-    return records, {}
+    """Worst ratio of 50 trials; power ratios of ``k >= 1`` only (at ``k = 0`` it is 1)."""
+    trials = []
+    for trial in range(50):
+        s = float(np.exp(ctx.rng.uniform(math.log(0.05), math.log(20.0))) / ctx.dec.lambda_max)
+        a_scale = float(np.exp(ctx.rng.uniform(math.log(0.3), math.log(4.0))))
+        m = int(ctx.rng.integers(1, 4))
+        trials.append((ctx.coefficients[trial % ctx.count], s, a_scale, m,
+                       int(ctx.rng.integers(0, m + 1))))
+    reports = sm._modulus_inequality_reports(ctx.dec, *zip(*trials))
+    worst = max(0.0, *(rep.ratio_scale for rep in reports),
+                *(rep.ratio_power for rep, trial in zip(reports, trials) if trial[-1]))
+    return [ctx.record("modulus_inequalities", worst, 1.0 + ctx.tols["modulus_grid"],
+                       trials=50)], {}
 
 
 _JACKSON_COMBOS = ((2, 0, 6), (2, 1, 6), (3, 1, 8))
 
 
 def _check_jackson_chain(ctx):
-    """Worst Jackson ratio and link gap of up to 10 vectors at 5 band edges per size and kernel
+    """Worst Jackson ratio and link gap of up to 10 vectors at 5 band edges per kernel
     combination, from one ``_jackson_reports`` call: one Q symbol per edge, one scan in all."""
-    records = []
-    constants = {}
-    for n, dec in ctx.decs.items():
-        start = dec.eigenvalues[0] if dec.eigenvalues[0] > 0 else dec.min_positive_eigenvalue
-        omegas = np.linspace(start, 2.0 * dec.lambda_max, 5)
-        for m, k, order in _JACKSON_COMBOS:
-            kernel = aop.build_kernel(order, m)
-            constants[f"jackson_C[m={m},k={k},n={order}]"] = aop.jackson_constant(kernel, m, k)
-            reports = [rep for row in aop._jackson_reports(dec, ctx.corpus[n][:10], omegas,
-                                                           m, k, kernel) for rep in row]
-            worst_ratio = max(0.0, *(max(rep.ratio_best, rep.ratio_q) for rep in reports))
-            worst_link = max(0.0, *(rep.link_gap for rep in reports))
-            records.append(_record("jackson_chain", _params_str(N=n, m=m, k=k, n_kernel=order),
-                                   worst_ratio, 1.0 + ctx.tols["jackson_grid"]))
-            records.append(_record("jackson_link", _params_str(N=n, m=m, k=k, n_kernel=order),
-                                   worst_link, ctx.tols["jackson_link"]))
+    dec = ctx.dec
+    records, constants = [], {}
+    start = dec.eigenvalues[0] if dec.eigenvalues[0] > 0 else dec.min_positive_eigenvalue
+    omegas = np.linspace(start, 2.0 * dec.lambda_max, 5)
+    for m, k, order in _JACKSON_COMBOS:
+        kernel = aop.build_kernel(order, m)
+        constants[f"jackson_C[m={m},k={k},n={order}]"] = aop.jackson_constant(kernel, m, k)
+        reports = [rep for row in aop._jackson_reports(dec, ctx.coefficients[:10], omegas,
+                                                       m, k, kernel) for rep in row]
+        worst_ratio = max(0.0, *(max(rep.ratio_best, rep.ratio_q) for rep in reports))
+        worst_link = max(0.0, *(rep.link_gap for rep in reports))
+        params = dict(m=m, k=k, n_kernel=order)
+        records += [ctx.record("jackson_chain", worst_ratio, 1.0 + ctx.tols["jackson_grid"],
+                               **params),
+                    ctx.record("jackson_link", worst_link, ctx.tols["jackson_link"], **params)]
     return records, constants
 
 
 def _check_q_operator(ctx):
-    records = []
+    dec = ctx.dec
     m = 2
     kernel = aop.build_kernel(6, m)
-    for n, dec in ctx.decs.items():
-        worst_tail = 0.0
-        worst_pass = 0.0
-        has_kernel_mode = bool(dec.eigenvalues[0] == 0.0)
-        for idx in range(min(ctx.count, 20)):
-            f = ctx.corpus[n][idx]
-            norm_f = float(np.linalg.norm(f))
-            omega = float(ctx.rng.uniform(0.3, 1.0) * dec.lambda_max)
-            qf = aop.q_apply(dec, f, omega, m, kernel)
-            fc_out = _coefficients(dec, qf)
-            tail = float(pw._distances(dec, fc_out, [omega], "R")[0])
-            worst_tail = max(worst_tail, tail / norm_f)
-            if has_kernel_mode:
-                c_in = spectral_transform(dec, f)
-                c_out = _ldexp(fc_out[1], fc_out[2])
-                zero_modes = dec.eigenvalues == 0.0
-                dev = float(np.max(np.abs(c_out[zero_modes] - c_in[zero_modes])))
-                worst_pass = max(worst_pass, dev / norm_f)
-        records.append(_record("q_tail", _params_str(N=n, m=m), worst_tail,
-                               ctx.tols["q_tail"]))
-        if has_kernel_mode:
-            records.append(_record("q_kernel_pass", _params_str(N=n, m=m), worst_pass,
-                                   ctx.tols["q_kernel_pass"]))
+    worst_tail = worst_pass = 0.0
+    zero_modes = dec.eigenvalues == 0.0
+    for f, (_, c, e) in zip(ctx.corpus[:20], ctx.coefficients):
+        norm_f = float(np.linalg.norm(f))
+        omega = float(ctx.rng.uniform(0.3, 1.0) * dec.lambda_max)
+        _, c_out, e_out = fc_out = _coefficients(dec, aop.q_apply(dec, f, omega, m, kernel))
+        tail = float(pw._distances(dec, fc_out, [omega], "R")[0])
+        worst_tail = max(worst_tail, tail / norm_f)
+        dev = np.abs(_ldexp(c_out, e_out)[zero_modes] - _ldexp(c, e)[zero_modes])
+        worst_pass = max(worst_pass, float(np.max(dev, initial=0.0)) / norm_f)
+    records = [ctx.record("q_tail", worst_tail, ctx.tols["q_tail"], m=m)]
+    if zero_modes[0]:
+        records.append(ctx.record("q_kernel_pass", worst_pass, ctx.tols["q_kernel_pass"], m=m))
     return records, {}
 
 
@@ -582,19 +544,17 @@ _LEMMA_COMBOS = ((1.5, 1, 2),)
 
 
 def _check_lemma_ratios(ctx):
-    records = []
-    constants = {}
-    for n, dec in ctx.decs.items():
-        for alpha, nn, r in _LEMMA_COMBOS:
-            reports = sm._lemma_reports(dec, ctx.corpus[n][:min(ctx.count, 3)], alpha, nn, r)
-            a_emp = max(0.0, *(rep1.ratio for rep1, _ in reports))
-            c_emp = max(0.0, *(rep2.ratio for _, rep2 in reports))
-            key = f"alpha={alpha},n={nn},r={r},N={n}"
-            constants[f"lemma1_A[{key}]"] = a_emp
-            constants[f"lemma2_C[{key}]"] = c_emp
-            params = _params_str(N=n, alpha=alpha, n_order=nn, r=r)
-            records.append(_record("lemma1_ratio", params, a_emp, ctx.tols["finite_cap"]))
-            records.append(_record("lemma2_ratio", params, c_emp, ctx.tols["finite_cap"]))
+    records, constants = [], {}
+    for alpha, nn, r in _LEMMA_COMBOS:
+        reports = sm._lemma_reports(ctx.dec, ctx.coefficients[:3], alpha, nn, r)
+        a_emp = max(0.0, *(rep1.ratio for rep1, _ in reports))
+        c_emp = max(0.0, *(rep2.ratio for _, rep2 in reports))
+        key = f"alpha={alpha},n={nn},r={r},N={ctx.n}"
+        constants[f"lemma1_A[{key}]"] = a_emp
+        constants[f"lemma2_C[{key}]"] = c_emp
+        params = dict(alpha=alpha, n_order=nn, r=r)
+        records += [ctx.record("lemma1_ratio", a_emp, ctx.tols["finite_cap"], **params),
+                    ctx.record("lemma2_ratio", c_emp, ctx.tols["finite_cap"], **params)]
     return records, constants
 
 
@@ -602,89 +562,75 @@ _THEOREM1_COMBOS = ((0.7, 1.0), (1.5, 2.0), (0.9, math.inf))
 _THEOREM1_FLAVORS = ("integral_E", "discrete_E", "integral_R", "discrete_R", "k_functional")
 
 
+def _scaled_corpus(ctx, rows):
+    """The triples of the first ``rows`` corpus vectors and, last, of ``1000 f_0``: a bracket
+    or ratio must be scale-invariant."""
+    return ctx.coefficients[:rows] + [_coefficients(ctx.dec, 1e3 * ctx.corpus[0])]
+
+
 def _check_theorem1_brackets(ctx):
-    """Norm brackets of up to 10 vectors and 1000 f_0, from one ``_besov_norms`` table per size."""
-    records = []
-    constants = {}
+    """Norm brackets of up to 10 vectors and 1000 f_0, from one ``_besov_norms`` table."""
+    records, constants = [], {}
     grid = [sm.BesovParams(alpha=alpha, q=q, flavor=fl)
             for alpha, q in _THEOREM1_COMBOS for fl in _THEOREM1_FLAVORS]
-    for n, dec in ctx.decs.items():
-        corpus = ctx.corpus[n]
-        # the last row is 1000 f_0: the bracket must be scale-invariant
-        table = sm._besov_norms(dec, corpus[:min(ctx.count, 10)] + [1e3 * corpus[0]], grid)
-        table = table.reshape(len(table), len(_THEOREM1_COMBOS), len(_THEOREM1_FLAVORS))
-        for (alpha, q), block in zip(_THEOREM1_COMBOS, table.transpose(1, 0, 2)):
-            norms, scaled = block[:-1], block[-1]
-            ratios = norms[:, :, None] / norms[:, None, :]
-            lo, hi = float(ratios.min()), float(ratios.max())
-            q_name = "inf" if q == math.inf else q
-            constants[f"theorem1_bracket_lo[alpha={alpha},q={q_name},N={n}]"] = lo
-            constants[f"theorem1_bracket_hi[alpha={alpha},q={q_name},N={n}]"] = hi
-            params = _params_str(N=n, alpha=alpha, q=q_name)
-            records.append(_record("theorem1_bracket", params, hi / lo,
-                                   ctx.tols["finite_cap"]))
-            dev = float(np.max(np.abs(scaled / norms[0] / 1e3 - 1.0)))
-            records.append(_record("theorem1_scale_invariance", params, dev,
-                                   ctx.tols["scale_invariance"]))
+    table = sm._besov_norms(ctx.dec, _scaled_corpus(ctx, 10), grid)
+    table = table.reshape(len(table), len(_THEOREM1_COMBOS), len(_THEOREM1_FLAVORS))
+    for (alpha, q), block in zip(_THEOREM1_COMBOS, table.transpose(1, 0, 2)):
+        norms, scaled = block[:-1], block[-1]
+        ratios = norms[:, :, None] / norms[:, None, :]
+        lo, hi = float(ratios.min()), float(ratios.max())
+        q_name = "inf" if q == math.inf else q
+        constants[f"theorem1_bracket_lo[alpha={alpha},q={q_name},N={ctx.n}]"] = lo
+        constants[f"theorem1_bracket_hi[alpha={alpha},q={q_name},N={ctx.n}]"] = hi
+        dev = float(np.max(np.abs(scaled / norms[0] / 1e3 - 1.0)))
+        records += [ctx.record("theorem1_bracket", hi / lo, ctx.tols["finite_cap"],
+                               alpha=alpha, q=q_name),
+                    ctx.record("theorem1_scale_invariance", dev, ctx.tols["scale_invariance"],
+                               alpha=alpha, q=q_name)]
     return records, constants
 
 
 def _check_frame_equivalence(ctx):
-    """Frame ratios of up to 20 vectors and 1000 f_0, from one ``_equivalence_ratios`` per size."""
-    records = []
-    constants = {}
-    for n, dec in ctx.decs.items():
-        corpus = ctx.corpus[n]
-        # the last row is 1000 f_0: the ratio must be scale-invariant
-        ratios = dcmp._equivalence_ratios(dec, corpus[:min(ctx.count, 20)] + [1e3 * corpus[0]],
-                                          _THEOREM1_COMBOS, 2.0)
-        for (alpha, q), column in zip(_THEOREM1_COMBOS, ratios.T):
-            lo, hi = float(column[:-1].min()), float(column[:-1].max())
-            q_name = "inf" if q == math.inf else q
-            constants[f"c1[alpha={alpha},q={q_name},N={n}]"] = lo
-            constants[f"c2[alpha={alpha},q={q_name},N={n}]"] = hi
-            params = _params_str(N=n, alpha=alpha, q=q_name)
-            records.append(_record("frame_equivalence", params, hi / lo, ctx.tols["finite_cap"]))
-            records.append(_record("frame_scale_invariance", params,
-                                   abs(column[-1] / column[0] - 1.0),
-                                   ctx.tols["scale_invariance"]))
+    """Frame ratios of up to 20 vectors and 1000 f_0, from one ``_equivalence_ratios`` call."""
+    records, constants = [], {}
+    ratios = dcmp._equivalence_ratios(ctx.dec, _scaled_corpus(ctx, 20), _THEOREM1_COMBOS, 2.0)
+    for (alpha, q), column in zip(_THEOREM1_COMBOS, ratios.T):
+        lo, hi = float(column[:-1].min()), float(column[:-1].max())
+        q_name = "inf" if q == math.inf else q
+        constants[f"c1[alpha={alpha},q={q_name},N={ctx.n}]"] = lo
+        constants[f"c2[alpha={alpha},q={q_name},N={ctx.n}]"] = hi
+        records += [ctx.record("frame_equivalence", hi / lo, ctx.tols["finite_cap"],
+                               alpha=alpha, q=q_name),
+                    ctx.record("frame_scale_invariance", abs(column[-1] / column[0] - 1.0),
+                               ctx.tols["scale_invariance"], alpha=alpha, q=q_name)]
     return records, constants
 
 
 def _check_synthesis_constant(ctx):
-    records = []
-    a = 2.0
-    alpha = 0.8
-    for n, dec in ctx.decs.items():
-        worst_ratio = 0.0
-        worst_recon = 0.0
-        worst_tail_dev = 0.0
-        edges = pw._band_powers(a, pw.band_count(dec.lambda_max, a) + 1)
-        for idx in range(min(ctx.count, 10)):
-            f = ctx.corpus[n][idx]
-            norm_f = float(np.linalg.norm(f))
-            band_dec = dcmp.band_decompose(dec, f, a)
-            recon = float(np.linalg.norm(np.sum(band_dec.bands, axis=0) - f))
-            worst_recon = max(worst_recon, recon / norm_f)
-            norms2 = band_dec.band_norms() ** 2
-            for big_n, e2 in enumerate(pw._distances(dec, _coefficients(dec, f), edges, "E") ** 2):
-                tail = float(np.sum(norms2[big_n + 1:]))
-                worst_tail_dev = max(worst_tail_dev, abs(e2 - tail) / norm_f ** 2)
-            rep = dcmp.synthesis_check(dec, band_dec.bands, alpha, a=a)
-            worst_ratio = max(worst_ratio, sm._safe_ratio(rep.lhs, rep.rhs, 0.0))
-        # non-orthogonal inputs: each band is a random vector squashed to its edge
-        for _ in range(5):
-            bands = [pw.pw_project(dec, ctx.corpus[n][int(ctx.rng.integers(ctx.count))], edge)
-                     for edge in edges]
-            rep = dcmp.synthesis_check(dec, bands, alpha, a=a)
-            worst_ratio = max(worst_ratio, sm._safe_ratio(rep.lhs, rep.rhs, 0.0))
-        records.append(_record("synthesis_constant", _params_str(N=n, alpha=alpha, a=a),
-                               worst_ratio, 1.0 + ctx.tols["synthesis"]))
-        records.append(_record("band_reconstruction", _params_str(N=n, a=a),
-                               worst_recon, ctx.tols["reconstruction"]))
-        records.append(_record("band_tail_identity", _params_str(N=n, a=a),
-                               worst_tail_dev, ctx.tols["tail_identity"]))
-    return records, {}
+    dec = ctx.dec
+    a, alpha = 2.0, 0.8
+    worst_ratio = worst_recon = worst_tail_dev = 0.0
+    edges = pw._band_powers(a, pw.band_count(dec.lambda_max, a) + 1)
+    for f, fc in zip(ctx.corpus[:10], ctx.coefficients):
+        norm_f = float(np.linalg.norm(f))
+        band_dec = dcmp._band_split(dec, fc[1], fc[2], a)
+        recon = float(np.linalg.norm(np.sum(band_dec.bands, axis=0) - f))
+        worst_recon = max(worst_recon, recon / norm_f)
+        norms2 = band_dec.band_norms() ** 2
+        for big_n, e2 in enumerate(pw._distances(dec, fc, edges, "E") ** 2):
+            tail = float(np.sum(norms2[big_n + 1:]))
+            worst_tail_dev = max(worst_tail_dev, abs(e2 - tail) / norm_f ** 2)
+        rep = dcmp.synthesis_check(dec, band_dec.bands, alpha, a=a)
+        worst_ratio = max(worst_ratio, sm._safe_ratio(rep.lhs, rep.rhs, 0.0))
+    # non-orthogonal inputs: each band is a random vector squashed to its edge
+    for _ in range(5):
+        bands = [_bandlimited(ctx, int(ctx.rng.integers(ctx.count)), edge) for edge in edges]
+        rep = dcmp.synthesis_check(dec, bands, alpha, a=a)
+        worst_ratio = max(worst_ratio, sm._safe_ratio(rep.lhs, rep.rhs, 0.0))
+    return [ctx.record("synthesis_constant", worst_ratio, 1.0 + ctx.tols["synthesis"],
+                       alpha=alpha, a=a),
+            ctx.record("band_reconstruction", worst_recon, ctx.tols["reconstruction"], a=a),
+            ctx.record("band_tail_identity", worst_tail_dev, ctx.tols["tail_identity"], a=a)], {}
 
 
 #: canonical check order; selection never changes per-check RNG streams
@@ -740,8 +686,7 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
         raise InvalidParamsError(f"sizes must be distinct, got {list(sizes)}")
     if not spec.sized:
         sizes = (None,)
-    decs = {}
-    corpus = {}
+    decs, corpus, coefficients = {}, {}, {}
     for size in sizes:
         inst = spec.with_size(size) if spec.sized else spec
         if spec.builtin == "random_psd" and inst.seed is None:
@@ -754,6 +699,7 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
         decs[n] = dec
         corpus[n] = [corpus_rng.standard_normal(n) + 1j * corpus_rng.standard_normal(n)
                      for _ in range(count)]
+        coefficients[n] = [_coefficients(dec, f) for f in corpus[n]]
 
     report = VerificationReport(meta={
         "operator": spec.label() if not spec.sized else spec.builtin,
@@ -765,18 +711,17 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
         "package": "bandapprox",
         "version": PACKAGE_VERSION,
     })
-    transforms = {}  # the corpus transforms, shared by the checks that read them
     for index, (name, fn) in enumerate(ALL_CHECKS):
         if name not in selected:
             continue
-        ctx = _SuiteContext(decs=decs, corpus=corpus,
-                            rng=np.random.default_rng(children[1 + index]),
-                            tols=tols, count=count, transforms=transforms)
+        rng = np.random.default_rng(children[1 + index])
         start = time.perf_counter()
-        records, constants = fn(ctx)
+        for n, dec in decs.items():
+            records, constants = fn(_SuiteContext(n, dec, corpus[n], coefficients[n], rng, tols,
+                                                  count))
+            report.records.extend(records)
+            report.constants.update(constants)
         report.timings[name] = time.perf_counter() - start
-        report.records.extend(records)
-        report.constants.update(constants)
 
     report.records.sort(key=lambda r: (r.check, r.params))
     finite = all(math.isfinite(r.value) for r in report.records) and \

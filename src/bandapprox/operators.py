@@ -296,24 +296,37 @@ def spectral_transform(dec: SpectralDecomposition, f) -> np.ndarray:
 def _coefficients(dec: SpectralDecomposition, f) -> tuple:
     """``(v, c, e)``: ``f`` scaled to ``v = f 2^-e`` (see ``_scaled``) and checked, ``c = V^T v``.
 
-    Each public function takes each vector argument through this once; the
-    coefficients of ``f`` are ``c 2^e``.  Scaling keeps what ``spectral_transform`` checks.
+    Each public function takes each vector argument through this once (the harness each
+    corpus vector), and private helpers take the triples; the coefficients of ``f`` are
+    ``c 2^e``.  Scaling keeps what ``spectral_transform`` checks.
     """
     with np.errstate(invalid="ignore"):  # inf (1 + 0j) is NaN, which the check rejects
         v, e = _scaled(np.asarray(f, dtype=np.complex128))
     return v, spectral_transform(dec, v), e
 
 
-def _coefficient_block(dec: SpectralDecomposition, vectors) -> tuple:
-    """``(fcs, c, e)``: each vector's ``_coefficients``, and the block of their ``c`` and ``e``."""
-    fcs = [_coefficients(dec, f) for f in vectors]
-    return (fcs, np.array([c for _, c, _ in fcs]).reshape(len(fcs), dec.dim),
+def _coefficient_block(dec: SpectralDecomposition, fcs) -> tuple:
+    """``(c, e)``: the ``c`` and the ``e`` of the ``_coefficients`` triples ``fcs``, stacked."""
+    return (np.array([c for _, c, _ in fcs]).reshape(len(fcs), dec.dim),
             np.array([e for *_, e in fcs], dtype=int))
 
 
+def _weighted(weights, values) -> np.ndarray:
+    """``weights * values``, where a zero value gives zero even against an infinite weight.
+
+    A nonzero term beyond the largest double raises :class:`NonFiniteError`, as ``_norm`` does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.where(values == 0, 0.0, weights * values)
+    if not np.all(np.isfinite(terms)):
+        raise NonFiniteError("weighted term exceeds the largest double")
+    return terms
+
+
 def _power_coefficients(dec: SpectralDecomposition, c, k) -> np.ndarray:
-    """Coefficients of ``D^k f`` from those of ``f``: ``lambda^k c``, with no round trip."""
-    return np.power(dec.eigenvalues, k) * c
+    """``lambda^k c`` (``_weighted``): the coefficients of ``D^k f``, with no round trip."""
+    with np.errstate(over="ignore"):
+        return _weighted(np.power(dec.eigenvalues, k), c)
 
 
 def inverse_transform(dec: SpectralDecomposition, coeffs) -> np.ndarray:

@@ -63,6 +63,14 @@ def band_count(lambda_max: float, a: float) -> int:
     return k
 
 
+def _power(x: float, y: float) -> float:
+    """``x ** y``, or ``inf`` where it passes the largest double (a float power raises there)."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 def _band_powers(a: float, count: int, x: float = 1.0) -> np.ndarray:
     """``a^(k x)`` for k = 0 .. count-1: band edges at ``x = 1``, weights at ``x = alpha``.
 
@@ -70,7 +78,7 @@ def _band_powers(a: float, count: int, x: float = 1.0) -> np.ndarray:
     power may differ from them in the last bit and move an eigenvalue
     that sits on an edge into the next band.
     """
-    return np.array([a ** (k * x) for k in range(count)])
+    return np.array([_power(a, k * x) for k in range(count)])
 
 
 def _check_q(q: float) -> None:
@@ -118,11 +126,9 @@ class BandwidthReport:
 
 
 def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
-    """0 followed by the distinct eigenvalues: the jump points of E(f, .)."""
-    uniq = np.unique(dec.eigenvalues)
-    if uniq.size == 0:
-        return np.array([0.0])
-    return uniq if uniq[0] == 0.0 else np.concatenate(([0.0], uniq))
+    """0 and the distinct eigenvalues (the jump points of E(f, .)); the spectrum is ascending."""
+    nodes = np.concatenate(([0.0], dec.eigenvalues))
+    return nodes[np.append(True, nodes[1:] != nodes[:-1])]
 
 
 def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray:
@@ -226,13 +232,14 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     raises :class:`NotBandlimitedError`.  Every ``s`` must be finite and ``>= 0``.
     ``||D^s f||`` sums over ``lambda <= omega`` only, the part the inequality bounds:
     the admitted tail, round-off of a projection, would grow like ``(lambda_max/omega)^s``.
-    The ratio is taken at the scale of ``f``, so it is finite wherever ``f`` is.
+    The ratio is taken at the scale of ``f``, so it is finite wherever ``f`` is, and it is 0
+    where ``omega^s`` passes the largest double.
     """
-    return _bernstein_reports(dec, [f], [omega], s_list)[0]
+    return _bernstein_reports(dec, [_coefficients(dec, f)], [omega], s_list)[0]
 
 
-def _bernstein_reports(dec: SpectralDecomposition, vectors, omegas, s_list) -> list:
-    """:func:`bernstein_check` of each vector at its own ``omega``, from one ``lambda^{2s}`` table.
+def _bernstein_reports(dec: SpectralDecomposition, fcs, omegas, s_list) -> list:
+    """:func:`bernstein_check` of each triple at its own ``omega``, from one ``lambda^{2s}`` table.
 
     Row ``i`` keeps ``lambda <= omegas[i]``, a prefix of the ascending spectrum.  Rows with
     the same prefix share one elementwise product with the table and one last-axis sum per
@@ -243,7 +250,6 @@ def _bernstein_reports(dec: SpectralDecomposition, vectors, omegas, s_list) -> l
     bad = [s for s in s_values if not 0.0 <= s < math.inf]
     if bad:
         raise InvalidParamsError(f"s must be finite and >= 0, got {bad[0]}")
-    fcs = [_coefficients(dec, f) for f in vectors]
     norms = [np.linalg.norm(v) for v, _, _ in fcs]  # ||f|| 2^-e
     for fc, w, norm_v in zip(fcs, ws, norms):
         if norm_v == 0.0:
@@ -264,7 +270,7 @@ def _bernstein_reports(dec: SpectralDecomposition, vectors, omegas, s_list) -> l
         mag2, d = _scaled_mag2(np.array([fcs[row][1][:end] for row in rows]))
         sums = (mag2[:, None] * table[:, :end]).sum(axis=-1)
         # omega^s ||f|| at the scale of c: the 2^e of f cancels from every ratio
-        bounds = np.array([[ws[row] ** s * norms[row] for s in s_values] for row in rows])
+        bounds = np.array([[_power(ws[row], s) * norms[row] for s in s_values] for row in rows])
         ratios[rows] = np.ldexp(np.sqrt(sums) / bounds, d[:, None])
     # the ratios are nonnegative: the initial 0.0 only shows without any s
     return [BernsteinReport(omega=w, s_values=s_values, ratios=row, max_ratio=float(top))

@@ -26,13 +26,15 @@ equivalent ways:
   scan is sized from ``m lambda_max`` with no grid cap; a scan beyond
   :data:`MAX_SCAN_ENTRIES` raises instead of running for hours.
 
-A sweep over ``(alpha, q, flavor)`` takes one pass per vector:
-``_besov_norms`` transforms each vector once, computes once what does not
-depend on ``(alpha, q)`` (the E or R distances at the step nodes per route
-and at the band edges per ``(route, a)``, ``K(t)`` per order ``r``, the
-modulus seminorm per ``(alpha, r)``) and reads every norm off that.
-:func:`besov_norm` and :func:`k_besov_norm` are its one-vector,
-one-parameter calls, so every flavor has one code path.  The scan grid and
+A public function transforms its vector arguments (``operators._coefficients``);
+the private helpers take the ``(v, c, e)`` triples, which the ``verify`` harness
+makes once for its corpus.  A sweep over ``(alpha, q, flavor)`` takes one pass
+per vector: ``_besov_norms`` computes once per triple what does not depend on
+``(alpha, q)`` (the E or R distances at the step nodes per route and at the
+band edges per ``(route, a)``, ``K(t)`` per order ``r``, the modulus seminorm
+per ``(alpha, r)``) and reads every norm off that.  :func:`besov_norm` and
+:func:`k_besov_norm` are its one-vector, one-parameter calls, so every flavor
+has one code path.  The scan grid and
 the log-s path do not depend on ``f``, so a block of vectors takes one scan
 per order (``_moduli``, ``_seminorm_sup``) and one path per ``r``
 (``_k_functional_values``).  Every sum over the eigenvalues is one per row
@@ -56,6 +58,7 @@ from .operators import (
     _power_coefficients,
     _scaled,
     _scaled_mag2,
+    _weighted,
     apply_multiplier,
 )
 from .paley_wiener import _band_powers, _check_q, _distances, _lq_norm, _step_nodes, band_count
@@ -143,8 +146,9 @@ def difference(dec: SpectralDecomposition, f, tau: float, m: int) -> np.ndarray:
 
 def _difference_norms(eigenvalues, mag2, taus, m):
     """``||Delta_tau^m g||`` from ``|c|^2`` (rows ``mag2``), each one sum over the last axis."""
-    sins = 2.0 * np.abs(np.sin(np.multiply.outer(taus, eigenvalues) / 2.0))
-    return np.sqrt(np.maximum(np.sum(sins ** (2 * m) * mag2, axis=-1), 0.0))
+    # one expression, so no sine array outlives its power
+    powers = (2.0 * np.abs(np.sin(np.multiply.outer(taus, eigenvalues) / 2.0))) ** (2 * m)
+    return np.sqrt(np.maximum(np.sum(powers * mag2, axis=-1), 0.0))
 
 
 #: scan points per shortest period of ``||Delta_tau^m g||^2`` (frequency m lambda_max)
@@ -269,12 +273,12 @@ def _safe_ratio(num: float, den: float, scale: float) -> float:
 def modulus_inequality_checks(dec: SpectralDecomposition, f, s: float,
                               a_scale: float, m: int, k: int) -> ModulusInequalityReport:
     """Measure the power-transfer and scale-doubling modulus inequalities."""
-    return _modulus_inequality_reports(dec, [f], [s], [a_scale], [m], [k])[0]
+    return _modulus_inequality_reports(dec, [_coefficients(dec, f)], [s], [a_scale], [m], [k])[0]
 
 
-def _modulus_inequality_reports(dec: SpectralDecomposition, vectors, s_values, a_scales,
+def _modulus_inequality_reports(dec: SpectralDecomposition, fcs, s_values, a_scales,
                                 orders, powers) -> list:
-    """:func:`modulus_inequality_checks` of every trial ``(f, s, a_scale, m, k)`` of the columns.
+    """:func:`modulus_inequality_checks` of every trial ``(triple, s, a_scale, m, k)`` (columns).
 
     One shift scan per order ``m`` gives ``Omega_m(f, s)`` and ``Omega_m(f, a s)``, one per
     order ``m - k`` gives ``Omega_{m-k}(D^k f, s)``; at ``k = 0`` that is ``Omega_m(f, s)``.
@@ -284,7 +288,7 @@ def _modulus_inequality_reports(dec: SpectralDecomposition, vectors, s_values, a
             raise InvalidParamsError(f"need 0 <= k <= m, got k={k}, m={m}")
         if a_scale <= 0.0:
             raise InvalidParamsError("a_scale must be positive")
-    fcs, c, e = _coefficient_block(dec, vectors)
+    c, e = _coefficient_block(dec, fcs)
     lhs = np.empty((len(fcs), 2))
     for m in set(orders):
         rows = [i for i, m_i in enumerate(orders) if m_i == m]
@@ -310,11 +314,12 @@ def _integral_norm(nodes, values, alpha, q):
     ``values[i]`` is ``E(f, .)`` on ``[nodes[i], nodes[i+1])``, where the supremum of
     ``s^alpha * const`` sits at the right end, so the sup is a finite maximum.
     """
-    if q == math.inf:
-        return _lq_norm(values * nodes[1:] ** alpha, math.inf)
-    aq = alpha * q
-    scaled, e = _scaled(values)
-    pieces = scaled ** q * (nodes[1:] ** aq - nodes[:-1] ** aq) / aq
+    with np.errstate(over="ignore", invalid="ignore"):  # inf weights (and inf - inf): _weighted
+        if q == math.inf:
+            return _lq_norm(_weighted(nodes[1:] ** alpha, values), math.inf)
+        aq = alpha * q
+        scaled, e = _scaled(values)
+        pieces = _weighted(nodes[1:] ** aq - nodes[:-1] ** aq, scaled ** q) / aq
     return math.ldexp(float(np.sum(pieces)) ** (1.0 / q), e)
 
 
@@ -338,7 +343,7 @@ def _edge_distances(dec: SpectralDecomposition, fc, a: float, route: str) -> np.
 
 def _discrete_norm(distances: np.ndarray, alpha: float, q: float, a: float) -> float:
     """``(sum_k (a^{k alpha} d_k)^q)^{1/q}`` (the max at ``q = inf``) of band-edge distances."""
-    return _lq_norm(_band_powers(a, distances.size, alpha) * distances, q)
+    return _lq_norm(_weighted(_band_powers(a, distances.size, alpha), distances), q)
 
 
 def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
@@ -350,12 +355,12 @@ def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
     exploit.  Integral flavors are exact (piecewise evaluation); discrete
     flavors truncate where the terms become identically zero.
     """
-    return float(_besov_norms(dec, [f], [params])[0, 0])
+    return float(_besov_norms(dec, [_coefficients(dec, f)], [params])[0, 0])
 
 
-def _besov_norms(dec: SpectralDecomposition, vectors, params_list,
+def _besov_norms(dec: SpectralDecomposition, fcs, params_list,
                  domain_norm: str = "seminorm") -> np.ndarray:
-    """:func:`besov_norm` of every vector (rows) for every ``BesovParams`` (columns).
+    """:func:`besov_norm` of every triple (rows) for every ``BesovParams`` (columns).
 
     One pass per vector and one K path per ``r`` and seminorm per ``(alpha, r)`` for the
     whole block (see the module notes).  A ``k_functional`` column measures ``K`` in
@@ -363,7 +368,7 @@ def _besov_norms(dec: SpectralDecomposition, vectors, params_list,
     """
     nodes = _step_nodes(dec)
     lam_max = dec.lambda_max
-    fcs, c, e = _coefficient_block(dec, vectors)
+    c, e = _coefficient_block(dec, fcs)
 
     @functools.cache
     def k_values(r):
@@ -374,7 +379,7 @@ def _besov_norms(dec: SpectralDecomposition, vectors, params_list,
         return u, _k_functional_values(dec, c, e, [math.exp(ui) for ui in u], r, domain_norm)
 
     seminorm = functools.cache(lambda alpha, r: _seminorm_sup(dec, c, e, alpha, 0, r))
-    table = np.empty((len(vectors), len(params_list)))
+    table = np.empty((len(fcs), len(params_list)))
     for i, (row, fc) in enumerate(zip(table, fcs)):
         norm_f = _norm(fc[0], fc[2])
         # this vector's distances, each computed on first use
@@ -511,8 +516,8 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
     this is the ``k_functional`` flavor of :func:`besov_norm`, with the
     second term measured in ``domain_norm``.
     """
-    return float(_besov_norms(dec, [f], [replace(params, flavor="k_functional")],
-                              domain_norm)[0, 0])
+    return float(_besov_norms(dec, [_coefficients(dec, f)],
+                              [replace(params, flavor="k_functional")], domain_norm)[0, 0])
 
 
 # -- modulus-based seminorm and the two inverse-theorem lemmas -----------------
@@ -579,11 +584,11 @@ class LemmaReport:
     ratio: float
 
 
-def _lemma_reports(dec: SpectralDecomposition, vectors, alpha: float, n: int, r: int) -> list:
-    """The reports of :func:`lemma1_check` and :func:`lemma2_check` of every vector, one scan."""
+def _lemma_reports(dec: SpectralDecomposition, fcs, alpha: float, n: int, r: int) -> list:
+    """The :func:`lemma1_check` and :func:`lemma2_check` reports of every triple, one scan."""
     if not (alpha - n > 0.0 and r > alpha - n):
         raise InvalidOrderError(f"need r > alpha - n > 0, got alpha={alpha}, n={n}, r={r}")
-    fcs, c, e = _coefficient_block(dec, vectors)
+    c, e = _coefficient_block(dec, fcs)
     nodes = _step_nodes(dec)
     reports = []
     for fc, seminorm in zip(fcs, _seminorm_sup(dec, c, e, alpha, n, r).tolist()):
@@ -603,9 +608,9 @@ def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
     the seminorm; the returned ratio is that empirical constant, 0 when
     both sides vanish.
     """
-    return _lemma_reports(dec, [f], alpha, n, r)[0][0]
+    return _lemma_reports(dec, [_coefficients(dec, f)], alpha, n, r)[0][0]
 
 
 def lemma2_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
     """Measure the modulus seminorm against ``||f|| + sup_s s^alpha E(f, s)``."""
-    return _lemma_reports(dec, [f], alpha, n, r)[0][1]
+    return _lemma_reports(dec, [_coefficients(dec, f)], alpha, n, r)[0][1]

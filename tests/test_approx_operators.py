@@ -38,6 +38,7 @@ from bandapprox import (
 )
 from bandapprox.approx_operators import _jackson_reports, _psi_moment, _trigamma
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS, build_operator, parse_operator_arg
+from bandapprox.operators import _coefficients
 from conftest import random_vector
 from oracles import kernel_norm_const_closed_form, riesz_symbol_direct, riesz_symbol_mpmath
 
@@ -447,7 +448,8 @@ class TestJacksonReports:
         omegas = [1.3 * top, 0.4 * top, 0.6 * low, 2.1 * top, 0.4 * top]  # unsorted, a repeat
         for k in range(m + 1):
             const = jackson_constant(kernel, m, k)
-            reports = _jackson_reports(dec, vectors, omegas, m, k, kernel)
+            reports = _jackson_reports(dec, [_coefficients(dec, f) for f in vectors], omegas,
+                                       m, k, kernel)
             assert [len(row) for row in reports] == [len(omegas)] * len(vectors)
             for f, row in zip(vectors, reports):
                 norm_f = np.linalg.norm(f)
@@ -465,6 +467,7 @@ class TestJacksonReports:
         kernel = build_kernel(8, 2)
         f = random_vector(rng, 16)
         with pytest.raises(IndexOutOfRangeError):
-            _jackson_reports(cycle16_dec, [f], [1.0, 2.0], 2, k, kernel)
+            _jackson_reports(cycle16_dec, [_coefficients(cycle16_dec, f)], [1.0, 2.0], 2, k,
+                             kernel)
         with pytest.raises(IndexOutOfRangeError):
             jackson_check(cycle16_dec, f, 1.0, 2, k, kernel)

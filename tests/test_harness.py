@@ -173,7 +173,7 @@ class TestSuite:
         assert value_full == value_solo
 
     def test_shared_corpus_transforms_do_not_depend_on_the_checks_run(self):
-        # the corpus transforms are made by whichever selected check reads them first
+        # run_suite transforms the corpus whichever checks run, and every check reads it
         spec = OperatorSpec(builtin="cycle")
         shared = {"plancherel": ("plancherel",), "e_equals_r": ("e_equals_r",),
                   "bernstein": ("bernstein", "bernstein_equality"),

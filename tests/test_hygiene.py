@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the library is used, every
-private module-level name is referenced somewhere in src/ or tests/, and
-the library imports no third-party package but NumPy."""
+private module-level name is referenced somewhere in src/ or tests/, no
+private library helper transforms a vector, and the library imports no
+third-party package but NumPy."""
 
 import ast
 import os
@@ -86,3 +87,22 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]", out
+
+
+#: the library layers below the harness; their private helpers take ``_coefficients`` triples
+LAYERS = ("operators", "paley_wiener", "smoothness", "approx_operators", "decomposition")
+
+
+def test_private_helpers_transform_no_vector():
+    # a vector is transformed where it enters: by a public function, or by operators._coefficients
+    transforming = {"_coefficients", "spectral_transform"}
+    found = []
+    for layer in LAYERS:
+        tree = ast.parse((SRC / f"{layer}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and (layer, node.name) != ("operators", "_coefficients")):
+                names = {getattr(ref, "id", None) or getattr(ref, "attr", None)
+                         for ref in ast.walk(node) if isinstance(ref, (ast.Name, ast.Attribute))}
+                found += [f"{layer}.{node.name} -> {name}" for name in sorted(names & transforming)]
+    assert not found, f"private functions that transform a vector: {', '.join(found)}"

@@ -24,6 +24,7 @@ from bandapprox import (
     spectral_transform,
 )
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS, build_operator, parse_operator_arg
+from bandapprox.paley_wiener import _step_nodes
 from conftest import random_vector
 
 
@@ -281,3 +282,13 @@ class TestDenseUnion:
     def test_nonpositive_eps_rejected(self, diag_dec, rng, eps):
         with pytest.raises(InvalidParamsError):
             dense_union_check(diag_dec, random_vector(rng, 3), eps)
+
+
+@pytest.mark.parametrize("spectrum", [(0.0, 0.0, 1.0, 1.0, 1.0, 2.5), (0.5, 0.5, 3.0, 7.0, 7.0),
+                                      (0.0, 1.0, 2.0), (2.0,), (0.0,), (0.0, 0.0, 0.0)])
+def test_step_nodes_are_zero_and_the_distinct_eigenvalues(spectrum):
+    # the ascending spectrum needs no sort: each new value differs from the one before
+    dec = eigh(SymmetricOperator(np.diag(spectrum), kind=RAW_D))
+    distinct = np.unique(dec.eigenvalues)
+    expected = distinct if distinct[0] == 0.0 else np.concatenate(([0.0], distinct))
+    np.testing.assert_array_equal(_step_nodes(dec), expected)

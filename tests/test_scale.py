@@ -2,10 +2,13 @@
 
 At ``1e160`` the square of an entry of ``f`` overflows and at ``1e-160``
 and ``1e-300`` it underflows.  Every value below is still 1-homogeneous in
-``f``, and every ratio is independent of its scale, to 1e-12.
+``f``, and every ratio is independent of its scale, to 1e-12.  A band or
+step weight past the largest double (``alpha = 600``) adds nothing against
+a zero term and raises ``NonFiniteError`` against a nonzero one.
 """
 
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -149,3 +152,40 @@ def test_multipliers_at_the_largest_scale():
     # the alternating vector has lambda = lambda_max = 2: D^2 of it is 4e308 [1, -1, ...]
     with pytest.raises(NonFiniteError):
         operator_power(dec, 2, 1e308 * np.array([1.0, -1.0] * 4))
+
+
+@pytest.mark.parametrize("omega, s", [(1e300, 2.0), (1e200, 7.0)])
+def test_bernstein_bound_beyond_the_largest_double_gives_ratio_zero(omega, s):
+    # omega^s was a float power, which raised a bare OverflowError
+    dec = eigh(SymmetricOperator(np.diag([0.0, 0.5, 1.0, 2.0, 3.5, 7.0]), kind=RAW_D))
+    rep = bernstein_check(dec, np.ones(6), omega, [s])
+    assert rep.ratios.tolist() == [0.0] and rep.max_ratio == 0.0
+
+
+ALPHA = 600.0
+
+#: (name, call on (dec, f), value at f = e_1) of each function whose band or step weights
+#: a^{k alpha}, s^alpha pass the largest double at alpha = 600 on diag(0, 0.5, 1, 2, 3.5, 7)
+WEIGHT_CALLS = [
+    *[(f"besov_norm {flavor} q={q}",
+       lambda dec, f, p=BesovParams(alpha=ALPHA, q=q, flavor=flavor): besov_norm(dec, f, p), 1.0)
+      for flavor in ("integral_E", "integral_R", "discrete_E", "discrete_R")
+      for q in (2.0, math.inf)],
+    ("sup_scaled_best_approx", lambda dec, f: sup_scaled_best_approx(dec, f, ALPHA), 2.0 ** -600),
+    ("lemma1_check lhs", lambda dec, f: lemma1_check(dec, f, ALPHA, 599, 2).lhs, 2.0 ** -600),
+    ("frame_norm", lambda dec, f: frame_norm(band_decompose(dec, f), ALPHA, 2.0), 1.0),
+    ("equivalence_report", lambda dec, f: equivalence_report(dec, f, ALPHA, 2.0).ratios.tolist(),
+     [2.0]),
+    ("synthesis_check", lambda dec, f: attrgetter("lhs", "rhs")(
+        synthesis_check(dec, band_decompose(dec, f).bands, ALPHA)), (0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("name, call, expected", WEIGHT_CALLS, ids=[c[0] for c in WEIGHT_CALLS])
+def test_weights_beyond_the_largest_double(name, call, expected):
+    # a zero term adds zero against an infinite weight (it was 0 * inf = NaN, or the float
+    # power raised a bare OverflowError); a nonzero one is a typed error, as _norm raises
+    dec = eigh(SymmetricOperator(np.diag([0.0, 0.5, 1.0, 2.0, 3.5, 7.0]), kind=RAW_D))
+    assert call(dec, dec.eigenvectors[:, 1]) == expected
+    with pytest.raises(NonFiniteError):
+        call(dec, np.ones(6))

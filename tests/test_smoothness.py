@@ -1,6 +1,7 @@
 """Moduli of continuity, Besov norms, K-functional."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from bandapprox import (
     sup_scaled_best_approx,
 )
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS
+from bandapprox.smoothness import _difference_norms
 from conftest import random_vector
 from oracles import (
     besov_integral_by_quadrature,
@@ -359,3 +361,18 @@ class TestModulusFlavor:
         base = besov_norm(cycle16_dec, f, params)
         scaled = besov_norm(cycle16_dec, 5.0 * f, params)
         assert abs(scaled / base - 5.0) <= 5e-10
+
+
+def test_difference_norms_hold_two_arrays_of_their_product_at_once():
+    # 2,000 shifts at N = 256: the sine array outlived its power and the peak was three times
+    # the product |2 sin(tau lambda / 2)|^{2m} |c|^2
+    rng = np.random.default_rng(3)
+    lam, mag2 = np.sort(rng.uniform(0.0, 4.0, 256)), rng.uniform(size=256)
+    taus = np.linspace(0.0, 3.0, 2000)
+    tracemalloc.start()
+    try:
+        _difference_norms(lam, mag2, taus, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * taus.size * lam.size * 8, peak

@@ -49,7 +49,7 @@ from bandapprox import (
 from bandapprox.approx_operators import _jackson_reports
 from bandapprox.decomposition import _equivalence_ratios
 from bandapprox.harness import build_operator, load_edge_list, parse_operator_arg
-from bandapprox.operators import _coefficient_block, _norm
+from bandapprox.operators import _coefficient_block, _coefficients, _norm
 from bandapprox.paley_wiener import _band_powers, _bernstein_reports, _step_nodes, band_count
 from bandapprox.smoothness import (
     BESOV_FLAVORS,
@@ -95,10 +95,15 @@ def _vectors(rng, dim):
     return [f, 1e150 * f, 1e-150 * f, np.zeros(dim)]
 
 
+def _triples(dec, vectors):
+    """The ``_coefficients`` triples of ``vectors``, as the block helpers take them."""
+    return [_coefficients(dec, f) for f in vectors]
+
+
 def test_norm_table_matches_besov_norm(dec, rng):
     vectors = _vectors(rng, dec.dim)
     expected = [[besov_norm(dec, f, p) for p in PARAMS] for f in vectors]
-    np.testing.assert_array_equal(_besov_norms(dec, vectors, PARAMS), expected)
+    np.testing.assert_array_equal(_besov_norms(dec, _triples(dec, vectors), PARAMS), expected)
 
 
 def _by_definition(dec, f, p):
@@ -121,7 +126,7 @@ def test_norm_table_reads_each_column_off_its_own_route_and_base(dec, rng):
     vectors = _vectors(rng, dec.dim)
     params = [p for p in PARAMS if p.flavor != "k_functional"]
     expected = [[_by_definition(dec, f, p) for p in params] for f in vectors]
-    np.testing.assert_array_equal(_besov_norms(dec, vectors, params), expected)
+    np.testing.assert_array_equal(_besov_norms(dec, _triples(dec, vectors), params), expected)
 
 
 @pytest.mark.parametrize("domain_norm", ["seminorm", "graph"])
@@ -129,14 +134,15 @@ def test_norm_table_matches_k_besov_norm(dec, rng, domain_norm):
     vectors = _vectors(rng, dec.dim)
     params = [p for p in PARAMS if p.flavor == "k_functional"]
     expected = [[k_besov_norm(dec, f, p, domain_norm) for p in params] for f in vectors]
-    np.testing.assert_array_equal(_besov_norms(dec, vectors, params, domain_norm), expected)
+    np.testing.assert_array_equal(_besov_norms(dec, _triples(dec, vectors), params, domain_norm),
+                                  expected)
 
 
 @pytest.mark.parametrize("a", BASES)
 def test_equivalence_ratios_match_equivalence_report(dec, rng, a):
     vectors = _vectors(rng, dec.dim)[:3]
     combos = [(alpha, q) for alpha in ALPHAS for q in QS]
-    ratios = _equivalence_ratios(dec, vectors, combos, a)
+    ratios = _equivalence_ratios(dec, _triples(dec, vectors), combos, a)
     assert ratios.shape == (len(vectors), len(combos))
     for column, (alpha, q) in zip(ratios.T, combos):
         np.testing.assert_array_equal(column, equivalence_report(dec, vectors, alpha, q, a).ratios)
@@ -153,7 +159,8 @@ def _shifts(dec):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_scan_block_rows_match_one_row_scans(dec, rng, m):
-    fcs, c, e = _coefficient_block(dec, _vectors(rng, dec.dim))
+    fcs = _triples(dec, _vectors(rng, dec.dim))
+    c, e = _coefficient_block(dec, fcs)
     s_values = _shifts(dec)
     block = _moduli(dec, c, e, s_values, m)
     assert block.shape == s_values.shape
@@ -169,7 +176,7 @@ def test_scan_block_rows_match_one_row_scans(dec, rng, m):
 @pytest.mark.parametrize("domain_norm", ["seminorm", "graph"])
 def test_k_path_block_rows_match_one_row_paths(dec, rng, r, domain_norm):
     vectors = _vectors(rng, dec.dim)
-    _, c, e = _coefficient_block(dec, vectors)
+    c, e = _coefficient_block(dec, _triples(dec, vectors))
     ts = np.exp(np.linspace(math.log(1e-9), math.log(1e9), 37))
     values, d = _k_functional_values(dec, c, e, ts, r, domain_norm)
     for f, c_i, e_i, row, d_i in zip(vectors, c, e, values, d):
@@ -183,7 +190,7 @@ def test_k_path_block_rows_match_one_row_paths(dec, rng, r, domain_norm):
 @pytest.mark.parametrize("alpha,n,r", [(1.5, 1, 2), (0.8, 0, 2), (0.5, 0, 1)])
 def test_seminorm_block_rows_match_besov_seminorm_sup(dec, rng, alpha, n, r):
     vectors = _vectors(rng, dec.dim)
-    _, c, e = _coefficient_block(dec, vectors)
+    c, e = _coefficient_block(dec, _triples(dec, vectors))
     expected = [besov_seminorm_sup(dec, f, alpha, n, r) for f in vectors]
     np.testing.assert_array_equal(_seminorm_sup(dec, c, e, alpha, n, r), expected)
 
@@ -193,15 +200,17 @@ def test_composite_checks_match_their_one_vector_calls(dec, rng):
     trials = [(f, s, a, m, k) for f, s, a, (m, k)
               in zip(vectors * 3, [0.4, 2.0, 7.5] * 4, [0.5, 3.0] * 6,
                      [(1, 0), (1, 1), (2, 1), (3, 1), (3, 2), (2, 2)] * 2)]
-    for rep, trial in zip(_modulus_inequality_reports(dec, *zip(*trials)), trials):
+    fs, *columns = zip(*trials)
+    for rep, trial in zip(_modulus_inequality_reports(dec, _triples(dec, fs), *columns), trials):
         assert vars(rep) == vars(modulus_inequality_checks(dec, *trial))
-    for (rep1, rep2), f in zip(_lemma_reports(dec, vectors, 1.5, 1, 2), vectors):
+    for (rep1, rep2), f in zip(_lemma_reports(dec, _triples(dec, vectors), 1.5, 1, 2), vectors):
         assert vars(rep1) == vars(lemma1_check(dec, f, 1.5, 1, 2))
         assert vars(rep2) == vars(lemma2_check(dec, f, 1.5, 1, 2))
     if dec.lambda_max > 0.0:
         omegas = [0.4 * dec.lambda_max, 1.3 * dec.lambda_max]
         kernel = build_kernel(6, 2)
-        for f, row in zip(vectors, _jackson_reports(dec, vectors, omegas, 2, 1, kernel)):
+        for f, row in zip(vectors, _jackson_reports(dec, _triples(dec, vectors), omegas, 2, 1,
+                                                    kernel)):
             assert [vars(rep) for rep in row] == [vars(jackson_check(dec, f, omega, 2, 1, kernel))
                                                   for omega in omegas]
 
@@ -235,8 +244,8 @@ def test_bernstein_block_rows_match_bernstein_check(dec, rng):
     for order in (range(len(rows)), range(len(rows) - 1, -1, -1), range(0, len(rows), 3),
                   [len(rows) - 1] + [0] * 5):
         block = [rows[i] for i in order]
-        reports = _bernstein_reports(dec, [f for f, _ in block], [w for _, w in block],
-                                     BERNSTEIN_S)
+        reports = _bernstein_reports(dec, _triples(dec, [f for f, _ in block]),
+                                     [w for _, w in block], BERNSTEIN_S)
         assert len(reports) == len(block)
         for rep, i in zip(reports, order):
             _assert_same_report(rep, expected[i])
@@ -254,5 +263,5 @@ def test_bernstein_block_raises_as_its_one_row_call(dec, rng):
         with pytest.raises(error):
             bernstein_check(dec, f, omega, BERNSTEIN_S)
         with pytest.raises(error):
-            _bernstein_reports(dec, vectors[:middle] + [f] + vectors[middle:],
+            _bernstein_reports(dec, _triples(dec, vectors[:middle] + [f] + vectors[middle:]),
                                omegas[:middle] + [omega] + omegas[middle:], BERNSTEIN_S)

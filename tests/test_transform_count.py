@@ -5,7 +5,8 @@ once (``operators._coefficients``) and hands the coefficients to its
 helpers; a composite check that called a public function on its own
 vector, or built ``D^k f`` by a synthesis and a second transform, would
 show here as a second call.  ``synthesis_check`` transforms each band and
-then the sum of the bands, a vector it was never given.
+then the sum of the bands, a vector it was never given.  The private block
+helpers take the triples ``_coefficients`` returns and transform nothing.
 """
 
 import math
@@ -45,9 +46,16 @@ from bandapprox import (
     sup_scaled_best_approx,
     synthesis_check,
 )
+from bandapprox.approx_operators import _jackson_reports
 from bandapprox.decomposition import _equivalence_ratios
 from bandapprox.operators import _coefficients, _ldexp, _power_coefficients
-from bandapprox.smoothness import BESOV_FLAVORS, _besov_norms
+from bandapprox.paley_wiener import _bernstein_reports
+from bandapprox.smoothness import (
+    BESOV_FLAVORS,
+    _besov_norms,
+    _lemma_reports,
+    _modulus_inequality_reports,
+)
 from conftest import random_vector
 
 KERNEL = build_kernel(6, 2)
@@ -110,14 +118,43 @@ def test_norm_table_transforms_each_vector_once(cycle16_dec, rng, transforms):
     params = [BesovParams(alpha=alpha, q=q, flavor=flavor) for flavor in BESOV_FLAVORS
               for alpha in (0.7, 1.5) for q in (1.0, 2.0, math.inf)
               if flavor != "modulus" or q == math.inf]
-    _besov_norms(cycle16_dec, [random_vector(rng, 16) for _ in range(3)], params)
+    _besov_norms(cycle16_dec, [_coefficients(cycle16_dec, random_vector(rng, 16))
+                               for _ in range(3)], params)
     assert len(transforms) == 3
 
 
 def test_equivalence_ratios_transform_each_vector_once(cycle16_dec, rng, transforms):
     combos = [(alpha, q) for alpha in (0.7, 1.5) for q in (1.0, 2.0, math.inf)]
-    _equivalence_ratios(cycle16_dec, [random_vector(rng, 16) for _ in range(3)], combos, 2.0)
+    _equivalence_ratios(cycle16_dec, [_coefficients(cycle16_dec, random_vector(rng, 16))
+                                      for _ in range(3)], combos, 2.0)
     assert len(transforms) == 3
+
+
+#: (name, call on (dec, triples of 3 vectors, triples of 3 vectors bandlimited at 1.5))
+BLOCK_HELPERS = [
+    ("_jackson_reports", lambda dec, fcs, gcs: _jackson_reports(dec, fcs, [0.6, 1.2], 3, 1,
+                                                                build_kernel(8, 3))),
+    ("_besov_norms", lambda dec, fcs, gcs: _besov_norms(
+        dec, fcs, [BesovParams(alpha=0.8, q=q, flavor=flavor) for flavor in BESOV_FLAVORS
+                   for q in (2.0, math.inf) if flavor != "modulus" or q == math.inf])),
+    ("_lemma_reports", lambda dec, fcs, gcs: _lemma_reports(dec, fcs, 1.5, 1, 2)),
+    ("_modulus_inequality_reports", lambda dec, fcs, gcs: _modulus_inequality_reports(
+        dec, fcs, [0.7, 0.3, 1.1], [2.0, 0.5, 3.0], [2, 3, 1], [0, 2, 1])),
+    ("_bernstein_reports", lambda dec, fcs, gcs: _bernstein_reports(dec, gcs, [1.5] * 3,
+                                                                    (0.5, 1.0, 7.0))),
+    ("_equivalence_ratios", lambda dec, fcs, gcs: _equivalence_ratios(dec, fcs, [(0.8, 2.0)],
+                                                                      2.0)),
+]
+
+
+@pytest.mark.parametrize("name, call", BLOCK_HELPERS, ids=[c[0] for c in BLOCK_HELPERS])
+def test_block_helpers_given_triples_transform_nothing(cycle16_dec, rng, transforms, name, call):
+    fs = [random_vector(rng, 16) for _ in range(3)]
+    fcs = [_coefficients(cycle16_dec, f) for f in fs]
+    gcs = [_coefficients(cycle16_dec, pw_project(cycle16_dec, f, 1.5)) for f in fs]
+    transforms.clear()
+    call(cycle16_dec, fcs, gcs)
+    assert len(transforms) == 0
 
 
 def test_synthesis_check_transforms_each_band_and_the_sum(cycle16_dec, rng, transforms):

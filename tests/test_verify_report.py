@@ -32,15 +32,15 @@ PINNED = {
          "--seed", "5"],
 }
 
-#: coefficient transforms one run of the cycle:8 seed-401 command makes: one per
-#: vector argument of each library call, one per vector and kernel combination in
-#: the Jackson chain, one per vector in each parameter sweep, and one per corpus vector
-#: for the Plancherel, E = R, Bernstein and growth checks together (4,370 when composite
-#: checks transformed their vector up to four times, 3,098 when the Jackson chain
-#: transformed it once per band edge, 2,858 when the norm brackets, frame ratios,
-#: growth bound and E = R check transformed it once per parameter or route, 1,460 when
-#: each of those four checks transformed the corpus vectors it read on its own)
-CYCLE8_SEED401_TRANSFORMS = 1020
+#: coefficient transforms one run of the cycle:8 seed-401 command makes: one per corpus
+#: vector, made as it is drawn and read by every check, one per vector a check builds
+#: (projections, 1000 f_0, Q f) and one per vector argument of each public call
+#: (4,370 when composite checks transformed their vector up to four times, 3,098 when
+#: the Jackson chain transformed it once per band edge, 2,858 when the norm brackets,
+#: frame ratios, growth bound and E = R check transformed it once per parameter or
+#: route, 1,460 when each of those four checks transformed the corpus vectors it read
+#: on its own, 1,020 when only those four read the shared corpus transforms)
+CYCLE8_SEED401_TRANSFORMS = 689
 
 #: syntheses ``phi(D) f`` of the same run: the growth bound makes one 20-column
 #: synthesis per vector (1,145 when it made one per vector and ``z``)
