@@ -10,7 +10,8 @@ Two bounded operators built from the unitary group ``e^{itD}``:
   against combinations of group shifts.  Its spectral symbol is a sum of
   dilated kernel transforms, which vanish beyond the band, so the
   operator maps every vector into ``PW_omega`` with Jackson-type error
-  control through the modulus of continuity.
+  control through the modulus of continuity, which :func:`jackson_check`
+  measures for a block of vectors at an axis of band edges in one call.
 
 The kernel transform has two independent evaluators that must agree:
 oscillatory quadrature (composite Gauss-Legendre with an analytic tail
@@ -36,12 +37,15 @@ from .errors import (
 from .operators import (
     SpectralDecomposition,
     _basis_product,
-    _coefficient_block,
+    _broadcast,
+    _check_order,
     _coefficients,
     _is_int,
     _norm,
     _power_coefficients,
+    _shaped,
     apply_multiplier,
+    as_vector,
 )
 from .paley_wiener import _distances, _in_pw
 from .smoothness import _moduli, _safe_ratio
@@ -198,8 +202,7 @@ def build_kernel(n: int, m: int) -> ApproxKernel:
     if n != int(n) or int(n) % 2 != 0:
         raise OddOrderError(f"kernel order must be even, got {n}")
     n = int(n)
-    if m < 1:
-        raise KernelOrderMismatchError(f"difference order must be >= 1, got {m}")
+    _check_order(m, 1, KernelOrderMismatchError)
     if n < m + 3:
         raise OrderTooSmallError(f"kernel order n={n} must be >= m + 3 = {m + 3}")
     if n not in _KERNEL_CACHE:
@@ -326,11 +329,11 @@ def riesz_identity_check(dec: SpectralDecomposition, f, omega: float, power: int
     if not (_is_int(power) and power >= 1):
         raise InvalidParamsError(f"power must be an integer >= 1, got {power!r}")
     cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
-    v, c, e = fc = _coefficients(dec, f)
+    v, c, e = _coefficients(dec, as_vector(f, dec.dim))
     norm_f = _norm(v, e)
     residual = 0.0
     if norm_f > 0.0:
-        if not _in_pw(dec, fc, omega):
+        if not _in_pw(dec, c, omega, np.linalg.norm(v)):
             raise NotBandlimitedError(f"vector has spectral mass above omega={omega}")
         rho = riesz_symbol(dec.eigenvalues, cfg)
         residual = _norm((1j * dec.eigenvalues) ** power * c - rho ** power * c, e) / norm_f
@@ -342,6 +345,7 @@ def riesz_identity_check(dec: SpectralDecomposition, f, omega: float, power: int
 
 def shift_coefficients(m: int) -> np.ndarray:
     """Weights ``b_j = (-1)^{j+1} C(m, j)`` of the group shifts; they sum to 1."""
+    _check_order(m, 1, KernelOrderMismatchError)
     return np.array([(-1.0) ** (j + 1) * math.comb(m, j) for j in range(1, m + 1)])
 
 
@@ -350,8 +354,7 @@ def q_symbol(kernel: ApproxKernel, omega: float, m: int, lam,
     """Spectral symbol ``sum_j b_j h_transform(j lam / omega)`` of the Q operator."""
     if not (omega > 0.0):
         raise NegativeOmegaError(f"omega must be > 0, got {omega}")
-    if m < 1:
-        raise KernelOrderMismatchError(f"difference order must be >= 1, got {m}")
+    _check_order(m, 1, KernelOrderMismatchError)
     if kernel.n < m + 3:
         raise KernelOrderMismatchError(
             f"kernel order n={kernel.n} too small for m={m} (needs n >= m + 3)")
@@ -378,13 +381,13 @@ def q_apply(dec: SpectralDecomposition, f, omega: float, m: int,
 
 # -- Jackson machinery -----------------------------------------------------------
 
+
 def jackson_constant(kernel: ApproxKernel, m: int, k: int) -> float:
     """``integral of h(t) |t|^k (1 + |t|)^m dt``; finiteness needs ``n >= k + m + 2``.
 
     The exponent ``m`` dominates the proof's ``m - k``, so the direct estimate stays valid.
     """
-    if not 0 <= k <= m:
-        raise IndexOutOfRangeError(f"need 0 <= k <= m, got k={k}, m={m}")
+    _check_order(m, 0, IndexOutOfRangeError, k)
     if kernel.n < k + m + 2:
         raise OrderTooSmallError(
             f"kernel order n={kernel.n} too small for moment k + m = {k + m}")
@@ -411,35 +414,37 @@ class JacksonReport:
     link_gap: float
 
 
-def _jackson_reports(dec: SpectralDecomposition, fcs, omegas, m: int, k: int,
-                     kernel: ApproxKernel) -> list:
-    """``JacksonReport`` of every ``_coefficients`` triple (outer list) at every band edge in
-    ``omegas`` (inner).
-
-    Each Q symbol is evaluated once per edge, and each triple takes one ``_distances`` call.
-    One shift scan gives the moduli of every vector at every ``1/omega``:
-    its grid depends on ``m - k`` and ``lambda_max`` only, so they equal one scan per edge.
-    """
-    if not 0 <= k <= m:
-        raise IndexOutOfRangeError(f"need 0 <= k <= m, got k={k}, m={m}")
-    omegas = np.asarray(omegas, dtype=np.float64)
-    symbols = [q_symbol(kernel, w, m, dec.eigenvalues) for w in omegas.tolist()]
-    const = jackson_constant(kernel, m, k)
-    c, e = _coefficient_block(dec, fcs)
-    moduli = _moduli(dec, _power_coefficients(dec, c, k), e, 1.0 / omegas, m - k)
-    reports = []
-    for (v, c_i, e_i), row in zip(fcs, moduli):
-        norm_f = _norm(v, e_i)
-        q_errs = [_norm(_basis_product(dec.eigenvectors, sym * c_i) - v, e_i) for sym in symbols]
-        reports.append([JacksonReport(best=b, q_error=q, bound=bd, constant=const,
-                                      ratio_best=_safe_ratio(b, bd, norm_f),
-                                      ratio_q=_safe_ratio(q, bd, norm_f), link_gap=b - q)
-                        for b, q, bd in zip(_distances(dec, (v, c_i, e_i), omegas, "E").tolist(),
-                                            q_errs, (const * row / omegas ** k).tolist())])
-    return reports
-
-
-def jackson_check(dec: SpectralDecomposition, f, omega: float, m: int, k: int,
+def jackson_check(dec: SpectralDecomposition, f, omega, m: int, k: int,
                   kernel: ApproxKernel) -> JacksonReport:
-    """Measure the direct-estimate chain for one vector and band edge (``_jackson_reports``)."""
-    return _jackson_reports(dec, [_coefficients(dec, f)], [omega], m, k, kernel)[0][0]
+    """Measure the direct-estimate chain of ``f`` at the band edge ``omega``.
+
+    ``omega`` broadcasts against the rows of ``f`` (shape ``(..., N)``), and the report's
+    numbers take the broadcast shape.  Each Q symbol is evaluated once per entry of
+    ``omega``, and one shift scan gives the moduli of every row at its every ``1/omega``:
+    the grid depends on ``m - k`` and ``lambda_max`` only, so they equal one scan per edge.
+    """
+    _check_order(m, 0, IndexOutOfRangeError, k)
+    v, c, e = fc = _coefficients(dec, f)
+    omega = np.asarray(omega, dtype=np.float64)
+    symbols = np.array([q_symbol(kernel, w, m, dec.eigenvalues) for w in omega.ravel().tolist()])
+    const = jackson_constant(kernel, m, k)
+    shape, rows, (edge,) = _broadcast(c, np.arange(omega.size).reshape(omega.shape))
+    ws = omega.ravel()[edge]
+    v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
+    moduli = np.empty(len(rows))
+    if len(rows):  # each row's edges, as one row of shifts of the scan
+        order = np.argsort(rows, kind="stable")
+        moduli[order] = _moduli(dec, _power_coefficients(dec, c, k), e,
+                                (1.0 / ws[order]).reshape(len(c), -1), m - k).ravel()
+    q_errs = [_norm(row, e_i) for row, e_i in zip(
+        _basis_product(dec.eigenvectors, symbols.reshape(-1, dec.dim)[edge] * c[rows]) - v[rows],
+        e[rows].tolist())]
+    best = _distances(dec, fc, omega, "E").ravel().tolist()
+    bounds = (const * moduli / ws ** k).tolist()
+    scales = [_norm(v[row], e[row]) for row in rows.tolist()]
+    return JacksonReport(
+        best=_shaped(best, shape), q_error=_shaped(q_errs, shape), bound=_shaped(bounds, shape),
+        constant=const,
+        ratio_best=_shaped(list(map(_safe_ratio, best, bounds, scales)), shape),
+        ratio_q=_shaped(list(map(_safe_ratio, q_errs, bounds, scales)), shape),
+        link_gap=_shaped(np.subtract(best, q_errs), shape))

@@ -10,9 +10,8 @@ synthesis direction holds with the explicit geometric-series constant
 ``1 / (1 - a^{-alpha})`` even for overlapping, non-orthogonal band
 inputs.
 
-A sweep over ``(alpha, q)`` takes one pass per vector: ``_equivalence_ratios``
-band-splits and measures each ``_coefficients`` triple at the band edges once,
-then reads every ratio off that; :func:`equivalence_report` is its one-pair call.
+:func:`equivalence_report` band-splits and measures each vector at the band
+edges once, then reads the ratio of every ``(alpha, q)`` it is given off that.
 """
 
 import math
@@ -26,10 +25,10 @@ from .errors import (
     MembershipViolationError,
     ZeroVectorError,
 )
-from .operators import SpectralDecomposition, _basis_product, _coefficients, _ldexp, _norm
-from .operators import _weighted, as_vector
-from .paley_wiener import _band_powers, _check_q, _in_pw, _lq_norm, band_count
-from .smoothness import BesovParams, _discrete_norm, _edge_distances
+from .operators import SpectralDecomposition, _basis_product, _broadcast, _coefficients, _ldexp
+from .operators import _norm, _shaped, _weighted, as_vector
+from .paley_wiener import _band_powers, _check_q, _in_pw, _lq_norm, _pw_prefix, band_count
+from .smoothness import BesovParams, _discrete_norm, _edge_distances, _safe_ratio
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,18 +54,19 @@ def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecompo
     one; supports partition the spectrum exactly, so the bands are
     pairwise orthogonal and sum back to ``f``.
     """
-    _, c, e = _coefficients(dec, f)
+    _, c, e = _coefficients(dec, as_vector(f, dec.dim))
     return _band_split(dec, c, e, a)
 
 
 def _band_split(dec: SpectralDecomposition, c, e: int, a: float) -> BandDecomposition:
-    """:func:`band_decompose` of the vector with coefficients ``c 2^e``."""
-    k_top = band_count(dec.lambda_max, a)
-    edges = _band_powers(a, k_top + 1)
-    band_of = np.searchsorted(edges, dec.eigenvalues)  # k with a^{k-1} < lambda <= a^k
-    bands = tuple(_ldexp(_basis_product(dec.eigenvectors, np.where(band_of == k, c, 0.0)), e)
-                  for k in range(k_top + 1))
-    return BandDecomposition(base=a, bands=bands, band_edges=edges)
+    """:func:`band_decompose` of the vector with coefficients ``c 2^e``, every band in one
+    stacked product."""
+    edges = _band_powers(a, band_count(dec.lambda_max, a) + 1)
+    ends = _pw_prefix(dec, edges)  # band k keeps a^{k-1} < lambda <= a^k
+    index = np.arange(dec.dim)
+    masks = (np.append(0, ends[:-1])[:, None] <= index) & (index < ends[:, None])
+    bands = _ldexp(_basis_product(dec.eigenvectors, np.where(masks, c, 0.0)), e)
+    return BandDecomposition(base=a, bands=tuple(bands), band_edges=edges)
 
 
 def frame_norm(band_dec: BandDecomposition, alpha: float, q: float) -> float:
@@ -90,37 +90,33 @@ class EquivalenceReport:
     ratio_hi: float
 
 
-def equivalence_report(dec: SpectralDecomposition, vectors, alpha: float, q: float,
+def equivalence_report(dec: SpectralDecomposition, vectors, alpha, q,
                        a: float = 2.0) -> EquivalenceReport:
     """Ratios of ``||f|| + frame norm`` to the discrete approximation norm.
 
-    Over a corpus the minimum and maximum ratio bracket the equivalence
-    constants.  Accepts a single vector or a sequence of vectors.
+    Over a corpus the minimum and maximum ratio bracket the equivalence constants.
+    Accepts a single vector or a corpus of rows; ``alpha`` and ``q`` broadcast against the
+    rows, and ``ratio_lo`` and ``ratio_hi`` reduce the first axis of ``ratios``, the corpus.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 1:
-        vectors = [vectors]
-    ratios = _equivalence_ratios(dec, [_coefficients(dec, f) for f in vectors], [(alpha, q)],
-                                 a)[:, 0]
-    if not ratios.size:
+    if not np.size(vectors):
+        raise InvalidParamsError("equivalence_report needs at least one vector")
+    v, c, e = _coefficients(dec, np.atleast_2d(vectors))
+    shape, rows, (alphas, qs) = _broadcast(c, alpha, q)
+    params = [BesovParams(alpha=x, q=y, a=a, flavor="discrete_E")
+              for x, y in zip(alphas.tolist(), qs.tolist())]
+    cuts = [(_norm(v_i, e_i), _band_split(dec, c_i, e_i, a),
+             _edge_distances(dec, (v_i, c_i, e_i), a, "E"))
+            for v_i, c_i, e_i in zip(v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e))]
+    if any(norm_f == 0.0 for norm_f, *_ in cuts):
+        raise ZeroVectorError("equivalence ratio undefined for the zero vector")
+    ratios = _shaped([(cuts[row][0] + frame_norm(cuts[row][1], p.alpha, p.q))
+                      / (cuts[row][0] + _discrete_norm(cuts[row][2], p.alpha, p.q, a))
+                      for row, p in zip(rows.tolist(), params)], shape)
+    if not np.size(ratios):
         raise InvalidParamsError("equivalence_report needs at least one vector")
     return EquivalenceReport(alpha=alpha, q=q, a=a, ratios=ratios,
-                             ratio_lo=float(ratios.min()), ratio_hi=float(ratios.max()))
-
-
-def _equivalence_ratios(dec: SpectralDecomposition, fcs, combos, a: float) -> np.ndarray:
-    """:func:`equivalence_report` ratios of every ``_coefficients`` triple (rows) for every
-    ``(alpha, q)`` (columns), one pass per vector (see the module notes)."""
-    params = [BesovParams(alpha=alpha, q=q, a=a, flavor="discrete_E") for alpha, q in combos]
-    rows = []
-    for v, c, e in fcs:
-        norm_f = _norm(v, e)
-        if norm_f == 0.0:
-            raise ZeroVectorError("equivalence ratio undefined for the zero vector")
-        band_dec = _band_split(dec, c, e, a)
-        distances = _edge_distances(dec, (v, c, e), a, "E")
-        rows.append([(norm_f + frame_norm(band_dec, p.alpha, p.q))
-                     / (norm_f + _discrete_norm(distances, p.alpha, p.q, a)) for p in params])
-    return np.array(rows).reshape(len(rows), len(params))
+                             ratio_lo=_shaped(np.min(ratios, axis=0)),
+                             ratio_hi=_shaped(np.max(ratios, axis=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +127,11 @@ class SynthesisReport:
     rhs: float
     constant: float
     sup_band: float
+
+    @property
+    def ratio(self) -> float:
+        """``lhs / rhs``, at most 1 by the inequality; 0 when both sides vanish."""
+        return _safe_ratio(self.lhs, self.rhs, 0.0)
 
 
 def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
@@ -149,8 +150,9 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
         raise InvalidParamsError(f"alpha must be in (0, inf), got {alpha}")
     band_list = [as_vector(b, dec.dim) for b in bands]
     edges = _band_powers(a, len(band_list))
+    v, c, _ = _coefficients(dec, np.reshape(band_list, (-1, dec.dim)))  # every band at once
     for k, edge in enumerate(edges):
-        if not _in_pw(dec, _coefficients(dec, band_list[k]), edge):
+        if not _in_pw(dec, c[k], edge, np.linalg.norm(v[k])):
             raise MembershipViolationError(
                 f"band {k} has spectral mass above its edge a^{k} = {edge}")
 

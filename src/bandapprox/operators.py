@@ -14,7 +14,10 @@ Conventions
 * eigenvalues are ascending and nonnegative (tiny negative noise from
   e.g. graph Laplacians is clamped to zero),
 * eigenvectors are real orthonormal columns,
-* degenerate eigenvalues are grouped so multiplicities are explicit.
+* degenerate eigenvalues are grouped so multiplicities are explicit,
+* a vector argument may be a block of rows ``(..., N)``, with the parameters
+  of a call broadcast against ``f.shape[:-1]`` as NumPy broadcasts; each row
+  takes its own matrix-vector products, so its bits do not depend on the block.
 """
 
 import math
@@ -46,14 +49,44 @@ JACOBI_TOL = 1e-12
 
 def as_vector(f, dim=None) -> np.ndarray:
     """Coerce ``f`` to a finite complex 1-D array, checking its length."""
+    if np.ndim(f) != 1:
+        raise DimensionMismatchError(f"expected a 1-D vector, got shape {np.shape(f)}")
+    return _as_block(f, dim)
+
+
+def _as_block(f, dim=None) -> np.ndarray:
+    """Coerce ``f`` to a finite complex array of shape ``(..., dim)``: a vector or rows of them."""
     arr = np.asarray(f, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {arr.shape}")
+    if arr.ndim == 0 or (dim is not None and arr.shape[-1] != dim):
+        raise DimensionMismatchError(f"expected vectors of length {dim}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("vector has NaN or infinite entries")
-    if dim is not None and arr.shape[0] != dim:
-        raise DimensionMismatchError(f"vector length {arr.shape[0]} != dimension {dim}")
     return arr
+
+
+def _broadcast_shapes(*shapes) -> tuple:
+    """``np.broadcast_shapes``, raising :class:`DimensionMismatchError` where it raises."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise DimensionMismatchError(f"shapes {list(shapes)} do not broadcast") from None
+
+
+def _broadcast(c, *params) -> tuple:
+    """``(shape, rows, params)``: ``c.shape[:-1]`` broadcast against ``params``; for each element
+    of ``shape`` (C order), its row of ``c.reshape(-1, N)``; each parameter, flattened."""
+    rows = np.arange(math.prod(c.shape[:-1])).reshape(c.shape[:-1])
+    shape = _broadcast_shapes(rows.shape, *map(np.shape, params))
+    rows, *params = [(p * np.ones(shape, int)).ravel() for p in (rows, *params)]  # exact, quick
+    return shape, rows, params
+
+
+def _shaped(values, shape=None):
+    """``values`` as a float array in ``shape`` (default: their own); a float for the shape
+    ``()`` of one vector with scalar parameters."""
+    out = np.asarray(values, dtype=np.float64)
+    out = out if shape is None else out.reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _is_int(x) -> bool:
@@ -61,29 +94,38 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _scaled(x) -> tuple:
-    """``(x 2^-e, e)`` with ``max |x| 2^-e`` in ``[0.5, 1)``, or below it when ``e = -1022``.
+def _check_order(m, low: int, error=InvalidParamsError, k=0) -> None:
+    """Reject an order ``m`` that is no integer ``>= low``, or a power ``k`` outside ``0..m``."""
+    if not (_is_int(m) and m >= low):
+        raise error(f"difference order m must be an integer >= {low}, got {m!r}")
+    if not (_is_int(k) and 0 <= k <= m):
+        raise error(f"need integers 0 <= k <= m, got k={k!r}, m={m!r}")
 
-    Scaling by a power of two is exact: squares of the scaled entries
-    neither overflow nor underflow, and sums of them, their square roots
-    and inner products, times ``2^e``, keep their unscaled bits.  The
-    clamp keeps ``2^-e`` a finite double.
+
+def _scaled(x) -> tuple:
+    """``(x 2^-e, e)`` row by row, with ``max |x| 2^-e`` in ``[0.5, 1)`` (below at ``e = -1022``).
+
+    Scaling by a power of two is exact: squares of the scaled entries neither overflow nor
+    underflow, and sums of them, their square roots and inner products, times ``2^e``, keep
+    their unscaled bits.  The clamp keeps ``2^-e`` a finite double.
     """
-    e = max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1022)
-    return x * 2.0 ** -e, e
+    if x.ndim == 1:  # one vector: Python scalars, at half the cost of NumPy's
+        e = max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1022)
+        return x * 2.0 ** -e, e
+    e = np.maximum(np.frexp(np.abs(x).max(axis=-1, initial=0.0))[1], -1022)
+    return x * np.ldexp(1.0, -e)[..., None], e
 
 
 def _scaled_mag2(coeffs, e=0) -> tuple:
-    """``(|c|^2 4^-d, e + d)`` with ``(|c| 2^-d, d) = _scaled(|c|)``, row by row for a block."""
-    mag = np.abs(coeffs)
-    d = np.maximum(np.frexp(mag.max(axis=-1, initial=0.0))[1], -1022)
-    return (mag * np.ldexp(1.0, -d)[..., None]) ** 2, e + d
+    """``(|c|^2 4^-d, e + d)`` with ``(|c| 2^-d, d) = _scaled(|c|)``."""
+    mag, d = _scaled(np.abs(coeffs))
+    return mag ** 2, e + d
 
 
-def _ldexp(z, e: int) -> np.ndarray:
-    """``z 2^e`` for a complex array: exact, ``inf`` where it passes the largest double."""
+def _ldexp(z, e) -> np.ndarray:
+    """``z 2^e`` for complex rows ``z``, each at its own ``e``: exact, ``inf`` past the doubles."""
     with np.errstate(over="ignore"):
-        return np.ldexp(z.view(np.float64), e).view(np.complex128)
+        return np.ldexp(z.view(np.float64), np.asarray(e)[..., None]).view(np.complex128)
 
 
 def _norm(vec, e: int = 0) -> float:
@@ -93,7 +135,7 @@ def _norm(vec, e: int = 0) -> float:
     """
     scaled, d = _scaled(vec)
     try:
-        return math.ldexp(float(np.linalg.norm(scaled)), e + d)
+        return math.ldexp(float(np.linalg.norm(scaled)), int(e + d))
     except OverflowError:
         raise NonFiniteError("vector norm exceeds the largest double") from None
 
@@ -284,31 +326,22 @@ def eigh(op: SymmetricOperator) -> SpectralDecomposition:
 
 
 def _basis_product(basis: np.ndarray, z) -> np.ndarray:
-    """``basis @ z`` for a real ``basis``, as two real products: no complex copy of the basis."""
-    return basis @ z.real + 1j * (basis @ z.imag)
+    """``basis @ z`` for a real ``basis`` and rows ``z``, as two stacked real matrix-vector
+    products: no complex copy of the basis, and each row's bits are its own product's."""
+    return np.matvec(basis, z.real) + 1j * np.matvec(basis, z.imag)
 
 
 def spectral_transform(dec: SpectralDecomposition, f) -> np.ndarray:
-    """Coefficients ``c_j = <f, u_j>`` of ``f`` in the eigenbasis (unitary)."""
-    return _basis_product(dec.eigenvectors.T, as_vector(f, dec.dim))
+    """Coefficients ``c_j = <f, u_j>`` of ``f`` in the eigenbasis (unitary), row by row."""
+    return _basis_product(dec.eigenvectors.T, _as_block(f, dec.dim))
 
 
 def _coefficients(dec: SpectralDecomposition, f) -> tuple:
-    """``(v, c, e)``: ``f`` scaled to ``v = f 2^-e`` (see ``_scaled``) and checked, ``c = V^T v``.
-
-    Each public function takes each vector argument through this once (the harness each
-    corpus vector), and private helpers take the triples; the coefficients of ``f`` are
-    ``c 2^e``.  Scaling keeps what ``spectral_transform`` checks.
-    """
-    with np.errstate(invalid="ignore"):  # inf (1 + 0j) is NaN, which the check rejects
-        v, e = _scaled(np.asarray(f, dtype=np.complex128))
+    """``(v, c, e)``: each row of ``f`` checked and scaled to ``v = f 2^-e`` (see ``_scaled``),
+    and ``c = V^T v``.  Each public function takes each vector argument through this once
+    and hands the triple to its private helpers; the coefficients of ``f`` are ``c 2^e``."""
+    v, e = _scaled(_as_block(f, dec.dim))
     return v, spectral_transform(dec, v), e
-
-
-def _coefficient_block(dec: SpectralDecomposition, fcs) -> tuple:
-    """``(c, e)``: the ``c`` and the ``e`` of the ``_coefficients`` triples ``fcs``, stacked."""
-    return (np.array([c for _, c, _ in fcs]).reshape(len(fcs), dec.dim),
-            np.array([e for *_, e in fcs], dtype=int))
 
 
 def _weighted(weights, values) -> np.ndarray:
@@ -330,26 +363,28 @@ def _power_coefficients(dec: SpectralDecomposition, c, k) -> np.ndarray:
 
 
 def inverse_transform(dec: SpectralDecomposition, coeffs) -> np.ndarray:
-    """Synthesize the vector whose eigenbasis coefficients are ``coeffs``."""
-    return _basis_product(dec.eigenvectors, as_vector(coeffs, dec.dim))
+    """Synthesize the vector whose eigenbasis coefficients are ``coeffs``, row by row."""
+    return _basis_product(dec.eigenvectors, _as_block(coeffs, dec.dim))
 
 
 def apply_multiplier(dec: SpectralDecomposition, phi, f) -> np.ndarray:
     """Apply the operator ``phi(D)``: multiply coefficients by ``phi(lambda_j)``.
 
     ``phi`` is called once with the full eigenvalue array and may return
-    real or complex values; they must all be finite.  It acts at the scale
-    of ``f``; a result beyond the largest double raises :class:`NonFiniteError`.
+    real or complex values, ``(N,)`` or rows ``(..., N)`` that broadcast against
+    the rows of ``f``; they must all be finite.  It acts at the scale of each
+    row of ``f``; a result beyond the largest double raises :class:`NonFiniteError`.
     """
     _, c, e = _coefficients(dec, f)
     return _synthesize(dec, phi(dec.eigenvalues), c, e)
 
 
-def _synthesize(dec: SpectralDecomposition, values, c, e: int) -> np.ndarray:
-    """:func:`apply_multiplier` from ``values = phi(lambda)`` and the coefficients ``c 2^e``."""
+def _synthesize(dec: SpectralDecomposition, values, c, e) -> np.ndarray:
+    """:func:`apply_multiplier` from ``values = phi(lambda)`` and the coefficient rows ``c 2^e``."""
     values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise NonFiniteMultiplierError("multiplier is not finite on the spectrum")
+    _broadcast_shapes(values.shape, c.shape)
     out = _ldexp(_basis_product(dec.eigenvectors, values * c), e)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("result exceeds the largest double")
@@ -363,6 +398,8 @@ def operator_power(dec: SpectralDecomposition, s: float, f) -> np.ndarray:
     return apply_multiplier(dec, lambda lam: np.power(lam, s), f)
 
 
-def schrodinger_group(dec: SpectralDecomposition, z: complex, f) -> np.ndarray:
-    """Apply ``e^{izD}``; an isometry for real ``z``, entire in ``z``."""
-    return apply_multiplier(dec, lambda lam: np.exp(1j * complex(z) * lam), f)
+def schrodinger_group(dec: SpectralDecomposition, z, f) -> np.ndarray:
+    """Apply ``e^{izD}``; an isometry for real ``z``, entire in ``z``.  ``z`` broadcasts
+    against the rows of ``f``."""
+    iz = 1j * np.asarray(z, dtype=np.complex128)
+    return apply_multiplier(dec, lambda lam: np.exp(iz[..., None] * lam), f)

@@ -1,11 +1,11 @@
 """Paley-Wiener subspaces: projections, best approximation, bandwidth.
 
-``PW_omega`` is the span of eigenvectors with eigenvalue in the closed
-interval ``[0, omega]``.  The distance from ``f`` to ``PW_omega`` (best
-approximation) is computed two independent ways: as the Euclidean norm of
-``f`` minus its orthogonal projection, and as the coefficient-tail norm
-above ``omega``.  The two must agree to near machine precision; keeping
-both routes makes that identity a real check instead of a tautology.
+``PW_omega`` is the span of eigenvectors with eigenvalue in ``[0, omega]``, a
+prefix of the ascending spectrum cut in one place (``_pw_prefix``).  The
+distance from ``f`` to ``PW_omega`` (best approximation) is computed two ways:
+as the norm of ``f`` minus its orthogonal projection, and as the norm of the
+coefficients above ``omega``.  The two must agree to near machine precision;
+keeping both routes makes that identity a real check instead of a tautology.
 """
 
 import math
@@ -23,11 +23,14 @@ from .errors import (
 from .operators import (
     SpectralDecomposition,
     _basis_product,
+    _broadcast,
     _coefficients,
     _is_int,
     _scaled,
     _scaled_mag2,
+    _shaped,
     apply_multiplier,
+    as_vector,
 )
 
 #: relative tail below which a vector counts as a member of PW_omega
@@ -94,14 +97,20 @@ def _lq_norm(terms: np.ndarray, q: float) -> float:
     if q == math.inf:
         return float(np.max(terms))
     scaled, e = _scaled(terms)
-    return math.ldexp(float(np.sum(scaled ** q) ** (1.0 / q)), e)
+    return math.ldexp(float(np.sum(scaled ** q) ** (1.0 / q)), int(e))
 
 
-def _omega_value(omega) -> float:
-    value = float(omega)
-    if not (value >= 0.0):
+def _omegas(omega) -> np.ndarray:
+    """``omega`` as a float array, every entry checked ``>= 0``."""
+    value = np.asarray(omega, dtype=np.float64)
+    if not np.all(value >= 0.0):
         raise NegativeOmegaError(f"omega must be >= 0, got {omega}")
     return value
+
+
+def _pw_prefix(dec: SpectralDecomposition, omega):
+    """How many eigenvalues PW_omega keeps (``lambda <= omega``): the one place the cut is made."""
+    return dec.eigenvalues.searchsorted(omega, side="right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,44 +141,42 @@ def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
 
 
 def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray:
-    """Distance from ``f`` to PW_omega at every band edge in ``omegas``, from its ``(v, c, e)``.
-
-    Route ``"E"`` takes the norm of the residual ``v - V (masked c)`` in the
-    vector domain; route ``"R"`` the norm of the coefficients above.
-    """
+    """Distance from ``f`` to PW_omega, from its ``(v, c, e)``, at ``omegas`` broadcast against
+    the rows of ``f``: route ``"E"`` takes the norm of the residual ``v - V (masked c)`` in
+    the vector domain, route ``"R"`` the norm of the coefficients above."""
     v, c, e = fc
-    lam = dec.eigenvalues
+    shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
+    v, c, j = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.arange(dec.dim)
     if route == "R":
-        return np.ldexp([np.linalg.norm(c[lam > w]) for w in omegas], e)
-    return np.ldexp([np.linalg.norm(v - _basis_product(dec.eigenvectors, np.where(lam <= w, c, 0)))
-                     for w in omegas], e)
+        norms = [np.linalg.norm(c[i, end:]) for i, end in zip(rows.tolist(), ends.tolist())]
+    else:  # one element at a time: a block of masked copies would be elements x N
+        norms = [np.linalg.norm(v[i] - _basis_product(dec.eigenvectors, np.where(j < end, c[i], 0)))
+                 for i, end in zip(rows.tolist(), ends.tolist())]
+    return np.ldexp(np.reshape(norms, shape), e.reshape(shape))
 
 
 def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
-    """Orthogonal projection onto PW_omega: zero all coefficients above omega."""
-    w = _omega_value(omega)
-    return apply_multiplier(dec, lambda lam: lam <= w, f)
+    """Orthogonal projection onto PW_omega: zero all coefficients above omega (broadcast
+    against the rows of ``f``)."""
+    ends = _pw_prefix(dec, _omegas(omega))
+    return apply_multiplier(dec, lambda lam: np.arange(lam.size) < ends[..., None], f)
 
 
-def best_approx(dec: SpectralDecomposition, f, omega) -> float:
-    """Distance from ``f`` to PW_omega, via the projection residual in H."""
-    return float(_distances(dec, _coefficients(dec, f), [_omega_value(omega)], "E")[0])
+def best_approx(dec: SpectralDecomposition, f, omega):
+    """Distance from ``f`` to PW_omega, via the projection residual in H: a float for one
+    vector and one ``omega``, else an array of their broadcast shape."""
+    return _shaped(_distances(dec, _coefficients(dec, f), _omegas(omega), "E"))
 
 
-def spectral_tail(dec: SpectralDecomposition, f, omega) -> float:
-    """Coefficient-tail norm above omega; equals :func:`best_approx`."""
-    return float(_distances(dec, _coefficients(dec, f), [_omega_value(omega)], "R")[0])
+def spectral_tail(dec: SpectralDecomposition, f, omega):
+    """Coefficient-tail norm above omega; equals :func:`best_approx`, shaped as it is."""
+    return _shaped(_distances(dec, _coefficients(dec, f), _omegas(omega), "R"))
 
 
-def _in_pw(dec: SpectralDecomposition, fc, omega: float, norm_v=None) -> bool:
-    """Whether ``f`` lies in PW_omega: tail above omega at most ``BANDLIMITED_TOL ||f||``.
-
-    ``norm_v`` is ``||v||`` of ``fc = (v, c, e)`` when the caller has it already.
-    """
-    v, c, _ = fc
-    if norm_v is None:
-        norm_v = np.linalg.norm(v)
-    return np.linalg.norm(c[dec.eigenvalues > omega]) <= BANDLIMITED_TOL * norm_v
+def _in_pw(dec: SpectralDecomposition, c, omega: float, norm_v) -> bool:
+    """Whether ``f`` lies in PW_omega: the tail of its coefficients ``c 2^e`` above omega is at
+    most ``BANDLIMITED_TOL ||f||``, given ``norm_v = ||f|| 2^-e``."""
+    return np.linalg.norm(c[_pw_prefix(dec, omega):]) <= BANDLIMITED_TOL * norm_v
 
 
 def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
@@ -186,7 +193,7 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     """
     if not (_is_int(k_max) and k_max >= 1):
         raise InvalidParamsError(f"k_max must be an integer >= 1, got {k_max!r}")
-    v, c, e = _coefficients(dec, f)
+    v, c, e = _coefficients(dec, as_vector(f, dec.dim))
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0:
         raise ZeroVectorError("bandwidth of the zero vector is undefined")
@@ -201,10 +208,10 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     top = log_terms.max(axis=1, initial=-math.inf)
     with np.errstate(divide="ignore"):  # log 0 = -inf without live terms
         shifted = 0.5 * np.log(np.sum(np.exp(2.0 * (log_terms - top[:, None])), axis=1))
-    log_norms = top + shifted + e * math.log(2.0)
+    log_norms = top + shifted + int(e) * math.log(2.0)
     k_sequence = np.exp(log_norms / ks)
 
-    probe = omega_f if probe_omega is None else _omega_value(probe_omega)
+    probe = omega_f if probe_omega is None else float(_omegas(probe_omega))
     if probe > 0.0:
         sup_ratio = float(np.exp(np.max(log_norms - ks * math.log(probe))))
     else:
@@ -234,47 +241,43 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     the admitted tail, round-off of a projection, would grow like ``(lambda_max/omega)^s``.
     The ratio is taken at the scale of ``f``, so it is finite wherever ``f`` is, and it is 0
     where ``omega^s`` passes the largest double.
+
+    ``omega`` and ``max_ratio`` take the broadcast shape of ``omega`` and the rows of ``f``;
+    ``ratios`` adds an axis over ``s``.
     """
-    return _bernstein_reports(dec, [_coefficients(dec, f)], [omega], s_list)[0]
-
-
-def _bernstein_reports(dec: SpectralDecomposition, fcs, omegas, s_list) -> list:
-    """:func:`bernstein_check` of each triple at its own ``omega``, from one ``lambda^{2s}`` table.
-
-    Row ``i`` keeps ``lambda <= omegas[i]``, a prefix of the ascending spectrum.  Rows with
-    the same prefix share one elementwise product with the table and one last-axis sum per
-    ``s``, so a row's bits do not depend on its block.
-    """
-    ws = [_omega_value(w) for w in omegas]
+    v, c, _ = _coefficients(dec, f)
+    shape, rows, (ws,) = _broadcast(c, _omegas(omega))
     s_values = tuple(s_list)
     bad = [s for s in s_values if not 0.0 <= s < math.inf]
     if bad:
         raise InvalidParamsError(f"s must be finite and >= 0, got {bad[0]}")
-    norms = [np.linalg.norm(v) for v, _, _ in fcs]  # ||f|| 2^-e
-    for fc, w, norm_v in zip(fcs, ws, norms):
-        if norm_v == 0.0:
+    v, c = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim)
+    norms = [np.linalg.norm(row) for row in v]  # ||f|| 2^-e
+    for row, w in zip(rows.tolist(), ws.tolist()):
+        if norms[row] == 0.0:
             raise ZeroVectorError("Bernstein check needs a nonzero vector")
-        if not _in_pw(dec, fc, w, norm_v):
+        if not _in_pw(dec, c[row], w, norms[row]):
             raise NotBandlimitedError(f"vector has spectral mass above omega={w}")
-    groups = {}  # prefix length -> rows; None for omega = 0
-    ends = dec.eigenvalues.searchsorted(ws, side="right").tolist()
-    for row, (w, end) in enumerate(zip(ws, ends)):
-        groups.setdefault(end if w > 0.0 else None, []).append(row)
+    groups = {}  # prefix length -> elements; None for omega = 0
+    for i, (w, end) in enumerate(zip(ws.tolist(), _pw_prefix(dec, ws).tolist())):
+        groups.setdefault(end if w > 0.0 else None, []).append(i)
     ratios = np.empty((len(ws), len(s_values)))
     zero = groups.pop(None, None)
     if zero:  # f in PW_0 means D^s f = 0 for s > 0; report 0 rather than 0/0
         ratios[zero] = [0.0 if s > 0 else 1.0 for s in s_values]
     lam = dec.eigenvalues[:max(groups, default=0)]
     table = np.array([np.power(lam, 2.0 * s) for s in s_values]).reshape(len(s_values), lam.size)
-    for end, rows in groups.items():
-        mag2, d = _scaled_mag2(np.array([fcs[row][1][:end] for row in rows]))
+    for end, elements in groups.items():
+        mag2, d = _scaled_mag2(c[rows[elements], :end])
         sums = (mag2[:, None] * table[:, :end]).sum(axis=-1)
         # omega^s ||f|| at the scale of c: the 2^e of f cancels from every ratio
-        bounds = np.array([[_power(ws[row], s) * norms[row] for s in s_values] for row in rows])
-        ratios[rows] = np.ldexp(np.sqrt(sums) / bounds, d[:, None])
+        bounds = np.array([[_power(float(ws[i]), s) * norms[rows[i]] for s in s_values]
+                           for i in elements])
+        ratios[elements] = np.ldexp(np.sqrt(sums) / bounds, d[:, None])
     # the ratios are nonnegative: the initial 0.0 only shows without any s
-    return [BernsteinReport(omega=w, s_values=s_values, ratios=row, max_ratio=float(top))
-            for w, row, top in zip(ws, ratios, ratios.max(axis=1, initial=0.0))]
+    return BernsteinReport(omega=_shaped(ws, shape), s_values=s_values,
+                           ratios=ratios.reshape(shape + (len(s_values),)),
+                           max_ratio=_shaped(ratios.max(axis=1, initial=0.0), shape))
 
 
 def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:
@@ -286,6 +289,6 @@ def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:
     if not (eps > 0.0):
         raise InvalidParamsError(f"eps must be positive, got {eps}")
     nodes = _step_nodes(dec)
-    tails = _distances(dec, _coefficients(dec, f), nodes, "R")
+    tails = _distances(dec, _coefficients(dec, as_vector(f, dec.dim)), nodes, "R")
     return float(nodes[np.argmax(tails <= eps)])
 

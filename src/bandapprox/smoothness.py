@@ -9,37 +9,22 @@ equivalent ways:
   consecutive distinct eigenvalues, so the integral norms are evaluated
   in closed form with no quadrature error.  The distances at all band
   edges come from one coefficient transform;
-* the Peetre K-functional between ``H`` and the domain of ``D^r``,
-  minimized along the Tikhonov family ``g_s = (I + s D^{2r})^{-1} f``.
-  That family traces the Pareto frontier of the two competing norms
-  ``A(s) = ||f - g_s||`` and ``B(s) = ||D^r g_s||``, so
-  ``K(t) = min_s A(s) + t B(s)`` is the lower envelope of the lines
-  ``A(s) + t B(s)``.  The path is evaluated once on a log-s grid, the
-  envelope is taken for every ``t`` in one broadcast minimum, and each
-  ``t`` is refined by clipped Newton steps on the optimality condition
-  ``s B(s) / A(s) = t`` inside its grid bracket;
-* moduli of continuity built from the unitary group ``e^{itD}``.
+* the Peetre K-functional between ``H`` and the domain of ``D^r``: the
+  lower envelope of the lines ``||f - g_s|| + t ||D^r g_s||`` along the
+  Tikhonov family ``g_s = (I + s D^{2r})^{-1} f``, the Pareto frontier of
+  the two norms (see ``_k_functional_values``);
+* moduli of continuity built from the unitary group ``e^{itD}``:
   ``Omega_m(g, s)`` is the running maximum of ``||Delta_tau^m g||`` over
-  ``tau <= s``, so one shift scan with every local maximum refined by
-  clipped Newton steps serves both moduli: :func:`modulus` reads it at a
-  single ``s`` and the modulus seminorm at all of its ``s`` at once.  The
-  scan is sized from ``m lambda_max`` with no grid cap; a scan beyond
-  :data:`MAX_SCAN_ENTRIES` raises instead of running for hours.
+  ``tau <= s``, so one shift scan serves :func:`modulus` and the modulus
+  seminorm (see ``_running_modulus``), with no grid cap.
 
-A public function transforms its vector arguments (``operators._coefficients``);
-the private helpers take the ``(v, c, e)`` triples, which the ``verify`` harness
-makes once for its corpus.  A sweep over ``(alpha, q, flavor)`` takes one pass
-per vector: ``_besov_norms`` computes once per triple what does not depend on
-``(alpha, q)`` (the E or R distances at the step nodes per route and at the
-band edges per ``(route, a)``, ``K(t)`` per order ``r``, the modulus seminorm
-per ``(alpha, r)``) and reads every norm off that.  :func:`besov_norm` and
-:func:`k_besov_norm` are its one-vector, one-parameter calls, so every flavor
-has one code path.  The scan grid and
-the log-s path do not depend on ``f``, so a block of vectors takes one scan
-per order (``_moduli``, ``_seminorm_sup``) and one path per ``r``
-(``_k_functional_values``).  Every sum over the eigenvalues is one per row
-and point, so a row's result does not depend on its block, bit for bit, and
-the public functions are the 1-row calls.
+The norms, the modulus inequalities and the lemmas take ``f`` as a block of rows (see
+``operators``), with one shift scan per order and one K path per ``r``: the scan grid
+and the log-s path do not depend on ``f``, and every sum over the eigenvalues is one
+per row and point, so a row's bits do not depend on its block.  ``_besov_norms`` reads every
+``(alpha, q, flavor)`` of a block off one pass per vector (the E or R distances per
+route and base, ``K(t)`` per ``r``, the seminorm per ``(alpha, r)``);
+:func:`besov_norm` and :func:`k_besov_norm` are its one-parameter calls.
 """
 
 import functools
@@ -51,15 +36,18 @@ import numpy as np
 from .errors import InvalidOrderError, InvalidParamsError, NonPositiveTError
 from .operators import (
     SpectralDecomposition,
-    _coefficient_block,
+    _broadcast,
+    _check_order,
     _coefficients,
     _is_int,
     _norm,
     _power_coefficients,
     _scaled,
     _scaled_mag2,
+    _shaped,
     _weighted,
     apply_multiplier,
+    as_vector,
 )
 from .paley_wiener import _band_powers, _check_q, _distances, _lq_norm, _step_nodes, band_count
 
@@ -113,8 +101,8 @@ class BesovParams:
         if r is None:
             r = math.floor(self.alpha) + 1 if self.q != math.inf else max(1, math.ceil(self.alpha))
             object.__setattr__(self, "r", r)
-        if r < 1 or r != int(r):
-            raise InvalidParamsError(f"r must be a positive integer, got {r}")
+        if not (_is_int(r) and r >= 1):
+            raise InvalidParamsError(f"r must be a positive integer, got {r!r}")
         if self.q == math.inf:
             if self.alpha > r:
                 raise InvalidParamsError("need alpha <= r when q = inf")
@@ -139,8 +127,7 @@ def difference(dec: SpectralDecomposition, f, tau: float, m: int) -> np.ndarray:
     On coefficients this is multiplication by ``(e^{i tau lambda} - 1)^m``,
     which agrees with ``m`` successive first-order differences.
     """
-    if not (_is_int(m) and m >= 1):
-        raise InvalidParamsError(f"difference order m must be an integer >= 1, got {m!r}")
+    _check_order(m, 1)
     return apply_multiplier(dec, lambda lam: (np.exp(1j * tau * lam) - 1.0) ** m, f)
 
 
@@ -223,8 +210,7 @@ def _moduli(dec: SpectralDecomposition, c, e, s_values, m: int) -> np.ndarray:
     bad = ~(np.isfinite(s_values) & (s_values >= 0.0))
     if np.any(bad):
         raise InvalidParamsError(f"s must be finite and >= 0, got {s_values[bad][0]}")
-    if not (_is_int(m) and m >= 0):
-        raise InvalidParamsError(f"difference order m must be an integer >= 0, got {m!r}")
+    _check_order(m, 0)
     shape = c.shape[:-1] + s_values.shape[-1:]
     s_values = np.broadcast_to(s_values, shape).reshape(-1, shape[-1])
     mag2, e = _scaled_mag2(c.reshape(-1, c.shape[-1]), np.reshape(e, -1))
@@ -245,7 +231,7 @@ def modulus(dec: SpectralDecomposition, f, s: float, m: int) -> float:
     ``_running_modulus``) gives it.  ``m = 0`` returns ``||f||`` (the
     zeroth difference is the identity).  ``s`` must be finite and ``>= 0``.
     """
-    _, c, e = _coefficients(dec, f)
+    _, c, e = _coefficients(dec, as_vector(f, dec.dim))
     return float(_moduli(dec, c, e, [s], m)[0])
 
 
@@ -270,40 +256,39 @@ def _safe_ratio(num: float, den: float, scale: float) -> float:
     return num / den
 
 
-def modulus_inequality_checks(dec: SpectralDecomposition, f, s: float,
-                              a_scale: float, m: int, k: int) -> ModulusInequalityReport:
-    """Measure the power-transfer and scale-doubling modulus inequalities."""
-    return _modulus_inequality_reports(dec, [_coefficients(dec, f)], [s], [a_scale], [m], [k])[0]
-
-
-def _modulus_inequality_reports(dec: SpectralDecomposition, fcs, s_values, a_scales,
-                                orders, powers) -> list:
-    """:func:`modulus_inequality_checks` of every trial ``(triple, s, a_scale, m, k)`` (columns).
+def modulus_inequality_checks(dec: SpectralDecomposition, f, s, a_scale, m,
+                              k) -> ModulusInequalityReport:
+    """Measure the power-transfer and scale-doubling modulus inequalities, one trial per
+    element of the broadcast shape of ``s``, ``a_scale``, ``m``, ``k`` and the rows of ``f``.
 
     One shift scan per order ``m`` gives ``Omega_m(f, s)`` and ``Omega_m(f, a s)``, one per
     order ``m - k`` gives ``Omega_{m-k}(D^k f, s)``; at ``k = 0`` that is ``Omega_m(f, s)``.
     """
+    v, c, e = _coefficients(dec, f)
+    shape, rows, params = _broadcast(c, s, a_scale, m, k)
+    s_values, a_scales, orders, powers = (p.tolist() for p in params)
     for m, k, a_scale in zip(orders, powers, a_scales):
-        if not 0 <= k <= m:
-            raise InvalidParamsError(f"need 0 <= k <= m, got k={k}, m={m}")
+        _check_order(m, 0, k=k)
         if a_scale <= 0.0:
             raise InvalidParamsError("a_scale must be positive")
-    c, e = _coefficient_block(dec, fcs)
-    lhs = np.empty((len(fcs), 2))
+    norms = [_norm(row, e_i) for row, e_i in zip(v.reshape(-1, dec.dim), np.ravel(e).tolist())]
+    c, e = c.reshape(-1, dec.dim)[rows], np.ravel(e)[rows]
+    lhs = np.empty((len(rows), 2))
     for m in set(orders):
-        rows = [i for i, m_i in enumerate(orders) if m_i == m]
-        lhs[rows] = _moduli(dec, c[rows], e[rows],
-                            [[s_values[i], a_scales[i] * s_values[i]] for i in rows], m)
+        trials = [i for i, m_i in enumerate(orders) if m_i == m]
+        lhs[trials] = _moduli(dec, c[trials], e[trials],
+                              [[s_values[i], a_scales[i] * s_values[i]] for i in trials], m)
     rhs = lhs[:, 0].copy()
     for j in {m - k for m, k in zip(orders, powers) if k}:
-        rows = [i for i, (m, k) in enumerate(zip(orders, powers)) if k and m - k == j]
-        dk_c = np.array([_power_coefficients(dec, c[i], powers[i]) for i in rows])
-        moduli = _moduli(dec, dk_c, e[rows], [[s_values[i]] for i in rows], j)[:, 0].tolist()
-        rhs[rows] = [s_values[i] ** powers[i] * x for i, x in zip(rows, moduli)]
-    return [ModulusInequalityReport(ratio_power=_safe_ratio(left, right, norm),
-                                    ratio_scale=_safe_ratio(left_a, (1.0 + a_i) ** m * left, norm))
-            for (left, left_a), right, norm, a_i, m in zip(lhs.tolist(), rhs.tolist(), [
-                _norm(v, e_i) for v, _, e_i in fcs], a_scales, orders)]
+        trials = [i for i, (m, k) in enumerate(zip(orders, powers)) if k and m - k == j]
+        dk_c = np.array([_power_coefficients(dec, c[i], powers[i]) for i in trials])
+        moduli = _moduli(dec, dk_c, e[trials], [[s_values[i]] for i in trials], j)[:, 0].tolist()
+        rhs[trials] = [s_values[i] ** powers[i] * x for i, x in zip(trials, moduli)]
+    ratios = [(_safe_ratio(left, right, norms[row]),
+               _safe_ratio(left_a, (1.0 + a_i) ** m * left, norms[row]))
+              for (left, left_a), right, row, a_i, m
+              in zip(lhs.tolist(), rhs.tolist(), rows.tolist(), a_scales, orders)]
+    return ModulusInequalityReport(*(_shaped(x, shape) for x in np.reshape(ratios, (-1, 2)).T))
 
 
 # -- step-function machinery for the approximation norms ----------------------
@@ -320,7 +305,7 @@ def _integral_norm(nodes, values, alpha, q):
         aq = alpha * q
         scaled, e = _scaled(values)
         pieces = _weighted(nodes[1:] ** aq - nodes[:-1] ** aq, scaled ** q) / aq
-    return math.ldexp(float(np.sum(pieces)) ** (1.0 / q), e)
+    return math.ldexp(float(np.sum(pieces)) ** (1.0 / q), int(e))
 
 
 def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
@@ -332,7 +317,7 @@ def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
     if not (0.0 <= alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in [0, inf), got {alpha}")
     nodes = _step_nodes(dec)
-    values = _distances(dec, _coefficients(dec, f), nodes[:-1], route)
+    values = _distances(dec, _coefficients(dec, as_vector(f, dec.dim)), nodes[:-1], route)
     return _integral_norm(nodes, values, alpha, math.inf)
 
 
@@ -353,22 +338,23 @@ def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
     the vector domain; the R flavors measure the coefficient tail.  The
     two families agree to near machine precision, which downstream checks
     exploit.  Integral flavors are exact (piecewise evaluation); discrete
-    flavors truncate where the terms become identically zero.
+    flavors truncate where the terms become identically zero.  A block ``f``
+    gives one norm per row.
     """
-    return float(_besov_norms(dec, [_coefficients(dec, f)], [params])[0, 0])
+    return _shaped(_besov_norms(dec, _coefficients(dec, f), [params])[..., 0])
 
 
-def _besov_norms(dec: SpectralDecomposition, fcs, params_list,
+def _besov_norms(dec: SpectralDecomposition, fc, params_list,
                  domain_norm: str = "seminorm") -> np.ndarray:
-    """:func:`besov_norm` of every triple (rows) for every ``BesovParams`` (columns).
-
-    One pass per vector and one K path per ``r`` and seminorm per ``(alpha, r)`` for the
-    whole block (see the module notes).  A ``k_functional`` column measures ``K`` in
-    ``domain_norm``, as :func:`k_besov_norm` does.
+    """:func:`besov_norm` of every row of ``fc = (v, c, e)`` (``_coefficients`` of a block) for
+    every ``BesovParams`` (a last axis), in one pass (see the module notes); a
+    ``k_functional`` column measures ``K`` in ``domain_norm``, as :func:`k_besov_norm` does.
     """
     nodes = _step_nodes(dec)
     lam_max = dec.lambda_max
-    c, e = _coefficient_block(dec, fcs)
+    v, c, e = fc
+    lead = c.shape[:-1]
+    v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
 
     @functools.cache
     def k_values(r):
@@ -379,8 +365,8 @@ def _besov_norms(dec: SpectralDecomposition, fcs, params_list,
         return u, _k_functional_values(dec, c, e, [math.exp(ui) for ui in u], r, domain_norm)
 
     seminorm = functools.cache(lambda alpha, r: _seminorm_sup(dec, c, e, alpha, 0, r))
-    table = np.empty((len(fcs), len(params_list)))
-    for i, (row, fc) in enumerate(zip(table, fcs)):
+    table = np.empty((len(c), len(params_list)))
+    for i, (row, fc) in enumerate(zip(table, zip(v, c, e.tolist()))):
         norm_f = _norm(fc[0], fc[2])
         # this vector's distances, each computed on first use
         step = functools.cache(lambda route: _distances(dec, fc, nodes[:-1], route))
@@ -399,7 +385,7 @@ def _besov_norms(dec: SpectralDecomposition, fcs, params_list,
             else:
                 tail = _discrete_norm(edges(route, p.a), p.alpha, p.q, p.a)
             row[j] = norm_f + tail
-    return table
+    return table.reshape(lead + (len(params_list),))
 
 
 # -- Peetre K-functional -------------------------------------------------------
@@ -495,7 +481,7 @@ def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
     rounding.  With ``domain_norm="graph"`` the second term is the graph
     norm ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.
     """
-    _, c, e = _coefficients(dec, f)
+    _, c, e = _coefficients(dec, as_vector(f, dec.dim))
     values, d = _k_functional_values(dec, c[None], [e], [t], r, domain_norm)
     return math.ldexp(float(values[0, 0]), int(d[0]))
 
@@ -509,15 +495,13 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
     ``t in [1e-6 / lambda_max^r, 1e6]``, or ``[1e-6, 1e6]`` on the spectrum
     {0}, where ``W = I`` for the graph norm.  Outside the grid
     ``K(t, f) <= min(||f||-type, t ||D^r f||)`` makes the tails negligible.
-    ``K`` is evaluated for all grid ``t`` in one pass (see
-    :func:`k_functional`) and integrated in units of a power of two, so no
-    scale of ``f`` overflows.  This norm is a measurement (used in
-    equivalence ratios), not a closed form.  ``params.flavor`` is ignored:
-    this is the ``k_functional`` flavor of :func:`besov_norm`, with the
-    second term measured in ``domain_norm``.
+    ``K`` is evaluated for all grid ``t`` in one pass and integrated in units
+    of a power of two, so no scale of ``f`` overflows.  ``params.flavor`` is
+    ignored: this is the ``k_functional`` flavor of :func:`besov_norm`, with
+    the second term measured in ``domain_norm``.
     """
-    return float(_besov_norms(dec, [_coefficients(dec, f)],
-                              [replace(params, flavor="k_functional")], domain_norm)[0, 0])
+    return _shaped(_besov_norms(dec, _coefficients(dec, f),
+                                [replace(params, flavor="k_functional")], domain_norm)[..., 0])
 
 
 # -- modulus-based seminorm and the two inverse-theorem lemmas -----------------
@@ -535,23 +519,20 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
     ``s^{n-alpha}`` kills the bounded modulus, for small ``s`` the modulus
     itself is ``O(s^r)`` and ``r > alpha - n`` makes the product vanish.
 
-    ``Omega_r(g, s)`` is the running maximum over ``tau <= s`` of
-    ``phi(tau) = ||Delta_tau^r g||``, so the moduli at every grid ``s`` come
-    from the single shift scan of :func:`modulus`.  The scan stops at the
-    last ``s`` that can still matter: ``Omega_r(g, s) <= 2^r ||g||``, so
-    once ``s^{n-alpha} 2^r ||g||`` falls below ``max_s s^{n-alpha} phi(s)``
-    (a lower bound of the supremum) no larger ``s`` can attain it, and
-    stopping there changes nothing.  A scan beyond
-    :data:`MAX_SCAN_ENTRIES` raises :class:`InvalidParamsError`.
+    The moduli at every grid ``s`` come from one shift scan (see :func:`modulus`), which
+    stops at the last ``s`` that can still matter: ``Omega_r(g, s) <= 2^r ||g||``, so once
+    ``s^{n-alpha} 2^r ||g||`` falls below ``max_s s^{n-alpha} ||Delta_s^r g||`` (a lower
+    bound of the supremum) no larger ``s`` can attain it.
     """
-    _, c, e = _coefficients(dec, f)
+    _, c, e = _coefficients(dec, as_vector(f, dec.dim))
     return float(_seminorm_sup(dec, c[None], [e], alpha, n, r)[0])
 
 
 def _seminorm_sup(dec: SpectralDecomposition, c, e, alpha: float, n: int, r: int) -> np.ndarray:
     """:func:`besov_seminorm_sup` of every row ``c_i 2^{e_i}`` of a block, from one shift scan."""
-    if n < 0 or r < 1:
-        raise InvalidParamsError("need n >= 0 and r >= 1")
+    _check_order(r, 1)
+    if n < 0:
+        raise InvalidParamsError(f"need n >= 0, got {n}")
     if not (alpha > n):
         raise InvalidOrderError(f"need alpha > n, got alpha={alpha}, n={n}")
     mag2, e = _scaled_mag2(_power_coefficients(dec, c, n), e)
@@ -584,21 +565,23 @@ class LemmaReport:
     ratio: float
 
 
-def _lemma_reports(dec: SpectralDecomposition, fcs, alpha: float, n: int, r: int) -> list:
-    """The :func:`lemma1_check` and :func:`lemma2_check` reports of every triple, one scan."""
+def _lemma_reports(dec: SpectralDecomposition, fc, alpha: float, n: int, r: int) -> tuple:
+    """The :func:`lemma1_check` and :func:`lemma2_check` reports of the rows of
+    ``fc = (v, c, e)`` (``_coefficients`` of a block), from one shift scan."""
     if not (alpha - n > 0.0 and r > alpha - n):
         raise InvalidOrderError(f"need r > alpha - n > 0, got alpha={alpha}, n={n}, r={r}")
-    c, e = _coefficient_block(dec, fcs)
-    nodes = _step_nodes(dec)
-    reports = []
-    for fc, seminorm in zip(fcs, _seminorm_sup(dec, c, e, alpha, n, r).tolist()):
-        sup_e = _integral_norm(nodes, _distances(dec, fc, nodes[:-1], "E"), alpha, math.inf)
-        norm_f = _norm(fc[0], fc[2])
-        reports.append((
-            LemmaReport(lhs=sup_e, rhs=seminorm, ratio=_safe_ratio(sup_e, seminorm, norm_f)),
-            LemmaReport(lhs=seminorm, rhs=norm_f + sup_e,
-                        ratio=_safe_ratio(seminorm, norm_f + sup_e, norm_f))))
-    return reports
+    v, c, e = fc
+    shape, nodes = c.shape[:-1], _step_nodes(dec)
+    v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
+    sides = []  # per row: both sides and the ratio of lemma 1, then of lemma 2
+    for v_i, c_i, e_i, semi in zip(v, c, e.tolist(), _seminorm_sup(dec, c, e, alpha, n, r)):
+        norm_f = _norm(v_i, e_i)
+        sup_e = _integral_norm(nodes, _distances(dec, (v_i, c_i, e_i), nodes[:-1], "E"), alpha,
+                               math.inf)
+        sides.append((sup_e, semi, _safe_ratio(sup_e, semi, norm_f),
+                      semi, norm_f + sup_e, _safe_ratio(semi, norm_f + sup_e, norm_f)))
+    sides = [_shaped(x, shape) for x in np.reshape(sides, (-1, 6)).T]
+    return LemmaReport(*sides[:3]), LemmaReport(*sides[3:])
 
 
 def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
@@ -606,11 +589,12 @@ def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
 
     The inequality direction says the sup is bounded by a constant times
     the seminorm; the returned ratio is that empirical constant, 0 when
-    both sides vanish.
+    both sides vanish.  A block ``f`` gives arrays, from one shift scan.
     """
-    return _lemma_reports(dec, [_coefficients(dec, f)], alpha, n, r)[0][0]
+    return _lemma_reports(dec, _coefficients(dec, f), alpha, n, r)[0]
 
 
 def lemma2_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
-    """Measure the modulus seminorm against ``||f|| + sup_s s^alpha E(f, s)``."""
-    return _lemma_reports(dec, [_coefficients(dec, f)], alpha, n, r)[0][1]
+    """Measure the modulus seminorm against ``||f|| + sup_s s^alpha E(f, s)``, rows as in
+    :func:`lemma1_check`."""
+    return _lemma_reports(dec, _coefficients(dec, f), alpha, n, r)[1]

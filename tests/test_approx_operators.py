@@ -36,9 +36,8 @@ from bandapprox import (
     spectral_tail,
     spectral_transform,
 )
-from bandapprox.approx_operators import _jackson_reports, _psi_moment, _trigamma
+from bandapprox.approx_operators import _psi_moment, _trigamma
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS, build_operator, parse_operator_arg
-from bandapprox.operators import _coefficients
 from conftest import random_vector
 from oracles import kernel_norm_const_closed_form, riesz_symbol_direct, riesz_symbol_mpmath
 
@@ -436,7 +435,7 @@ BATCH_SPECS = (("cycle:16", RAW_L), ("path:9", RAW_L), ("random:12:3", RAW_L),
 
 
 class TestJacksonReports:
-    """Every vector and band edge in one pass, against the public functions edge by edge."""
+    """Every vector and band edge in one block call, against the public functions edge by edge."""
 
     @pytest.mark.parametrize("m,order", [(2, 6), (3, 8)])
     @pytest.mark.parametrize("text,kind", BATCH_SPECS, ids=[t for t, _ in BATCH_SPECS])
@@ -448,26 +447,25 @@ class TestJacksonReports:
         omegas = [1.3 * top, 0.4 * top, 0.6 * low, 2.1 * top, 0.4 * top]  # unsorted, a repeat
         for k in range(m + 1):
             const = jackson_constant(kernel, m, k)
-            reports = _jackson_reports(dec, [_coefficients(dec, f) for f in vectors], omegas,
-                                       m, k, kernel)
-            assert [len(row) for row in reports] == [len(omegas)] * len(vectors)
-            for f, row in zip(vectors, reports):
+            rep = jackson_check(dec, np.array(vectors)[:, None], omegas, m, k, kernel)
+            assert rep.best.shape == rep.ratio_q.shape == (len(vectors), len(omegas))
+            assert rep.constant == const
+            for i, f in enumerate(vectors):
                 norm_f = np.linalg.norm(f)
-                for omega, rep in zip(omegas, row):
+                for j, omega in enumerate(omegas):
                     q_err = np.linalg.norm(q_apply(dec, f, omega, m, kernel) - f)
                     bound = const * modulus(dec, operator_power(dec, k, f), 1.0 / omega,
                                             m - k) / omega ** k
-                    assert abs(rep.best - best_approx(dec, f, omega)) <= 1e-12 * norm_f
-                    assert abs(rep.q_error - q_err) <= 1e-12 * norm_f
-                    assert abs(rep.bound - bound) <= 1e-12 * bound
-                    assert rep.constant == const and rep.link_gap == rep.best - rep.q_error
+                    assert abs(rep.best[i, j] - best_approx(dec, f, omega)) <= 1e-12 * norm_f
+                    assert abs(rep.q_error[i, j] - q_err) <= 1e-12 * norm_f
+                    assert abs(rep.bound[i, j] - bound) <= 1e-12 * bound
+                    assert rep.link_gap[i, j] == rep.best[i, j] - rep.q_error[i, j]
 
     @pytest.mark.parametrize("k", [-1, 3])
     def test_power_outside_zero_to_m_rejected(self, cycle16_dec, rng, k):
         kernel = build_kernel(8, 2)
         f = random_vector(rng, 16)
         with pytest.raises(IndexOutOfRangeError):
-            _jackson_reports(cycle16_dec, [_coefficients(cycle16_dec, f)], [1.0, 2.0], 2, k,
-                             kernel)
+            jackson_check(cycle16_dec, [f, f], [1.0, 2.0], 2, k, kernel)
         with pytest.raises(IndexOutOfRangeError):
             jackson_check(cycle16_dec, f, 1.0, 2, k, kernel)

@@ -1,5 +1,6 @@
 """Operator builders, vector IO, suite determinism, report emission, CLI."""
 
+import importlib.util
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from bandapprox import (
     BadDimensionError,
+    BandApproxError,
     DimensionMismatchError,
     InvalidParamsError,
     ParseError,
@@ -143,9 +145,9 @@ class TestSuite:
 
     def test_an_inf_ratio_fails_its_record(self, monkeypatch):
         # a bound that vanishes under a nonzero left side is a violation, not a skip
-        measure = sm._modulus_inequality_reports
-        monkeypatch.setattr(sm, "_modulus_inequality_reports", lambda *args: [
-            replace(rep, ratio_scale=math.inf) for rep in measure(*args)])
+        measure = sm.modulus_inequality_checks
+        monkeypatch.setattr(sm, "modulus_inequality_checks", lambda *args: replace(
+            rep := measure(*args), ratio_scale=np.full_like(rep.ratio_scale, math.inf)))
         report = run_suite(OperatorSpec(builtin="cycle"), count=3, seed=1, sizes=(8,),
                            checks=["modulus_inequalities"])
         [record] = report.records
@@ -173,7 +175,7 @@ class TestSuite:
         assert value_full == value_solo
 
     def test_shared_corpus_transforms_do_not_depend_on_the_checks_run(self):
-        # run_suite transforms the corpus whichever checks run, and every check reads it
+        # every check makes its own block calls on the corpus, whichever checks run beside it
         spec = OperatorSpec(builtin="cycle")
         shared = {"plancherel": ("plancherel",), "e_equals_r": ("e_equals_r",),
                   "bernstein": ("bernstein", "bernstein_equality"),
@@ -490,6 +492,39 @@ class TestFullSuite:
             "frame_equivalence", "frame_scale_invariance",
             "synthesis_constant", "band_reconstruction", "band_tail_identity",
         }
+
+
+#: every public function ``verify`` reaches, by its traced name in ``bench/tracer.py``
+HARNESS_CALLS = (
+    "harness.build_operator", "harness.run_suite", "operators.eigh",
+    "operators.spectral_transform", "operators.apply_multiplier", "paley_wiener.pw_project",
+    "paley_wiener.best_approx", "paley_wiener.spectral_tail", "paley_wiener.bernstein_check",
+    "smoothness.modulus_inequality_checks", "smoothness.lemma1_check", "smoothness.lemma2_check",
+    "approx_operators.build_kernel", "approx_operators.riesz_symbol",
+    "approx_operators.riesz_apply", "approx_operators.q_apply", "approx_operators.jackson_check",
+    "approx_operators.riesz_identity_check", "decomposition.band_decompose",
+    "decomposition.equivalence_report", "decomposition.synthesis_check",
+)
+
+
+class TestPerLayerView:
+    """The benchmark's tracer sees ``verify`` through the public functions, layer by layer."""
+
+    def test_verify_calls_every_public_layer(self):
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location("tracer", root / "bench" / "tracer.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer(BandApproxError)
+        tracer.install()
+        try:
+            assert tracer.stale_bindings(installed=True) == []
+            harness.run_suite(OperatorSpec(builtin="cycle"), count=3, seed=7, sizes=(8,))
+        finally:
+            tracer.remove()
+        assert tracer.stale_bindings(installed=False) == []
+        calls = tracer.aggregate()["calls"]
+        assert [name for name in HARNESS_CALLS if calls[name] < 1] == []
 
 
 class TestFamilies:

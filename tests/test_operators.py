@@ -213,7 +213,7 @@ class TestTransforms:
         np.testing.assert_array_equal(inverse_transform(diag_dec, np.zeros(3)), np.zeros(3))
 
     @pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
-    @pytest.mark.parametrize("bad", [np.ones(4), np.ones((3, 1)), np.ones((3, 3)),
+    @pytest.mark.parametrize("bad", [np.ones(4), np.ones((3, 1)), np.ones((3, 4)),
                                      np.float64(1.0)], ids=["length", "column", "matrix", "0-d"])
     def test_dimension_mismatch(self, diag_dec, entry, bad):
         with pytest.raises(DimensionMismatchError):

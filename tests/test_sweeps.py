@@ -2,21 +2,21 @@
 per-call functions.
 
 ``smoothness._besov_norms`` computes each vector's spectral data once and
-reads every ``(alpha, q, flavor)`` off it; ``decomposition._equivalence_ratios``
-does the same for the frame ratios.  Sharing must not move a single bit:
-every entry equals the public function called on its own (0 ulp), on every
-operator family, for the zero vector and at scales 1e+-150.  Since the
-public norms are the table's one-by-one calls, each column is also rebuilt
-from the per-omega ``best_approx`` or ``spectral_tail`` calls of its own
-route and base.
+reads every ``(alpha, q, flavor)`` off it; ``equivalence_report`` does the
+same for the frame ratios of every ``(alpha, q)`` it is given.  Sharing must
+not move a single bit: every entry equals the public function called on its
+own (0 ulp), on every operator family, for the zero vector and at scales
+1e+-150.  Since the public norms are the table's one-by-one calls, each
+column is also rebuilt from the per-omega ``best_approx`` or
+``spectral_tail`` calls of its own route and base.
 
 The shift scan, the K path and the seminorm take a block of vectors
 (``_moduli``, ``_k_functional_values``, ``_seminorm_sup``); every row of a
-block equals the same helper called with that row alone, 0 ulp, and so
-does every composite check built on them.  ``paley_wiener._bernstein_reports``
-takes a block of band-limited vectors, each at its own ``omega``; every row
-equals ``bernstein_check`` of that vector alone, field by field, whatever
-the rest of the block holds.
+block equals the same helper called with that row alone, 0 ulp.  The public
+functions take a block ``f`` of shape ``(..., N)`` with parameters broadcast
+against its rows; every element of a block call equals the call on that row
+and those parameters alone, field by field, whatever the rest of the block
+holds.
 """
 
 import math
@@ -29,7 +29,9 @@ from bandapprox import (
     RAW_L,
     BesovParams,
     NotBandlimitedError,
+    RieszConfig,
     ZeroVectorError,
+    apply_multiplier,
     bernstein_check,
     besov_norm,
     besov_seminorm_sup,
@@ -37,6 +39,7 @@ from bandapprox import (
     build_kernel,
     eigh,
     equivalence_report,
+    inverse_transform,
     jackson_check,
     k_besov_norm,
     k_functional,
@@ -44,22 +47,21 @@ from bandapprox import (
     lemma2_check,
     modulus_inequality_checks,
     pw_project,
+    riesz_apply,
+    schrodinger_group,
     spectral_tail,
+    spectral_transform,
 )
-from bandapprox.approx_operators import _jackson_reports
-from bandapprox.decomposition import _equivalence_ratios
 from bandapprox.harness import build_operator, load_edge_list, parse_operator_arg
-from bandapprox.operators import _coefficient_block, _coefficients, _norm
-from bandapprox.paley_wiener import _band_powers, _bernstein_reports, _step_nodes, band_count
+from bandapprox.operators import _coefficients, _norm
+from bandapprox.paley_wiener import _band_powers, _step_nodes, band_count
 from bandapprox.smoothness import (
     BESOV_FLAVORS,
     _besov_norms,
     _discrete_norm,
     _integral_norm,
     _k_functional_values,
-    _lemma_reports,
     _moduli,
-    _modulus_inequality_reports,
     _seminorm_sup,
 )
 from conftest import random_vector
@@ -92,18 +94,17 @@ def dec(request, tmp_path):
 
 def _vectors(rng, dim):
     f = random_vector(rng, dim)
-    return [f, 1e150 * f, 1e-150 * f, np.zeros(dim)]
-
-
-def _triples(dec, vectors):
-    """The ``_coefficients`` triples of ``vectors``, as the block helpers take them."""
-    return [_coefficients(dec, f) for f in vectors]
+    return np.array([f, 1e150 * f, 1e-150 * f, np.zeros(dim)])
 
 
 def test_norm_table_matches_besov_norm(dec, rng):
     vectors = _vectors(rng, dec.dim)
     expected = [[besov_norm(dec, f, p) for p in PARAMS] for f in vectors]
-    np.testing.assert_array_equal(_besov_norms(dec, _triples(dec, vectors), PARAMS), expected)
+    np.testing.assert_array_equal(_besov_norms(dec, _coefficients(dec, vectors), PARAMS),
+                                  expected)
+    # the public norm of a block is the table's column
+    for p, column in zip(PARAMS[::7], np.transpose(expected)[::7]):
+        np.testing.assert_array_equal(besov_norm(dec, vectors, p), column)
 
 
 def _by_definition(dec, f, p):
@@ -126,7 +127,8 @@ def test_norm_table_reads_each_column_off_its_own_route_and_base(dec, rng):
     vectors = _vectors(rng, dec.dim)
     params = [p for p in PARAMS if p.flavor != "k_functional"]
     expected = [[_by_definition(dec, f, p) for p in params] for f in vectors]
-    np.testing.assert_array_equal(_besov_norms(dec, _triples(dec, vectors), params), expected)
+    np.testing.assert_array_equal(_besov_norms(dec, _coefficients(dec, vectors), params),
+                                  expected)
 
 
 @pytest.mark.parametrize("domain_norm", ["seminorm", "graph"])
@@ -134,19 +136,25 @@ def test_norm_table_matches_k_besov_norm(dec, rng, domain_norm):
     vectors = _vectors(rng, dec.dim)
     params = [p for p in PARAMS if p.flavor == "k_functional"]
     expected = [[k_besov_norm(dec, f, p, domain_norm) for p in params] for f in vectors]
-    np.testing.assert_array_equal(_besov_norms(dec, _triples(dec, vectors), params, domain_norm),
-                                  expected)
+    np.testing.assert_array_equal(
+        _besov_norms(dec, _coefficients(dec, vectors), params, domain_norm), expected)
+    np.testing.assert_array_equal(k_besov_norm(dec, vectors, params[0], domain_norm),
+                                  np.transpose(expected)[0])
 
 
 @pytest.mark.parametrize("a", BASES)
 def test_equivalence_ratios_match_equivalence_report(dec, rng, a):
     vectors = _vectors(rng, dec.dim)[:3]
     combos = [(alpha, q) for alpha in ALPHAS for q in QS]
-    ratios = _equivalence_ratios(dec, _triples(dec, vectors), combos, a)
-    assert ratios.shape == (len(vectors), len(combos))
-    for column, (alpha, q) in zip(ratios.T, combos):
+    alphas, qs = np.transpose(combos)
+    rep = equivalence_report(dec, vectors[:, None], alphas, qs, a)
+    assert rep.ratios.shape == (len(vectors), len(combos))
+    np.testing.assert_array_equal(rep.ratio_lo, rep.ratios.min(axis=0))
+    np.testing.assert_array_equal(rep.ratio_hi, rep.ratios.max(axis=0))
+    for column, (alpha, q) in zip(rep.ratios.T, combos):
         np.testing.assert_array_equal(column, equivalence_report(dec, vectors, alpha, q, a).ratios)
-
+        for f, ratio in zip(vectors, column):
+            assert ratio == equivalence_report(dec, f, alpha, q, a).ratio_lo
 
 
 def _shifts(dec):
@@ -159,8 +167,7 @@ def _shifts(dec):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_scan_block_rows_match_one_row_scans(dec, rng, m):
-    fcs = _triples(dec, _vectors(rng, dec.dim))
-    c, e = _coefficient_block(dec, fcs)
+    _, c, e = _coefficients(dec, _vectors(rng, dec.dim))
     s_values = _shifts(dec)
     block = _moduli(dec, c, e, s_values, m)
     assert block.shape == s_values.shape
@@ -168,7 +175,7 @@ def test_scan_block_rows_match_one_row_scans(dec, rng, m):
         np.testing.assert_array_equal(row, _moduli(dec, c_i, e_i, s_i, m))
     # one s axis broadcast against every row, as the Jackson chain passes it
     shared = _moduli(dec, c, e, s_values[1], m)
-    for (_, c_i, e_i), row in zip(fcs, shared):
+    for c_i, e_i, row in zip(c, e, shared):
         np.testing.assert_array_equal(row, _moduli(dec, c_i, e_i, s_values[1], m))
 
 
@@ -176,7 +183,7 @@ def test_scan_block_rows_match_one_row_scans(dec, rng, m):
 @pytest.mark.parametrize("domain_norm", ["seminorm", "graph"])
 def test_k_path_block_rows_match_one_row_paths(dec, rng, r, domain_norm):
     vectors = _vectors(rng, dec.dim)
-    c, e = _coefficient_block(dec, _triples(dec, vectors))
+    _, c, e = _coefficients(dec, vectors)
     ts = np.exp(np.linspace(math.log(1e-9), math.log(1e9), 37))
     values, d = _k_functional_values(dec, c, e, ts, r, domain_norm)
     for f, c_i, e_i, row, d_i in zip(vectors, c, e, values, d):
@@ -190,7 +197,7 @@ def test_k_path_block_rows_match_one_row_paths(dec, rng, r, domain_norm):
 @pytest.mark.parametrize("alpha,n,r", [(1.5, 1, 2), (0.8, 0, 2), (0.5, 0, 1)])
 def test_seminorm_block_rows_match_besov_seminorm_sup(dec, rng, alpha, n, r):
     vectors = _vectors(rng, dec.dim)
-    c, e = _coefficient_block(dec, _triples(dec, vectors))
+    _, c, e = _coefficients(dec, vectors)
     expected = [besov_seminorm_sup(dec, f, alpha, n, r) for f in vectors]
     np.testing.assert_array_equal(_seminorm_sup(dec, c, e, alpha, n, r), expected)
 
@@ -198,21 +205,26 @@ def test_seminorm_block_rows_match_besov_seminorm_sup(dec, rng, alpha, n, r):
 def test_composite_checks_match_their_one_vector_calls(dec, rng):
     vectors = _vectors(rng, dec.dim)
     trials = [(f, s, a, m, k) for f, s, a, (m, k)
-              in zip(vectors * 3, [0.4, 2.0, 7.5] * 4, [0.5, 3.0] * 6,
+              in zip([*vectors] * 3, [0.4, 2.0, 7.5] * 4, [0.5, 3.0] * 6,
                      [(1, 0), (1, 1), (2, 1), (3, 1), (3, 2), (2, 2)] * 2)]
-    fs, *columns = zip(*trials)
-    for rep, trial in zip(_modulus_inequality_reports(dec, _triples(dec, fs), *columns), trials):
-        assert vars(rep) == vars(modulus_inequality_checks(dec, *trial))
-    for (rep1, rep2), f in zip(_lemma_reports(dec, _triples(dec, vectors), 1.5, 1, 2), vectors):
-        assert vars(rep1) == vars(lemma1_check(dec, f, 1.5, 1, 2))
-        assert vars(rep2) == vars(lemma2_check(dec, f, 1.5, 1, 2))
+    rep = modulus_inequality_checks(dec, *(np.array(column) for column in zip(*trials)))
+    for i, trial in enumerate(trials):
+        one = modulus_inequality_checks(dec, *trial)
+        assert (rep.ratio_power[i], rep.ratio_scale[i]) == (one.ratio_power, one.ratio_scale)
+    for check in (lemma1_check, lemma2_check):
+        rep = check(dec, vectors, 1.5, 1, 2)
+        for i, f in enumerate(vectors):
+            one = check(dec, f, 1.5, 1, 2)
+            assert (rep.lhs[i], rep.rhs[i], rep.ratio[i]) == (one.lhs, one.rhs, one.ratio)
     if dec.lambda_max > 0.0:
         omegas = [0.4 * dec.lambda_max, 1.3 * dec.lambda_max]
         kernel = build_kernel(6, 2)
-        for f, row in zip(vectors, _jackson_reports(dec, _triples(dec, vectors), omegas, 2, 1,
-                                                    kernel)):
-            assert [vars(rep) for rep in row] == [vars(jackson_check(dec, f, omega, 2, 1, kernel))
-                                                  for omega in omegas]
+        rep = jackson_check(dec, vectors[:, None], omegas, 2, 1, kernel)
+        for i, f in enumerate(vectors):
+            for j, omega in enumerate(omegas):
+                one = vars(jackson_check(dec, f, omega, 2, 1, kernel))
+                assert {key: value if key == "constant" else value[i, j]
+                        for key, value in vars(rep).items()} == one
 
 
 #: unsorted, with a repeat and s = 0
@@ -244,11 +256,14 @@ def test_bernstein_block_rows_match_bernstein_check(dec, rng):
     for order in (range(len(rows)), range(len(rows) - 1, -1, -1), range(0, len(rows), 3),
                   [len(rows) - 1] + [0] * 5):
         block = [rows[i] for i in order]
-        reports = _bernstein_reports(dec, _triples(dec, [f for f, _ in block]),
-                                     [w for _, w in block], BERNSTEIN_S)
-        assert len(reports) == len(block)
-        for rep, i in zip(reports, order):
-            _assert_same_report(rep, expected[i])
+        rep = bernstein_check(dec, np.array([f for f, _ in block]), [w for _, w in block],
+                              BERNSTEIN_S)
+        assert rep.ratios.shape == (len(block), len(BERNSTEIN_S))
+        for j, i in enumerate(order):
+            one = expected[i]
+            assert (rep.omega[j], rep.max_ratio[j]) == (one.omega, one.max_ratio)
+            assert rep.s_values == one.s_values
+            np.testing.assert_array_equal(rep.ratios[j], one.ratios)
 
 
 def test_bernstein_block_raises_as_its_one_row_call(dec, rng):
@@ -263,5 +278,29 @@ def test_bernstein_block_raises_as_its_one_row_call(dec, rng):
         with pytest.raises(error):
             bernstein_check(dec, f, omega, BERNSTEIN_S)
         with pytest.raises(error):
-            _bernstein_reports(dec, _triples(dec, vectors[:middle] + [f] + vectors[middle:]),
-                               omegas[:middle] + [omega] + omegas[middle:], BERNSTEIN_S)
+            bernstein_check(dec, np.array(vectors[:middle] + [f] + vectors[middle:]),
+                            omegas[:middle] + [omega] + omegas[middle:], BERNSTEIN_S)
+
+
+#: public block calls on (dec, rows f, one parameter per row), against their 1-row calls
+ROW_CALLS = {
+    "spectral_transform": lambda dec, f, w: spectral_transform(dec, f),
+    "inverse_transform": lambda dec, f, w: inverse_transform(dec, f),
+    "apply_multiplier": lambda dec, f, w: apply_multiplier(
+        dec, lambda lam: np.cos(np.multiply.outer(w, lam)), f),
+    "pw_project": lambda dec, f, w: pw_project(dec, f, w),
+    "schrodinger_group": lambda dec, f, w: schrodinger_group(dec, w - 0.3j, f),
+    "best_approx": lambda dec, f, w: best_approx(dec, f, w),
+    "spectral_tail": lambda dec, f, w: spectral_tail(dec, f, w),
+    "riesz_apply": lambda dec, f, w: riesz_apply(dec, f, RieszConfig(omega=1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CALLS))
+def test_block_rows_match_one_row_calls(dec, rng, name):
+    vectors = np.concatenate((_vectors(rng, dec.dim), [random_vector(rng, dec.dim)]))
+    omegas = np.array([0.0, 0.5, 1.0, 2.0, 0.7]) * (dec.lambda_max or 1.0)
+    block = ROW_CALLS[name](dec, vectors, omegas)
+    assert block.shape[0] == len(vectors)
+    for row, f, omega in zip(block, vectors, omegas):
+        np.testing.assert_array_equal(row, ROW_CALLS[name](dec, f, omega))

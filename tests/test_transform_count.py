@@ -4,7 +4,9 @@ Each public function checks, scales and transforms each vector argument
 once (``operators._coefficients``) and hands the coefficients to its
 helpers; a composite check that called a public function on its own
 vector, or built ``D^k f`` by a synthesis and a second transform, would
-show here as a second call.  ``synthesis_check`` transforms each band and
+show here as a second call.  A block argument (shape ``(..., N)``) is one
+stacked transform, so a block call counts one whatever its rows and
+parameters.  ``synthesis_check`` transforms the bands, as one block, and
 then the sum of the bands, a vector it was never given.  The private block
 helpers take the triples ``_coefficients`` returns and transform nothing.
 """
@@ -46,16 +48,8 @@ from bandapprox import (
     sup_scaled_best_approx,
     synthesis_check,
 )
-from bandapprox.approx_operators import _jackson_reports
-from bandapprox.decomposition import _equivalence_ratios
 from bandapprox.operators import _coefficients, _ldexp, _power_coefficients
-from bandapprox.paley_wiener import _bernstein_reports
-from bandapprox.smoothness import (
-    BESOV_FLAVORS,
-    _besov_norms,
-    _lemma_reports,
-    _modulus_inequality_reports,
-)
+from bandapprox.smoothness import BESOV_FLAVORS, _besov_norms, _lemma_reports
 from conftest import random_vector
 
 KERNEL = build_kernel(6, 2)
@@ -76,7 +70,7 @@ CALLS = [
     ("riesz_identity_check", lambda dec, f, g: riesz_identity_check(dec, g, 1.5, 2), 1),
     ("bandwidth", lambda dec, f, g: bandwidth(dec, f), 1),
     ("equivalence_report", lambda dec, f, g: equivalence_report(dec, [f, g, 3 * f], 0.8, 2.0),
-     3),
+     1),
     ("best_approx", lambda dec, f, g: best_approx(dec, f, 1.5), 1),
     ("spectral_tail", lambda dec, f, g: spectral_tail(dec, f, 1.5), 1),
     ("dense_union_check", lambda dec, f, g: dense_union_check(dec, f, 0.1), 1),
@@ -118,50 +112,66 @@ def test_norm_table_transforms_each_vector_once(cycle16_dec, rng, transforms):
     params = [BesovParams(alpha=alpha, q=q, flavor=flavor) for flavor in BESOV_FLAVORS
               for alpha in (0.7, 1.5) for q in (1.0, 2.0, math.inf)
               if flavor != "modulus" or q == math.inf]
-    _besov_norms(cycle16_dec, [_coefficients(cycle16_dec, random_vector(rng, 16))
-                               for _ in range(3)], params)
-    assert len(transforms) == 3
+    _besov_norms(cycle16_dec, _coefficients(cycle16_dec, [random_vector(rng, 16)
+                                                          for _ in range(3)]), params)
+    assert len(transforms) == 1
 
 
 def test_equivalence_ratios_transform_each_vector_once(cycle16_dec, rng, transforms):
-    combos = [(alpha, q) for alpha in (0.7, 1.5) for q in (1.0, 2.0, math.inf)]
-    _equivalence_ratios(cycle16_dec, [_coefficients(cycle16_dec, random_vector(rng, 16))
-                                      for _ in range(3)], combos, 2.0)
-    assert len(transforms) == 3
+    # every (alpha, q) of every vector from one block transform
+    alphas, qs = np.transpose([(alpha, q) for alpha in (0.7, 1.5) for q in (1.0, 2.0, math.inf)])
+    equivalence_report(cycle16_dec, [[random_vector(rng, 16)] for _ in range(3)], alphas, qs)
+    assert len(transforms) == 1
 
 
 #: (name, call on (dec, triples of 3 vectors, triples of 3 vectors bandlimited at 1.5))
 BLOCK_HELPERS = [
-    ("_jackson_reports", lambda dec, fcs, gcs: _jackson_reports(dec, fcs, [0.6, 1.2], 3, 1,
-                                                                build_kernel(8, 3))),
     ("_besov_norms", lambda dec, fcs, gcs: _besov_norms(
         dec, fcs, [BesovParams(alpha=0.8, q=q, flavor=flavor) for flavor in BESOV_FLAVORS
                    for q in (2.0, math.inf) if flavor != "modulus" or q == math.inf])),
     ("_lemma_reports", lambda dec, fcs, gcs: _lemma_reports(dec, fcs, 1.5, 1, 2)),
-    ("_modulus_inequality_reports", lambda dec, fcs, gcs: _modulus_inequality_reports(
-        dec, fcs, [0.7, 0.3, 1.1], [2.0, 0.5, 3.0], [2, 3, 1], [0, 2, 1])),
-    ("_bernstein_reports", lambda dec, fcs, gcs: _bernstein_reports(dec, gcs, [1.5] * 3,
-                                                                    (0.5, 1.0, 7.0))),
-    ("_equivalence_ratios", lambda dec, fcs, gcs: _equivalence_ratios(dec, fcs, [(0.8, 2.0)],
-                                                                      2.0)),
 ]
 
 
 @pytest.mark.parametrize("name, call", BLOCK_HELPERS, ids=[c[0] for c in BLOCK_HELPERS])
 def test_block_helpers_given_triples_transform_nothing(cycle16_dec, rng, transforms, name, call):
-    fs = [random_vector(rng, 16) for _ in range(3)]
-    fcs = [_coefficients(cycle16_dec, f) for f in fs]
-    gcs = [_coefficients(cycle16_dec, pw_project(cycle16_dec, f, 1.5)) for f in fs]
+    fs = np.array([random_vector(rng, 16) for _ in range(3)])
+    fcs = _coefficients(cycle16_dec, fs)
+    gcs = _coefficients(cycle16_dec, pw_project(cycle16_dec, fs, 1.5))
     transforms.clear()
     call(cycle16_dec, fcs, gcs)
     assert len(transforms) == 0
+
+
+#: (name, call on (dec, 3 vectors as a (3, N) block, the block bandlimited at 1.5))
+BLOCK_CALLS = [
+    ("jackson_check", lambda dec, fs, gs: jackson_check(dec, fs[:, None], [0.6, 1.2], 3, 1,
+                                                        build_kernel(8, 3))),
+    ("modulus_inequality_checks", lambda dec, fs, gs: modulus_inequality_checks(
+        dec, fs, [0.7, 0.3, 1.1], [2.0, 0.5, 3.0], [2, 3, 1], [0, 2, 1])),
+    ("bernstein_check", lambda dec, fs, gs: bernstein_check(dec, gs, 1.5, (0.5, 1.0, 7.0))),
+    ("equivalence_report", lambda dec, fs, gs: equivalence_report(dec, fs, 0.8, 2.0)),
+    ("lemma1_check", lambda dec, fs, gs: lemma1_check(dec, fs, 1.5, 1, 2)),
+    ("best_approx", lambda dec, fs, gs: best_approx(dec, fs[:, None], [0.6, 1.2])),
+    ("pw_project", lambda dec, fs, gs: pw_project(dec, fs, [0.6, 1.2, 1.8])),
+    ("schrodinger_group", lambda dec, fs, gs: schrodinger_group(dec, [[0.5], [1j]], fs)),
+]
+
+
+@pytest.mark.parametrize("name, call", BLOCK_CALLS, ids=[c[0] for c in BLOCK_CALLS])
+def test_block_calls_transform_once(cycle16_dec, rng, transforms, name, call):
+    fs = np.array([random_vector(rng, 16) for _ in range(3)])
+    gs = pw_project(cycle16_dec, fs, 1.5)
+    transforms.clear()
+    call(cycle16_dec, fs, gs)
+    assert len(transforms) == 1
 
 
 def test_synthesis_check_transforms_each_band_and_the_sum(cycle16_dec, rng, transforms):
     bands = band_decompose(cycle16_dec, random_vector(rng, 16)).bands
     transforms.clear()
     synthesis_check(cycle16_dec, bands, 0.8)
-    assert len(bands) > 1 and len(transforms) == len(bands) + 1
+    assert len(bands) > 1 and len(transforms) == 2
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

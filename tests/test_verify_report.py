@@ -32,19 +32,19 @@ PINNED = {
          "--seed", "5"],
 }
 
-#: coefficient transforms one run of the cycle:8 seed-401 command makes: one per corpus
-#: vector, made as it is drawn and read by every check, one per vector a check builds
-#: (projections, 1000 f_0, Q f) and one per vector argument of each public call
-#: (4,370 when composite checks transformed their vector up to four times, 3,098 when
-#: the Jackson chain transformed it once per band edge, 2,858 when the norm brackets,
-#: frame ratios, growth bound and E = R check transformed it once per parameter or
-#: route, 1,460 when each of those four checks transformed the corpus vectors it read
-#: on its own, 1,020 when only those four read the shared corpus transforms)
-CYCLE8_SEED401_TRANSFORMS = 689
+#: ``spectral_transform`` calls one run of the cycle:8 seed-401 command makes, one per
+#: vector or block argument of each public call: a block of rows is one stacked call, so
+#: this counts calls, not vectors (4,370 vectors when composite checks transformed their
+#: vector up to four times, 3,098 when the Jackson chain transformed it once per band
+#: edge, 2,858 when four checks transformed it once per parameter or route, 1,460 when
+#: those four transformed the corpus vectors they read on their own, 689 when
+#: ``run_suite`` transformed each corpus vector as it was drawn and the checks read it)
+CYCLE8_SEED401_TRANSFORMS = 322
 
-#: syntheses ``phi(D) f`` of the same run: the growth bound makes one 20-column
-#: synthesis per vector (1,145 when it made one per vector and ``z``)
-CYCLE8_SEED401_SYNTHESES = 385
+#: ``_synthesize`` calls of the same run, one per ``phi(D) f`` call on a vector or block:
+#: the growth bound makes one 20-row block per vector (1,145 when it made one per vector
+#: and ``z``, 385 when each projection of a corpus vector was a call of its own)
+CYCLE8_SEED401_SYNTHESES = 172
 
 #: K-functional evaluations of the same run: one per order r and size in the norm
 #: brackets, for all 11 vectors at once (66 when each (alpha, q) evaluated its own, 44
@@ -53,9 +53,9 @@ CYCLE8_SEED401_K_FUNCTIONALS = 4
 
 #: shift scans of the same run, per size: one per order m and one per order m - k
 #: in the modulus inequalities, one per kernel combination in the Jackson chain and
-#: one in the lemma ratios, each for all its vectors at once (183 when each vector and
-#: trial scanned on its own)
-CYCLE8_SEED401_SCANS = 24
+#: one in each of ``lemma1_check`` and ``lemma2_check``, each for all its vectors at once
+#: (183 when each vector and trial scanned on its own, 17 when the two lemmas shared one)
+CYCLE8_SEED401_SCANS = 19
 
 #: Q symbols the same run evaluates: 30 in the Jackson chain, one per band edge, size
 #: and kernel combination, and 40 in ``q_operator``, one per ``q_apply`` (340 when the
