@@ -176,7 +176,7 @@ class ApproxKernel:
         nodes, weights = _composite_gauss(t_max, panel_len, 16)
         psi_w = weights * _kernel_profile(n, nodes)
         vals = 2.0 * self.norm_const * (np.cos(np.outer(x, nodes)) @ psi_w)
-        return vals if np.ndim(xi) else float(vals[0])
+        return vals.reshape(np.shape(xi)) if np.ndim(xi) else float(vals[0])
 
     def moment(self, p: int) -> float:
         """``integral of h(t) |t|^p dt``; finite for p <= n - 2."""
@@ -351,19 +351,18 @@ def shift_coefficients(m: int) -> np.ndarray:
 
 def q_symbol(kernel: ApproxKernel, omega: float, m: int, lam,
              method: str = "bspline") -> np.ndarray:
-    """Spectral symbol ``sum_j b_j h_transform(j lam / omega)`` of the Q operator."""
-    if not (omega > 0.0):
+    """Spectral symbol ``sum_j b_j h_transform(j lam / omega)`` of the Q operator, of shape
+    ``omega.shape + lam.shape`` for a 1-D ``lam``."""
+    omega = np.asarray(omega, dtype=np.float64)
+    if not np.all(omega > 0.0):
         raise NegativeOmegaError(f"omega must be > 0, got {omega}")
     _check_order(m, 1, KernelOrderMismatchError)
     if kernel.n < m + 3:
         raise KernelOrderMismatchError(
             f"kernel order n={kernel.n} too small for m={m} (needs n >= m + 3)")
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    b = shift_coefficients(m)
-    out = np.zeros_like(lam)
-    for j, bj in enumerate(b, start=1):
-        out = out + bj * kernel_symbol(kernel, j * lam / omega, method)
-    return out
+    return sum(bj * kernel_symbol(kernel, j * lam / omega[..., None], method)
+               for j, bj in enumerate(shift_coefficients(m), start=1))
 
 
 def q_apply(dec: SpectralDecomposition, f, omega: float, m: int,
@@ -374,7 +373,8 @@ def q_apply(dec: SpectralDecomposition, f, omega: float, m: int,
     evaluation); ``method="quadrature"`` switches the transform to the
     oscillatory-quadrature route, which serves as the validation oracle.
     The zero-eigenvalue component passes through unchanged because the
-    shift weights sum to 1 and the transform is 1 at the origin.
+    shift weights sum to 1 and the transform is 1 at the origin.  ``omega``
+    broadcasts against the rows of ``f``.
     """
     return apply_multiplier(dec, lambda lam: q_symbol(kernel, omega, m, lam, method), f)
 
@@ -436,12 +436,11 @@ def jackson_check(dec: SpectralDecomposition, f, omega, m: int, k: int,
         order = np.argsort(rows, kind="stable")
         moduli[order] = _moduli(dec, _power_coefficients(dec, c, k), e,
                                 (1.0 / ws[order]).reshape(len(c), -1), m - k).ravel()
-    q_errs = [_norm(row, e_i) for row, e_i in zip(
-        _basis_product(dec.eigenvectors, symbols.reshape(-1, dec.dim)[edge] * c[rows]) - v[rows],
-        e[rows].tolist())]
+    q_errs = _norm(_basis_product(dec.eigenvectors, symbols.reshape(-1, dec.dim)[edge] * c[rows])
+                   - v[rows], e[rows]).tolist()
     best = _distances(dec, fc, omega, "E").ravel().tolist()
     bounds = (const * moduli / ws ** k).tolist()
-    scales = [_norm(v[row], e[row]) for row in rows.tolist()]
+    scales = _norm(v, e)[rows].tolist()
     return JacksonReport(
         best=_shaped(best, shape), q_error=_shaped(q_errs, shape), bound=_shaped(bounds, shape),
         constant=const,

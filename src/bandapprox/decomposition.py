@@ -25,8 +25,8 @@ from .errors import (
     MembershipViolationError,
     ZeroVectorError,
 )
-from .operators import SpectralDecomposition, _basis_product, _broadcast, _coefficients, _ldexp
-from .operators import _norm, _shaped, _weighted, as_vector
+from .operators import SpectralDecomposition, _basis_product, _broadcast, _coefficients, _norm
+from .operators import _shaped, _unscaled, _weighted, as_vector
 from .paley_wiener import _band_powers, _check_q, _in_pw, _lq_norm, _pw_prefix, band_count
 from .smoothness import BesovParams, _discrete_norm, _edge_distances, _safe_ratio
 
@@ -44,7 +44,7 @@ class BandDecomposition:
         return len(self.bands)
 
     def band_norms(self) -> np.ndarray:
-        return np.array([_norm(b) for b in self.bands])
+        return _norm(np.array(self.bands)) if self.bands else np.zeros(0)
 
 
 def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecomposition:
@@ -65,7 +65,7 @@ def _band_split(dec: SpectralDecomposition, c, e: int, a: float) -> BandDecompos
     ends = _pw_prefix(dec, edges)  # band k keeps a^{k-1} < lambda <= a^k
     index = np.arange(dec.dim)
     masks = (np.append(0, ends[:-1])[:, None] <= index) & (index < ends[:, None])
-    bands = _ldexp(_basis_product(dec.eigenvectors, np.where(masks, c, 0.0)), e)
+    bands = _unscaled(_basis_product(dec.eigenvectors, np.where(masks, c, 0.0)), e)
     return BandDecomposition(base=a, bands=tuple(bands), band_edges=edges)
 
 
@@ -104,9 +104,9 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha, q,
     shape, rows, (alphas, qs) = _broadcast(c, alpha, q)
     params = [BesovParams(alpha=x, q=y, a=a, flavor="discrete_E")
               for x, y in zip(alphas.tolist(), qs.tolist())]
-    cuts = [(_norm(v_i, e_i), _band_split(dec, c_i, e_i, a),
-             _edge_distances(dec, (v_i, c_i, e_i), a, "E"))
-            for v_i, c_i, e_i in zip(v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e))]
+    v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
+    cuts = [(norm_f, _band_split(dec, c_i, e_i, a), _edge_distances(dec, (v_i, c_i, e_i), a, "E"))
+            for norm_f, v_i, c_i, e_i in zip(_norm(v, e).tolist(), v, c, e)]
     if any(norm_f == 0.0 for norm_f, *_ in cuts):
         raise ZeroVectorError("equivalence ratio undefined for the zero vector")
     ratios = _shaped([(cuts[row][0] + frame_norm(cuts[row][1], p.alpha, p.q))

@@ -17,7 +17,10 @@ Conventions
 * degenerate eigenvalues are grouped so multiplicities are explicit,
 * a vector argument may be a block of rows ``(..., N)``, with the parameters
   of a call broadcast against ``f.shape[:-1]`` as NumPy broadcasts; each row
-  takes its own matrix-vector products, so its bits do not depend on the block.
+  takes its own matrix-vector products, so its bits do not depend on the block,
+* each row enters scaled by a power of two (``_scaled``), and every result taken at that
+  scale gets its ``2^e`` back through ``_unscaled``, exactly or as a :class:`NonFiniteError`
+  past the largest double; ``_norm`` sums rows there, one stacked dot product each.
 """
 
 import math
@@ -49,14 +52,19 @@ JACOBI_TOL = 1e-12
 
 def as_vector(f, dim=None) -> np.ndarray:
     """Coerce ``f`` to a finite complex 1-D array, checking its length."""
-    if np.ndim(f) != 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {np.shape(f)}")
-    return _as_block(f, dim)
+    return _as_block(f, dim, vector=True)
 
 
-def _as_block(f, dim=None) -> np.ndarray:
-    """Coerce ``f`` to a finite complex array of shape ``(..., dim)``: a vector or rows of them."""
-    arr = np.asarray(f, dtype=np.complex128)
+def _as_block(f, dim=None, vector=False) -> np.ndarray:
+    """Coerce ``f`` to a finite complex array of shape ``(..., dim)``: rows of vectors, or one
+    vector if ``vector``."""
+    try:  # NumPy raises ValueError for rows of unequal length, and for text
+        shape = np.shape(f)
+        arr = None if vector and len(shape) != 1 else np.asarray(f, dtype=np.complex128)
+    except ValueError:
+        raise DimensionMismatchError("expected numeric rows of one length") from None
+    if arr is None:
+        raise DimensionMismatchError(f"expected a 1-D vector, got shape {shape}")
     if arr.ndim == 0 or (dim is not None and arr.shape[-1] != dim):
         raise DimensionMismatchError(f"expected vectors of length {dim}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -103,12 +111,10 @@ def _check_order(m, low: int, error=InvalidParamsError, k=0) -> None:
 
 
 def _scaled(x) -> tuple:
-    """``(x 2^-e, e)`` row by row, with ``max |x| 2^-e`` in ``[0.5, 1)`` (below at ``e = -1022``).
-
-    Scaling by a power of two is exact: squares of the scaled entries neither overflow nor
-    underflow, and sums of them, their square roots and inner products, times ``2^e``, keep
-    their unscaled bits.  The clamp keeps ``2^-e`` a finite double.
-    """
+    """``(x 2^-e, e)`` row by row, with ``max |x| 2^-e`` in ``[0.5, 1)`` (below at ``e = -1022``,
+    so ``2^-e`` is a finite double): squares of the scaled entries neither overflow nor
+    underflow, and sums of them, their roots and inner products get their ``2^e`` back exactly
+    (``_unscaled``)."""
     if x.ndim == 1:  # one vector: Python scalars, at half the cost of NumPy's
         e = max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1022)
         return x * 2.0 ** -e, e
@@ -122,22 +128,32 @@ def _scaled_mag2(coeffs, e=0) -> tuple:
     return mag ** 2, e + d
 
 
-def _ldexp(z, e) -> np.ndarray:
-    """``z 2^e`` for complex rows ``z``, each at its own ``e``: exact, ``inf`` past the doubles."""
-    with np.errstate(over="ignore"):
-        return np.ldexp(z.view(np.float64), np.asarray(e)[..., None]).view(np.complex128)
+def _unscaled(x, e):
+    """``x 2^e``, exact, with ``e`` broadcast against ``x`` (a complex entry as its real pair):
+    the one way back from a power-of-two scale.  A result that is no finite double raises
+    :class:`NonFiniteError`; a float stays a float, taken by ``math.ldexp``."""
+    if isinstance(x, float):
+        try:
+            if math.isfinite(x := math.ldexp(x, int(e))):
+                return x
+        except OverflowError:  # raised below
+            pass
+    elif np.iscomplexobj(x):  # both halves of an entry at its e
+        return _unscaled(x[..., None].view(float), np.expand_dims(e, -1)).view(complex)[..., 0]
+    else:
+        with np.errstate(over="ignore"):
+            x = np.ldexp(x, e)
+        if np.all(np.isfinite(x)):
+            return x
+    raise NonFiniteError("result is no finite double (past the largest one, or NaN)")
 
 
-def _norm(vec, e: int = 0) -> float:
-    """``||vec|| 2^e``, taken at a power-of-two scale, so it cannot overflow or underflow.
-
-    A norm beyond the largest double raises :class:`NonFiniteError`.
-    """
-    scaled, d = _scaled(vec)
-    try:
-        return math.ldexp(float(np.linalg.norm(scaled)), int(e + d))
-    except OverflowError:
-        raise NonFiniteError("vector norm exceeds the largest double") from None
+def _norm(x, e=0):
+    """``||x_i|| 2^{e_i}`` of each row ``x_i`` of ``x`` (``(..., N)``; a float for one vector) at
+    its own power-of-two scale (``_scaled``): the sum ``np.linalg.norm`` takes, as stacked dot
+    products of the real and the imaginary part, so a row's bits do not depend on its block."""
+    x, d = _scaled(x)
+    return _unscaled(np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)), e + d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,17 +401,17 @@ def _synthesize(dec: SpectralDecomposition, values, c, e) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise NonFiniteMultiplierError("multiplier is not finite on the spectrum")
     _broadcast_shapes(values.shape, c.shape)
-    out = _ldexp(_basis_product(dec.eigenvectors, values * c), e)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("result exceeds the largest double")
-    return out
+    return _unscaled(_basis_product(dec.eigenvectors, values * c), np.expand_dims(e, -1))
 
 
 def operator_power(dec: SpectralDecomposition, s: float, f) -> np.ndarray:
-    """Apply ``D^s`` for real ``s >= 0`` (``D^0`` is the identity)."""
-    if not (s >= 0):
+    """Apply ``D^s`` for real ``s >= 0`` (``D^0`` is the identity); ``s`` broadcasts against the
+    rows of ``f``, one scalar power per value (an array exponent may round differently)."""
+    s = np.asarray(s, dtype=np.float64)
+    if not np.all(s >= 0):
         raise InvalidParamsError(f"power must be nonnegative, got {s}")
-    return apply_multiplier(dec, lambda lam: np.power(lam, s), f)
+    return apply_multiplier(dec, lambda lam: np.reshape(
+        [np.power(lam, x) for x in s.ravel().tolist()], s.shape + lam.shape), f)
 
 
 def schrodinger_group(dec: SpectralDecomposition, z, f) -> np.ndarray:

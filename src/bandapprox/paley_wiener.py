@@ -26,9 +26,11 @@ from .operators import (
     _broadcast,
     _coefficients,
     _is_int,
+    _norm,
     _scaled,
     _scaled_mag2,
     _shaped,
+    _unscaled,
     apply_multiplier,
     as_vector,
 )
@@ -92,12 +94,9 @@ def _check_q(q: float) -> None:
 
 def _lq_norm(terms: np.ndarray, q: float) -> float:
     """``(sum terms^q)^{1/q}`` at a power-of-two scale; the max at ``q = inf``, 0 without terms."""
-    if not terms.size:
-        return 0.0
-    if q == math.inf:
-        return float(np.max(terms))
     scaled, e = _scaled(terms)
-    return math.ldexp(float(np.sum(scaled ** q) ** (1.0 / q)), int(e))
+    return _unscaled(float(np.max(scaled, initial=0.0) if q == math.inf else
+                           np.sum(scaled ** q) ** (1.0 / q)), e)
 
 
 def _omegas(omega) -> np.ndarray:
@@ -152,7 +151,7 @@ def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray
     else:  # one element at a time: a block of masked copies would be elements x N
         norms = [np.linalg.norm(v[i] - _basis_product(dec.eigenvectors, np.where(j < end, c[i], 0)))
                  for i, end in zip(rows.tolist(), ends.tolist())]
-    return np.ldexp(np.reshape(norms, shape), e.reshape(shape))
+    return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 
 def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
@@ -251,8 +250,7 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     bad = [s for s in s_values if not 0.0 <= s < math.inf]
     if bad:
         raise InvalidParamsError(f"s must be finite and >= 0, got {bad[0]}")
-    v, c = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim)
-    norms = [np.linalg.norm(row) for row in v]  # ||f|| 2^-e
+    c, norms = c.reshape(-1, dec.dim), _norm(v.reshape(-1, dec.dim)).tolist()  # ||f|| 2^-e
     for row, w in zip(rows.tolist(), ws.tolist()):
         if norms[row] == 0.0:
             raise ZeroVectorError("Bernstein check needs a nonzero vector")
@@ -273,7 +271,7 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
         # omega^s ||f|| at the scale of c: the 2^e of f cancels from every ratio
         bounds = np.array([[_power(float(ws[i]), s) * norms[rows[i]] for s in s_values]
                            for i in elements])
-        ratios[elements] = np.ldexp(np.sqrt(sums) / bounds, d[:, None])
+        ratios[elements] = _unscaled(np.sqrt(sums) / bounds, d[:, None])
     # the ratios are nonnegative: the initial 0.0 only shows without any s
     return BernsteinReport(omega=_shaped(ws, shape), s_values=s_values,
                            ratios=ratios.reshape(shape + (len(s_values),)),

@@ -45,6 +45,7 @@ from .operators import (
     _scaled,
     _scaled_mag2,
     _shaped,
+    _unscaled,
     _weighted,
     apply_multiplier,
     as_vector,
@@ -205,7 +206,6 @@ def _running_modulus(eigenvalues, mag2, s_rows, m: int) -> list:
 
 def _moduli(dec: SpectralDecomposition, c, e, s_values, m: int) -> np.ndarray:
     """``Omega_m(f_i, s)``, any ``m``, at ``s_values`` (broadcast) of each row ``c_i 2^{e_i}``."""
-    c = np.asarray(c)
     s_values = np.asarray(s_values, dtype=np.float64)
     bad = ~(np.isfinite(s_values) & (s_values >= 0.0))
     if np.any(bad):
@@ -221,7 +221,7 @@ def _moduli(dec: SpectralDecomposition, c, e, s_values, m: int) -> np.ndarray:
         scans = _running_modulus(dec.eigenvalues, mag2[live],
                                  list(np.take_along_axis(s_values[live], order, axis=-1)), m)
         omega[live] = np.take_along_axis(np.array(scans), np.argsort(order, axis=-1), axis=-1)
-    return np.ldexp(omega, e[:, None]).reshape(shape)
+    return _unscaled(omega, e[:, None]).reshape(shape)
 
 
 def modulus(dec: SpectralDecomposition, f, s: float, m: int) -> float:
@@ -271,7 +271,7 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s, a_scale, m,
         _check_order(m, 0, k=k)
         if a_scale <= 0.0:
             raise InvalidParamsError("a_scale must be positive")
-    norms = [_norm(row, e_i) for row, e_i in zip(v.reshape(-1, dec.dim), np.ravel(e).tolist())]
+    norms = _norm(v.reshape(-1, dec.dim), np.ravel(e)).tolist()
     c, e = c.reshape(-1, dec.dim)[rows], np.ravel(e)[rows]
     lhs = np.empty((len(rows), 2))
     for m in set(orders):
@@ -305,7 +305,7 @@ def _integral_norm(nodes, values, alpha, q):
         aq = alpha * q
         scaled, e = _scaled(values)
         pieces = _weighted(nodes[1:] ** aq - nodes[:-1] ** aq, scaled ** q) / aq
-    return math.ldexp(float(np.sum(pieces)) ** (1.0 / q), int(e))
+    return _unscaled(float(np.sum(pieces)) ** (1.0 / q), e)
 
 
 def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
@@ -366,8 +366,7 @@ def _besov_norms(dec: SpectralDecomposition, fc, params_list,
 
     seminorm = functools.cache(lambda alpha, r: _seminorm_sup(dec, c, e, alpha, 0, r))
     table = np.empty((len(c), len(params_list)))
-    for i, (row, fc) in enumerate(zip(table, zip(v, c, e.tolist()))):
-        norm_f = _norm(fc[0], fc[2])
+    for i, (row, norm_f, fc) in enumerate(zip(table, _norm(v, e).tolist(), zip(v, c, e.tolist()))):
         # this vector's distances, each computed on first use
         step = functools.cache(lambda route: _distances(dec, fc, nodes[:-1], route))
         edges = functools.cache(lambda route, a: _edge_distances(dec, fc, a, route))
@@ -378,8 +377,8 @@ def _besov_norms(dec: SpectralDecomposition, fc, params_list,
             elif p.flavor == "k_functional":
                 u, (k_vals, d) = k_values(p.r)
                 scaled = np.exp(-(p.alpha / p.r) * u) * k_vals[i]
-                tail = math.ldexp(float(np.max(scaled)) if p.is_sup else
-                                  float(np.trapezoid(scaled ** p.q, u)) ** (1.0 / p.q), int(d[i]))
+                tail = _unscaled(float(np.max(scaled)) if p.is_sup else
+                                 float(np.trapezoid(scaled ** p.q, u)) ** (1.0 / p.q), d[i])
             elif p.flavor.startswith("integral"):
                 tail = _integral_norm(nodes, step(route), p.alpha, p.q)
             else:
@@ -483,7 +482,7 @@ def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
     """
     _, c, e = _coefficients(dec, as_vector(f, dec.dim))
     values, d = _k_functional_values(dec, c[None], [e], [t], r, domain_norm)
-    return math.ldexp(float(values[0, 0]), int(d[0]))
+    return _unscaled(float(values[0, 0]), d[0])
 
 
 def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
@@ -552,7 +551,7 @@ def _seminorm_sup(dec: SpectralDecomposition, c, e, alpha: float, n: int, r: int
     ends = [int(np.flatnonzero(weights * cap_i >= floor_i * (1.0 - 1e-9))[-1]) + 1
             for cap_i, floor_i in zip(cap, floor)]
     omega = _running_modulus(dec.eigenvalues, mag2, [s_grid[:end] for end in ends], r)
-    sup[live] = np.ldexp([np.max(weights[:end] * row) for end, row in zip(ends, omega)], e[live])
+    sup[live] = _unscaled([np.max(weights[:end] * row) for end, row in zip(ends, omega)], e[live])
     return sup
 
 
@@ -572,14 +571,13 @@ def _lemma_reports(dec: SpectralDecomposition, fc, alpha: float, n: int, r: int)
         raise InvalidOrderError(f"need r > alpha - n > 0, got alpha={alpha}, n={n}, r={r}")
     v, c, e = fc
     shape, nodes = c.shape[:-1], _step_nodes(dec)
-    v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
-    sides = []  # per row: both sides and the ratio of lemma 1, then of lemma 2
-    for v_i, c_i, e_i, semi in zip(v, c, e.tolist(), _seminorm_sup(dec, c, e, alpha, n, r)):
-        norm_f = _norm(v_i, e_i)
-        sup_e = _integral_norm(nodes, _distances(dec, (v_i, c_i, e_i), nodes[:-1], "E"), alpha,
-                               math.inf)
-        sides.append((sup_e, semi, _safe_ratio(sup_e, semi, norm_f),
-                      semi, norm_f + sup_e, _safe_ratio(semi, norm_f + sup_e, norm_f)))
+    v, c, e = fc = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
+    semis = _seminorm_sup(dec, c, e, alpha, n, r).tolist()
+    sups = [_integral_norm(nodes, row, alpha, math.inf)  # sup_s s^alpha E(f, s) of each row
+            for row in _distances(dec, fc, nodes[:-1, None], "E").T]
+    sides = [(sup_e, semi, _safe_ratio(sup_e, semi, norm_f),  # lemma 1, then lemma 2
+              semi, norm_f + sup_e, _safe_ratio(semi, norm_f + sup_e, norm_f))
+             for sup_e, semi, norm_f in zip(sups, semis, _norm(v, e).tolist())]
     sides = [_shaped(x, shape) for x in np.reshape(sides, (-1, 6)).T]
     return LemmaReport(*sides[:3]), LemmaReport(*sides[3:])
 

@@ -3,7 +3,8 @@
 A vector argument ``f`` may be a block of shape ``(..., N)``; the numeric
 parameters of the call broadcast against ``f.shape[:-1]`` as NumPy
 broadcasts, and the result takes the broadcast shape.  A 1-D ``f`` with
-scalar parameters returns a float or a report of floats, as before.  The
+scalar parameters returns a float or a report of floats, as before.  A
+ragged block is a typed error, not NumPy's bare ValueError.  The
 m-th difference is defined for integer m only, so every entry point that
 takes a difference order rejects any other with a typed error.
 """
@@ -22,6 +23,7 @@ from bandapprox import (
     KernelOrderMismatchError,
     RieszConfig,
     apply_multiplier,
+    bandwidth,
     bernstein_check,
     besov_norm,
     besov_seminorm_sup,
@@ -184,3 +186,40 @@ def test_difference_orders_must_be_integers(name, m):
     assert issubclass(error, BandApproxError)
     with pytest.raises(error):
         call(dec, f, m)
+
+
+#: inputs that died with NumPy's bare ValueError (cycle:8): a ragged block, and an array
+#: for a parameter that took scalars.  Each (call on (dec, f, p), error) raises ``error``, or
+#: (error None) broadcasts ``p`` against the rows of ``f`` as ``schrodinger_group`` does ``z``
+INPUT_FAULTS = {
+    "best_approx ragged block": (lambda dec, f, p: best_approx(dec, [f, f[:5]], p),
+                                 DimensionMismatchError),
+    "bandwidth ragged block": (lambda dec, f, p: bandwidth(dec, [f, f[:5]], probe_omega=p),
+                               DimensionMismatchError),
+    "operator_power s": (lambda dec, f, p: operator_power(dec, p, f), None),
+    "operator_power negative s": (lambda dec, f, p: operator_power(dec, p - 1.0, f),
+                                  InvalidParamsError),
+    "q_apply omega": (lambda dec, f, p: q_apply(dec, f, p, 2, KERNEL), None),
+    "q_symbol omega": (lambda dec, f, p: q_symbol(KERNEL, p, 2, dec.eigenvalues), None),
+    "q_symbol omega quadrature": (
+        lambda dec, f, p: q_symbol(KERNEL, p, 2, dec.eigenvalues, method="quadrature"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_FAULTS))
+def test_ragged_blocks_and_array_parameters(name):
+    dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+    f = np.random.default_rng(0).standard_normal(8)
+    call, error = INPUT_FAULTS[name]
+    axis = np.array([0.5, 1.0, 2.0])
+    if error is not None:
+        with pytest.raises(error):
+            call(dec, f, axis)
+        return
+    out = call(dec, f, axis)
+    assert out.shape == (3, 8)
+    for row, p in zip(out, axis.tolist()):
+        if name.endswith("quadrature"):  # its panels follow the largest |xi| of the call
+            np.testing.assert_allclose(row, call(dec, f, p), rtol=0.0, atol=1e-13)
+        else:
+            np.testing.assert_array_equal(row, call(dec, f, p))

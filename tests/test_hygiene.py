@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in the library is used, every
 private module-level name is referenced somewhere in src/ or tests/, no
 private library helper transforms a vector, the harness calls the library
-through its public names, and the library imports no third-party package
-but NumPy."""
+through its public names, only ``operators`` calls ``ldexp``, and the library
+imports no third-party package but NumPy."""
 
 import ast
 import os
@@ -143,3 +143,18 @@ def test_harness_uses_only_public_library_names():
                   and ref.value.id in modules and ref.attr.startswith("_")):
                 found.add((ref.attr, owner))
     assert modules and found == HARNESS_PRIVATE, sorted(found - HARNESS_PRIVATE)
+
+
+def test_only_operators_calls_ldexp():
+    # a result taken at a power-of-two scale gets its 2^e back through operators._unscaled,
+    # which raises NonFiniteError past the largest double; an ldexp of NumPy or math elsewhere
+    # would be a second way back, one that returns inf or raises a bare OverflowError
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name",
+                    ast.FunctionDef: "name"}.get(type(node))
+            name = getattr(node, name) if name else ""
+            if "ldexp" in name and (path.name != "operators.py" or name != "ldexp"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"ldexp outside operators._unscaled and _scaled: {', '.join(found)}"

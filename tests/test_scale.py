@@ -4,10 +4,14 @@ At ``1e160`` the square of an entry of ``f`` overflows and at ``1e-160``
 and ``1e-300`` it underflows.  Every value below is still 1-homogeneous in
 ``f``, and every ratio is independent of its scale, to 1e-12.  A band or
 step weight past the largest double (``alpha = 600``) adds nothing against
-a zero term and raises ``NonFiniteError`` against a nonzero one.
+a zero term and raises ``NonFiniteError`` against a nonzero one.  A result
+taken at a power-of-two scale that passes the largest double once its ``2^e``
+is back raises ``NonFiniteError`` too, with no ``RuntimeWarning``, while
+values near the bottom of the double range keep their bits.
 """
 
 import math
+import warnings
 from operator import attrgetter
 
 import numpy as np
@@ -22,15 +26,20 @@ from bandapprox import (
     bandwidth,
     bernstein_check,
     besov_norm,
+    besov_seminorm_sup,
     best_approx,
     build_kernel,
+    dense_union_check,
     eigh,
     equivalence_report,
     frame_norm,
     jackson_check,
     k_besov_norm,
+    k_functional,
     lemma1_check,
     lemma2_check,
+    modulus,
+    modulus_inequality_checks,
     operator_power,
     pw_project,
     q_apply,
@@ -189,3 +198,55 @@ def test_weights_beyond_the_largest_double(name, call, expected):
     assert call(dec, dec.eigenvectors[:, 1]) == expected
     with pytest.raises(NonFiniteError):
         call(dec, np.ones(6))
+
+
+#: calls whose result, taken at a power-of-two scale, passes the largest double once its
+#: ``2^e`` is back, on cycle:8 at ``g = 1e308 (1, -1, ...)`` (the K norms at ``g / 3``); they
+#: returned inf with a RuntimeWarning, raised a bare OverflowError, or (dense_union_check)
+#: returned 2.0
+PAST_THE_DOUBLES = {
+    "best_approx": lambda dec, g: best_approx(dec, g, 0.0),
+    "spectral_tail": lambda dec, g: spectral_tail(dec, g, 0.0),
+    "modulus": lambda dec, g: modulus(dec, g, 1.0, 2),
+    "besov_seminorm_sup": lambda dec, g: besov_seminorm_sup(dec, g, 1.5, 0, 2),
+    "k_functional": lambda dec, g: k_functional(dec, g, 1e3, 1),
+    "dense_union_check": lambda dec, g: dense_union_check(dec, g, 1.0),
+    "k_besov_norm": lambda dec, g: k_besov_norm(dec, g / 3, BesovParams(alpha=0.5, q=2.0)),
+    "besov_norm k_functional": lambda dec, g: besov_norm(
+        dec, g / 3, BesovParams(alpha=0.5, q=2.0, flavor="k_functional")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_DOUBLES))
+def test_results_past_the_largest_double_raise(name):
+    dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+    g = 1e308 * np.array([1.0, -1.0] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError):
+            PAST_THE_DOUBLES[name](dec, g)
+
+
+#: values near the bottom of the double range, kept bit for bit by the rescale of each
+#: spectral measure (``operators._scaled_mag2``): (call on the raw_D diag(0, 0.5, 1, 2, 3.5, 7)
+#: decomposition at ``scale``, value); f = ones(6), except for the K-functional of
+#: ``u_0 + 1e-250 u_5``.  Without that rescale the K value and the Jackson bound read 0.
+RANGE_GUARDS = {
+    "besov_seminorm_sup": (1e-200, lambda dec, f: besov_seminorm_sup(dec, f, 1.5, 1, 2),
+                           4.40061197320528e-299),
+    "modulus_inequality_checks": (
+        1e-200, lambda dec, f: modulus_inequality_checks(dec, f, 1e200, 2.0, 2, 1).ratio_power,
+        0.3286796695357632),
+    "jackson_check": (1e-200, lambda dec, f: jackson_check(
+        dec, f, 3e-200, 2, 1, build_kernel(6, 2)).bound, 636.6360546097943),
+    "k_functional": (1.0, lambda dec, f: k_functional(
+        dec, dec.eigenvectors[:, 0] + 1e-250 * dec.eigenvectors[:, 5], 1e-3, 1),
+        7.000000000000002e-253),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_GUARDS))
+def test_values_near_the_bottom_of_the_double_range(name):
+    scale, call, expected = RANGE_GUARDS[name]
+    dec = eigh(SymmetricOperator(scale * np.diag([0.0, 0.5, 1.0, 2.0, 3.5, 7.0]), kind=RAW_D))
+    assert call(dec, np.ones(6)) == expected

@@ -10,8 +10,8 @@ own (0 ulp), on every operator family, for the zero vector and at scales
 column is also rebuilt from the per-omega ``best_approx`` or
 ``spectral_tail`` calls of its own route and base.
 
-The shift scan, the K path and the seminorm take a block of vectors
-(``_moduli``, ``_k_functional_values``, ``_seminorm_sup``); every row of a
+The shift scan, the K path, the seminorm and the norm take a block of vectors
+(``_moduli``, ``_k_functional_values``, ``_seminorm_sup``, ``_norm``); every row of a
 block equals the same helper called with that row alone, 0 ulp.  The public
 functions take a block ``f`` of shape ``(..., N)`` with parameters broadcast
 against its rows; every element of a block call equals the call on that row
@@ -177,6 +177,22 @@ def test_scan_block_rows_match_one_row_scans(dec, rng, m):
     shared = _moduli(dec, c, e, s_values[1], m)
     for c_i, e_i, row in zip(c, e, shared):
         np.testing.assert_array_equal(row, _moduli(dec, c_i, e_i, s_values[1], m))
+
+
+def test_norm_block_rows_match_one_row_norms(dec, rng):
+    v, c, e = _coefficients(dec, _vectors(rng, dec.dim))
+    for x in (v, c, 1e-200 * v, np.ones_like(v)):
+        for e_x in (e, e + 3, 0):
+            block = _norm(x, e_x)
+            assert block.shape == (len(x),)
+            for row, x_i, e_i in zip(block.tolist(), x, np.broadcast_to(e_x, len(x)).tolist()):
+                assert row == _norm(x_i, e_i)
+    # one vector's norm is the sum np.linalg.norm takes, at a power-of-two scale
+    for v_i in v:
+        assert _norm(v_i) == float(np.linalg.norm(v_i))
+    # rows of any leading shape
+    np.testing.assert_array_equal(_norm(v.reshape(2, 2, -1), e.reshape(2, 2)),
+                                  _norm(v, e).reshape(2, 2))
 
 
 @pytest.mark.parametrize("r", [1, 2])
