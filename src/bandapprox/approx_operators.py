@@ -39,7 +39,9 @@ from .operators import (
     _basis_product,
     _broadcast,
     _check_order,
+    _check_scalar,
     _coefficients,
+    _finite,
     _is_int,
     _norm,
     _power_coefficients,
@@ -252,6 +254,7 @@ class RieszConfig:
     k_trunc: int = 10_000
 
     def __post_init__(self):
+        _check_scalar(self.omega, "omega", InvalidConfigError)
         if not (0.0 < self.omega < math.inf):
             raise InvalidConfigError(f"omega must be finite and > 0, got {self.omega}")
         if not (_is_int(self.k_trunc) and self.k_trunc >= 1):
@@ -439,7 +442,8 @@ def jackson_check(dec: SpectralDecomposition, f, omega, m: int, k: int,
     q_errs = _norm(_basis_product(dec.eigenvectors, symbols.reshape(-1, dec.dim)[edge] * c[rows])
                    - v[rows], e[rows]).tolist()
     best = _distances(dec, fc, omega, "E").ravel().tolist()
-    bounds = (const * moduli / ws ** k).tolist()
+    with np.errstate(over="ignore"):
+        bounds = _finite(const * moduli / ws ** k).tolist()
     scales = _norm(v, e)[rows].tolist()
     return JacksonReport(
         best=_shaped(best, shape), q_error=_shaped(q_errs, shape), bound=_shaped(bounds, shape),

@@ -10,8 +10,9 @@ synthesis direction holds with the explicit geometric-series constant
 ``1 / (1 - a^{-alpha})`` even for overlapping, non-orthogonal band
 inputs.
 
-:func:`equivalence_report` band-splits and measures each vector at the band
-edges once, then reads the ratio of every ``(alpha, q)`` it is given off that.
+:func:`equivalence_report` band-splits each vector once and takes the
+denominators of every ``(alpha, q)`` it is given from one parameter-axis call
+of the ``discrete_E`` Besov norm.
 """
 
 import math
@@ -25,10 +26,10 @@ from .errors import (
     MembershipViolationError,
     ZeroVectorError,
 )
-from .operators import SpectralDecomposition, _basis_product, _broadcast, _coefficients, _norm
-from .operators import _shaped, _unscaled, _weighted, as_vector
-from .paley_wiener import _band_powers, _check_q, _in_pw, _lq_norm, _pw_prefix, band_count
-from .smoothness import BesovParams, _discrete_norm, _edge_distances, _safe_ratio
+from .operators import SpectralDecomposition, _basis_product, _broadcast, _check_scalar
+from .operators import _coefficients, _norm, _shaped, _unscaled, as_vector
+from .paley_wiener import _band_powers, _check_q, _in_pw, _pw_prefix, band_count
+from .smoothness import BesovParams, _besov_norms, _discrete_norm, _edge_distances, _safe_ratio
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +55,7 @@ def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecompo
     one; supports partition the spectrum exactly, so the bands are
     pairwise orthogonal and sum back to ``f``.
     """
+    _check_scalar(a, "a", InvalidBaseError)
     _, c, e = _coefficients(dec, as_vector(f, dec.dim))
     return _band_split(dec, c, e, a)
 
@@ -71,11 +73,11 @@ def _band_split(dec: SpectralDecomposition, c, e: int, a: float) -> BandDecompos
 
 def frame_norm(band_dec: BandDecomposition, alpha: float, q: float) -> float:
     """Weighted band-norm sum ``(sum_k (a^{k alpha} ||f_k||)^q)^{1/q}`` (sup at q=inf)."""
+    _check_scalar(alpha, "alpha")
     if not (0.0 < alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in (0, inf), got {alpha}")
     _check_q(q)
-    norms = band_dec.band_norms()
-    return _lq_norm(_weighted(_band_powers(band_dec.base, len(norms), alpha), norms), q)
+    return _discrete_norm(band_dec.band_norms(), alpha, q, band_dec.base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,18 +102,18 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha, q,
     """
     if not np.size(vectors):
         raise InvalidParamsError("equivalence_report needs at least one vector")
-    v, c, e = _coefficients(dec, np.atleast_2d(vectors))
+    _check_scalar(a, "a", InvalidBaseError)
+    params = BesovParams(alpha=alpha, q=q, a=a, flavor="discrete_E")
+    v, c, e = fc = _coefficients(dec, np.atleast_2d(vectors))
     shape, rows, (alphas, qs) = _broadcast(c, alpha, q)
-    params = [BesovParams(alpha=x, q=y, a=a, flavor="discrete_E")
-              for x, y in zip(alphas.tolist(), qs.tolist())]
-    v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
-    cuts = [(norm_f, _band_split(dec, c_i, e_i, a), _edge_distances(dec, (v_i, c_i, e_i), a, "E"))
-            for norm_f, v_i, c_i, e_i in zip(_norm(v, e).tolist(), v, c, e)]
-    if any(norm_f == 0.0 for norm_f, *_ in cuts):
+    norms = _norm(v.reshape(-1, dec.dim), np.ravel(e)).tolist()
+    if 0.0 in norms:
         raise ZeroVectorError("equivalence ratio undefined for the zero vector")
-    ratios = _shaped([(cuts[row][0] + frame_norm(cuts[row][1], p.alpha, p.q))
-                      / (cuts[row][0] + _discrete_norm(cuts[row][2], p.alpha, p.q, a))
-                      for row, p in zip(rows.tolist(), params)], shape)
+    splits = [_band_split(dec, c_i, e_i, a)
+              for c_i, e_i in zip(c.reshape(-1, dec.dim), np.ravel(e).tolist())]
+    frames = [norms[row] + frame_norm(splits[row], x, y)
+              for row, x, y in zip(rows.tolist(), alphas.tolist(), qs.tolist())]
+    ratios = _shaped(np.divide(frames, _besov_norms(dec, fc, params).ravel()), shape)
     if not np.size(ratios):
         raise InvalidParamsError("equivalence_report needs at least one vector")
     return EquivalenceReport(alpha=alpha, q=q, a=a, ratios=ratios,
@@ -146,6 +148,7 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
     """
     if not (a > 1.0):
         raise InvalidBaseError(f"base must be > 1, got {a}")
+    _check_scalar(alpha, "alpha")
     if not (0.0 < alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in (0, inf), got {alpha}")
     band_list = [as_vector(b, dec.dim) for b in bands]

@@ -9,10 +9,10 @@ time, locale or dict ordering.
 
 ``run_suite`` calls each check once per size with that size's operator and
 corpus, a ``(count, N)`` block.  The checks measure through the public
-functions only, most of them in one block call per size with a parameter
-per row or a parameter axis (see ``operators``): a row of a block call has
-the bits of the call on that row alone.  The one exception is the norm
-table of ``_check_theorem1_brackets``.
+functions only, with no private name of the library, most of them in one
+block call per size with a parameter per row or a parameter axis (see
+``operators``): a row of a block call has the bits of the call on that row
+alone.
 """
 
 import json
@@ -37,7 +37,6 @@ from .operators import (
     RAW_L,
     SpectralDecomposition,
     SymmetricOperator,
-    _coefficients,
     eigh,
     schrodinger_group,
     spectral_transform,
@@ -538,13 +537,12 @@ def _scaled_corpus(ctx, rows):
 
 
 def _check_theorem1_brackets(ctx):
-    """Norm brackets of up to 10 vectors and 1000 f_0, from one ``_besov_norms`` table: the
-    private call of the harness, for the reason ``tests/test_hygiene.py`` gives."""
+    """Norm brackets of up to 10 vectors and 1000 f_0: one ``besov_norm`` call per flavor, every
+    vector at every ``(alpha, q)``."""
     records, constants = [], {}
-    grid = [sm.BesovParams(alpha=alpha, q=q, flavor=fl)
-            for alpha, q in _THEOREM1_COMBOS for fl in _THEOREM1_FLAVORS]
-    table = sm._besov_norms(ctx.dec, _coefficients(ctx.dec, _scaled_corpus(ctx, 10)), grid)
-    table = table.reshape(len(table), len(_THEOREM1_COMBOS), len(_THEOREM1_FLAVORS))
+    rows, (alphas, qs) = _scaled_corpus(ctx, 10)[:, None], zip(*_THEOREM1_COMBOS)
+    table = np.stack([sm.besov_norm(ctx.dec, rows, sm.BesovParams(alpha=alphas, q=qs, flavor=fl))
+                      for fl in _THEOREM1_FLAVORS], axis=-1)
     for (alpha, q), block in zip(_THEOREM1_COMBOS, table.transpose(1, 0, 2)):
         norms, scaled = block[:-1], block[-1]
         ratios = norms[:, :, None] / norms[:, None, :]

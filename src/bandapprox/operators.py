@@ -97,6 +97,12 @@ def _shaped(values, shape=None):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_scalar(x, name: str, error=InvalidParamsError) -> None:
+    """Reject an array or a list for ``name``, a parameter that takes one number."""
+    if not isinstance(x, (float, int)) and (isinstance(x, (list, tuple)) or np.ndim(x)):
+        raise error(f"{name} takes one number, got {type(x).__name__} {x!r}")
+
+
 def _is_int(x) -> bool:
     """True for integers of any integral type except ``bool``."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
@@ -136,15 +142,21 @@ def _unscaled(x, e):
         try:
             if math.isfinite(x := math.ldexp(x, int(e))):
                 return x
-        except OverflowError:  # raised below
-            pass
+        except OverflowError:  # past the largest double
+            x = math.inf
     elif np.iscomplexobj(x):  # both halves of an entry at its e
         return _unscaled(x[..., None].view(float), np.expand_dims(e, -1)).view(complex)[..., 0]
     else:
         with np.errstate(over="ignore"):
-            x = np.ldexp(x, e)
-        if np.all(np.isfinite(x)):
-            return x
+            return _finite(np.ldexp(x, e))
+    return _finite(x)
+
+
+def _finite(x):
+    """``x``, or :class:`NonFiniteError` if an entry is no finite double (past the largest one,
+    or NaN): the check of ``_unscaled``, and of a value formed after it."""
+    if np.all(np.isfinite(x)):
+        return x
     raise NonFiniteError("result is no finite double (past the largest one, or NaN)")
 
 
@@ -366,10 +378,7 @@ def _weighted(weights, values) -> np.ndarray:
     A nonzero term beyond the largest double raises :class:`NonFiniteError`, as ``_norm`` does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.where(values == 0, 0.0, weights * values)
-    if not np.all(np.isfinite(terms)):
-        raise NonFiniteError("weighted term exceeds the largest double")
-    return terms
+        return _finite(np.where(values == 0, 0.0, weights * values))
 
 
 def _power_coefficients(dec: SpectralDecomposition, c, k) -> np.ndarray:

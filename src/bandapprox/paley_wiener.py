@@ -24,7 +24,9 @@ from .operators import (
     SpectralDecomposition,
     _basis_product,
     _broadcast,
+    _check_scalar,
     _coefficients,
+    _finite,
     _is_int,
     _norm,
     _scaled,
@@ -193,6 +195,7 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     if not (_is_int(k_max) and k_max >= 1):
         raise InvalidParamsError(f"k_max must be an integer >= 1, got {k_max!r}")
     v, c, e = _coefficients(dec, as_vector(f, dec.dim))
+    _check_scalar(probe_omega, "probe_omega")
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0:
         raise ZeroVectorError("bandwidth of the zero vector is undefined")
@@ -208,14 +211,14 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     with np.errstate(divide="ignore"):  # log 0 = -inf without live terms
         shifted = 0.5 * np.log(np.sum(np.exp(2.0 * (log_terms - top[:, None])), axis=1))
     log_norms = top + shifted + int(e) * math.log(2.0)
-    k_sequence = np.exp(log_norms / ks)
-
     probe = omega_f if probe_omega is None else float(_omegas(probe_omega))
-    if probe > 0.0:
-        sup_ratio = float(np.exp(np.max(log_norms - ks * math.log(probe))))
-    else:
-        # probe 0: every ratio is 0/0 with D^k f = 0, or +inf otherwise
-        sup_ratio = 0.0 if np.all(np.isneginf(log_norms)) else math.inf
+    with np.errstate(over="ignore"):  # past the largest double: NonFiniteError
+        k_sequence = _finite(np.exp(log_norms / ks))
+        if probe > 0.0:
+            sup_ratio = float(_finite(np.exp(np.max(log_norms - ks * math.log(probe)))))
+        else:
+            # probe 0: every ratio is 0/0 with D^k f = 0, or +inf otherwise
+            sup_ratio = 0.0 if np.all(np.isneginf(log_norms)) else math.inf
     return BandwidthReport(omega_f=omega_f, k_sequence=k_sequence,
                            sup_ratio=sup_ratio, probe_omega=probe,
                            final_gap=float(omega_f - k_sequence[-1]))
@@ -263,7 +266,7 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     zero = groups.pop(None, None)
     if zero:  # f in PW_0 means D^s f = 0 for s > 0; report 0 rather than 0/0
         ratios[zero] = [0.0 if s > 0 else 1.0 for s in s_values]
-    lam = dec.eigenvalues[:max(groups, default=0)]
+    lam, s_array = dec.eigenvalues[:max(groups, default=0)], np.array(s_values)
     table = np.array([np.power(lam, 2.0 * s) for s in s_values]).reshape(len(s_values), lam.size)
     for end, elements in groups.items():
         mag2, d = _scaled_mag2(c[rows[elements], :end])
@@ -271,7 +274,10 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
         # omega^s ||f|| at the scale of c: the 2^e of f cancels from every ratio
         bounds = np.array([[_power(float(ws[i]), s) * norms[rows[i]] for s in s_values]
                            for i in elements])
-        ratios[elements] = _unscaled(np.sqrt(sums) / bounds, d[:, None])
+        # no mass on a positive eigenvalue: D^s f = 0 for s > 0, so 0 even where bounds is 0
+        zero = ~np.any(mag2 * (lam[:end] > 0.0) > 0.0, axis=-1)[:, None] & (s_array > 0.0)
+        with np.errstate(invalid="ignore"):
+            ratios[elements] = _unscaled(np.where(zero, 0.0, np.sqrt(sums) / bounds), d[:, None])
     # the ratios are nonnegative: the initial 0.0 only shows without any s
     return BernsteinReport(omega=_shaped(ws, shape), s_values=s_values,
                            ratios=ratios.reshape(shape + (len(s_values),)),
@@ -284,6 +290,7 @@ def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:
     Candidates are 0 and the distinct eigenvalues; existence is guaranteed
     because ``E(f, lambda_max) = 0``.
     """
+    _check_scalar(eps, "eps")
     if not (eps > 0.0):
         raise InvalidParamsError(f"eps must be positive, got {eps}")
     nodes = _step_nodes(dec)

@@ -21,13 +21,13 @@ equivalent ways:
 The norms, the modulus inequalities and the lemmas take ``f`` as a block of rows (see
 ``operators``), with one shift scan per order and one K path per ``r``: the scan grid
 and the log-s path do not depend on ``f``, and every sum over the eigenvalues is one
-per row and point, so a row's bits do not depend on its block.  ``_besov_norms`` reads every
-``(alpha, q, flavor)`` of a block off one pass per vector (the E or R distances per
-route and base, ``K(t)`` per ``r``, the seminorm per ``(alpha, r)``);
-:func:`besov_norm` and :func:`k_besov_norm` are its one-parameter calls.
+per row and point, so a row's bits do not depend on its block.  :func:`besov_norm` and
+:func:`k_besov_norm` also take a parameter axis (array fields of one ``BesovParams``):
+``_besov_norms`` evaluates every element of the broadcast shape once, from what its
+elements share, computed once per call for the rows that need it (the E or R distances per
+base, ``K(t)`` per ``r``, the seminorm per ``(alpha, r)``).
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -37,8 +37,11 @@ from .errors import InvalidOrderError, InvalidParamsError, NonPositiveTError
 from .operators import (
     SpectralDecomposition,
     _broadcast,
+    _broadcast_shapes,
     _check_order,
+    _check_scalar,
     _coefficients,
+    _finite,
     _is_int,
     _norm,
     _power_coefficients,
@@ -77,11 +80,15 @@ def _clipped_newton(fn, x, lo, hi, steps: int) -> tuple:
 
 @dataclass(frozen=True)
 class BesovParams:
-    """Smoothness parameters: exponent alpha, integrability q, order r, base a.
+    """Smoothness parameters: exponent alpha, integrability q, order r, base a, one flavor.
 
     ``q = math.inf`` selects the supremum forms.  ``r`` is only active for
     the K-functional and modulus flavors but is validated for all of them;
-    if omitted, the smallest admissible order is chosen.
+    if omitted, the smallest admissible order is chosen.  ``alpha``, ``q``,
+    ``r`` and ``a`` may be arrays that broadcast against each other and
+    against the rows of ``f``, one norm per element: each element is
+    validated and takes its own default ``r``, and the fields are kept as
+    read-only arrays (such params neither compare nor hash).
     """
 
     alpha: float
@@ -91,13 +98,24 @@ class BesovParams:
     flavor: str = "integral_E"
 
     def __post_init__(self):
+        if self.flavor not in BESOV_FLAVORS:
+            raise InvalidParamsError(f"unknown flavor {self.flavor!r}")
+        fields = (self.alpha, self.q, self.r, self.a)
+        if any(isinstance(x, (list, tuple, np.ndarray)) for x in fields):  # a parameter axis
+            arrays = [np.asarray(x) for x in fields]
+            shape = _broadcast_shapes(*(x.shape for x in arrays))
+            r = np.reshape([BesovParams(*element, flavor=self.flavor).r for element in zip(
+                *(np.broadcast_to(x, shape).ravel().tolist() for x in arrays))], shape)
+            for name, x in zip(("alpha", "q", "r", "a"), (*arrays[:2], r, arrays[3])):
+                x = x.astype(int if name == "r" else np.float64)
+                x.flags.writeable = False
+                object.__setattr__(self, name, x)
+            return
         if not (0.0 < self.alpha < math.inf):
             raise InvalidParamsError(f"alpha must be in (0, inf), got {self.alpha}")
         _check_q(self.q)
         if not (self.a > 1.0):
             raise InvalidParamsError(f"base a must be > 1, got {self.a}")
-        if self.flavor not in BESOV_FLAVORS:
-            raise InvalidParamsError(f"unknown flavor {self.flavor!r}")
         r = self.r
         if r is None:
             r = math.floor(self.alpha) + 1 if self.q != math.inf else max(1, math.ceil(self.alpha))
@@ -129,6 +147,7 @@ def difference(dec: SpectralDecomposition, f, tau: float, m: int) -> np.ndarray:
     which agrees with ``m`` successive first-order differences.
     """
     _check_order(m, 1)
+    _check_scalar(tau, "tau")
     return apply_multiplier(dec, lambda lam: (np.exp(1j * tau * lam) - 1.0) ** m, f)
 
 
@@ -231,6 +250,7 @@ def modulus(dec: SpectralDecomposition, f, s: float, m: int) -> float:
     ``_running_modulus``) gives it.  ``m = 0`` returns ``||f||`` (the
     zeroth difference is the identity).  ``s`` must be finite and ``>= 0``.
     """
+    _check_scalar(s, "s")
     _, c, e = _coefficients(dec, as_vector(f, dec.dim))
     return float(_moduli(dec, c, e, [s], m)[0])
 
@@ -314,6 +334,7 @@ def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
 
     ``alpha`` must lie in ``[0, inf)``: below 0 the supremum is infinite.
     """
+    _check_scalar(alpha, "alpha")
     if not (0.0 <= alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in [0, inf), got {alpha}")
     nodes = _step_nodes(dec)
@@ -339,52 +360,58 @@ def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
     two families agree to near machine precision, which downstream checks
     exploit.  Integral flavors are exact (piecewise evaluation); discrete
     flavors truncate where the terms become identically zero.  A block ``f``
-    gives one norm per row.
+    and array parameters give one norm per element of their broadcast shape.
     """
-    return _shaped(_besov_norms(dec, _coefficients(dec, f), [params])[..., 0])
+    return _shaped(_besov_norms(dec, _coefficients(dec, f), params))
 
 
-def _besov_norms(dec: SpectralDecomposition, fc, params_list,
+def _besov_norms(dec: SpectralDecomposition, fc, params: BesovParams,
                  domain_norm: str = "seminorm") -> np.ndarray:
-    """:func:`besov_norm` of every row of ``fc = (v, c, e)`` (``_coefficients`` of a block) for
-    every ``BesovParams`` (a last axis), in one pass (see the module notes); a
-    ``k_functional`` column measures ``K`` in ``domain_norm``, as :func:`k_besov_norm` does.
+    """:func:`besov_norm` of the rows of ``fc = (v, c, e)`` (``_coefficients`` of a block) at
+    every element of ``params`` broadcast against them, in one pass (see the module notes); the
+    ``k_functional`` flavor measures ``K`` in ``domain_norm``, as :func:`k_besov_norm` does.
     """
-    nodes = _step_nodes(dec)
-    lam_max = dec.lambda_max
     v, c, e = fc
-    lead = c.shape[:-1]
+    shape, rows, params_flat = _broadcast(c, params.alpha, params.q, params.r, params.a)
+    alphas, qs, rs, bases = (p.tolist() for p in params_flat)
     v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
-
-    @functools.cache
-    def k_values(r):
-        """``u = log t`` on the t-grid of order ``r`` (from 1e-6 if lambda_max = 0) and ``K(t)``."""
-        u = np.linspace(math.log(1e-6 / (lam_max ** r if lam_max > 0.0 else 1.0)),
-                        math.log(1e6), _K_GRID_POINTS)
-        # scalar exp: array exp may differ in the last bit
-        return u, _k_functional_values(dec, c, e, [math.exp(ui) for ui in u], r, domain_norm)
-
-    seminorm = functools.cache(lambda alpha, r: _seminorm_sup(dec, c, e, alpha, 0, r))
-    table = np.empty((len(c), len(params_list)))
-    for i, (row, norm_f, fc) in enumerate(zip(table, _norm(v, e).tolist(), zip(v, c, e.tolist()))):
-        # this vector's distances, each computed on first use
-        step = functools.cache(lambda route: _distances(dec, fc, nodes[:-1], route))
-        edges = functools.cache(lambda route, a: _edge_distances(dec, fc, a, route))
-        for j, p in enumerate(params_list):
-            route = "E" if p.flavor.endswith("_E") else "R"
-            if p.flavor == "modulus":
-                tail = float(seminorm(p.alpha, p.r)[i])
-            elif p.flavor == "k_functional":
-                u, (k_vals, d) = k_values(p.r)
-                scaled = np.exp(-(p.alpha / p.r) * u) * k_vals[i]
-                tail = _unscaled(float(np.max(scaled)) if p.is_sup else
-                                 float(np.trapezoid(scaled ** p.q, u)) ** (1.0 / p.q), d[i])
-            elif p.flavor.startswith("integral"):
-                tail = _integral_norm(nodes, step(route), p.alpha, p.q)
+    flavor, nodes = params.flavor, _step_nodes(dec)
+    route = "E" if flavor.endswith("_E") else "R"
+    # what elements share, once per key for the rows that need it: the seminorm per
+    # (alpha, r), K per r, the distances at the band edges per base or at the step nodes
+    keys = {"modulus": list(zip(alphas, rs)), "k_functional": rs, "discrete_E": bases,
+            "discrete_R": bases}.get(flavor, [None] * len(rows))
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    tails = np.empty(len(rows))
+    for key, members in groups.items():
+        sel, at = np.unique(rows[members], return_inverse=True)
+        if flavor == "modulus":
+            tails[members] = _seminorm_sup(dec, c[sel], e[sel], key[0], 0, key[1])[at]
+            continue
+        if flavor == "k_functional":  # u = log t on the t-grid of order r (from 1e-6 on {0})
+            top = dec.lambda_max ** key if dec.lambda_max > 0.0 else 1.0
+            u = np.linspace(math.log(1e-6 / top), math.log(1e6), _K_GRID_POINTS)
+            # scalar exp: array exp may differ in the last bit
+            k_vals, d = _k_functional_values(dec, c[sel], e[sel], [math.exp(x) for x in u], key,
+                                             domain_norm)
+        else:
+            fc = v[sel, None], c[sel, None], e[sel, None]
+            dists = (_distances(dec, fc, nodes[:-1], route) if key is None
+                     else _edge_distances(dec, fc, key, route))
+        for i, j in zip(members, at.tolist()):
+            alpha, q = alphas[i], qs[i]
+            if flavor == "k_functional":
+                scaled = np.exp(-(alpha / key) * u) * k_vals[j]
+                tails[i] = _unscaled(float(np.max(scaled)) if q == math.inf else
+                                     float(np.trapezoid(scaled ** q, u)) ** (1.0 / q), d[j])
+            elif key is None:
+                tails[i] = _integral_norm(nodes, dists[j], alpha, q)
             else:
-                tail = _discrete_norm(edges(route, p.a), p.alpha, p.q, p.a)
-            row[j] = norm_f + tail
-    return table.reshape(lead + (len(params_list),))
+                tails[i] = _discrete_norm(dists[j], alpha, q, key)
+    with np.errstate(over="ignore"):
+        return _finite(_norm(v, e)[rows] + tails).reshape(shape)
 
 
 # -- Peetre K-functional -------------------------------------------------------
@@ -480,6 +507,7 @@ def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
     rounding.  With ``domain_norm="graph"`` the second term is the graph
     norm ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.
     """
+    _check_scalar(t, "t")
     _, c, e = _coefficients(dec, as_vector(f, dec.dim))
     values, d = _k_functional_values(dec, c[None], [e], [t], r, domain_norm)
     return _unscaled(float(values[0, 0]), d[0])
@@ -499,8 +527,8 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
     ignored: this is the ``k_functional`` flavor of :func:`besov_norm`, with
     the second term measured in ``domain_norm``.
     """
-    return _shaped(_besov_norms(dec, _coefficients(dec, f),
-                                [replace(params, flavor="k_functional")], domain_norm)[..., 0])
+    return _shaped(_besov_norms(dec, _coefficients(dec, f), replace(params, flavor="k_functional"),
+                                domain_norm))
 
 
 # -- modulus-based seminorm and the two inverse-theorem lemmas -----------------
@@ -523,6 +551,7 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
     ``s^{n-alpha} 2^r ||g||`` falls below ``max_s s^{n-alpha} ||Delta_s^r g||`` (a lower
     bound of the supremum) no larger ``s`` can attain it.
     """
+    _check_scalar(alpha, "alpha")
     _, c, e = _coefficients(dec, as_vector(f, dec.dim))
     return float(_seminorm_sup(dec, c[None], [e], alpha, n, r)[0])
 
@@ -567,6 +596,7 @@ class LemmaReport:
 def _lemma_reports(dec: SpectralDecomposition, fc, alpha: float, n: int, r: int) -> tuple:
     """The :func:`lemma1_check` and :func:`lemma2_check` reports of the rows of
     ``fc = (v, c, e)`` (``_coefficients`` of a block), from one shift scan."""
+    _check_scalar(alpha, "alpha")
     if not (alpha - n > 0.0 and r > alpha - n):
         raise InvalidOrderError(f"need r > alpha - n > 0, got alpha={alpha}, n={n}, r={r}")
     v, c, e = fc

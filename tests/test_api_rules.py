@@ -19,22 +19,28 @@ from bandapprox import (
     BesovParams,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidBaseError,
+    InvalidConfigError,
     InvalidParamsError,
     KernelOrderMismatchError,
     RieszConfig,
     apply_multiplier,
+    band_decompose,
     bandwidth,
     bernstein_check,
     besov_norm,
     besov_seminorm_sup,
     best_approx,
     build_kernel,
+    dense_union_check,
     difference,
     eigh,
     equivalence_report,
+    frame_norm,
     inverse_transform,
     jackson_check,
     jackson_constant,
+    k_functional,
     lemma1_check,
     lemma2_check,
     modulus,
@@ -44,10 +50,13 @@ from bandapprox import (
     q_apply,
     q_symbol,
     riesz_apply,
+    riesz_identity_check,
     schrodinger_group,
     shift_coefficients,
     spectral_tail,
     spectral_transform,
+    sup_scaled_best_approx,
+    synthesis_check,
 )
 from bandapprox.harness import build_operator, parse_operator_arg
 from conftest import random_vector
@@ -223,3 +232,44 @@ def test_ragged_blocks_and_array_parameters(name):
             np.testing.assert_allclose(row, call(dec, f, p), rtol=0.0, atol=1e-13)
         else:
             np.testing.assert_array_equal(row, call(dec, f, p))
+
+
+#: parameters that take one number, each given an array on (dec, f, p) with
+#: p = (0.5, 1.0), shifted where the parameter needs more; (call, typed error).  Each died
+#: with a bare ValueError or TypeError on cycle:8, or (difference at N = 2) broadcast p
+#: against the spectrum
+SCALAR_ONLY = {
+    "modulus s": (lambda dec, f, p: modulus(dec, f, p, 2), InvalidParamsError),
+    "k_functional t": (lambda dec, f, p: k_functional(dec, f, p, 1), InvalidParamsError),
+    "difference tau": (lambda dec, f, p: difference(dec, f, p, 2), InvalidParamsError),
+    "besov_seminorm_sup alpha": (lambda dec, f, p: besov_seminorm_sup(dec, f, p, 0, 2),
+                                 InvalidParamsError),
+    "sup_scaled_best_approx alpha": (lambda dec, f, p: sup_scaled_best_approx(dec, f, p),
+                                     InvalidParamsError),
+    "frame_norm alpha": (lambda dec, f, p: frame_norm(band_decompose(dec, f), p, 2.0),
+                         InvalidParamsError),
+    "synthesis_check alpha": (lambda dec, f, p: synthesis_check(
+        dec, band_decompose(dec, f).bands, p), InvalidParamsError),
+    "lemma1_check alpha": (lambda dec, f, p: lemma1_check(dec, f, p + 1.0, 1, 2),
+                           InvalidParamsError),
+    "lemma2_check alpha": (lambda dec, f, p: lemma2_check(dec, f, p + 1.0, 1, 2),
+                           InvalidParamsError),
+    "bandwidth probe_omega": (lambda dec, f, p: bandwidth(dec, f, probe_omega=p),
+                              InvalidParamsError),
+    "RieszConfig omega": (lambda dec, f, p: RieszConfig(omega=p), InvalidConfigError),
+    "riesz_identity_check omega": (lambda dec, f, p: riesz_identity_check(
+        dec, pw_project(dec, f, 2.0), p + 2.0), InvalidConfigError),
+    "band_decompose a": (lambda dec, f, p: band_decompose(dec, f, p + 1.5), InvalidBaseError),
+    "equivalence_report a": (lambda dec, f, p: equivalence_report(dec, f, 0.8, 2.0, p + 1.5),
+                             InvalidBaseError),
+    "dense_union_check eps": (lambda dec, f, p: dense_union_check(dec, f, p), InvalidParamsError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ONLY))
+def test_scalar_parameters_reject_arrays_with_a_typed_error(name):
+    dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+    f = np.random.default_rng(0).standard_normal(8)
+    call, error = SCALAR_ONLY[name]
+    with pytest.raises(error, match=name.split()[-1]):
+        call(dec, f, np.array([0.5, 1.0]))

@@ -499,7 +499,8 @@ HARNESS_CALLS = (
     "harness.build_operator", "harness.run_suite", "operators.eigh",
     "operators.spectral_transform", "operators.apply_multiplier", "paley_wiener.pw_project",
     "paley_wiener.best_approx", "paley_wiener.spectral_tail", "paley_wiener.bernstein_check",
-    "smoothness.modulus_inequality_checks", "smoothness.lemma1_check", "smoothness.lemma2_check",
+    "smoothness.besov_norm", "smoothness.modulus_inequality_checks", "smoothness.lemma1_check",
+    "smoothness.lemma2_check",
     "approx_operators.build_kernel", "approx_operators.riesz_symbol",
     "approx_operators.riesz_apply", "approx_operators.q_apply", "approx_operators.jackson_check",
     "approx_operators.riesz_identity_check", "decomposition.band_decompose",
@@ -523,8 +524,10 @@ class TestPerLayerView:
         finally:
             tracer.remove()
         assert tracer.stale_bindings(installed=False) == []
-        calls = tracer.aggregate()["calls"]
-        assert [name for name in HARNESS_CALLS if calls[name] < 1] == []
+        view = tracer.aggregate()
+        assert [name for name in HARNESS_CALLS if view["calls"][name] < 1] == []
+        # the norm brackets make one besov_norm call per flavor
+        assert [fl for fl in harness._THEOREM1_FLAVORS if not view["flavor_busy"][fl] > 0] == []
 
 
 class TestFamilies:

@@ -239,6 +239,14 @@ class TestBernstein:
             worst = max(worst, bernstein_check(dec, f, omega, [0.5, 1.0, 2.0, 7.0]).max_ratio)
         assert worst <= 1.0 + TOLS["bernstein"]
 
+    def test_no_mass_on_a_positive_eigenvalue_gives_zero(self):
+        # f in the kernel of D: D^s f = 0 for s > 0, so the ratio is 0, as at omega = 0, where
+        # omega^s ||f|| underflows too (0/0 on cycle:8 at omega = 1e-200); s = 0 keeps its bits
+        dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+        rep = bernstein_check(dec, np.ones(8), 1e-200, (2.0, 0.0, 0.5))
+        assert rep.ratios[0] == rep.ratios[2] == 0.0
+        assert rep.ratios[1] == bernstein_check(dec, np.ones(8), 0.5, (0.0,)).ratios[0]
+
     @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
     def test_power_outside_zero_to_inf_rejected(self, diag_dec, s):
         # s = -1 would give 0^-2 = inf at a kernel mode and a ratio of inf elsewhere

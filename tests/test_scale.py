@@ -201,9 +201,10 @@ def test_weights_beyond_the_largest_double(name, call, expected):
 
 
 #: calls whose result, taken at a power-of-two scale, passes the largest double once its
-#: ``2^e`` is back, on cycle:8 at ``g = 1e308 (1, -1, ...)`` (the K norms at ``g / 3``); they
-#: returned inf with a RuntimeWarning, raised a bare OverflowError, or (dense_union_check)
-#: returned 2.0
+#: ``2^e`` is back, or is formed past it from values that came back finite, on cycle:8 at
+#: ``g = 1e308 (1, -1, ...)`` (the Besov norms at ``g / 3``, the Jackson chain at ``g / 8``);
+#: they returned inf with or without a RuntimeWarning, raised a bare OverflowError, or
+#: (dense_union_check) returned 2.0
 PAST_THE_DOUBLES = {
     "best_approx": lambda dec, g: best_approx(dec, g, 0.0),
     "spectral_tail": lambda dec, g: spectral_tail(dec, g, 0.0),
@@ -214,6 +215,13 @@ PAST_THE_DOUBLES = {
     "k_besov_norm": lambda dec, g: k_besov_norm(dec, g / 3, BesovParams(alpha=0.5, q=2.0)),
     "besov_norm k_functional": lambda dec, g: besov_norm(
         dec, g / 3, BesovParams(alpha=0.5, q=2.0, flavor="k_functional")),
+    # ||f|| + seminorm, both finite
+    "besov_norm modulus": lambda dec, g: besov_norm(
+        dec, g / 3, BesovParams(alpha=0.5, q=math.inf, flavor="modulus")),
+    # const * moduli / omega^k
+    "jackson_check": lambda dec, g: jackson_check(dec, g / 8, 1.0, 2, 0, build_kernel(6, 2)),
+    # ||D^k f||^(1/k) and the sup ratio, from their logarithms
+    "bandwidth": lambda dec, g: bandwidth(dec, g),
 }
 
 

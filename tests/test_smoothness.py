@@ -9,6 +9,7 @@ import pytest
 from bandapprox import (
     RAW_D,
     BesovParams,
+    DimensionMismatchError,
     InvalidOrderError,
     InvalidParamsError,
     NonPositiveTError,
@@ -204,6 +205,47 @@ class TestBesovNorm:
             BesovParams(alpha=1.0, q=2.0, r=2, flavor="modulus")  # q must be inf
         # alpha = r is allowed at q = inf
         BesovParams(alpha=2.0, q=math.inf, r=2)
+
+
+class TestParameterAxis:
+    """``BesovParams`` with array fields: one norm per element of the broadcast shape."""
+
+    @pytest.mark.parametrize("fields", [
+        dict(alpha=[0.5, 0.0], q=2.0), dict(alpha=0.5, q=[2.0, 0.5]),
+        dict(alpha=0.5, q=2.0, a=[2.0, 1.0]), dict(alpha=[0.5, 1.5], q=2.0, r=[2, 1]),
+        dict(alpha=0.5, q=2.0, r=[1, 1.5]), dict(alpha=0.5, q=2.0, r=np.array([2.0, 3.0])),
+        dict(alpha=[0.5, 1.0], q=math.inf, flavor="modulus"),
+        dict(alpha=[0.5, 0.8], q=[math.inf, 2.0], r=2, flavor="modulus"),
+    ])
+    def test_one_bad_element_raises(self, fields):
+        with pytest.raises(InvalidParamsError):
+            BesovParams(**fields)
+
+    def test_shapes_that_do_not_broadcast_raise(self, cycle16_dec, rng):
+        with pytest.raises(DimensionMismatchError):
+            BesovParams(alpha=[0.5, 0.8], q=[1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatchError):
+            BesovParams(alpha=[0.5, 0.8], q=2.0, r=[[1], [2], [3]], a=[2.0, 1.5, 3.0])
+        rows = np.array([random_vector(rng, 16) for _ in range(3)])
+        with pytest.raises(DimensionMismatchError):
+            besov_norm(cycle16_dec, rows, BesovParams(alpha=[0.5, 0.8], q=2.0))
+
+    def test_default_r_is_taken_element_by_element(self):
+        alphas, qs = [[0.5], [1.0], [1.5], [2.0]], [2.0, math.inf]
+        p = BesovParams(alpha=alphas, q=qs)
+        assert p.r.shape == (4, 2)
+        np.testing.assert_array_equal(p.r, [[1, 1], [2, 1], [2, 2], [3, 2]])
+        for (alpha,), row in zip(alphas, p.r.tolist()):
+            assert row == [BesovParams(alpha=alpha, q=q).r for q in qs]
+        np.testing.assert_array_equal(p.is_sup, [False, True])  # the shape of q
+
+    def test_a_scalar_keeps_its_types(self):
+        p = BesovParams(alpha=0.8, q=2.0)
+        assert (type(p.alpha), type(p.r), type(p.is_sup)) == (float, int, bool)
+        assert p == BesovParams(alpha=0.8, q=2.0, r=1)
+        assert hash(p) == hash(BesovParams(alpha=0.8, q=2.0, r=1))
+        axis = BesovParams(alpha=[0.8], q=2.0)
+        assert (axis.r.dtype.kind, axis.alpha.flags.writeable) == ("i", False)
 
 
 class TestKFunctional:

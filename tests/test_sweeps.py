@@ -1,14 +1,15 @@
 """Parameter sweeps in one pass per vector and blocks of vectors, bit for bit against the
 per-call functions.
 
-``smoothness._besov_norms`` computes each vector's spectral data once and
-reads every ``(alpha, q, flavor)`` off it; ``equivalence_report`` does the
-same for the frame ratios of every ``(alpha, q)`` it is given.  Sharing must
-not move a single bit: every entry equals the public function called on its
-own (0 ulp), on every operator family, for the zero vector and at scales
-1e+-150.  Since the public norms are the table's one-by-one calls, each
-column is also rebuilt from the per-omega ``best_approx`` or
-``spectral_tail`` calls of its own route and base.
+``besov_norm`` and ``k_besov_norm`` take a parameter axis: the numeric fields
+of ``BesovParams`` broadcast against the rows of ``f``, and one call computes
+once what its elements share (the distances per route and base, ``K`` per
+``r``, the seminorm per ``(alpha, r)``); ``equivalence_report`` does the same
+for the frame ratios of every ``(alpha, q)`` it is given.  Sharing must not
+move a single bit: every element equals the call on its row and scalar
+parameters alone (0 ulp), on every operator family, for the zero vector and
+at scales 1e+-150.  Each element is also rebuilt from the per-omega
+``best_approx`` or ``spectral_tail`` calls of its own route and base.
 
 The shift scan, the K path, the seminorm and the norm take a block of vectors
 (``_moduli``, ``_k_functional_values``, ``_seminorm_sup``, ``_norm``); every row of a
@@ -57,7 +58,6 @@ from bandapprox.operators import _coefficients, _norm
 from bandapprox.paley_wiener import _band_powers, _step_nodes, band_count
 from bandapprox.smoothness import (
     BESOV_FLAVORS,
-    _besov_norms,
     _discrete_norm,
     _integral_norm,
     _k_functional_values,
@@ -77,9 +77,15 @@ ALPHAS = (0.7, 1.5)
 QS = (1.0, 2.0, math.inf)
 BASES = (2.0, 1.5)
 
-PARAMS = [BesovParams(alpha=alpha, q=q, a=a, flavor=flavor)
-          for flavor in BESOV_FLAVORS for alpha in ALPHAS for q in QS for a in BASES
-          if flavor != "modulus" or q == math.inf]
+#: the ``(alpha, q, a)`` of every flavor
+COMBOS = {flavor: [(alpha, q, a) for alpha in ALPHAS for q in QS for a in BASES
+                   if flavor != "modulus" or q == math.inf] for flavor in BESOV_FLAVORS}
+
+
+def _axis(flavor):
+    """One ``BesovParams`` holding every ``(alpha, q, a)`` of ``flavor`` as arrays."""
+    alphas, qs, bases = np.transpose(COMBOS[flavor])
+    return BesovParams(alpha=alphas, q=qs, a=bases, flavor=flavor)
 
 
 @pytest.fixture(params=SPECS, ids=[text for text, _ in SPECS])
@@ -98,13 +104,19 @@ def _vectors(rng, dim):
 
 
 def test_norm_table_matches_besov_norm(dec, rng):
+    # one parameter-axis call per flavor: every vector at every (alpha, q, a)
     vectors = _vectors(rng, dec.dim)
-    expected = [[besov_norm(dec, f, p) for p in PARAMS] for f in vectors]
-    np.testing.assert_array_equal(_besov_norms(dec, _coefficients(dec, vectors), PARAMS),
-                                  expected)
-    # the public norm of a block is the table's column
-    for p, column in zip(PARAMS[::7], np.transpose(expected)[::7]):
-        np.testing.assert_array_equal(besov_norm(dec, vectors, p), column)
+    for flavor, combos in COMBOS.items():
+        expected = [[besov_norm(dec, f, BesovParams(alpha=alpha, q=q, a=a, flavor=flavor))
+                     for alpha, q, a in combos] for f in vectors]
+        np.testing.assert_array_equal(besov_norm(dec, vectors[:, None], _axis(flavor)),
+                                      expected)
+        # row i against element i of the axis: each element reads its own row's shared data
+        picks = [1, 0, len(combos) - 1, 2]
+        alphas, qs, bases = np.transpose(combos)[:, picks]
+        paired = besov_norm(dec, vectors, BesovParams(alpha=alphas, q=qs, a=bases,
+                                                      flavor=flavor))
+        np.testing.assert_array_equal(paired, [row[j] for row, j in zip(expected, picks)])
 
 
 def _by_definition(dec, f, p):
@@ -123,23 +135,23 @@ def _by_definition(dec, f, p):
 
 
 def test_norm_table_reads_each_column_off_its_own_route_and_base(dec, rng):
-    # E and R agree to rounding, so only bit equality shows a column read off the wrong route
+    # E and R agree to rounding, so only bit equality shows an element read off the wrong route
     vectors = _vectors(rng, dec.dim)
-    params = [p for p in PARAMS if p.flavor != "k_functional"]
-    expected = [[_by_definition(dec, f, p) for p in params] for f in vectors]
-    np.testing.assert_array_equal(_besov_norms(dec, _coefficients(dec, vectors), params),
-                                  expected)
+    for flavor, combos in COMBOS.items():
+        if flavor != "k_functional":
+            expected = [[_by_definition(dec, f, BesovParams(alpha=alpha, q=q, a=a, flavor=flavor))
+                         for alpha, q, a in combos] for f in vectors]
+            np.testing.assert_array_equal(besov_norm(dec, vectors[:, None], _axis(flavor)),
+                                          expected)
 
 
 @pytest.mark.parametrize("domain_norm", ["seminorm", "graph"])
 def test_norm_table_matches_k_besov_norm(dec, rng, domain_norm):
     vectors = _vectors(rng, dec.dim)
-    params = [p for p in PARAMS if p.flavor == "k_functional"]
-    expected = [[k_besov_norm(dec, f, p, domain_norm) for p in params] for f in vectors]
+    expected = [[k_besov_norm(dec, f, BesovParams(alpha=alpha, q=q, a=a), domain_norm)
+                 for alpha, q, a in COMBOS["k_functional"]] for f in vectors]
     np.testing.assert_array_equal(
-        _besov_norms(dec, _coefficients(dec, vectors), params, domain_norm), expected)
-    np.testing.assert_array_equal(k_besov_norm(dec, vectors, params[0], domain_norm),
-                                  np.transpose(expected)[0])
+        k_besov_norm(dec, vectors[:, None], _axis("k_functional"), domain_norm), expected)
 
 
 @pytest.mark.parametrize("a", BASES)

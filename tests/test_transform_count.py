@@ -108,13 +108,19 @@ def test_every_besov_flavor_transforms_once(cycle16_dec, rng, transforms, flavor
     assert len(transforms) == 1
 
 
+def _axis(flavor):
+    """Every ``(alpha, q)`` of ``flavor`` on a parameter axis."""
+    alphas, qs = np.transpose([(alpha, q) for alpha in (0.7, 1.5) for q in (1.0, 2.0, math.inf)
+                               if flavor != "modulus" or q == math.inf])
+    return BesovParams(alpha=alphas, q=qs, flavor=flavor)
+
+
 def test_norm_table_transforms_each_vector_once(cycle16_dec, rng, transforms):
-    params = [BesovParams(alpha=alpha, q=q, flavor=flavor) for flavor in BESOV_FLAVORS
-              for alpha in (0.7, 1.5) for q in (1.0, 2.0, math.inf)
-              if flavor != "modulus" or q == math.inf]
-    _besov_norms(cycle16_dec, _coefficients(cycle16_dec, [random_vector(rng, 16)
-                                                          for _ in range(3)]), params)
-    assert len(transforms) == 1
+    # one parameter-axis call per flavor, each one block transform
+    fs = np.array([random_vector(rng, 16) for _ in range(3)])
+    for count, flavor in enumerate(BESOV_FLAVORS, 1):
+        besov_norm(cycle16_dec, fs[:, None], _axis(flavor))
+        assert len(transforms) == count
 
 
 def test_equivalence_ratios_transform_each_vector_once(cycle16_dec, rng, transforms):
@@ -126,9 +132,9 @@ def test_equivalence_ratios_transform_each_vector_once(cycle16_dec, rng, transfo
 
 #: (name, call on (dec, triples of 3 vectors, triples of 3 vectors bandlimited at 1.5))
 BLOCK_HELPERS = [
-    ("_besov_norms", lambda dec, fcs, gcs: _besov_norms(
-        dec, fcs, [BesovParams(alpha=0.8, q=q, flavor=flavor) for flavor in BESOV_FLAVORS
-                   for q in (2.0, math.inf) if flavor != "modulus" or q == math.inf])),
+    ("_besov_norms", lambda dec, fcs, gcs: [
+        _besov_norms(dec, (fcs[0][:, None], fcs[1][:, None], fcs[2][:, None]), _axis(flavor))
+        for flavor in BESOV_FLAVORS]),
     ("_lemma_reports", lambda dec, fcs, gcs: _lemma_reports(dec, fcs, 1.5, 1, 2)),
 ]
 
