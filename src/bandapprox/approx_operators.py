@@ -4,7 +4,7 @@ Two bounded operators built from the unitary group ``e^{itD}``:
 
 * the Riesz interpolation series, a weighted sum of group shifts whose
   spectral symbol converges to ``i*lambda`` on a band ``[0, omega]``; on
-  bandlimited vectors its powers reproduce ``(iD)^n``;
+  bandlimited vectors its powers reproduce ``(iD)^n``, at an axis of band edges;
 * the quasi-interpolation operator: an even nonnegative kernel
   ``h(t) = a (sin(t/n)/t)^n`` of exponential type one is integrated
   against combinations of group shifts.  Its spectral symbol is a sum of
@@ -20,7 +20,7 @@ scaled uniform B-spline supported on [-1, 1].
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .errors import (
 )
 from .operators import (
     SpectralDecomposition,
+    _axis,
     _basis_product,
     _broadcast,
     _check_order,
@@ -248,23 +249,26 @@ def _trigamma(x: float) -> float:
 
 @dataclass(frozen=True)
 class RieszConfig:
-    """Band edge and symmetric truncation order of the interpolation series."""
+    """Band edge and symmetric truncation order of the interpolation series; ``omega`` may be an
+    axis against the rows of ``f``, kept read-only; such a config neither compares nor hashes."""
 
     omega: float
     k_trunc: int = 10_000
 
     def __post_init__(self):
-        _check_scalar(self.omega, "omega", InvalidConfigError)
-        if not (0.0 < self.omega < math.inf):
+        omega = _axis(self.omega)
+        if not np.all((0.0 < omega) & (omega < math.inf)):
             raise InvalidConfigError(f"omega must be finite and > 0, got {self.omega}")
         if not (_is_int(self.k_trunc) and self.k_trunc >= 1):
             raise InvalidConfigError(f"k_trunc must be an integer >= 1, got {self.k_trunc!r}")
+        if omega.ndim:  # an axis of band edges: a read-only view of a copy
+            object.__setattr__(self, "omega", np.broadcast_to(omega.copy(), omega.shape))
 
     @property
-    def tail_bound(self) -> float:
-        """Operator-norm bound on the dropped part of the series (trigamma tails)."""
+    def tail_bound(self):
+        """Operator-norm bound on the dropped part of the series (trigamma tails), per omega."""
         k = self.k_trunc
-        return float(self.omega / math.pi ** 2 * (_trigamma(k + 0.5) + _trigamma(k + 1.5)))
+        return _shaped(self.omega / math.pi ** 2 * (_trigamma(k + 0.5) + _trigamma(k + 1.5)))
 
 
 def _riesz_coefs(k, omega: float):
@@ -291,6 +295,9 @@ def riesz_symbol(lam, cfg: RieszConfig) -> np.ndarray:
     rest, which keeps the band-edge value within a few ulps of ``omega``.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    if np.ndim(cfg.omega):  # shape omega.shape + lam.shape, one evaluation per band edge
+        return np.reshape([riesz_symbol(lam, replace(cfg, omega=omega))
+                           for omega in cfg.omega.ravel().tolist()], cfg.omega.shape + lam.shape)
     k_trunc = cfg.k_trunc
     scale = math.pi / cfg.omega
     b = math.isqrt(k_trunc - 1) + 1
@@ -331,6 +338,7 @@ def riesz_identity_check(dec: SpectralDecomposition, f, omega: float, power: int
     """
     if not (_is_int(power) and power >= 1):
         raise InvalidParamsError(f"power must be an integer >= 1, got {power!r}")
+    _check_scalar(omega, "omega", InvalidConfigError)
     cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
     v, c, e = _coefficients(dec, as_vector(f, dec.dim))
     norm_f = _norm(v, e)
@@ -356,7 +364,7 @@ def q_symbol(kernel: ApproxKernel, omega: float, m: int, lam,
              method: str = "bspline") -> np.ndarray:
     """Spectral symbol ``sum_j b_j h_transform(j lam / omega)`` of the Q operator, of shape
     ``omega.shape + lam.shape`` for a 1-D ``lam``."""
-    omega = np.asarray(omega, dtype=np.float64)
+    omega = _axis(omega)
     if not np.all(omega > 0.0):
         raise NegativeOmegaError(f"omega must be > 0, got {omega}")
     _check_order(m, 1, KernelOrderMismatchError)
@@ -422,14 +430,13 @@ def jackson_check(dec: SpectralDecomposition, f, omega, m: int, k: int,
     """Measure the direct-estimate chain of ``f`` at the band edge ``omega``.
 
     ``omega`` broadcasts against the rows of ``f`` (shape ``(..., N)``), and the report's
-    numbers take the broadcast shape.  Each Q symbol is evaluated once per entry of
-    ``omega``, and one shift scan gives the moduli of every row at its every ``1/omega``:
+    numbers take the broadcast shape.  One ``q_symbol`` call evaluates the Q symbol of every
+    entry of ``omega``, and one shift scan gives the moduli of every row at its every ``1/omega``:
     the grid depends on ``m - k`` and ``lambda_max`` only, so they equal one scan per edge.
     """
     _check_order(m, 0, IndexOutOfRangeError, k)
     v, c, e = fc = _coefficients(dec, f)
-    omega = np.asarray(omega, dtype=np.float64)
-    symbols = np.array([q_symbol(kernel, w, m, dec.eigenvalues) for w in omega.ravel().tolist()])
+    omega = _axis(omega)
     const = jackson_constant(kernel, m, k)
     shape, rows, (edge,) = _broadcast(c, np.arange(omega.size).reshape(omega.shape))
     ws = omega.ravel()[edge]
@@ -439,8 +446,9 @@ def jackson_check(dec: SpectralDecomposition, f, omega, m: int, k: int,
         order = np.argsort(rows, kind="stable")
         moduli[order] = _moduli(dec, _power_coefficients(dec, c, k), e,
                                 (1.0 / ws[order]).reshape(len(c), -1), m - k).ravel()
-    q_errs = _norm(_basis_product(dec.eigenvectors, symbols.reshape(-1, dec.dim)[edge] * c[rows])
-                   - v[rows], e[rows]).tolist()
+    symbols = q_symbol(kernel, omega, m, dec.eigenvalues).reshape(-1, dec.dim)
+    q_errs = _norm(_basis_product(dec.eigenvectors, symbols[edge] * c[rows]) - v[rows],
+                   e[rows]).tolist()
     best = _distances(dec, fc, omega, "E").ravel().tolist()
     with np.errstate(over="ignore"):
         bounds = _finite(const * moduli / ws ** k).tolist()

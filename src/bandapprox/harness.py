@@ -9,10 +9,10 @@ time, locale or dict ordering.
 
 ``run_suite`` calls each check once per size with that size's operator and
 corpus, a ``(count, N)`` block.  The checks measure through the public
-functions only, with no private name of the library, most of them in one
-block call per size with a parameter per row or a parameter axis (see
-``operators``): a row of a block call has the bits of the call on that row
-alone.
+functions only, with no private name of the library, in block calls with a
+parameter per row or a parameter axis (see ``operators``): a row of a block
+call has the bits of the call on that row alone.  Only the growth check's
+projections and the Riesz identity check take one vector per call.
 """
 
 import json
@@ -408,7 +408,7 @@ def _check_bernstein(ctx):
 
 def _check_growth_bound(ctx):
     """Worst ``||e^{izD} f|| / (e^{omega |Im z|} ||f||)``, 20 band-limited vectors at 20 z."""
-    dec, worst = ctx.dec, 0.0
+    dec, kept, worst = ctx.dec, [], 0.0
     for f in ctx.corpus[:20]:
         omega = float(ctx.rng.choice(dec.eigenvalues[dec.eigenvalues > 0]))
         f = pw.pw_project(dec, f, omega)
@@ -418,18 +418,20 @@ def _check_growth_bound(ctx):
         # row k holds Re z_k and Im z_k, drawn in the order of 40 scalar draws
         re, im = ctx.rng.uniform(-2, 2, size=(20, 2)).T
         zs = re + 1j * im
-        grown = np.linalg.norm(schrodinger_group(dec, zs, f), axis=-1)
-        bounds = np.array([math.exp(omega * abs(z.imag)) for z in zs]) * norm_f
-        worst = max(worst, float(np.max(grown / bounds)))
+        kept.append((f, zs, np.array([math.exp(omega * abs(z.imag)) for z in zs]) * norm_f))
+    if kept:
+        fs, zs, bounds = map(np.array, zip(*kept))
+        grown = np.linalg.norm(schrodinger_group(dec, zs, fs[:, None]), axis=-1)
+        worst = float(np.max(grown / bounds))
     return [ctx.record("growth_bound", worst, 1.0 + ctx.tols["growth_bound"])], {}
 
 
 def _check_riesz_norm(ctx):
-    worst = 0.0
-    for f in ctx.corpus[:20]:
-        omega = float(ctx.rng.uniform(0.3, 1.2) * ctx.dec.lambda_max)
-        applied = float(np.linalg.norm(aop.riesz_apply(ctx.dec, f, aop.RieszConfig(omega=omega))))
-        worst = max(worst, applied / (omega * float(np.linalg.norm(f))))
+    corpus = ctx.corpus[:20]
+    omegas = ctx.rng.uniform(0.3, 1.2, size=len(corpus)) * ctx.dec.lambda_max
+    applied = aop.riesz_apply(ctx.dec, corpus, aop.RieszConfig(omega=omegas))
+    worst = max([0.0] + [float(np.linalg.norm(r)) / (omega * float(np.linalg.norm(f)))
+                         for r, omega, f in zip(applied, omegas.tolist(), corpus)])
     return [ctx.record("riesz_norm", worst, 1.0 + ctx.tols["riesz_norm"], K=10_000)], {}
 
 
@@ -494,16 +496,13 @@ def _check_q_operator(ctx):
     dec, m = ctx.dec, 2
     kernel = aop.build_kernel(6, m)
     corpus = ctx.corpus[:20]
-    omegas = [float(ctx.rng.uniform(0.3, 1.0) * dec.lambda_max) for _ in corpus]
-    q_out = np.array([aop.q_apply(dec, f, omega, m, kernel) for f, omega in zip(corpus, omegas)])
+    omegas = ctx.rng.uniform(0.3, 1.0, size=len(corpus)) * dec.lambda_max
+    q_out = aop.q_apply(dec, corpus, omegas, m, kernel)
     zero_modes = dec.eigenvalues == 0.0
-    devs = np.abs(spectral_transform(dec, q_out)[:, zero_modes]
-                  - spectral_transform(dec, corpus)[:, zero_modes])
-    worst_tail = worst_pass = 0.0
-    for f, tail, dev in zip(corpus, pw.spectral_tail(dec, q_out, omegas).tolist(), devs):
-        norm_f = float(np.linalg.norm(f))
-        worst_tail = max(worst_tail, tail / norm_f)
-        worst_pass = max(worst_pass, float(np.max(dev, initial=0.0)) / norm_f)
+    devs = np.abs(spectral_transform(dec, q_out) - spectral_transform(dec, corpus))[:, zero_modes]
+    norms = [float(np.linalg.norm(f)) for f in corpus]
+    worst_tail = max([0.0] + np.divide(pw.spectral_tail(dec, q_out, omegas), norms).tolist())
+    worst_pass = max([0.0] + [float(np.max(dev, initial=0.0)) / n for dev, n in zip(devs, norms)])
     records = [ctx.record("q_tail", worst_tail, ctx.tols["q_tail"], m=m)]
     if zero_modes[0]:
         records.append(ctx.record("q_kernel_pass", worst_pass, ctx.tols["q_kernel_pass"], m=m))

@@ -80,11 +80,22 @@ def _broadcast_shapes(*shapes) -> tuple:
         raise DimensionMismatchError(f"shapes {list(shapes)} do not broadcast") from None
 
 
+def _axis(x, dtype=np.float64) -> np.ndarray:
+    """A parameter, one number or an axis of them, as an array of ``dtype`` (``None``: its own):
+    the one conversion of every parameter axis, where rows of unequal length raise
+    :class:`DimensionMismatchError`, as a ragged block ``f`` does."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except ValueError:
+        raise DimensionMismatchError(f"expected numbers of one shape, got {x!r}") from None
+
+
 def _broadcast(c, *params) -> tuple:
     """``(shape, rows, params)``: ``c.shape[:-1]`` broadcast against ``params``; for each element
     of ``shape`` (C order), its row of ``c.reshape(-1, N)``; each parameter, flattened."""
     rows = np.arange(math.prod(c.shape[:-1])).reshape(c.shape[:-1])
-    shape = _broadcast_shapes(rows.shape, *map(np.shape, params))
+    params = [_axis(p, None) for p in params]
+    shape = _broadcast_shapes(rows.shape, *(p.shape for p in params))
     rows, *params = [(p * np.ones(shape, int)).ravel() for p in (rows, *params)]  # exact, quick
     return shape, rows, params
 
@@ -416,7 +427,7 @@ def _synthesize(dec: SpectralDecomposition, values, c, e) -> np.ndarray:
 def operator_power(dec: SpectralDecomposition, s: float, f) -> np.ndarray:
     """Apply ``D^s`` for real ``s >= 0`` (``D^0`` is the identity); ``s`` broadcasts against the
     rows of ``f``, one scalar power per value (an array exponent may round differently)."""
-    s = np.asarray(s, dtype=np.float64)
+    s = _axis(s)
     if not np.all(s >= 0):
         raise InvalidParamsError(f"power must be nonnegative, got {s}")
     return apply_multiplier(dec, lambda lam: np.reshape(
@@ -426,5 +437,5 @@ def operator_power(dec: SpectralDecomposition, s: float, f) -> np.ndarray:
 def schrodinger_group(dec: SpectralDecomposition, z, f) -> np.ndarray:
     """Apply ``e^{izD}``; an isometry for real ``z``, entire in ``z``.  ``z`` broadcasts
     against the rows of ``f``."""
-    iz = 1j * np.asarray(z, dtype=np.complex128)
+    iz = 1j * _axis(z, np.complex128)
     return apply_multiplier(dec, lambda lam: np.exp(iz[..., None] * lam), f)

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .operators import (
     SpectralDecomposition,
+    _axis,
     _basis_product,
     _broadcast,
     _check_scalar,
@@ -43,6 +44,8 @@ BANDLIMITED_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 #: largest top band index a base may produce; bases closer to 1 are rejected
 MAX_BANDS = 100_000
+#: masked coefficient entries (elements x N) the E route synthesizes per call, in equal chunks
+_E_CHUNK_ENTRIES = 1 << 14
 
 
 def band_count(lambda_max: float, a: float) -> int:
@@ -103,7 +106,7 @@ def _lq_norm(terms: np.ndarray, q: float) -> float:
 
 def _omegas(omega) -> np.ndarray:
     """``omega`` as a float array, every entry checked ``>= 0``."""
-    value = np.asarray(omega, dtype=np.float64)
+    value = _axis(omega)
     if not np.all(value >= 0.0):
         raise NegativeOmegaError(f"omega must be >= 0, got {omega}")
     return value
@@ -150,9 +153,11 @@ def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray
     v, c, j = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.arange(dec.dim)
     if route == "R":
         norms = [np.linalg.norm(c[i, end:]) for i, end in zip(rows.tolist(), ends.tolist())]
-    else:  # one element at a time: a block of masked copies would be elements x N
-        norms = [np.linalg.norm(v[i] - _basis_product(dec.eigenvectors, np.where(j < end, c[i], 0)))
-                 for i, end in zip(rows.tolist(), ends.tolist())]
+    else:  # a chunk of elements per synthesis: all of them at once would be elements x N
+        norms, parts = [], max(1, -(-len(rows) * dec.dim // _E_CHUNK_ENTRIES))
+        for i, end in zip(np.array_split(rows, parts), np.array_split(ends[:, None], parts)):
+            r = v[i] - _basis_product(dec.eigenvectors, np.where(j < end, c[i], 0))
+            norms += np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag)).tolist()
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import InvalidOrderError, InvalidParamsError, NonPositiveTError
 from .operators import (
     SpectralDecomposition,
+    _axis,
     _broadcast,
     _broadcast_shapes,
     _check_order,
@@ -102,7 +103,7 @@ class BesovParams:
             raise InvalidParamsError(f"unknown flavor {self.flavor!r}")
         fields = (self.alpha, self.q, self.r, self.a)
         if any(isinstance(x, (list, tuple, np.ndarray)) for x in fields):  # a parameter axis
-            arrays = [np.asarray(x) for x in fields]
+            arrays = [_axis(x, None) for x in fields]
             shape = _broadcast_shapes(*(x.shape for x in arrays))
             r = np.reshape([BesovParams(*element, flavor=self.flavor).r for element in zip(
                 *(np.broadcast_to(x, shape).ravel().tolist() for x in arrays))], shape)

@@ -12,6 +12,8 @@ import numpy as np
 
 from bandapprox import best_approx, operator_power, schrodinger_group, spectral_transform
 from bandapprox.approx_operators import _centered_bspline
+from bandapprox.operators import _basis_product, _broadcast, _unscaled
+from bandapprox.paley_wiener import _pw_prefix
 from bandapprox.smoothness import _difference_norms
 
 
@@ -300,3 +302,14 @@ def riesz_symbol_mpmath(lam, omega, k_trunc):
             total += (1 if k % 2 else -1) * phase / (half * half)
             phase *= step
         return complex(total * mpmath.mpf(omega) / mpmath.pi ** 2)
+
+
+def distances_by_element(dec, fc, omegas):
+    """The E route of ``paley_wiener._distances`` one element at a time: each residual
+    ``v - V (masked c)`` synthesized on its own and measured by ``np.linalg.norm``."""
+    v, c, e = fc
+    shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
+    v, c, j = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.arange(dec.dim)
+    norms = [np.linalg.norm(v[i] - _basis_product(dec.eigenvectors, np.where(j < end, c[i], 0)))
+             for i, end in zip(rows.tolist(), ends.tolist())]
+    return _unscaled(np.reshape(norms, shape), e.reshape(shape))

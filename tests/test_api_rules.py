@@ -82,6 +82,7 @@ BLOCK_CALLS = {
     "lemma1_check": lambda dec, f, w: lemma1_check(dec, f, 1.5, 1, 2).ratio,
     "lemma2_check": lambda dec, f, w: lemma2_check(dec, f, 1.5, 1, 2).ratio,
     "equivalence_report": lambda dec, f, w: equivalence_report(dec, f, w + 0.5, 2.0).ratios,
+    "riesz_apply": lambda dec, f, w: riesz_apply(dec, f, RieszConfig(omega=w + 0.1)),
 }
 
 #: calls that take ``f`` as a block but no parameter to broadcast against it
@@ -212,6 +213,7 @@ INPUT_FAULTS = {
     "q_symbol omega": (lambda dec, f, p: q_symbol(KERNEL, p, 2, dec.eigenvalues), None),
     "q_symbol omega quadrature": (
         lambda dec, f, p: q_symbol(KERNEL, p, 2, dec.eigenvalues, method="quadrature"), None),
+    "RieszConfig omega": (lambda dec, f, p: riesz_apply(dec, f, RieszConfig(omega=p)), None),
 }
 
 
@@ -256,7 +258,6 @@ SCALAR_ONLY = {
                            InvalidParamsError),
     "bandwidth probe_omega": (lambda dec, f, p: bandwidth(dec, f, probe_omega=p),
                               InvalidParamsError),
-    "RieszConfig omega": (lambda dec, f, p: RieszConfig(omega=p), InvalidConfigError),
     "riesz_identity_check omega": (lambda dec, f, p: riesz_identity_check(
         dec, pw_project(dec, f, 2.0), p + 2.0), InvalidConfigError),
     "band_decompose a": (lambda dec, f, p: band_decompose(dec, f, p + 1.5), InvalidBaseError),
@@ -268,8 +269,37 @@ SCALAR_ONLY = {
 
 @pytest.mark.parametrize("name", sorted(SCALAR_ONLY))
 def test_scalar_parameters_reject_arrays_with_a_typed_error(name):
+    # RieszConfig takes an axis of omega (see INPUT_FAULTS); riesz_identity_check still does not
     dec = eigh(build_operator(parse_operator_arg("cycle:8")))
     f = np.random.default_rng(0).standard_normal(8)
     call, error = SCALAR_ONLY[name]
     with pytest.raises(error, match=name.split()[-1]):
         call(dec, f, np.array([0.5, 1.0]))
+
+
+#: every parameter axis, called with a ragged list ``p`` on (dec, f, p); each died with
+#: NumPy's bare ValueError (inhomogeneous shape) on cycle:8
+RAGGED_AXES = {
+    "best_approx omega": lambda dec, f, p: best_approx(dec, f, p),
+    "spectral_tail omega": lambda dec, f, p: spectral_tail(dec, f, p),
+    "pw_project omega": lambda dec, f, p: pw_project(dec, f, p),
+    "bernstein_check omega": lambda dec, f, p: bernstein_check(dec, f, p, (1.0,)),
+    "q_apply omega": lambda dec, f, p: q_apply(dec, f, p, 2, KERNEL),
+    "q_symbol omega": lambda dec, f, p: q_symbol(KERNEL, p, 2, dec.eigenvalues),
+    "jackson_check omega": lambda dec, f, p: jackson_check(dec, f, p, 2, 0, KERNEL),
+    "operator_power s": lambda dec, f, p: operator_power(dec, p, f),
+    "schrodinger_group z": lambda dec, f, p: schrodinger_group(dec, p, f),
+    "modulus_inequality_checks s": lambda dec, f, p: modulus_inequality_checks(
+        dec, f, p, 2.0, 2, 1),
+    "equivalence_report q": lambda dec, f, p: equivalence_report(dec, f, 0.8, p),
+    "BesovParams alpha": lambda dec, f, p: BesovParams(alpha=p, q=2.0),
+    "RieszConfig omega": lambda dec, f, p: RieszConfig(omega=p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAGGED_AXES))
+def test_ragged_parameter_lists_raise_dimension_mismatch(name):
+    dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+    f = np.random.default_rng(0).standard_normal(8)
+    with pytest.raises(DimensionMismatchError, match="one shape"):
+        RAGGED_AXES[name](dec, f, [0.5, [1.0, 2.0]])

@@ -149,6 +149,27 @@ class TestRiesz:
         with pytest.raises(InvalidConfigError):
             RieszConfig(omega=1.0, k_trunc=k_trunc)
 
+    def test_an_axis_of_omega(self):
+        omegas = [[0.5], [1.7], [3.0]]
+        cfg = RieszConfig(omega=omegas, k_trunc=100)
+        assert (cfg.omega.shape, cfg.omega.flags.writeable) == ((3, 1), False)
+        lams = np.linspace(0.0, 3.0, 7)
+        symbols = riesz_symbol(lams, cfg)
+        assert symbols.shape == (3, 1, 7)
+        for (omega,), row, bound in zip(omegas, symbols, cfg.tail_bound.ravel().tolist()):
+            one = RieszConfig(omega, 100)
+            np.testing.assert_array_equal(row[0], riesz_symbol(lams, one))
+            assert bound == one.tail_bound
+        # a scalar config keeps its float, its equality and its hash; an axis has neither
+        assert type(RieszConfig(1.7).tail_bound) is float
+        assert hash(RieszConfig(1.7)) == hash(RieszConfig(1.7, 10_000))
+        with pytest.raises(TypeError):
+            hash(cfg)
+        with pytest.raises(ValueError):
+            cfg == RieszConfig(omega=omegas, k_trunc=100)
+        with pytest.raises(InvalidConfigError):
+            RieszConfig(omega=[1.0, 0.0])
+
     def test_numpy_integer_truncation_accepted(self):
         lams = np.linspace(0.0, 3.0, 7)
         np.testing.assert_array_equal(riesz_symbol(lams, RieszConfig(2.0, np.int64(100))),

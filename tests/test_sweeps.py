@@ -9,7 +9,9 @@ for the frame ratios of every ``(alpha, q)`` it is given.  Sharing must not
 move a single bit: every element equals the call on its row and scalar
 parameters alone (0 ulp), on every operator family, for the zero vector and
 at scales 1e+-150.  Each element is also rebuilt from the per-omega
-``best_approx`` or ``spectral_tail`` calls of its own route and base.
+``best_approx`` or ``spectral_tail`` calls of its own route and base, and the
+E route, which synthesizes its residuals a chunk of elements at a time, from
+the per-element loop it replaced (``oracles.distances_by_element``).
 
 The shift scan, the K path, the seminorm and the norm take a block of vectors
 (``_moduli``, ``_k_functional_values``, ``_seminorm_sup``, ``_norm``); every row of a
@@ -31,6 +33,7 @@ from bandapprox import (
     BesovParams,
     NotBandlimitedError,
     RieszConfig,
+    SpectralDecomposition,
     ZeroVectorError,
     apply_multiplier,
     bernstein_check,
@@ -48,11 +51,13 @@ from bandapprox import (
     lemma2_check,
     modulus_inequality_checks,
     pw_project,
+    q_apply,
     riesz_apply,
     schrodinger_group,
     spectral_tail,
     spectral_transform,
 )
+from bandapprox import paley_wiener
 from bandapprox.harness import build_operator, load_edge_list, parse_operator_arg
 from bandapprox.operators import _coefficients, _norm
 from bandapprox.paley_wiener import _band_powers, _step_nodes, band_count
@@ -65,6 +70,7 @@ from bandapprox.smoothness import (
     _seminorm_sup,
 )
 from conftest import random_vector
+from oracles import distances_by_element
 
 #: cycle, path, random PSD, raw_D with eigenvalues on the base-2 band edges, N = 1,
 #: the spectrum {0}, the fully degenerate complete graph, and (as "disconnected")
@@ -310,6 +316,8 @@ def test_bernstein_block_raises_as_its_one_row_call(dec, rng):
                             omegas[:middle] + [omega] + omegas[middle:], BERNSTEIN_S)
 
 
+KERNEL = build_kernel(6, 2)
+
 #: public block calls on (dec, rows f, one parameter per row), against their 1-row calls
 ROW_CALLS = {
     "spectral_transform": lambda dec, f, w: spectral_transform(dec, f),
@@ -321,6 +329,8 @@ ROW_CALLS = {
     "best_approx": lambda dec, f, w: best_approx(dec, f, w),
     "spectral_tail": lambda dec, f, w: spectral_tail(dec, f, w),
     "riesz_apply": lambda dec, f, w: riesz_apply(dec, f, RieszConfig(omega=1.5)),
+    "riesz_apply omega": lambda dec, f, w: riesz_apply(dec, f, RieszConfig(omega=w + 0.25)),
+    "q_apply omega": lambda dec, f, w: q_apply(dec, f, w + 0.25, 2, KERNEL),
 }
 
 
@@ -332,3 +342,54 @@ def test_block_rows_match_one_row_calls(dec, rng, name):
     assert block.shape[0] == len(vectors)
     for row, f, omega in zip(block, vectors, omegas):
         np.testing.assert_array_equal(row, ROW_CALLS[name](dec, f, omega))
+
+
+@pytest.fixture(scope="module")
+def random256_dec():
+    """random_psd:256, decomposed by LAPACK (the library's Jacobi solver takes seconds here)."""
+    w, v = np.linalg.eigh(build_operator(parse_operator_arg("random:256")).entries)
+    return SpectralDecomposition(eigenvalues=np.sqrt(np.maximum(w, 0.0)), eigenvectors=v,
+                                 groups=())
+
+
+def _assert_e_route_matches_the_element_loop(dec, vectors):
+    """``best_approx`` and the E flavors of every row of ``vectors`` at 0 ulp from the oracle."""
+    nodes = _step_nodes(dec)
+    omegas = np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]), [1.5 * nodes[-1] + 1.0]))
+    expected = distances_by_element(dec, _coefficients(dec, vectors[:, None]), omegas)
+    np.testing.assert_array_equal(best_approx(dec, vectors[:, None], omegas), expected)
+    for f, row in zip(vectors, expected):
+        np.testing.assert_array_equal(best_approx(dec, f, omegas), row)
+    for alpha, q, a in COMBOS["discrete_E"]:
+        edges = _band_powers(a, band_count(dec.lambda_max, a))
+        integral, discrete = [], []
+        for f in vectors:
+            fc = _coefficients(dec, f)
+            integral.append(_norm(f) + _integral_norm(
+                nodes, distances_by_element(dec, fc, nodes[:-1]), alpha, q))
+            discrete.append(_norm(f) + _discrete_norm(
+                distances_by_element(dec, fc, edges), alpha, q, a))
+        np.testing.assert_array_equal(
+            besov_norm(dec, vectors, BesovParams(alpha=alpha, q=q, flavor="integral_E")), integral)
+        np.testing.assert_array_equal(
+            besov_norm(dec, vectors, BesovParams(alpha=alpha, q=q, a=a, flavor="discrete_E")),
+            discrete)
+
+
+@pytest.mark.parametrize("chunk", [None, 3], ids=["default", "3-elements"])
+def test_e_route_matches_the_element_loop(dec, rng, monkeypatch, chunk):
+    if chunk is not None:  # chunks of 3 elements, so every block crosses several boundaries
+        monkeypatch.setattr(paley_wiener, "_E_CHUNK_ENTRIES", chunk * dec.dim)
+    _assert_e_route_matches_the_element_loop(dec, _vectors(rng, dec.dim))
+
+
+def test_e_route_matches_the_element_loop_at_n256(random256_dec, rng):
+    # 64 elements per chunk at N = 256: the 257 step nodes of one row cross four boundaries
+    _assert_e_route_matches_the_element_loop(random256_dec, _vectors(rng, 256))
+
+
+def test_e_route_crosses_a_chunk_boundary_at_its_own_size(dec, rng):
+    f = random_vector(rng, dec.dim)
+    omegas = rng.uniform(0.0, 1.2 * dec.lambda_max, paley_wiener._E_CHUNK_ENTRIES // dec.dim + 5)
+    np.testing.assert_array_equal(best_approx(dec, f, omegas),
+                                  distances_by_element(dec, _coefficients(dec, f), omegas))

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from bandapprox import cli
+from bandapprox import approx_operators, cli, operators
+from conftest import _count_calls
 
 DATA = Path(__file__).resolve().parent / "data"
 PINNED = {
@@ -39,14 +40,19 @@ PINNED = {
 #: edge, 2,858 when four checks transformed it once per parameter or route, 1,460 when
 #: those four transformed the corpus vectors they read on their own, 689 when
 #: ``run_suite`` transformed each corpus vector as it was drawn and the checks read it,
-#: 304 when the norm brackets transformed their 11 rows once per size for a private table;
-#: now one ``besov_norm`` call per flavor transforms them, five times per size)
-CYCLE8_SEED401_TRANSFORMS = 312
+#: 304 when the norm brackets transformed their 11 rows once per size for a private table,
+#: 312 when one ``besov_norm`` call per flavor transformed them, five times per size, and
+#: the growth, Riesz and Q checks made one ``phi(D) f`` call per vector; now each makes one
+#: block call per size, past the growth check's 20 projections)
+CYCLE8_SEED401_TRANSFORMS = 198
 
 #: ``_synthesize`` calls of the same run, one per ``phi(D) f`` call on a vector or block:
-#: the growth bound makes one 20-row block per vector (1,145 when it made one per vector
-#: and ``z``, 385 when each projection of a corpus vector was a call of its own)
-CYCLE8_SEED401_SYNTHESES = 172
+#: the growth bound projects each vector on its own, then makes one block of its kept
+#: vectors x 20 ``z``; the Riesz and Q checks make one block call each (1,145 when the
+#: growth bound made one call per vector and ``z``, 385 when each projection of a corpus
+#: vector was a call of its own, 172 when the growth bound made one 20-row block per vector
+#: and the Riesz and Q checks one call per vector)
+CYCLE8_SEED401_SYNTHESES = 58
 
 #: K-functional evaluations of the same run: one per order r and size in the norm
 #: brackets, for all 11 vectors at once (66 when each (alpha, q) evaluated its own, 44
@@ -59,10 +65,15 @@ CYCLE8_SEED401_K_FUNCTIONALS = 4
 #: (183 when each vector and trial scanned on its own, 17 when the two lemmas shared one)
 CYCLE8_SEED401_SCANS = 19
 
-#: Q symbols the same run evaluates: 30 in the Jackson chain, one per band edge, size
-#: and kernel combination, and 40 in ``q_operator``, one per ``q_apply`` (340 when the
-#: Jackson chain evaluated each symbol once per vector)
-CYCLE8_SEED401_Q_SYMBOLS = 70
+#: ``q_symbol`` calls of the same run, each for an axis of band edges: 6 in the Jackson
+#: chain, one per size and kernel combination, and 2 in ``q_operator``, one per ``q_apply``
+#: (340 when the Jackson chain evaluated each symbol once per vector, 70 when it called
+#: once per band edge and ``q_operator`` once per vector)
+CYCLE8_SEED401_Q_SYMBOLS = 8
+
+#: calls of each of ``riesz_apply``, ``q_apply`` and ``schrodinger_group`` in the same run:
+#: one block call per size (20 per size each when the checks called once per vector)
+CYCLE8_SEED401_BLOCK_CALLS = 2
 
 
 def _moved(old: dict, new: dict) -> list:
@@ -115,3 +126,12 @@ def test_cycle8_seed401_scan_count(tmp_path, capsys, scans):
     argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert len(scans) <= CYCLE8_SEED401_SCANS
+
+
+def test_cycle8_seed401_one_block_call_per_size(tmp_path, capsys, monkeypatch):
+    counts = {fn.__name__: _count_calls(monkeypatch, fn) for fn in (
+        approx_operators.riesz_apply, approx_operators.q_apply, operators.schrodinger_group)}
+    argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(
+        counts, CYCLE8_SEED401_BLOCK_CALLS)
