@@ -52,7 +52,6 @@ from .approx_operators import (
     build_kernel,
     jackson_check,
     jackson_constant,
-    kernel_symbol,
     q_apply,
     q_symbol,
     riesz_apply,

@@ -30,7 +30,6 @@ from .errors import (
     InvalidParamsError,
     KernelOrderMismatchError,
     NegativeOmegaError,
-    NotBandlimitedError,
     OddOrderError,
     OrderTooSmallError,
 )
@@ -50,7 +49,7 @@ from .operators import (
     apply_multiplier,
     as_vector,
 )
-from .paley_wiener import _distances, _in_pw
+from .paley_wiener import _distances, _require_pw
 from .smoothness import _moduli, _safe_ratio
 
 # -- small numerics ------------------------------------------------------------
@@ -225,15 +224,6 @@ def build_kernel(n: int, m: int) -> ApproxKernel:
     return kernel
 
 
-def kernel_symbol(kernel: ApproxKernel, xi, method: str = "bspline"):
-    """Evaluate the kernel transform by either of the two interchangeable routes."""
-    if method == "bspline":
-        return kernel.symbol(xi)
-    if method == "quadrature":
-        return kernel.symbol_quadrature(xi)
-    raise InvalidParamsError(f"unknown method {method!r}")
-
-
 # -- Riesz interpolation operator ----------------------------------------------
 
 def _trigamma(x: float) -> float:
@@ -340,12 +330,11 @@ def riesz_identity_check(dec: SpectralDecomposition, f, omega: float, power: int
         raise InvalidParamsError(f"power must be an integer >= 1, got {power!r}")
     _check_scalar(omega, "omega", InvalidConfigError)
     cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
-    v, c, e = _coefficients(dec, as_vector(f, dec.dim))
+    v, c, e = fc = _coefficients(dec, as_vector(f, dec.dim))
     norm_f = _norm(v, e)
     residual = 0.0
     if norm_f > 0.0:
-        if not _in_pw(dec, c, omega, np.linalg.norm(v)):
-            raise NotBandlimitedError(f"vector has spectral mass above omega={omega}")
+        _require_pw(dec, fc, omega)
         rho = riesz_symbol(dec.eigenvalues, cfg)
         residual = _norm((1j * dec.eigenvalues) ** power * c - rho ** power * c, e) / norm_f
     return RieszIdentityReport(residual=residual, tail_bound=cfg.tail_bound,
@@ -360,8 +349,7 @@ def shift_coefficients(m: int) -> np.ndarray:
     return np.array([(-1.0) ** (j + 1) * math.comb(m, j) for j in range(1, m + 1)])
 
 
-def q_symbol(kernel: ApproxKernel, omega: float, m: int, lam,
-             method: str = "bspline") -> np.ndarray:
+def q_symbol(kernel: ApproxKernel, omega: float, m: int, lam) -> np.ndarray:
     """Spectral symbol ``sum_j b_j h_transform(j lam / omega)`` of the Q operator, of shape
     ``omega.shape + lam.shape`` for a 1-D ``lam``."""
     omega = _axis(omega)
@@ -372,22 +360,21 @@ def q_symbol(kernel: ApproxKernel, omega: float, m: int, lam,
         raise KernelOrderMismatchError(
             f"kernel order n={kernel.n} too small for m={m} (needs n >= m + 3)")
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    return sum(bj * kernel_symbol(kernel, j * lam / omega[..., None], method)
+    return sum(bj * kernel.symbol(j * lam / omega[..., None])
                for j, bj in enumerate(shift_coefficients(m), start=1))
 
 
 def q_apply(dec: SpectralDecomposition, f, omega: float, m: int,
-            kernel: ApproxKernel, method: str = "bspline") -> np.ndarray:
+            kernel: ApproxKernel) -> np.ndarray:
     """Quasi-interpolation of ``f`` into PW_omega.
 
-    Evaluated through the spectral symbol (exact up to the kernel-transform
-    evaluation); ``method="quadrature"`` switches the transform to the
-    oscillatory-quadrature route, which serves as the validation oracle.
+    Evaluated through the spectral symbol, with the closed-form kernel
+    transform (``ApproxKernel.symbol_quadrature`` is its oracle).
     The zero-eigenvalue component passes through unchanged because the
     shift weights sum to 1 and the transform is 1 at the origin.  ``omega``
     broadcasts against the rows of ``f``.
     """
-    return apply_multiplier(dec, lambda lam: q_symbol(kernel, omega, m, lam, method), f)
+    return apply_multiplier(dec, lambda lam: q_symbol(kernel, omega, m, lam), f)
 
 
 # -- Jackson machinery -----------------------------------------------------------

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .operators import SpectralDecomposition, _basis_product, _broadcast, _check_scalar
 from .operators import _coefficients, _norm, _shaped, _unscaled, as_vector
-from .paley_wiener import _band_powers, _check_q, _in_pw, _pw_prefix, band_count
+from .paley_wiener import _band_powers, _check_q, _pw_prefix, _require_pw, band_count
 from .smoothness import BesovParams, _besov_norms, _discrete_norm, _edge_distances, _safe_ratio
 
 
@@ -153,11 +153,9 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
         raise InvalidParamsError(f"alpha must be in (0, inf), got {alpha}")
     band_list = [as_vector(b, dec.dim) for b in bands]
     edges = _band_powers(a, len(band_list))
-    v, c, _ = _coefficients(dec, np.reshape(band_list, (-1, dec.dim)))  # every band at once
-    for k, edge in enumerate(edges):
-        if not _in_pw(dec, c[k], edge, np.linalg.norm(v[k])):
-            raise MembershipViolationError(
-                f"band {k} has spectral mass above its edge a^{k} = {edge}")
+    # every band at once, band k in PW_{a^k}
+    _require_pw(dec, _coefficients(dec, np.reshape(band_list, (-1, dec.dim))), edges,
+                MembershipViolationError, "band")
 
     f = np.sum(band_list, axis=0) if band_list else np.zeros(dec.dim, complex)
     sup_band = frame_norm(BandDecomposition(a, tuple(band_list), edges), alpha, math.inf)

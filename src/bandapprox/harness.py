@@ -163,7 +163,7 @@ def parse_operator_arg(text: str, kind: str = RAW_L) -> OperatorSpec:
     raise ParseError(f"cannot parse operator spec {text!r}")
 
 
-def load_edge_list(path: str, kind: str = RAW_L, num_nodes: int | None = None) -> SymmetricOperator:
+def load_edge_list(path: str, kind: str = RAW_L) -> SymmetricOperator:
     """Combinatorial (weighted) graph Laplacian from 'u v [weight]' lines.
 
     Node ids are 0-based, '#' starts a comment, weights default to 1 and
@@ -192,12 +192,9 @@ def load_edge_list(path: str, kind: str = RAW_L, num_nodes: int | None = None) -
                 raise ParseError(f"{path}:{lineno}: weights must be positive")
             edges.append((u, v, w))
             max_node = max(max_node, u, v)
-    n = max_node + 1 if num_nodes is None else num_nodes
-    if n < 1:
+    if max_node < 0:
         raise BadDimensionError(f"{path}: no nodes found")
-    if max_node >= n:
-        raise BadDimensionError(f"{path}: node id {max_node} >= declared size {n}")
-    return SymmetricOperator(_laplacian_from_edges(n, edges), kind=kind)
+    return SymmetricOperator(_laplacian_from_edges(max_node + 1, edges), kind=kind)
 
 
 def load_matrix(path: str, kind: str = RAW_L) -> SymmetricOperator:

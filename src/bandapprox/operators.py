@@ -163,12 +163,12 @@ def _unscaled(x, e):
     return _finite(x)
 
 
-def _finite(x):
-    """``x``, or :class:`NonFiniteError` if an entry is no finite double (past the largest one,
-    or NaN): the check of ``_unscaled``, and of a value formed after it."""
+def _finite(x, what: str = "result"):
+    """``x``, or :class:`NonFiniteError` naming ``what`` if an entry is no finite double (past the
+    largest one, or NaN): the check of ``_unscaled``, and of a value formed after it."""
     if np.all(np.isfinite(x)):
         return x
-    raise NonFiniteError("result is no finite double (past the largest one, or NaN)")
+    raise NonFiniteError(f"{what} is no finite double (past the largest one, or NaN)")
 
 
 def _norm(x, e=0):

@@ -1,11 +1,12 @@
 """Paley-Wiener subspaces: projections, best approximation, bandwidth.
 
 ``PW_omega`` is the span of eigenvectors with eigenvalue in ``[0, omega]``, a
-prefix of the ascending spectrum cut in one place (``_pw_prefix``).  The
-distance from ``f`` to ``PW_omega`` (best approximation) is computed two ways:
-as the norm of ``f`` minus its orthogonal projection, and as the norm of the
-coefficients above ``omega``.  The two must agree to near machine precision;
-keeping both routes makes that identity a real check instead of a tautology.
+prefix of the ascending spectrum cut in one place (``_pw_prefix``).  Two measurements
+serve the module.  The mass above ``omega``, each tail at its own power-of-two scale,
+is the distance to ``PW_omega``, taken two ways that must agree to near machine
+precision (the projection residual in H and the coefficient tail, so the identity is a
+real check, not a tautology), and the one membership rule.  The Bernstein norm
+``||(D/omega)^s f_omega||`` serves :func:`bernstein_check` and :func:`bandwidth`.
 """
 
 import math
@@ -31,7 +32,6 @@ from .operators import (
     _is_int,
     _norm,
     _scaled,
-    _scaled_mag2,
     _shaped,
     _unscaled,
     apply_multiplier,
@@ -73,22 +73,18 @@ def band_count(lambda_max: float, a: float) -> int:
     return k
 
 
-def _power(x: float, y: float) -> float:
-    """``x ** y``, or ``inf`` where it passes the largest double (a float power raises there)."""
-    try:
-        return x ** y
-    except OverflowError:
-        return math.inf
-
-
 def _band_powers(a: float, count: int, x: float = 1.0) -> np.ndarray:
     """``a^(k x)`` for k = 0 .. count-1: band edges at ``x = 1``, weights at ``x = alpha``.
 
-    Scalar powers, the ones :func:`band_count` compares with; an array
-    power may differ from them in the last bit and move an eigenvalue
-    that sits on an edge into the next band.
+    Scalar powers (``inf`` past the largest double), the ones :func:`band_count` compares
+    with; an array power may differ from them in the last bit and move an eigenvalue that
+    sits on an edge into the next band.
     """
-    return np.array([_power(a, k * x) for k in range(count)])
+    try:
+        return np.array([a ** (k * x) for k in range(count)])
+    except OverflowError:  # a float power raises there; NumPy's, the same bits, gives inf
+        with np.errstate(over="ignore"):
+            return np.array([np.float64(a) ** (k * x) for k in range(count)])
 
 
 def _check_q(q: float) -> None:
@@ -146,19 +142,53 @@ def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
 
 def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray:
     """Distance from ``f`` to PW_omega, from its ``(v, c, e)``, at ``omegas`` broadcast against
-    the rows of ``f``: route ``"E"`` takes the norm of the residual ``v - V (masked c)`` in
-    the vector domain, route ``"R"`` the norm of the coefficients above."""
+    the rows of ``f``: the norm of the part above omega, the residual ``v - V (masked c)`` in
+    the vector domain (route ``"E"``) or the coefficients (route ``"R"``).  The tail rule: each
+    is the sum ``np.linalg.norm`` takes, and one below ``2^-480`` (the rows enter near 1, so its
+    squares may have underflowed) is taken again at its own power-of-two scale (``_norm``)."""
     v, c, e = fc
     shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
     v, c, j = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.arange(dec.dim)
+
+    def above(i, end):  # the part above omega of the rows i at their prefix ends
+        if route == "R":
+            return np.where(j >= end, c[i], 0)
+        return v[i] - _basis_product(dec.eigenvectors, np.where(j < end, c[i], 0))
+
     if route == "R":
-        norms = [np.linalg.norm(c[i, end:]) for i, end in zip(rows.tolist(), ends.tolist())]
+        norms = np.array([np.linalg.norm(c[i, k:]) for i, k in zip(rows.tolist(), ends.tolist())])
     else:  # a chunk of elements per synthesis: all of them at once would be elements x N
-        norms, parts = [], max(1, -(-len(rows) * dec.dim // _E_CHUNK_ENTRIES))
-        for i, end in zip(np.array_split(rows, parts), np.array_split(ends[:, None], parts)):
-            r = v[i] - _basis_product(dec.eigenvectors, np.where(j < end, c[i], 0))
-            norms += np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag)).tolist()
+        parts = max(1, -(-len(rows) * dec.dim // _E_CHUNK_ENTRIES))
+        norms = np.concatenate([np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
+                                for r in map(above, np.array_split(rows, parts),
+                                             np.array_split(ends[:, None], parts))])
+    small = np.flatnonzero((norms < 2.0 ** -480) & (ends < dec.dim))  # none above lambda_max
+    if small.size:
+        norms[small] = _norm(above(rows[small], ends[small, None]))
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
+
+
+def _require_pw(dec: SpectralDecomposition, fc, omegas, error=NotBandlimitedError, what="vector"):
+    """The one membership rule: raise ``error`` naming the first element (``omegas`` broadcast
+    against the rows of ``fc``, flattened) whose tail exceeds ``BANDLIMITED_TOL ||f||``."""
+    v, c, _ = fc
+    tails = _distances(dec, (v, c, 0), omegas, "R")  # at the scale of v
+    outside = np.flatnonzero(tails > BANDLIMITED_TOL * _norm(v))
+    if outside.size:
+        k = int(outside[0])
+        omega = np.broadcast_to(omegas, tails.shape).flat[k]
+        raise error(f"{what} {k} has spectral mass above omega={omega}")
+
+
+def _bernstein_norms(dec: SpectralDecomposition, c, omegas, s) -> np.ndarray:
+    """``||(D/omega)^s f_omega||`` of each coefficient row of ``c`` (``(M, N)``, at the scale of
+    ``f``) at its entry of ``omegas``, for every ``s`` (last axis): ``f_omega`` is the
+    ``_pw_prefix`` cut, where ``(lambda/omega)^s <= 1``; ``0^s`` is 1 at ``s = 0``.  One power
+    call for the block, elementwise, so a row's bits do not depend on its block."""
+    kept = np.arange(dec.dim) < _pw_prefix(dec, omegas)[:, None]
+    x = np.divide(dec.eigenvalues, omegas[:, None], out=np.zeros(kept.shape),
+                  where=kept & (dec.eigenvalues > 0.0))
+    return _norm(np.power(x, np.reshape(s, (-1, 1, 1))) * np.where(kept, np.abs(c), 0.0)).T
 
 
 def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
@@ -179,12 +209,6 @@ def spectral_tail(dec: SpectralDecomposition, f, omega):
     return _shaped(_distances(dec, _coefficients(dec, f), _omegas(omega), "R"))
 
 
-def _in_pw(dec: SpectralDecomposition, c, omega: float, norm_v) -> bool:
-    """Whether ``f`` lies in PW_omega: the tail of its coefficients ``c 2^e`` above omega is at
-    most ``BANDLIMITED_TOL ||f||``, given ``norm_v = ||f|| 2^-e``."""
-    return np.linalg.norm(c[_pw_prefix(dec, omega):]) <= BANDLIMITED_TOL * norm_v
-
-
 def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
               probe_omega: float | None = None) -> BandwidthReport:
     """Support edge ``omega_f`` of ``f`` and the ``||D^k f||^{1/k}`` diagnostics.
@@ -192,8 +216,8 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     ``omega_f`` is the largest eigenvalue whose coefficient exceeds
     ``SUPPORT_TOL * ||f||`` in magnitude.  ``probe_omega`` defaults to
     ``omega_f`` itself and must be ``>= 0``; ``k_max`` must be an integer
-    ``>= 1``.  ``||D^k f||`` sums over those coefficients only, the support
-    ``omega_f`` counts: the round-off tail left above it (of a projection, or
+    ``>= 1``.  ``||D^k f||`` is ``omega_f^k`` times the Bernstein norm at ``omega_f``,
+    over ``lambda <= omega_f`` only: the round-off tail left above it (of a projection, or
     of a kernel mode on a graph) would grow like ``(lambda_max/omega_f)^k``.
     So ``sup_ratio <= ||f||`` whenever the probe is ``>= omega_f``.
     """
@@ -201,21 +225,18 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
         raise InvalidParamsError(f"k_max must be an integer >= 1, got {k_max!r}")
     v, c, e = _coefficients(dec, as_vector(f, dec.dim))
     _check_scalar(probe_omega, "probe_omega")
-    norm_v = np.linalg.norm(v)
+    norm_v = _norm(v)
     if norm_v == 0.0:
         raise ZeroVectorError("bandwidth of the zero vector is undefined")
     significant = np.abs(c) > SUPPORT_TOL * norm_v
     omega_f = float(dec.eigenvalues[significant].max()) if np.any(significant) else 0.0
 
-    # log ||D^k f|| = top + log(sum exp(2 (t - top))) / 2 over t = k log lambda_j + log |c_j|,
-    # top = max t: finite far beyond the double range, -inf when D^k f = 0
-    live = significant & (dec.eigenvalues > 0.0)
+    # log ||D^k f|| = k log omega_f + log ||(D/omega_f)^k f||: finite far beyond the double
+    # range, -inf when D^k f = 0 (omega_f = 0)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
-    log_terms = ks[:, None] * np.log(dec.eigenvalues[live]) + np.log(np.abs(c[live]))
-    top = log_terms.max(axis=1, initial=-math.inf)
-    with np.errstate(divide="ignore"):  # log 0 = -inf without live terms
-        shifted = 0.5 * np.log(np.sum(np.exp(2.0 * (log_terms - top[:, None])), axis=1))
-    log_norms = top + shifted + int(e) * math.log(2.0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf
+        log_norms = (ks * np.log(omega_f) + int(e) * math.log(2.0)
+                     + np.log(_bernstein_norms(dec, c[None], np.array([omega_f]), ks)[0]))
     probe = omega_f if probe_omega is None else float(_omegas(probe_omega))
     with np.errstate(over="ignore"):  # past the largest double: NonFiniteError
         k_sequence = _finite(np.exp(log_norms / ks))
@@ -244,45 +265,27 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
 
     Requires ``f`` in PW_omega (tail at most ``1e-12 ||f||``), otherwise
     raises :class:`NotBandlimitedError`.  Every ``s`` must be finite and ``>= 0``.
-    ``||D^s f||`` sums over ``lambda <= omega`` only, the part the inequality bounds:
-    the admitted tail, round-off of a projection, would grow like ``(lambda_max/omega)^s``.
-    The ratio is taken at the scale of ``f``, so it is finite wherever ``f`` is, and it is 0
-    where ``omega^s`` passes the largest double.
+    The ratio is the Bernstein norm ``||(D/omega)^s f_omega||`` over ``||f||``, over
+    ``lambda <= omega`` only, the part the inequality bounds: the admitted tail, round-off
+    of a projection, would grow like ``(lambda_max/omega)^s``.  It is finite for every ``s``
+    and ``omega``, and 0 where ``(lambda/omega)^s`` underflows.
 
     ``omega`` and ``max_ratio`` take the broadcast shape of ``omega`` and the rows of ``f``;
     ``ratios`` adds an axis over ``s``.
     """
-    v, c, _ = _coefficients(dec, f)
-    shape, rows, (ws,) = _broadcast(c, _omegas(omega))
+    v, c, _ = fc = _coefficients(dec, f)
+    omegas = _omegas(omega)
+    shape, rows, (ws,) = _broadcast(c, omegas)
     s_values = tuple(s_list)
     bad = [s for s in s_values if not 0.0 <= s < math.inf]
     if bad:
         raise InvalidParamsError(f"s must be finite and >= 0, got {bad[0]}")
-    c, norms = c.reshape(-1, dec.dim), _norm(v.reshape(-1, dec.dim)).tolist()  # ||f|| 2^-e
-    for row, w in zip(rows.tolist(), ws.tolist()):
-        if norms[row] == 0.0:
-            raise ZeroVectorError("Bernstein check needs a nonzero vector")
-        if not _in_pw(dec, c[row], w, norms[row]):
-            raise NotBandlimitedError(f"vector has spectral mass above omega={w}")
-    groups = {}  # prefix length -> elements; None for omega = 0
-    for i, (w, end) in enumerate(zip(ws.tolist(), _pw_prefix(dec, ws).tolist())):
-        groups.setdefault(end if w > 0.0 else None, []).append(i)
-    ratios = np.empty((len(ws), len(s_values)))
-    zero = groups.pop(None, None)
-    if zero:  # f in PW_0 means D^s f = 0 for s > 0; report 0 rather than 0/0
-        ratios[zero] = [0.0 if s > 0 else 1.0 for s in s_values]
-    lam, s_array = dec.eigenvalues[:max(groups, default=0)], np.array(s_values)
-    table = np.array([np.power(lam, 2.0 * s) for s in s_values]).reshape(len(s_values), lam.size)
-    for end, elements in groups.items():
-        mag2, d = _scaled_mag2(c[rows[elements], :end])
-        sums = (mag2[:, None] * table[:, :end]).sum(axis=-1)
-        # omega^s ||f|| at the scale of c: the 2^e of f cancels from every ratio
-        bounds = np.array([[_power(float(ws[i]), s) * norms[rows[i]] for s in s_values]
-                           for i in elements])
-        # no mass on a positive eigenvalue: D^s f = 0 for s > 0, so 0 even where bounds is 0
-        zero = ~np.any(mag2 * (lam[:end] > 0.0) > 0.0, axis=-1)[:, None] & (s_array > 0.0)
-        with np.errstate(invalid="ignore"):
-            ratios[elements] = _unscaled(np.where(zero, 0.0, np.sqrt(sums) / bounds), d[:, None])
+    norms = _norm(v.reshape(-1, dec.dim))[rows]  # ||f|| 2^-e
+    if np.any(norms == 0.0):
+        raise ZeroVectorError("Bernstein check needs a nonzero vector")
+    _require_pw(dec, fc, omegas)
+    # both at the scale of c: the 2^e of f cancels from every ratio
+    ratios = _bernstein_norms(dec, c.reshape(-1, dec.dim)[rows], ws, s_values) / norms[:, None]
     # the ratios are nonnegative: the initial 0.0 only shows without any s
     return BernsteinReport(omega=_shaped(ws, shape), s_values=s_values,
                            ratios=ratios.reshape(shape + (len(s_values),)),

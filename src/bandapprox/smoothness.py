@@ -329,8 +329,7 @@ def _integral_norm(nodes, values, alpha, q):
     return _unscaled(float(np.sum(pieces)) ** (1.0 / q), e)
 
 
-def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
-                           route: str = "E") -> float:
+def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float) -> float:
     """``sup over s > 0`` of ``s^alpha E(f, s)``, exact for step functions.
 
     ``alpha`` must lie in ``[0, inf)``: below 0 the supremum is infinite.
@@ -339,7 +338,7 @@ def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float,
     if not (0.0 <= alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in [0, inf), got {alpha}")
     nodes = _step_nodes(dec)
-    values = _distances(dec, _coefficients(dec, as_vector(f, dec.dim)), nodes[:-1], route)
+    values = _distances(dec, _coefficients(dec, as_vector(f, dec.dim)), nodes[:-1], "E")
     return _integral_norm(nodes, values, alpha, math.inf)
 
 
@@ -392,7 +391,9 @@ def _besov_norms(dec: SpectralDecomposition, fc, params: BesovParams,
             tails[members] = _seminorm_sup(dec, c[sel], e[sel], key[0], 0, key[1])[at]
             continue
         if flavor == "k_functional":  # u = log t on the t-grid of order r (from 1e-6 on {0})
-            top = dec.lambda_max ** key if dec.lambda_max > 0.0 else 1.0
+            with np.errstate(over="ignore"):
+                top = _finite(np.float64(dec.lambda_max) ** key if dec.lambda_max > 0.0 else 1.0,
+                              f"lambda_max^r = {dec.lambda_max}^{key} of the t-grid")
             u = np.linspace(math.log(1e-6 / top), math.log(1e6), _K_GRID_POINTS)
             # scalar exp: array exp may differ in the last bit
             k_vals, d = _k_functional_values(dec, c[sel], e[sel], [math.exp(x) for x in u], key,
@@ -451,7 +452,8 @@ def _k_functional_values(dec: SpectralDecomposition, c, e, ts, r: int,
         raise InvalidParamsError("r must be a positive integer")
     if domain_norm not in ("seminorm", "graph"):
         raise InvalidParamsError(f"unknown domain_norm {domain_norm!r}")
-    lam2r = dec.eigenvalues ** (2 * r)
+    with np.errstate(over="ignore"):
+        lam2r = _finite(dec.eigenvalues ** (2 * r), f"lambda_max^2r = {dec.lambda_max}^{2 * r}")
     w = lam2r if domain_norm == "seminorm" else 1.0 + lam2r
     mag2, d = _scaled_mag2(np.where(w > 0.0, c, 0.0), e)
     live = np.any(mag2 > 0.0, axis=-1)
@@ -573,7 +575,9 @@ def _seminorm_sup(dec: SpectralDecomposition, c, e, alpha: float, n: int, r: int
     s_grid = np.exp(np.linspace(math.log(0.01 / dec.lambda_max), math.log(100.0 / lam_min_pos),
                                 _SEMINORM_GRID_POINTS))
     # scalar powers, bit for bit the per-s weights of the definition
-    weights = np.array([s ** (n - alpha) for s in s_grid])
+    with np.errstate(over="ignore"):
+        weights = _finite(np.array([s ** (n - alpha) for s in s_grid]),
+                          f"the weight s^(n - alpha) = {s_grid[0]}^{n - alpha}")
     floor = np.max(weights * _difference_norms(dec.eigenvalues, mag2, s_grid[:, None], r).T,
                    axis=-1)
     cap = 2.0 ** r * np.sqrt(np.sum(mag2, axis=-1))

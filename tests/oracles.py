@@ -10,7 +10,13 @@ import math
 import mpmath
 import numpy as np
 
-from bandapprox import best_approx, operator_power, schrodinger_group, spectral_transform
+from bandapprox import (
+    best_approx,
+    operator_power,
+    schrodinger_group,
+    shift_coefficients,
+    spectral_transform,
+)
 from bandapprox.approx_operators import _centered_bspline
 from bandapprox.operators import _basis_product, _broadcast, _unscaled
 from bandapprox.paley_wiener import _pw_prefix
@@ -313,3 +319,13 @@ def distances_by_element(dec, fc, omegas):
     norms = [np.linalg.norm(v[i] - _basis_product(dec.eigenvectors, np.where(j < end, c[i], 0)))
              for i, end in zip(rows.tolist(), ends.tolist())]
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
+
+
+def q_symbol_by_quadrature(kernel, omega, m, lam):
+    """The Q symbol ``sum_j b_j h_transform(j lam / omega)`` of ``approx_operators.q_symbol``,
+    each kernel transform by oscillatory quadrature (``ApproxKernel.symbol_quadrature``), not
+    by its closed form; of shape ``omega.shape + lam.shape`` for a 1-D ``lam``."""
+    omega = np.asarray(omega, dtype=np.float64)
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    return sum(bj * kernel.symbol_quadrature(j * lam / omega[..., None])
+               for j, bj in enumerate(shift_coefficients(m), start=1))

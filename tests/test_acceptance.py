@@ -22,7 +22,6 @@ from bandapprox import (
     inverse_transform,
     jackson_check,
     k_functional,
-    kernel_symbol,
     modulus_inequality_checks,
     pw_project,
     q_apply,
@@ -157,8 +156,7 @@ def test_criterion_05_kernel_properties():
             checks.append(abs(kernel.symbol_quadrature(xi)) <= 1e-8)
             checks.append(kernel.symbol(xi) == 0.0)
         grid = np.linspace(-1.2, 1.2, 64)
-        dev = float(np.max(np.abs(kernel_symbol(kernel, grid, "bspline")
-                                  - kernel_symbol(kernel, grid, "quadrature"))))
+        dev = float(np.max(np.abs(kernel.symbol(grid) - kernel.symbol_quadrature(grid))))
         checks.append(dev <= 1e-8)
     _report(5, all(checks),
             "kernel mass, transform normalization, band support and dual "

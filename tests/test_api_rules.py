@@ -60,6 +60,7 @@ from bandapprox import (
 )
 from bandapprox.harness import build_operator, parse_operator_arg
 from conftest import random_vector
+from oracles import q_symbol_by_quadrature
 
 KERNEL = build_kernel(8, 2)
 
@@ -212,7 +213,7 @@ INPUT_FAULTS = {
     "q_apply omega": (lambda dec, f, p: q_apply(dec, f, p, 2, KERNEL), None),
     "q_symbol omega": (lambda dec, f, p: q_symbol(KERNEL, p, 2, dec.eigenvalues), None),
     "q_symbol omega quadrature": (
-        lambda dec, f, p: q_symbol(KERNEL, p, 2, dec.eigenvalues, method="quadrature"), None),
+        lambda dec, f, p: q_symbol_by_quadrature(KERNEL, p, 2, dec.eigenvalues), None),
     "RieszConfig omega": (lambda dec, f, p: riesz_apply(dec, f, RieszConfig(omega=p)), None),
 }
 

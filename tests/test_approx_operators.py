@@ -19,12 +19,12 @@ from bandapprox import (
     OrderTooSmallError,
     RieszConfig,
     SymmetricOperator,
+    apply_multiplier,
     best_approx,
     build_kernel,
     eigh,
     jackson_check,
     jackson_constant,
-    kernel_symbol,
     modulus,
     operator_power,
     pw_project,
@@ -39,7 +39,12 @@ from bandapprox import (
 from bandapprox.approx_operators import _psi_moment, _trigamma
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS, build_operator, parse_operator_arg
 from conftest import random_vector
-from oracles import kernel_norm_const_closed_form, riesz_symbol_direct, riesz_symbol_mpmath
+from oracles import (
+    kernel_norm_const_closed_form,
+    q_symbol_by_quadrature,
+    riesz_symbol_direct,
+    riesz_symbol_mpmath,
+)
 
 
 class TestRiesz:
@@ -311,14 +316,8 @@ class TestKernelSymbol:
         for n in (4, 6):
             kernel = build_kernel(n, 1)
             xi = np.linspace(-1.2, 1.2, 64)
-            dev = np.max(np.abs(kernel_symbol(kernel, xi, "bspline")
-                                - kernel_symbol(kernel, xi, "quadrature")))
+            dev = np.max(np.abs(kernel.symbol(xi) - kernel.symbol_quadrature(xi)))
             assert dev <= 1e-8
-
-    def test_unknown_method_rejected(self):
-        kernel = build_kernel(4, 1)
-        with pytest.raises(InvalidParamsError):
-            kernel_symbol(kernel, 0.3, "fourier")
 
 
 class TestQOperator:
@@ -370,8 +369,9 @@ class TestQOperator:
     def test_symbol_route_matches_quadrature_route(self, diag_dec, rng):
         kernel = build_kernel(6, 2)
         f = random_vector(rng, 3)
-        fast = q_apply(diag_dec, f, 2.5, 2, kernel, method="bspline")
-        slow = q_apply(diag_dec, f, 2.5, 2, kernel, method="quadrature")
+        fast = q_apply(diag_dec, f, 2.5, 2, kernel)
+        symbol = q_symbol_by_quadrature(kernel, 2.5, 2, diag_dec.eigenvalues)
+        slow = apply_multiplier(diag_dec, lambda lam: symbol, f)
         assert np.linalg.norm(fast - slow) <= 1e-7 * np.linalg.norm(f)
 
     def test_kernel_order_mismatch(self, diag_dec, rng):

@@ -52,8 +52,7 @@ CALLS = {
     "modulus": lambda dec, f: ba.modulus(dec, f, 2.0, 2),
     "modulus_inequality_checks": lambda dec, f: ba.modulus_inequality_checks(dec, f, 1.0, 2.0,
                                                                              3, 1),
-    "sup_scaled_best_approx": lambda dec, f: [ba.sup_scaled_best_approx(dec, f, 0.7, route)
-                                              for route in "ER"],
+    "sup_scaled_best_approx": lambda dec, f: ba.sup_scaled_best_approx(dec, f, 0.7),
     "jackson_check": lambda dec, f: ba.jackson_check(dec, f, _omega(dec), 2, 1,
                                                      ba.build_kernel(6, 2)),
     "q_apply": lambda dec, f: ba.q_apply(dec, f, _omega(dec), 2, ba.build_kernel(6, 2)),

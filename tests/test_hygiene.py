@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the library is used, every
 private module-level name is referenced somewhere in src/ or tests/, no
 private library helper transforms a vector, the harness calls the library
-through its public names, only ``operators`` calls ``ldexp``, and the library
-imports no third-party package but NumPy."""
+through its public names, only ``operators`` calls ``ldexp``, one function
+decides membership of PW_omega, and the library imports no third-party package
+but NumPy."""
 
 import ast
 import os
@@ -148,3 +149,18 @@ def test_only_operators_calls_ldexp():
             if "ldexp" in name and (path.name != "operators.py" or name != "ldexp"):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"ldexp outside operators._unscaled and _scaled: {', '.join(found)}"
+
+
+def test_one_membership_rule():
+    # PW_omega membership is decided in one function, on the one tail rule; the per-element
+    # _in_pw, called from three modules with two spellings of ||f||, is gone
+    readers, defined = [], set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+                if any(isinstance(ref, ast.Name) and ref.id == "BANDLIMITED_TOL"
+                       and isinstance(ref.ctx, ast.Load) for ref in ast.walk(node)):
+                    readers.append(f"{path.name}:{node.name}")
+    assert readers == ["paley_wiener.py:_require_pw"], readers
+    assert "_in_pw" not in defined

@@ -9,6 +9,7 @@ import pytest
 from bandapprox import (
     RAW_D,
     InvalidParamsError,
+    MembershipViolationError,
     NegativeOmegaError,
     NotBandlimitedError,
     SymmetricOperator,
@@ -20,8 +21,10 @@ from bandapprox import (
     eigh,
     inverse_transform,
     pw_project,
+    riesz_identity_check,
     spectral_tail,
     spectral_transform,
+    synthesis_check,
 )
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS, build_operator, parse_operator_arg
 from bandapprox.paley_wiener import _step_nodes
@@ -257,6 +260,18 @@ class TestBernstein:
         f = inverse_transform(diag_dec, [1.0, 0.0, 1.0])
         with pytest.raises(NotBandlimitedError):
             bernstein_check(diag_dec, f, 2.0, [1.0])
+
+    def test_block_row_outside_pw_names_its_omega(self, cycle16_dec, rng):
+        # one membership check for the whole block: it names the row that fails, at its omega
+        omegas = [1.0, 1.5, 1.25, 2.0]
+        block = [pw_project(cycle16_dec, random_vector(rng, 16), w) for w in omegas]
+        block[2] = pw_project(cycle16_dec, block[2] + random_vector(rng, 16), 1.9)
+        with pytest.raises(NotBandlimitedError, match=r"vector 2 .* omega=1\.25$"):
+            bernstein_check(cycle16_dec, np.array(block), omegas, (1.0,))
+        with pytest.raises(NotBandlimitedError, match=r"omega=1\.25$"):
+            riesz_identity_check(cycle16_dec, block[2], 1.25)
+        with pytest.raises(MembershipViolationError, match=r"band 2 .* omega=1\.44$"):
+            synthesis_check(cycle16_dec, [block[0], block[0], block[2]], 0.5, a=1.2)
 
 
 class TestDenseUnion:

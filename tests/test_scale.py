@@ -7,7 +7,9 @@ step weight past the largest double (``alpha = 600``) adds nothing against
 a zero term and raises ``NonFiniteError`` against a nonzero one.  A result
 taken at a power-of-two scale that passes the largest double once its ``2^e``
 is back raises ``NonFiniteError`` too, with no ``RuntimeWarning``, while
-values near the bottom of the double range keep their bits.
+values near the bottom of the double range keep their bits.  A tail whose squares
+underflow is taken at its own scale, and a power that every value needs past the
+largest double raises ``NonFiniteError`` naming it.
 """
 
 import math
@@ -258,3 +260,51 @@ def test_values_near_the_bottom_of_the_double_range(name):
     scale, call, expected = RANGE_GUARDS[name]
     dec = eigh(SymmetricOperator(scale * np.diag([0.0, 0.5, 1.0, 2.0, 3.5, 7.0]), kind=RAW_D))
     assert call(dec, np.ones(6)) == expected
+
+
+def _diag6():
+    """raw_D diag(0, 0.5, 1, 2, 3.5, 7): e_1 and e_5 are the eigenvectors of 0.5 and 7."""
+    return eigh(SymmetricOperator(np.diag([0.0, 0.5, 1.0, 2.0, 3.5, 7.0]), kind=RAW_D))
+
+
+def test_tails_whose_squares_underflow():
+    # the mass 1e-250 above omega = 4 was squared at the scale of f and read 0, so
+    # dense_union_check took omega = 0.5 for eps = 1e-300; each tail is now at its own scale
+    dec = _diag6()
+    f = dec.eigenvectors[:, 1] + 1e-250 * dec.eigenvectors[:, 5]
+    for distance in (best_approx, spectral_tail):
+        assert abs(distance(dec, f, 4.0) / 1e-250 - 1.0) <= TOL
+    assert dense_union_check(dec, f, 1e-300) == 7.0
+
+
+def test_bernstein_ratio_at_powers_past_the_largest_double():
+    # lambda^{2s} passed the largest double from s = 183 on and raised NonFiniteError; the
+    # Bernstein norm weighs (lambda/omega)^s <= 1, and 1 on the eigenvector of omega
+    dec = _diag6()
+    rep = bernstein_check(dec, dec.eigenvectors[:, 5], 7.0, (183, 400))
+    assert rep.ratios.tolist() == [1.0, 1.0] and rep.max_ratio == 1.0
+
+
+#: weights past the largest double at f = e_1 of diag(0, 0.5, 1, 2, 3.5, 7), each of which
+#: raised a bare error (in the comment); (call, the power its NonFiniteError names)
+POWERS_PAST_THE_DOUBLES = {
+    # ValueError (math domain error): log(1e-12 / lambda_max^{2r}) with lambda_max^{2r} = inf
+    "besov_norm k_functional r=183": (lambda dec, f: besov_norm(dec, f, BesovParams(
+        alpha=182.5, q=2.0, r=183, flavor="k_functional")), r"7\.0\^366"),
+    # OverflowError: the float power lambda_max^r of the t-grid
+    "besov_norm k_functional r=400": (lambda dec, f: besov_norm(dec, f, BesovParams(
+        alpha=399.5, q=2.0, r=400, flavor="k_functional")), r"7\.0\^400"),
+    # IndexError: s^(n - alpha) = inf against a difference norm 0 made the scan bound NaN
+    "besov_seminorm_sup": (lambda dec, f: besov_seminorm_sup(dec, f, 600, 0, 601), r"\^-600"),
+    "lemma1_check": (lambda dec, f: lemma1_check(dec, f, 600, 0, 601), r"\^-600"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWERS_PAST_THE_DOUBLES))
+def test_powers_past_the_largest_double_are_typed_errors(name):
+    dec = _diag6()
+    call, power = POWERS_PAST_THE_DOUBLES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match=power):
+            call(dec, dec.eigenvectors[:, 1])
