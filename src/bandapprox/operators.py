@@ -220,15 +220,15 @@ class SymmetricOperator:
 def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 100):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
-    Returns ``(w, V)`` with ``A V = V diag(w)``, eigenvalues ascending and
-    eigenvector columns orthonormal.  Sweeps stop once the off-diagonal
-    Frobenius norm drops below ``tol * ||A||_F``.
+    Returns ``(w, V)``, ``A V = V diag(w)``, ``w`` ascending, ``V`` orthonormal.  Sweeps rotate
+    ``A 2^-e`` (``max |A| 2^-e`` in ``[0.5, 1)``: ``A 2^j`` gives ``2^j w`` and the same ``V``)
+    until the off-diagonal Frobenius norm drops below ``tol * ||A||_F``.
     """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    v = np.eye(n)
+    n = len(matrix)
+    (a, e), v = _scaled(np.array(matrix, dtype=np.float64).ravel()), np.eye(n)
+    a = a.reshape(n, n)
     if n == 1:
-        return a.diagonal().copy(), v
+        return _unscaled(a.diagonal().copy(), e), v
 
     norm_a = float(np.linalg.norm(a))
     threshold = tol * norm_a if norm_a > 0 else 0.0
@@ -267,7 +267,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 1
                 v[:, p] = c * vp - s * v[:, q]
                 v[:, q] = s * vp + c * v[:, q]
 
-    w = a.diagonal().copy()
+    w = _unscaled(a.diagonal().copy(), e)
     order = np.argsort(w, kind="stable")
     w = w[order]
     v = v[:, order]

@@ -15,17 +15,18 @@ equivalent ways:
   the two norms (see ``_k_functional_values``);
 * moduli of continuity built from the unitary group ``e^{itD}``:
   ``Omega_m(g, s)`` is the running maximum of ``||Delta_tau^m g||`` over
-  ``tau <= s``, so one shift scan serves :func:`modulus` and the modulus
-  seminorm (see ``_running_modulus``), with no grid cap.
+  ``tau <= s``, so one shift scan serves :func:`modulus` and, as the supremum
+  of ``tau^{n-alpha} ||Delta_tau^r D^n f||``, the modulus seminorm (see
+  ``_running_modulus``), with no grid of ``s`` and no grid cap.
 
 The norms, the modulus inequalities and the lemmas take ``f`` as a block of rows (see
-``operators``), with one shift scan per order and one K path per ``r``: the scan grid
-and the log-s path do not depend on ``f``, and every sum over the eigenvalues is one
-per row and point, so a row's bits do not depend on its block.  :func:`besov_norm` and
-:func:`k_besov_norm` also take a parameter axis (array fields of one ``BesovParams``):
-``_besov_norms`` evaluates every element of the broadcast shape once, from what its
-elements share, computed once per call for the rows that need it (the E or R distances per
-base, ``K(t)`` per ``r``, the seminorm per ``(alpha, r)``).
+``operators``), with one shift scan per order and one K path per ``r``: the scan points
+and the log-s path do not depend on ``f`` (a seminorm row stops on its own), and every
+sum over the eigenvalues is one per row and point, so a row's bits do not depend on its
+block.  :func:`besov_norm` and :func:`k_besov_norm` also take a parameter axis (array
+fields of one ``BesovParams``): ``_besov_norms`` evaluates every element of the broadcast
+shape once, from what its elements share, computed once per call for the rows that need
+it (the E or R distances per base, ``K(t)`` per ``r``, the seminorm per ``(alpha, r)``).
 """
 
 import math
@@ -64,18 +65,18 @@ BESOV_FLAVORS = ("integral_E", "discrete_E", "integral_R", "discrete_R",
 def _clipped_newton(fn, x, lo, hi, steps: int) -> tuple:
     """Newton steps from ``x`` clipped to the brackets ``[lo, hi]``, all brackets at once.
 
-    ``fn(x)`` gives ``(objective, h, dh)``: ``h`` has the sign of the
+    ``fn(x)`` gives ``(objective, h / |dh|)``: ``h`` has the sign of the
     objective's slope and ``dh`` is its derivative.  A step moves to
     ``x - h / |dh|``, so it never heads uphill.  Returns the abscissa and
     value of the smallest objective evaluated; NaN (``dh = 0``) never wins.
     """
     best_x, best = x, np.full(np.shape(x), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(steps + 1):
-            value, h, dh = fn(x)
+            value, delta = fn(x)
             better = value < best
             best_x, best = np.where(better, x, best_x), np.where(better, value, best)
-            x = np.clip(x - h / np.abs(dh), lo, hi)
+            x = np.clip(x - delta, lo, hi)
     return best_x, best
 
 
@@ -173,55 +174,86 @@ _PEAK_NEWTON_STEPS = 6
 MAX_SCAN_ENTRIES = 1 << 30
 
 
-def _running_modulus(eigenvalues, mag2, s_rows, m: int) -> list:
-    """``Omega_m(g_i, s)`` at each of the ascending ``s_rows[i]`` of every row ``mag2[i]``.
+def _running_modulus(eigenvalues, mag2, s_rows, m: int, beta: float = 0.0):
+    """``Omega_m(g_i, s)`` at each of the ascending ``s_rows[i]`` of every row ``mag2[i]``, or
+    with ``beta > 0`` (no ``s_rows``) the seminorm ``sup_s s^-beta Omega_m(g_i, s)`` of each row.
 
-    ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step`` up to the largest ``s``,
-    with ``_SCAN_PER_PERIOD`` points per period ``2 pi / (m lambda_max)`` of its fastest
-    component, in chunks so memory stays bounded.  Row ``i`` owns the points up to two past
-    its last ``s`` (so a maximum just below any ``s`` is interior, and the row's values do not
-    depend on its block).  Every interior local maximum ``tau_j`` of a row's points is refined
-    by ``_PEAK_NEWTON_STEPS`` Newton steps on the closed-form first and second derivatives of
-    ``phi^2 = sum |c|^2 (2 - 2 cos tau lambda)^m``, clipped to ``[tau_{j-1}, tau_{j+1}]``;
-    the best value evaluated counts.  Every sampled point, refined maximum and ``phi(s)``
-    lands in the row's bin of the first ``s >= tau``; the running maximum over the bins is
-    the modulus.  A scan of more than :data:`MAX_SCAN_ENTRIES` points times dimension raises
-    :class:`InvalidParamsError`.
+    ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step``, ``_SCAN_PER_PERIOD`` points
+    per period ``2 pi / (m lambda_max)``, in chunks of 64 points doubling up to a memory bound.
+    Each interior local maximum of a row's ``tau^-beta phi`` takes ``_PEAK_NEWTON_STEPS`` Newton
+    steps on ``tau^-2beta phi^2`` within its neighbours, in ``x = tau lambda_max`` so no scale of
+    ``D`` under- or overflows them; the best value evaluated counts.  A modulus row owns the
+    points up to two past its last ``s``; each sample, refined maximum and ``phi(s)`` lands in
+    its bin of the first ``s >= tau``, and the running maximum over the bins is the modulus.
+    The seminorm is ``sup_tau tau^-beta phi`` (``s^-beta <= tau^-beta`` for ``tau <= s``); as
+    ``phi <= 2^m ||g_perp||`` (``g_perp``: the part above ``lambda = 0``), a row stops at its
+    first point where ``tau^-beta 2^m ||g_perp||`` is at most its best value.  A scan past
+    :data:`MAX_SCAN_ENTRIES` points times dimension raises :class:`InvalidParamsError`, a weight
+    ``tau^-beta`` or a power ``4^m`` past the largest double :class:`NonFiniteError`.
     """
-    def neg_phi(taus, weights):
-        """``-phi`` and the slope and curvature of ``-phi^2``, via ``v = 2 - 2 cos(tau lambda)``."""
-        x = np.multiply.outer(taus, eigenvalues)  # v'' = 2 lambda^2 cos x = lambda^2 (2 - v)
-        sins = 2.0 * np.abs(np.sin(x / 2.0))
-        v, dv = sins ** 2, 2.0 * eigenvalues * np.sin(x)
-        d1 = v ** (m - 1) * dv
-        d2 = (m - 1) * v ** max(m - 2, 0) * dv ** 2 + v ** (m - 1) * eigenvalues ** 2 * (2.0 - v)
-        return (-np.sqrt(np.maximum(np.sum(sins ** (2 * m) * weights, axis=-1), 0.0)),
-                -m * np.sum(d1 * weights, axis=-1), -m * np.sum(d2 * weights, axis=-1))
+    lam_max, limit = float(eigenvalues[-1]), MAX_SCAN_ENTRIES // eigenvalues.size
+    nu, step = eigenvalues / lam_max, 2.0 * math.pi / (_SCAN_PER_PERIOD * m * lam_max)
+    with np.errstate(over="ignore"):  # tau^-beta is largest at the first point past 0
+        _finite(np.float64(step) ** -beta, f"the weight tau^-beta = {step}^-{beta}")
+        _finite(np.float64(4.0) ** m * np.sum(mag2, axis=-1).max(initial=1.0),
+                f"the power (2 sin)^(2m) = 4^{m} of the differences")
 
-    step = 2.0 * math.pi / (_SCAN_PER_PERIOD * m * float(eigenvalues[-1]))
-    ends = np.array([math.ceil(s[-1] / step) + 2 for s in s_rows])  # each row's own points
-    n_scan = int(ends.max())
-    if n_scan * eigenvalues.size > MAX_SCAN_ENTRIES:
-        raise InvalidParamsError(
-            f"shift scan up to s = {max(s[-1] for s in s_rows)} needs {n_scan} points at "
-            f"dimension {eigenvalues.size}, more than MAX_SCAN_ENTRIES = {MAX_SCAN_ENTRIES}")
-    # each row's last bin takes every tau beyond its last s
-    bins = [np.append(_difference_norms(eigenvalues, g, s, m), 0.0) for g, s in zip(mag2, s_rows)]
-    chunk = max(16, _SCAN_CHUNK_ENTRIES // (eigenvalues.size * len(s_rows)))
-    for start in range(0, n_scan, chunk):
+    def neg_phi(taus, weights):
+        """``-tau^-beta phi`` and its Newton step in ``tau``, via ``u = (1 - cos(x nu)) / 2``."""
+        theta = np.multiply.outer(taus, eigenvalues)
+        sins = 2.0 * np.abs(np.sin(theta / 2.0))
+        u, du = (sins / 2.0) ** 2, nu * np.sin(theta) / 2.0  # u'' = nu^2 (1/2 - u)
+        d1 = m * np.sum(u ** (m - 1) * du * weights, axis=-1)
+        d2 = m * np.sum(((m - 1) * u ** max(m - 2, 0) * du ** 2
+                         + u ** (m - 1) * nu ** 2 * (0.5 - u)) * weights, axis=-1)
+        phi = np.sqrt(np.maximum(np.sum(sins ** (2 * m) * weights, axis=-1), 0.0))
+        if beta:  # tau^-2beta phi^2 is stationary where d1 = 2 beta (phi^2 / 4^m) / x
+            x, w = taus * lam_max, taus ** -beta
+            t = np.sum(u ** m * weights, axis=-1) / x
+            d1, d2 = d1 - 2.0 * beta * t, d2 - 2.0 * beta * (d1 - t) / x
+            phi = np.where(w < math.inf, w * phi, math.nan)  # NaN never wins
+        return -phi, -d1 / np.abs(d2) / lam_max
+
+    if beta:  # each row runs until it stops
+        ends, best = np.full(len(mag2), np.iinfo(int).max), np.zeros(len(mag2))
+        cap = np.float64(2.0) ** m * np.sqrt(np.sum(mag2[:, eigenvalues > 0.0], axis=-1))
+    else:  # each row owns its points up to two past its last s; its last bin takes the rest
+        ends = np.array([math.ceil(s[-1] / step) + 2 for s in s_rows])
+        bins = [np.append(_difference_norms(eigenvalues, g, s, m), 0.0)
+                for g, s in zip(mag2, s_rows)]
+    top = max(16, _SCAN_CHUNK_ENTRIES // (eigenvalues.size * len(mag2)))
+    start, size = 0, min(64, top)
+    while (act := np.flatnonzero(ends > start)).size:
+        if start >= limit or not beta and ends.max() > limit:
+            raise InvalidParamsError(f"shift scan past {limit} points: MAX_SCAN_ENTRIES / N")
         # one point of overlap on each side, so every interior point sees its neighbours
-        index = np.arange(max(start - 1, 0), min(start + chunk + 1, n_scan))
+        index = np.arange(max(start - 1, 0), min(start + size + 1, ends[act].max()))
         taus = index * step
-        vals = _difference_norms(eigenvalues, mag2, taus[:, None], m)  # points x rows
+        vals = _difference_norms(eigenvalues, mag2[act], taus[:, None], m)  # points x rows
+        if beta:
+            with np.errstate(divide="ignore", invalid="ignore"):  # 1/0 at tau = 0, where phi = 0
+                bounds = np.multiply.outer(weights := taus ** -beta, cap[act])  # NaN: no stop
+            vals = _weighted(weights[:, None], vals)
         at, row = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])
-                             & (index[1:-1, None] < ends - 1))
-        peak_taus, peak_vals = _clipped_newton(lambda t, w=mag2[row]: neg_phi(t, w), taus[at + 1],
-                                               taus[at], taus[at + 2], _PEAK_NEWTON_STEPS)
-        for i, (s, b) in enumerate(zip(s_rows, bins)):
-            mine = row == i
-            np.maximum.at(b, np.searchsorted(s, np.concatenate((taus, peak_taus[mine]))),
-                          np.concatenate((vals[:, i], -peak_vals[mine])))
-    return [np.maximum.accumulate(b[:-1]) for b in bins]
+                             & (index[1:-1, None] < ends[act] - 1))
+        peak_taus, peak_vals = _clipped_newton(lambda t, w=mag2[act[row]]: neg_phi(t, w),
+                                               taus[at + 1], taus[at], taus[at + 2],
+                                               _PEAK_NEWTON_STEPS)
+        if beta:  # a point's value: its sample or the maximum refined from it
+            np.maximum.at(vals, (at + 1, row), -peak_vals)
+            own = (index >= start) & (index < start + size)
+            running = np.maximum.accumulate(np.vstack((best[act], vals[own])), axis=0)[1:]
+            stop = bounds[own] <= running
+            last = np.where(done := stop.any(axis=0), stop.argmax(axis=0), len(running) - 1)
+            best[act] = running[last, np.arange(act.size)]
+            ends[act[done]] = start + last[done] + 1
+        else:
+            for j, i in enumerate(act.tolist()):
+                mine = row == j
+                np.maximum.at(bins[i], np.searchsorted(s_rows[i], np.concatenate((
+                    taus, peak_taus[mine]))), np.concatenate((vals[:, j], -peak_vals[mine])))
+        start, size = start + size, min(2 * size, top)
+    return best if beta else [np.maximum.accumulate(b[:-1]) for b in bins]
 
 
 def _moduli(dec: SpectralDecomposition, c, e, s_values, m: int) -> np.ndarray:
@@ -480,17 +512,15 @@ def _k_functional_values(dec: SpectralDecomposition, c, e, ts, r: int,
     a_u, b_u, _ = path(u, mag2[:, None])  # rows x grid
     g_u = u + np.log(b_u / a_u)
     log_ts = np.log(ts)
-    # row by row: a rows x t x grid block would be large
-    values = np.minimum(values, [np.min(a + ts[:, None] * b, axis=1) for a, b in zip(a_u, b_u)])
     j = np.array([np.searchsorted(g, log_ts) for g in g_u])
     row, col = np.nonzero((j > 0) & (j < u.size))
     j, t_in, log_t = j[row, col], ts[col], log_ts[col]
 
     def line(log_s):
-        """``A + t B``, ``g - log t`` and ``dg/du = 1 - P / A^2 - P / (s B^2)``."""
+        """``A + t B`` and the step ``(g - log t) / |dg/du|``, ``dg/du = 1 - P/A^2 - P/(s B^2)``."""
         a, b, p = path(log_s, mag2[row])
-        return (a + t_in * b, log_s + np.log(b / a) - log_t,
-                1.0 - p / a ** 2 - p / (np.exp(log_s) * b ** 2))
+        return (a + t_in * b, (log_s + np.log(b / a) - log_t)
+                / np.abs(1.0 - p / a ** 2 - p / (np.exp(log_s) * b ** 2)))
 
     # secant start inside each bracket g(u[j-1]) < log t <= g(u[j])
     g_lo, g_hi = g_u[row, j - 1], g_u[row, j]  # the bracket of each (row, t)
@@ -536,23 +566,12 @@ def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
 
 # -- modulus-based seminorm and the two inverse-theorem lemmas -----------------
 
-#: log-grid shifts ``s`` at which the modulus seminorm is evaluated
-_SEMINORM_GRID_POINTS = 512
-
-
 def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> float:
-    """``sup over s > 0`` of ``s^{n - alpha} Omega_r(D^n f, s)``.
+    """``sup over s > 0`` of ``s^{n - alpha} Omega_r(D^n f, s)``, for ``n < alpha < n + r``.
 
-    Evaluated on a log grid of ``_SEMINORM_GRID_POINTS`` (512) shifts
-    spanning ``[0.01 / lambda_max, 100 / lambda_min_positive]``.  Outside
-    that range the scaled modulus decays: for large ``s`` the factor
-    ``s^{n-alpha}`` kills the bounded modulus, for small ``s`` the modulus
-    itself is ``O(s^r)`` and ``r > alpha - n`` makes the product vanish.
-
-    The moduli at every grid ``s`` come from one shift scan (see :func:`modulus`), which
-    stops at the last ``s`` that can still matter: ``Omega_r(g, s) <= 2^r ||g||``, so once
-    ``s^{n-alpha} 2^r ||g||`` falls below ``max_s s^{n-alpha} ||Delta_s^r g||`` (a lower
-    bound of the supremum) no larger ``s`` can attain it.
+    As ``Omega_r(g, s)`` is the supremum of ``||Delta_tau^r g||`` over ``tau <= s``, this is the
+    supremum of ``tau^{n - alpha} ||Delta_tau^r D^n f||``, which one shift scan takes exactly (see
+    ``_running_modulus``); at ``r <= alpha - n`` it is infinite (``||Delta_tau^r g|| ~ tau^r``).
     """
     _check_scalar(alpha, "alpha")
     _, c, e = _coefficients(dec, as_vector(f, dec.dim))
@@ -564,29 +583,12 @@ def _seminorm_sup(dec: SpectralDecomposition, c, e, alpha: float, n: int, r: int
     _check_order(r, 1)
     if n < 0:
         raise InvalidParamsError(f"need n >= 0, got {n}")
-    if not (alpha > n):
-        raise InvalidOrderError(f"need alpha > n, got alpha={alpha}, n={n}")
+    if not (n < alpha < n + r):
+        raise InvalidOrderError(f"need n < alpha < n + r, got alpha={alpha}, n={n}, r={r}")
     mag2, e = _scaled_mag2(_power_coefficients(dec, c, n), e)
-    live, sup = np.any(mag2 > 0.0, axis=-1), np.zeros(len(mag2))
-    lam_min_pos = dec.min_positive_eigenvalue
-    if lam_min_pos == 0.0 or not np.any(live):
-        return sup  # f = 0, or the spectrum is {0}: the group is trivial, all differences vanish
-    mag2 = mag2[live]
-    s_grid = np.exp(np.linspace(math.log(0.01 / dec.lambda_max), math.log(100.0 / lam_min_pos),
-                                _SEMINORM_GRID_POINTS))
-    # scalar powers, bit for bit the per-s weights of the definition
-    with np.errstate(over="ignore"):
-        weights = _finite(np.array([s ** (n - alpha) for s in s_grid]),
-                          f"the weight s^(n - alpha) = {s_grid[0]}^{n - alpha}")
-    floor = np.max(weights * _difference_norms(dec.eigenvalues, mag2, s_grid[:, None], r).T,
-                   axis=-1)
-    cap = 2.0 ** r * np.sqrt(np.sum(mag2, axis=-1))
-    # the relative margin keeps rounding in the two sides from dropping a live s
-    ends = [int(np.flatnonzero(weights * cap_i >= floor_i * (1.0 - 1e-9))[-1]) + 1
-            for cap_i, floor_i in zip(cap, floor)]
-    omega = _running_modulus(dec.eigenvalues, mag2, [s_grid[:end] for end in ends], r)
-    sup[live] = _unscaled([np.max(weights[:end] * row) for end, row in zip(ends, omega)], e[live])
-    return sup
+    if dec.lambda_max == 0.0 or not mag2.size:  # spectrum {0}: every difference vanishes
+        return np.zeros(len(mag2))
+    return _unscaled(_running_modulus(dec.eigenvalues, mag2, None, r, alpha - n), e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -602,8 +604,6 @@ def _lemma_reports(dec: SpectralDecomposition, fc, alpha: float, n: int, r: int)
     """The :func:`lemma1_check` and :func:`lemma2_check` reports of the rows of
     ``fc = (v, c, e)`` (``_coefficients`` of a block), from one shift scan."""
     _check_scalar(alpha, "alpha")
-    if not (alpha - n > 0.0 and r > alpha - n):
-        raise InvalidOrderError(f"need r > alpha - n > 0, got alpha={alpha}, n={n}, r={r}")
     v, c, e = fc
     shape, nodes = c.shape[:-1], _step_nodes(dec)
     v, c, e = fc = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)

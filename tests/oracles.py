@@ -273,6 +273,35 @@ def besov_seminorm_sup_per_s(dec, f, alpha, n, r, grid_points=512):
     return best
 
 
+def seminorm_golden(dec, f, alpha, n, r, per_period=32, chunk=4096, iters=90):
+    """``sup_tau tau^-beta ||Delta_tau^r D^n f||``, ``beta = alpha - n``: the modulus seminorm.
+
+    A dense scan of ``tau^-beta phi(tau)`` (``per_period`` points per period
+    ``2 pi / (r lambda_max)``, four times the library's), each local maximum refined by
+    golden section, stopped by the library's rule: no ``tau`` past a point with
+    ``tau^-beta 2^r ||g_perp|| <= best`` can do better (``g_perp``: ``D^n f`` above 0).
+    """
+    beta = alpha - n
+    mag2 = np.abs(spectral_transform(dec, f) * dec.eigenvalues ** n) ** 2
+    cap = 2.0 ** r * math.sqrt(float(np.sum(mag2[dec.eigenvalues > 0.0])))
+    if cap == 0.0:
+        return 0.0
+
+    def weighted(taus):
+        return taus ** -beta * _difference_norms(dec.eigenvalues, mag2, taus, r)
+
+    step = 2.0 * math.pi / (per_period * r * dec.lambda_max)
+    best, start = 0.0, 1
+    while start == 1 or (start * step) ** -beta * cap > best:
+        taus = np.arange(start - 1, start + chunk + 1) * step
+        vals = np.append(0.0, weighted(taus[1:])) if start == 1 else weighted(taus)
+        peaks = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
+        _, refined = _golden_max_many(weighted, taus[peaks - 1], taus[peaks + 1], iters)
+        best = max(best, float(np.max(vals)), float(np.max(refined, initial=0.0)))
+        start += chunk
+    return best
+
+
 def distance_by_projector(dec, f, omega):
     """``||f - P f||`` with the explicit projector ``P = V_w V_w^T`` onto PW_omega."""
     basis = dec.eigenvectors[:, dec.eigenvalues <= omega]

@@ -16,8 +16,10 @@ from bandapprox import (
     RAW_L,
     InvalidParamsError,
     SymmetricOperator,
+    besov_seminorm_sup,
     eigh,
     modulus,
+    smoothness,
 )
 from bandapprox.harness import build_operator, parse_operator_arg
 from bandapprox.operators import _coefficients
@@ -82,6 +84,18 @@ class TestModulusAgainstCappedGrid:
         s = MAX_SCAN_ENTRIES * 2 * math.pi / (8 * cycle16_dec.lambda_max)
         with pytest.raises(InvalidParamsError, match="MAX_SCAN_ENTRIES"):
             modulus(cycle16_dec, f, s, 1)
+
+    def test_seminorm_scan_limit_raises(self, monkeypatch):
+        # a seminorm row scans until tau^-beta 2^r ||g|| reaches its best value: past 32,704
+        # points at beta = 0.02 here, so a limit of 2^12 entries (819 points at N = 5) raises
+        dec, f, alpha = _dec("diag:0.001,0.01,0.5,3,10"), np.ones(5), 0.02
+        expected = besov_seminorm_sup(dec, f, alpha, 0, 1)
+        monkeypatch.setattr(smoothness, "MAX_SCAN_ENTRIES", 1 << 12)
+        assert besov_seminorm_sup(dec, f, 0.5, 0, 1) > 0.0  # stops in its first 64 points
+        with pytest.raises(InvalidParamsError, match="MAX_SCAN_ENTRIES"):
+            besov_seminorm_sup(dec, f, alpha, 0, 1)
+        monkeypatch.undo()
+        assert besov_seminorm_sup(dec, f, alpha, 0, 1) == expected
 
     @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
     def test_rejects_bad_shift(self, diag_dec, rng, s):

@@ -2,8 +2,8 @@
 private module-level name is referenced somewhere in src/ or tests/, no
 private library helper transforms a vector, the harness calls the library
 through its public names, only ``operators`` calls ``ldexp``, one function
-decides membership of PW_omega, and the library imports no third-party package
-but NumPy."""
+decides membership of PW_omega, one shift scan samples the differences, and
+the library imports no third-party package but NumPy."""
 
 import ast
 import os
@@ -164,3 +164,18 @@ def test_one_membership_rule():
                     readers.append(f"{path.name}:{node.name}")
     assert readers == ["paley_wiener.py:_require_pw"], readers
     assert "_in_pw" not in defined
+
+
+def test_one_shift_scan():
+    # ||Delta_tau^m g|| is sampled in one place, the shift scan, which serves the modulus and the
+    # seminorm; the seminorm's grid of s and its pre-pass were a second reader of the samples
+    callers = {"_difference_norms": [], "_running_modulus": []}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                names = {ref.id for ref in ast.walk(node) if isinstance(ref, ast.Name)}
+                for name in callers.keys() & names:
+                    callers[name].append(f"{path.stem}.{node.name}")
+    assert callers == {"_difference_norms": ["smoothness._running_modulus"],
+                       "_running_modulus": ["smoothness._moduli", "smoothness._seminorm_sup"]}
+    assert "_SEMINORM_GRID_POINTS" not in (SRC / "smoothness.py").read_text(encoding="utf-8")

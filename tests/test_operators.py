@@ -163,6 +163,23 @@ class TestJacobi:
         w, v = jacobi_eigh(np.array([[5.0]]))
         assert w[0] == 5.0 and v[0, 0] == 1.0
 
+    @pytest.mark.parametrize("j", [200, -200, 600, -600, 1000, -1000])
+    def test_power_of_two_scales_are_exact(self, j):
+        # the sweeps rotate A 2^-e, max |A| 2^-e in [0.5, 1): A 2^j gives 2^j w and the same basis
+        a = build_operator(parse_operator_arg("cycle:16")).entries
+        w, v = jacobi_eigh(a)
+        w_j, v_j = jacobi_eigh(a * 2.0 ** j)
+        np.testing.assert_array_equal(w_j, w * 2.0 ** j)
+        np.testing.assert_array_equal(v_j, v)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e-160, 1e-170])
+    def test_scales_where_the_norm_over_or_underflows(self, scale):
+        # ||A||_F overflowed (threshold inf) or underflowed (0): no sweep ran, or one left a
+        # ghost eigenvalue 9.3e-9 scale; the bare diagonal [2, ..., 2] scale came back
+        a = build_operator(parse_operator_arg("cycle:6")).entries
+        w, _ = jacobi_eigh(a * scale)
+        np.testing.assert_allclose(w / scale, [0.0, 1.0, 1.0, 3.0, 3.0, 4.0], rtol=0, atol=1e-12)
+
 
 #: the ways a vector enters the library: the two transforms, and the one step
 #: (``operators._coefficients``) behind every other public function, which

@@ -21,6 +21,7 @@ import pytest
 
 from bandapprox import (
     RAW_D,
+    RAW_L,
     BesovParams,
     NonFiniteError,
     RieszConfig,
@@ -240,13 +241,16 @@ def test_results_past_the_largest_double_raise(name):
 #: values near the bottom of the double range, kept bit for bit by the rescale of each
 #: spectral measure (``operators._scaled_mag2``): (call on the raw_D diag(0, 0.5, 1, 2, 3.5, 7)
 #: decomposition at ``scale``, value); f = ones(6), except for the K-functional of
-#: ``u_0 + 1e-250 u_5``.  Without that rescale the K value and the Jackson bound read 0.
+#: ``u_0 + 1e-250 u_5``.  Without that rescale the K value and the Jackson bound read 0.  The
+#: seminorm and the modulus ratio are their values at scale 1 (44.01510843453259 * 1e-300 to
+#: rounding, and 0.3279262877402335), which the dilation law gives; the shift scan's Newton
+#: step underflowed here and read 0.3286796695357632.
 RANGE_GUARDS = {
     "besov_seminorm_sup": (1e-200, lambda dec, f: besov_seminorm_sup(dec, f, 1.5, 1, 2),
-                           4.40061197320528e-299),
+                           4.401510843453258e-299),
     "modulus_inequality_checks": (
         1e-200, lambda dec, f: modulus_inequality_checks(dec, f, 1e200, 2.0, 2, 1).ratio_power,
-        0.3286796695357632),
+        0.3279262877402335),
     "jackson_check": (1e-200, lambda dec, f: jackson_check(
         dec, f, 3e-200, 2, 1, build_kernel(6, 2)).bound, 636.6360546097943),
     "k_functional": (1.0, lambda dec, f: k_functional(
@@ -294,9 +298,14 @@ POWERS_PAST_THE_DOUBLES = {
     # OverflowError: the float power lambda_max^r of the t-grid
     "besov_norm k_functional r=400": (lambda dec, f: besov_norm(dec, f, BesovParams(
         alpha=399.5, q=2.0, r=400, flavor="k_functional")), r"7\.0\^400"),
-    # IndexError: s^(n - alpha) = inf against a difference norm 0 made the scan bound NaN
+    # IndexError: s^(n - alpha) = inf against a difference norm 0 made the scan bound NaN; now
+    # the weight tau^-600 at the first point of the scan
     "besov_seminorm_sup": (lambda dec, f: besov_seminorm_sup(dec, f, 600, 0, 601), r"\^-600"),
     "lemma1_check": (lambda dec, f: lemma1_check(dec, f, 600, 0, 601), r"\^-600"),
+    # a RuntimeWarning, then an unnamed NonFiniteError, and a bare IndexError: (2 sin)^1200
+    "modulus r=600": (lambda dec, f: modulus(dec, f, 20.0, 600), r"4\^600"),
+    "besov_seminorm_sup r=600": (lambda dec, f: besov_seminorm_sup(dec, f, 1.5, 0, 600),
+                                 r"4\^600"),
 }
 
 
@@ -308,3 +317,30 @@ def test_powers_past_the_largest_double_are_typed_errors(name):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteError, match=power):
             call(dec, dec.eigenvectors[:, 1])
+
+
+@pytest.mark.parametrize("j", [200, -200, 600, -600])
+def test_dilation_law_at_power_of_two_scales(j):
+    # L 2^j has D 2^{j/2} = c D with the same basis, so Omega_m(f, s; c D) = Omega_m(f, c s; D),
+    # the seminorm scales by c^alpha and the modulus and Jackson ratios do not move; the shift
+    # scan's Newton steps, taken in x = tau lambda_max, are the same at every scale (in units of
+    # tau they underflowed, 9.6e-4 off at 2^-600), and Jacobi rotates L 2^j at one scale
+    op = build_operator(parse_operator_arg("cycle:16"))
+    dec, scaled = eigh(op), eigh(SymmetricOperator(op.entries * 2.0 ** j, kind=RAW_L))
+    c, kernel = 2.0 ** (j // 2), build_kernel(6, 2)
+    f = random_vector(np.random.default_rng(7), 16)
+    pairs = [(modulus(scaled, f, s / c, m), modulus(dec, f, s, m))
+             for s in (0.3, 2.0, 9.0) for m in (1, 2, 3)]
+    pairs += [(besov_seminorm_sup(scaled, f, alpha, n, r),
+               c ** alpha * besov_seminorm_sup(dec, f, alpha, n, r))
+              for alpha, n, r in ((1.5, 1, 2), (0.8, 0, 2), (0.5, 0, 1))]
+    pairs += [(vars(modulus_inequality_checks(scaled, f, s / c, 2.0, m, k)),
+               vars(modulus_inequality_checks(dec, f, s, 2.0, m, k)))
+              for s, m, k in ((0.7, 2, 1), (3.0, 3, 0), (1.5, 3, 2))]
+    pairs += [(vars(jackson_check(scaled, f, c * omega, 2, k, kernel)),
+               vars(jackson_check(dec, f, omega, 2, k, kernel)))
+              for omega, k in ((0.5, 0), (1.2, 1))]
+    for got, expected in pairs:
+        if isinstance(expected, dict):
+            got, expected = list(got.values()), list(expected.values())
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -330,13 +331,18 @@ class TestSeminormSup:
         assert besov_seminorm_sup(diag_dec, np.zeros(3), 1.5, 1, 2) == 0.0
 
     def test_single_eigenvector_reduction(self, diag_dec):
-        # reduces to a 1-D scan of s^{n-alpha} (2 |sin(s lambda / 2)|)^r lambda^n
+        # tau^-beta lambda^n (2 sin(tau lambda / 2))^r, beta = alpha - n, peaks at tau = 2x / lambda
+        # with x cot x = beta / r on (0, pi/2): lambda^{n+beta} (2x)^-beta (2 sin x)^r
         u = diag_dec.eigenvectors[:, 2]  # lambda = 3
-        alpha, n, r = 1.6, 1, 2
-        got = besov_seminorm_sup(diag_dec, u, alpha, n, r)
-        s = np.exp(np.linspace(math.log(1e-4), math.log(1e3), 300_000))
-        direct = np.max(s ** (n - alpha) * (2 * np.abs(np.sin(s * 3 / 2))) ** r * 3.0 ** n)
-        assert abs(got - direct) <= 2e-3 * direct
+        for alpha, n, r in ((1.6, 1, 2), (0.5, 0, 1), (2.9, 1, 2), (2.2, 0, 5)):
+            beta = alpha - n
+            with mpmath.workdps(40):
+                x = mpmath.findroot(lambda x: x * mpmath.cot(x) - mpmath.mpf(beta) / r,
+                                    (mpmath.mpf("1e-9"), mpmath.pi / 2), solver="bisect")
+                exact = float(3 ** (n + mpmath.mpf(beta)) * (2 * x) ** -beta
+                              * (2 * mpmath.sin(x)) ** r)
+            got = besov_seminorm_sup(diag_dec, u, alpha, n, r)
+            assert abs(got - exact) <= 1e-12 * exact, (alpha, n, r, got, exact)
 
     def test_homogeneity(self, cycle16_dec, rng):
         f = random_vector(rng, 16)
@@ -347,6 +353,16 @@ class TestSeminormSup:
     def test_invalid_order_rejected(self, diag_dec, rng):
         with pytest.raises(InvalidOrderError):
             besov_seminorm_sup(diag_dec, random_vector(rng, 3), 1.0, 1, 2)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_orders_at_most_alpha_minus_n_rejected(self, r):
+        # tau^-3 ||Delta_tau f|| is 7.0e4, 7.0e6 and 7.0e8 at tau = 1e-2, 1e-3 and 1e-4: the
+        # supremum is infinite for r <= alpha - n, where the grid of s read 3.44e6 (r = 1)
+        dec = eigh(SymmetricOperator(np.diag([0.0, 0.5, 1.0, 2.0, 3.5, 7.0]), kind=RAW_D))
+        f = dec.eigenvectors[:, 1] + dec.eigenvectors[:, 5]
+        with pytest.raises(InvalidOrderError, match="alpha < n \\+ r"):
+            besov_seminorm_sup(dec, f, 3.0, 0, r)
+        assert besov_seminorm_sup(dec, f, 3.0, 0, 4) > 0.0
 
 
 class TestLemmas:
