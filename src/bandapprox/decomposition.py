@@ -10,9 +10,10 @@ synthesis direction holds with the explicit geometric-series constant
 ``1 / (1 - a^{-alpha})`` even for overlapping, non-orthogonal band
 inputs.
 
-:func:`equivalence_report` band-splits each vector once and takes the
-denominators of every ``(alpha, q)`` it is given from one parameter-axis call
-of the ``discrete_E`` Besov norm.
+:func:`band_decompose` splits a block ``(..., N)`` into bands ``(..., K, N)``, and
+:func:`synthesis_check` measures a block of band sets ``(..., K, N)``, each row as its call alone.
+:func:`equivalence_report` makes one split and one rows x bands norm table, and takes the
+denominators of every ``(alpha, q)`` from one parameter-axis call of the ``discrete_E`` norm.
 """
 
 import math
@@ -21,31 +22,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     InvalidBaseError,
     InvalidParamsError,
     MembershipViolationError,
     ZeroVectorError,
 )
-from .operators import SpectralDecomposition, _basis_product, _broadcast, _check_scalar
-from .operators import _coefficients, _norm, _shaped, _unscaled, as_vector
+from .operators import SpectralDecomposition, _as_block, _basis_product, _broadcast, _check_scalar
+from .operators import _coefficients, _norm, _shaped, _unscaled
 from .paley_wiener import _band_powers, _check_q, _pw_prefix, _require_pw, band_count
 from .smoothness import BesovParams, _besov_norms, _discrete_norm, _edge_distances, _safe_ratio
 
 
 @dataclass(frozen=True, eq=False)
 class BandDecomposition:
-    """Band vectors ``f_k`` supported on ``(a^{k-1}, a^k]`` (band 0: [0, 1])."""
+    """Band vectors ``f_k`` on ``(a^{k-1}, a^k]`` (band 0: [0, 1]); ``(..., K, N)`` for a block."""
 
     base: float
-    bands: tuple
+    bands: tuple | np.ndarray
     band_edges: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.bands)
+        return len(self.band_edges)
 
     def band_norms(self) -> np.ndarray:
-        return _norm(np.array(self.bands)) if self.bands else np.zeros(0)
+        return _norm(np.asarray(self.bands)) if self.count else np.zeros(0)
 
 
 def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecomposition:
@@ -53,22 +55,24 @@ def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecompo
 
     The number of bands is the smallest K with ``a^K >= lambda_max`` plus
     one; supports partition the spectrum exactly, so the bands are
-    pairwise orthogonal and sum back to ``f``.
+    pairwise orthogonal and sum back to ``f``.  A block ``f`` of shape ``(..., N)`` gives
+    ``bands`` of shape ``(..., K, N)``, each row's bands those of the row alone.
     """
     _check_scalar(a, "a", InvalidBaseError)
-    _, c, e = _coefficients(dec, as_vector(f, dec.dim))
-    return _band_split(dec, c, e, a)
+    _, c, e = _coefficients(dec, f)
+    bands, edges = _band_split(dec, c, e, a)
+    return BandDecomposition(a, tuple(bands) if c.ndim == 1 else bands, edges)
 
 
-def _band_split(dec: SpectralDecomposition, c, e: int, a: float) -> BandDecomposition:
-    """:func:`band_decompose` of the vector with coefficients ``c 2^e``, every band in one
-    stacked product."""
+def _band_split(dec: SpectralDecomposition, c, e, a: float) -> tuple:
+    """``(bands, edges)`` of the rows with coefficients ``c 2^e`` (``(..., N)``): the bands
+    ``(..., K, N)`` of :func:`band_decompose`, every band of every row in one stacked product."""
     edges = _band_powers(a, band_count(dec.lambda_max, a) + 1)
     ends = _pw_prefix(dec, edges)  # band k keeps a^{k-1} < lambda <= a^k
     index = np.arange(dec.dim)
     masks = (np.append(0, ends[:-1])[:, None] <= index) & (index < ends[:, None])
-    bands = _unscaled(_basis_product(dec.eigenvectors, np.where(masks, c, 0.0)), e)
-    return BandDecomposition(base=a, bands=tuple(bands), band_edges=edges)
+    bands = _basis_product(dec.eigenvectors, np.where(masks, c[..., None, :], 0.0))
+    return _unscaled(bands, np.reshape(e, np.shape(e) + (1, 1))), edges
 
 
 def frame_norm(band_dec: BandDecomposition, alpha: float, q: float) -> float:
@@ -106,13 +110,16 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha, q,
     params = BesovParams(alpha=alpha, q=q, a=a, flavor="discrete_E")
     v, c, e = fc = _coefficients(dec, np.atleast_2d(vectors))
     shape, rows, (alphas, qs) = _broadcast(c, alpha, q)
-    norms = _norm(v.reshape(-1, dec.dim), np.ravel(e)).tolist()
-    if 0.0 in norms:
+    norms = _norm(v.reshape(-1, dec.dim), np.ravel(e))
+    if np.any(norms == 0.0):
         raise ZeroVectorError("equivalence ratio undefined for the zero vector")
-    splits = [_band_split(dec, c_i, e_i, a)
-              for c_i, e_i in zip(c.reshape(-1, dec.dim), np.ravel(e).tolist())]
-    frames = [norms[row] + frame_norm(splits[row], x, y)
-              for row, x, y in zip(rows.tolist(), alphas.tolist(), qs.tolist())]
+    # one split and one rows x bands norm table; each (alpha, q) reads its rows off one call
+    band_norms = _norm(_band_split(dec, c.reshape(-1, dec.dim), np.ravel(e), a)[0])
+    frames, orders = np.empty(len(rows)), {}
+    for i, order in enumerate(zip(alphas.tolist(), qs.tolist())):
+        orders.setdefault(order, []).append(i)
+    for (x, y), i in orders.items():
+        frames[i] = norms[rows[i]] + _discrete_norm(band_norms[rows[i]], x, y, a)
     ratios = _shaped(np.divide(frames, _besov_norms(dec, fc, params).ravel()), shape)
     if not np.size(ratios):
         raise InvalidParamsError("equivalence_report needs at least one vector")
@@ -133,7 +140,7 @@ class SynthesisReport:
     @property
     def ratio(self) -> float:
         """``lhs / rhs``, at most 1 by the inequality; 0 when both sides vanish."""
-        return _safe_ratio(self.lhs, self.rhs, 0.0)
+        return _shaped(np.vectorize(_safe_ratio, otypes=[float])(self.lhs, self.rhs, 0.0))
 
 
 def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
@@ -145,22 +152,27 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
     approximation at every band edge is bounded by
     ``1 / (1 - a^{-alpha})`` times the weighted supremum of band norms;
     the constant is the exact geometric-series sum, not an empirical fit.
+    A block of shape ``(..., K, N)`` holds the K bands of each of its vectors, and each report
+    field takes the shape ``(...)``, each element that of its bands alone.
     """
     if not (a > 1.0):
         raise InvalidBaseError(f"base must be > 1, got {a}")
     _check_scalar(alpha, "alpha")
     if not (0.0 < alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in (0, inf), got {alpha}")
-    band_list = [as_vector(b, dec.dim) for b in bands]
-    edges = _band_powers(a, len(band_list))
+    if isinstance(bands, (list, tuple)) and not bands:  # no bands: f = 0
+        bands = np.zeros((0, dec.dim))
+    bands = _as_block(bands, dec.dim)
+    if bands.ndim < 2:
+        raise DimensionMismatchError(f"expected bands of shape (..., K, N), got {bands.shape}")
+    shape, edges = bands.shape[:-2], _band_powers(a, bands.shape[-2])
     # every band at once, band k in PW_{a^k}
-    _require_pw(dec, _coefficients(dec, np.reshape(band_list, (-1, dec.dim))), edges,
-                MembershipViolationError, "band")
-
-    f = np.sum(band_list, axis=0) if band_list else np.zeros(dec.dim, complex)
-    sup_band = frame_norm(BandDecomposition(a, tuple(band_list), edges), alpha, math.inf)
+    _require_pw(dec, _coefficients(dec, bands), edges, MembershipViolationError, "band")
+    sup_band = _discrete_norm(_norm(bands), alpha, math.inf, a)
     # E(f, a^k) vanishes from k = band_count on, so the discrete terms hold the sup
-    lhs = _discrete_norm(_edge_distances(dec, _coefficients(dec, f), a, "E"), alpha, math.inf, a)
+    v, c, e = _coefficients(dec, np.sum(bands, axis=-2))
+    fc = v[..., None, :], c[..., None, :], np.expand_dims(e, -1)  # each f against every edge
+    lhs = _discrete_norm(_edge_distances(dec, fc, a, "E"), alpha, math.inf, a)
     constant = 1.0 / (1.0 - a ** (-alpha))
-    return SynthesisReport(lhs=lhs, rhs=constant * sup_band, constant=constant,
-                           sup_band=sup_band)
+    return SynthesisReport(lhs=_shaped(lhs, shape), rhs=_shaped(constant * sup_band, shape),
+                           constant=constant, sup_band=_shaped(sup_band, shape))

@@ -368,9 +368,14 @@ class _SuiteContext:
         return _record(check, _params_str(N=self.n, **params), value, tolerance)
 
 
+def _row_norms(x):
+    """The norm of each row of ``x``: the sum ``np.linalg.norm`` takes on one complex row."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
 def _check_plancherel(ctx):
-    norms = np.array([np.linalg.norm(f) for f in ctx.corpus])
-    gaps = np.abs([np.linalg.norm(c) for c in spectral_transform(ctx.dec, ctx.corpus)] - norms)
+    norms = _row_norms(ctx.corpus)
+    gaps = np.abs(_row_norms(spectral_transform(ctx.dec, ctx.corpus)) - norms)
     worst = max([0.0] + (gaps / (1.0 + norms)).tolist())
     return [ctx.record("plancherel", worst, ctx.tols["plancherel"])], {}
 
@@ -380,8 +385,7 @@ def _check_e_equals_r(ctx):
     # both routes, each vector at its own omega: E = R stays a real check
     gaps = np.abs(pw.best_approx(ctx.dec, ctx.corpus, omegas)
                   - pw.spectral_tail(ctx.dec, ctx.corpus, omegas))
-    norms = np.array([np.linalg.norm(f) for f in ctx.corpus])
-    worst = max([0.0] + (gaps / (1.0 + norms)).tolist())
+    worst = max([0.0] + (gaps / (1.0 + _row_norms(ctx.corpus))).tolist())
     return [ctx.record("e_equals_r", worst, ctx.tols["e_equals_r"])], {}
 
 
@@ -393,7 +397,7 @@ def _check_bernstein(ctx):
     dec = ctx.dec
     omegas = ctx.rng.choice(dec.eigenvalues[dec.eigenvalues > 0], size=len(ctx.corpus))
     projected = pw.pw_project(dec, ctx.corpus, omegas)
-    kept = np.array([np.linalg.norm(f) >= 1e-12 for f in projected], dtype=bool)
+    kept = _row_norms(projected) >= 1e-12
     rep = pw.bernstein_check(dec, projected[kept], omegas[kept], _BERNSTEIN_POWERS)
     worst = max([0.0] + rep.max_ratio.tolist())
     rep = pw.bernstein_check(dec, dec.eigenvectors[:, -1], dec.lambda_max, _BERNSTEIN_POWERS)
@@ -427,8 +431,7 @@ def _check_riesz_norm(ctx):
     corpus = ctx.corpus[:20]
     omegas = ctx.rng.uniform(0.3, 1.2, size=len(corpus)) * ctx.dec.lambda_max
     applied = aop.riesz_apply(ctx.dec, corpus, aop.RieszConfig(omega=omegas))
-    worst = max([0.0] + [float(np.linalg.norm(r)) / (omega * float(np.linalg.norm(f)))
-                         for r, omega, f in zip(applied, omegas.tolist(), corpus)])
+    worst = max([0.0] + (_row_norms(applied) / (omegas * _row_norms(corpus))).tolist())
     return [ctx.record("riesz_norm", worst, 1.0 + ctx.tols["riesz_norm"], K=10_000)], {}
 
 
@@ -497,7 +500,7 @@ def _check_q_operator(ctx):
     q_out = aop.q_apply(dec, corpus, omegas, m, kernel)
     zero_modes = dec.eigenvalues == 0.0
     devs = np.abs(spectral_transform(dec, q_out) - spectral_transform(dec, corpus))[:, zero_modes]
-    norms = [float(np.linalg.norm(f)) for f in corpus]
+    norms = _row_norms(corpus).tolist()
     worst_tail = max([0.0] + np.divide(pw.spectral_tail(dec, q_out, omegas), norms).tolist())
     worst_pass = max([0.0] + [float(np.max(dev, initial=0.0)) / n for dev, n in zip(devs, norms)])
     records = [ctx.record("q_tail", worst_tail, ctx.tols["q_tail"], m=m)]
@@ -573,24 +576,21 @@ def _check_frame_equivalence(ctx):
 
 def _check_synthesis_constant(ctx):
     dec, a, alpha = ctx.dec, 2.0, 0.8
-    worst_ratio = worst_recon = worst_tail_dev = 0.0
     corpus = ctx.corpus[:10]
-    band_decs = [dcmp.band_decompose(dec, f, a) for f in corpus]
-    edges = band_decs[0].band_edges
-    for f, band_dec, dists in zip(corpus, band_decs, pw.best_approx(dec, corpus[:, None], edges)):
-        norm_f = float(np.linalg.norm(f))
-        recon = float(np.linalg.norm(np.sum(band_dec.bands, axis=0) - f))
-        worst_recon = max(worst_recon, recon / norm_f)
-        norms2 = band_dec.band_norms() ** 2
-        for big_n, e2 in enumerate(dists ** 2):
+    band_dec = dcmp.band_decompose(dec, corpus, a)
+    edges, norms = band_dec.band_edges, _row_norms(corpus)
+    recon = _row_norms(np.sum(band_dec.bands, axis=-2) - corpus)
+    worst_recon = max([0.0] + (recon / norms).tolist())
+    worst_tail_dev, dists = 0.0, pw.best_approx(dec, corpus[:, None], edges)
+    for norm_f, norms2, e2_row in zip(norms.tolist(), band_dec.band_norms() ** 2, dists ** 2):
+        for big_n, e2 in enumerate(e2_row):
             tail = float(np.sum(norms2[big_n + 1:]))
             worst_tail_dev = max(worst_tail_dev, abs(e2 - tail) / norm_f ** 2)
-        worst_ratio = max(worst_ratio, dcmp.synthesis_check(dec, band_dec.bands, alpha, a=a).ratio)
+    worst_ratio = max(0.0, *dcmp.synthesis_check(dec, band_dec.bands, alpha, a=a).ratio.tolist())
     # non-orthogonal inputs: each band is a random vector squashed to its edge
-    for _ in range(5):
-        picks = [int(ctx.rng.integers(len(ctx.corpus))) for _ in edges]
-        bands = pw.pw_project(dec, ctx.corpus[picks], edges)
-        worst_ratio = max(worst_ratio, dcmp.synthesis_check(dec, bands, alpha, a=a).ratio)
+    picks = [[int(ctx.rng.integers(len(ctx.corpus))) for _ in edges] for _ in range(5)]
+    bands = pw.pw_project(dec, ctx.corpus[picks], edges)
+    worst_ratio = max(worst_ratio, *dcmp.synthesis_check(dec, bands, alpha, a=a).ratio.tolist())
     return [ctx.record("synthesis_constant", worst_ratio, 1.0 + ctx.tols["synthesis"],
                        alpha=alpha, a=a),
             ctx.record("band_reconstruction", worst_recon, ctx.tols["reconstruction"], a=a),

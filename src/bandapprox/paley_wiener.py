@@ -93,11 +93,14 @@ def _check_q(q: float) -> None:
         raise InvalidParamsError(f"q must be in [1, inf], got {q}")
 
 
-def _lq_norm(terms: np.ndarray, q: float) -> float:
-    """``(sum terms^q)^{1/q}`` at a power-of-two scale; the max at ``q = inf``, 0 without terms."""
+def _lq_norm(terms: np.ndarray, q: float):
+    """``(sum terms^q)^{1/q}`` of each row of ``terms`` (``(..., K)``; a float for one row) at its
+    power-of-two scale, the max at ``q = inf``, 0 without terms: one sum over the last axis and a
+    Python float root per row (an array power may differ in the last bit), as one row alone."""
     scaled, e = _scaled(terms)
-    return _unscaled(float(np.max(scaled, initial=0.0) if q == math.inf else
-                           np.sum(scaled ** q) ** (1.0 / q)), e)
+    sums = np.max(scaled, axis=-1, initial=0.0) if q == math.inf else np.sum(scaled ** q, axis=-1)
+    roots = sums if q == math.inf else [x ** (1.0 / q) for x in np.ravel(sums).tolist()]
+    return _unscaled(_shaped(roots, np.shape(sums)), e)
 
 
 def _omegas(omega) -> np.ndarray:
@@ -175,9 +178,10 @@ def _require_pw(dec: SpectralDecomposition, fc, omegas, error=NotBandlimitedErro
     tails = _distances(dec, (v, c, 0), omegas, "R")  # at the scale of v
     outside = np.flatnonzero(tails > BANDLIMITED_TOL * _norm(v))
     if outside.size:
-        k = int(outside[0])
+        k = int(outside[0])  # named by its index in the broadcast shape, a number on one axis
+        at = k if tails.ndim < 2 else tuple(map(int, np.unravel_index(k, tails.shape)))
         omega = np.broadcast_to(omegas, tails.shape).flat[k]
-        raise error(f"{what} {k} has spectral mass above omega={omega}")
+        raise error(f"{what} {at} has spectral mass above omega={omega}")
 
 
 def _bernstein_norms(dec: SpectralDecomposition, c, omegas, s) -> np.ndarray:

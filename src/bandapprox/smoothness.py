@@ -26,7 +26,8 @@ sum over the eigenvalues is one per row and point, so a row's bits do not depend
 block.  :func:`besov_norm` and :func:`k_besov_norm` also take a parameter axis (array
 fields of one ``BesovParams``): ``_besov_norms`` evaluates every element of the broadcast
 shape once, from what its elements share, computed once per call for the rows that need
-it (the E or R distances per base, ``K(t)`` per ``r``, the seminorm per ``(alpha, r)``).
+it (the E or R distances per base, ``K(t)`` per ``r``, the seminorm per ``(alpha, r)``), and
+reduces the elements of each ``(alpha, q)`` as one rows x terms table.
 """
 
 import math
@@ -218,10 +219,11 @@ def _running_modulus(eigenvalues, mag2, s_rows, m: int, beta: float = 0.0):
         ends, best = np.full(len(mag2), np.iinfo(int).max), np.zeros(len(mag2))
         cap = np.float64(2.0) ** m * np.sqrt(np.sum(mag2[:, eigenvalues > 0.0], axis=-1))
     else:  # each row owns its points up to two past its last s; its last bin takes the rest
-        ends = np.array([math.ceil(s[-1] / step) + 2 for s in s_rows])
-        bins = [np.append(_difference_norms(eigenvalues, g, s, m), 0.0)
-                for g, s in zip(mag2, s_rows)]
-    top = max(16, _SCAN_CHUNK_ENTRIES // (eigenvalues.size * len(mag2)))
+        # (an end past the limit raises below, so the cap only keeps the count an integer)
+        ends = (np.minimum(np.ceil(s_rows[:, -1] / step), limit) + 2).astype(int)
+        bins = np.pad(_difference_norms(eigenvalues, mag2[:, None], s_rows, m), ((0, 0), (0, 1)))
+    width = eigenvalues.size if beta else max(eigenvalues.size, s_rows.shape[1])  # points x s
+    top = max(16, _SCAN_CHUNK_ENTRIES // (width * len(mag2)))
     start, size = 0, min(64, top)
     while (act := np.flatnonzero(ends > start)).size:
         if start >= limit or not beta and ends.max() > limit:
@@ -247,13 +249,13 @@ def _running_modulus(eigenvalues, mag2, s_rows, m: int, beta: float = 0.0):
             last = np.where(done := stop.any(axis=0), stop.argmax(axis=0), len(running) - 1)
             best[act] = running[last, np.arange(act.size)]
             ends[act[done]] = start + last[done] + 1
-        else:
-            for j, i in enumerate(act.tolist()):
-                mine = row == j
-                np.maximum.at(bins[i], np.searchsorted(s_rows[i], np.concatenate((
-                    taus, peak_taus[mine]))), np.concatenate((vals[:, j], -peak_vals[mine])))
+        else:  # each sample and refined maximum into its row's bin, the count of its s below tau
+            rows = np.concatenate((np.broadcast_to(act, vals.shape).ravel(), act[row]))
+            points = np.concatenate((np.repeat(taus, act.size), peak_taus))
+            np.maximum.at(bins, (rows, np.sum(s_rows[rows] < points[:, None], axis=-1)),
+                          np.concatenate((vals.ravel(), -peak_vals)))
         start, size = start + size, min(2 * size, top)
-    return best if beta else [np.maximum.accumulate(b[:-1]) for b in bins]
+    return best if beta else np.maximum.accumulate(bins[:, :-1], axis=-1)
 
 
 def _moduli(dec: SpectralDecomposition, c, e, s_values, m: int) -> np.ndarray:
@@ -271,8 +273,8 @@ def _moduli(dec: SpectralDecomposition, c, e, s_values, m: int) -> np.ndarray:
     if m > 0 and dec.lambda_max > 0.0 and np.any(live):
         order = np.argsort(s_values[live], axis=-1)
         scans = _running_modulus(dec.eigenvalues, mag2[live],
-                                 list(np.take_along_axis(s_values[live], order, axis=-1)), m)
-        omega[live] = np.take_along_axis(np.array(scans), np.argsort(order, axis=-1), axis=-1)
+                                 np.take_along_axis(s_values[live], order, axis=-1), m)
+        omega[live] = np.take_along_axis(scans, np.argsort(order, axis=-1), axis=-1)
     return _unscaled(omega, e[:, None]).reshape(shape)
 
 
@@ -347,18 +349,22 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s, a_scale, m,
 # -- step-function machinery for the approximation norms ----------------------
 
 def _integral_norm(nodes, values, alpha, q):
-    """``(integral of (s^alpha E(f,s))^q ds/s)^{1/q}`` over (0, inf) in closed form; sup at q = inf.
+    """``(integral of (s^alpha E(f,s))^q ds/s)^{1/q}`` over (0, inf) in closed form, sup at q = inf,
+    of each row of ``values`` (``(..., K)``; a float for one row), as ``_lq_norm`` reduces.
 
-    ``values[i]`` is ``E(f, .)`` on ``[nodes[i], nodes[i+1])``, where the supremum of
-    ``s^alpha * const`` sits at the right end, so the sup is a finite maximum.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf weights (and inf - inf): _weighted
+    ``values[..., i]`` is ``E(f, .)`` on ``[nodes[i], nodes[i+1])``, where the supremum of
+    ``s^alpha * const`` sits at the right end, so the sup is a finite maximum.  A weight
+    ``s^(alpha q)`` past the largest double raises :class:`NonFiniteError` against any nonzero
+    distance, also one whose power ``scaled^q`` underflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf weights (and inf - inf)
         if q == math.inf:
             return _lq_norm(_weighted(nodes[1:] ** alpha, values), math.inf)
         aq = alpha * q
         scaled, e = _scaled(values)
-        pieces = _weighted(nodes[1:] ** aq - nodes[:-1] ** aq, scaled ** q) / aq
-    return _unscaled(float(np.sum(pieces)) ** (1.0 / q), e)
+        weights = np.where(scaled == 0.0, 0.0, nodes[1:] ** aq - nodes[:-1] ** aq)
+        pieces = _finite(weights, f"the weight s^(alpha q) = s^{aq}") * scaled ** q / aq
+        sums = np.sum(pieces, axis=-1)
+    return _unscaled(_shaped([x ** (1.0 / q) for x in np.ravel(sums).tolist()], sums.shape), e)
 
 
 def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float) -> float:
@@ -379,9 +385,10 @@ def _edge_distances(dec: SpectralDecomposition, fc, a: float, route: str) -> np.
     return _distances(dec, fc, _band_powers(a, band_count(dec.lambda_max, a)), route)
 
 
-def _discrete_norm(distances: np.ndarray, alpha: float, q: float, a: float) -> float:
-    """``(sum_k (a^{k alpha} d_k)^q)^{1/q}`` (the max at ``q = inf``) of band-edge distances."""
-    return _lq_norm(_weighted(_band_powers(a, distances.size, alpha), distances), q)
+def _discrete_norm(distances: np.ndarray, alpha: float, q: float, a: float):
+    """``(sum_k (a^{k alpha} d_k)^q)^{1/q}`` (the max at ``q = inf``) of the band-edge distances
+    of each row of ``distances`` (``(..., K)``; a float for one row), as ``_lq_norm`` reduces."""
+    return _lq_norm(_weighted(_band_powers(a, np.shape(distances)[-1], alpha), distances), q)
 
 
 def besov_norm(dec: SpectralDecomposition, f, params: BesovParams) -> float:
@@ -413,11 +420,12 @@ def _besov_norms(dec: SpectralDecomposition, fc, params: BesovParams,
     # (alpha, r), K per r, the distances at the band edges per base or at the step nodes
     keys = {"modulus": list(zip(alphas, rs)), "k_functional": rs, "discrete_E": bases,
             "discrete_R": bases}.get(flavor, [None] * len(rows))
-    groups = {}
+    groups = {}  # the elements of each key, by their (alpha, q)
     for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(key, {}).setdefault((alphas[i], qs[i]), []).append(i)
     tails = np.empty(len(rows))
-    for key, members in groups.items():
+    for key, orders in groups.items():
+        members = sum(orders.values(), [])
         sel, at = np.unique(rows[members], return_inverse=True)
         if flavor == "modulus":
             tails[members] = _seminorm_sup(dec, c[sel], e[sel], key[0], 0, key[1])[at]
@@ -434,12 +442,13 @@ def _besov_norms(dec: SpectralDecomposition, fc, params: BesovParams,
             fc = v[sel, None], c[sel, None], e[sel, None]
             dists = (_distances(dec, fc, nodes[:-1], route) if key is None
                      else _edge_distances(dec, fc, key, route))
-        for i, j in zip(members, at.tolist()):
-            alpha, q = alphas[i], qs[i]
+        for (alpha, q), i in orders.items():  # each read off one call for its rows
+            j = np.searchsorted(sel, rows[i])
             if flavor == "k_functional":
                 scaled = np.exp(-(alpha / key) * u) * k_vals[j]
-                tails[i] = _unscaled(float(np.max(scaled)) if q == math.inf else
-                                     float(np.trapezoid(scaled ** q, u)) ** (1.0 / q), d[j])
+                sums = np.max(scaled, axis=-1) if q == math.inf else [
+                    x ** (1.0 / q) for x in np.trapezoid(scaled ** q, u, axis=-1).tolist()]
+                tails[i] = _unscaled(np.asarray(sums), d[j])
             elif key is None:
                 tails[i] = _integral_norm(nodes, dists[j], alpha, q)
             else:
@@ -606,10 +615,10 @@ def _lemma_reports(dec: SpectralDecomposition, fc, alpha: float, n: int, r: int)
     _check_scalar(alpha, "alpha")
     v, c, e = fc
     shape, nodes = c.shape[:-1], _step_nodes(dec)
-    v, c, e = fc = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
+    v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
     semis = _seminorm_sup(dec, c, e, alpha, n, r).tolist()
-    sups = [_integral_norm(nodes, row, alpha, math.inf)  # sup_s s^alpha E(f, s) of each row
-            for row in _distances(dec, fc, nodes[:-1, None], "E").T]
+    dists = _distances(dec, (v[:, None], c[:, None], e[:, None]), nodes[:-1], "E")
+    sups = _integral_norm(nodes, dists, alpha, math.inf).tolist()  # sup_s s^alpha E(f, s)
     sides = [(sup_e, semi, _safe_ratio(sup_e, semi, norm_f),  # lemma 1, then lemma 2
               semi, norm_f + sup_e, _safe_ratio(semi, norm_f + sup_e, norm_f))
              for sup_e, semi, norm_f in zip(sups, semis, _norm(v, e).tolist())]

@@ -84,10 +84,14 @@ BLOCK_CALLS = {
     "lemma2_check": lambda dec, f, w: lemma2_check(dec, f, 1.5, 1, 2).ratio,
     "equivalence_report": lambda dec, f, w: equivalence_report(dec, f, w + 0.5, 2.0).ratios,
     "riesz_apply": lambda dec, f, w: riesz_apply(dec, f, RieszConfig(omega=w + 0.1)),
+    "band_decompose": lambda dec, f, w: band_decompose(dec, f).bands,
+    # each row one band set of a single band
+    "synthesis_check": lambda dec, f, w: synthesis_check(dec, f[..., None, :], 0.8).ratio,
 }
 
 #: calls that take ``f`` as a block but no parameter to broadcast against it
-NO_PARAMETER = ("spectral_transform", "inverse_transform", "lemma1_check", "lemma2_check")
+NO_PARAMETER = ("spectral_transform", "inverse_transform", "lemma1_check", "lemma2_check",
+                "band_decompose", "synthesis_check")
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CALLS))

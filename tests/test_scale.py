@@ -281,6 +281,18 @@ def test_tails_whose_squares_underflow():
     assert dense_union_check(dec, f, 1e-300) == 7.0
 
 
+@pytest.mark.parametrize("flavor", ["integral_E", "integral_R"])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_integral_weight_past_the_largest_double_against_an_underflowed_power(flavor, q):
+    # E(f, s) = 1e-250 on [3.5, 7), where the weight 7^(alpha q) - 3.5^(alpha q) passes the
+    # largest double; at q = 2 the power (1e-250 2^-1)^2 underflowed to 0 at the scale of the
+    # row, the weight zeroed it, and the norm read 1.0 (about 3.6e255 is true)
+    dec = _diag6()
+    f = dec.eigenvectors[:, 1] + 1e-250 * dec.eigenvectors[:, 5]
+    with pytest.raises(NonFiniteError, match=r"s\^\(alpha q\)"):
+        besov_norm(dec, f, BesovParams(alpha=ALPHA, q=q, flavor=flavor))
+
+
 def test_bernstein_ratio_at_powers_past_the_largest_double():
     # lambda^{2s} passed the largest double from s = 183 on and raised NonFiniteError; the
     # Bernstein norm weighs (lambda/omega)^s <= 1, and 1 on the eigenvector of omega

@@ -173,7 +173,7 @@ class TestNewtonScanAgainstGoldenScan:
         mag2 = np.abs(spectral_transform(dec, f)) ** 2
         s_values = np.exp(np.linspace(math.log(0.01 / dec.lambda_max),
                                       math.log(20.0 / dec.min_positive_eigenvalue), 64))
-        new = _running_modulus(dec.eigenvalues, mag2[None], [s_values], m)[0]
+        new = _running_modulus(dec.eigenvalues, mag2[None], s_values[None], m)[0]
         old = running_modulus_golden(dec.eigenvalues, mag2, s_values, m)
         assert np.all(np.abs(new - old) <= REL * np.abs(old))
 

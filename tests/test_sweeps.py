@@ -14,8 +14,10 @@ E route, which synthesizes its residuals a chunk of elements at a time, from
 the per-element loop it replaced (``oracles.distances_by_element``).
 
 The shift scan, the K path, the seminorm and the norm take a block of vectors
-(``_moduli``, ``_k_functional_values``, ``_seminorm_sup``, ``_norm``); every row of a
-block equals the same helper called with that row alone, 0 ulp.  The public
+(``_moduli``, ``_running_modulus``, ``_k_functional_values``, ``_seminorm_sup``, ``_norm``),
+and the lq, discrete and integral norms a rows x terms table (``_lq_norm``,
+``_discrete_norm``, ``_integral_norm``); every row of a block equals the same helper called
+with that row alone, 0 ulp.  The public
 functions take a block ``f`` of shape ``(..., N)`` with parameters broadcast
 against its rows; every element of a block call equals the call on that row
 and those parameters alone, field by field, whatever the rest of the block
@@ -31,11 +33,13 @@ from bandapprox import (
     RAW_D,
     RAW_L,
     BesovParams,
+    MembershipViolationError,
     NotBandlimitedError,
     RieszConfig,
     SpectralDecomposition,
     ZeroVectorError,
     apply_multiplier,
+    band_decompose,
     bernstein_check,
     besov_norm,
     besov_seminorm_sup,
@@ -43,6 +47,7 @@ from bandapprox import (
     build_kernel,
     eigh,
     equivalence_report,
+    frame_norm,
     inverse_transform,
     jackson_check,
     k_besov_norm,
@@ -56,17 +61,19 @@ from bandapprox import (
     schrodinger_group,
     spectral_tail,
     spectral_transform,
+    synthesis_check,
 )
 from bandapprox import paley_wiener
 from bandapprox.harness import build_operator, load_edge_list, parse_operator_arg
-from bandapprox.operators import _coefficients, _norm
-from bandapprox.paley_wiener import _band_powers, _step_nodes, band_count
+from bandapprox.operators import _coefficients, _norm, _scaled_mag2
+from bandapprox.paley_wiener import _band_powers, _lq_norm, _step_nodes, band_count
 from bandapprox.smoothness import (
     BESOV_FLAVORS,
     _discrete_norm,
     _integral_norm,
     _k_functional_values,
     _moduli,
+    _running_modulus,
     _seminorm_sup,
 )
 from conftest import random_vector
@@ -393,3 +400,98 @@ def test_e_route_crosses_a_chunk_boundary_at_its_own_size(dec, rng):
     omegas = rng.uniform(0.0, 1.2 * dec.lambda_max, paley_wiener._E_CHUNK_ENTRIES // dec.dim + 5)
     np.testing.assert_array_equal(best_approx(dec, f, omegas),
                                   distances_by_element(dec, _coefficients(dec, f), omegas))
+
+
+def _terms(rng, width):
+    """Rows of nonnegative terms: random, at 1e+-150, with zeros, all zero, and one term."""
+    x = rng.uniform(0.0, 3.0, width)
+    sparse = np.where(np.arange(width) % 2 == 0, 0.0, x)
+    return np.array([x, 1e150 * x, 1e-150 * x, sparse, np.zeros(width), np.eye(width)[-1]])
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, math.inf])
+def test_norm_table_rows_match_one_row_norms(rng, q):
+    # one reduction over the last axis of the table; the root a Python float power per row
+    nodes = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 7.0])
+    table = _terms(rng, 5)
+    calls = {"_lq_norm": lambda t: _lq_norm(t, q),
+             "_discrete_norm": lambda t: _discrete_norm(t, 0.7, q, 1.5),
+             "_integral_norm": lambda t: _integral_norm(nodes, t, 1.3, q)}
+    for name, call in calls.items():
+        block = call(table)
+        assert block.shape == (len(table),), name
+        assert block.tolist() == [call(row) for row in table], name
+        assert all(isinstance(call(row), float) for row in table), name
+        # rows of any leading shape
+        np.testing.assert_array_equal(call(table.reshape(2, 3, -1)), block.reshape(2, 3))
+    assert _lq_norm(np.zeros((3, 0)), q).tolist() == [0.0] * 3 and _lq_norm(np.zeros(0), q) == 0.0
+
+
+def _band_rows(dec, rng):
+    """Block rows: random, at 1e+-150, zero, and a leading shape of two axes."""
+    return _vectors(rng, dec.dim)
+
+
+def test_band_decompose_block_rows_match_one_row_calls(dec, rng):
+    vectors = _band_rows(dec, rng)
+    block = band_decompose(dec, vectors)
+    ones = [band_decompose(dec, f) for f in vectors]
+    assert isinstance(ones[0].bands, tuple) and block.bands.shape == (
+        len(vectors), ones[0].count, dec.dim)
+    assert block.count == ones[0].count
+    np.testing.assert_array_equal(block.band_edges, ones[0].band_edges)
+    for row, one in zip(block.bands, ones):
+        np.testing.assert_array_equal(row, np.array(one.bands))
+    np.testing.assert_array_equal(block.band_norms(), [one.band_norms() for one in ones])
+    np.testing.assert_array_equal(frame_norm(block, 0.7, 2.0),
+                                  [frame_norm(one, 0.7, 2.0) for one in ones])
+    np.testing.assert_array_equal(band_decompose(dec, vectors.reshape(2, 2, -1)).bands,
+                                  block.bands.reshape(2, 2, *block.bands.shape[1:]))
+
+
+def test_synthesis_block_rows_match_one_row_calls(dec, rng):
+    vectors = _band_rows(dec, rng)
+    canonical = band_decompose(dec, vectors).bands
+    edges = _band_powers(2.0, canonical.shape[1])
+    # non-orthogonal inputs: every band a random vector projected onto its edge
+    squashed = pw_project(dec, [[random_vector(rng, dec.dim) for _ in edges]] * 2, edges)
+    for bands in (canonical, squashed, np.concatenate((canonical, 1e150 * squashed))):
+        rep = synthesis_check(dec, bands, 0.8)
+        assert rep.ratio.shape == rep.lhs.shape == rep.rhs.shape == (len(bands),)
+        for i, rows in enumerate(bands):
+            one = synthesis_check(dec, tuple(rows), 0.8)
+            assert isinstance(one.lhs, float) and isinstance(one.ratio, float)
+            assert (rep.lhs[i], rep.rhs[i], rep.sup_band[i], rep.ratio[i]) == (
+                one.lhs, one.rhs, one.sup_band, one.ratio)
+            assert rep.constant == one.constant
+    rep = synthesis_check(dec, canonical.reshape(2, 2, *canonical.shape[1:]), 0.8)
+    np.testing.assert_array_equal(rep.ratio, synthesis_check(dec, canonical, 0.8).ratio.reshape(2, 2))
+    assert synthesis_check(dec, canonical[3], 0.8).ratio == 0.0  # the zero vector's bands
+    assert synthesis_check(dec, canonical[:0], 0.8).ratio.shape == (0,)
+
+
+def test_synthesis_block_names_the_band_outside_its_edge(dec, rng):
+    if dec.lambda_max <= 1.0:
+        pytest.skip("every vector lies in PW_1")
+    bands = band_decompose(dec, _band_rows(dec, rng)).bands.copy()
+    bands[2, 0] = dec.eigenvectors[:, -1]  # lambda_max > 1 = a^0: outside band 0
+    with pytest.raises(MembershipViolationError, match=r"band \(2, 0\) "):
+        synthesis_check(dec, bands, 0.8)
+    with pytest.raises(MembershipViolationError, match=r"band 0 "):
+        synthesis_check(dec, bands[2], 0.8)
+
+
+def test_running_modulus_rows_match_one_row_scans(dec, rng):
+    # each row its own ascending s, its own largest s (so its own last scan point), s = 0 and
+    # a repeat: the bins of a row are filled from its own samples and refined maxima alone
+    if dec.lambda_max == 0.0:
+        pytest.skip("every difference vanishes on the spectrum {0}")
+    _, c, e = _coefficients(dec, np.array([random_vector(rng, dec.dim) for _ in range(4)]))
+    mag2, _ = _scaled_mag2(c, e)
+    s_rows = np.sort(_shifts(dec), axis=-1)
+    for m in (1, 2, 3):
+        block = _running_modulus(dec.eigenvalues, mag2, s_rows, m)
+        assert block.shape == s_rows.shape
+        for g, s, row in zip(mag2, s_rows, block):
+            np.testing.assert_array_equal(row, _running_modulus(dec.eigenvalues, g[None], s[None],
+                                                                m)[0])

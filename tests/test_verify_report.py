@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from bandapprox import approx_operators, cli, operators
+from bandapprox import approx_operators, cli, decomposition, operators, paley_wiener
 from conftest import _count_calls
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -42,17 +42,19 @@ PINNED = {
 #: ``run_suite`` transformed each corpus vector as it was drawn and the checks read it,
 #: 304 when the norm brackets transformed their 11 rows once per size for a private table,
 #: 312 when one ``besov_norm`` call per flavor transformed them, five times per size, and
-#: the growth, Riesz and Q checks made one ``phi(D) f`` call per vector; now each makes one
-#: block call per size, past the growth check's 20 projections)
-CYCLE8_SEED401_TRANSFORMS = 198
+#: the growth, Riesz and Q checks made one ``phi(D) f`` call per vector, 198 when the
+#: synthesis check split, projected and checked each of its 15 band sets per size on its
+#: own; now each makes one block call per size, past the growth check's 20 projections)
+CYCLE8_SEED401_TRANSFORMS = 120
 
 #: ``_synthesize`` calls of the same run, one per ``phi(D) f`` call on a vector or block:
 #: the growth bound projects each vector on its own, then makes one block of its kept
 #: vectors x 20 ``z``; the Riesz and Q checks make one block call each (1,145 when the
 #: growth bound made one call per vector and ``z``, 385 when each projection of a corpus
 #: vector was a call of its own, 172 when the growth bound made one 20-row block per vector
-#: and the Riesz and Q checks one call per vector)
-CYCLE8_SEED401_SYNTHESES = 58
+#: and the Riesz and Q checks one call per vector, 58 when the synthesis check projected
+#: each of its 5 non-orthogonal band sets per size on its own)
+CYCLE8_SEED401_SYNTHESES = 50
 
 #: K-functional evaluations of the same run: one per order r and size in the norm
 #: brackets, for all 11 vectors at once (66 when each (alpha, q) evaluated its own, 44
@@ -74,6 +76,19 @@ CYCLE8_SEED401_Q_SYMBOLS = 8
 #: calls of each of ``riesz_apply``, ``q_apply`` and ``schrodinger_group`` in the same run:
 #: one block call per size (20 per size each when the checks called once per vector)
 CYCLE8_SEED401_BLOCK_CALLS = 2
+
+#: ``synthesis_check`` calls of the same run: per size, one block of the 10 canonical band
+#: sets and one of the 5 non-orthogonal ones (30 when each band set was a call of its own)
+CYCLE8_SEED401_SYNTHESIS_CHECKS = 4
+
+#: ``band_decompose`` calls of the same run: one block of 10 vectors per size (20 when each
+#: vector was split on its own)
+CYCLE8_SEED401_BAND_DECOMPOSES = 2
+
+#: ``paley_wiener._lq_norm`` calls of the same run, each reducing a rows x terms table: one
+#: per ``(alpha, q)`` group of a norm's elements and per synthesis side (500 when every norm
+#: element, frame norm and synthesis side reduced its own row)
+CYCLE8_SEED401_LQ_NORMS = 40
 
 
 def _moved(old: dict, new: dict) -> list:
@@ -135,3 +150,15 @@ def test_cycle8_seed401_one_block_call_per_size(tmp_path, capsys, monkeypatch):
     assert cli.main(argv) == 0
     assert {name: len(calls) for name, calls in counts.items()} == dict.fromkeys(
         counts, CYCLE8_SEED401_BLOCK_CALLS)
+
+
+@pytest.mark.parametrize("fn, count", [
+    (decomposition.synthesis_check, CYCLE8_SEED401_SYNTHESIS_CHECKS),
+    (decomposition.band_decompose, CYCLE8_SEED401_BAND_DECOMPOSES),
+    (paley_wiener._lq_norm, CYCLE8_SEED401_LQ_NORMS),
+], ids=["synthesis_check", "band_decompose", "_lq_norm"])
+def test_cycle8_seed401_block_reduction_counts(fn, count, tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, fn)
+    argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) <= count
