@@ -77,8 +77,8 @@ def q_symbols(monkeypatch):
 
 @pytest.fixture
 def k_functionals(monkeypatch):
-    """The ``smoothness._k_functional_values`` calls, counted as in ``_count_calls``."""
-    return _count_calls(monkeypatch, smoothness._k_functional_values)
+    """The ``smoothness._k_path`` calls (Tikhonov paths), counted as in ``_count_calls``."""
+    return _count_calls(monkeypatch, smoothness._k_path)
 
 
 @pytest.fixture

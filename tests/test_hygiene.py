@@ -2,8 +2,9 @@
 private module-level name is referenced somewhere in src/ or tests/, no
 private library helper transforms a vector, the harness calls the library
 through its public names, only ``operators`` calls ``ldexp``, one function
-decides membership of PW_omega, one shift scan samples the differences, and
-the library imports no third-party package but NumPy."""
+decides membership of PW_omega, one shift scan samples the differences, one
+Tikhonov path serves ``K(t)`` and its norm, and the library imports no
+third-party package but NumPy."""
 
 import ast
 import os
@@ -179,3 +180,19 @@ def test_one_shift_scan():
     assert callers == {"_difference_norms": ["smoothness._running_modulus"],
                        "_running_modulus": ["smoothness._moduli", "smoothness._seminorm_sup"]}
     assert "_SEMINORM_GRID_POINTS" not in (SRC / "smoothness.py").read_text(encoding="utf-8")
+
+
+def test_one_k_path():
+    # the Tikhonov path is evaluated in one place, which serves K(t) and the K-functional norm;
+    # the norm's 200-point t-grid, clamped to [1e-6 / lambda_max^r, 1e6], was a second route
+    callers = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and any(isinstance(ref, ast.Name)
+                                                                 and ref.id == "_k_path"
+                                                                 for ref in ast.walk(node))]
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and node.attr == "trapezoid"], f"{path.name} calls np.trapezoid"
+    assert callers == ["smoothness._besov_norms", "smoothness._k_functional_values"]
+    assert "_K_GRID_POINTS" not in (SRC / "smoothness.py").read_text(encoding="utf-8")

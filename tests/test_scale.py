@@ -307,9 +307,10 @@ POWERS_PAST_THE_DOUBLES = {
     # ValueError (math domain error): log(1e-12 / lambda_max^{2r}) with lambda_max^{2r} = inf
     "besov_norm k_functional r=183": (lambda dec, f: besov_norm(dec, f, BesovParams(
         alpha=182.5, q=2.0, r=183, flavor="k_functional")), r"7\.0\^366"),
-    # OverflowError: the float power lambda_max^r of the t-grid
+    # OverflowError: the float power lambda_max^r of the t-grid (gone with the grid: now the
+    # path's lambda_max^2r)
     "besov_norm k_functional r=400": (lambda dec, f: besov_norm(dec, f, BesovParams(
-        alpha=399.5, q=2.0, r=400, flavor="k_functional")), r"7\.0\^400"),
+        alpha=399.5, q=2.0, r=400, flavor="k_functional")), r"7\.0\^800"),
     # IndexError: s^(n - alpha) = inf against a difference norm 0 made the scan bound NaN; now
     # the weight tau^-600 at the first point of the scan
     "besov_seminorm_sup": (lambda dec, f: besov_seminorm_sup(dec, f, 600, 0, 601), r"\^-600"),
@@ -329,6 +330,33 @@ def test_powers_past_the_largest_double_are_typed_errors(name):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteError, match=power):
             call(dec, dec.eigenvectors[:, 1])
+
+
+@pytest.mark.parametrize("r", [1, 8, 64, 134, 182])
+def test_k_path_in_log_x(r):
+    # e_5 (lambda = 7) at alpha = r - 1/2, q = 2: K(t) = min(t 7^r, 1), so the norm is
+    # 1 + 7^(r - 1/2) (r + r/(2r - 1))^(1/2); s w and (1 + s w)^2 overflowed from r = 63 on
+    # (RuntimeWarnings, the t-grid's clamp kept the value 1.0) and raised an unnamed
+    # NonFiniteError from r = 134
+    dec = _diag6()
+    params = BesovParams(alpha=r - 0.5, q=2.0, r=r, flavor="k_functional")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = besov_norm(dec, dec.eigenvectors[:, 5], params)
+        both = besov_norm(dec, dec.eigenvectors[:, 1] + dec.eigenvectors[:, 5], params)
+    assert abs(value / (1.0 + 7.0 ** (r - 0.5) * math.sqrt(r + r / (2 * r - 1))) - 1.0) <= TOL
+    assert math.isfinite(both) and both >= value * (1.0 - TOL)  # K(f, t) >= K(P f, t)
+
+
+@pytest.mark.parametrize("j", [100, -100])
+def test_lemma1_ratio_at_power_of_two_scales(j):
+    # both sides of lemma 1 have degree alpha in the scale of D, so the ratio does not move;
+    # "vanishing" was decided at ||f|| alone, and L 2^-100 read 0.0 (0.358 at scale 1)
+    op = build_operator(parse_operator_arg("cycle:16"))
+    dec, scaled = eigh(op), eigh(SymmetricOperator(op.entries * 2.0 ** j, kind=RAW_L))
+    f = random_vector(np.random.default_rng(7), 16)
+    ratio = lemma1_check(dec, f, 1.5, 1, 2).ratio
+    assert ratio > 0.0 and abs(lemma1_check(scaled, f, 1.5, 1, 2).ratio / ratio - 1.0) <= TOL
 
 
 @pytest.mark.parametrize("j", [200, -200, 600, -600])

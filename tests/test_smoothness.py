@@ -31,6 +31,7 @@ from bandapprox import (
     sup_scaled_best_approx,
 )
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS
+from bandapprox.harness import build_operator, parse_operator_arg
 from bandapprox.smoothness import _difference_norms
 from conftest import random_vector
 from oracles import (
@@ -122,6 +123,15 @@ class TestModulusInequalities:
         lhs = (2 * math.sin(s / 2)) ** 2
         rhs = s * (2 * math.sin(s / 2))  # |D u| = u, slack factor s^k
         assert abs(rep.ratio_power - lhs / rhs) <= 1e-6
+
+    @pytest.mark.parametrize("s", [1e-7, 1e-8])
+    def test_small_shifts_reach_their_limits(self, s):
+        # Omega_2(f, s) ~ s^2 ||D^2 f|| as s -> 0, so the ratios tend to 1 and (a/(1+a))^m = 4/9;
+        # "vanishing" was decided at ||f||, not at ||f|| min(2, s lambda_max)^m, and both read 0.0
+        # from s = 1e-7 (ratio_power) or 1e-8 (ratio_scale)
+        dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+        rep = modulus_inequality_checks(dec, np.arange(8.0), s, 2.0, 2, 2)
+        assert abs(rep.ratio_power - 1.0) <= 1e-6 and abs(rep.ratio_scale - 4.0 / 9.0) <= 1e-6
 
     def test_random_sweep(self, cycle16_dec, rng):
         for _ in range(50):
@@ -238,11 +248,11 @@ class TestParameterAxis:
         np.testing.assert_array_equal(p.r, [[1, 1], [2, 1], [2, 2], [3, 2]])
         for (alpha,), row in zip(alphas, p.r.tolist()):
             assert row == [BesovParams(alpha=alpha, q=q).r for q in qs]
-        np.testing.assert_array_equal(p.is_sup, [False, True])  # the shape of q
+        np.testing.assert_array_equal(p.q == math.inf, [False, True])  # the shape of q
 
     def test_a_scalar_keeps_its_types(self):
         p = BesovParams(alpha=0.8, q=2.0)
-        assert (type(p.alpha), type(p.r), type(p.is_sup)) == (float, int, bool)
+        assert (type(p.alpha), type(p.r), type(p.q == math.inf)) == (float, int, bool)
         assert p == BesovParams(alpha=0.8, q=2.0, r=1)
         assert hash(p) == hash(BesovParams(alpha=0.8, q=2.0, r=1))
         axis = BesovParams(alpha=[0.8], q=2.0)
@@ -313,16 +323,14 @@ class TestKBesovNorm:
 
     @pytest.mark.parametrize("q", [2.0, math.inf])
     def test_graph_norm_on_the_spectrum_zero(self, q):
-        # lambda_max = 0: W = I, so K(t) = min(t, 1) ||f|| is not 0, and the t-grid
-        # [1e-6 / lambda_max^r, 1e6] starts at 1e-6
+        # lambda_max = 0: W = I, so K(t) = min(t, 1) ||f|| is not 0; t_lo = t_hi = 1, and the
+        # ends give (t^-1/2 K)^2 integrals 25 (1/(2 (1/2)) + 1/(2 (1/2))), so 5 + 5 sqrt(2) at
+        # q = 2, and the sup 5 at t = 1, so 10 at q = inf
         dec = eigh(SymmetricOperator(np.diag([0.0, 0.0]), kind=RAW_D))
         f = np.array([3.0, 4.0])
         params = BesovParams(alpha=0.5, q=q, r=1, flavor="k_functional")
-        u = np.linspace(math.log(1e-6), math.log(1e6), 200)
-        scaled = np.exp(-0.5 * u) * [k_functional(dec, f, math.exp(ui), 1, "graph") for ui in u]
-        tail = float(np.max(scaled) if q == math.inf else np.trapezoid(scaled ** q, u) ** (1 / q))
-        assert tail > 1.0
-        assert math.isclose(k_besov_norm(dec, f, params, "graph"), 5.0 + tail, rel_tol=1e-12)
+        expected = 10.0 if q == math.inf else 5.0 + 5.0 * math.sqrt(2.0)
+        assert math.isclose(k_besov_norm(dec, f, params, "graph"), expected, rel_tol=1e-12)
         assert k_besov_norm(dec, f, params) == 5.0  # seminorm: W = 0, so K(t) = 0
 
 

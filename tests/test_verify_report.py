@@ -56,9 +56,10 @@ CYCLE8_SEED401_TRANSFORMS = 120
 #: each of its 5 non-orthogonal band sets per size on its own)
 CYCLE8_SEED401_SYNTHESES = 50
 
-#: K-functional evaluations of the same run: one per order r and size in the norm
-#: brackets, for all 11 vectors at once (66 when each (alpha, q) evaluated its own, 44
-#: when each vector evaluated its own)
+#: Tikhonov paths (``smoothness._k_path``) of the same run: one per order r and size in the
+#: norm brackets, for all 11 vectors at once, which every (alpha, q) of that r integrates
+#: (66 K-functional evaluations when each (alpha, q) evaluated its own, 44 when each vector
+#: evaluated its own)
 CYCLE8_SEED401_K_FUNCTIONALS = 4
 
 #: shift scans of the same run, per size: one per order m and one per order m - k
@@ -134,7 +135,7 @@ def test_cycle8_seed401_q_symbol_count(tmp_path, capsys, q_symbols):
 def test_cycle8_seed401_k_functional_count(tmp_path, capsys, k_functionals):
     argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
-    assert len(k_functionals) <= CYCLE8_SEED401_K_FUNCTIONALS
+    assert len(k_functionals) == CYCLE8_SEED401_K_FUNCTIONALS
 
 
 def test_cycle8_seed401_scan_count(tmp_path, capsys, scans):
