@@ -15,7 +15,6 @@ from .operators import (
     SpectralDecomposition,
     SymmetricOperator,
     apply_multiplier,
-    as_vector,
     eigh,
     inverse_transform,
     jacobi_eigh,

@@ -47,7 +47,6 @@ from .operators import (
     _power_coefficients,
     _shaped,
     apply_multiplier,
-    as_vector,
 )
 from .paley_wiener import _distances, _require_pw
 from .smoothness import _moduli, _safe_ratio
@@ -321,7 +320,8 @@ class RieszIdentityReport:
 
 def riesz_identity_check(dec: SpectralDecomposition, f, omega: float, power: int = 1,
                          k_trunc: int = 10_000) -> RieszIdentityReport:
-    """Residual ``||(iD)^n f - R^n f|| / ||f||`` for bandlimited ``f``.
+    """Residual ``||(iD)^n f - R^n f|| / ||f||`` for bandlimited ``f``, per row of ``f`` (0 for
+    the zero vector).
 
     The residual shrinks as the truncation grows (empirically like 1/K);
     the analytic tail bound of the truncation is attached to the report.
@@ -330,14 +330,13 @@ def riesz_identity_check(dec: SpectralDecomposition, f, omega: float, power: int
         raise InvalidParamsError(f"power must be an integer >= 1, got {power!r}")
     _check_scalar(omega, "omega", InvalidConfigError)
     cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
-    v, c, e = fc = _coefficients(dec, as_vector(f, dec.dim))
-    norm_f = _norm(v, e)
-    residual = 0.0
-    if norm_f > 0.0:
-        _require_pw(dec, fc, omega)
-        rho = riesz_symbol(dec.eigenvalues, cfg)
-        residual = _norm((1j * dec.eigenvalues) ** power * c - rho ** power * c, e) / norm_f
-    return RieszIdentityReport(residual=residual, tail_bound=cfg.tail_bound,
+    v, c, e = fc = _coefficients(dec, f)
+    _require_pw(dec, fc, omega)  # a zero row passes
+    rho = riesz_symbol(dec.eigenvalues, cfg)
+    norms = _norm(v, e)
+    residual = np.divide(_norm((1j * dec.eigenvalues) ** power * c - rho ** power * c, e), norms,
+                         out=np.zeros(np.shape(norms)), where=norms > 0.0)
+    return RieszIdentityReport(residual=_shaped(residual), tail_bound=cfg.tail_bound,
                                k_trunc=k_trunc, omega=omega, power=power)
 
 

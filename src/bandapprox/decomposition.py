@@ -170,9 +170,8 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
     _require_pw(dec, _coefficients(dec, bands), edges, MembershipViolationError, "band")
     sup_band = _discrete_norm(_norm(bands), alpha, math.inf, a)
     # E(f, a^k) vanishes from k = band_count on, so the discrete terms hold the sup
-    v, c, e = _coefficients(dec, np.sum(bands, axis=-2))
-    fc = v[..., None, :], c[..., None, :], np.expand_dims(e, -1)  # each f against every edge
-    lhs = _discrete_norm(_edge_distances(dec, fc, a, "E"), alpha, math.inf, a)
+    lhs = _discrete_norm(_edge_distances(dec, _coefficients(dec, np.sum(bands, axis=-2)), a, "E"),
+                         alpha, math.inf, a)
     constant = 1.0 / (1.0 - a ** (-alpha))
     return SynthesisReport(lhs=_shaped(lhs, shape), rhs=_shaped(constant * sup_band, shape),
                            constant=constant, sup_band=_shaped(sup_band, shape))

@@ -14,7 +14,9 @@ Conventions
 * eigenvalues are ascending and nonnegative (tiny negative noise from
   e.g. graph Laplacians is clamped to zero),
 * eigenvectors are real orthonormal columns,
-* degenerate eigenvalues are grouped so multiplicities are explicit,
+* an eigenspace is one value: ``eigh`` groups eigenvalues within ``eps_group`` (relative to
+  ``lambda_max``) and gives each group one value, so a cut takes or leaves a whole eigenspace,
+* the scalar layer sees a vector through its spectral measure (``_measure``), ``|c|^2`` per group,
 * a vector argument may be a block of rows ``(..., N)``, with the parameters
   of a call broadcast against ``f.shape[:-1]`` as NumPy broadcasts; each row
   takes its own matrix-vector products, so its bits do not depend on the block,
@@ -44,27 +46,18 @@ RAW_D = "raw_D"
 
 #: relative PSD tolerance: eigenvalues in [-tol, 0] are clamped, below is an error
 PSD_TOL_FACTOR = 1e-10
-#: degeneracy grouping width, relative to max(1, lambda_max)
+#: degeneracy grouping width, relative to lambda_max
 GROUP_TOL_FACTOR = 1e-9
 #: Jacobi sweep convergence: off-diagonal Frobenius norm <= this * ||A||_F
 JACOBI_TOL = 1e-12
 
 
-def as_vector(f, dim=None) -> np.ndarray:
-    """Coerce ``f`` to a finite complex 1-D array, checking its length."""
-    return _as_block(f, dim, vector=True)
-
-
-def _as_block(f, dim=None, vector=False) -> np.ndarray:
-    """Coerce ``f`` to a finite complex array of shape ``(..., dim)``: rows of vectors, or one
-    vector if ``vector``."""
+def _as_block(f, dim=None) -> np.ndarray:
+    """Coerce ``f`` to a finite complex array of shape ``(..., dim)``, rows of vectors."""
     try:  # NumPy raises ValueError for rows of unequal length, and for text
-        shape = np.shape(f)
-        arr = None if vector and len(shape) != 1 else np.asarray(f, dtype=np.complex128)
+        arr = np.asarray(f, dtype=np.complex128)
     except ValueError:
         raise DimensionMismatchError("expected numeric rows of one length") from None
-    if arr is None:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {shape}")
     if arr.ndim == 0 or (dim is not None and arr.shape[-1] != dim):
         raise DimensionMismatchError(f"expected vectors of length {dim}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -137,12 +130,6 @@ def _scaled(x) -> tuple:
         return x * 2.0 ** -e, e
     e = np.maximum(np.frexp(np.abs(x).max(axis=-1, initial=0.0))[1], -1022)
     return x * np.ldexp(1.0, -e)[..., None], e
-
-
-def _scaled_mag2(coeffs, e=0) -> tuple:
-    """``(|c|^2 4^-d, e + d)`` with ``(|c| 2^-d, d) = _scaled(|c|)``."""
-    mag, d = _scaled(np.abs(coeffs))
-    return mag ** 2, e + d
 
 
 def _unscaled(x, e):
@@ -227,19 +214,9 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 1
     n = len(matrix)
     (a, e), v = _scaled(np.array(matrix, dtype=np.float64).ravel()), np.eye(n)
     a = a.reshape(n, n)
-    if n == 1:
-        return _unscaled(a.diagonal().copy(), e), v
-
-    norm_a = float(np.linalg.norm(a))
-    threshold = tol * norm_a if norm_a > 0 else 0.0
-
-    def offdiag() -> float:
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
+    threshold = tol * float(np.linalg.norm(a))
     sweeps = 0
-    while offdiag() > threshold:
+    while np.linalg.norm(a - np.diag(a.diagonal())) > threshold:  # the off-diagonal norm
         sweeps += 1
         if sweeps > max_sweeps:
             raise RuntimeError("Jacobi iteration failed to converge")
@@ -269,29 +246,24 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 1
 
     w = _unscaled(a.diagonal().copy(), e)
     order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = w[order], v[:, order]
     # deterministic sign: largest-magnitude component of each column positive
-    for j in range(n):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0:
-            v[:, j] = -v[:, j]
-    return w, v
+    signs = np.where(v[np.abs(v).argmax(axis=0), np.arange(n)] < 0, -1.0, 1.0) if n else 1.0
+    return w, v * signs
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigen-data of ``D``: ascending eigenvalues, orthonormal basis, groups.
+    """Eigen-data of ``D``: ascending eigenvalues and an orthonormal basis.
 
     ``eigenvalues`` are the eigenvalues of ``D`` (square roots of those of
     ``L`` when the operator was given as ``raw_L``).  ``groups`` partitions
-    the index range into runs of numerically equal eigenvalues; each group
-    is the finite stand-in for one spectral fiber with its multiplicity.
+    the index range into the runs of equal eigenvalues, one per eigenspace,
+    each with its multiplicity; :func:`eigh` gives every eigenspace one value.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    groups: tuple
     kind: str = RAW_D
     eps_group: float = 0.0
 
@@ -309,6 +281,8 @@ class SpectralDecomposition:
             raise InvalidSpectrumError("eigenvalues have NaN or infinite entries")
         if np.any(lam < 0.0) or np.any(np.diff(lam) < 0.0):
             raise InvalidSpectrumError("eigenvalues must be nonnegative and ascending")
+        # the first index of each run of equal eigenvalues, one per eigenspace
+        object.__setattr__(self, "_starts", np.flatnonzero(np.diff(lam, prepend=-1.0)))
 
     @property
     def dim(self) -> int:
@@ -324,19 +298,10 @@ class SpectralDecomposition:
         pos = self.eigenvalues[self.eigenvalues > 0]
         return float(pos[0]) if pos.size else 0.0
 
-
-def _group_indices(eigenvalues: np.ndarray, eps_group: float) -> tuple:
-    """Partition ascending eigenvalues into runs of diameter <= eps_group."""
-    groups = []
-    n = eigenvalues.shape[0]
-    start = 0
-    for i in range(1, n):
-        if eigenvalues[i] - eigenvalues[start] > eps_group:
-            groups.append(tuple(range(start, i)))
-            start = i
-    if n:
-        groups.append(tuple(range(start, n)))
-    return tuple(groups)
+    @property
+    def groups(self) -> tuple:
+        """The runs of equal eigenvalues, one tuple of indices per eigenspace."""
+        return tuple(tuple(run.tolist()) for run in np.split(np.arange(self.dim), self._starts)[1:])
 
 
 def eigh(op: SymmetricOperator) -> SpectralDecomposition:
@@ -344,9 +309,12 @@ def eigh(op: SymmetricOperator) -> SpectralDecomposition:
 
     For ``raw_L`` input the returned eigenvalues are the square roots of the
     matrix eigenvalues.  Eigenvalues in ``[-tol_psd, 0]`` are clamped to 0;
-    anything below ``-tol_psd`` raises :class:`NotPSDError`.  Eigenvalues of
-    D within ``GROUP_TOL_FACTOR * max(1, lambda_max)`` of a group's first
-    share its group.
+    anything below ``-tol_psd`` raises :class:`NotPSDError`.  An eigenvalue of D
+    at most ``eps_group = GROUP_TOL_FACTOR * lambda_max`` above its predecessor joins
+    its group, and every group takes one value: its first entry plus the mean of the
+    offsets from it, so a group of equal doubles keeps their value exactly (the group of
+    a kernel mode keeps 0).  Both are
+    relative to ``lambda_max``, so ``2^j D`` has the same groups and ``2^j`` times the values.
     """
     w, v = jacobi_eigh(op.entries)
     tol_psd = op.psd_tolerance
@@ -358,10 +326,15 @@ def eigh(op: SymmetricOperator) -> SpectralDecomposition:
     # would otherwise inflate positive noise to ~1e-8 ghost frequencies)
     w = np.where(np.abs(w) <= tol_psd, 0.0, w)
     d_eigs = np.sqrt(w) if op.kind == RAW_L else w
-    eps_group = GROUP_TOL_FACTOR * max(1.0, float(d_eigs[-1]) if d_eigs.size else 1.0)
-    groups = _group_indices(d_eigs, eps_group)
-    return SpectralDecomposition(eigenvalues=d_eigs, eigenvectors=v,
-                                 groups=groups, kind=op.kind, eps_group=eps_group)
+    eps_group = GROUP_TOL_FACTOR * (float(d_eigs[-1]) if d_eigs.size else 0.0)
+    # a group starts at each eigenvalue more than eps_group above its predecessor
+    starts = np.flatnonzero(np.diff(d_eigs, prepend=-math.inf) > eps_group)
+    sizes = np.diff(starts, append=d_eigs.size)
+    offsets = d_eigs - np.repeat(d_eigs[starts], sizes)
+    values = d_eigs[starts] + np.add.reduceat(offsets, starts) / sizes
+    values[d_eigs[starts] == 0.0] = 0.0  # the kernel's group keeps the clamp's exact zero
+    return SpectralDecomposition(eigenvalues=np.repeat(values, sizes), eigenvectors=v,
+                                 kind=op.kind, eps_group=eps_group)
 
 
 def _basis_product(basis: np.ndarray, z) -> np.ndarray:
@@ -381,6 +354,14 @@ def _coefficients(dec: SpectralDecomposition, f) -> tuple:
     and hands the triple to its private helpers; the coefficients of ``f`` are ``c 2^e``."""
     v, e = _scaled(_as_block(f, dec.dim))
     return v, spectral_transform(dec, v), e
+
+
+def _measure(dec: SpectralDecomposition, c, e=0) -> tuple:
+    """``(nodes, mass, e + d)``: the spectral measure of each coefficient row ``c 2^e``, the one
+    place ``|c|^2`` is pooled: the group values of ``dec``, and ``|c|^2 4^-d`` summed over each
+    group with ``(|c| 2^-d, d) = _scaled(|c|)``, so each row's sums have its own bits."""
+    mag, d = _scaled(np.abs(c))
+    return dec.eigenvalues[dec._starts], np.add.reduceat(mag ** 2, dec._starts, axis=-1), e + d
 
 
 def _weighted(weights, values) -> np.ndarray:

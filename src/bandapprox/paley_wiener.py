@@ -30,17 +30,17 @@ from .operators import (
     _coefficients,
     _finite,
     _is_int,
+    _measure,
     _norm,
     _scaled,
     _shaped,
     _unscaled,
     apply_multiplier,
-    as_vector,
 )
 
 #: relative tail below which a vector counts as a member of PW_omega
 BANDLIMITED_TOL = 1e-12
-#: coefficient threshold (relative to ||f||) defining the support
+#: eigenspace norm threshold (relative to ||f||) defining the support
 SUPPORT_TOL = 1e-12
 #: largest top band index a base may produce; bases closer to 1 are rejected
 MAX_BANDS = 100_000
@@ -171,6 +171,13 @@ def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 
+def _node_distances(dec: SpectralDecomposition, fc, nodes, route: str) -> np.ndarray:
+    """``_distances`` of every row of ``fc`` at every entry of the 1-D ``nodes``: ``(..., K)``."""
+    v, c, e = fc
+    out = _distances(dec, (v[..., None, :], c[..., None, :], np.expand_dims(e, -1)), nodes, route)
+    return out.reshape(c.shape[:-1] + nodes.shape)
+
+
 def _require_pw(dec: SpectralDecomposition, fc, omegas, error=NotBandlimitedError, what="vector"):
     """The one membership rule: raise ``error`` naming the first element (``omegas`` broadcast
     against the rows of ``fc``, flattened) whose tail exceeds ``BANDLIMITED_TOL ||f||``."""
@@ -217,41 +224,44 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
               probe_omega: float | None = None) -> BandwidthReport:
     """Support edge ``omega_f`` of ``f`` and the ``||D^k f||^{1/k}`` diagnostics.
 
-    ``omega_f`` is the largest eigenvalue whose coefficient exceeds
-    ``SUPPORT_TOL * ||f||`` in magnitude.  ``probe_omega`` defaults to
-    ``omega_f`` itself and must be ``>= 0``; ``k_max`` must be an integer
-    ``>= 1``.  ``||D^k f||`` is ``omega_f^k`` times the Bernstein norm at ``omega_f``,
-    over ``lambda <= omega_f`` only: the round-off tail left above it (of a projection, or
-    of a kernel mode on a graph) would grow like ``(lambda_max/omega_f)^k``.
-    So ``sup_ratio <= ||f||`` whenever the probe is ``>= omega_f``.
+    ``omega_f`` is the largest eigenvalue whose eigenspace holds a part of ``f``
+    of norm above ``SUPPORT_TOL * ||f||``, so it does not depend on the basis.
+    ``probe_omega`` defaults to ``omega_f`` itself and must be ``>= 0``; ``k_max``
+    must be an integer ``>= 1``.  ``||D^k f||`` is ``omega_f^k`` times the Bernstein
+    norm at ``omega_f``, over ``lambda <= omega_f`` only: the round-off tail left above
+    it (of a projection, or of a kernel mode on a graph) would grow like
+    ``(lambda_max/omega_f)^k``.  So ``sup_ratio <= ||f||`` whenever the probe is ``>= omega_f``.
+    A block ``f`` gives each field the shape of its rows (``k_sequence`` adds an axis over ``k``).
     """
     if not (_is_int(k_max) and k_max >= 1):
         raise InvalidParamsError(f"k_max must be an integer >= 1, got {k_max!r}")
-    v, c, e = _coefficients(dec, as_vector(f, dec.dim))
+    v, c, e = _coefficients(dec, f)
     _check_scalar(probe_omega, "probe_omega")
-    norm_v = _norm(v)
-    if norm_v == 0.0:
+    shape, c, e = c.shape[:-1], c.reshape(-1, dec.dim), np.reshape(e, -1)
+    norms = np.reshape(_norm(v), -1)
+    if np.any(norms == 0.0):
         raise ZeroVectorError("bandwidth of the zero vector is undefined")
-    significant = np.abs(c) > SUPPORT_TOL * norm_v
-    omega_f = float(dec.eigenvalues[significant].max()) if np.any(significant) else 0.0
+    nodes, mass, d = _measure(dec, c)
+    significant = _unscaled(np.sqrt(mass), d[:, None]) > SUPPORT_TOL * norms[:, None]
+    omega_f = np.max(np.where(significant, nodes, 0.0), axis=-1, initial=0.0)
 
     # log ||D^k f|| = k log omega_f + log ||(D/omega_f)^k f||: finite far beyond the double
     # range, -inf when D^k f = 0 (omega_f = 0)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
-    with np.errstate(divide="ignore"):  # log 0 = -inf
-        log_norms = (ks * np.log(omega_f) + int(e) * math.log(2.0)
-                     + np.log(_bernstein_norms(dec, c[None], np.array([omega_f]), ks)[0]))
-    probe = omega_f if probe_omega is None else float(_omegas(probe_omega))
-    with np.errstate(over="ignore"):  # past the largest double: NonFiniteError
-        k_sequence = _finite(np.exp(log_norms / ks))
-        if probe > 0.0:
-            sup_ratio = float(_finite(np.exp(np.max(log_norms - ks * math.log(probe)))))
-        else:
-            # probe 0: every ratio is 0/0 with D^k f = 0, or +inf otherwise
-            sup_ratio = 0.0 if np.all(np.isneginf(log_norms)) else math.inf
-    return BandwidthReport(omega_f=omega_f, k_sequence=k_sequence,
-                           sup_ratio=sup_ratio, probe_omega=probe,
-                           final_gap=float(omega_f - k_sequence[-1]))
+    probe = omega_f if probe_omega is None else np.broadcast_to(_omegas(probe_omega), e.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # log 0 = -inf
+        log_norms = (ks * np.log(omega_f)[:, None] + e[:, None] * math.log(2.0)
+                     + np.log(_bernstein_norms(dec, c, omega_f, ks)))
+        k_sequence = _finite(np.exp(log_norms / ks))  # past the largest double: NonFiniteError
+        ratios = np.exp(np.max(log_norms - ks * np.log(probe)[:, None], axis=-1))
+    _finite(ratios[probe > 0.0])
+    # probe 0: every ratio is 0/0 with D^k f = 0, or +inf otherwise
+    zero = np.where(np.all(np.isneginf(log_norms), axis=-1), 0.0, math.inf)
+    return BandwidthReport(omega_f=_shaped(omega_f, shape),
+                           k_sequence=k_sequence.reshape(shape + ks.shape),
+                           sup_ratio=_shaped(np.where(probe > 0.0, ratios, zero), shape),
+                           probe_omega=_shaped(probe, shape),
+                           final_gap=_shaped(omega_f - k_sequence[:, -1], shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +307,7 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
 
 
 def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:
-    """Smallest eigenvalue threshold ``omega`` with ``E(f, omega) <= eps``.
+    """Smallest eigenvalue threshold ``omega`` with ``E(f, omega) <= eps``, per row of ``f``.
 
     Candidates are 0 and the distinct eigenvalues; existence is guaranteed
     because ``E(f, lambda_max) = 0``.
@@ -306,6 +316,6 @@ def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:
     if not (eps > 0.0):
         raise InvalidParamsError(f"eps must be positive, got {eps}")
     nodes = _step_nodes(dec)
-    tails = _distances(dec, _coefficients(dec, as_vector(f, dec.dim)), nodes, "R")
-    return float(nodes[np.argmax(tails <= eps)])
+    tails = _node_distances(dec, _coefficients(dec, f), nodes, "R")
+    return _shaped(nodes[np.argmax(tails <= eps, axis=-1)])
 

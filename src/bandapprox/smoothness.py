@@ -23,12 +23,13 @@ equivalent ways:
 The norms, the modulus inequalities and the lemmas take ``f`` as a block of rows (see
 ``operators``), with one shift scan per order and one K path per ``r``: the scan points
 and the log-s path do not depend on ``f`` (a seminorm row stops on its own), and every
-sum over the eigenvalues is one per row and point, so a row's bits do not depend on its
-block.  :func:`besov_norm` and :func:`k_besov_norm` also take a parameter axis (array
-fields of one ``BesovParams``): ``_besov_norms`` evaluates every element of the broadcast
-shape once, from what its elements share, computed once per call for the rows that need
-it (the E or R distances per base, the K path per ``r``, the seminorm per ``(alpha, r)``), and
-reduces the elements of each ``(alpha, q)`` as one rows x terms table.
+sum over the nodes of the spectral measure (``operators._measure``, one per eigenspace) is
+one per row and point, so a row's bits do not depend on its block.  :func:`besov_norm` and
+:func:`k_besov_norm` also take a parameter axis (array fields of one ``BesovParams``):
+``_besov_norms`` evaluates every element of the broadcast shape once, from what its elements
+share, computed once per call for the rows that need it (the E or R distances per base, the
+K path per ``r``, the seminorm per ``(alpha, r)``), and reduces the elements of each
+``(alpha, q)`` as one rows x terms table.
 """
 
 import math
@@ -47,17 +48,16 @@ from .operators import (
     _coefficients,
     _finite,
     _is_int,
+    _measure,
     _norm,
     _power_coefficients,
     _scaled,
-    _scaled_mag2,
     _shaped,
     _unscaled,
     _weighted,
     apply_multiplier,
-    as_vector,
 )
-from .paley_wiener import _band_powers, _check_q, _distances, _lq_norm, _step_nodes, band_count
+from .paley_wiener import _band_powers, _check_q, _lq_norm, _node_distances, _step_nodes, band_count
 
 #: selectable smoothness-norm flavors
 BESOV_FLAVORS = ("integral_E", "discrete_E", "integral_R", "discrete_R",
@@ -151,30 +151,32 @@ def difference(dec: SpectralDecomposition, f, tau: float, m: int) -> np.ndarray:
     return apply_multiplier(dec, lambda lam: (np.exp(1j * tau * lam) - 1.0) ** m, f)
 
 
-def _difference_norms(eigenvalues, mag2, taus, m):
-    """``||Delta_tau^m g||`` from ``|c|^2`` (rows ``mag2``), each one sum over the last axis."""
+def _difference_norms(nodes, mass, taus, m):
+    """``||Delta_tau^m g||`` from the spectral measure ``(nodes, mass)`` of ``g`` (``_measure``),
+    each one sum over the last axis."""
     # one expression, so no sine array outlives its power
-    powers = (2.0 * np.abs(np.sin(np.multiply.outer(taus, eigenvalues) / 2.0))) ** (2 * m)
-    return np.sqrt(np.maximum(np.sum(powers * mag2, axis=-1), 0.0))
+    powers = (2.0 * np.abs(np.sin(np.multiply.outer(taus, nodes) / 2.0))) ** (2 * m)
+    return np.sqrt(np.maximum(np.sum(powers * mass, axis=-1), 0.0))
 
 
 #: scan points per shortest period of ``||Delta_tau^m g||^2`` (frequency m lambda_max)
 _SCAN_PER_PERIOD = 8
 
-#: bound on scan points times dimension times rows held in memory at once
+#: bound on scan points times nodes times rows held in memory at once
 _SCAN_CHUNK_ENTRIES = 1 << 20
 
 #: clipped Newton steps refining each local maximum of a shift scan
 _PEAK_NEWTON_STEPS = 6
 
-#: largest shift scan, in scan points times dimension; at the 75-100 ns per
+#: largest shift scan, in scan points times nodes (eigenspaces); at the 75-100 ns per
 #: entry measured on a 2-vCPU host (refinement included) it takes 80-110 s
 MAX_SCAN_ENTRIES = 1 << 30
 
 
-def _running_modulus(eigenvalues, mag2, s_rows, m: int, beta: float = 0.0):
-    """``Omega_m(g_i, s)`` at each of the ascending ``s_rows[i]`` of every row ``mag2[i]``, or
-    with ``beta > 0`` (no ``s_rows``) the seminorm ``sup_s s^-beta Omega_m(g_i, s)`` of each row.
+def _running_modulus(nodes, mass, s_rows, m: int, beta: float = 0.0):
+    """``Omega_m(g_i, s)`` at each of the ascending ``s_rows[i]`` of every row ``mass[i]`` of the
+    spectral measures ``(nodes, mass)`` (``_measure``), or with ``beta > 0`` (no ``s_rows``) the
+    seminorm ``sup_s s^-beta Omega_m(g_i, s)`` of each row.  Every sum runs over the G nodes.
 
     ``phi(tau) = ||Delta_tau^m g||`` is sampled at ``tau = k * step``, ``_SCAN_PER_PERIOD`` points
     per period ``2 pi / (m lambda_max)``, in chunks of 64 points doubling up to a memory bound.
@@ -186,19 +188,19 @@ def _running_modulus(eigenvalues, mag2, s_rows, m: int, beta: float = 0.0):
     The seminorm is ``sup_tau tau^-beta phi`` (``s^-beta <= tau^-beta`` for ``tau <= s``); as
     ``phi <= 2^m ||g_perp||`` (``g_perp``: the part above ``lambda = 0``), a row stops at its
     first point where ``tau^-beta 2^m ||g_perp||`` is at most its best value.  A scan past
-    :data:`MAX_SCAN_ENTRIES` points times dimension raises :class:`InvalidParamsError`, a weight
+    :data:`MAX_SCAN_ENTRIES` points times nodes raises :class:`InvalidParamsError`, a weight
     ``tau^-beta`` or a power ``4^m`` past the largest double :class:`NonFiniteError`.
     """
-    lam_max, limit = float(eigenvalues[-1]), MAX_SCAN_ENTRIES // eigenvalues.size
-    nu, step = eigenvalues / lam_max, 2.0 * math.pi / (_SCAN_PER_PERIOD * m * lam_max)
+    lam_max, limit = float(nodes[-1]), MAX_SCAN_ENTRIES // nodes.size
+    nu, step = nodes / lam_max, 2.0 * math.pi / (_SCAN_PER_PERIOD * m * lam_max)
     with np.errstate(over="ignore"):  # tau^-beta is largest at the first point past 0
         _finite(np.float64(step) ** -beta, f"the weight tau^-beta = {step}^-{beta}")
-        _finite(np.float64(4.0) ** m * np.sum(mag2, axis=-1).max(initial=1.0),
+        _finite(np.float64(4.0) ** m * np.sum(mass, axis=-1).max(initial=1.0),
                 f"the power (2 sin)^(2m) = 4^{m} of the differences")
 
     def neg_phi(taus, weights):
         """``-tau^-beta phi`` and its Newton step in ``tau``, via ``u = (1 - cos(x nu)) / 2``."""
-        theta = np.multiply.outer(taus, eigenvalues)
+        theta = np.multiply.outer(taus, nodes)
         sins = 2.0 * np.abs(np.sin(theta / 2.0))
         u, du = (sins / 2.0) ** 2, nu * np.sin(theta) / 2.0  # u'' = nu^2 (1/2 - u)
         d1 = m * np.sum(u ** (m - 1) * du * weights, axis=-1)
@@ -213,29 +215,29 @@ def _running_modulus(eigenvalues, mag2, s_rows, m: int, beta: float = 0.0):
         return -phi, -d1 / np.abs(d2) / lam_max
 
     if beta:  # each row runs until it stops
-        ends, best = np.full(len(mag2), np.iinfo(int).max), np.zeros(len(mag2))
-        cap = np.float64(2.0) ** m * np.sqrt(np.sum(mag2[:, eigenvalues > 0.0], axis=-1))
+        ends, best = np.full(len(mass), np.iinfo(int).max), np.zeros(len(mass))
+        cap = np.float64(2.0) ** m * np.sqrt(np.sum(mass[:, nodes > 0.0], axis=-1))
     else:  # each row owns its points up to two past its last s; its last bin takes the rest
         # (an end past the limit raises below, so the cap only keeps the count an integer)
         ends = (np.minimum(np.ceil(s_rows[:, -1] / step), limit) + 2).astype(int)
-        bins = np.pad(_difference_norms(eigenvalues, mag2[:, None], s_rows, m), ((0, 0), (0, 1)))
-    width = eigenvalues.size if beta else max(eigenvalues.size, s_rows.shape[1])  # points x s
-    top = max(16, _SCAN_CHUNK_ENTRIES // (width * len(mag2)))
+        bins = np.pad(_difference_norms(nodes, mass[:, None], s_rows, m), ((0, 0), (0, 1)))
+    width = nodes.size if beta else max(nodes.size, s_rows.shape[1])  # points x s
+    top = max(16, _SCAN_CHUNK_ENTRIES // (width * len(mass)))
     start, size = 0, min(64, top)
     while (act := np.flatnonzero(ends > start)).size:
         if start >= limit or not beta and ends.max() > limit:
-            raise InvalidParamsError(f"shift scan past {limit} points: MAX_SCAN_ENTRIES / N")
+            raise InvalidParamsError(f"shift scan past {limit} points: MAX_SCAN_ENTRIES / G")
         # one point of overlap on each side, so every interior point sees its neighbours
         index = np.arange(max(start - 1, 0), min(start + size + 1, ends[act].max()))
         taus = index * step
-        vals = _difference_norms(eigenvalues, mag2[act], taus[:, None], m)  # points x rows
+        vals = _difference_norms(nodes, mass[act], taus[:, None], m)  # points x rows
         if beta:
             with np.errstate(divide="ignore", invalid="ignore"):  # 1/0 at tau = 0, where phi = 0
                 bounds = np.multiply.outer(weights := taus ** -beta, cap[act])  # NaN: no stop
             vals = _weighted(weights[:, None], vals)
         at, row = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])
                              & (index[1:-1, None] < ends[act] - 1))
-        peak_taus, peak_vals = _clipped_newton(lambda t, w=mag2[act[row]]: neg_phi(t, w),
+        peak_taus, peak_vals = _clipped_newton(lambda t, w=mass[act[row]]: neg_phi(t, w),
                                                taus[at + 1], taus[at], taus[at + 2],
                                                _PEAK_NEWTON_STEPS)
         if beta:  # a point's value: its sample or the maximum refined from it
@@ -264,27 +266,27 @@ def _moduli(dec: SpectralDecomposition, c, e, s_values, m: int) -> np.ndarray:
     _check_order(m, 0)
     shape = c.shape[:-1] + s_values.shape[-1:]
     s_values = np.broadcast_to(s_values, shape).reshape(-1, shape[-1])
-    mag2, e = _scaled_mag2(c.reshape(-1, c.shape[-1]), np.reshape(e, -1))
-    omega = np.zeros(s_values.shape) + (np.sqrt(np.sum(mag2, axis=-1))[:, None] if m == 0 else 0)
-    live = np.any(mag2 > 0.0, axis=-1) & np.any(s_values > 0.0, axis=-1)
+    nodes, mass, e = _measure(dec, c.reshape(-1, c.shape[-1]), np.reshape(e, -1))
+    omega = np.zeros(s_values.shape) + (np.sqrt(np.sum(mass, axis=-1))[:, None] if m == 0 else 0)
+    live = np.any(mass > 0.0, axis=-1) & np.any(s_values > 0.0, axis=-1)
     if m > 0 and dec.lambda_max > 0.0 and np.any(live):
         order = np.argsort(s_values[live], axis=-1)
-        scans = _running_modulus(dec.eigenvalues, mag2[live],
+        scans = _running_modulus(nodes, mass[live],
                                  np.take_along_axis(s_values[live], order, axis=-1), m)
         omega[live] = np.take_along_axis(scans, np.argsort(order, axis=-1), axis=-1)
     return _unscaled(omega, e[:, None]).reshape(shape)
 
 
 def modulus(dec: SpectralDecomposition, f, s: float, m: int) -> float:
-    """Modulus of continuity: ``sup over |tau| <= s`` of the m-th difference norm.
+    """Modulus of continuity: ``sup over |tau| <= s`` of the m-th difference norm, per row.
 
     The objective is even in ``tau``, so one shift scan of ``[0, s]`` (see
     ``_running_modulus``) gives it.  ``m = 0`` returns ``||f||`` (the
     zeroth difference is the identity).  ``s`` must be finite and ``>= 0``.
     """
     _check_scalar(s, "s")
-    _, c, e = _coefficients(dec, as_vector(f, dec.dim))
-    return float(_moduli(dec, c, e, [s], m)[0])
+    _, c, e = _coefficients(dec, f)
+    return _shaped(_moduli(dec, c, e, [s], m)[..., 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,21 +351,23 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s, a_scale, m,
 
 def _integral_norm(nodes, values, alpha, q):
     """``(integral of (s^alpha E(f,s))^q ds/s)^{1/q}`` over (0, inf) in closed form, sup at q = inf,
-    of each row of ``values`` (``(..., K)``; a float for one row), as ``_lq_norm`` reduces.
+    of each row of ``values`` (``(..., K)``; a float for one row).
 
     ``values[..., i]`` is ``E(f, .)`` on ``[nodes[i], nodes[i+1])``, where the supremum of
-    ``s^alpha * const`` sits at the right end, so the sup is a finite maximum.  A weight
+    ``s^alpha * const`` sits at the right end, so the sup is a finite maximum; below it the
+    terms ``((s_{i+1}^(alpha q) - s_i^(alpha q)) / (alpha q))^(1/q) E_i`` go to ``_lq_norm``,
+    which scales each row by its largest term, so no term underflows beside it.  A weight
     ``s^(alpha q)`` past the largest double raises :class:`NonFiniteError` against any nonzero
-    distance, also one whose power ``scaled^q`` underflows."""
+    distance."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf weights (and inf - inf)
         if q == math.inf:
-            return _lq_norm(_weighted(nodes[1:] ** alpha, values), math.inf)
-        aq = alpha * q
-        scaled, e = _scaled(values)
-        weights = np.where(scaled == 0.0, 0.0, nodes[1:] ** aq - nodes[:-1] ** aq)
-        pieces = _finite(weights, f"the weight s^(alpha q) = s^{aq}") * scaled ** q / aq
-        sums = np.sum(pieces, axis=-1)
-    return _unscaled(_shaped([x ** (1.0 / q) for x in np.ravel(sums).tolist()], sums.shape), e)
+            weights = nodes[1:] ** alpha
+        else:
+            aq = alpha * q
+            steps = nodes[1:] ** aq - nodes[:-1] ** aq
+            _finite(np.where(values == 0.0, 0.0, steps), f"the weight s^(alpha q) = s^{aq}")
+            weights = (steps / aq) ** (1.0 / q)
+        return _lq_norm(_weighted(weights, values), q)
 
 
 def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float) -> float:
@@ -375,13 +379,14 @@ def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float) -> float
     if not (0.0 <= alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in [0, inf), got {alpha}")
     nodes = _step_nodes(dec)
-    values = _distances(dec, _coefficients(dec, as_vector(f, dec.dim)), nodes[:-1], "E")
-    return _integral_norm(nodes, values, alpha, math.inf)
+    values = _node_distances(dec, _coefficients(dec, f), nodes[:-1], "E")
+    return _shaped(_integral_norm(nodes, values, alpha, math.inf))
 
 
 def _edge_distances(dec: SpectralDecomposition, fc, a: float, route: str) -> np.ndarray:
-    """Distances to ``PW_{a^k}``, k < K with ``a^K >= lambda_max``: exact, as the rest vanish."""
-    return _distances(dec, fc, _band_powers(a, band_count(dec.lambda_max, a)), route)
+    """Distances of every row of ``fc`` to ``PW_{a^k}``, k < K with ``a^K >= lambda_max`` (last
+    axis): exact, as the rest vanish."""
+    return _node_distances(dec, fc, _band_powers(a, band_count(dec.lambda_max, a)), route)
 
 
 def _discrete_norm(distances: np.ndarray, alpha: float, q: float, a: float):
@@ -432,8 +437,8 @@ def _besov_norms(dec: SpectralDecomposition, fc, params: BesovParams,
         if flavor == "k_functional":  # one Tikhonov path of order r
             k_path = _k_path(dec, c[sel], e[sel], key, domain_norm)
         else:
-            fc = v[sel, None], c[sel, None], e[sel, None]
-            dists = (_distances(dec, fc, nodes[:-1], route) if key is None
+            fc = v[sel], c[sel], e[sel]
+            dists = (_node_distances(dec, fc, nodes[:-1], route) if key is None
                      else _edge_distances(dec, fc, key, route))
         for (alpha, q), i in orders.items():  # each read off one call for its rows
             j = np.searchsorted(sel, rows[i])
@@ -462,8 +467,9 @@ def _k_path(dec: SpectralDecomposition, c, e, r: int, domain_norm: str) -> tuple
     With ``W = D^{2r}`` (``I + D^{2r}`` for the graph norm), ``u = log s``, ``x = s w``,
     ``A = ||f - g_s||``, ``B = ||W^{1/2} g_s||`` and ``P = sum |c|^2 x^2 / (1+x)^3``, ``A + t B`` is
     stationary where ``g(u) = log(s B / A) = log t``, which increases (the frontier is convex)
-    with ``g' = 1 - P/A^2 - P/(s B^2)``.  Only ``c`` outside ``ker W`` enters, each row at
-    ``2^-d_i`` (``_scaled_mag2``); ``x/(1+x)`` and ``1/(1+x)`` come from ``log x = u + log w``,
+    with ``g' = 1 - P/A^2 - P/(s B^2)``; each sum runs over the measure's nodes (``_measure``).
+    Only ``c`` outside ``ker W`` enters, each row at ``2^-d_i``, its scale taken on that part
+    alone; ``x/(1+x)`` and ``1/(1+x)`` come from ``log x = u + log w``,
     times the ``e^-m`` or ``e^-n`` that lifts the row's largest to 1/2 or more, and
     ``s B^2 = sum |c|^2 x/(1+x)^2``: no ``s w``, ``(1 + s w)^2`` or ``1/s`` is formed, so no sum
     under- or overflows.  Every row shares the grid ``u``, ``_PATH_GRID_DENSITY`` points per unit
@@ -479,12 +485,13 @@ def _k_path(dec: SpectralDecomposition, c, e, r: int, domain_norm: str) -> tuple
     with np.errstate(over="ignore"):
         lam2r = _finite(dec.eigenvalues ** (2 * r), f"lambda_max^2r = {dec.lambda_max}^{2 * r}")
     w = lam2r if domain_norm == "seminorm" else 1.0 + lam2r
-    mag2, d = _scaled_mag2(c[..., w > 0.0], e)
+    _, mag2, d = _measure(dec, np.where(w > 0.0, c, 0.0), e)
+    w = w[dec._starts]  # at each group's first index
     live = np.any(mag2 > 0.0, axis=-1)
     d = np.where(live, d, 0)
     if not np.any(live):
         return live, d, None  # f in ker W: K(t) = 0 at g = f
-    mag2, w, log_w = mag2[live], w[w > 0.0], np.log(w[w > 0.0])
+    mag2, w, log_w = mag2[np.ix_(live, w > 0.0)], w[w > 0.0], np.log(w[w > 0.0])  # C order
     top = np.max(np.where(mag2 > 0.0, log_w, -np.inf), axis=-1)  # each row's largest and
     bot = np.min(np.where(mag2 > 0.0, log_w, np.inf), axis=-1)  # smallest log w
 
@@ -587,12 +594,13 @@ def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
     The lower envelope along the Tikhonov family ``g_s = (I + s W)^{-1} f``
     with ``W = D^{2r}`` (see ``_k_functional_values``), exact up to
     rounding.  With ``domain_norm="graph"`` the second term is the graph
-    norm ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.
+    norm ``(||g||^2 + ||D^r g||^2)^{1/2}`` and ``W = I + D^{2r}``.  One value per row of ``f``.
     """
     _check_scalar(t, "t")
-    _, c, e = _coefficients(dec, as_vector(f, dec.dim))
-    values, d = _k_functional_values(dec, c[None], [e], [t], r, domain_norm)
-    return _unscaled(float(values[0, 0]), d[0])
+    _, c, e = _coefficients(dec, f)
+    values, d = _k_functional_values(dec, c.reshape(-1, dec.dim), np.reshape(e, -1), [t], r,
+                                     domain_norm)
+    return _shaped(_unscaled(values[:, 0], d), c.shape[:-1])
 
 
 def k_besov_norm(dec: SpectralDecomposition, f, params: BesovParams,
@@ -626,24 +634,27 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
 
     As ``Omega_r(g, s)`` is the supremum of ``||Delta_tau^r g||`` over ``tau <= s``, this is the
     supremum of ``tau^{n - alpha} ||Delta_tau^r D^n f||``, which one shift scan takes exactly (see
-    ``_running_modulus``); at ``r <= alpha - n`` it is infinite (``||Delta_tau^r g|| ~ tau^r``).
+    ``_running_modulus``) for every row of ``f``; at ``r <= alpha - n`` it is infinite
+    (``||Delta_tau^r g|| ~ tau^r``).
     """
     _check_scalar(alpha, "alpha")
-    _, c, e = _coefficients(dec, as_vector(f, dec.dim))
-    return float(_seminorm_sup(dec, c[None], [e], alpha, n, r)[0])
+    _, c, e = _coefficients(dec, f)
+    return _shaped(_seminorm_sup(dec, c, e, alpha, n, r))
 
 
 def _seminorm_sup(dec: SpectralDecomposition, c, e, alpha: float, n: int, r: int) -> np.ndarray:
-    """:func:`besov_seminorm_sup` of every row ``c_i 2^{e_i}`` of a block, from one shift scan."""
+    """:func:`besov_seminorm_sup` of every row ``c_i 2^{e_i}`` of a block ``(..., N)``, from one
+    shift scan."""
     _check_order(r, 1)
     if n < 0:
         raise InvalidParamsError(f"need n >= 0, got {n}")
     if not (n < alpha < n + r):
         raise InvalidOrderError(f"need n < alpha < n + r, got alpha={alpha}, n={n}, r={r}")
-    mag2, e = _scaled_mag2(_power_coefficients(dec, c, n), e)
-    if dec.lambda_max == 0.0 or not mag2.size:  # spectrum {0}: every difference vanishes
-        return np.zeros(len(mag2))
-    return _unscaled(_running_modulus(dec.eigenvalues, mag2, None, r, alpha - n), e)
+    nodes, mass, e = _measure(dec, _power_coefficients(dec, c, n), e)
+    if dec.lambda_max == 0.0 or not mass.size:  # spectrum {0}: every difference vanishes
+        return np.zeros(mass.shape[:-1])
+    semis = _running_modulus(nodes, mass.reshape(-1, nodes.size), None, r, alpha - n)
+    return _unscaled(semis.reshape(mass.shape[:-1]), e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -660,18 +671,17 @@ def _lemma_reports(dec: SpectralDecomposition, fc, alpha: float, n: int, r: int)
     ``fc = (v, c, e)`` (``_coefficients`` of a block), from one shift scan."""
     _check_scalar(alpha, "alpha")
     v, c, e = fc
-    shape, nodes = c.shape[:-1], _step_nodes(dec)
-    v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
-    semis = _seminorm_sup(dec, c, e, alpha, n, r).tolist()
-    dists = _distances(dec, (v[:, None], c[:, None], e[:, None]), nodes[:-1], "E")
-    sups = _integral_norm(nodes, dists, alpha, math.inf).tolist()  # sup_s s^alpha E(f, s)
+    nodes = _step_nodes(dec)
+    semis = np.ravel(_seminorm_sup(dec, c, e, alpha, n, r)).tolist()
+    sups = np.ravel(_integral_norm(nodes, _node_distances(dec, fc, nodes[:-1], "E"), alpha,
+                                   math.inf)).tolist()  # sup_s s^alpha E(f, s)
     with np.errstate(over="ignore"):  # lemma 1's sides have degree alpha in the scale of D;
         # capped, so ||f|| = 0 gives a scale of 0, not 0 * inf = NaN
         power = min(float(np.float64(dec.lambda_max) ** alpha), np.finfo(float).max)
     sides = [(sup_e, semi, _safe_ratio(sup_e, semi, norm_f * power),  # lemma 1, then lemma 2
               semi, norm_f + sup_e, _safe_ratio(semi, norm_f + sup_e, norm_f))
-             for sup_e, semi, norm_f in zip(sups, semis, _norm(v, e).tolist())]
-    sides = [_shaped(x, shape) for x in np.reshape(sides, (-1, 6)).T]
+             for sup_e, semi, norm_f in zip(sups, semis, np.ravel(_norm(v, e)).tolist())]
+    sides = [_shaped(x, c.shape[:-1]) for x in np.reshape(sides, (-1, 6)).T]
     return LemmaReport(*sides[:3]), LemmaReport(*sides[3:])
 
 

@@ -87,11 +87,22 @@ BLOCK_CALLS = {
     "band_decompose": lambda dec, f, w: band_decompose(dec, f).bands,
     # each row one band set of a single band
     "synthesis_check": lambda dec, f, w: synthesis_check(dec, f[..., None, :], 0.8).ratio,
+    "modulus": lambda dec, f, w: modulus(dec, f, 0.7, 2),
+    "k_functional": lambda dec, f, w: k_functional(dec, f, 0.3, 2),
+    "besov_seminorm_sup": lambda dec, f, w: besov_seminorm_sup(dec, f, 1.5, 1, 2),
+    "bandwidth": lambda dec, f, w: bandwidth(dec, f).omega_f,
+    "sup_scaled_best_approx": lambda dec, f, w: sup_scaled_best_approx(dec, f, 0.8),
+    "dense_union_check": lambda dec, f, w: dense_union_check(dec, f, 1e-3),
+    "riesz_identity_check": lambda dec, f, w: riesz_identity_check(
+        dec, pw_project(dec, f, 1.0), 1.0).residual,
 }
 
-#: calls that take ``f`` as a block but no parameter to broadcast against it
+#: calls that take ``f`` as a block but no parameter to broadcast against it (their scalar
+#: parameters take one number, ``SCALAR_ONLY``)
 NO_PARAMETER = ("spectral_transform", "inverse_transform", "lemma1_check", "lemma2_check",
-                "band_decompose", "synthesis_check")
+                "band_decompose", "synthesis_check", "modulus", "k_functional",
+                "besov_seminorm_sup", "bandwidth", "sup_scaled_best_approx", "dense_union_check",
+                "riesz_identity_check")
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CALLS))
@@ -140,6 +151,15 @@ def test_one_vector_keeps_its_return_types(cycle16_dec, rng):
     assert {type(x) for x in vars(rep).values()} == {float}
     for check in (lemma1_check, lemma2_check):
         assert {type(x) for x in vars(check(cycle16_dec, f, 1.5, 1, 2)).values()} == {float}
+    for name in ("modulus", "k_functional", "besov_seminorm_sup", "sup_scaled_best_approx",
+                 "dense_union_check", "bandwidth", "riesz_identity_check"):
+        assert type(BLOCK_CALLS[name](cycle16_dec, f, None)) is float, name
+    rep = bandwidth(cycle16_dec, f)
+    assert {key: type(x) for key, x in vars(rep).items() if key != "k_sequence"} == dict.fromkeys(
+        ("omega_f", "sup_ratio", "probe_omega", "final_gap"), float)
+    assert rep.k_sequence.shape == (40,)
+    rep = riesz_identity_check(cycle16_dec, g, 1.0)
+    assert (type(rep.tail_bound), rep.omega, rep.power) == (float, 1.0, 1)
     rep = equivalence_report(cycle16_dec, f, 0.8, 2.0)
     assert (type(rep.ratio_lo), type(rep.ratio_hi), rep.ratios.shape) == (float, float, (1,))
     # a list of vectors is a corpus, as before

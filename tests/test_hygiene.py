@@ -3,8 +3,9 @@ private module-level name is referenced somewhere in src/ or tests/, no
 private library helper transforms a vector, the harness calls the library
 through its public names, only ``operators`` calls ``ldexp``, one function
 decides membership of PW_omega, one shift scan samples the differences, one
-Tikhonov path serves ``K(t)`` and its norm, and the library imports no
-third-party package but NumPy."""
+Tikhonov path serves ``K(t)`` and its norm, one step pools ``|c|^2`` per
+eigenspace, only the vector domain reads the eigenvectors, and the library
+imports no third-party package but NumPy."""
 
 import ast
 import os
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import bandapprox
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bandapprox"
@@ -196,3 +199,41 @@ def test_one_k_path():
                     and node.attr == "trapezoid"], f"{path.name} calls np.trapezoid"
     assert callers == ["smoothness._besov_norms", "smoothness._k_functional_values"]
     assert "_K_GRID_POINTS" not in (SRC / "smoothness.py").read_text(encoding="utf-8")
+
+
+def _top_level_readers(layer: str, found) -> list:
+    """``layer.name`` of each top-level function or class of ``layer`` in which ``found(node)``
+    holds for some node."""
+    tree = ast.parse((SRC / f"{layer}.py").read_text(encoding="utf-8"))
+    return [f"{layer}.{node.name}" for node in tree.body if isinstance(
+        node, (ast.FunctionDef, ast.ClassDef)) and any(map(found, ast.walk(node)))]
+
+
+def _reads(name: str):
+    """A test for a node that reads ``name``, as a variable or an attribute."""
+    return lambda node: (isinstance(node, ast.Name) and node.id == name
+                         or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_one_spectral_measure():
+    # |c|^2 is summed per eigenspace in one place, operators._measure, the step from
+    # coefficient rows to (nodes, masses); eigh's other reduceat takes each group's value.
+    # The scalar helpers read the measure, and bandwidth the norm of each eigenspace
+    reducers = sum((_top_level_readers(layer, _reads("reduceat")) for layer in LAYERS), [])
+    assert reducers == ["operators.eigh", "operators._measure"]
+    callers = sum((_top_level_readers(layer, _reads("_measure")) for layer in LAYERS), [])
+    assert sorted(callers) == ["paley_wiener.bandwidth", "smoothness._k_path",
+                               "smoothness._moduli", "smoothness._seminorm_sup"]
+    for module in (bandapprox, *(getattr(bandapprox, layer) for layer in LAYERS)):
+        assert not hasattr(module, "_scaled_mag2") and not hasattr(module, "as_vector")
+
+
+def test_only_the_vector_domain_reads_the_basis():
+    # every scalar but the E route sees a vector through its coefficients or its measure; the
+    # basis is read to transform, to synthesize phi(D) f, by the E route of the distances (the
+    # residual in H that makes E = R a real check), to synthesize bands and for ||Qf - f||
+    readers = sum((_top_level_readers(layer, _reads("eigenvectors")) for layer in LAYERS), [])
+    assert sorted(readers) == [
+        "approx_operators.jackson_check", "decomposition._band_split",
+        "operators.SpectralDecomposition", "operators._synthesize", "operators.inverse_transform",
+        "operators.spectral_transform", "paley_wiener._distances"]

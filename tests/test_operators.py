@@ -114,11 +114,11 @@ class TestEigh:
     def test_malformed_spectrum_rejected(self, eigenvalues, eigenvectors):
         # the descending case used to give lambda_max 0.0 and best_approx(ones(3), 1.5) = 1.0
         with pytest.raises(InvalidSpectrumError):
-            SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors, groups=())
+            SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
     def test_well_formed_spectrum_accepted(self):
-        dec = SpectralDecomposition(eigenvalues=[0.0, 1.0, 1.0, 2.0], eigenvectors=np.eye(4),
-                                    groups=((0,), (1, 2), (3,)))
+        dec = SpectralDecomposition(eigenvalues=[0.0, 1.0, 1.0, 2.0], eigenvectors=np.eye(4))
+        assert dec.groups == ((0,), (1, 2), (3,))  # the runs of equal eigenvalues
         assert dec.lambda_max == 2.0
         assert best_approx(dec, np.ones(4), 1.5) == 1.0
 

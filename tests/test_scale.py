@@ -239,7 +239,7 @@ def test_results_past_the_largest_double_raise(name):
 
 
 #: values near the bottom of the double range, kept bit for bit by the rescale of each
-#: spectral measure (``operators._scaled_mag2``): (call on the raw_D diag(0, 0.5, 1, 2, 3.5, 7)
+#: spectral measure (``operators._measure``): (call on the raw_D diag(0, 0.5, 1, 2, 3.5, 7)
 #: decomposition at ``scale``, value); f = ones(6), except for the K-functional of
 #: ``u_0 + 1e-250 u_5``.  Without that rescale the K value and the Jackson bound read 0.  The
 #: seminorm and the modulus ratio are their values at scale 1 (44.01510843453259 * 1e-300 to
@@ -291,6 +291,18 @@ def test_integral_weight_past_the_largest_double_against_an_underflowed_power(fl
     f = dec.eigenvectors[:, 1] + 1e-250 * dec.eigenvectors[:, 5]
     with pytest.raises(NonFiniteError, match=r"s\^\(alpha q\)"):
         besov_norm(dec, f, BesovParams(alpha=ALPHA, q=q, flavor=flavor))
+
+
+@pytest.mark.parametrize("flavor", ["integral_E", "integral_R"])
+def test_integral_terms_far_below_the_largest(flavor):
+    # E(f, s) is 1 on [0, 0.5) and 1e-33 on [0.5, 2): scaled by its largest distance, the row's
+    # power (1e-33)^10 underflowed, and the norm read 1.0 (both flavors).  The terms
+    # ((s_{i+1}^(alpha q) - s_i^(alpha q)) / (alpha q))^(1/q) E_i are reduced at the scale of the
+    # largest term; the true value is 1.00253629368603295... (mpmath, 50 digits)
+    dec = eigh(SymmetricOperator(np.diag([0.0, 0.5, 1.0, 2.0]), kind=RAW_D))
+    f = dec.eigenvectors[:, 1] + 1e-33 * dec.eigenvectors[:, 3]
+    value = besov_norm(dec, f, BesovParams(alpha=102.0, q=10.0, flavor=flavor))
+    assert abs(value / 1.0025362936860330 - 1.0) <= TOL
 
 
 def test_bernstein_ratio_at_powers_past_the_largest_double():

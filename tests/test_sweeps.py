@@ -15,6 +15,7 @@ the per-element loop it replaced (``oracles.distances_by_element``).
 
 The shift scan, the K path, the seminorm and the norm take a block of vectors
 (``_moduli``, ``_running_modulus``, ``_k_functional_values``, ``_seminorm_sup``, ``_norm``),
+each through the spectral measure of its rows (``_measure``) where it sums per eigenspace,
 and the lq, discrete and integral norms a rows x terms table (``_lq_norm``,
 ``_discrete_norm``, ``_integral_norm``); every row of a block equals the same helper called
 with that row alone, 0 ulp.  The public
@@ -40,11 +41,13 @@ from bandapprox import (
     ZeroVectorError,
     apply_multiplier,
     band_decompose,
+    bandwidth,
     bernstein_check,
     besov_norm,
     besov_seminorm_sup,
     best_approx,
     build_kernel,
+    dense_union_check,
     eigh,
     equivalence_report,
     frame_norm,
@@ -54,18 +57,21 @@ from bandapprox import (
     k_functional,
     lemma1_check,
     lemma2_check,
+    modulus,
     modulus_inequality_checks,
     pw_project,
     q_apply,
     riesz_apply,
+    riesz_identity_check,
     schrodinger_group,
     spectral_tail,
     spectral_transform,
+    sup_scaled_best_approx,
     synthesis_check,
 )
 from bandapprox import paley_wiener
 from bandapprox.harness import build_operator, load_edge_list, parse_operator_arg
-from bandapprox.operators import _coefficients, _norm, _scaled_mag2
+from bandapprox.operators import _coefficients, _measure, _norm
 from bandapprox.paley_wiener import _band_powers, _lq_norm, _step_nodes, band_count
 from bandapprox.smoothness import (
     BESOV_FLAVORS,
@@ -352,12 +358,46 @@ def test_block_rows_match_one_row_calls(dec, rng, name):
         np.testing.assert_array_equal(row, ROW_CALLS[name](dec, f, omega))
 
 
+#: the public functions of one vector that take a block (scalar parameters), on (dec, rows f)
+WIDENED = {
+    "modulus": lambda dec, f: modulus(dec, f, 0.7, 2),
+    "k_functional": lambda dec, f: k_functional(dec, f, 0.3, 2),
+    "besov_seminorm_sup": lambda dec, f: besov_seminorm_sup(dec, f, 1.5, 1, 2),
+    "bandwidth": lambda dec, f: bandwidth(dec, f, k_max=12),
+    "bandwidth probe": lambda dec, f: bandwidth(dec, f, probe_omega=0.5 * dec.lambda_max),
+    "sup_scaled_best_approx": lambda dec, f: sup_scaled_best_approx(dec, f, 0.8),
+    "dense_union_check": lambda dec, f: dense_union_check(dec, f, 1e-3),
+    "riesz_identity_check": lambda dec, f: riesz_identity_check(dec, f, dec.lambda_max or 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDENED))
+def test_widened_rows_match_one_row_calls(dec, rng, name):
+    # rows at 1e+-150 and a zero row (a random one for bandwidth, undefined at 0), then the same
+    # four rows as a block of two axes; each field of a report, row by row
+    vectors = _vectors(rng, dec.dim)
+    if name.startswith("bandwidth"):
+        vectors[3] = random_vector(rng, dec.dim)
+    ones = [WIDENED[name](dec, f) for f in vectors]
+    for block in (WIDENED[name](dec, vectors), WIDENED[name](dec, vectors.reshape(2, 2, -1))):
+        for i, one in enumerate(ones):
+            if isinstance(one, float):
+                assert type(one) is float and np.reshape(block, -1)[i] == one
+                continue
+            for key, value in vars(one).items():
+                got = getattr(block, key)
+                if np.ndim(value) == np.ndim(got):  # a field of the call, not of the row
+                    assert got == value
+                else:
+                    np.testing.assert_array_equal(got.reshape((len(vectors),) + np.shape(value))[i],
+                                                  value)
+
+
 @pytest.fixture(scope="module")
 def random256_dec():
     """random_psd:256, decomposed by LAPACK (the library's Jacobi solver takes seconds here)."""
     w, v = np.linalg.eigh(build_operator(parse_operator_arg("random:256")).entries)
-    return SpectralDecomposition(eigenvalues=np.sqrt(np.maximum(w, 0.0)), eigenvectors=v,
-                                 groups=())
+    return SpectralDecomposition(eigenvalues=np.sqrt(np.maximum(w, 0.0)), eigenvectors=v)
 
 
 def _assert_e_route_matches_the_element_loop(dec, vectors):
@@ -488,11 +528,10 @@ def test_running_modulus_rows_match_one_row_scans(dec, rng):
     if dec.lambda_max == 0.0:
         pytest.skip("every difference vanishes on the spectrum {0}")
     _, c, e = _coefficients(dec, np.array([random_vector(rng, dec.dim) for _ in range(4)]))
-    mag2, _ = _scaled_mag2(c, e)
+    nodes, mass, _ = _measure(dec, c, e)
     s_rows = np.sort(_shifts(dec), axis=-1)
     for m in (1, 2, 3):
-        block = _running_modulus(dec.eigenvalues, mag2, s_rows, m)
+        block = _running_modulus(nodes, mass, s_rows, m)
         assert block.shape == s_rows.shape
-        for g, s, row in zip(mag2, s_rows, block):
-            np.testing.assert_array_equal(row, _running_modulus(dec.eigenvalues, g[None], s[None],
-                                                                m)[0])
+        for g, s, row in zip(mass, s_rows, block):
+            np.testing.assert_array_equal(row, _running_modulus(nodes, g[None], s[None], m)[0])

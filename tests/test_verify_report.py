@@ -88,8 +88,9 @@ CYCLE8_SEED401_BAND_DECOMPOSES = 2
 
 #: ``paley_wiener._lq_norm`` calls of the same run, each reducing a rows x terms table: one
 #: per ``(alpha, q)`` group of a norm's elements and per synthesis side (500 when every norm
-#: element, frame norm and synthesis side reduced its own row)
-CYCLE8_SEED401_LQ_NORMS = 40
+#: element, frame norm and synthesis side reduced its own row; 40 when the integral flavors
+#: at q < inf summed their own 8 tables, one per (alpha, q) and size, outside ``_lq_norm``)
+CYCLE8_SEED401_LQ_NORMS = 48
 
 
 def _moved(old: dict, new: dict) -> list:
