@@ -42,6 +42,7 @@ def _decomposition_and_vector(args):
 def _cmd_spectrum(args):
     dec = _decomposition(args)
     print(f"dim: {dec.dim}")
+    print(f"eps_group: {dec.eps_group!r}  (a cut at omega keeps lambda <= omega + eps_group)")
     print("eigenvalues of D:")
     for value in dec.eigenvalues:
         print(f"  {float(value)!r}")

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .operators import SpectralDecomposition, _as_block, _basis_product, _broadcast, _check_scalar
 from .operators import _coefficients, _norm, _shaped, _unscaled
-from .paley_wiener import _band_powers, _check_q, _pw_prefix, _require_pw, band_count
+from .paley_wiener import _band_edges, _band_powers, _check_q, _pw_prefix, _require_pw
 from .smoothness import BesovParams, _besov_norms, _discrete_norm, _edge_distances, _safe_ratio
 
 
@@ -53,8 +53,8 @@ class BandDecomposition:
 def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecomposition:
     """Split ``f`` into its canonical orthogonal spectral bands.
 
-    The number of bands is the smallest K with ``a^K >= lambda_max`` plus
-    one; supports partition the spectrum exactly, so the bands are
+    The edges are ``1, a, ..., a^K``, ``a^K`` the first that keeps the whole spectrum (the cut
+    rule of ``_pw_prefix``); supports partition the spectrum exactly, so the bands are
     pairwise orthogonal and sum back to ``f``.  A block ``f`` of shape ``(..., N)`` gives
     ``bands`` of shape ``(..., K, N)``, each row's bands those of the row alone.
     """
@@ -67,8 +67,8 @@ def band_decompose(dec: SpectralDecomposition, f, a: float = 2.0) -> BandDecompo
 def _band_split(dec: SpectralDecomposition, c, e, a: float) -> tuple:
     """``(bands, edges)`` of the rows with coefficients ``c 2^e`` (``(..., N)``): the bands
     ``(..., K, N)`` of :func:`band_decompose`, every band of every row in one stacked product."""
-    edges = _band_powers(a, band_count(dec.lambda_max, a) + 1)
-    ends = _pw_prefix(dec, edges)  # band k keeps a^{k-1} < lambda <= a^k
+    edges = _band_edges(dec, a)
+    ends = _pw_prefix(dec, edges)  # band k: a^{k-1} < lambda - eps_group <= a^k
     index = np.arange(dec.dim)
     masks = (np.append(0, ends[:-1])[:, None] <= index) & (index < ends[:, None])
     bands = _basis_product(dec.eigenvectors, np.where(masks, c[..., None, :], 0.0))
@@ -169,7 +169,7 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
     # every band at once, band k in PW_{a^k}
     _require_pw(dec, _coefficients(dec, bands), edges, MembershipViolationError, "band")
     sup_band = _discrete_norm(_norm(bands), alpha, math.inf, a)
-    # E(f, a^k) vanishes from k = band_count on, so the discrete terms hold the sup
+    # E(f, a^k) vanishes from the top edge of _band_edges on, so the discrete terms hold the sup
     lhs = _discrete_norm(_edge_distances(dec, _coefficients(dec, np.sum(bands, axis=-2)), a, "E"),
                          alpha, math.inf, a)
     constant = 1.0 / (1.0 - a ** (-alpha))

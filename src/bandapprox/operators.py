@@ -27,7 +27,7 @@ Conventions
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -259,13 +259,14 @@ class SpectralDecomposition:
     ``eigenvalues`` are the eigenvalues of ``D`` (square roots of those of
     ``L`` when the operator was given as ``raw_L``).  ``groups`` partitions
     the index range into the runs of equal eigenvalues, one per eigenspace,
-    each with its multiplicity; :func:`eigh` gives every eigenspace one value.
+    each with its multiplicity; :func:`eigh` gives every eigenspace one value.  The cut rule's
+    width ``eps_group = GROUP_TOL_FACTOR lambda_max`` is derived, and must part distinct values.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     kind: str = RAW_D
-    eps_group: float = 0.0
+    eps_group: float = field(init=False)
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors"):
@@ -283,6 +284,9 @@ class SpectralDecomposition:
             raise InvalidSpectrumError("eigenvalues must be nonnegative and ascending")
         # the first index of each run of equal eigenvalues, one per eigenspace
         object.__setattr__(self, "_starts", np.flatnonzero(np.diff(lam, prepend=-1.0)))
+        object.__setattr__(self, "eps_group", GROUP_TOL_FACTOR * self.lambda_max)
+        if np.any(np.diff(lam[self._starts]) <= self.eps_group):  # one value per eigenspace
+            raise InvalidSpectrumError(f"distinct eigenvalues within {self.eps_group!r}")
 
     @property
     def dim(self) -> int:
@@ -334,7 +338,7 @@ def eigh(op: SymmetricOperator) -> SpectralDecomposition:
     values = d_eigs[starts] + np.add.reduceat(offsets, starts) / sizes
     values[d_eigs[starts] == 0.0] = 0.0  # the kernel's group keeps the clamp's exact zero
     return SpectralDecomposition(eigenvalues=np.repeat(values, sizes), eigenvectors=v,
-                                 kind=op.kind, eps_group=eps_group)
+                                 kind=op.kind)
 
 
 def _basis_product(basis: np.ndarray, z) -> np.ndarray:

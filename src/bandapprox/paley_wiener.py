@@ -48,43 +48,14 @@ MAX_BANDS = 100_000
 _E_CHUNK_ENTRIES = 1 << 14
 
 
-def band_count(lambda_max: float, a: float) -> int:
-    """Smallest ``k >= 0`` with ``a^k >= lambda_max``: the top dyadic band edge.
-
-    The bands ``[0, 1], (1, a], ..., (a^{k-1}, a^k]`` then cover the
-    spectrum.  The closed form ``ceil(log lambda_max / log a)`` is
-    corrected with the defining comparison ``a^k < lambda_max``, so the
-    count is exact.  Raises :class:`InvalidBaseError` when ``a <= 1`` or
-    when ``k`` would exceed :data:`MAX_BANDS`, instead of truncating.
-    """
-    if not (a > 1.0):
-        raise InvalidBaseError(f"base must be > 1, got {a}")
-    if not (lambda_max > 1.0):
-        return 0
-    k = math.ceil(math.log(lambda_max) / math.log(a))
-    while a ** k < lambda_max:
-        k += 1
-    while a ** (k - 1) >= lambda_max:
-        k -= 1
-    if k > MAX_BANDS:
-        raise InvalidBaseError(
-            f"base {a} needs {k} bands to reach lambda_max = {lambda_max}, "
-            f"more than MAX_BANDS = {MAX_BANDS}")
-    return k
-
-
 def _band_powers(a: float, count: int, x: float = 1.0) -> np.ndarray:
     """``a^(k x)`` for k = 0 .. count-1: band edges at ``x = 1``, weights at ``x = alpha``.
 
-    Scalar powers (``inf`` past the largest double), the ones :func:`band_count` compares
-    with; an array power may differ from them in the last bit and move an eigenvalue that
-    sits on an edge into the next band.
+    Scalar powers, ``inf`` past the largest double: an array power may differ from them in
+    the last bit and move an eigenvalue that sits on an edge into the next band.
     """
-    try:
-        return np.array([a ** (k * x) for k in range(count)])
-    except OverflowError:  # a float power raises there; NumPy's, the same bits, gives inf
-        with np.errstate(over="ignore"):
-            return np.array([np.float64(a) ** (k * x) for k in range(count)])
+    with np.errstate(over="ignore"):
+        return np.array([np.float64(a) ** (k * x) for k in range(count)])
 
 
 def _check_q(q: float) -> None:
@@ -112,8 +83,26 @@ def _omegas(omega) -> np.ndarray:
 
 
 def _pw_prefix(dec: SpectralDecomposition, omega):
-    """How many eigenvalues PW_omega keeps (``lambda <= omega``): the one place the cut is made."""
-    return dec.eigenvalues.searchsorted(omega, side="right")
+    """How many eigenvalues PW_omega keeps: the one place a cut is decided, by one rule.  An
+    eigenvalue is kept when ``lambda <= omega + eps_group``, so a threshold that equals a group
+    value in exact arithmetic keeps that eigenspace, however the solver rounded it."""
+    return dec.eigenvalues.searchsorted(np.add(omega, dec.eps_group), side="right")
+
+
+def _band_edges(dec: SpectralDecomposition, a: float) -> np.ndarray:
+    """The band edges ``1, a, ..., a^K`` of ``dec``: ``a^K`` is the first edge whose
+    ``_pw_prefix`` keeps the whole spectrum.  No more than ``ceil(log lambda_max / log a) + 2``
+    edges are formed, as the last of them keeps it.  Raises :class:`InvalidBaseError` when
+    ``a <= 1`` or when ``K`` would exceed :data:`MAX_BANDS`, instead of truncating."""
+    if not (a > 1.0):
+        raise InvalidBaseError(f"base must be > 1, got {a}")
+    count = math.ceil(math.log(max(dec.lambda_max, 1.0)) / math.log(a)) + 2
+    edges = _band_powers(a, min(count, MAX_BANDS + 1))
+    top = np.flatnonzero(_pw_prefix(dec, edges) == dec.dim)
+    if not top.size:
+        raise InvalidBaseError(f"base {a} needs more than MAX_BANDS = {MAX_BANDS} bands to "
+                               f"reach lambda_max = {dec.lambda_max}")
+    return edges[:top[0] + 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +127,10 @@ class BandwidthReport:
 
 
 def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
-    """0 and the distinct eigenvalues (the jump points of E(f, .)); the spectrum is ascending."""
-    nodes = np.concatenate(([0.0], dec.eigenvalues))
-    return nodes[np.append(True, nodes[1:] != nodes[:-1])]
+    """0 and the group values, ascending: the jumps of ``E(f, .)`` in exact arithmetic, which the
+    integrals take; ``best_approx`` drops ``eps_group`` below each, by the cut rule."""
+    values = dec.eigenvalues[dec._starts]
+    return np.concatenate(([0.0], values[values > 0.0]))
 
 
 def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray:
@@ -194,11 +184,13 @@ def _require_pw(dec: SpectralDecomposition, fc, omegas, error=NotBandlimitedErro
 def _bernstein_norms(dec: SpectralDecomposition, c, omegas, s) -> np.ndarray:
     """``||(D/omega)^s f_omega||`` of each coefficient row of ``c`` (``(M, N)``, at the scale of
     ``f``) at its entry of ``omegas``, for every ``s`` (last axis): ``f_omega`` is the
-    ``_pw_prefix`` cut, where ``(lambda/omega)^s <= 1``; ``0^s`` is 1 at ``s = 0``.  One power
+    ``_pw_prefix`` cut, and ``lambda/omega`` is clamped at 1, as a kept group may lie up to
+    ``eps_group`` above omega, so ``(lambda/omega)^s <= 1``; ``0^s`` is 1 at ``s = 0``.  One power
     call for the block, elementwise, so a row's bits do not depend on its block."""
     kept = np.arange(dec.dim) < _pw_prefix(dec, omegas)[:, None]
-    x = np.divide(dec.eigenvalues, omegas[:, None], out=np.zeros(kept.shape),
-                  where=kept & (dec.eigenvalues > 0.0))
+    with np.errstate(divide="ignore"):  # omega = 0 keeps lambda <= eps_group: inf, clamped
+        x = np.minimum(np.divide(dec.eigenvalues, omegas[:, None], out=np.zeros(kept.shape),
+                                 where=kept & (dec.eigenvalues > 0.0)), 1.0)
     return _norm(np.power(x, np.reshape(s, (-1, 1, 1))) * np.where(kept, np.abs(c), 0.0)).T
 
 
@@ -309,7 +301,7 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
 def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:
     """Smallest eigenvalue threshold ``omega`` with ``E(f, omega) <= eps``, per row of ``f``.
 
-    Candidates are 0 and the distinct eigenvalues; existence is guaranteed
+    Candidates are 0 and the group values (one per eigenspace); existence is guaranteed
     because ``E(f, lambda_max) = 0``.
     """
     _check_scalar(eps, "eps")

@@ -57,7 +57,8 @@ from .operators import (
     _weighted,
     apply_multiplier,
 )
-from .paley_wiener import _band_powers, _check_q, _lq_norm, _node_distances, _step_nodes, band_count
+from .paley_wiener import _band_edges, _band_powers, _check_q, _lq_norm, _node_distances
+from .paley_wiener import _step_nodes
 
 #: selectable smoothness-norm flavors
 BESOV_FLAVORS = ("integral_E", "discrete_E", "integral_R", "discrete_R",
@@ -353,12 +354,12 @@ def _integral_norm(nodes, values, alpha, q):
     """``(integral of (s^alpha E(f,s))^q ds/s)^{1/q}`` over (0, inf) in closed form, sup at q = inf,
     of each row of ``values`` (``(..., K)``; a float for one row).
 
-    ``values[..., i]`` is ``E(f, .)`` on ``[nodes[i], nodes[i+1])``, where the supremum of
-    ``s^alpha * const`` sits at the right end, so the sup is a finite maximum; below it the
-    terms ``((s_{i+1}^(alpha q) - s_i^(alpha q)) / (alpha q))^(1/q) E_i`` go to ``_lq_norm``,
-    which scales each row by its largest term, so no term underflows beside it.  A weight
-    ``s^(alpha q)`` past the largest double raises :class:`NonFiniteError` against any nonzero
-    distance."""
+    ``values[..., i]`` is ``E(f, .)`` on ``[nodes[i], nodes[i+1])``, with the exact-arithmetic
+    jumps of ``_step_nodes``; the sup of ``s^alpha * const`` sits at the right end, a finite
+    maximum; below it each ``((s_{i+1}^(alpha q) - s_i^(alpha q)) / (alpha q))^(1/q) E_i`` goes
+    to ``_lq_norm``, which scales each row by its largest term, so no term underflows beside it.
+    A weight ``s^(alpha q)`` past the largest double raises :class:`NonFiniteError` against any
+    nonzero distance."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf weights (and inf - inf)
         if q == math.inf:
             weights = nodes[1:] ** alpha
@@ -371,7 +372,7 @@ def _integral_norm(nodes, values, alpha, q):
 
 
 def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float) -> float:
-    """``sup over s > 0`` of ``s^alpha E(f, s)``, exact for step functions.
+    """``sup over s > 0`` of ``s^alpha E(f, s)``, exact for the step function of ``_step_nodes``.
 
     ``alpha`` must lie in ``[0, inf)``: below 0 the supremum is infinite.
     """
@@ -384,9 +385,9 @@ def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float) -> float
 
 
 def _edge_distances(dec: SpectralDecomposition, fc, a: float, route: str) -> np.ndarray:
-    """Distances of every row of ``fc`` to ``PW_{a^k}``, k < K with ``a^K >= lambda_max`` (last
-    axis): exact, as the rest vanish."""
-    return _node_distances(dec, fc, _band_powers(a, band_count(dec.lambda_max, a)), route)
+    """Distances of every row of ``fc`` to ``PW_{a^k}`` (last axis) at the band edges below the
+    top one of ``_band_edges``: exact, as the rest vanish."""
+    return _node_distances(dec, fc, _band_edges(dec, a)[:-1], route)
 
 
 def _discrete_norm(distances: np.ndarray, alpha: float, q: float, a: float):

@@ -25,7 +25,7 @@ from bandapprox import (
 )
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS
 from bandapprox.harness import build_operator, parse_operator_arg
-from bandapprox.paley_wiener import MAX_BANDS, band_count
+from bandapprox.paley_wiener import MAX_BANDS, _band_edges
 from conftest import random_vector
 
 
@@ -204,12 +204,19 @@ class TestSynthesis:
 
 class TestBandCount:
     def test_matches_defining_loop(self):
+        # the top edge a^K is the first edge that keeps lambda_max by the cut rule,
+        # lambda <= edge + eps_group (eps_group = 1e-9 lambda_max): on the exact spectrum
+        # {0, lam} an edge within eps_group below lam already keeps it
         for a in (2.0, 1.5, 3.0, 1.01):
-            for lam in (0.0, 0.5, 1.0, 1.0000001, 2.0, 3.999, 4.0, 4.0001, 1024.0, 1e6):
+            for lam in (0.0, 0.5, 1.0, 1.0000000005, 1.0000001, 2.0, 3.999, 4.0, 4.000000003,
+                        4.0001, 1024.0, 1e6):
+                dec = eigh(build_operator(parse_operator_arg(f"diag:0,{lam!r}", kind=RAW_D)))
+                assert dec.eps_group == 1e-9 * lam
                 k = 0
-                while a ** k < lam:
+                while a ** k + dec.eps_group < lam:
                     k += 1
-                assert band_count(lam, a) == k, (a, lam)
+                np.testing.assert_array_equal(_band_edges(dec, a), [a ** j for j in range(k + 1)],
+                                              err_msg=f"a={a}, lambda_max={lam}")
 
     def test_base_close_to_one_covers_spectrum(self, rng):
         # the former loop stopped at 10,000 bands, edge 2.718 < 4, residual 1.0

@@ -1,10 +1,13 @@
-"""One notion of an eigenspace: ``eigh`` gives each group one value, and no scalar sees the basis.
+"""One notion of an eigenspace: ``eigh`` gives each group one value, one rule cuts, and no scalar
+sees the basis.
 
 ``PW_omega`` is defined by the spectral projector of ``D``, so an eigenspace is all in or
 all out of every cut.  ``eigh`` joins eigenvalues within ``eps_group = GROUP_TOL_FACTOR
 lambda_max`` of their predecessor into one group and gives the group one value, its first
 entry plus the mean offset from it (0 for the group of a kernel mode); ``groups`` are the
-runs of equal values.  Three laws follow, each tested here:
+runs of equal values.  Every cut keeps ``lambda <= omega + eps_group`` (``_pw_prefix``), so a
+threshold that equals a group value in exact arithmetic keeps its eigenspace, however the
+solver rounded it.  These laws follow, each tested here:
 
 * closed-form spectra: each group of cycle:N, path:N and complete:N holds one exact value,
   within 1e-14 lambda_max of the closed form, with the closed-form multiplicity;
@@ -15,7 +18,11 @@ runs of equal values.  Three laws follow, each tested here:
   so every public scalar of ``f`` is the same, to rounding, when the eigenvectors are
   rotated inside each group, also at ``omega`` and band edges equal to group values, where a
   cut inside an eigenspace would depend on the basis (0.13 ||f|| for ``best_approx`` on
-  cycle:16 when the two copies of a pair were rounded apart).
+  cycle:16 when the two copies of a pair were rounded apart);
+* cuts at exact eigenvalues: E, R and the bands equal their closed forms on cycle:16,
+  path:12 and complete:N at thresholds and band edges that are eigenvalues;
+* relabelling: the nodes of a graph renumbered give a second solve whose group values differ
+  from the first in the last bits, and the cuts do not see it.
 """
 
 import math
@@ -45,10 +52,12 @@ from bandapprox import (
     modulus,
     pw_project,
     spectral_tail,
+    sup_scaled_best_approx,
     synthesis_check,
 )
-from bandapprox.harness import build_operator, parse_operator_arg
+from bandapprox.harness import DEFAULT_TOLERANCES, build_operator, parse_operator_arg
 from bandapprox.operators import GROUP_TOL_FACTOR
+from bandapprox.paley_wiener import _step_nodes
 from bandapprox.smoothness import BESOV_FLAVORS
 from conftest import random_vector
 
@@ -120,8 +129,7 @@ def _rotated(dec: SpectralDecomposition, rng) -> SpectralDecomposition:
     for group in map(list, dec.groups):
         rotation, _ = np.linalg.qr(rng.standard_normal((len(group), len(group))))
         basis[:, group] = basis[:, group] @ rotation
-    return SpectralDecomposition(eigenvalues=dec.eigenvalues, eigenvectors=basis, kind=dec.kind,
-                                 eps_group=dec.eps_group)
+    return SpectralDecomposition(eigenvalues=dec.eigenvalues, eigenvectors=basis, kind=dec.kind)
 
 
 KERNEL = build_kernel(6, 2)
@@ -183,3 +191,179 @@ def test_scalars_do_not_see_a_rotation_inside_an_eigenspace(text, kind):
         gap = np.abs(value - expected)
         assert np.all(gap <= 1e-12 * np.maximum(np.abs(expected), norm_f if distance else 0.0)), (
             f"{name}: {expected} -> {value}")
+
+
+def _dft_masses(f: np.ndarray) -> np.ndarray:
+    """``|c|^2`` of the real ``f`` on the eigenspaces ``k = 0 .. N/2`` of cycle:N, whose values
+    ``2 sin(pi k / N)`` ascend with ``k``: ``|DFT_k f|^2 / N``, with ``k`` and ``N - k`` pooled."""
+    n = len(f)
+    power = np.abs(np.fft.fft(f)) ** 2 / n
+    return np.array([power[k] + (power[n - k] if 0 < k < n - k else 0.0)
+                     for k in range(n // 2 + 1)])
+
+
+def _dct_masses(f: np.ndarray) -> np.ndarray:
+    """``|c_k|^2`` of ``f`` on path:N, ``k = 0 .. N-1`` with values ``2 sin(pi k / (2N))``: the
+    orthonormal DCT-II basis ``cos(pi k (j + 1/2) / N)``."""
+    n = len(f)
+    basis = np.cos(np.pi * np.outer(np.arange(n) + 0.5, np.arange(n)) / n)
+    basis[:, 0] /= math.sqrt(2.0)
+    return (f @ basis) ** 2 * (2.0 / n)
+
+
+F16 = np.random.default_rng(0).standard_normal(16)
+F12 = np.random.default_rng(0).standard_normal(12)
+
+#: (operator, f, omega, closed-form masses, index of the last eigenspace omega keeps): omega
+#: equals that eigenspace's value in exact arithmetic, or is the double nearest it (which lies
+#: above sqrt(2), so it keeps k = 4 of cycle:16).  The last-bit cut read 0.617, 2.313 and 1.817
+EXACT_CUTS = [
+    ("cycle:16", F16, 2.0, _dft_masses(F16), 8),
+    ("cycle:16", F16, math.sqrt(2.0), _dft_masses(F16), 4),
+    ("path:12", F12, 2.0 * math.sin(5.0 * math.pi / 24.0), _dct_masses(F12), 5),
+]
+
+
+@pytest.mark.parametrize("text, f, omega, masses, last", EXACT_CUTS,
+                         ids=["cycle:16 at 2", "cycle:16 at sqrt 2", "path:12 at 2 sin(5pi/24)"])
+def test_cuts_at_exact_eigenvalues(text, f, omega, masses, last):
+    dec = eigh(build_operator(parse_operator_arg(text)))
+    exact = math.sqrt(sum(masses[last + 1:]))
+    norm_f = float(np.linalg.norm(f))
+    for distance in (best_approx, spectral_tail):
+        value = distance(dec, f, omega)
+        assert abs(value - exact) <= 1e-13 * norm_f, (distance.__name__, value, exact)
+    projected = pw_project(dec, f, omega)
+    assert abs(np.linalg.norm(projected) - math.sqrt(sum(masses[:last + 1]))) <= 1e-13 * norm_f
+
+
+def test_exact_cut_values():
+    # the closed forms themselves: f in PW_2 of cycle:16, and the two thresholds above
+    assert sum(_dft_masses(F16)[9:]) == 0.0
+    assert math.sqrt(sum(_dft_masses(F16)[5:])) == pytest.approx(1.8660455123200, abs=1e-12)
+    assert math.sqrt(sum(_dct_masses(F12)[6:])) == pytest.approx(0.74404311462, abs=1e-10)
+    assert sum(_dft_masses(F16)) == pytest.approx(float(np.sum(F16 ** 2)), rel=1e-14)
+    assert sum(_dct_masses(F12)) == pytest.approx(float(np.sum(F12 ** 2)), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7, 8, 10, 12, 16, 17])
+def test_complete_graph_cut_at_its_eigenvalue(n):
+    # complete:N has 0 and sqrt(N): PW at omega = sqrt(N) (the double nearest) is everything
+    dec = eigh(build_operator(parse_operator_arg(f"complete:{n}")))
+    f = np.random.default_rng(n).standard_normal(n)
+    norm_f = float(np.linalg.norm(f))
+    assert spectral_tail(dec, f, math.sqrt(n)) == 0.0
+    assert best_approx(dec, f, math.sqrt(n)) <= 1e-13 * norm_f
+    assert np.linalg.norm(pw_project(dec, f, math.sqrt(n)) - f) <= 1e-13 * norm_f
+    # and PW_0 is the constants
+    assert best_approx(dec, f, 0.0) == pytest.approx(np.linalg.norm(f - f.mean()), rel=1e-13)
+
+
+def test_band_edges_at_exact_eigenvalues():
+    # a = 2 on cycle:16: the top eigenvalue 2 = 2 sin(pi/2) sits on the edge a^1, which
+    # keeps it, so the bands are [0, 1] and (1, 2] (the parent's cut added (2, 4], of norm
+    # 0.617, as the solver rounds lambda_max to 2 + 4e-15)
+    dec = eigh(build_operator(parse_operator_arg("cycle:16")))
+    split = band_decompose(dec, F16, 2.0)
+    np.testing.assert_array_equal(split.band_edges, [1.0, 2.0])
+    assert spectral_tail(dec, F16, 2.0) == 0.0  # f lies in PW_2
+    masses = _dft_masses(F16)  # 2 sin(pi k / 16) <= 1 for k <= 2
+    expected = [math.sqrt(sum(masses[:3])), math.sqrt(sum(masses[3:]))]
+    assert np.max(np.abs(split.band_norms() - expected)) <= 1e-13 * np.linalg.norm(F16)
+
+
+def _cut_scalars(dec, f, nodes, bases) -> dict:
+    """The cut scalars of ``f`` on ``dec``: at every group value in ``nodes`` and at the band
+    edges of every base in ``bases``."""
+    out = {"pw_project norm": np.linalg.norm(pw_project(dec, f, nodes), axis=-1),
+           "best_approx": best_approx(dec, f, nodes),
+           "spectral_tail": spectral_tail(dec, f, nodes)}
+    for a in bases:
+        out[f"band norms a={a}"] = band_decompose(dec, f, a).band_norms()
+    return out
+
+
+def _solver_error(matrix, dec) -> float:
+    """``rho + eta``: the residual ``||A V - V Lambda||_2`` of the solve ``dec`` of the Laplacian
+    ``matrix`` (``Lambda`` the squares of the values of ``D``) and its ``||V^T V - I||_2``."""
+    basis = dec.eigenvectors
+    return (np.linalg.norm(matrix @ basis - basis * dec.eigenvalues ** 2, 2)
+            + np.linalg.norm(basis.T @ basis - np.eye(len(basis)), 2))
+
+
+def test_cuts_do_not_see_a_relabelling():
+    """Relabel the nodes of cycle:16 by a permutation ``P``, solve again, and rotate the basis.
+
+    Exact law.  ``L' = P L P^T`` has the eigenpairs ``(lambda, P u)``, so its spectral
+    projectors are ``E'_omega = P E_omega P^T``.  Then ``pw_project(L', P f) = P pw_project(L, f)``,
+    and its norm, ``E``, ``R`` and every band norm (the norm of ``(E_{a^k} - E_{a^{k-1}}) f``) are
+    the same for ``P f`` on ``L'`` as for ``f`` on ``L``.  A rotation ``V_g -> V_g Q`` inside each
+    eigenspace leaves each projector ``V_g V_g^T`` as it is, so it moves none of them either.
+
+    The cut.  The second solve rounds each group value apart from the first by about 1e-14,
+    far inside ``eps_group = 2e-9``, and the next group lies more than ``eps_group`` above, so
+    ``lambda <= omega + eps_group`` keeps the same eigenspaces in both solves at every group
+    value ``omega`` and every band edge.  The parent's cut, decided by the last bit, moved
+    ``||pw_project||`` by 0.20 to 0.53 ``||f||``.
+
+    What is left is each solve's own error.  A solve with residual ``rho = ||A V - V Lambda||_2``
+    and ``eta = ||V^T V - I||_2`` has kept columns whose projector lies within ``rho / delta + eta``
+    of ``E_omega`` (Davis-Kahan sin Theta, to first order), where ``delta`` is the gap of ``L``
+    across the cut, at least the smallest gap ``4 cos^2(7 pi / 16)`` of the closed-form values
+    ``4 sin^2(pi k / 16)`` less ``rho``.  A norm of ``E_omega f`` or ``f - E_omega f`` moves by at
+    most the projector's move times ``||f||``, and a band norm by twice that: the bound below.  The
+    solver's residual, up to 6e-12 here, moves ``E`` by up to 1.1e-12 ``||f||`` and a band norm by
+    2.4e-12 ``||f||``; ``||pw_project||`` stays within 1e-12 ``||f||``.  Each move is also held
+    under a fixed ceiling just above what was seen, 1e-12 ``||f||`` for ``||pw_project||`` and
+    5e-12 ``||f||`` for the rest, so a worse solver cannot widen it; 1e-12 for all of them waits
+    for a solver with a smaller residual (ROADMAP item 3).
+    """
+    op = build_operator(parse_operator_arg("cycle:16"))
+    dec = eigh(op)
+    rng = np.random.default_rng(25)
+    f = rng.standard_normal(16)
+    norm_f = float(np.linalg.norm(f))
+    nodes = dec.eigenvalues[[group[0] for group in dec.groups]]
+    bases = (2.0, float(nodes[nodes > 1.0][0]))  # a^1 on the top and on the first group above 1
+    want, error = _cut_scalars(dec, f, nodes, bases), _solver_error(op.entries, dec)
+    gap = 4.0 * math.cos(7.0 * math.pi / 16.0) ** 2
+    for _ in range(20):
+        perm = rng.permutation(16)
+        matrix = op.entries[np.ix_(perm, perm)]
+        relabelled = _rotated(eigh(SymmetricOperator(matrix)), rng)
+        errors = error + _solver_error(matrix, relabelled)
+        bound = 2.0 * errors / (gap - errors) * norm_f
+        got = _cut_scalars(relabelled, f[perm], nodes, bases)
+        for name, expected in want.items():
+            ceiling = (1e-12 if name == "pw_project norm" else 5e-12) * norm_f
+            assert got[name].shape == expected.shape, (name, perm)
+            assert np.max(np.abs(got[name] - expected)) <= min(bound, ceiling), (name, perm)
+
+
+def test_step_integrals_take_the_jumps_at_the_group_values():
+    # the cut rule drops the group at 3e-9 of raw_D diag(0, 3e-9, 1) already at 3e-9 - eps_group
+    # = 2e-9, so best_approx(e_1, s) is 0 from there; the integral and sup flavors integrate the
+    # exact-arithmetic step function, whose jump sits at 3e-9 (_step_nodes), so the supremum of
+    # s E(e_1, s) reads 3e-9, not the 2e-9 of best_approx
+    dec = eigh(SymmetricOperator(np.diag([0.0, 3e-9, 1.0]), kind=RAW_D))
+    f = np.array([0.0, 1.0, 0.0])
+    assert dec.groups == ((0,), (1,), (2,)) and dec.eps_group == 1e-9
+    assert best_approx(dec, f, [1.9e-9, 2e-9, 3e-9]).tolist() == [1.0, 0.0, 0.0]
+    np.testing.assert_array_equal(_step_nodes(dec), [0.0, 3e-9, 1.0])
+    assert sup_scaled_best_approx(dec, f, 1.0) == 3e-9
+    assert besov_norm(dec, f, BesovParams(alpha=1.0, q=math.inf, flavor="integral_E")) == 1.0 + 3e-9
+
+
+def test_bernstein_ratio_of_a_group_kept_above_omega():
+    # omega = lambda_k - eps_group / 2 keeps the group at lambda_k, where (lambda/omega)^7 is
+    # 1 + 7 eps_group / (2 lambda_k) (1 + 1.8e-8 at lambda_1 of cycle:16): lambda/omega is
+    # clamped at 1, so the ratio stays within the bernstein tolerance
+    dec = eigh(build_operator(parse_operator_arg("cycle:16")))
+    for group in dec.groups[1:]:
+        omega = float(dec.eigenvalues[group[0]]) - dec.eps_group / 2.0
+        rep = bernstein_check(dec, dec.eigenvectors[:, group[0]], omega, (0.5, 1.0, 7.0))
+        assert abs(rep.max_ratio - 1.0) <= DEFAULT_TOLERANCES["bernstein"], (group, rep.ratios)
+    # omega = 0 keeps a group within eps_group = 1e-9 above 0: lambda/omega = inf, clamped
+    tiny = eigh(SymmetricOperator(np.diag([5e-10, 1.0]), kind=RAW_D))
+    rep = bernstein_check(tiny, [1.0, 0.0], 0.0, (0.0, 1.0, 7.0))
+    assert tiny.eigenvalues[0] == 5e-10 and rep.ratios.tolist() == [1.0, 1.0, 1.0]

@@ -289,6 +289,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "dim: 3" in out and "3.0" in out
 
+    def test_spectrum_prints_the_cut_width(self, capsys):
+        # the width of the one cut rule: lambda is in PW_omega when lambda <= omega + eps_group
+        assert main(["spectrum", "--op", "cycle:16"]) == 0
+        eps = eigh(build_operator(parse_operator_arg("cycle:16"))).eps_group
+        assert eps == pytest.approx(2e-9, rel=1e-14)  # 1e-9 lambda_max, lambda_max = 2
+        assert f"eps_group: {eps!r}  (a cut at omega keeps lambda <= omega + eps_group)" in (
+            capsys.readouterr().out.splitlines())
+
     def test_project_and_vector_roundtrip(self, tmp_path, rng, capsys):
         vec_path = tmp_path / "f.csv"
         save_vector(str(vec_path), random_vector(rng, 4))

@@ -2,9 +2,9 @@
 private module-level name is referenced somewhere in src/ or tests/, no
 private library helper transforms a vector, the harness calls the library
 through its public names, only ``operators`` calls ``ldexp``, one function
-decides membership of PW_omega, one shift scan samples the differences, one
-Tikhonov path serves ``K(t)`` and its norm, one step pools ``|c|^2`` per
-eigenspace, only the vector domain reads the eigenvectors, and the library
+decides membership of PW_omega, one function decides every spectral cut, one shift scan
+samples the differences, one Tikhonov path serves ``K(t)`` and its norm, one step pools
+``|c|^2`` per eigenspace, only the vector domain reads the eigenvectors, and the library
 imports no third-party package but NumPy."""
 
 import ast
@@ -237,3 +237,27 @@ def test_only_the_vector_domain_reads_the_basis():
         "approx_operators.jackson_check", "decomposition._band_split",
         "operators.SpectralDecomposition", "operators._synthesize", "operators.inverse_transform",
         "operators.spectral_transform", "paley_wiener._distances"]
+
+
+def test_one_cut_rule():
+    # every cut keeps lambda <= omega + eps_group, decided in paley_wiener._pw_prefix: the band
+    # edges come from it (_band_edges), and band_count, a second decider in Python floats that
+    # put lambda_max = 2 + 4e-15 of cycle:16 above the edge 2, is gone.  SpectralDecomposition
+    # derives eps_group, and eigh groups at the same width (the CLI prints it); no other layer
+    # reads it
+    readers = sum((_top_level_readers(layer, _reads("eps_group")) for layer in LAYERS), [])
+    assert sorted(readers) == ["operators.SpectralDecomposition", "operators.eigh",
+                               "paley_wiener._pw_prefix"]
+
+    def cuts_the_spectrum(node):  # a searchsorted of, or a comparison with, the eigenvalues
+        if isinstance(node, ast.Call) and _reads("searchsorted")(node.func):
+            return any(map(_reads("eigenvalues"), ast.walk(node)))
+        return isinstance(node, ast.Compare) and any(map(_reads("eigenvalues"), ast.walk(
+            node))) and not any(isinstance(side, ast.Constant) and side.value == 0
+                                for side in (node.left, *node.comparators))
+
+    cutters = sum((_top_level_readers(layer, cuts_the_spectrum) for layer in LAYERS), [])
+    assert cutters == ["paley_wiener._pw_prefix"]
+    for module in (bandapprox, *(getattr(bandapprox, layer) for layer in LAYERS)):
+        assert not hasattr(module, "band_count")
+    assert not [path.name for path in MODULES if "band_count" in path.read_text(encoding="utf-8")]

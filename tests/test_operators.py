@@ -27,6 +27,7 @@ from bandapprox import (
     spectral_transform,
 )
 from bandapprox.harness import OperatorSpec, build_operator, parse_operator_arg
+from bandapprox.operators import GROUP_TOL_FACTOR
 from conftest import random_vector
 
 
@@ -110,6 +111,7 @@ class TestEigh:
         ([0.0, 1.0, 2.0], np.eye(2)),
         ([0.0, 1.0, 2.0], np.ones((3, 2))),
         ([[0.0, 1.0]], np.eye(2)),
+        ([0.0, 1.0, 1.0 + 1e-9, 2.0], np.eye(4)),  # two values within eps_group = 2e-9
     ])
     def test_malformed_spectrum_rejected(self, eigenvalues, eigenvectors):
         # the descending case used to give lambda_max 0.0 and best_approx(ones(3), 1.5) = 1.0
@@ -121,6 +123,19 @@ class TestEigh:
         assert dec.groups == ((0,), (1, 2), (3,))  # the runs of equal eigenvalues
         assert dec.lambda_max == 2.0
         assert best_approx(dec, np.ones(4), 1.5) == 1.0
+
+    def test_eps_group_is_derived(self):
+        # the width of the cut rule is GROUP_TOL_FACTOR lambda_max for every decomposition, set
+        # by none: a hand-built one cuts as eigh's does, and nan, a negative width or one that
+        # bridges two distinct values cannot be passed
+        dec = SpectralDecomposition(eigenvalues=[0.0, 1.0, 1.0, 2.0], eigenvectors=np.eye(4))
+        assert dec.eps_group == GROUP_TOL_FACTOR * 2.0
+        assert best_approx(dec, [0.0, 0.0, 0.0, 1.0], 2.0 - dec.eps_group / 2.0) == 0.0
+        assert best_approx(dec, [0.0, 0.0, 0.0, 1.0], 2.0 - 2.0 * dec.eps_group) == 1.0
+        for width in (math.nan, -1.0, 0.5):
+            with pytest.raises(TypeError):
+                SpectralDecomposition(eigenvalues=[0.0, 0.3, 1.0], eigenvectors=np.eye(3),
+                                      eps_group=width)
 
     def test_degeneracy_grouping_tolerance(self):
         dec = eigh(SymmetricOperator(np.diag([1.0, 1.0 + 1e-12, 2.0]), kind=RAW_D))

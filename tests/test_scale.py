@@ -4,7 +4,8 @@ At ``1e160`` the square of an entry of ``f`` overflows and at ``1e-160``
 and ``1e-300`` it underflows.  Every value below is still 1-homogeneous in
 ``f``, and every ratio is independent of its scale, to 1e-12.  A band or
 step weight past the largest double (``alpha = 600``) adds nothing against
-a zero term and raises ``NonFiniteError`` against a nonzero one.  A result
+a zero term and raises ``NonFiniteError`` against a nonzero one; a band edge past it
+is ``inf``, which keeps the whole spectrum.  A result
 taken at a power-of-two scale that passes the largest double once its ``2^e``
 is back raises ``NonFiniteError`` too, with no ``RuntimeWarning``, while
 values near the bottom of the double range keep their bits.  A tail whose squares
@@ -201,6 +202,20 @@ def test_weights_beyond_the_largest_double(name, call, expected):
     assert call(dec, dec.eigenvectors[:, 1]) == expected
     with pytest.raises(NonFiniteError):
         call(dec, np.ones(6))
+
+
+def test_a_base_whose_square_passes_the_largest_double():
+    # on diag(0, 1, 1e305) at a = 1e300 the edges are 1, 1e300 and a^2 = inf, the first that keeps
+    # the spectrum; band_count's float power a^2 raised a bare OverflowError in both calls
+    dec = eigh(SymmetricOperator(np.diag([0.0, 1.0, 1e305]), kind=RAW_D))
+    f = np.ones(3)
+    split = band_decompose(dec, f, 1e300)
+    np.testing.assert_array_equal(split.band_edges, [1.0, 1e300, math.inf])
+    np.testing.assert_allclose(split.band_norms(), [math.sqrt(2.0), 0.0, 1.0], rtol=1e-15)
+    # ||f|| + (E(f, 1)^2 + (a^alpha E(f, a))^2)^(1/2) = sqrt(3) + (1 + 1e300)^(1/2) = 1e150
+    for flavor in ("discrete_E", "discrete_R"):
+        params = BesovParams(alpha=0.5, q=2.0, a=1e300, flavor=flavor)
+        assert besov_norm(dec, f, params) == pytest.approx(1e150, rel=1e-15)
 
 
 #: calls whose result, taken at a power-of-two scale, passes the largest double once its

@@ -72,7 +72,7 @@ from bandapprox import (
 from bandapprox import paley_wiener
 from bandapprox.harness import build_operator, load_edge_list, parse_operator_arg
 from bandapprox.operators import _coefficients, _measure, _norm
-from bandapprox.paley_wiener import _band_powers, _lq_norm, _step_nodes, band_count
+from bandapprox.paley_wiener import _band_edges, _band_powers, _lq_norm, _step_nodes
 from bandapprox.smoothness import (
     BESOV_FLAVORS,
     _discrete_norm,
@@ -148,7 +148,7 @@ def _by_definition(dec, f, p):
         tail = _integral_norm(nodes, np.array([distance(dec, f, w) for w in nodes[:-1]]),
                               p.alpha, p.q)
     else:
-        edges = _band_powers(p.a, band_count(dec.lambda_max, p.a))
+        edges = _band_edges(dec, p.a)[:-1]
         tail = _discrete_norm(np.array([distance(dec, f, w) for w in edges]), p.alpha, p.q, p.a)
     return _norm(f) + tail
 
@@ -409,7 +409,7 @@ def _assert_e_route_matches_the_element_loop(dec, vectors):
     for f, row in zip(vectors, expected):
         np.testing.assert_array_equal(best_approx(dec, f, omegas), row)
     for alpha, q, a in COMBOS["discrete_E"]:
-        edges = _band_powers(a, band_count(dec.lambda_max, a))
+        edges = _band_edges(dec, a)[:-1]
         integral, discrete = [], []
         for f in vectors:
             fc = _coefficients(dec, f)
