@@ -13,20 +13,22 @@ Two bounded operators built from the unitary group ``e^{itD}``:
   control through the modulus of continuity, which :func:`jackson_check`
   measures for a block of vectors at an axis of band edges in one call.
 
-The kernel transform has two independent evaluators that must agree:
-oscillatory quadrature (composite Gauss-Legendre with an analytic tail
-correction) and a closed form, since the transform of a sinc power is a
-scaled uniform B-spline supported on [-1, 1].
+The kernel's constants are closed forms: its transform is a scaled
+uniform B-spline supported on [-1, 1], since the kernel is a sinc power,
+and its mass and moments are the finite sums of Gradshteyn & Ryzhik 3.827,
+summed exactly.  The tests check both against quadrature.
 """
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from .errors import (
     IndexOutOfRangeError,
     InvalidConfigError,
+    InvalidOrderError,
     InvalidParamsError,
     KernelOrderMismatchError,
     NegativeOmegaError,
@@ -51,22 +53,10 @@ from .operators import (
 from .paley_wiener import _distances, _require_pw
 from .smoothness import _moduli, _safe_ratio
 
-# -- small numerics ------------------------------------------------------------
+# -- the kernel ----------------------------------------------------------------
 
-def _sinc(u):
-    """sin(u)/u with a series switchover near the removable singularity."""
-    u = np.asarray(u, dtype=np.float64)
-    small = np.abs(u) < 1e-3
-    safe = np.where(small, 1.0, u)
-    u2 = u * u
-    series = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0 * (1.0 - u2 / 72.0)))
-    return np.where(small, series, np.sin(safe) / safe)
-
-
-def _kernel_profile(n: int, t):
-    """(sin(t/n)/t)^n, the unnormalized kernel; nonnegative for even n."""
-    t = np.asarray(t, dtype=np.float64)
-    return float(n) ** (-n) * _sinc(t / n) ** n
+#: pi to 60 digits, for the even moments
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 
 def _uniform_bspline(n: int, y):
@@ -88,64 +78,37 @@ def _centered_bspline(n: int, x):
     return _uniform_bspline(n, np.asarray(x, dtype=np.float64) + n / 2.0)
 
 
-def _composite_gauss(t_max: float, panel_len: float, nodes_per_panel: int):
-    """Gauss-Legendre nodes/weights tiling [0, t_max]."""
-    panels = max(1, math.ceil(t_max / panel_len))
-    edges = np.linspace(0.0, t_max, panels + 1)
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+def _half_moment(n: int, p: int) -> float:
+    """``integral over (0, inf)`` of ``(sin(t/n)/t)^n t^p`` for even ``n``, ``0 <= p <= n - 2``,
+    rounded once to a double.
 
-
-def _sin_power_fourier(n: int):
-    """Mean and cosine coefficients of sin(u)^n for even n.
-
-    sin^n u = mean + sum_l gamma_l cos(2 l u), l = 1..n/2.
-    """
-    mean = math.comb(n, n // 2) / 2.0 ** n
-    gammas = np.array([2.0 * (-1.0) ** l * math.comb(n, n // 2 - l) / 2.0 ** n
-                       for l in range(1, n // 2 + 1)])
-    return mean, gammas
-
-
-def _psi_moment(n: int, p: int, refine: int = 1) -> float:
-    """``integral over (0, inf)`` of ``(sin(t/n)/t)^n t^p``.
-
-    Composite Gauss-Legendre up to T plus an analytic tail: beyond T the
-    oscillation ``sin(t/n)^n`` is split into its mean and finitely many
-    cosines; the mean integrates exactly against ``t^{p-n}`` and each
-    cosine term gets a two-step integration by parts whose remainder is
-    O(T^{p-n-1}).  Requires tail exponent n - p >= 2.
+    With ``t = n u`` and ``q = n - p`` it is ``n^{1-q} integral sin^n u / u^q du``.  Expanding
+    ``sin^n u`` in the cosines ``cos((n - 2k) u)`` and integrating by parts ``q - 1`` times
+    gives (Gradshteyn & Ryzhik 3.827) ``(-1)^{floor(p/2)} / (2^{n-1} (q-1)!)`` times
+    ``sum_{k < n/2} (-1)^k C(n, k) (n - 2k)^{q-1} w_k``, where ``w_k`` is ``pi/2`` for even
+    ``p`` (Dirichlet's integral) and ``ln(n - 2k)`` for odd ``p`` (Frullani's).  The sum
+    cancels far below its terms, so its coefficients stay exact integers and the logarithms
+    carry as many digits as the largest coefficient, plus 30.
     """
     q = n - p
-    if q < 2:
-        raise OrderTooSmallError(
-            f"moment p={p} needs kernel order n >= p + 2, got n={n}")
-    t_max = max(2000.0, 200.0 * n) * refine
-    panel_len = min(n * math.pi / 2.0, 8.0) / refine
-    nodes, weights = _composite_gauss(t_max, panel_len, 16 * refine)
-    main = float(np.sum(weights * _kernel_profile(n, nodes) * nodes ** p))
+    coefs = [(-1) ** k * math.comb(n, k) * (n - 2 * k) ** (q - 1) for k in range(n // 2)]
+    with localcontext() as ctx:
+        ctx.prec = len(str(max(map(abs, coefs)))) + 30
+        if p % 2:
+            total = sum(c * Decimal(n - 2 * k).ln() for k, c in enumerate(coefs))
+        else:
+            total = _PI * sum(coefs) / 2
+        return float((-1) ** (p // 2) * total
+                     / (2 ** (n - 1) * math.factorial(q - 1) * n ** (q - 1)))
 
-    # tail: psi(t) t^p = sin(t/n)^n t^{p-n}, so integrate sin^n against t^{-q}
-    mean, gammas = _sin_power_fourier(n)
-    tail = mean * t_max ** (1 - q) / (q - 1)
-    for l, gamma in enumerate(gammas, start=1):
-        b = 2.0 * l / n
-        tail += gamma * (-math.sin(b * t_max) * t_max ** (-q) / b
-                         + q * math.cos(b * t_max) * t_max ** (-q - 1) / b ** 2)
-    return main + tail
-
-# -- the kernel ----------------------------------------------------------------
 
 class ApproxKernel:
     """Normalized kernel ``h(t) = a (sin(t/n)/t)^n`` for even order n >= 4.
 
     Even, nonnegative, unit mass, and of exponential type one: its
-    transform vanishes outside [-1, 1].  ``norm_const`` is ``a``, fixed by
-    quadrature so the mass is 1.  Supports difference orders up to n - 3.
+    transform vanishes outside [-1, 1].  ``norm_const`` is ``a``, which
+    makes the mass 1.  The mass and the moments are the closed forms of
+    :func:`_half_moment`.  Supports difference orders up to n - 3.
     """
 
     def __init__(self, n: int, norm_const: float):
@@ -157,48 +120,32 @@ class ApproxKernel:
     def __repr__(self):
         return f"ApproxKernel(n={self.n}, norm_const={self.norm_const!r})"
 
-    def h(self, t):
-        """Kernel values; ``h(0) = norm_const * n^{-n}``."""
-        return self.norm_const * _kernel_profile(self.n, t)
-
     def symbol(self, xi):
         """Closed-form transform: a scaled B-spline, exactly 0 for |xi| >= 1."""
         x = np.asarray(xi, dtype=np.float64)
         return _centered_bspline(self.n, self.n * x / 2.0) / self._bspline_center
 
-    def symbol_quadrature(self, xi):
-        """Transform by oscillatory quadrature of ``2 a psi(t) cos(xi t)``."""
-        x = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-        xi_max = float(np.max(np.abs(x))) if x.size else 0.0
-        n = self.n
-        t_max = (2.0 * self.norm_const / ((n - 1) * 1e-10)) ** (1.0 / (n - 1))
-        t_max = min(max(t_max, 500.0), 1e5)
-        panel_len = min(n * math.pi / 2.0, 8.0 / (1.0 + xi_max))
-        nodes, weights = _composite_gauss(t_max, panel_len, 16)
-        psi_w = weights * _kernel_profile(n, nodes)
-        vals = 2.0 * self.norm_const * (np.cos(np.outer(x, nodes)) @ psi_w)
-        return vals.reshape(np.shape(xi)) if np.ndim(xi) else float(vals[0])
-
     def moment(self, p: int) -> float:
-        """``integral of h(t) |t|^p dt``; finite for p <= n - 2."""
+        """``integral of h(t) |t|^p dt`` for an integer ``0 <= p <= n - 2``, where it is finite."""
+        if not (_is_int(p) and p >= 0):
+            raise InvalidOrderError(f"moment order must be an integer >= 0, got {p!r}")
+        if p > self.n - 2:
+            raise OrderTooSmallError(f"moment p={p} needs kernel order n >= p + 2, got n={self.n}")
+        p = int(p)
         if p not in self._moments:
-            self._moments[p] = 2.0 * self.norm_const * _psi_moment(self.n, p)
+            self._moments[p] = 2.0 * self.norm_const * _half_moment(self.n, p)
         return self._moments[p]
 
 
 _KERNEL_CACHE: dict[int, ApproxKernel] = {}
 
-#: mass-normalization verification tolerance for build_kernel
-KERNEL_MASS_TOL = 1e-8
-
 
 def build_kernel(n: int, m: int) -> ApproxKernel:
-    """Construct and validate the kernel of order ``n`` for difference order ``m``.
+    """Construct the kernel of order ``n`` for difference order ``m``.
 
-    ``n`` must be even and at least ``m + 3``.  The normalization constant
-    comes from quadrature; it is verified against a refined quadrature
-    (doubled range and node count) and the moment of order ``m`` is
-    computed to confirm finiteness; a constant beyond the doubles raises InvalidParamsError.
+    ``n`` must be even and at least ``m + 3``.  The normalization constant is
+    ``1 / (2 integral_0^inf (sin(t/n)/t)^n dt)``, from the closed form of the mass; from
+    ``n = 144`` it is no finite double, and InvalidParamsError is raised.
     """
     if n != int(n) or int(n) % 2 != 0:
         raise OddOrderError(f"kernel order must be even, got {n}")
@@ -208,19 +155,11 @@ def build_kernel(n: int, m: int) -> ApproxKernel:
         raise OrderTooSmallError(f"kernel order n={n} must be >= m + 3 = {m + 3}")
     if n not in _KERNEL_CACHE:
         with np.errstate(divide="ignore", over="ignore"):
-            a = 1.0 / (2.0 * np.float64(_psi_moment(n, 0)))
+            a = 0.5 / np.float64(_half_moment(n, 0))
         if not 0.0 < a < math.inf:  # (sin(t/n)/t)^n underflows, and the mass with it
             raise InvalidParamsError(f"kernel order n={n} too large: constant {float(a)!r}")
-        refined = _psi_moment(n, 0, refine=2)
-        mass_refined = 2.0 * a * refined
-        if abs(mass_refined - 1.0) > KERNEL_MASS_TOL:
-            raise RuntimeError(
-                f"kernel mass normalization unstable: refined mass {mass_refined!r}")
         _KERNEL_CACHE[n] = ApproxKernel(n=n, norm_const=a)
-    kernel = _KERNEL_CACHE[n]
-    if not math.isfinite(kernel.moment(m)):
-        raise RuntimeError(f"kernel moment of order {m} is not finite")
-    return kernel
+    return _KERNEL_CACHE[n]
 
 
 # -- Riesz interpolation operator ----------------------------------------------
@@ -368,7 +307,7 @@ def q_apply(dec: SpectralDecomposition, f, omega: float, m: int,
     """Quasi-interpolation of ``f`` into PW_omega.
 
     Evaluated through the spectral symbol, with the closed-form kernel
-    transform (``ApproxKernel.symbol_quadrature`` is its oracle).
+    transform.
     The zero-eigenvalue component passes through unchanged because the
     shift weights sum to 1 and the transform is 1 at the origin.  ``omega``
     broadcasts against the rows of ``f``.
@@ -382,7 +321,8 @@ def q_apply(dec: SpectralDecomposition, f, omega: float, m: int,
 def jackson_constant(kernel: ApproxKernel, m: int, k: int) -> float:
     """``integral of h(t) |t|^k (1 + |t|)^m dt``; finiteness needs ``n >= k + m + 2``.
 
-    The exponent ``m`` dominates the proof's ``m - k``, so the direct estimate stays valid.
+    A binomial sum of the kernel's closed-form moments.  The exponent ``m`` dominates the
+    proof's ``m - k``, so the direct estimate stays valid.
     """
     _check_order(m, 0, IndexOutOfRangeError, k)
     if kernel.n < k + m + 2:

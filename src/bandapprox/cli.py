@@ -106,7 +106,7 @@ def _cmd_riesz(args):
 
 def _cmd_jackson(args):
     dec, f = _decomposition_and_vector(args)
-    order = args.kernel_order if args.kernel_order else args.m + 4 + (args.m % 2)
+    order = args.kernel_order if args.kernel_order is not None else args.m + 4 + (args.m % 2)
     kernel = aop.build_kernel(order, args.m)
     rep = aop.jackson_check(dec, f, args.omega, args.m, args.k, kernel)
     print(f"E(f, omega)        = {rep.best!r}")
@@ -115,7 +115,7 @@ def _cmd_jackson(args):
     print(f"ratios: E/bound = {rep.ratio_best!r}, ||Qf-f||/bound = {rep.ratio_q!r}")
     tols = harness.DEFAULT_TOLERANCES
     passed = (rep.link_gap <= tols["jackson_link"]
-              and max(rep.ratio_best, rep.ratio_q) <= 1.0 + tols["jackson_grid"])
+              and max(rep.ratio_best, rep.ratio_q) <= 1.0 + tols["jackson_ratio"])
     print(f"passed: {passed}")
     return 0 if passed else 1
 

@@ -340,8 +340,8 @@ DEFAULT_TOLERANCES = {
     "growth_bound": 1e-10,
     "riesz_norm": 1e-6,
     "riesz_slope": 0.2,
-    "modulus_grid": 1e-6,
-    "jackson_grid": 1e-6,
+    "modulus_ratio": 1e-6,
+    "jackson_ratio": 1e-6,
     "jackson_link": 1e-10,
     "q_tail": 1e-10,
     "q_kernel_pass": 1e-10,
@@ -466,7 +466,7 @@ def _check_modulus_inequalities(ctx):
     rows, *params = (np.array(column) for column in zip(*trials))
     rep = sm.modulus_inequality_checks(ctx.dec, ctx.corpus[rows], *params)
     worst = max(0.0, *rep.ratio_scale.tolist(), *rep.ratio_power[params[-1] > 0].tolist())
-    return [ctx.record("modulus_inequalities", worst, 1.0 + ctx.tols["modulus_grid"],
+    return [ctx.record("modulus_inequalities", worst, 1.0 + ctx.tols["modulus_ratio"],
                        trials=50)], {}
 
 
@@ -486,7 +486,7 @@ def _check_jackson_chain(ctx):
         worst_ratio = max(0.0, *np.maximum(rep.ratio_best, rep.ratio_q).ravel().tolist())
         worst_link = max(0.0, *rep.link_gap.ravel().tolist())
         params = dict(m=m, k=k, n_kernel=order)
-        records += [ctx.record("jackson_chain", worst_ratio, 1.0 + ctx.tols["jackson_grid"],
+        records += [ctx.record("jackson_chain", worst_ratio, 1.0 + ctx.tols["jackson_ratio"],
                                **params),
                     ctx.record("jackson_link", worst_link, ctx.tols["jackson_link"], **params)]
     return records, constants

@@ -96,6 +96,113 @@ def kernel_norm_const_closed_form(n):
     return n ** (n - 1) / (math.pi * float(_centered_bspline(n, 0.0)))
 
 
+# -- the kernel by quadrature: composite Gauss-Legendre, independent of the closed forms ----
+
+def _sinc(u):
+    """sin(u)/u with a series switchover near the removable singularity."""
+    u = np.asarray(u, dtype=np.float64)
+    small = np.abs(u) < 1e-3
+    safe = np.where(small, 1.0, u)
+    u2 = u * u
+    series = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0 * (1.0 - u2 / 72.0)))
+    return np.where(small, series, np.sin(safe) / safe)
+
+
+def _kernel_profile(n, t):
+    """(sin(t/n)/t)^n, the unnormalized kernel; nonnegative for even n."""
+    t = np.asarray(t, dtype=np.float64)
+    return float(n) ** (-n) * _sinc(t / n) ** n
+
+
+def kernel_values(kernel, t):
+    """The kernel ``h(t) = norm_const (sin(t/n)/t)^n``; ``h(0) = norm_const n^{-n}``."""
+    return kernel.norm_const * _kernel_profile(kernel.n, t)
+
+
+def _composite_gauss(t_max, panel_len, nodes_per_panel):
+    """Gauss-Legendre nodes/weights tiling [0, t_max]."""
+    panels = max(1, math.ceil(t_max / panel_len))
+    edges = np.linspace(0.0, t_max, panels + 1)
+    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+def _sin_power_fourier(n):
+    """Mean and cosine coefficients of sin(u)^n for even n.
+
+    sin^n u = mean + sum_l gamma_l cos(2 l u), l = 1..n/2.
+    """
+    mean = math.comb(n, n // 2) / 2.0 ** n
+    gammas = np.array([2.0 * (-1.0) ** l * math.comb(n, n // 2 - l) / 2.0 ** n
+                       for l in range(1, n // 2 + 1)])
+    return mean, gammas
+
+
+def half_moment_by_quadrature(n, p, refine=1):
+    """``integral over (0, inf)`` of ``(sin(t/n)/t)^n t^p``, for ``n - p >= 2``.
+
+    Composite Gauss-Legendre up to T plus an analytic tail: beyond T the
+    oscillation ``sin(t/n)^n`` is split into its mean and finitely many
+    cosines; the mean integrates exactly against ``t^{p-n}`` and each
+    cosine term gets a two-step integration by parts whose remainder is
+    O(T^{p-n-1}).  ``refine = 2`` doubles the range and the nodes per panel and halves the
+    panel length.  ``nodes ** p`` overflows for ``p`` from about 74 on.
+    """
+    q = n - p
+    t_max = max(2000.0, 200.0 * n) * refine
+    panel_len = min(n * math.pi / 2.0, 8.0) / refine
+    nodes, weights = _composite_gauss(t_max, panel_len, 16 * refine)
+    main = float(np.sum(weights * _kernel_profile(n, nodes) * nodes ** p))
+
+    # tail: psi(t) t^p = sin(t/n)^n t^{p-n}, so integrate sin^n against t^{-q}
+    mean, gammas = _sin_power_fourier(n)
+    tail = mean * t_max ** (1 - q) / (q - 1)
+    for l, gamma in enumerate(gammas, start=1):
+        b = 2.0 * l / n
+        tail += gamma * (-math.sin(b * t_max) * t_max ** (-q) / b
+                         + q * math.cos(b * t_max) * t_max ** (-q - 1) / b ** 2)
+    return main + tail
+
+
+def kernel_symbol_by_quadrature(kernel, xi):
+    """The kernel transform by oscillatory quadrature of ``2 a psi(t) cos(xi t)``, not by its
+    B-spline closed form."""
+    x = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    xi_max = float(np.max(np.abs(x))) if x.size else 0.0
+    n = kernel.n
+    t_max = (2.0 * kernel.norm_const / ((n - 1) * 1e-10)) ** (1.0 / (n - 1))
+    t_max = min(max(t_max, 500.0), 1e5)
+    panel_len = min(n * math.pi / 2.0, 8.0 / (1.0 + xi_max))
+    nodes, weights = _composite_gauss(t_max, panel_len, 16)
+    psi_w = weights * _kernel_profile(n, nodes)
+    vals = 2.0 * kernel.norm_const * (np.cos(np.outer(x, nodes)) @ psi_w)
+    return vals.reshape(np.shape(xi)) if np.ndim(xi) else float(vals[0])
+
+
+def half_moment_mpmath(n, p, dps=50):
+    """Gradshteyn & Ryzhik 3.827 for ``integral over (0, inf)`` of ``(sin(t/n)/t)^n t^p``
+    (``approx_operators._half_moment``), summed in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        q = n - p
+        total = mpmath.fsum((-1) ** k * math.comb(n, k) * mpmath.mpf(n - 2 * k) ** (q - 1)
+                            * (mpmath.log(n - 2 * k) if p % 2 else mpmath.pi / 2)
+                            for k in range(n // 2))
+        return (-1) ** (p // 2) * total / (2 ** (n - 1) * mpmath.factorial(q - 1)
+                                           * mpmath.mpf(n) ** (q - 1))
+
+
+def half_moment_quadosc(n, p, dps=16):
+    """``integral over (0, inf)`` of ``(sin(t/n)/t)^n t^p`` by ``mpmath.quadosc`` at ``dps``
+    digits; unreliable at small ``p`` for large ``n`` (0.2 off at ``n = 80, p = 1``)."""
+    with mpmath.workdps(dps):
+        return mpmath.quadosc(lambda t: mpmath.sin(t / n) ** n * t ** (p - n),
+                              [0, mpmath.inf], omega=mpmath.mpf(1) / n)
+
+
 def modulus_dense_scan(dec, f, s, m, points=200_001):
     """Modulus by a very dense uniform scan (no refinement)."""
     c = spectral_transform(dec, f)
@@ -407,9 +514,9 @@ def distances_by_element(dec, fc, omegas):
 
 def q_symbol_by_quadrature(kernel, omega, m, lam):
     """The Q symbol ``sum_j b_j h_transform(j lam / omega)`` of ``approx_operators.q_symbol``,
-    each kernel transform by oscillatory quadrature (``ApproxKernel.symbol_quadrature``), not
+    each kernel transform by oscillatory quadrature (``kernel_symbol_by_quadrature``), not
     by its closed form; of shape ``omega.shape + lam.shape`` for a 1-D ``lam``."""
     omega = np.asarray(omega, dtype=np.float64)
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    return sum(bj * kernel.symbol_quadrature(j * lam / omega[..., None])
+    return sum(bj * kernel_symbol_by_quadrature(kernel, j * lam / omega[..., None])
                for j, bj in enumerate(shift_coefficients(m), start=1))

@@ -396,11 +396,29 @@ class TestCli:
         assert main(argv) == 0
         assert "passed: True" in capsys.readouterr().out
         # E(f, 1.2) > 0, so no ratio is at most 1 - 2
-        monkeypatch.setitem(harness.DEFAULT_TOLERANCES, "jackson_grid", -2.0)
+        monkeypatch.setitem(harness.DEFAULT_TOLERANCES, "jackson_ratio", -2.0)
         assert main(argv) == 1
         assert "passed: False" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("override", ["plancherel", "no_such_tol=1e-3", "plancherel=tiny"])
+    def test_jackson_kernel_order_zero_rejected(self, tmp_path, rng, capsys):
+        # order 0 is a kernel order like any other, not a request for the default
+        vec_path = tmp_path / "f.json"
+        save_vector(str(vec_path), random_vector(rng, 16))
+        assert main(["jackson", "--op", "cycle:16", "--vector", str(vec_path), "--omega", "1.2",
+                     "--kernel-order", "0"]) == 2
+        assert "kernel order n=0" in capsys.readouterr().err
+
+    def test_jackson_at_a_large_kernel_order(self, tmp_path, rng, capsys):
+        # the moment of order 77 of the order-80 kernel, about 1.1e146, is a finite double
+        vec_path = tmp_path / "f.json"
+        save_vector(str(vec_path), random_vector(rng, 16))
+        assert main(["jackson", "--op", "cycle:16", "--vector", str(vec_path), "--omega", "1.2",
+                     "-m", "77", "--kernel-order", "80"]) in (0, 1)
+        out = capsys.readouterr().out
+        assert "constant C = " in out and "passed: " in out and "nan" not in out
+
+    @pytest.mark.parametrize("override", ["plancherel", "no_such_tol=1e-3", "plancherel=tiny",
+                                          "modulus_grid=1e-6", "jackson_grid=1e-6"])
     def test_bad_tolerance_override_exits_2(self, capsys, override):
         argv = ["verify", "--op", "cycle:8", "--count", "2", "--sizes", "8",
                 "--checks", "plancherel", "--tol", override]

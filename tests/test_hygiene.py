@@ -3,7 +3,8 @@ private module-level name is referenced somewhere in src/ or tests/, no
 private library helper transforms a vector, the harness calls the library
 through its public names, only ``operators`` calls ``ldexp``, one function
 decides membership of PW_omega, one function decides every spectral cut, one shift scan
-samples the differences, one Tikhonov path serves ``K(t)`` and its norm, one step pools
+samples the differences, one Tikhonov path serves ``K(t)`` and its norm, the kernel's
+constants have one evaluator and no quadrature, one step pools
 ``|c|^2`` per eigenspace, only the vector domain reads the eigenvectors, and the library
 imports no third-party package but NumPy."""
 
@@ -199,6 +200,15 @@ def test_one_k_path():
                     and node.attr == "trapezoid"], f"{path.name} calls np.trapezoid"
     assert callers == ["smoothness._besov_norms", "smoothness._k_functional_values"]
     assert "_K_GRID_POINTS" not in (SRC / "smoothness.py").read_text(encoding="utf-8")
+
+
+def test_one_kernel_evaluator():
+    # the kernel's mass and moments are closed-form sums; the composite Gauss-Legendre
+    # quadrature that computed them, and the transform by quadrature, live in tests/oracles.py
+    for path in MODULES:
+        assert "leggauss" not in path.read_text(encoding="utf-8"), f"{path.name} calls leggauss"
+    assert not hasattr(bandapprox.ApproxKernel, "h")
+    assert not hasattr(bandapprox.ApproxKernel, "symbol_quadrature")
 
 
 def _top_level_readers(layer: str, found) -> list:

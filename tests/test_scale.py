@@ -259,7 +259,8 @@ def test_results_past_the_largest_double_raise(name):
 #: ``u_0 + 1e-250 u_5``.  Without that rescale the K value and the Jackson bound read 0.  The
 #: seminorm and the modulus ratio are their values at scale 1 (44.01510843453259 * 1e-300 to
 #: rounding, and 0.3279262877402335), which the dilation law gives; the shift scan's Newton
-#: step underflowed here and read 0.3286796695357632.
+#: step underflowed here and read 0.3286796695357632.  The Jackson bound carries the exact
+#: constant ``jackson_C[m=2,k=1,n=6]``; the quadrature's, 1.7e-13 high, read 636.6360546097943.
 RANGE_GUARDS = {
     "besov_seminorm_sup": (1e-200, lambda dec, f: besov_seminorm_sup(dec, f, 1.5, 1, 2),
                            4.401510843453258e-299),
@@ -267,7 +268,7 @@ RANGE_GUARDS = {
         1e-200, lambda dec, f: modulus_inequality_checks(dec, f, 1e200, 2.0, 2, 1).ratio_power,
         0.3279262877402335),
     "jackson_check": (1e-200, lambda dec, f: jackson_check(
-        dec, f, 3e-200, 2, 1, build_kernel(6, 2)).bound, 636.6360546097943),
+        dec, f, 3e-200, 2, 1, build_kernel(6, 2)).bound, 636.6360546096878),
     "k_functional": (1.0, lambda dec, f: k_functional(
         dec, dec.eigenvectors[:, 0] + 1e-250 * dec.eigenvectors[:, 5], 1e-3, 1),
         7.000000000000002e-253),

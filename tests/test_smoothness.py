@@ -141,7 +141,7 @@ class TestModulusInequalities:
             m = int(rng.integers(1, 4))
             k = int(rng.integers(0, m + 1))
             rep = modulus_inequality_checks(cycle16_dec, f, s, a_scale, m, k)
-            assert max(rep.ratio_power, rep.ratio_scale) <= 1.0 + TOLS["modulus_grid"], \
+            assert max(rep.ratio_power, rep.ratio_scale) <= 1.0 + TOLS["modulus_ratio"], \
                 (s, a_scale, m, k, rep)
 
 
