@@ -20,7 +20,7 @@ summed exactly.  The tests check both against quadrature.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -41,7 +41,6 @@ from .operators import (
     _basis_product,
     _broadcast,
     _check_order,
-    _check_scalar,
     _coefficients,
     _finite,
     _is_int,
@@ -199,46 +198,48 @@ class RieszConfig:
         return _shaped(self.omega / math.pi ** 2 * (_trigamma(k + 0.5) + _trigamma(k + 1.5)))
 
 
-def _riesz_coefs(k, omega: float):
-    """Series weights ``c_k = (omega / pi^2) (-1)^{k+1} / (k - 1/2)^2``."""
-    return (omega / math.pi ** 2) * np.where(k % 2 == 0, -1.0, 1.0) / (k - 0.5) ** 2
-
-
 def riesz_symbol(lam, cfg: RieszConfig) -> np.ndarray:
     """Truncated spectral symbol of the interpolation series at points ``lam``.
 
     Converges to ``i * lam`` for ``|lam| <= omega`` as the truncation grows;
     its modulus never exceeds ``omega``.
 
-    The series ``sum_{k=-K}^{K} c_k e^{i theta (k - 1/2)}`` with
-    ``theta = pi lam / omega`` is summed with about ``2 N sqrt K``
-    exponentials in O(N sqrt K + K) memory.  Since ``c_{1-k} = -c_k``, the
-    terms ``k`` and ``1 - k`` pair to ``2i c_k sin(theta (k - 1/2))``, which
-    leaves ``k = -K`` unpaired.  The paired sum over ``k = b q + r``
-    (``b = ceil(sqrt K)``, ``r = 1..b``) is one GEMM of the baby steps
-    ``e^{i theta (r - 1/2)}`` against the coefficient block, weighted by the
-    giant steps ``e^{i theta b q}`` (Paterson-Stockmeyer).  The split starts
-    at ``k = 1``, so the dominant terms (``q = 0``) keep their directly
-    computed phase; they are summed smallest first and added after the
-    rest, which keeps the band-edge value within a few ulps of ``omega``.
+    The series ``sum_{k=-K}^{K} c_k e^{i theta (k - 1/2)}`` with ``theta = pi lam / omega`` is
+    summed with about ``2 sqrt K`` exponentials per distinct ``lam`` and band edge, in
+    O(N sqrt K + K) memory.  Since ``c_{1-k} = -c_k``, the terms ``k`` and ``1 - k`` pair to
+    ``2i c_k sin(theta (k - 1/2))``, which leaves ``k = -K`` unpaired.  The paired sum over
+    ``k = b q + r`` (``b = ceil(sqrt K)``, ``r = 1..b``) is one GEMM of the baby steps
+    ``e^{i theta (r - 1/2)}`` against the coefficient block, weighted by the giant steps
+    ``e^{i theta b q}`` (Paterson-Stockmeyer).  The split starts at ``k = 1``, so the dominant
+    terms (``q = 0``) keep their directly computed phase; they are summed smallest first and
+    added after the rest, which keeps the band-edge value within a few ulps of ``omega``.  The
+    tables of ``k`` and the exponent grids are built once per call, and each band edge (the
+    result has the shape ``omega.shape + lam.shape``) takes its own coefficients, exponentials,
+    GEMM and sum: every value is the call's at its point and edge alone, bit for bit.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if np.ndim(cfg.omega):  # shape omega.shape + lam.shape, one evaluation per band edge
-        return np.reshape([riesz_symbol(lam, replace(cfg, omega=omega))
-                           for omega in cfg.omega.ravel().tolist()], cfg.omega.shape + lam.shape)
     k_trunc = cfg.k_trunc
-    scale = math.pi / cfg.omega
     b = math.isqrt(k_trunc - 1) + 1
     n_giant = -(-k_trunc // b)
     r = np.arange(b, 0, -1)  # descending, so each sum adds its largest term last
     k = r[:, None] + b * np.arange(n_giant)
-    block = np.where(k <= k_trunc, _riesz_coefs(k, cfg.omega), 0.0)
-    baby = np.exp(1j * scale * np.outer(lam, r - 0.5))
-    giant = np.exp(1j * scale * np.outer(lam, b * np.arange(1, n_giant)))
-    steps = baby @ block
-    paired = (steps[:, 0] + np.sum(steps[:, 1:] * giant, axis=1)).imag
-    unpaired = np.exp(1j * scale * (lam * (-k_trunc - 0.5)))
-    return 2j * paired + _riesz_coefs(-k_trunc, cfg.omega) * unpaired
+    # the weights c_k = (omega / pi^2) / t_k, t_k = (-1)^{k+1} (k - 1/2)^2, are 0 past the series
+    t = np.where(k > k_trunc, np.inf, np.where(k % 2 == 0, -1.0, 1.0) * (k - 0.5) ** 2)
+    t_unpaired = (1.0 if k_trunc % 2 else -1.0) * (k_trunc + 0.5) ** 2  # k = -K
+    # each distinct point (by its bits) once, and two at least: a one-row product is a GEMV
+    bits, inverse = np.unique(lam.ravel().view(np.int64), return_inverse=True)
+    points = np.resize(bits, max(bits.size, 2)).view(np.float64)
+    baby_grid = np.outer(points, r - 0.5)
+    giant_grid = np.outer(points, b * np.arange(1, n_giant))
+    unpaired_grid = points * (-k_trunc - 0.5)
+    out = np.empty((np.size(cfg.omega), points.size), dtype=np.complex128)
+    for row, omega in zip(out, np.ravel(cfg.omega).tolist()):
+        scale, weight = math.pi / omega, omega / math.pi ** 2
+        steps = np.exp(1j * scale * baby_grid) @ (weight / t)
+        paired = (steps[:, 0] + np.sum(steps[:, 1:] * np.exp(1j * scale * giant_grid),
+                                       axis=1)).imag
+        row[:] = 2j * paired + weight / t_unpaired * np.exp(1j * scale * unpaired_grid)
+    return out[:, inverse].reshape(np.shape(cfg.omega) + lam.shape)
 
 
 def riesz_apply(dec: SpectralDecomposition, f, cfg: RieszConfig) -> np.ndarray:
@@ -248,7 +249,8 @@ def riesz_apply(dec: SpectralDecomposition, f, cfg: RieszConfig) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RieszIdentityReport:
-    """Relative residual of ``(iD)^n f`` against ``n`` powers of the series."""
+    """Relative residual of ``(iD)^n f`` against ``n`` powers of the series; ``residual`` and
+    ``tail_bound`` take the broadcast shape of the rows of ``f`` and ``omega``."""
 
     residual: float
     tail_bound: float
@@ -257,26 +259,26 @@ class RieszIdentityReport:
     power: int
 
 
-def riesz_identity_check(dec: SpectralDecomposition, f, omega: float, power: int = 1,
+def riesz_identity_check(dec: SpectralDecomposition, f, omega, power: int = 1,
                          k_trunc: int = 10_000) -> RieszIdentityReport:
     """Residual ``||(iD)^n f - R^n f|| / ||f||`` for bandlimited ``f``, per row of ``f`` (0 for
-    the zero vector).
+    the zero vector); ``omega`` broadcasts against the rows of ``f``, with one ``riesz_symbol``
+    call for every entry of it.
 
     The residual shrinks as the truncation grows (empirically like 1/K);
     the analytic tail bound of the truncation is attached to the report.
     """
     if not (_is_int(power) and power >= 1):
         raise InvalidParamsError(f"power must be an integer >= 1, got {power!r}")
-    _check_scalar(omega, "omega", InvalidConfigError)
     cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
     v, c, e = fc = _coefficients(dec, f)
-    _require_pw(dec, fc, omega)  # a zero row passes
+    _require_pw(dec, fc, cfg.omega)  # a zero row passes
     rho = riesz_symbol(dec.eigenvalues, cfg)
+    gaps = _norm((1j * dec.eigenvalues) ** power * c - rho ** power * c, e)
     norms = _norm(v, e)
-    residual = np.divide(_norm((1j * dec.eigenvalues) ** power * c - rho ** power * c, e), norms,
-                         out=np.zeros(np.shape(norms)), where=norms > 0.0)
-    return RieszIdentityReport(residual=_shaped(residual), tail_bound=cfg.tail_bound,
-                               k_trunc=k_trunc, omega=omega, power=power)
+    residual = np.divide(gaps, norms, out=np.zeros(np.shape(gaps)), where=norms > 0.0)
+    tail_bound = _shaped(np.broadcast_to(cfg.tail_bound, residual.shape))
+    return RieszIdentityReport(_shaped(residual), tail_bound, k_trunc, cfg.omega, power)
 
 
 # -- quasi-interpolation operator ------------------------------------------------
@@ -289,7 +291,7 @@ def shift_coefficients(m: int) -> np.ndarray:
 
 def q_symbol(kernel: ApproxKernel, omega: float, m: int, lam) -> np.ndarray:
     """Spectral symbol ``sum_j b_j h_transform(j lam / omega)`` of the Q operator, of shape
-    ``omega.shape + lam.shape`` for a 1-D ``lam``."""
+    ``omega.shape + lam.shape`` for a 1-D ``lam``: one kernel transform of every shift ``j``."""
     omega = _axis(omega)
     if not np.all(omega > 0.0):
         raise NegativeOmegaError(f"omega must be > 0, got {omega}")
@@ -298,8 +300,9 @@ def q_symbol(kernel: ApproxKernel, omega: float, m: int, lam) -> np.ndarray:
         raise KernelOrderMismatchError(
             f"kernel order n={kernel.n} too small for m={m} (needs n >= m + 3)")
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    return sum(bj * kernel.symbol(j * lam / omega[..., None])
-               for j, bj in enumerate(shift_coefficients(m), start=1))
+    j = np.arange(1, m + 1).reshape((-1,) + (1,) * (omega.ndim + 1))  # the shift, leading
+    terms = shift_coefficients(m).reshape(j.shape) * kernel.symbol(j * lam / omega[..., None])
+    return sum(terms)  # row by row in j order, from 0, as the sum of the terms one by one
 
 
 def q_apply(dec: SpectralDecomposition, f, omega: float, m: int,

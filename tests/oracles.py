@@ -512,11 +512,20 @@ def distances_by_element(dec, fc, omegas):
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 
-def q_symbol_by_quadrature(kernel, omega, m, lam):
-    """The Q symbol ``sum_j b_j h_transform(j lam / omega)`` of ``approx_operators.q_symbol``,
-    each kernel transform by oscillatory quadrature (``kernel_symbol_by_quadrature``), not
-    by its closed form; of shape ``omega.shape + lam.shape`` for a 1-D ``lam``."""
+def q_symbol_by_shifts(kernel, omega, m, lam, transform=None):
+    """The Q symbol ``sum_j b_j h_transform(j lam / omega)`` of ``approx_operators.q_symbol`` one
+    shift at a time: a kernel transform per shift ``j`` (``transform``, by default the closed
+    form ``kernel.symbol``), the terms added by Python's ``sum`` in ``j`` order; of shape
+    ``omega.shape + lam.shape`` for a 1-D ``lam``."""
+    transform = kernel.symbol if transform is None else transform
     omega = np.asarray(omega, dtype=np.float64)
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    return sum(bj * kernel_symbol_by_quadrature(kernel, j * lam / omega[..., None])
+    return sum(bj * transform(j * lam / omega[..., None])
                for j, bj in enumerate(shift_coefficients(m), start=1))
+
+
+def q_symbol_by_quadrature(kernel, omega, m, lam):
+    """:func:`q_symbol_by_shifts` with each kernel transform by oscillatory quadrature
+    (``kernel_symbol_by_quadrature``), not by its closed form."""
+    return q_symbol_by_shifts(kernel, omega, m, lam,
+                              lambda xi: kernel_symbol_by_quadrature(kernel, xi))

@@ -20,7 +20,6 @@ from bandapprox import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidBaseError,
-    InvalidConfigError,
     InvalidParamsError,
     KernelOrderMismatchError,
     RieszConfig,
@@ -94,15 +93,14 @@ BLOCK_CALLS = {
     "sup_scaled_best_approx": lambda dec, f, w: sup_scaled_best_approx(dec, f, 0.8),
     "dense_union_check": lambda dec, f, w: dense_union_check(dec, f, 1e-3),
     "riesz_identity_check": lambda dec, f, w: riesz_identity_check(
-        dec, pw_project(dec, f, 1.0), 1.0).residual,
+        dec, pw_project(dec, f, 1.0), w + 1.0).residual,
 }
 
 #: calls that take ``f`` as a block but no parameter to broadcast against it (their scalar
 #: parameters take one number, ``SCALAR_ONLY``)
 NO_PARAMETER = ("spectral_transform", "inverse_transform", "lemma1_check", "lemma2_check",
                 "band_decompose", "synthesis_check", "modulus", "k_functional",
-                "besov_seminorm_sup", "bandwidth", "sup_scaled_best_approx", "dense_union_check",
-                "riesz_identity_check")
+                "besov_seminorm_sup", "bandwidth", "sup_scaled_best_approx", "dense_union_check")
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CALLS))
@@ -152,14 +150,15 @@ def test_one_vector_keeps_its_return_types(cycle16_dec, rng):
     for check in (lemma1_check, lemma2_check):
         assert {type(x) for x in vars(check(cycle16_dec, f, 1.5, 1, 2)).values()} == {float}
     for name in ("modulus", "k_functional", "besov_seminorm_sup", "sup_scaled_best_approx",
-                 "dense_union_check", "bandwidth", "riesz_identity_check"):
+                 "dense_union_check", "bandwidth"):
         assert type(BLOCK_CALLS[name](cycle16_dec, f, None)) is float, name
     rep = bandwidth(cycle16_dec, f)
     assert {key: type(x) for key, x in vars(rep).items() if key != "k_sequence"} == dict.fromkeys(
         ("omega_f", "sup_ratio", "probe_omega", "final_gap"), float)
     assert rep.k_sequence.shape == (40,)
     rep = riesz_identity_check(cycle16_dec, g, 1.0)
-    assert (type(rep.tail_bound), rep.omega, rep.power) == (float, 1.0, 1)
+    assert (type(rep.residual), type(rep.tail_bound), rep.omega, rep.power) == (float, float,
+                                                                                1.0, 1)
     rep = equivalence_report(cycle16_dec, f, 0.8, 2.0)
     assert (type(rep.ratio_lo), type(rep.ratio_hi), rep.ratios.shape) == (float, float, (1,))
     # a list of vectors is a corpus, as before
@@ -224,8 +223,10 @@ def test_difference_orders_must_be_integers(name, m):
 
 
 #: inputs that died with NumPy's bare ValueError (cycle:8): a ragged block, and an array
-#: for a parameter that took scalars.  Each (call on (dec, f, p), error) raises ``error``, or
-#: (error None) broadcasts ``p`` against the rows of ``f`` as ``schrodinger_group`` does ``z``
+#: for a parameter that took scalars; and the ``omega`` of ``riesz_identity_check``, which
+#: took one number (an array raised InvalidConfigError).  Each (call on (dec, f, p), error)
+#: raises ``error``, or (error None) broadcasts ``p`` against the rows of ``f`` as
+#: ``schrodinger_group`` does ``z``
 INPUT_FAULTS = {
     "best_approx ragged block": (lambda dec, f, p: best_approx(dec, [f, f[:5]], p),
                                  DimensionMismatchError),
@@ -239,6 +240,8 @@ INPUT_FAULTS = {
     "q_symbol omega quadrature": (
         lambda dec, f, p: q_symbol_by_quadrature(KERNEL, p, 2, dec.eigenvalues), None),
     "RieszConfig omega": (lambda dec, f, p: riesz_apply(dec, f, RieszConfig(omega=p)), None),
+    "riesz_identity_check omega": (lambda dec, f, p: riesz_identity_check(
+        dec, pw_project(dec, f, 2.0), p + 2.0).residual, None),
 }
 
 
@@ -253,7 +256,7 @@ def test_ragged_blocks_and_array_parameters(name):
             call(dec, f, axis)
         return
     out = call(dec, f, axis)
-    assert out.shape == (3, 8)
+    assert out.shape == (3,) + np.shape(call(dec, f, 1.0))
     for row, p in zip(out, axis.tolist()):
         if name.endswith("quadrature"):  # its panels follow the largest |xi| of the call
             np.testing.assert_allclose(row, call(dec, f, p), rtol=0.0, atol=1e-13)
@@ -283,8 +286,6 @@ SCALAR_ONLY = {
                            InvalidParamsError),
     "bandwidth probe_omega": (lambda dec, f, p: bandwidth(dec, f, probe_omega=p),
                               InvalidParamsError),
-    "riesz_identity_check omega": (lambda dec, f, p: riesz_identity_check(
-        dec, pw_project(dec, f, 2.0), p + 2.0), InvalidConfigError),
     "band_decompose a": (lambda dec, f, p: band_decompose(dec, f, p + 1.5), InvalidBaseError),
     "equivalence_report a": (lambda dec, f, p: equivalence_report(dec, f, 0.8, 2.0, p + 1.5),
                              InvalidBaseError),
@@ -294,7 +295,7 @@ SCALAR_ONLY = {
 
 @pytest.mark.parametrize("name", sorted(SCALAR_ONLY))
 def test_scalar_parameters_reject_arrays_with_a_typed_error(name):
-    # RieszConfig takes an axis of omega (see INPUT_FAULTS); riesz_identity_check still does not
+    # RieszConfig and riesz_identity_check take an axis of omega (see INPUT_FAULTS)
     dec = eigh(build_operator(parse_operator_arg("cycle:8")))
     f = np.random.default_rng(0).standard_normal(8)
     call, error = SCALAR_ONLY[name]

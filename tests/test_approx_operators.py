@@ -30,6 +30,7 @@ from bandapprox import (
     operator_power,
     pw_project,
     q_apply,
+    q_symbol,
     riesz_apply,
     riesz_identity_check,
     riesz_symbol,
@@ -48,6 +49,7 @@ from oracles import (
     kernel_symbol_by_quadrature,
     kernel_values,
     q_symbol_by_quadrature,
+    q_symbol_by_shifts,
     riesz_symbol_direct,
     riesz_symbol_mpmath,
 )
@@ -199,6 +201,31 @@ class TestRiesz:
         rep = riesz_identity_check(diag_dec, u, 2.0, np.int64(2), 100)
         assert rep.residual == riesz_identity_check(diag_dec, u, 2.0, 2, 100).residual
 
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_identity_on_an_axis_of_edges_equals_its_scalar_calls(self, cycle16_dec, rng, power):
+        dec = cycle16_dec
+        block = pw_project(dec, np.array([random_vector(rng, 16) for _ in range(3)]), 1.0)
+        block[1] = 0.0  # a zero row reads 0
+        omegas = np.array([1.0, 1.4, 2.1, 3.9])
+        rep = riesz_identity_check(dec, block[:, None], omegas, power, 1000)
+        assert rep.residual.shape == rep.tail_bound.shape == (3, 4)
+        assert not np.any(rep.residual[1])
+        for i, f in enumerate(block):
+            for j, omega in enumerate(omegas.tolist()):
+                one = riesz_identity_check(dec, f, omega, power, 1000)
+                assert (rep.residual[i, j], rep.tail_bound[i, j]) == (one.residual,
+                                                                      one.tail_bound)
+        # as verify calls it: each eigenvector at its own eigenvalue, one row per edge
+        picks = [5, 10, 15]
+        rep = riesz_identity_check(dec, dec.eigenvectors[:, picks].T, dec.eigenvalues[picks],
+                                   power, 1000)
+        for j, residual in zip(picks, rep.residual.tolist()):
+            assert residual == riesz_identity_check(dec, dec.eigenvectors[:, j],
+                                                    float(dec.eigenvalues[j]), power,
+                                                    1000).residual
+        with pytest.raises(NotBandlimitedError):  # the rows hold mass above 0.5
+            riesz_identity_check(dec, block[:, None], [0.5, 1.0], power, 1000)
+
 
 class TestRieszSymbolFastPath:
     """The paired baby-step/giant-step sum against the full 2K+1-term series."""
@@ -236,6 +263,22 @@ class TestRieszSymbolFastPath:
                 assert abs(rho.real) <= 1e-15 * omega
                 assert abs(float(mpmath.mpf(rho.imag) - exact)) <= 4 * math.ulp(omega), omega
 
+    @pytest.mark.parametrize("k_trunc", [1, 2, 3, 5, 100, 10_000])
+    def test_an_axis_of_edges_equals_its_points_and_edges_alone(self, k_trunc):
+        # repeated points, both zeros and points beyond the band: each distinct point is
+        # evaluated once per edge, and every value is that of its point and edge alone
+        lams = np.array([0.0, 1.3, 2.0, 1.3, 0.0, 7.5, -0.0, 2.0, 0.45, 1.3])
+        omegas = np.array([[0.3, 1.3, 2.0], [2.6, 4.7, 11.0]])
+        symbols = riesz_symbol(lams, RieszConfig(omegas, k_trunc))
+        assert symbols.shape == omegas.shape + lams.shape
+        for index in np.ndindex(omegas.shape):
+            cfg = RieszConfig(float(omegas[index]), k_trunc)
+            for lam, value in zip(lams.tolist(), symbols[index]):
+                assert value.tobytes() == riesz_symbol(lam, cfg)[0].tobytes(), (index, lam)
+            np.testing.assert_array_equal(symbols[index], riesz_symbol(lams, cfg))
+            dev = np.max(np.abs(symbols[index] - riesz_symbol_direct(lams, cfg)))
+            assert dev <= 1e-14 * cfg.omega, (index, dev)
+
     def test_scalar_and_empty_input(self):
         cfg = RieszConfig(2.0, 100)
         assert riesz_symbol(1.5, cfg).shape == (1,)
@@ -253,6 +296,19 @@ class TestRieszSymbolFastPath:
         # the full phase matrix would be 16 * 4096 * 20001 bytes, about 1.3 GB
         assert peak < 64 * 2 ** 20, peak
         assert np.max(np.abs(rho)) <= cfg.omega * (1 + 1e-12)
+
+    def test_an_axis_of_edges_keeps_the_working_set_of_one(self, cycle16_dec):
+        # the edges are taken one after another: a block of edges x b x Q giant steps would
+        # hold 20 * 9 * 100 * 99 complex values, about 29 MB
+        peaks = []
+        for omega in (1.0, np.linspace(0.3, 2.4, 20)):
+            tracemalloc.start()
+            try:
+                riesz_symbol(cycle16_dec.eigenvalues, RieszConfig(omega))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
 
 
 class TestKernel:
@@ -415,6 +471,16 @@ class TestQOperator:
         symbol = q_symbol_by_quadrature(kernel, 2.5, 2, diag_dec.eigenvalues)
         slow = apply_multiplier(diag_dec, lambda lam: symbol, f)
         assert np.linalg.norm(fast - slow) <= 1e-7 * np.linalg.norm(f)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_symbol_equals_its_sum_over_shifts(self, cycle16_dec, m):
+        # one kernel transform of every shift, its rows added in j order, as shift by shift
+        kernel = build_kernel(m + 3 + (m + 3) % 2, m)
+        lam = np.concatenate([cycle16_dec.eigenvalues, [0.0, 0.37, 5.0]])
+        for omega in (1.3, np.array([0.4, 1.0, 2.5, 7.0]), np.array([[0.4], [1.9]])):
+            fast = q_symbol(kernel, omega, m, lam)
+            assert fast.shape == np.shape(omega) + lam.shape
+            assert fast.tobytes() == q_symbol_by_shifts(kernel, omega, m, lam).tobytes()
 
     def test_kernel_order_mismatch(self, diag_dec, rng):
         kernel = build_kernel(4, 1)

@@ -209,9 +209,10 @@ class TestSuite:
 
 
 class TestVectorisedDraws:
-    """Some checks draw their parameters in one call.  Each call must return the values, and
-    leave the Generator in the state, of the scalar calls it replaced, for the Generator that
-    ``run_suite`` hands each check (PCG64 from a child of the run's ``SeedSequence``)."""
+    """Some checks draw their parameters in one call, and ``run_suite`` each size's corpus.  Each
+    call must return the values, and leave the Generator in the state, of the scalar calls it
+    replaced, for the Generator that ``run_suite`` hands each check (PCG64 from a child of the
+    run's ``SeedSequence``) or draws the corpus from (its first child)."""
 
     @pytest.fixture(params=[(401, "bernstein"), (5, "e_equals_r"), (7, "growth_bound")],
                     ids=lambda p: f"seed{p[0]}-{p[1]}")
@@ -248,6 +249,17 @@ class TestVectorisedDraws:
             re, im = block.uniform(-2, 2, size=(20, 2)).T
             assert [complex(scalar.uniform(-2, 2), scalar.uniform(-2, 2))
                     for _ in range(20)] == (re + 1j * im).tolist()
+        self._same_state(scalar, block)
+
+    @pytest.mark.parametrize("seed", [401, 5, 7])
+    def test_corpus(self, seed):
+        scalar, block = (np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+                         for _ in range(2))
+        for n, count in ((8, 100), (16, 100), (6, 1)):  # each size in turn, as run_suite does
+            draws = block.standard_normal((count, 2, n))
+            assert (draws[:, 0] + 1j * draws[:, 1]).tolist() == [
+                (scalar.standard_normal(n) + 1j * scalar.standard_normal(n)).tolist()
+                for _ in range(count)]
         self._same_state(scalar, block)
 
 

@@ -44,17 +44,20 @@ PINNED = {
 #: 312 when one ``besov_norm`` call per flavor transformed them, five times per size, and
 #: the growth, Riesz and Q checks made one ``phi(D) f`` call per vector, 198 when the
 #: synthesis check split, projected and checked each of its 15 band sets per size on its
-#: own; now each makes one block call per size, past the growth check's 20 projections)
-CYCLE8_SEED401_TRANSFORMS = 120
+#: own, 120 when the growth check projected each of its 20 vectors on its own and the Riesz
+#: identity checked each of its 3 eigenvectors on its own; now each makes one block call
+#: per size, the Riesz identity one per size and truncation)
+CYCLE8_SEED401_TRANSFORMS = 70
 
 #: ``_synthesize`` calls of the same run, one per ``phi(D) f`` call on a vector or block:
-#: the growth bound projects each vector on its own, then makes one block of its kept
-#: vectors x 20 ``z``; the Riesz and Q checks make one block call each (1,145 when the
-#: growth bound made one call per vector and ``z``, 385 when each projection of a corpus
-#: vector was a call of its own, 172 when the growth bound made one 20-row block per vector
-#: and the Riesz and Q checks one call per vector, 58 when the synthesis check projected
-#: each of its 5 non-orthogonal band sets per size on its own)
-CYCLE8_SEED401_SYNTHESES = 50
+#: the growth bound projects its 20 vectors at every positive group value in one call, then
+#: makes one block of its kept vectors x 20 ``z``; the Riesz and Q checks make one block call
+#: each (1,145 when the growth bound made one call per vector and ``z``, 385 when each
+#: projection of a corpus vector was a call of its own, 172 when the growth bound made one
+#: 20-row block per vector and the Riesz and Q checks one call per vector, 58 when the
+#: synthesis check projected each of its 5 non-orthogonal band sets per size on its own, 50
+#: when the growth bound projected each of its 20 vectors on its own)
+CYCLE8_SEED401_SYNTHESES = 12
 
 #: Tikhonov paths (``smoothness._k_path``) of the same run: one per order r and size in the
 #: norm brackets, for all 11 vectors at once, which every (alpha, q) of that r integrates
@@ -73,6 +76,11 @@ CYCLE8_SEED401_SCANS = 19
 #: (340 when the Jackson chain evaluated each symbol once per vector, 70 when it called
 #: once per band edge and ``q_operator`` once per vector)
 CYCLE8_SEED401_Q_SYMBOLS = 8
+
+#: ``riesz_symbol`` calls of the same run, each for an axis of band edges: 2 in the Riesz
+#: norms, one per size, and 6 in the Riesz identity, one per size and truncation (60 when
+#: an axis of edges took one call per edge, and the identity one call per eigenvector)
+CYCLE8_SEED401_RIESZ_SYMBOLS = 8
 
 #: calls of each of ``riesz_apply``, ``q_apply`` and ``schrodinger_group`` in the same run:
 #: one block call per size (20 per size each when the checks called once per vector)
@@ -131,6 +139,13 @@ def test_cycle8_seed401_q_symbol_count(tmp_path, capsys, q_symbols):
     argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
     assert len(q_symbols) <= CYCLE8_SEED401_Q_SYMBOLS
+
+
+def test_cycle8_seed401_riesz_symbol_count(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, approx_operators.riesz_symbol)
+    argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) <= CYCLE8_SEED401_RIESZ_SYMBOLS
 
 
 def test_cycle8_seed401_k_functional_count(tmp_path, capsys, k_functionals):
