@@ -8,6 +8,8 @@ quasi-interpolation operators with Jackson-type error control, and
 multiscale band decompositions with frame-norm equivalence checks.
 """
 
+__version__ = "0.1.0"
+
 from .errors import *  # noqa: F401,F403
 from .operators import (
     RAW_D,
@@ -17,8 +19,6 @@ from .operators import (
     apply_multiplier,
     eigh,
     inverse_transform,
-    jacobi_eigh,
-    operator_power,
     schrodinger_group,
     spectral_transform,
 )
@@ -28,7 +28,6 @@ from .paley_wiener import (
     bandwidth,
     bernstein_check,
     best_approx,
-    dense_union_check,
     pw_project,
     spectral_tail,
 )
@@ -56,7 +55,6 @@ from .approx_operators import (
     riesz_apply,
     riesz_identity_check,
     riesz_symbol,
-    shift_coefficients,
 )
 from .decomposition import (
     BandDecomposition,
@@ -75,5 +73,3 @@ from .harness import (
     run_suite,
     save_vector,
 )
-
-__version__ = "0.1.0"

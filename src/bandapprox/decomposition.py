@@ -140,7 +140,7 @@ class SynthesisReport:
     @property
     def ratio(self) -> float:
         """``lhs / rhs``, at most 1 by the inequality; 0 when both sides vanish."""
-        return _shaped(np.vectorize(_safe_ratio, otypes=[float])(self.lhs, self.rhs, 0.0))
+        return _shaped(_safe_ratio(self.lhs, self.rhs, 0.0))
 
 
 def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,

@@ -11,8 +11,9 @@ time, locale or dict ordering.
 corpus, a ``(count, N)`` block.  The checks measure through the public
 functions only, with no private name of the library, in block calls with a
 parameter per row or a parameter axis (see ``operators``): a row of a block
-call has the bits of the call on that row alone.  Only the growth check's
-projections and the Riesz identity check take one vector per call.
+call has the bits of the call on that row alone.  The growth check projects its
+vectors at every group value in one call, and the Riesz identity check takes its
+eigenvectors as one block, each at its own eigenvalue, in one call per truncation.
 """
 
 import json
@@ -26,6 +27,7 @@ from . import decomposition as dcmp
 from . import approx_operators as aop
 from . import paley_wiener as pw
 from . import smoothness as sm
+from . import __version__
 from .errors import (
     BadDimensionError,
     DimensionMismatchError,
@@ -41,8 +43,6 @@ from .operators import (
     schrodinger_group,
     spectral_transform,
 )
-
-PACKAGE_VERSION = "0.1.0"
 
 
 # -- operator specs and builders ------------------------------------------------
@@ -675,7 +675,7 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
         "sizes": sorted(decs.keys()),
         "checks": selected,
         "package": "bandapprox",
-        "version": PACKAGE_VERSION,
+        "version": __version__,
     })
     for index, (name, fn) in enumerate(ALL_CHECKS):
         if name not in selected:

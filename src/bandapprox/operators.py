@@ -49,7 +49,7 @@ PSD_TOL_FACTOR = 1e-10
 #: degeneracy grouping width, relative to lambda_max
 GROUP_TOL_FACTOR = 1e-9
 #: Jacobi sweep convergence: off-diagonal Frobenius norm <= this * ||A||_F
-JACOBI_TOL = 1e-12
+_JACOBI_TOL = 1e-12
 
 
 def _as_block(f, dim=None) -> np.ndarray:
@@ -204,7 +204,7 @@ class SymmetricOperator:
         return PSD_TOL_FACTOR * scale
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 100):
+def _jacobi_eigh(matrix: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int = 100):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
     Returns ``(w, V)``, ``A V = V diag(w)``, ``w`` ascending, ``V`` orthonormal.  Sweeps rotate
@@ -320,7 +320,7 @@ def eigh(op: SymmetricOperator) -> SpectralDecomposition:
     a kernel mode keeps 0).  Both are
     relative to ``lambda_max``, so ``2^j D`` has the same groups and ``2^j`` times the values.
     """
-    w, v = jacobi_eigh(op.entries)
+    w, v = _jacobi_eigh(op.entries)
     tol_psd = op.psd_tolerance
     if np.any(w < -tol_psd):
         raise NotPSDError(
@@ -407,16 +407,6 @@ def _synthesize(dec: SpectralDecomposition, values, c, e) -> np.ndarray:
         raise NonFiniteMultiplierError("multiplier is not finite on the spectrum")
     _broadcast_shapes(values.shape, c.shape)
     return _unscaled(_basis_product(dec.eigenvectors, values * c), np.expand_dims(e, -1))
-
-
-def operator_power(dec: SpectralDecomposition, s: float, f) -> np.ndarray:
-    """Apply ``D^s`` for real ``s >= 0`` (``D^0`` is the identity); ``s`` broadcasts against the
-    rows of ``f``, one scalar power per value (an array exponent may round differently)."""
-    s = _axis(s)
-    if not np.all(s >= 0):
-        raise InvalidParamsError(f"power must be nonnegative, got {s}")
-    return apply_multiplier(dec, lambda lam: np.reshape(
-        [np.power(lam, x) for x in s.ravel().tolist()], s.shape + lam.shape), f)
 
 
 def schrodinger_group(dec: SpectralDecomposition, z, f) -> np.ndarray:

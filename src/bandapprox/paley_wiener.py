@@ -297,17 +297,3 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
                            ratios=ratios.reshape(shape + (len(s_values),)),
                            max_ratio=_shaped(ratios.max(axis=1, initial=0.0), shape))
 
-
-def dense_union_check(dec: SpectralDecomposition, f, eps: float) -> float:
-    """Smallest eigenvalue threshold ``omega`` with ``E(f, omega) <= eps``, per row of ``f``.
-
-    Candidates are 0 and the group values (one per eigenspace); existence is guaranteed
-    because ``E(f, lambda_max) = 0``.
-    """
-    _check_scalar(eps, "eps")
-    if not (eps > 0.0):
-        raise InvalidParamsError(f"eps must be positive, got {eps}")
-    nodes = _step_nodes(dec)
-    tails = _node_distances(dec, _coefficients(dec, f), nodes, "R")
-    return _shaped(nodes[np.argmax(tails <= eps, axis=-1)])
-

@@ -304,12 +304,14 @@ class ModulusInequalityReport:
     ratio_scale: float
 
 
-def _safe_ratio(num: float, den: float, scale: float) -> float:
-    """``num / den``, or 0 when both vanish next to ``scale`` and ``inf`` when only ``den`` does;
-    ``scale`` is the size of the two sides, with their degree in ``f`` and in the scale of ``D``."""
-    if den <= 1e-14 * scale:
-        return 0.0 if num <= 1e-12 * scale else math.inf
-    return num / den
+def _safe_ratio(num, den, scale) -> np.ndarray:
+    """``num / den`` elementwise, or 0 where both vanish next to ``scale`` and ``inf`` where only
+    ``den`` does; ``scale`` is the size of the two sides, with their degree in ``f`` and in the
+    scale of ``D``.  The three broadcast as NumPy broadcasts."""
+    num, den, scale = np.asarray(num), np.asarray(den), np.asarray(scale)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(den <= 1e-14 * scale, np.where(num <= 1e-12 * scale, 0.0, math.inf),
+                        num / den)
 
 
 def modulus_inequality_checks(dec: SpectralDecomposition, f, s, a_scale, m,
@@ -342,10 +344,9 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s, a_scale, m,
         rhs[trials] = [s_values[i] ** powers[i] * x for i, x in zip(trials, moduli)]
     scales = [norm * min(2.0, s * dec.lambda_max) ** m  # each side is at most about this
               for norm, s, m in zip(norms, s_values, orders)]
-    ratios = [(_safe_ratio(left, right, scale), _safe_ratio(left_a, (1.0 + a_i) ** m * left, scale))
-              for (left, left_a), right, scale, a_i, m
-              in zip(lhs.tolist(), rhs.tolist(), scales, a_scales, orders)]
-    return ModulusInequalityReport(*(_shaped(x, shape) for x in np.reshape(ratios, (-1, 2)).T))
+    growth = [(1.0 + a_i) ** m * left for a_i, m, left in zip(a_scales, orders, lhs[:, 0].tolist())]
+    ratios = _safe_ratio(lhs, np.column_stack([rhs, growth]), np.c_[scales])
+    return ModulusInequalityReport(*(_shaped(x, shape) for x in ratios.T))
 
 
 # -- step-function machinery for the approximation norms ----------------------
@@ -371,6 +372,12 @@ def _integral_norm(nodes, values, alpha, q):
         return _lq_norm(_weighted(weights, values), q)
 
 
+def _scaled_e_sup(dec: SpectralDecomposition, fc, alpha: float):
+    """:func:`sup_scaled_best_approx` of each row of ``fc`` (a float for one row)."""
+    nodes = _step_nodes(dec)
+    return _integral_norm(nodes, _node_distances(dec, fc, nodes[:-1], "E"), alpha, math.inf)
+
+
 def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float) -> float:
     """``sup over s > 0`` of ``s^alpha E(f, s)``, exact for the step function of ``_step_nodes``.
 
@@ -379,9 +386,7 @@ def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float) -> float
     _check_scalar(alpha, "alpha")
     if not (0.0 <= alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in [0, inf), got {alpha}")
-    nodes = _step_nodes(dec)
-    values = _node_distances(dec, _coefficients(dec, f), nodes[:-1], "E")
-    return _shaped(_integral_norm(nodes, values, alpha, math.inf))
+    return _shaped(_scaled_e_sup(dec, _coefficients(dec, f), alpha))
 
 
 def _edge_distances(dec: SpectralDecomposition, fc, a: float, route: str) -> np.ndarray:
@@ -672,17 +677,15 @@ def _lemma_reports(dec: SpectralDecomposition, fc, alpha: float, n: int, r: int)
     ``fc = (v, c, e)`` (``_coefficients`` of a block), from one shift scan."""
     _check_scalar(alpha, "alpha")
     v, c, e = fc
-    nodes = _step_nodes(dec)
-    semis = np.ravel(_seminorm_sup(dec, c, e, alpha, n, r)).tolist()
-    sups = np.ravel(_integral_norm(nodes, _node_distances(dec, fc, nodes[:-1], "E"), alpha,
-                                   math.inf)).tolist()  # sup_s s^alpha E(f, s)
+    semis = _seminorm_sup(dec, c, e, alpha, n, r)
+    sups, norms = _scaled_e_sup(dec, fc, alpha), _norm(v, e)
     with np.errstate(over="ignore"):  # lemma 1's sides have degree alpha in the scale of D;
         # capped, so ||f|| = 0 gives a scale of 0, not 0 * inf = NaN
         power = min(float(np.float64(dec.lambda_max) ** alpha), np.finfo(float).max)
-    sides = [(sup_e, semi, _safe_ratio(sup_e, semi, norm_f * power),  # lemma 1, then lemma 2
-              semi, norm_f + sup_e, _safe_ratio(semi, norm_f + sup_e, norm_f))
-             for sup_e, semi, norm_f in zip(sups, semis, np.ravel(_norm(v, e)).tolist())]
-    sides = [_shaped(x, c.shape[:-1]) for x in np.reshape(sides, (-1, 6)).T]
+        bound = np.add(norms, sups)  # lemma 2's right side
+        sides = (sups, semis, _safe_ratio(sups, semis, np.multiply(norms, power)),
+                 semis, bound, _safe_ratio(semis, bound, norms))
+    sides = [_shaped(x, c.shape[:-1]) for x in sides]
     return LemmaReport(*sides[:3]), LemmaReport(*sides[3:])
 
 

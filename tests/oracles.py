@@ -11,14 +11,15 @@ import mpmath
 import numpy as np
 
 from bandapprox import (
+    InvalidParamsError,
+    apply_multiplier,
     best_approx,
-    operator_power,
     schrodinger_group,
-    shift_coefficients,
+    spectral_tail,
     spectral_transform,
 )
 from bandapprox.approx_operators import _centered_bspline
-from bandapprox.operators import _basis_product, _broadcast, _coefficients, _unscaled
+from bandapprox.operators import _axis, _basis_product, _broadcast, _coefficients, _unscaled
 from bandapprox.paley_wiener import _pw_prefix
 from bandapprox.smoothness import _difference_norms, _k_functional_values
 
@@ -520,8 +521,23 @@ def q_symbol_by_shifts(kernel, omega, m, lam, transform=None):
     transform = kernel.symbol if transform is None else transform
     omega = np.asarray(omega, dtype=np.float64)
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    return sum(bj * transform(j * lam / omega[..., None])
-               for j, bj in enumerate(shift_coefficients(m), start=1))
+    return sum((-1.0) ** (j + 1) * math.comb(m, j) * transform(j * lam / omega[..., None])
+               for j in range(1, m + 1))
+
+
+def q_symbol_mpmath(n, m, lam, omega, dps=80):
+    """The Q symbol of the order-``n`` kernel at one point ``lam``, exactly: the B-spline
+    transform of each shift by its truncated-power sum and the integer weights
+    ``(-1)^{j+1} C(m, j)``, at ``dps`` digits, from the doubles ``lam`` and ``omega``."""
+    def bspline(x):  # the centered B-spline of order n at x, as Uniform sums
+        return sum((-1) ** k * math.comb(n, k) * (x + mpmath.mpf(n) / 2 - k) ** (n - 1)
+                   for k in range(n + 1) if x + mpmath.mpf(n) / 2 - k > 0)
+
+    with mpmath.workdps(dps):
+        xis = [j * mpmath.mpf(lam) / mpmath.mpf(omega) for j in range(1, m + 1)]
+        total = sum((-1) ** (j + 1) * math.comb(m, j) * bspline(n * xi / 2)
+                    for j, xi in enumerate(xis, start=1) if abs(xi) < 1)
+        return float(total / bspline(0))
 
 
 def q_symbol_by_quadrature(kernel, omega, m, lam):
@@ -529,3 +545,23 @@ def q_symbol_by_quadrature(kernel, omega, m, lam):
     (``kernel_symbol_by_quadrature``), not by its closed form."""
     return q_symbol_by_shifts(kernel, omega, m, lam,
                               lambda xi: kernel_symbol_by_quadrature(kernel, xi))
+
+
+def operator_power(dec, s, f):
+    """Apply ``D^s`` for real ``s >= 0`` (``D^0`` is the identity); ``s`` broadcasts against the
+    rows of ``f``, one scalar power per value (an array exponent may round differently)."""
+    s = _axis(s)
+    if not np.all(s >= 0):
+        raise InvalidParamsError(f"power must be nonnegative, got {s}")
+    return apply_multiplier(dec, lambda lam: np.reshape(
+        [np.power(lam, x) for x in s.ravel().tolist()], s.shape + lam.shape), f)
+
+
+def dense_union_check(dec, f, eps):
+    """The first step node ``omega`` (0 or a group value) with ``E(f, omega) <= eps``, per row of
+    ``f``: the density of the union of the ``PW_omega``, read off one ``spectral_tail`` call at
+    every step node.  Such a node exists for every ``eps >= 0``, as ``E(f, lambda_max) = 0``."""
+    nodes = np.union1d(0.0, dec.eigenvalues)
+    tails = spectral_tail(dec, np.expand_dims(f, -2), nodes)
+    first = nodes[np.argmax(tails <= eps, axis=-1)]
+    return float(first) if first.ndim == 0 else first

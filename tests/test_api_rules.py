@@ -31,7 +31,6 @@ from bandapprox import (
     besov_seminorm_sup,
     best_approx,
     build_kernel,
-    dense_union_check,
     difference,
     eigh,
     equivalence_report,
@@ -44,14 +43,12 @@ from bandapprox import (
     lemma2_check,
     modulus,
     modulus_inequality_checks,
-    operator_power,
     pw_project,
     q_apply,
     q_symbol,
     riesz_apply,
     riesz_identity_check,
     schrodinger_group,
-    shift_coefficients,
     spectral_tail,
     spectral_transform,
     sup_scaled_best_approx,
@@ -59,7 +56,7 @@ from bandapprox import (
 )
 from bandapprox.harness import build_operator, parse_operator_arg
 from conftest import random_vector
-from oracles import q_symbol_by_quadrature
+from oracles import dense_union_check, operator_power, q_symbol_by_quadrature
 
 KERNEL = build_kernel(8, 2)
 
@@ -91,6 +88,7 @@ BLOCK_CALLS = {
     "besov_seminorm_sup": lambda dec, f, w: besov_seminorm_sup(dec, f, 1.5, 1, 2),
     "bandwidth": lambda dec, f, w: bandwidth(dec, f).omega_f,
     "sup_scaled_best_approx": lambda dec, f, w: sup_scaled_best_approx(dec, f, 0.8),
+    # spectral_tail at the axis of step nodes, for each row
     "dense_union_check": lambda dec, f, w: dense_union_check(dec, f, 1e-3),
     "riesz_identity_check": lambda dec, f, w: riesz_identity_check(
         dec, pw_project(dec, f, 1.0), w + 1.0).residual,
@@ -189,7 +187,6 @@ def test_multiplier_blocks_equal_their_row_calls(cycle16_dec, random_dec, rng, n
 #: every entry point of a difference order, called with the order ``m`` on (dec, f)
 ORDER_CALLS = {
     "build_kernel": (KernelOrderMismatchError, lambda dec, f, m: build_kernel(6, m)),
-    "shift_coefficients": (KernelOrderMismatchError, lambda dec, f, m: shift_coefficients(m)),
     "q_symbol": (KernelOrderMismatchError,
                  lambda dec, f, m: q_symbol(KERNEL, 1.0, m, dec.eigenvalues)),
     "q_apply": (KernelOrderMismatchError, lambda dec, f, m: q_apply(dec, f, 1.0, m, KERNEL)),
@@ -289,7 +286,6 @@ SCALAR_ONLY = {
     "band_decompose a": (lambda dec, f, p: band_decompose(dec, f, p + 1.5), InvalidBaseError),
     "equivalence_report a": (lambda dec, f, p: equivalence_report(dec, f, 0.8, 2.0, p + 1.5),
                              InvalidBaseError),
-    "dense_union_check eps": (lambda dec, f, p: dense_union_check(dec, f, p), InvalidParamsError),
 }
 
 

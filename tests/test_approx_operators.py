@@ -27,14 +27,12 @@ from bandapprox import (
     jackson_check,
     jackson_constant,
     modulus,
-    operator_power,
     pw_project,
     q_apply,
     q_symbol,
     riesz_apply,
     riesz_identity_check,
     riesz_symbol,
-    shift_coefficients,
     spectral_tail,
     spectral_transform,
 )
@@ -48,8 +46,10 @@ from oracles import (
     kernel_norm_const_closed_form,
     kernel_symbol_by_quadrature,
     kernel_values,
+    operator_power,
     q_symbol_by_quadrature,
     q_symbol_by_shifts,
+    q_symbol_mpmath,
     riesz_symbol_direct,
     riesz_symbol_mpmath,
 )
@@ -420,13 +420,32 @@ class TestKernelSymbol:
 
 class TestQOperator:
     def test_shift_coefficients_sum_to_one(self):
-        for m in range(1, 8):
-            b = shift_coefficients(m)
-            assert abs(b.sum() - 1.0) <= 1e-12
-            # re-derivation: coefficients of e^{ij s D} in the expansion of
-            # (-1)^{m+1} (e^{isD} - I)^m are (-1)^{j+1} C(m, j) for j >= 1
-            expected = [(-1.0) ** (j + 1) * math.comb(m, j) for j in range(1, m + 1)]
-            np.testing.assert_array_equal(b, expected)
+        # the coefficients (-1)^{j+1} C(m, j) of e^{ij s D}, j >= 1, in the expansion of
+        # (-1)^{m+1} (e^{isD} - I)^m sum to 1, and so the symbol is exactly 1 at lambda = 0 up
+        # to the largest order whose weights are exact doubles (every partial sum is one too)
+        for m in range(1, 57):
+            kernel = build_kernel(m + 4 - m % 2, m)
+            assert q_symbol(kernel, 1.0, m, [0.0]).tolist() == [1.0]
+
+    @pytest.mark.parametrize("m", [57, 58, 61, 77])
+    def test_weights_that_are_no_exact_doubles_are_rejected(self, cycle16_dec, m):
+        # from m = 57 some C(m, j) passes 2^53 and is rounded: at m = 58 the weights summed to
+        # -2, and at m = 77 (n = 80) the symbol read -156940 at lambda = 0, where it is 1
+        kernel = build_kernel(80, m)
+        with pytest.raises(KernelOrderMismatchError, match=r"2\^53"):
+            q_symbol(kernel, 1.2, m, [0.0])
+        with pytest.raises(KernelOrderMismatchError):
+            q_apply(cycle16_dec, np.ones(16), 1.2, m, kernel)
+
+    @pytest.mark.parametrize("m", [10, 20, 30])
+    def test_symbol_against_mpmath(self, m):
+        # the weights cancel terms up to C(m, m/2) in the sum, so its error grows like 2^m ulps
+        kernel = build_kernel(m + 4, m)
+        for omega in (1.0, 1.7):
+            lam = np.linspace(0.0, 0.3, 31) * omega
+            exact = [q_symbol_mpmath(m + 4, m, x, omega) for x in lam.tolist()]
+            error = np.max(np.abs(q_symbol(kernel, omega, m, lam) - exact))
+            assert error <= 4 * 2.0 ** m * np.finfo(float).eps
 
     def test_zero_vector(self, cycle16_dec):
         kernel = build_kernel(6, 2)

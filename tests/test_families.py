@@ -14,6 +14,7 @@ import bandapprox as ba
 from bandapprox import RAW_L, BandApproxError, BesovParams, RieszConfig, eigh
 from bandapprox.harness import build_operator, load_edge_list, parse_operator_arg
 from conftest import random_vector
+from oracles import dense_union_check, operator_power
 
 
 def _omega(dec):
@@ -27,7 +28,6 @@ def _bandlimited(dec, f):
 #: one call per public function whose first parameter is the decomposition
 CALLS = {
     "apply_multiplier": lambda dec, f: ba.apply_multiplier(dec, lambda lam: np.exp(-lam), f),
-    "operator_power": lambda dec, f: ba.operator_power(dec, 1.5, f),
     "schrodinger_group": lambda dec, f: ba.schrodinger_group(dec, 0.3 + 0.2j, f),
     "spectral_transform": lambda dec, f: ba.spectral_transform(dec, f),
     "inverse_transform": lambda dec, f: ba.inverse_transform(dec, f),
@@ -35,7 +35,6 @@ CALLS = {
     "bernstein_check": lambda dec, f: ba.bernstein_check(dec, _bandlimited(dec, f), _omega(dec),
                                                          (0.5, 2.0)),
     "best_approx": lambda dec, f: ba.best_approx(dec, f, _omega(dec)),
-    "dense_union_check": lambda dec, f: ba.dense_union_check(dec, f, 1e-3),
     "pw_project": lambda dec, f: ba.pw_project(dec, f, _omega(dec)),
     "spectral_tail": lambda dec, f: ba.spectral_tail(dec, f, _omega(dec)),
     "besov_norm": lambda dec, f: [ba.besov_norm(dec, f, BesovParams(alpha=0.7, q=q, flavor=fl))
@@ -66,6 +65,13 @@ CALLS = {
 }
 
 
+#: the test tools built on them (``tests/oracles.py``), called the same way
+TOOL_CALLS = {
+    "operator_power": lambda dec, f: operator_power(dec, 1.5, f),
+    "dense_union_check": lambda dec, f: dense_union_check(dec, f, 1e-3),
+}
+
+
 def test_every_public_function_of_a_decomposition_is_called():
     public = {name for name, obj in vars(ba).items()
               if inspect.isfunction(obj) and not name.startswith("_")
@@ -91,12 +97,12 @@ def dec(request, tmp_path):
     return eigh(build_operator(parse_operator_arg(request.param, kind=RAW_L)))
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted(CALLS | TOOL_CALLS))
 @pytest.mark.parametrize("zero", [False, True], ids=["f", "zero"])
 def test_finite_or_typed_error(dec, rng, name, zero):
     f = np.zeros(dec.dim) if zero else random_vector(rng, dec.dim)
     try:
-        result = CALLS[name](dec, f)
+        result = (CALLS | TOOL_CALLS)[name](dec, f)
     except BandApproxError:
         return
     assert _all_finite(result), result

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from bandapprox import (
     InvalidParamsError,
     ParseError,
     UnsupportedFormatError,
+    build_kernel,
     eigh,
+    jackson_constant,
 )
 from bandapprox import harness
 from bandapprox import smoothness as sm
@@ -421,13 +424,18 @@ class TestCli:
         assert "kernel order n=0" in capsys.readouterr().err
 
     def test_jackson_at_a_large_kernel_order(self, tmp_path, rng, capsys):
-        # the moment of order 77 of the order-80 kernel, about 1.1e146, is a finite double
+        # the moment of order 77 of the order-80 kernel, about 1.1e146, is a finite double, and
+        # so is the constant; the Q symbol's weights C(77, j) pass 2^53, so the command exits 2
+        # (it printed ||Qf - f|| = 167030 for a vector of norm 3.67, and "passed: True")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(jackson_constant(build_kernel(80, 77), 77, 0))
         vec_path = tmp_path / "f.json"
         save_vector(str(vec_path), random_vector(rng, 16))
         assert main(["jackson", "--op", "cycle:16", "--vector", str(vec_path), "--omega", "1.2",
-                     "-m", "77", "--kernel-order", "80"]) in (0, 1)
-        out = capsys.readouterr().out
-        assert "constant C = " in out and "passed: " in out and "nan" not in out
+                     "-m", "77", "--kernel-order", "80"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "2^53" in captured.err and not captured.out
 
     @pytest.mark.parametrize("override", ["plancherel", "no_such_tol=1e-3", "plancherel=tiny",
                                           "modulus_grid=1e-6", "jackson_grid=1e-6"])

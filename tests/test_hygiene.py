@@ -6,9 +6,12 @@ decides membership of PW_omega, one function decides every spectral cut, one shi
 samples the differences, one Tikhonov path serves ``K(t)`` and its norm, the kernel's
 constants have one evaluator and no quadrature, one step pools
 ``|c|^2`` per eigenspace, only the vector domain reads the eigenvectors, and the library
-imports no third-party package but NumPy."""
+imports no third-party package but NumPy.  The public names of the package are pinned, and no
+module binds a retired one."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -271,3 +274,41 @@ def test_one_cut_rule():
     for module in (bandapprox, *(getattr(bandapprox, layer) for layer in LAYERS)):
         assert not hasattr(module, "band_count")
     assert not [path.name for path in MODULES if "band_count" in path.read_text(encoding="utf-8")]
+
+
+#: the public names of ``bandapprox`` but its modules and exception classes: the paper's objects
+#: (PW_omega, E(f, omega), the moduli, the K-functional, the Besov norms, the Riesz and Q
+#: operators, the band decomposition), the spectral calculus they rest on, and the harness
+PUBLIC_NAMES = {
+    "RAW_D", "RAW_L", "SpectralDecomposition", "SymmetricOperator", "apply_multiplier", "eigh",
+    "inverse_transform", "schrodinger_group", "spectral_transform",
+    "BandwidthReport", "BernsteinReport", "bandwidth", "bernstein_check", "best_approx",
+    "pw_project", "spectral_tail",
+    "BesovParams", "besov_norm", "besov_seminorm_sup", "difference", "k_besov_norm",
+    "k_functional", "lemma1_check", "lemma2_check", "modulus", "modulus_inequality_checks",
+    "sup_scaled_best_approx",
+    "ApproxKernel", "RieszConfig", "build_kernel", "jackson_check", "jackson_constant",
+    "q_apply", "q_symbol", "riesz_apply", "riesz_identity_check", "riesz_symbol",
+    "BandDecomposition", "band_decompose", "equivalence_report", "frame_norm", "synthesis_check",
+    "OperatorSpec", "VerificationReport", "build_operator", "emit_report", "load_vector",
+    "parse_operator_arg", "run_suite", "save_vector",
+}
+
+#: public spellings that left the library, and what replaces them: ``apply_multiplier(dec,
+#: lambda lam: lam ** s, f)`` for ``operator_power``, ``spectral_tail`` at the step nodes for
+#: ``dense_union_check``, ``q_symbol`` for the weights of ``shift_coefficients``, ``eigh`` for the
+#: solver and its tolerance, ``__version__`` for ``PACKAGE_VERSION``, blocks for ``as_vector``
+#: and the cut rule for ``band_count``
+RETIRED_NAMES = {"dense_union_check", "operator_power", "shift_coefficients", "jacobi_eigh",
+                 "JACOBI_TOL", "PACKAGE_VERSION", "as_vector", "band_count"}
+
+
+def test_public_names():
+    public = {name for name, obj in vars(bandapprox).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)
+              and not (isinstance(obj, type) and issubclass(obj, BaseException))}
+    assert public == PUBLIC_NAMES, (sorted(public - PUBLIC_NAMES), sorted(PUBLIC_NAMES - public))
+    modules = [bandapprox, *(importlib.import_module(f"bandapprox.{p.stem}") for p in MODULES)]
+    bound = [f"{module.__name__}.{name}" for module in modules
+             for name in sorted(RETIRED_NAMES & set(vars(module)))]
+    assert not bound, f"retired names still bound: {', '.join(bound)}"

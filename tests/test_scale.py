@@ -33,7 +33,6 @@ from bandapprox import (
     besov_seminorm_sup,
     best_approx,
     build_kernel,
-    dense_union_check,
     eigh,
     equivalence_report,
     frame_norm,
@@ -44,7 +43,6 @@ from bandapprox import (
     lemma2_check,
     modulus,
     modulus_inequality_checks,
-    operator_power,
     pw_project,
     q_apply,
     riesz_apply,
@@ -56,7 +54,9 @@ from bandapprox import (
 )
 from bandapprox.cli import main
 from bandapprox.harness import build_operator, parse_operator_arg, save_vector
+from bandapprox.paley_wiener import _step_nodes
 from conftest import random_vector
+from oracles import dense_union_check, operator_power
 
 SCALES = (1e150, 1e-150, 1e160, 1e-160, 1e-300)
 TOL = 1e-12
@@ -221,8 +221,8 @@ def test_a_base_whose_square_passes_the_largest_double():
 #: calls whose result, taken at a power-of-two scale, passes the largest double once its
 #: ``2^e`` is back, or is formed past it from values that came back finite, on cycle:8 at
 #: ``g = 1e308 (1, -1, ...)`` (the Besov norms at ``g / 3``, the Jackson chain at ``g / 8``);
-#: they returned inf with or without a RuntimeWarning, raised a bare OverflowError, or
-#: (dense_union_check) returned 2.0
+#: they returned inf with or without a RuntimeWarning, or raised a bare OverflowError;
+#: ``oracles.dense_union_check``, one ``spectral_tail`` call at every step node, returned 2.0
 PAST_THE_DOUBLES = {
     "best_approx": lambda dec, g: best_approx(dec, g, 0.0),
     "spectral_tail": lambda dec, g: spectral_tail(dec, g, 0.0),
@@ -288,12 +288,15 @@ def _diag6():
 
 
 def test_tails_whose_squares_underflow():
-    # the mass 1e-250 above omega = 4 was squared at the scale of f and read 0, so
-    # dense_union_check took omega = 0.5 for eps = 1e-300; each tail is now at its own scale
+    # the mass 1e-250 above omega = 4 was squared at the scale of f and read 0, so the first
+    # step node with a tail <= 1e-300 was 0.5; each tail is now at its own scale, at every node
     dec = _diag6()
     f = dec.eigenvectors[:, 1] + 1e-250 * dec.eigenvectors[:, 5]
     for distance in (best_approx, spectral_tail):
         assert abs(distance(dec, f, 4.0) / 1e-250 - 1.0) <= TOL
+    tails = spectral_tail(dec, f, _step_nodes(dec))  # 0, 0.5, 1, 2, 3.5, 7
+    assert tails[0] == 1.0 and tails[-1] == 0.0
+    np.testing.assert_allclose(tails[1:-1], 1e-250, rtol=TOL, atol=0.0)
     assert dense_union_check(dec, f, 1e-300) == 7.0
 
 

@@ -27,7 +27,6 @@ from bandapprox import (
     k_besov_norm,
     k_functional,
     modulus,
-    operator_power,
     spectral_tail,
     spectral_transform,
 )
@@ -39,6 +38,7 @@ from oracles import (
     besov_seminorm_sup_per_s,
     k_besov_norm_dense,
     k_functional_golden,
+    operator_power,
     running_modulus_golden,
     seminorm_golden,
 )

@@ -26,7 +26,6 @@ from bandapprox import (
     lemma2_check,
     modulus,
     modulus_inequality_checks,
-    operator_power,
     pw_project,
     sup_scaled_best_approx,
 )
@@ -39,6 +38,7 @@ from oracles import (
     difference_by_composition,
     k_functional_bruteforce,
     modulus_dense_scan,
+    operator_power,
 )
 
 

@@ -47,7 +47,6 @@ from bandapprox import (
     besov_seminorm_sup,
     best_approx,
     build_kernel,
-    dense_union_check,
     eigh,
     equivalence_report,
     frame_norm,
@@ -83,7 +82,7 @@ from bandapprox.smoothness import (
     _seminorm_sup,
 )
 from conftest import random_vector
-from oracles import distances_by_element
+from oracles import dense_union_check, distances_by_element
 
 #: cycle, path, random PSD, raw_D with eigenvalues on the base-2 band edges, N = 1,
 #: the spectrum {0}, the fully degenerate complete graph, and (as "disconnected")

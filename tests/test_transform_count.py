@@ -27,7 +27,6 @@ from bandapprox import (
     besov_seminorm_sup,
     best_approx,
     build_kernel,
-    dense_union_check,
     difference,
     equivalence_report,
     jackson_check,
@@ -37,7 +36,6 @@ from bandapprox import (
     lemma2_check,
     modulus,
     modulus_inequality_checks,
-    operator_power,
     pw_project,
     q_apply,
     riesz_apply,
@@ -51,6 +49,7 @@ from bandapprox import (
 from bandapprox.operators import _coefficients, _power_coefficients, _unscaled
 from bandapprox.smoothness import BESOV_FLAVORS, _besov_norms, _lemma_reports
 from conftest import random_vector
+from oracles import dense_union_check, operator_power
 
 KERNEL = build_kernel(6, 2)
 
