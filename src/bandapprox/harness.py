@@ -294,8 +294,9 @@ class CheckRecord:
 class VerificationReport:
     """Records and constants of one suite run.
 
-    ``timings`` holds each executed check's wall seconds, summed over its sizes.  It is never
-    serialized, so the report bytes stay a function of the inputs.
+    ``timings`` holds each executed check's wall seconds, summed over its sizes, and under
+    ``"eigh"`` those of the eigensolves.  It is never serialized, so the report bytes stay a
+    function of the inputs.
     """
 
     meta: dict
@@ -360,7 +361,7 @@ class _SuiteContext:
     n: int
     dec: SpectralDecomposition
     corpus: np.ndarray
-    rng: np.random.Generator
+    rng: "np.random.Generator"  # a string: importing the library leaves numpy.random unloaded
     tols: dict
 
     def record(self, check: str, value: float, tolerance: float, **params) -> CheckRecord:
@@ -653,13 +654,15 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
         raise InvalidParamsError(f"sizes must be distinct, got {list(sizes)}")
     if not spec.sized:
         sizes = (None,)
-    decs, corpus = {}, {}
+    decs, corpus, eigh_s = {}, {}, 0.0
     for size in sizes:
         inst = spec.with_size(size) if spec.sized else spec
         if spec.builtin == "random_psd" and inst.seed is None:
             inst = replace(inst, seed=seed * 31 + (size or 0))
         op = build_operator(inst)
+        start = time.perf_counter()
         dec = eigh(op)
+        eigh_s += time.perf_counter() - start
         n = dec.dim
         if dec.lambda_max == 0.0:
             raise InvalidParamsError(f"spectrum {{0}} at N = {n}: no positive eigenvalue to check")
@@ -676,7 +679,7 @@ def run_suite(spec: OperatorSpec, count: int = 100, seed: int = 7,
         "checks": selected,
         "package": "bandapprox",
         "version": __version__,
-    })
+    }, timings={"eigh": eigh_s})
     for index, (name, fn) in enumerate(ALL_CHECKS):
         if name not in selected:
             continue

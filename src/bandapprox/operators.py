@@ -209,12 +209,17 @@ def _jacobi_eigh(matrix: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int =
 
     Returns ``(w, V)``, ``A V = V diag(w)``, ``w`` ascending, ``V`` orthonormal.  Sweeps rotate
     ``A 2^-e`` (``max |A| 2^-e`` in ``[0.5, 1)``: ``A 2^j`` gives ``2^j w`` and the same ``V``)
-    until the off-diagonal Frobenius norm drops below ``tol * ||A||_F``.
+    until the off-diagonal Frobenius norm drops below ``tol * ||A||_F``.  A rotation turns rows
+    p and q of ``[A | V^T]`` in one step and copies them into columns p and q of ``A``: ``A``
+    stays exactly symmetric, so the column step of the two-sided rotation would take the same
+    operations on the same entries.  The new 2x2 diagonal is the column step's, in scalar
+    arithmetic on the post-row entries, and ``a_pq = a_qp = 0``.
     """
     n = len(matrix)
-    (a, e), v = _scaled(np.array(matrix, dtype=np.float64).ravel()), np.eye(n)
-    a = a.reshape(n, n)
+    a, e = _scaled(np.array(matrix, dtype=np.float64).ravel())
     threshold = tol * float(np.linalg.norm(a))
+    b = np.hstack([a.reshape(n, n), np.eye(n)])  # [A | V^T]: A and the basis turn together
+    a, item = b[:, :n], b.item
     sweeps = 0
     while np.linalg.norm(a - np.diag(a.diagonal())) > threshold:  # the off-diagonal norm
         sweeps += 1
@@ -222,31 +227,23 @@ def _jacobi_eigh(matrix: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int =
             raise RuntimeError("Jacobi iteration failed to converge")
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = item(p, q)
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                theta = (item(q, q) - item(p, p)) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                # rotate rows/columns p and q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
+                pair, rp, rq = slice(p, q + 1, q - p), b[p], b[q]  # rows p and q, as one view
+                b[pair] = c * rp - s * rq, s * rp + c * rq
+                (bpp, bpq), (bqp, bqq) = a[pair, pair].tolist()
+                a[:, pair] = a[pair].T
+                b[p, p], b[q, q] = c * bpp - s * bpq, s * bqp + c * bqq
+                b[p, q] = b[q, p] = 0.0
 
     w = _unscaled(a.diagonal().copy(), e)
     order = np.argsort(w, kind="stable")
-    w, v = w[order], v[:, order]
+    w, v = w[order], b[order, n:].T
     # deterministic sign: largest-magnitude component of each column positive
     signs = np.where(v[np.abs(v).argmax(axis=0), np.arange(n)] < 0, -1.0, 1.0) if n else 1.0
     return w, v * signs

@@ -19,7 +19,15 @@ from bandapprox import (
     spectral_transform,
 )
 from bandapprox.approx_operators import _centered_bspline
-from bandapprox.operators import _axis, _basis_product, _broadcast, _coefficients, _unscaled
+from bandapprox.operators import (
+    _JACOBI_TOL,
+    _axis,
+    _basis_product,
+    _broadcast,
+    _coefficients,
+    _scaled,
+    _unscaled,
+)
 from bandapprox.paley_wiener import _pw_prefix
 from bandapprox.smoothness import _difference_norms, _k_functional_values
 
@@ -565,3 +573,48 @@ def dense_union_check(dec, f, eps):
     tails = spectral_tail(dec, np.expand_dims(f, -2), nodes)
     first = nodes[np.argmax(tails <= eps, axis=-1)]
     return float(first) if first.ndim == 0 else first
+
+
+def jacobi_eigh_row_column(matrix, tol=_JACOBI_TOL, max_sweeps=100):
+    """``operators._jacobi_eigh`` by the two-sided rotation: each step turns rows p and q of
+    ``A``, then its columns p and q, then the columns p and q of ``V``, all on NumPy arrays.
+    The same cyclic order, scaling, stopping rule, sort and sign rule."""
+    n = len(matrix)
+    (a, e), v = _scaled(np.array(matrix, dtype=np.float64).ravel()), np.eye(n)
+    a = a.reshape(n, n)
+    threshold = tol * float(np.linalg.norm(a))
+    sweeps = 0
+    while np.linalg.norm(a - np.diag(a.diagonal())) > threshold:  # the off-diagonal norm
+        sweeps += 1
+        if sweeps > max_sweeps:
+            raise RuntimeError("Jacobi iteration failed to converge")
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                # rotate rows/columns p and q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp = v[:, p].copy()
+                v[:, p] = c * vp - s * v[:, q]
+                v[:, q] = s * vp + c * v[:, q]
+
+    w = _unscaled(a.diagonal().copy(), e)
+    order = np.argsort(w, kind="stable")
+    w, v = w[order], v[:, order]
+    # deterministic sign: largest-magnitude component of each column positive
+    signs = np.where(v[np.abs(v).argmax(axis=0), np.arange(n)] < 0, -1.0, 1.0) if n else 1.0
+    return w, v * signs

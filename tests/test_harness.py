@@ -517,7 +517,7 @@ class TestTimings:
         main(argv + ["--json", str(timed), "--timings", str(timings)])
         assert plain.read_bytes() == timed.read_bytes()
         seconds = json.loads(timings.read_text())
-        assert set(seconds) == {"plancherel", "lemma_ratios", "synthesis_constant"}
+        assert set(seconds) == {"eigh", "plancherel", "lemma_ratios", "synthesis_constant"}
         assert all(value >= 0.0 for value in seconds.values())
         assert "timings" not in plain.read_text()
 

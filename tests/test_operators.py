@@ -27,7 +27,7 @@ from bandapprox import (
 from bandapprox.harness import OperatorSpec, build_operator, parse_operator_arg
 from bandapprox.operators import GROUP_TOL_FACTOR, _jacobi_eigh
 from conftest import random_vector
-from oracles import operator_power
+from oracles import jacobi_eigh_row_column, operator_power
 
 
 class TestEigh:
@@ -193,6 +193,40 @@ class TestJacobi:
         a = build_operator(parse_operator_arg("cycle:6")).entries
         w, _ = _jacobi_eigh(a * scale)
         np.testing.assert_allclose(w / scale, [0.0, 1.0, 1.0, 3.0, 3.0, 4.0], rtol=0, atol=1e-12)
+
+
+def _jacobi_matrices():
+    """Every builtin family at each size of 1, 2, 8, 16 and 37 it takes (cycle needs 3 nodes),
+    the empty matrix, raw_D diagonals with repeated values, the zero matrix, cycle:16
+    relabelled, and the matrices of the ``TestJacobi`` scales."""
+    def spec(text, kind=RAW_L):
+        return build_operator(parse_operator_arg(text, kind)).entries
+
+    for family in ("cycle", "path", "complete", "random_psd"):
+        for n in (1, 2, 8, 16, 37):
+            if family != "cycle" or n >= 3:
+                yield pytest.param(spec(f"{family}:{n}"), id=f"{family}:{n}")
+    yield pytest.param(np.zeros((0, 0)), id="empty")
+    for text in ("diag:0,0,0", "diag:2,1,2,1,2", "diag:0,0.5,0.5,1,7,7,7", "diag:3"):
+        yield pytest.param(spec(text, RAW_D), id=text)
+    yield pytest.param(np.zeros((5, 5)), id="zero:5")
+    perm = np.random.default_rng(25).permutation(16)
+    yield pytest.param(spec("cycle:16")[np.ix_(perm, perm)], id="cycle:16 relabelled")
+    for j in (200, -200, 600, -600, 1000, -1000):
+        yield pytest.param(spec("cycle:16") * 2.0 ** j, id=f"cycle:16 * 2^{j}")
+    for scale in (1e154, 1e-160, 1e-170):
+        yield pytest.param(spec("cycle:6") * scale, id=f"cycle:6 * {scale}")
+
+
+@pytest.mark.parametrize("matrix", _jacobi_matrices())
+def test_jacobi_matches_the_two_sided_rotation_bit_for_bit(matrix):
+    # the row step on [A | V^T] with the column copy performs the two-sided rotation's
+    # floating-point operations on the same entries, so the eigenpairs agree bit for bit
+    before = matrix.copy()
+    w, v = _jacobi_eigh(matrix)
+    w_ref, v_ref = jacobi_eigh_row_column(matrix)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert np.array_equal(matrix, before)
 
 
 #: the ways a vector enters the library: the two transforms, and the one step
