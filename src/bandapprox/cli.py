@@ -8,6 +8,7 @@ passed.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -254,9 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of :func:`main`, built once per process: argparse takes milliseconds to build it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except BandApproxError as exc:

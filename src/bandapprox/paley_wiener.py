@@ -44,8 +44,10 @@ BANDLIMITED_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 #: largest top band index a base may produce; bases closer to 1 are rejected
 MAX_BANDS = 100_000
-#: masked coefficient entries (elements x N) the E route synthesizes per call, in equal chunks
+#: complex entries the E route holds at once: prefixes (rows x blocks x N), residuals (elements x N)
 _E_CHUNK_ENTRIES = 1 << 14
+#: basis columns per block of the E route's running synthesis (the same bits as one at N <= W)
+_E_BLOCK = 32
 
 
 def _band_powers(a: float, count: int, x: float = 1.0) -> np.ndarray:
@@ -135,29 +137,42 @@ def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
 
 def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray:
     """Distance from ``f`` to PW_omega, from its ``(v, c, e)``, at ``omegas`` broadcast against
-    the rows of ``f``: the norm of the part above omega, the residual ``v - V (masked c)`` in
-    the vector domain (route ``"E"``) or the coefficients (route ``"R"``).  The tail rule: each
-    is the sum ``np.linalg.norm`` takes, and one below ``2^-480`` (the rows enter near 1, so its
-    squares may have underflowed) is taken again at its own power-of-two scale (``_norm``)."""
+    the rows of ``f``: the norm of the coefficients above omega (route ``"R"``) or of the residual
+    ``v - (P_k + V[:, kW:end] c[kW:end])`` (route ``"E"``, ``W = _E_BLOCK``, ``k = end // W``, the
+    partial block masked) with ``P_k`` the full-block products ``V[:, iW:(i+1)W] c[iW:(i+1)W]``,
+    i < k, added in ascending i and carried once per row: an element's bits depend only on its
+    row and its cut.  Each is the sum ``np.linalg.norm`` takes; one below ``2^-480`` (its squares
+    may have underflowed) is taken again at its own power-of-two scale (``_norm``)."""
     v, c, e = fc
     shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
-    v, c, j = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.arange(dec.dim)
-
-    def above(i, end):  # the part above omega of the rows i at their prefix ends
-        if route == "R":
-            return np.where(j >= end, c[i], 0)
-        return v[i] - _basis_product(dec.eigenvectors, np.where(j < end, c[i], 0))
-
+    n, w, basis, size = dec.dim, _E_BLOCK, dec.eigenvectors, max(1, _E_CHUNK_ENTRIES // dec.dim)
+    v, c, j, norms = v.reshape(-1, n), c.reshape(-1, n), np.arange(n), np.empty(len(rows))
     if route == "R":
-        norms = np.array([np.linalg.norm(c[i, k:]) for i, k in zip(rows.tolist(), ends.tolist())])
-    else:  # a chunk of elements per synthesis: all of them at once would be elements x N
-        parts = max(1, -(-len(rows) * dec.dim // _E_CHUNK_ENTRIES))
-        norms = np.concatenate([np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
-                                for r in map(above, np.array_split(rows, parts),
-                                             np.array_split(ends[:, None], parts))])
-    small = np.flatnonzero((norms < 2.0 ** -480) & (ends < dec.dim))  # none above lambda_max
-    if small.size:
-        norms[small] = _norm(above(rows[small], ends[small, None]))
+        norms[:] = [np.linalg.norm(c[i, k:]) for i, k in zip(rows.tolist(), ends.tolist())]
+        small = np.flatnonzero((norms < 2.0 ** -480) & (ends < n))  # none above lambda_max
+        if small.size:
+            norms[small] = _norm(np.where(j >= ends[small, None], c[rows[small]], 0))
+        return _unscaled(np.reshape(norms, shape), e.reshape(shape))
+    ks, users = ends // w, np.flatnonzero(np.bincount(rows, minlength=len(c)))  # rows in use
+    blocks = basis[:, :n // w * w].reshape(n, n // w, w).transpose(1, 0, 2)  # the full blocks
+    cb = c[:, :n // w * w].reshape(len(c), n // w, w)  # and their coefficients
+    step = max(1, min(int(ks.max(initial=0)), size - 1))  # blocks per stacked product
+    for u in np.array_split(users, max(1, -(-len(users) * (step + 1) // size))):
+        mine = np.flatnonzero((rows >= u[:1]) & (rows <= u[-1:]))  # the elements of the rows u
+        top, prefix = int(ks[mine].max(initial=0)), np.zeros((len(u), n), complex)
+        for k in range(top + 1):  # prefix = P_k
+            if k % step == 0:  # the next step full blocks of the rows u, one stacked product
+                terms = _basis_product(blocks[k:k + step], cb[u, k:k + step])
+            at, cols = mine[ks[mine] == k], slice(k * w, (k + 1) * w)
+            for a in (at[s:s + size] for s in range(0, len(at), size)):  # a chunk of elements
+                z = np.where(j[cols] < ends[a, None], c[rows[a], cols], 0)
+                r = _basis_product(basis[:, cols], z) + prefix[np.searchsorted(u, rows[a])]
+                np.subtract(v[rows[a]], r, out=r)
+                norms[a] = np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
+                if np.any(small := (norms[a] < 2.0 ** -480) & (ends[a] < n)):
+                    norms[a[small]] = _norm(r[small])
+            if k < top:
+                prefix += terms[:, k % step]
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 

@@ -25,9 +25,11 @@ from bandapprox.operators import (
     _basis_product,
     _broadcast,
     _coefficients,
+    _norm,
     _scaled,
     _unscaled,
 )
+from bandapprox import paley_wiener
 from bandapprox.paley_wiener import _pw_prefix
 from bandapprox.smoothness import _difference_norms, _k_functional_values
 
@@ -511,13 +513,36 @@ def riesz_symbol_mpmath(lam, omega, k_trunc):
 
 
 def distances_by_element(dec, fc, omegas):
-    """The E route of ``paley_wiener._distances`` one element at a time: each residual
-    ``v - V (masked c)`` synthesized on its own and measured by ``np.linalg.norm``."""
+    """The E distances one element at a time, each residual ``v - V (masked c)`` synthesized on
+    its own over all N columns and measured by ``np.linalg.norm``: the bits of the E route of
+    ``paley_wiener._distances`` at ``N <= _E_BLOCK``; beyond, the route sums the same products
+    in another order, and the two agree within ``N eps ||f||`` (``tests/test_sweeps.py``)."""
     v, c, e = fc
     shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
     v, c, j = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.arange(dec.dim)
     norms = [np.linalg.norm(v[i] - _basis_product(dec.eigenvectors, np.where(j < end, c[i], 0)))
              for i, end in zip(rows.tolist(), ends.tolist())]
+    return _unscaled(np.reshape(norms, shape), e.reshape(shape))
+
+
+def distances_by_blocks(dec, fc, omegas):
+    """The E route of ``paley_wiener._distances`` by its block definition, one element at a
+    time: with ``W = _E_BLOCK`` and ``k = end // W``, the prefix ``P_k`` summed block by block
+    in a Python loop (``P_0 = 0``), the partial block masked below the cut, the residual
+    ``v - (P_k + partial)``, its norm and the re-take below ``2^-480`` at its own scale."""
+    w, (v, c, e) = paley_wiener._E_BLOCK, fc
+    shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
+    v, c, basis = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), dec.eigenvectors
+    norms = []
+    for i, end in zip(rows.tolist(), ends.tolist()):
+        prefix, k = np.zeros(dec.dim, complex), end // w
+        for b in range(k):
+            prefix = prefix + _basis_product(basis[:, b * w:(b + 1) * w], c[i, b * w:(b + 1) * w])
+        cols = slice(k * w, (k + 1) * w)
+        z = np.where(np.arange(dec.dim)[cols] < end, c[i, cols], 0)
+        r = v[i] - (prefix + _basis_product(basis[:, cols], z))
+        norm = math.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
+        norms.append(_norm(r) if norm < 2.0 ** -480 and end < dec.dim else norm)
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 

@@ -10,8 +10,11 @@ move a single bit: every element equals the call on its row and scalar
 parameters alone (0 ulp), on every operator family, for the zero vector and
 at scales 1e+-150.  Each element is also rebuilt from the per-omega
 ``best_approx`` or ``spectral_tail`` calls of its own route and base, and the
-E route, which synthesizes its residuals a chunk of elements at a time, from
-the per-element loop it replaced (``oracles.distances_by_element``).
+E route, which carries each row's sum of full-block products through the call
+and masks only the partial block of each cut, from its block definition taken
+one element at a time (``oracles.distances_by_blocks``), bit for bit; it is the
+per-element synthesis it replaced (``oracles.distances_by_element``) bit for
+bit at N <= ``_E_BLOCK``, and within N eps ||f|| beyond (a reordered sum).
 
 The shift scan, the K path, the seminorm and the norm take a block of vectors
 (``_moduli``, ``_running_modulus``, ``_k_functional_values``, ``_seminorm_sup``, ``_norm``),
@@ -26,6 +29,7 @@ holds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,7 +86,7 @@ from bandapprox.smoothness import (
     _seminorm_sup,
 )
 from conftest import random_vector
-from oracles import dense_union_check, distances_by_element
+from oracles import dense_union_check, distances_by_blocks, distances_by_element
 
 #: cycle, path, random PSD, raw_D with eigenvalues on the base-2 band edges, N = 1,
 #: the spectrum {0}, the fully degenerate complete graph, and (as "disconnected")
@@ -399,12 +403,27 @@ def random256_dec():
     return SpectralDecomposition(eigenvalues=np.sqrt(np.maximum(w, 0.0)), eigenvectors=v)
 
 
+def _assert_element_synthesis_agrees(dec, fc, omegas, got):
+    """``got``, the E route at ``omegas``, against one synthesis over all N columns per element:
+    the same bits at N <= ``_E_BLOCK``; beyond, the same products summed in another order, so
+    within N eps ||f|| (at N = 256 the two differ by at most about 2e-16 ||f||)."""
+    expected = distances_by_element(dec, fc, omegas)
+    if dec.dim <= paley_wiener._E_BLOCK:
+        np.testing.assert_array_equal(got, expected)
+    else:
+        bound = dec.dim * np.finfo(float).eps * _norm(fc[0], fc[2])
+        assert np.all(np.abs(got - expected) <= bound)
+
+
 def _assert_e_route_matches_the_element_loop(dec, vectors):
-    """``best_approx`` and the E flavors of every row of ``vectors`` at 0 ulp from the oracle."""
+    """``best_approx`` and the E flavors of every row of ``vectors`` at 0 ulp from the block
+    definition taken one element at a time, and near the per-element synthesis."""
     nodes = _step_nodes(dec)
     omegas = np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]), [1.5 * nodes[-1] + 1.0]))
-    expected = distances_by_element(dec, _coefficients(dec, vectors[:, None]), omegas)
+    fc = _coefficients(dec, vectors[:, None])
+    expected = distances_by_blocks(dec, fc, omegas)
     np.testing.assert_array_equal(best_approx(dec, vectors[:, None], omegas), expected)
+    _assert_element_synthesis_agrees(dec, fc, omegas, expected)
     for f, row in zip(vectors, expected):
         np.testing.assert_array_equal(best_approx(dec, f, omegas), row)
     for alpha, q, a in COMBOS["discrete_E"]:
@@ -413,9 +432,9 @@ def _assert_e_route_matches_the_element_loop(dec, vectors):
         for f in vectors:
             fc = _coefficients(dec, f)
             integral.append(_norm(f) + _integral_norm(
-                nodes, distances_by_element(dec, fc, nodes[:-1]), alpha, q))
+                nodes, distances_by_blocks(dec, fc, nodes[:-1]), alpha, q))
             discrete.append(_norm(f) + _discrete_norm(
-                distances_by_element(dec, fc, edges), alpha, q, a))
+                distances_by_blocks(dec, fc, edges), alpha, q, a))
         np.testing.assert_array_equal(
             besov_norm(dec, vectors, BesovParams(alpha=alpha, q=q, flavor="integral_E")), integral)
         np.testing.assert_array_equal(
@@ -431,7 +450,8 @@ def test_e_route_matches_the_element_loop(dec, rng, monkeypatch, chunk):
 
 
 def test_e_route_matches_the_element_loop_at_n256(random256_dec, rng):
-    # 64 elements per chunk at N = 256: the 257 step nodes of one row cross four boundaries
+    # 8 full blocks of 32 columns: each row's prefixes P_0 .. P_8 in one table, and 64
+    # residuals per chunk, so the cuts of every block cross a chunk boundary
     _assert_e_route_matches_the_element_loop(random256_dec, _vectors(rng, 256))
 
 
@@ -439,7 +459,63 @@ def test_e_route_crosses_a_chunk_boundary_at_its_own_size(dec, rng):
     f = random_vector(rng, dec.dim)
     omegas = rng.uniform(0.0, 1.2 * dec.lambda_max, paley_wiener._E_CHUNK_ENTRIES // dec.dim + 5)
     np.testing.assert_array_equal(best_approx(dec, f, omegas),
-                                  distances_by_element(dec, _coefficients(dec, f), omegas))
+                                  distances_by_blocks(dec, _coefficients(dec, f), omegas))
+
+
+def _synthetic_dec(n, basis="qr"):
+    """Eigenvalues 1, ..., n, so ``omega = m`` keeps the first m, and a basis that needs no
+    eigensolver: ``np.linalg.qr`` of a Gaussian seeded by n, or the identity."""
+    vectors = (np.eye(n) if basis == "identity"
+               else np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0])
+    return SpectralDecomposition(eigenvalues=np.arange(1.0, n + 1.0), eigenvectors=vectors)
+
+
+W = paley_wiener._E_BLOCK
+
+
+@pytest.mark.parametrize("chunk", [None, 3], ids=["default", "3-elements"])
+@pytest.mark.parametrize("basis", ["qr", "identity"])
+@pytest.mark.parametrize("n", [W - 1, W, W + 1, 2 * W, 2 * W + 1, 100])
+def test_e_route_is_its_block_definition(monkeypatch, n, basis, chunk):
+    # every cut from 0 through N, the multiples of W among them; rows at 2^+-1000, the zero row,
+    # and a row whose upper half is 2^-600 of its lower half: in the identity basis its
+    # residuals there are 2^-600 relative, so their squares underflow and the norm is re-taken
+    # at its own scale (with a QR basis round-off of the synthesis dominates them)
+    if chunk is not None:  # 3 elements and 3 / (N + 1) rows of prefixes per chunk
+        monkeypatch.setattr(paley_wiener, "_E_CHUNK_ENTRIES", chunk * n)
+    dec, f = _synthetic_dec(n, basis), random_vector(np.random.default_rng(n + 1), n)
+    upper = np.arange(n) >= n // 2
+    vectors = np.array([f, 2.0 ** 1000 * f, 2.0 ** -1000 * f, np.zeros(n),
+                        np.where(upper, 2.0 ** -600 * f, f)])
+    omegas, fc = np.arange(n + 1.0), _coefficients(dec, vectors[:, None])
+    got = best_approx(dec, vectors[:, None], omegas)
+    np.testing.assert_array_equal(got, distances_by_blocks(dec, fc, omegas))
+    for i, row in enumerate(vectors):
+        np.testing.assert_array_equal(best_approx(dec, row, omegas), got[i])
+    # the element oracle takes no norm again, so the last row is left out
+    _assert_element_synthesis_agrees(dec, _coefficients(dec, vectors[:4, None]), omegas, got[:4])
+    if basis == "identity":  # the re-take: each tail at its own scale, as the R route has it
+        tails = got[4, n // 2:n]
+        assert np.all(tails > 0.0) and np.all(tails < 2.0 ** -590)
+        np.testing.assert_allclose(got, spectral_tail(dec, vectors[:, None], omegas),
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_e_route_at_n1024_stays_in_the_chunk_bound():
+    # one vector at all 1,025 step nodes of a synthetic N = 1024 decomposition: the route holds
+    # a table of prefixes and a chunk of residuals of _E_CHUNK_ENTRIES complex entries each,
+    # with the products that form them, never N^2 entries (16 MiB here)
+    dec = _synthetic_dec(1024)
+    f = random_vector(np.random.default_rng(1024), 1024)
+    nodes = _step_nodes(dec)
+    tracemalloc.start()
+    try:
+        got = best_approx(dec, f, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 16 * paley_wiener._E_CHUNK_ENTRIES
+    assert np.max(np.abs(got - spectral_tail(dec, f, nodes))) <= 1e-14 * np.linalg.norm(f)
 
 
 def _terms(rng, width):
