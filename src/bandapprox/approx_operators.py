@@ -271,8 +271,8 @@ def riesz_identity_check(dec: SpectralDecomposition, f, omega, power: int = 1,
     if not (_is_int(power) and power >= 1):
         raise InvalidParamsError(f"power must be an integer >= 1, got {power!r}")
     cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
-    v, c, e = fc = _coefficients(dec, f)
-    _require_pw(dec, fc, cfg.omega)  # a zero row passes
+    v, c, e = _coefficients(dec, f)
+    _require_pw(dec, c, cfg.omega)  # a zero row passes
     rho = riesz_symbol(dec.eigenvalues, cfg)
     gaps = _norm((1j * dec.eigenvalues) ** power * c - rho ** power * c, e)
     norms = _norm(v, e)
@@ -382,7 +382,7 @@ def jackson_check(dec: SpectralDecomposition, f, omega, m: int, k: int,
                                 (1.0 / ws[order]).reshape(len(c), -1), m - k).ravel()
     symbols = q_symbol(kernel, omega, m, dec.eigenvalues).reshape(-1, dec.dim)
     q_errs = _norm(_basis_product(dec.eigenvectors, symbols[edge] * c[rows]) - v[rows], e[rows])
-    best = _distances(dec, fc, omega, "E").ravel()
+    best = _distances(dec, fc, omega).ravel()
     with np.errstate(over="ignore"):
         bounds = _finite(const * moduli / ws ** k)
     ratio_best, ratio_q = _safe_ratio([best, q_errs], bounds, _norm(v, e)[rows])

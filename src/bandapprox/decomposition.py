@@ -30,8 +30,8 @@ from .errors import (
 )
 from .operators import SpectralDecomposition, _as_block, _basis_product, _broadcast, _check_scalar
 from .operators import _coefficients, _norm, _shaped, _unscaled
-from .paley_wiener import _band_edges, _band_powers, _check_q, _pw_prefix, _require_pw
-from .smoothness import BesovParams, _besov_norms, _discrete_norm, _edge_distances, _safe_ratio
+from .paley_wiener import _band_edges, _band_powers, _check_q, _distances, _pw_prefix, _require_pw
+from .smoothness import BesovParams, _besov_norms, _discrete_norm, _safe_ratio
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +167,11 @@ def synthesis_check(dec: SpectralDecomposition, bands, alpha: float,
         raise DimensionMismatchError(f"expected bands of shape (..., K, N), got {bands.shape}")
     shape, edges = bands.shape[:-2], _band_powers(a, bands.shape[-2])
     # every band at once, band k in PW_{a^k}
-    _require_pw(dec, _coefficients(dec, bands), edges, MembershipViolationError, "band")
+    _require_pw(dec, _coefficients(dec, bands)[1], edges, MembershipViolationError, "band")
     sup_band = _discrete_norm(_norm(bands), alpha, math.inf, a)
     # E(f, a^k) vanishes from the top edge of _band_edges on, so the discrete terms hold the sup
-    lhs = _discrete_norm(_edge_distances(dec, _coefficients(dec, np.sum(bands, axis=-2)), a, "E"),
-                         alpha, math.inf, a)
+    fc = _coefficients(dec, np.sum(bands, axis=-2)[..., None, :])  # each f at every edge
+    lhs = _discrete_norm(_distances(dec, fc, _band_edges(dec, a)[:-1]), alpha, math.inf, a)
     constant = 1.0 / (1.0 - a ** (-alpha))
     return SynthesisReport(lhs=_shaped(lhs, shape), rhs=_shaped(constant * sup_band, shape),
                            constant=constant, sup_band=_shaped(sup_band, shape))

@@ -16,7 +16,7 @@ Conventions
 * eigenvectors are real orthonormal columns,
 * an eigenspace is one value: ``eigh`` groups eigenvalues within ``eps_group`` (relative to
   ``lambda_max``) and gives each group one value, so a cut takes or leaves a whole eigenspace,
-* the scalar layer sees a vector through its spectral measure (``_measure``), ``|c|^2`` per group,
+* the R side and the smoothness scalars see a vector through ``|c|^2`` per group (``_measure``),
 * a vector argument may be a block of rows ``(..., N)``, with the parameters
   of a call broadcast against ``f.shape[:-1]`` as NumPy broadcasts; each row
   takes its own matrix-vector products, so its bits do not depend on the block,

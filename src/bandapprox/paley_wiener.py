@@ -1,12 +1,12 @@
 """Paley-Wiener subspaces: projections, best approximation, bandwidth.
 
-``PW_omega`` is the span of eigenvectors with eigenvalue in ``[0, omega]``, a
-prefix of the ascending spectrum cut in one place (``_pw_prefix``).  Two measurements
-serve the module.  The mass above ``omega``, each tail at its own power-of-two scale,
-is the distance to ``PW_omega``, taken two ways that must agree to near machine
-precision (the projection residual in H and the coefficient tail, so the identity is a
-real check, not a tautology), and the one membership rule.  The Bernstein norm
-``||(D/omega)^s f_omega||`` serves :func:`bernstein_check` and :func:`bandwidth`.
+``PW_omega`` is the span of eigenvectors with eigenvalue in ``[0, omega]``, a prefix of the
+ascending spectrum cut in one place (``_pw_prefix``).  The mass above ``omega`` (each tail at its
+own power-of-two scale) is the distance to ``PW_omega``, taken two ways that must agree to near
+machine precision, so the identity is a real check: the residual in H (the E route, ``_distances``)
+and the tail of the spectral measure (the R route, ``_tails``), which also decides membership.  The
+R side sees a vector only through its measure (``operators._measure``): the Bernstein norm
+``||(D/omega)^s f_omega||`` of :func:`bernstein_check` and :func:`bandwidth` weights its groups.
 """
 
 import math
@@ -135,24 +135,18 @@ def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
     return np.concatenate(([0.0], values[values > 0.0]))
 
 
-def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray:
-    """Distance from ``f`` to PW_omega, from its ``(v, c, e)``, at ``omegas`` broadcast against
-    the rows of ``f``: the norm of the coefficients above omega (route ``"R"``) or of the residual
-    ``v - (P_k + V[:, kW:end] c[kW:end])`` (route ``"E"``, ``W = _E_BLOCK``, ``k = end // W``, the
-    partial block masked) with ``P_k`` the full-block products ``V[:, iW:(i+1)W] c[iW:(i+1)W]``,
-    i < k, added in ascending i and carried once per row: an element's bits depend only on its
-    row and its cut.  Each is the sum ``np.linalg.norm`` takes; one below ``2^-480`` (its squares
-    may have underflowed) is taken again at its own power-of-two scale (``_norm``)."""
+def _distances(dec: SpectralDecomposition, fc, omegas) -> np.ndarray:
+    """The E route, the twin of ``_tails`` that keeps ``E = R`` a real check: distance from ``f``
+    (its ``(v, c, e)``) to PW_omega at ``omegas`` broadcast against its rows, the norm of the
+    residual ``v - (P_k + V[:, kW:end] c[kW:end])`` in H (``W = _E_BLOCK``, ``k = end // W``, the
+    partial block masked), ``P_k`` the full-block products ``V[:, iW:(i+1)W] c[iW:(i+1)W]``, i < k,
+    added in ascending i and carried once per row: an element's bits depend only on its row and
+    its cut.  Each is the sum ``np.linalg.norm`` takes; one below ``2^-480`` (its squares may have
+    underflowed) is taken again at its own power-of-two scale (``_norm``)."""
     v, c, e = fc
     shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
     n, w, basis, size = dec.dim, _E_BLOCK, dec.eigenvectors, max(1, _E_CHUNK_ENTRIES // dec.dim)
     v, c, j, norms = v.reshape(-1, n), c.reshape(-1, n), np.arange(n), np.empty(len(rows))
-    if route == "R":
-        norms[:] = [np.linalg.norm(c[i, k:]) for i, k in zip(rows.tolist(), ends.tolist())]
-        small = np.flatnonzero((norms < 2.0 ** -480) & (ends < n))  # none above lambda_max
-        if small.size:
-            norms[small] = _norm(np.where(j >= ends[small, None], c[rows[small]], 0))
-        return _unscaled(np.reshape(norms, shape), e.reshape(shape))
     ks, users = ends // w, np.flatnonzero(np.bincount(rows, minlength=len(c)))  # rows in use
     blocks = basis[:, :n // w * w].reshape(n, n // w, w).transpose(1, 0, 2)  # the full blocks
     cb = c[:, :n // w * w].reshape(len(c), n // w, w)  # and their coefficients
@@ -176,37 +170,48 @@ def _distances(dec: SpectralDecomposition, fc, omegas, route: str) -> np.ndarray
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 
-def _node_distances(dec: SpectralDecomposition, fc, nodes, route: str) -> np.ndarray:
-    """``_distances`` of every row of ``fc`` at every entry of the 1-D ``nodes``: ``(..., K)``."""
-    v, c, e = fc
-    out = _distances(dec, (v[..., None, :], c[..., None, :], np.expand_dims(e, -1)), nodes, route)
-    return out.reshape(c.shape[:-1] + nodes.shape)
+def _tails(dec: SpectralDecomposition, c, measure, omegas) -> np.ndarray:
+    """The R route: the tail above omega of each row of ``c`` (at its scale) at ``omegas``
+    broadcast against the rows, from its measure ``_measure(dec, c)`` alone: the root of its group
+    masses summed from the top group down to the cut's, one cumulative sum per row (never ``total
+    - prefix``).  One below ``2^-480`` (its squares may underflow) is measured again on its own."""
+    _, mass, d = measure
+    shape, rows, (g, d) = _broadcast(c, np.searchsorted(dec._starts, _pw_prefix(dec, omegas)), d)
+    top = np.cumsum(mass.reshape(-1, mass.shape[-1])[:, ::-1], axis=1)  # the top 1 .. G groups
+    tails = np.sqrt(np.where(g < top.shape[1], top[rows, top.shape[1] - 1 - g], 0.0))
+    if (small := np.flatnonzero((tails < 2.0 ** -480) & (g < top.shape[1]))).size:
+        above = np.arange(dec.dim) >= dec._starts[g[small], None]
+        _, mass, d[small] = _measure(dec, np.where(above, c.reshape(-1, dec.dim)[rows[small]], 0))
+        tails[small] = np.sqrt(np.cumsum(mass[:, ::-1], axis=1)[:, -1])
+    return _unscaled(tails, d).reshape(shape)
 
 
-def _require_pw(dec: SpectralDecomposition, fc, omegas, error=NotBandlimitedError, what="vector"):
+def _require_pw(dec: SpectralDecomposition, c, omegas, error=NotBandlimitedError, what="vector"):
     """The one membership rule: raise ``error`` naming the first element (``omegas`` broadcast
-    against the rows of ``fc``, flattened) whose tail exceeds ``BANDLIMITED_TOL ||f||``."""
-    v, c, _ = fc
-    tails = _distances(dec, (v, c, 0), omegas, "R")  # at the scale of v
-    outside = np.flatnonzero(tails > BANDLIMITED_TOL * _norm(v))
+    against the rows of ``c``, flattened) whose tail exceeds ``BANDLIMITED_TOL ||f||``, or return
+    the measure ``_measure(dec, c)`` the tails were read off."""
+    tails = _tails(dec, c, measure := _measure(dec, c), omegas)  # at the scale of c
+    outside = np.flatnonzero(tails > BANDLIMITED_TOL * _norm(c))
     if outside.size:
         k = int(outside[0])  # named by its index in the broadcast shape, a number on one axis
         at = k if tails.ndim < 2 else tuple(map(int, np.unravel_index(k, tails.shape)))
         omega = np.broadcast_to(omegas, tails.shape).flat[k]
         raise error(f"{what} {at} has spectral mass above omega={omega}")
+    return measure
 
 
-def _bernstein_norms(dec: SpectralDecomposition, c, omegas, s) -> np.ndarray:
-    """``||(D/omega)^s f_omega||`` of each coefficient row of ``c`` (``(M, N)``, at the scale of
-    ``f``) at its entry of ``omegas``, for every ``s`` (last axis): ``f_omega`` is the
-    ``_pw_prefix`` cut, and ``lambda/omega`` is clamped at 1, as a kept group may lie up to
-    ``eps_group`` above omega, so ``(lambda/omega)^s <= 1``; ``0^s`` is 1 at ``s = 0``.  One power
-    call for the block, elementwise, so a row's bits do not depend on its block."""
-    kept = np.arange(dec.dim) < _pw_prefix(dec, omegas)[:, None]
+def _bernstein_norms(dec: SpectralDecomposition, measure, omegas, s) -> np.ndarray:
+    """``||(D/omega)^s f_omega||`` of each row of the measure ``(nodes, mass, d)`` (``(M, G)``, at
+    the scale of ``f``) at its entry of ``omegas``, for every ``s`` (last axis): each group norm
+    ``sqrt(mass) 2^d`` kept by the ``_pw_prefix`` cut, weighted by ``min(node/omega, 1)^s`` (a kept
+    group may lie up to ``eps_group`` above omega; ``0^s`` is 1 at ``s = 0``), one norm per row."""
+    nodes, mass, d = measure
+    kept = np.arange(len(nodes)) < np.searchsorted(dec._starts, _pw_prefix(dec, omegas))[:, None]
     with np.errstate(divide="ignore"):  # omega = 0 keeps lambda <= eps_group: inf, clamped
-        x = np.minimum(np.divide(dec.eigenvalues, omegas[:, None], out=np.zeros(kept.shape),
-                                 where=kept & (dec.eigenvalues > 0.0)), 1.0)
-    return _norm(np.power(x, np.reshape(s, (-1, 1, 1))) * np.where(kept, np.abs(c), 0.0)).T
+        x = np.minimum(np.divide(nodes, omegas[:, None], out=np.zeros(kept.shape),
+                                 where=kept & (nodes > 0.0)), 1.0)
+    norms = np.where(kept, _unscaled(np.sqrt(mass), d[:, None]), 0.0)
+    return _norm(np.power(x, np.reshape(s, (-1, 1, 1))) * norms).T
 
 
 def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
@@ -219,12 +224,13 @@ def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
 def best_approx(dec: SpectralDecomposition, f, omega):
     """Distance from ``f`` to PW_omega, via the projection residual in H: a float for one
     vector and one ``omega``, else an array of their broadcast shape."""
-    return _shaped(_distances(dec, _coefficients(dec, f), _omegas(omega), "E"))
+    return _shaped(_distances(dec, _coefficients(dec, f), _omegas(omega)))
 
 
 def spectral_tail(dec: SpectralDecomposition, f, omega):
     """Coefficient-tail norm above omega; equals :func:`best_approx`, shaped as it is."""
-    return _shaped(_distances(dec, _coefficients(dec, f), _omegas(omega), "R"))
+    _, c, e = _coefficients(dec, f)
+    return _shaped(_unscaled(_tails(dec, c, _measure(dec, c), _omegas(omega)), e))
 
 
 def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
@@ -248,7 +254,7 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     norms = np.reshape(_norm(v), -1)
     if np.any(norms == 0.0):
         raise ZeroVectorError("bandwidth of the zero vector is undefined")
-    nodes, mass, d = _measure(dec, c)
+    nodes, mass, d = measure = _measure(dec, c)
     significant = _unscaled(np.sqrt(mass), d[:, None]) > SUPPORT_TOL * norms[:, None]
     omega_f = np.max(np.where(significant, nodes, 0.0), axis=-1, initial=0.0)
 
@@ -258,7 +264,7 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     probe = omega_f if probe_omega is None else np.broadcast_to(_omegas(probe_omega), e.shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # log 0 = -inf
         log_norms = (ks * np.log(omega_f)[:, None] + e[:, None] * math.log(2.0)
-                     + np.log(_bernstein_norms(dec, c, omega_f, ks)))
+                     + np.log(_bernstein_norms(dec, measure, omega_f, ks)))
         k_sequence = _finite(np.exp(log_norms / ks))  # past the largest double: NonFiniteError
         ratios = np.exp(np.max(log_norms - ks * np.log(probe)[:, None], axis=-1))
     _finite(ratios[probe > 0.0])
@@ -294,9 +300,8 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     ``omega`` and ``max_ratio`` take the broadcast shape of ``omega`` and the rows of ``f``;
     ``ratios`` adds an axis over ``s``.
     """
-    v, c, _ = fc = _coefficients(dec, f)
-    omegas = _omegas(omega)
-    shape, rows, (ws,) = _broadcast(c, omegas)
+    v, c, _ = _coefficients(dec, f)
+    shape, rows, (ws,) = _broadcast(c, omegas := _omegas(omega))
     s_values = tuple(s_list)
     bad = [s for s in s_values if not 0.0 <= s < math.inf]
     if bad:
@@ -304,9 +309,10 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     norms = _norm(v.reshape(-1, dec.dim))[rows]  # ||f|| 2^-e
     if np.any(norms == 0.0):
         raise ZeroVectorError("Bernstein check needs a nonzero vector")
-    _require_pw(dec, fc, omegas)
+    nodes, mass, d = _require_pw(dec, c, omegas)  # one measure for the test and the norms
     # both at the scale of c: the 2^e of f cancels from every ratio
-    ratios = _bernstein_norms(dec, c.reshape(-1, dec.dim)[rows], ws, s_values) / norms[:, None]
+    measure = nodes, mass.reshape(-1, len(nodes))[rows], np.reshape(d, -1)[rows]
+    ratios = _bernstein_norms(dec, measure, ws, s_values) / norms[:, None]
     # the ratios are nonnegative: the initial 0.0 only shows without any s
     return BernsteinReport(omega=_shaped(ws, shape), s_values=s_values,
                            ratios=ratios.reshape(shape + (len(s_values),)),

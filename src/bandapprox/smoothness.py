@@ -57,8 +57,8 @@ from .operators import (
     _weighted,
     apply_multiplier,
 )
-from .paley_wiener import _band_edges, _band_powers, _check_q, _lq_norm, _node_distances
-from .paley_wiener import _step_nodes
+from .paley_wiener import _band_edges, _band_powers, _check_q, _distances, _lq_norm
+from .paley_wiener import _step_nodes, _tails
 
 #: selectable smoothness-norm flavors
 BESOV_FLAVORS = ("integral_E", "discrete_E", "integral_R", "discrete_R",
@@ -374,8 +374,9 @@ def _integral_norm(nodes, values, alpha, q):
 
 def _scaled_e_sup(dec: SpectralDecomposition, fc, alpha: float):
     """:func:`sup_scaled_best_approx` of each row of ``fc`` (a float for one row)."""
-    nodes = _step_nodes(dec)
-    return _integral_norm(nodes, _node_distances(dec, fc, nodes[:-1], "E"), alpha, math.inf)
+    (v, c, e), nodes = fc, _step_nodes(dec)  # each row at every step node
+    dists = _distances(dec, (v[..., None, :], c[..., None, :], np.expand_dims(e, -1)), nodes[:-1])
+    return _integral_norm(nodes, dists, alpha, math.inf)
 
 
 def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float) -> float:
@@ -387,12 +388,6 @@ def sup_scaled_best_approx(dec: SpectralDecomposition, f, alpha: float) -> float
     if not (0.0 <= alpha < math.inf):
         raise InvalidParamsError(f"alpha must be in [0, inf), got {alpha}")
     return _shaped(_scaled_e_sup(dec, _coefficients(dec, f), alpha))
-
-
-def _edge_distances(dec: SpectralDecomposition, fc, a: float, route: str) -> np.ndarray:
-    """Distances of every row of ``fc`` to ``PW_{a^k}`` (last axis) at the band edges below the
-    top one of ``_band_edges``: exact, as the rest vanish."""
-    return _node_distances(dec, fc, _band_edges(dec, a)[:-1], route)
 
 
 def _discrete_norm(distances: np.ndarray, alpha: float, q: float, a: float):
@@ -425,7 +420,6 @@ def _besov_norms(dec: SpectralDecomposition, fc, params: BesovParams,
     alphas, qs, rs, bases = (p.tolist() for p in params_flat)
     v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
     flavor, nodes = params.flavor, _step_nodes(dec)
-    route = "E" if flavor.endswith("_E") else "R"
     # what elements share, once per key for the rows that need it: the seminorm per
     # (alpha, r), K per r, the distances at the band edges per base or at the step nodes
     keys = {"modulus": list(zip(alphas, rs)), "k_functional": rs, "discrete_E": bases,
@@ -442,10 +436,10 @@ def _besov_norms(dec: SpectralDecomposition, fc, params: BesovParams,
             continue
         if flavor == "k_functional":  # one Tikhonov path of order r
             k_path = _k_path(dec, c[sel], e[sel], key, domain_norm)
-        else:
-            fc = v[sel], c[sel], e[sel]
-            dists = (_node_distances(dec, fc, nodes[:-1], route) if key is None
-                     else _edge_distances(dec, fc, key, route))
+        else:  # each row at the step nodes, or at the band edges below the top one (E vanishes)
+            cuts, sub = nodes[:-1] if key is None else _band_edges(dec, key)[:-1], c[sel, None]
+            dists = (_distances(dec, (v[sel, None], sub, e[sel, None]), cuts) if flavor[-1] == "E"
+                     else _unscaled(_tails(dec, sub, _measure(dec, sub), cuts), e[sel, None]))
         for (alpha, q), i in orders.items():  # each read off one call for its rows
             j = np.searchsorted(sel, rows[i])
             if flavor == "k_functional":

@@ -525,6 +525,20 @@ def distances_by_element(dec, fc, omegas):
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 
+def tails_by_element(dec, fc, omegas):
+    """The R distances one element at a time, each tail ``||c[end:]||`` by ``np.linalg.norm`` at
+    the scale of ``c``: one below ``2^-480`` (its squares may have underflowed) is taken again at
+    its own power-of-two scale (``_norm``).  The coefficient route before the library read the
+    tails off the spectral measure; the two sum the squares in another order."""
+    _, c, e = fc
+    shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
+    c, norms = c.reshape(-1, dec.dim), []
+    for i, end in zip(rows.tolist(), ends.tolist()):
+        norm = np.linalg.norm(c[i, end:])
+        norms.append(_norm(c[i, end:]) if norm < 2.0 ** -480 and end < dec.dim else norm)
+    return _unscaled(np.reshape(norms, shape), e.reshape(shape))
+
+
 def distances_by_blocks(dec, fc, omegas):
     """The E route of ``paley_wiener._distances`` by its block definition, one element at a
     time: with ``W = _E_BLOCK`` and ``k = end // W``, the prefix ``P_k`` summed block by block

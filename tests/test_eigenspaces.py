@@ -316,7 +316,7 @@ def test_cuts_do_not_see_a_relabelling():
     2.4e-12 ``||f||``; ``||pw_project||`` stays within 1e-12 ``||f||``.  Each move is also held
     under a fixed ceiling just above what was seen, 1e-12 ``||f||`` for ``||pw_project||`` and
     5e-12 ``||f||`` for the rest, so a worse solver cannot widen it; 1e-12 for all of them waits
-    for a solver with a smaller residual (ROADMAP item 3).
+    for a solver with a smaller residual (ROADMAP item 2).
     """
     op = build_operator(parse_operator_arg("cycle:16"))
     dec = eigh(op)

@@ -3,7 +3,8 @@
 ``modulus`` reads ``Omega_m(f, s)`` off the uncapped running-maximum shift
 scan; its oracle is the former capped grid search, compared wherever the
 cap does not bind.  Band-edge distances at every step node come from one
-transform and are compared with an explicit projector.
+transform and are compared with an explicit projector, and the coefficient tails
+read off the spectral measure with the element loop they replaced.
 """
 
 import math
@@ -20,13 +21,19 @@ from bandapprox import (
     eigh,
     modulus,
     smoothness,
+    spectral_tail,
 )
 from bandapprox.harness import build_operator, parse_operator_arg
-from bandapprox.operators import _coefficients
-from bandapprox.paley_wiener import _distances, _step_nodes
+from bandapprox.operators import _coefficients, _measure
+from bandapprox.paley_wiener import _band_edges, _distances, _step_nodes, _tails
 from bandapprox.smoothness import MAX_SCAN_ENTRIES
 from conftest import random_vector
-from oracles import distance_by_projector, modulus_capped_grid, modulus_dense_scan
+from oracles import (
+    distance_by_projector,
+    modulus_capped_grid,
+    modulus_dense_scan,
+    tails_by_element,
+)
 
 REL = 1e-12
 
@@ -109,10 +116,30 @@ class TestDistancesAgainstProjector:
         nodes = _step_nodes(dec)
         expected = np.array([distance_by_projector(dec, f, w) for w in nodes])
         scale = 1.0 + np.linalg.norm(f)
-        for route in ("E", "R"):
-            got = _distances(dec, _coefficients(dec, f), nodes, route)
+        _, c, e = fc = _coefficients(dec, f)
+        for got in (_distances(dec, fc, nodes), _tails(dec, c, _measure(dec, c), nodes) * 2.0 ** e):
             assert np.max(np.abs(got - expected)) <= REL * scale
 
     def test_nodes_are_zero_and_distinct_eigenvalues(self):
         np.testing.assert_array_equal(_step_nodes(_dec("diag:0,1,1,3")), [0.0, 1.0, 3.0])
         np.testing.assert_array_equal(_step_nodes(_dec("diag:2,2")), [0.0, 2.0])
+
+
+@pytest.mark.parametrize("text", ["cycle:16", "path:12", "complete:6", "diag:0,0.5,1,2,3.5,7"])
+def test_tails_match_the_element_loop(text, rng):
+    # the tails off the measure against the per-element np.linalg.norm loop, at every step node
+    # and band edge (complete:6 has one eigenspace of multiplicity 5), with rows at 2^+-1000, the
+    # zero row, one whose upper half is 1e-9 of its lower half (its tails there would be lost in
+    # total - prefix) and one where it is 2^-600: in the identity basis of the diagonal its tails
+    # there lose their squares to underflow and are taken again
+    dec = _dec(text, RAW_D if text.startswith("diag") else RAW_L)
+    f, upper = random_vector(rng, dec.dim), np.arange(dec.dim) >= dec.dim // 2
+    vectors = np.array([f, 2.0 ** 1000 * f, 2.0 ** -1000 * f, np.zeros(dec.dim),
+                        np.where(upper, 1e-9 * f, f), np.where(upper, 2.0 ** -600 * f, f)])
+    omegas = np.concatenate((_step_nodes(dec), _band_edges(dec, 2.0), _band_edges(dec, 1.5)))
+    got = spectral_tail(dec, vectors[:, None], omegas)
+    np.testing.assert_allclose(got, tails_by_element(dec, _coefficients(dec, vectors[:, None]),
+                                                     omegas), rtol=4 * np.finfo(float).eps, atol=0.0)
+    if text.startswith("diag"):
+        retaken = got[5, (omegas >= dec.eigenvalues[dec.dim // 2 - 1]) & (omegas < dec.lambda_max)]
+        assert retaken.size and np.all((retaken > 0.0) & (retaken < 2.0 ** -590))

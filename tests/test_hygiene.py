@@ -5,7 +5,8 @@ through its public names, only ``operators`` calls ``ldexp``, one function
 decides membership of PW_omega, one function decides every spectral cut, one shift scan
 samples the differences, one Tikhonov path serves ``K(t)`` and its norm, the kernel's
 constants have one evaluator and no quadrature, one step pools
-``|c|^2`` per eigenspace, only the vector domain reads the eigenvectors, and the library
+``|c|^2`` per eigenspace and feeds the R side, whose tails take no ``np.linalg.norm``, only the
+vector domain reads the eigenvectors, and the library
 imports no third-party package but NumPy.  The public names of the package are pinned, and no
 module binds a retired one."""
 
@@ -232,12 +233,21 @@ def _reads(name: str):
 def test_one_spectral_measure():
     # |c|^2 is summed per eigenspace in one place, operators._measure, the step from
     # coefficient rows to (nodes, masses); eigh's other reduceat takes each group's value.
-    # The scalar helpers read the measure, and bandwidth the norm of each eigenspace
+    # The scalar helpers read the measure, and bandwidth the norm of each eigenspace.  It is the
+    # one input of the R side: the coefficient tails (_tails, whose re-take measures a tail
+    # alone) of spectral_tail, the R flavors and the membership rule, which hands its measure to
+    # bernstein_check, and the Bernstein norms of bandwidth and bernstein_check
     reducers = sum((_top_level_readers(layer, _reads("reduceat")) for layer in LAYERS), [])
     assert reducers == ["operators.eigh", "operators._measure"]
     callers = sum((_top_level_readers(layer, _reads("_measure")) for layer in LAYERS), [])
-    assert sorted(callers) == ["paley_wiener.bandwidth", "smoothness._k_path",
-                               "smoothness._moduli", "smoothness._seminorm_sup"]
+    assert sorted(callers) == [
+        "paley_wiener._require_pw", "paley_wiener._tails", "paley_wiener.bandwidth",
+        "paley_wiener.spectral_tail", "smoothness._besov_norms", "smoothness._k_path",
+        "smoothness._moduli", "smoothness._seminorm_sup"]
+    # the R tails were a Python loop of np.linalg.norm over every (row, cut) element
+    tree = ast.parse((SRC / "paley_wiener.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "norm"], "paley_wiener.py calls np.linalg.norm"
     for module in (bandapprox, *(getattr(bandapprox, layer) for layer in LAYERS)):
         assert not hasattr(module, "_scaled_mag2") and not hasattr(module, "as_vector")
 
