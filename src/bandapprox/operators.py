@@ -60,7 +60,7 @@ def _as_block(f, dim=None) -> np.ndarray:
         raise DimensionMismatchError("expected numeric rows of one length") from None
     if arr.ndim == 0 or (dim is not None and arr.shape[-1] != dim):
         raise DimensionMismatchError(f"expected vectors of length {dim}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("vector has NaN or infinite entries")
     return arr
 
@@ -153,7 +153,7 @@ def _unscaled(x, e):
 def _finite(x, what: str = "result"):
     """``x``, or :class:`NonFiniteError` naming ``what`` if an entry is no finite double (past the
     largest one, or NaN): the check of ``_unscaled``, and of a value formed after it."""
-    if np.all(np.isfinite(x)):
+    if (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         return x
     raise NonFiniteError(f"{what} is no finite double (past the largest one, or NaN)")
 
@@ -210,16 +210,19 @@ def _jacobi_eigh(matrix: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int =
     Returns ``(w, V)``, ``A V = V diag(w)``, ``w`` ascending, ``V`` orthonormal.  Sweeps rotate
     ``A 2^-e`` (``max |A| 2^-e`` in ``[0.5, 1)``: ``A 2^j`` gives ``2^j w`` and the same ``V``)
     until the off-diagonal Frobenius norm drops below ``tol * ||A||_F``.  A rotation turns rows
-    p and q of ``[A | V^T]`` in one step and copies them into columns p and q of ``A``: ``A``
-    stays exactly symmetric, so the column step of the two-sided rotation would take the same
-    operations on the same entries.  The new 2x2 diagonal is the column step's, in scalar
-    arithmetic on the post-row entries, and ``a_pq = a_qp = 0``.
+    p and q of ``[A | V^T]`` in place through three scratch rows (``c r_p``, ``s r_q``, ``s r_p``
+    before ``r_p`` becomes ``c r_p - s r_q``; ``c r_q`` before ``r_q`` becomes ``s r_p + c r_q``:
+    the same rounded products, difference and sum as in new arrays) and copies them into columns
+    p and q of ``A``: ``A`` stays exactly symmetric, so the column step of the two-sided rotation
+    would take the same operations on the same entries.  The new 2x2 diagonal is the column
+    step's, in scalar arithmetic on the post-row entries, and ``a_pq = a_qp = 0``.
     """
     n = len(matrix)
     a, e = _scaled(np.array(matrix, dtype=np.float64).ravel())
     threshold = tol * float(np.linalg.norm(a))
     b = np.hstack([a.reshape(n, n), np.eye(n)])  # [A | V^T]: A and the basis turn together
     a, item = b[:, :n], b.item
+    x, y, z = np.empty((3, 2 * n))  # scratch rows: a rotation forms no new array
     sweeps = 0
     while np.linalg.norm(a - np.diag(a.diagonal())) > threshold:  # the off-diagonal norm
         sweeps += 1
@@ -234,10 +237,11 @@ def _jacobi_eigh(matrix: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int =
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                pair, rp, rq = slice(p, q + 1, q - p), b[p], b[q]  # rows p and q, as one view
-                b[pair] = c * rp - s * rq, s * rp + c * rq
-                (bpp, bpq), (bqp, bqq) = a[pair, pair].tolist()
-                a[:, pair] = a[pair].T
+                rp, rq = b[p], b[q]  # turned in place, each read before it is written; 3rd arg: out
+                np.multiply(c, rp, x), np.multiply(s, rq, y), np.multiply(s, rp, z)
+                np.subtract(x, y, rp), np.multiply(c, rq, x), np.add(z, x, rq)
+                bpp, bpq, bqp, bqq = item(p, p), item(p, q), item(q, p), item(q, q)
+                a[:, p], a[:, q] = a[p], a[q]  # the 2x2 block it leaves is overwritten below
                 b[p, p], b[q, q] = c * bpp - s * bpq, s * bqp + c * bqq
                 b[p, q] = b[q, p] = 0.0
 

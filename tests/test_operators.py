@@ -196,14 +196,15 @@ class TestJacobi:
 
 
 def _jacobi_matrices():
-    """Every builtin family at each size of 1, 2, 8, 16 and 37 it takes (cycle needs 3 nodes),
-    the empty matrix, raw_D diagonals with repeated values, the zero matrix, cycle:16
-    relabelled, and the matrices of the ``TestJacobi`` scales."""
+    """Every builtin family at each size of 1, 2, 8, 16, 37 and 64 it takes (cycle needs 3
+    nodes; 64 is the largest size the sweep benchmark solves), the empty matrix, raw_D diagonals
+    with repeated values, the zero matrix, cycle:16 relabelled, and the matrices of the
+    ``TestJacobi`` scales."""
     def spec(text, kind=RAW_L):
         return build_operator(parse_operator_arg(text, kind)).entries
 
     for family in ("cycle", "path", "complete", "random_psd"):
-        for n in (1, 2, 8, 16, 37):
+        for n in (1, 2, 8, 16, 37, 64):
             if family != "cycle" or n >= 3:
                 yield pytest.param(spec(f"{family}:{n}"), id=f"{family}:{n}")
     yield pytest.param(np.zeros((0, 0)), id="empty")
