@@ -61,14 +61,14 @@ _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459"
 def _uniform_bspline(n: int, y):
     """Uniform B-spline of order n (degree n-1) on knots 0..n, Cox-de Boor.
 
-    All recurrence weights are nonnegative on the support, so the
-    evaluation is numerically stable for any order.
+    All recurrence weights are nonnegative on the support, so the evaluation is numerically
+    stable for any order.  Degree d is a stack ``(n - d, *y.shape)``, one row per first knot.
     """
     y = np.asarray(y, dtype=np.float64)
-    vals = [np.where((i <= y) & (y < i + 1), 1.0, 0.0) for i in range(n)]
+    i = np.arange(n).reshape(-1, *[1] * y.ndim)  # the first knot of each spline in the stack
+    vals = np.where((i <= y) & (y < i + 1), 1.0, 0.0)
     for d in range(1, n):
-        vals = [((y - i) * vals[i] + (i + d + 1 - y) * vals[i + 1]) / d
-                for i in range(n - d)]
+        vals = ((y - i[:-d]) * vals[:-1] + (i[:-d] + d + 1 - y) * vals[1:]) / d
     return vals[0]
 
 
@@ -236,6 +236,7 @@ def riesz_symbol(lam, cfg: RieszConfig) -> np.ndarray:
     for row, omega in zip(out, np.ravel(cfg.omega).tolist()):
         scale, weight = math.pi / omega, omega / math.pi ** 2
         steps = np.exp(1j * scale * baby_grid) @ (weight / t)
+        # 1j * ... (a NumPy AVX loop) must run between @ and np.exp: after zgemm, exp is 10x slower
         paired = (steps[:, 0] + np.sum(steps[:, 1:] * np.exp(1j * scale * giant_grid),
                                        axis=1)).imag
         row[:] = 2j * paired + weight / t_unpaired * np.exp(1j * scale * unpaired_grid)

@@ -215,13 +215,19 @@ def _jacobi_eigh(matrix: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int =
     the same rounded products, difference and sum as in new arrays) and copies them into columns
     p and q of ``A``: ``A`` stays exactly symmetric, so the column step of the two-sided rotation
     would take the same operations on the same entries.  The new 2x2 diagonal is the column
-    step's, in scalar arithmetic on the post-row entries, and ``a_pq = a_qp = 0``.
+    step's, in scalar arithmetic on the post-row entries, and ``a_pq = a_qp = 0``.  Only the
+    layout differs from a plain loop, not the operations or the bits: rows lie ``2N + 8`` doubles
+    apart (at N = 256 a stride of 2N, 4 KiB, maps a column of ``A`` into one set of a 64-set L1
+    of 64-byte lines, and each column copy misses), the row and column views are built once, and
+    the 2x2 scalars are read and written through one flat view at offsets ``i (2N + 8) + j``.
     """
     n = len(matrix)
     a, e = _scaled(np.array(matrix, dtype=np.float64).ravel())
     threshold = tol * float(np.linalg.norm(a))
-    b = np.hstack([a.reshape(n, n), np.eye(n)])  # [A | V^T]: A and the basis turn together
-    a, item = b[:, :n], b.item
+    flat = np.zeros(n * (m := 2 * n + 8))  # the padded rows
+    b = flat.reshape(n, m)[:, :2 * n]  # [A | V^T]: A and the basis turn together
+    b[:, :n], b[:, n:], a, item = a.reshape(n, n), np.eye(n), b[:, :n], flat.item
+    rows, arows, acols = list(b), list(a), list(a.T)
     x, y, z = np.empty((3, 2 * n))  # scratch rows: a rotation forms no new array
     sweeps = 0
     while np.linalg.norm(a - np.diag(a.diagonal())) > threshold:  # the off-diagonal norm
@@ -229,21 +235,22 @@ def _jacobi_eigh(matrix: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int =
         if sweeps > max_sweeps:
             raise RuntimeError("Jacobi iteration failed to converge")
         for p in range(n - 1):
+            rp, ap, cp, pp = rows[p], arows[p], acols[p], p * (m + 1)
             for q in range(p + 1, n):
-                apq = item(p, q)
+                apq = item(pq := pp + q - p)
                 if apq == 0.0:
                     continue
-                theta = (item(q, q) - item(p, p)) / (2.0 * apq)
+                theta = (item(qq := q * (m + 1)) - item(pp)) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rp, rq = b[p], b[q]  # turned in place, each read before it is written; 3rd arg: out
-                np.multiply(c, rp, x), np.multiply(s, rq, y), np.multiply(s, rp, z)
+                rq = rows[q]  # rows p and q turned in place, each read before it is written
+                np.multiply(c, rp, x), np.multiply(s, rq, y), np.multiply(s, rp, z)  # 3rd arg: out
                 np.subtract(x, y, rp), np.multiply(c, rq, x), np.add(z, x, rq)
-                bpp, bpq, bqp, bqq = item(p, p), item(p, q), item(q, p), item(q, q)
-                a[:, p], a[:, q] = a[p], a[q]  # the 2x2 block it leaves is overwritten below
-                b[p, p], b[q, q] = c * bpp - s * bpq, s * bqp + c * bqq
-                b[p, q] = b[q, p] = 0.0
+                bpp, bpq, bqp, bqq = item(pp), item(pq), item(qp := q * m + p), item(qq)
+                cp[:], acols[q][:] = ap, arows[q]  # the 2x2 block they leave is overwritten below
+                flat[pp], flat[qq] = c * bpp - s * bpq, s * bqp + c * bqq
+                flat[pq] = flat[qp] = 0.0
 
     w = _unscaled(a.diagonal().copy(), e)
     order = np.argsort(w, kind="stable")

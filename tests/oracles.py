@@ -102,6 +102,17 @@ def besov_integral_by_quadrature(dec, f, alpha, q, total_points=10_000):
     return total ** (1.0 / q)
 
 
+def uniform_bspline_by_lists(n, y):
+    """The uniform B-spline of order n on knots 0..n by Cox-de Boor over Python lists, one
+    array per first knot: the library's stacked recursion, written out spline by spline."""
+    y = np.asarray(y, dtype=np.float64)
+    vals = [np.where((i <= y) & (y < i + 1), 1.0, 0.0) for i in range(n)]
+    for d in range(1, n):
+        vals = [((y - i) * vals[i] + (i + d + 1 - y) * vals[i + 1]) / d
+                for i in range(n - d)]
+    return vals[0]
+
+
 def kernel_norm_const_closed_form(n):
     """Normalization constant via the B-spline value: n^{n-1} / (pi M_n(0))."""
     return n ** (n - 1) / (math.pi * float(_centered_bspline(n, 0.0)))

@@ -36,7 +36,7 @@ from bandapprox import (
     spectral_tail,
     spectral_transform,
 )
-from bandapprox.approx_operators import _trigamma
+from bandapprox.approx_operators import _trigamma, _uniform_bspline
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS, build_operator, parse_operator_arg
 from conftest import random_vector
 from oracles import (
@@ -52,6 +52,7 @@ from oracles import (
     q_symbol_mpmath,
     riesz_symbol_direct,
     riesz_symbol_mpmath,
+    uniform_bspline_by_lists,
 )
 
 
@@ -409,6 +410,17 @@ class TestKernelSymbol:
         kernel = build_kernel(4, 1)
         assert abs(kernel.symbol(0.5) - 0.25) <= 1e-15
         assert abs(kernel_symbol_by_quadrature(kernel, 0.5) - 0.25) <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 256), (3, 1, 5)])
+    def test_stacked_bspline_is_the_list_recursion_bit_for_bit(self, shape):
+        # the same element-wise operations on a stack as on one array per knot; points
+        # cover the support [0, n], its knots and both sides of it
+        rng = np.random.default_rng(33)
+        for n in (1, 2, 3, 4, 6, 31, 80, 145):
+            y = rng.uniform(-1.0, n + 1.0, shape)
+            if y.size > 2:
+                y.flat[:3] = 0.0, 1.0, float(n)
+            assert np.array_equal(_uniform_bspline(n, y), uniform_bspline_by_lists(n, y))
 
     def test_dual_evaluators_agree_at_64_points(self):
         for n in (4, 6):

@@ -197,9 +197,9 @@ class TestJacobi:
 
 def _jacobi_matrices():
     """Every builtin family at each size of 1, 2, 8, 16, 37 and 64 it takes (cycle needs 3
-    nodes; 64 is the largest size the sweep benchmark solves), the empty matrix, raw_D diagonals
-    with repeated values, the zero matrix, cycle:16 relabelled, and the matrices of the
-    ``TestJacobi`` scales."""
+    nodes; 64 is the largest size the sweep benchmark solves), random_psd:128 (whose unpadded
+    row stride would be 2 KiB), the empty matrix, raw_D diagonals with repeated values, the zero
+    matrix, cycle:16 relabelled, and the matrices of the ``TestJacobi`` scales."""
     def spec(text, kind=RAW_L):
         return build_operator(parse_operator_arg(text, kind)).entries
 
@@ -207,6 +207,7 @@ def _jacobi_matrices():
         for n in (1, 2, 8, 16, 37, 64):
             if family != "cycle" or n >= 3:
                 yield pytest.param(spec(f"{family}:{n}"), id=f"{family}:{n}")
+    yield pytest.param(spec("random_psd:128"), id="random_psd:128")
     yield pytest.param(np.zeros((0, 0)), id="empty")
     for text in ("diag:0,0,0", "diag:2,1,2,1,2", "diag:0,0.5,0.5,1,7,7,7", "diag:3"):
         yield pytest.param(spec(text, RAW_D), id=text)
