@@ -44,8 +44,9 @@ from .operators import (
     _coefficients,
     _finite,
     _is_int,
+    _measure,
     _norm,
-    _power_coefficients,
+    _powered,
     _shaped,
     apply_multiplier,
 )
@@ -379,7 +380,7 @@ def jackson_check(dec: SpectralDecomposition, f, omega, m: int, k: int,
     moduli = np.empty(len(rows))
     if len(rows):  # each row's edges, as one row of shifts of the scan
         order = np.argsort(rows, kind="stable")
-        moduli[order] = _moduli(dec, _power_coefficients(dec, c, k), e,
+        moduli[order] = _moduli(_powered(_measure(dec, c), k), e,
                                 (1.0 / ws[order]).reshape(len(c), -1), m - k).ravel()
     symbols = q_symbol(kernel, omega, m, dec.eigenvalues).reshape(-1, dec.dim)
     q_errs = _norm(_basis_product(dec.eigenvectors, symbols[edge] * c[rows]) - v[rows], e[rows])

@@ -149,13 +149,12 @@ def parse_operator_arg(text: str, kind: str = RAW_L) -> OperatorSpec:
             raise ParseError(f"empty diagonal in {text!r}")
         return OperatorSpec(builtin="diagonal", spectrum=values, kind=kind)
     if head in ("random", "random_psd"):
-        parts = rest.split(":")
+        size, colon, seed = rest.partition(":")  # a size, then a seed with no field after it
         try:
-            size = int(parts[0])
-            seed = int(parts[1]) if len(parts) > 1 else 0
-        except (ValueError, IndexError) as exc:
+            return OperatorSpec(builtin="random_psd", size=int(size),
+                                seed=int(seed) if colon else 0, kind=kind)
+        except ValueError as exc:
             raise ParseError(f"bad random spec {text!r}") from exc
-        return OperatorSpec(builtin="random_psd", size=size, seed=seed, kind=kind)
     if head == "edges":
         return OperatorSpec(source="edge_list_file", path=rest, kind=kind)
     if head == "matrix":

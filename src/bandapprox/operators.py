@@ -16,7 +16,7 @@ Conventions
 * eigenvectors are real orthonormal columns,
 * an eigenspace is one value: ``eigh`` groups eigenvalues within ``eps_group`` (relative to
   ``lambda_max``) and gives each group one value, so a cut takes or leaves a whole eigenspace,
-* the R side and the smoothness scalars see a vector through ``|c|^2`` per group (``_measure``),
+* the R side and the smoothness scalars see a vector through its norm per eigenspace (``_measure``),
 * a vector argument may be a block of rows ``(..., N)``, with the parameters
   of a call broadcast against ``f.shape[:-1]`` as NumPy broadcasts; each row
   takes its own matrix-vector products, so its bits do not depend on the block,
@@ -368,12 +368,12 @@ def _coefficients(dec: SpectralDecomposition, f) -> tuple:
     return v, spectral_transform(dec, v), e
 
 
-def _measure(dec: SpectralDecomposition, c, e=0) -> tuple:
-    """``(nodes, mass, e + d)``: the spectral measure of each coefficient row ``c 2^e``, the one
-    place ``|c|^2`` is pooled: the group values of ``dec``, and ``|c|^2 4^-d`` summed over each
-    group with ``(|c| 2^-d, d) = _scaled(|c|)``, so each row's sums have its own bits."""
-    mag, d = _scaled(np.abs(c))
-    return dec.eigenvalues[dec._starts], np.add.reduceat(mag ** 2, dec._starts, axis=-1), e + d
+def _measure(dec: SpectralDecomposition, c) -> tuple:
+    """``(nodes, norms)``: the spectral measure of each coefficient row ``c``, the one place
+    ``c`` is pooled per eigenspace: the group values of ``dec``, and ``||P_g c||``, the norm of
+    each eigenspace's part, by ``hypot`` (Blue, ACM TOMS 4, 1978: no square is formed, so no
+    group under- or overflows at any scale of ``c``), each row on its own."""
+    return dec.eigenvalues[dec._starts], np.hypot.reduceat(np.abs(c), dec._starts, axis=-1)
 
 
 def _weighted(weights, values) -> np.ndarray:
@@ -385,10 +385,10 @@ def _weighted(weights, values) -> np.ndarray:
         return _finite(np.where(values == 0, 0.0, weights * values))
 
 
-def _power_coefficients(dec: SpectralDecomposition, c, k) -> np.ndarray:
-    """``lambda^k c`` (``_weighted``): the coefficients of ``D^k f``, with no round trip."""
+def _powered(measure, k) -> tuple:
+    """The measure ``(nodes, nodes^k norms)`` of ``D^k f`` from that of ``f`` (``_weighted``)."""
     with np.errstate(over="ignore"):
-        return _weighted(np.power(dec.eigenvalues, k), c)
+        return measure[0], _weighted(np.power(measure[0], k), measure[1])
 
 
 def inverse_transform(dec: SpectralDecomposition, coeffs) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Paley-Wiener subspaces: projections, best approximation, bandwidth.
 
 ``PW_omega`` is the span of eigenvectors with eigenvalue in ``[0, omega]``, a prefix of the
-ascending spectrum cut in one place (``_pw_prefix``).  The mass above ``omega`` (each tail at its
-own power-of-two scale) is the distance to ``PW_omega``, taken two ways that must agree to near
-machine precision, so the identity is a real check: the residual in H (the E route, ``_distances``)
-and the tail of the spectral measure (the R route, ``_tails``), which also decides membership.  The
-R side sees a vector only through its measure (``operators._measure``): the Bernstein norm
-``||(D/omega)^s f_omega||`` of :func:`bernstein_check` and :func:`bandwidth` weights its groups.
+ascending spectrum cut in one place (``_pw_prefix``).  The norm of the part above ``omega`` is the
+distance to ``PW_omega``, taken two ways that must agree to near machine precision, so the
+identity is a real check: the residual in H (the E route, ``_distances``) and the tail of the
+spectral measure, its eigenspace norms summed by ``hypot`` (the R route, ``_tails``), which also
+decides membership.  The R side sees a vector only through its measure (``operators._measure``):
+the Bernstein norm ``||(D/omega)^s f_omega||`` of :func:`bernstein_check` and :func:`bandwidth`
+weights its groups.
 """
 
 import math
@@ -170,27 +171,22 @@ def _distances(dec: SpectralDecomposition, fc, omegas) -> np.ndarray:
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 
-def _tails(dec: SpectralDecomposition, c, measure, omegas) -> np.ndarray:
-    """The R route: the tail above omega of each row of ``c`` (at its scale) at ``omegas``
-    broadcast against the rows, from its measure ``_measure(dec, c)`` alone: the root of its group
-    masses summed from the top group down to the cut's, one cumulative sum per row (never ``total
-    - prefix``).  One below ``2^-480`` (its squares may underflow) is measured again on its own."""
-    _, mass, d = measure
-    shape, rows, (g, d) = _broadcast(c, np.searchsorted(dec._starts, _pw_prefix(dec, omegas)), d)
-    top = np.cumsum(mass.reshape(-1, mass.shape[-1])[:, ::-1], axis=1)  # the top 1 .. G groups
-    tails = np.sqrt(np.where(g < top.shape[1], top[rows, top.shape[1] - 1 - g], 0.0))
-    if (small := np.flatnonzero((tails < 2.0 ** -480) & (g < top.shape[1]))).size:
-        above = np.arange(dec.dim) >= dec._starts[g[small], None]
-        _, mass, d[small] = _measure(dec, np.where(above, c.reshape(-1, dec.dim)[rows[small]], 0))
-        tails[small] = np.sqrt(np.cumsum(mass[:, ::-1], axis=1)[:, -1])
-    return _unscaled(tails, d).reshape(shape)
+def _tails(dec: SpectralDecomposition, measure, omegas) -> np.ndarray:
+    """The R route: the tail above omega of each row of the measure ``(nodes, norms)`` (at its
+    scale) at ``omegas`` broadcast against the rows: its group norms summed by ``hypot`` from the
+    top group down to the cut's, one ``hypot.accumulate`` per row (never ``total - prefix``), so
+    no tail under- or overflows, however far below its row's largest group it lies."""
+    norms = measure[1]
+    shape, rows, (g,) = _broadcast(norms, np.searchsorted(dec._starts, _pw_prefix(dec, omegas)))
+    top = np.hypot.accumulate(norms.reshape(-1, norms.shape[-1])[:, ::-1], axis=1)  # 1 .. G
+    return np.where(g < top.shape[1], top[rows, top.shape[1] - 1 - g], 0.0).reshape(shape)
 
 
 def _require_pw(dec: SpectralDecomposition, c, omegas, error=NotBandlimitedError, what="vector"):
     """The one membership rule: raise ``error`` naming the first element (``omegas`` broadcast
     against the rows of ``c``, flattened) whose tail exceeds ``BANDLIMITED_TOL ||f||``, or return
     the measure ``_measure(dec, c)`` the tails were read off."""
-    tails = _tails(dec, c, measure := _measure(dec, c), omegas)  # at the scale of c
+    tails = _tails(dec, measure := _measure(dec, c), omegas)  # at the scale of c
     outside = np.flatnonzero(tails > BANDLIMITED_TOL * _norm(c))
     if outside.size:
         k = int(outside[0])  # named by its index in the broadcast shape, a number on one axis
@@ -201,17 +197,16 @@ def _require_pw(dec: SpectralDecomposition, c, omegas, error=NotBandlimitedError
 
 
 def _bernstein_norms(dec: SpectralDecomposition, measure, omegas, s) -> np.ndarray:
-    """``||(D/omega)^s f_omega||`` of each row of the measure ``(nodes, mass, d)`` (``(M, G)``, at
-    the scale of ``f``) at its entry of ``omegas``, for every ``s`` (last axis): each group norm
-    ``sqrt(mass) 2^d`` kept by the ``_pw_prefix`` cut, weighted by ``min(node/omega, 1)^s`` (a kept
-    group may lie up to ``eps_group`` above omega; ``0^s`` is 1 at ``s = 0``), one norm per row."""
-    nodes, mass, d = measure
+    """``||(D/omega)^s f_omega||`` of each row of the measure ``(nodes, norms)`` (``(M, G)``) at
+    its entry of ``omegas``, for every ``s`` (last axis): each group norm kept by the
+    ``_pw_prefix`` cut, weighted by ``min(node/omega, 1)^s`` (a kept group may lie up to
+    ``eps_group`` above omega; ``0^s`` is 1 at ``s = 0``), one norm per row."""
+    nodes, norms = measure
     kept = np.arange(len(nodes)) < np.searchsorted(dec._starts, _pw_prefix(dec, omegas))[:, None]
     with np.errstate(divide="ignore"):  # omega = 0 keeps lambda <= eps_group: inf, clamped
         x = np.minimum(np.divide(nodes, omegas[:, None], out=np.zeros(kept.shape),
                                  where=kept & (nodes > 0.0)), 1.0)
-    norms = np.where(kept, _unscaled(np.sqrt(mass), d[:, None]), 0.0)
-    return _norm(np.power(x, np.reshape(s, (-1, 1, 1))) * norms).T
+    return _norm(np.power(x, np.reshape(s, (-1, 1, 1))) * np.where(kept, norms, 0.0)).T
 
 
 def pw_project(dec: SpectralDecomposition, f, omega) -> np.ndarray:
@@ -230,7 +225,7 @@ def best_approx(dec: SpectralDecomposition, f, omega):
 def spectral_tail(dec: SpectralDecomposition, f, omega):
     """Coefficient-tail norm above omega; equals :func:`best_approx`, shaped as it is."""
     _, c, e = _coefficients(dec, f)
-    return _shaped(_unscaled(_tails(dec, c, _measure(dec, c), _omegas(omega)), e))
+    return _shaped(_unscaled(_tails(dec, _measure(dec, c), _omegas(omega)), e))
 
 
 def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
@@ -254,8 +249,8 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     norms = np.reshape(_norm(v), -1)
     if np.any(norms == 0.0):
         raise ZeroVectorError("bandwidth of the zero vector is undefined")
-    nodes, mass, d = measure = _measure(dec, c)
-    significant = _unscaled(np.sqrt(mass), d[:, None]) > SUPPORT_TOL * norms[:, None]
+    nodes, groups = measure = _measure(dec, c)
+    significant = groups > SUPPORT_TOL * norms[:, None]
     omega_f = np.max(np.where(significant, nodes, 0.0), axis=-1, initial=0.0)
 
     # log ||D^k f|| = k log omega_f + log ||(D/omega_f)^k f||: finite far beyond the double
@@ -309,9 +304,9 @@ def bernstein_check(dec: SpectralDecomposition, f, omega, s_list) -> BernsteinRe
     norms = _norm(v.reshape(-1, dec.dim))[rows]  # ||f|| 2^-e
     if np.any(norms == 0.0):
         raise ZeroVectorError("Bernstein check needs a nonzero vector")
-    nodes, mass, d = _require_pw(dec, c, omegas)  # one measure for the test and the norms
+    nodes, groups = _require_pw(dec, c, omegas)  # one measure for the test and the norms
     # both at the scale of c: the 2^e of f cancels from every ratio
-    measure = nodes, mass.reshape(-1, len(nodes))[rows], np.reshape(d, -1)[rows]
+    measure = nodes, groups.reshape(-1, len(nodes))[rows]
     ratios = _bernstein_norms(dec, measure, ws, s_values) / norms[:, None]
     # the ratios are nonnegative: the initial 0.0 only shows without any s
     return BernsteinReport(omega=_shaped(ws, shape), s_values=s_values,

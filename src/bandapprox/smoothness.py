@@ -21,15 +21,15 @@ equivalent ways:
   ``_running_modulus``), with no grid of ``s`` and no grid cap.
 
 The norms, the modulus inequalities and the lemmas take ``f`` as a block of rows (see
-``operators``), with one shift scan per order and one K path per ``r``: the scan points
-and the log-s path do not depend on ``f`` (a seminorm row stops on its own), and every
-sum over the nodes of the spectral measure (``operators._measure``, one per eigenspace) is
-one per row and point, so a row's bits do not depend on its block.  :func:`besov_norm` and
-:func:`k_besov_norm` also take a parameter axis (array fields of one ``BesovParams``):
-``_besov_norms`` evaluates every element of the broadcast shape once, from what its elements
-share, computed once per call for the rows that need it (the E or R distances per base, the
-K path per ``r``, the seminorm per ``(alpha, r)``), and reduces the elements of each
-``(alpha, q)`` as one rows x terms table.
+``operators``), with one shift scan per order and one K path per ``r``: the scan points and the
+log-s path do not depend on ``f`` (a seminorm row stops on its own).  They see ``f`` through its
+spectral measure (``operators._measure``, the norm of each eigenspace), squared at each row's own
+scale, and every sum over its nodes is one per row and point, so a row's bits do not depend on
+its block.  :func:`besov_norm` and :func:`k_besov_norm` also take a parameter axis (array fields
+of one ``BesovParams``): ``_besov_norms`` evaluates every element of the broadcast shape once,
+from what its elements share, computed once per call for the rows that need it (the E or R
+distances per base, the K path per ``r``, the seminorm per ``(alpha, r)``), and reduces the
+elements of each ``(alpha, q)`` as one rows x terms table.
 """
 
 import math
@@ -50,7 +50,7 @@ from .operators import (
     _is_int,
     _measure,
     _norm,
-    _power_coefficients,
+    _powered,
     _scaled,
     _shaped,
     _unscaled,
@@ -258,19 +258,21 @@ def _running_modulus(nodes, mass, s_rows, m: int, beta: float = 0.0):
     return best if beta else np.maximum.accumulate(bins[:, :-1], axis=-1)
 
 
-def _moduli(dec: SpectralDecomposition, c, e, s_values, m: int) -> np.ndarray:
-    """``Omega_m(f_i, s)``, any ``m``, at ``s_values`` (broadcast) of each row ``c_i 2^{e_i}``."""
+def _moduli(measure, e, s_values, m: int) -> np.ndarray:
+    """``Omega_m(f_i, s)``, any ``m``, at ``s_values`` (broadcast) of each row of a measure."""
     s_values = np.asarray(s_values, dtype=np.float64)
     bad = ~(np.isfinite(s_values) & (s_values >= 0.0))
     if np.any(bad):
         raise InvalidParamsError(f"s must be finite and >= 0, got {s_values[bad][0]}")
     _check_order(m, 0)
-    shape = c.shape[:-1] + s_values.shape[-1:]
+    nodes, norms = measure
+    shape = norms.shape[:-1] + s_values.shape[-1:]
     s_values = np.broadcast_to(s_values, shape).reshape(-1, shape[-1])
-    nodes, mass, e = _measure(dec, c.reshape(-1, c.shape[-1]), np.reshape(e, -1))
+    mass, d = _scaled(norms.reshape(-1, nodes.size))
+    mass, e = mass ** 2, np.reshape(e, -1) + d
     omega = np.zeros(s_values.shape) + (np.sqrt(np.sum(mass, axis=-1))[:, None] if m == 0 else 0)
     live = np.any(mass > 0.0, axis=-1) & np.any(s_values > 0.0, axis=-1)
-    if m > 0 and dec.lambda_max > 0.0 and np.any(live):
+    if m > 0 and nodes[-1] > 0.0 and np.any(live):
         order = np.argsort(s_values[live], axis=-1)
         scans = _running_modulus(nodes, mass[live],
                                  np.take_along_axis(s_values[live], order, axis=-1), m)
@@ -287,7 +289,7 @@ def modulus(dec: SpectralDecomposition, f, s: float, m: int) -> float:
     """
     _check_scalar(s, "s")
     _, c, e = _coefficients(dec, f)
-    return _shaped(_moduli(dec, c, e, [s], m)[..., 0])
+    return _shaped(_moduli(_measure(dec, c), e, [s], m)[..., 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,17 +332,17 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s, a_scale, m,
         if a_scale <= 0.0:
             raise InvalidParamsError("a_scale must be positive")
     norms = _norm(v.reshape(-1, dec.dim), np.ravel(e))[rows].tolist()
-    c, e = c.reshape(-1, dec.dim)[rows], np.ravel(e)[rows]
+    (nodes, groups), e = _measure(dec, c.reshape(-1, dec.dim)[rows]), np.ravel(e)[rows]
     lhs = np.empty((len(rows), 2))
     for m in set(orders):
         trials = [i for i, m_i in enumerate(orders) if m_i == m]
-        lhs[trials] = _moduli(dec, c[trials], e[trials],
+        lhs[trials] = _moduli((nodes, groups[trials]), e[trials],
                               [[s_values[i], a_scales[i] * s_values[i]] for i in trials], m)
     rhs = lhs[:, 0].copy()
     for j in {m - k for m, k in zip(orders, powers) if k}:
         trials = [i for i, (m, k) in enumerate(zip(orders, powers)) if k and m - k == j]
-        dk_c = np.array([_power_coefficients(dec, c[i], powers[i]) for i in trials])
-        moduli = _moduli(dec, dk_c, e[trials], [[s_values[i]] for i in trials], j)[:, 0].tolist()
+        dk = _powered((nodes, groups[trials]), params[3][trials, None])  # the measures of D^k f
+        moduli = _moduli(dk, e[trials], [[s_values[i]] for i in trials], j)[:, 0].tolist()
         rhs[trials] = [s_values[i] ** powers[i] * x for i, x in zip(trials, moduli)]
     scales = [norm * min(2.0, s * dec.lambda_max) ** m  # each side is at most about this
               for norm, s, m in zip(norms, s_values, orders)]
@@ -420,26 +422,27 @@ def _besov_norms(dec: SpectralDecomposition, fc, params: BesovParams,
     alphas, qs, rs, bases = (p.tolist() for p in params_flat)
     v, c, e = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.ravel(e)
     flavor, nodes = params.flavor, _step_nodes(dec)
+    groups, norms = (None, None) if flavor[-1] == "E" else _measure(dec, c)  # the R side's input
     # what elements share, once per key for the rows that need it: the seminorm per
     # (alpha, r), K per r, the distances at the band edges per base or at the step nodes
     keys = {"modulus": list(zip(alphas, rs)), "k_functional": rs, "discrete_E": bases,
             "discrete_R": bases}.get(flavor, [None] * len(rows))
-    groups = {}  # the elements of each key, by their (alpha, q)
+    shared = {}  # the elements of each key, by their (alpha, q)
     for i, key in enumerate(keys):
-        groups.setdefault(key, {}).setdefault((alphas[i], qs[i]), []).append(i)
+        shared.setdefault(key, {}).setdefault((alphas[i], qs[i]), []).append(i)
     tails = np.empty(len(rows))
-    for key, orders in groups.items():
+    for key, orders in shared.items():
         members = sum(orders.values(), [])
         sel, at = np.unique(rows[members], return_inverse=True)
         if flavor == "modulus":
-            tails[members] = _seminorm_sup(dec, c[sel], e[sel], key[0], 0, key[1])[at]
+            tails[members] = _seminorm_sup((groups, norms[sel]), e[sel], key[0], 0, key[1])[at]
             continue
         if flavor == "k_functional":  # one Tikhonov path of order r
-            k_path = _k_path(dec, c[sel], e[sel], key, domain_norm)
+            k_path = _k_path((groups, norms[sel]), e[sel], key, domain_norm)
         else:  # each row at the step nodes, or at the band edges below the top one (E vanishes)
-            cuts, sub = nodes[:-1] if key is None else _band_edges(dec, key)[:-1], c[sel, None]
-            dists = (_distances(dec, (v[sel, None], sub, e[sel, None]), cuts) if flavor[-1] == "E"
-                     else _unscaled(_tails(dec, sub, _measure(dec, sub), cuts), e[sel, None]))
+            cuts, e_sel = nodes[:-1] if key is None else _band_edges(dec, key)[:-1], e[sel, None]
+            dists = (_distances(dec, (v[sel, None], c[sel, None], e_sel), cuts) if flavor[-1] == "E"
+                     else _unscaled(_tails(dec, (groups, norms[sel, None]), cuts), e_sel))
         for (alpha, q), i in orders.items():  # each read off one call for its rows
             j = np.searchsorted(sel, rows[i])
             if flavor == "k_functional":
@@ -461,15 +464,15 @@ _PATH_GRID_DENSITY = 4
 _K_NEWTON_STEPS = 4
 
 
-def _k_path(dec: SpectralDecomposition, c, e, r: int, domain_norm: str) -> tuple:
-    """The Tikhonov path ``g_s = (I + s W)^{-1} f`` of every row ``c_i 2^{e_i}`` on one log-s grid.
+def _k_path(measure, e, r: int, domain_norm: str) -> tuple:
+    """The Tikhonov path ``g_s = (I + s W)^{-1} f`` of every row of a measure of ``f 2^-e``.
 
     With ``W = D^{2r}`` (``I + D^{2r}`` for the graph norm), ``u = log s``, ``x = s w``,
     ``A = ||f - g_s||``, ``B = ||W^{1/2} g_s||`` and ``P = sum |c|^2 x^2 / (1+x)^3``, ``A + t B`` is
     stationary where ``g(u) = log(s B / A) = log t``, which increases (the frontier is convex)
     with ``g' = 1 - P/A^2 - P/(s B^2)``; each sum runs over the measure's nodes (``_measure``).
-    Only ``c`` outside ``ker W`` enters, each row at ``2^-d_i``, its scale taken on that part
-    alone; ``x/(1+x)`` and ``1/(1+x)`` come from ``log x = u + log w``,
+    Only the groups outside ``ker W`` enter, squared at ``2^-d_i``, each row's scale taken on
+    them alone (``_scaled``); ``x/(1+x)`` and ``1/(1+x)`` come from ``log x = u + log w``,
     times the ``e^-m`` or ``e^-n`` that lifts the row's largest to 1/2 or more, and
     ``s B^2 = sum |c|^2 x/(1+x)^2``: no ``s w``, ``(1 + s w)^2`` or ``1/s`` is formed, so no sum
     under- or overflows.  Every row shares the grid ``u``, ``_PATH_GRID_DENSITY`` points per unit
@@ -482,13 +485,13 @@ def _k_path(dec: SpectralDecomposition, c, e, r: int, domain_norm: str) -> tuple
         raise InvalidParamsError("r must be a positive integer")
     if domain_norm not in ("seminorm", "graph"):
         raise InvalidParamsError(f"unknown domain_norm {domain_norm!r}")
+    nodes, norms = measure
     with np.errstate(over="ignore"):
-        lam2r = _finite(dec.eigenvalues ** (2 * r), f"lambda_max^2r = {dec.lambda_max}^{2 * r}")
+        lam2r = _finite(nodes ** (2 * r), f"lambda_max^2r = {nodes.max(initial=0.0)}^{2 * r}")
     w = lam2r if domain_norm == "seminorm" else 1.0 + lam2r
-    _, mag2, d = _measure(dec, np.where(w > 0.0, c, 0.0), e)
-    w = w[dec._starts]  # at each group's first index
-    live = np.any(mag2 > 0.0, axis=-1)
-    d = np.where(live, d, 0)
+    mag2, d = _scaled(np.where(w > 0.0, norms, 0.0))
+    mag2, live = mag2 ** 2, np.any(mag2 > 0.0, axis=-1)
+    d = np.where(live, np.add(e, d), 0)
     if not np.any(live):
         return live, d, None  # f in ker W: K(t) = 0 at g = f
     mag2, w, log_w = mag2[np.ix_(live, w > 0.0)], w[w > 0.0], np.log(w[w > 0.0])  # C order
@@ -523,15 +526,14 @@ def _k_path(dec: SpectralDecomposition, c, e, r: int, domain_norm: str) -> tuple
     return live, d, (lambda log_s, i: at(log_s, mag2[i], top[i], bot[i]), u, on_grid, ends)
 
 
-def _k_functional_values(dec: SpectralDecomposition, c, e, ts, r: int,
-                         domain_norm: str) -> tuple:
+def _k_functional_values(measure, e, ts, r: int, domain_norm: str) -> tuple:
     """``(K_i(t) 2^-d_i, d)`` for every ``t`` in ``ts``: each ``(row, t)`` bracketed on the grid
     values of ``g = log t`` and refined on ``A + t B``; the path's ends ``t b0`` (``g = f``) and
     ``a_inf`` (the projection onto ``ker W``) are candidates for every ``t``."""
     ts = np.asarray(ts, dtype=np.float64)
     if not np.all(ts > 0.0):
         raise NonPositiveTError(f"t must be > 0, got {ts[~(ts > 0.0)][0]}")
-    live, d, path = _k_path(dec, c, e, r, domain_norm)
+    live, d, path = _k_path(measure, e, r, domain_norm)
     k_vals = np.zeros((len(live), ts.size))
     if path is None:
         return k_vals, d
@@ -598,8 +600,8 @@ def k_functional(dec: SpectralDecomposition, f, t: float, r: int,
     """
     _check_scalar(t, "t")
     _, c, e = _coefficients(dec, f)
-    values, d = _k_functional_values(dec, c.reshape(-1, dec.dim), np.reshape(e, -1), [t], r,
-                                     domain_norm)
+    values, d = _k_functional_values(_measure(dec, c.reshape(-1, dec.dim)), np.reshape(e, -1),
+                                     [t], r, domain_norm)
     return _shaped(_unscaled(values[:, 0], d), c.shape[:-1])
 
 
@@ -639,22 +641,23 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
     """
     _check_scalar(alpha, "alpha")
     _, c, e = _coefficients(dec, f)
-    return _shaped(_seminorm_sup(dec, c, e, alpha, n, r))
+    return _shaped(_seminorm_sup(_measure(dec, c), e, alpha, n, r))
 
 
-def _seminorm_sup(dec: SpectralDecomposition, c, e, alpha: float, n: int, r: int) -> np.ndarray:
-    """:func:`besov_seminorm_sup` of every row ``c_i 2^{e_i}`` of a block ``(..., N)``, from one
-    shift scan."""
+def _seminorm_sup(measure, e, alpha: float, n: int, r: int) -> np.ndarray:
+    """:func:`besov_seminorm_sup` of every row of the measure ``(nodes, norms)`` (``(..., G)``) of
+    ``f 2^-e``, from one shift scan of the measure of ``D^n f``, squared at each row's scale."""
     _check_order(r, 1)
     if n < 0:
         raise InvalidParamsError(f"need n >= 0, got {n}")
     if not (n < alpha < n + r):
         raise InvalidOrderError(f"need n < alpha < n + r, got alpha={alpha}, n={n}, r={r}")
-    nodes, mass, e = _measure(dec, _power_coefficients(dec, c, n), e)
-    if dec.lambda_max == 0.0 or not mass.size:  # spectrum {0}: every difference vanishes
-        return np.zeros(mass.shape[:-1])
-    semis = _running_modulus(nodes, mass.reshape(-1, nodes.size), None, r, alpha - n)
-    return _unscaled(semis.reshape(mass.shape[:-1]), e)
+    nodes, norms = _powered(measure, n)
+    if not norms.size or nodes[-1] == 0.0:  # spectrum {0}: every difference vanishes
+        return np.zeros(norms.shape[:-1])
+    mass, d = _scaled(norms.reshape(-1, nodes.size))
+    semis = _running_modulus(nodes, mass ** 2, None, r, alpha - n)
+    return _unscaled(semis.reshape(norms.shape[:-1]), np.add(e, d.reshape(norms.shape[:-1])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -671,7 +674,7 @@ def _lemma_reports(dec: SpectralDecomposition, fc, alpha: float, n: int, r: int)
     ``fc = (v, c, e)`` (``_coefficients`` of a block), from one shift scan."""
     _check_scalar(alpha, "alpha")
     v, c, e = fc
-    semis = _seminorm_sup(dec, c, e, alpha, n, r)
+    semis = _seminorm_sup(_measure(dec, c), e, alpha, n, r)
     sups, norms = _scaled_e_sup(dec, fc, alpha), _norm(v, e)
     with np.errstate(over="ignore"):  # lemma 1's sides have degree alpha in the scale of D;
         # capped, so ||f|| = 0 gives a scale of 0, not 0 * inf = NaN

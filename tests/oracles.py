@@ -12,6 +12,7 @@ import numpy as np
 
 from bandapprox import (
     InvalidParamsError,
+    SpectralDecomposition,
     apply_multiplier,
     best_approx,
     schrodinger_group,
@@ -25,6 +26,7 @@ from bandapprox.operators import (
     _basis_product,
     _broadcast,
     _coefficients,
+    _measure,
     _norm,
     _scaled,
     _unscaled,
@@ -379,7 +381,8 @@ def k_besov_norm_dense(dec, f, params, domain_norm="seminorm", density=64, level
 
     def scaled_k(v):
         """``t^-theta K(t)`` at ``t = e^v``."""
-        values, d = _k_functional_values(dec, c[None], [e], np.exp(v), params.r, domain_norm)
+        values, d = _k_functional_values(_measure(dec, c[None]), [e], np.exp(v), params.r,
+                                         domain_norm)
         return np.exp(-theta * v) * _unscaled(values[0], d[0])
 
     if q == math.inf:
@@ -536,11 +539,33 @@ def distances_by_element(dec, fc, omegas):
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 
+def cycle_measure(n, f):
+    """The spectral measure ``(nodes, norms)`` of the rows of ``f`` (``(..., n)``) under cycle:n,
+    in closed form and with no basis: the unitary DFT coefficients k and n - k of each row pooled
+    into the eigenspace of ``D = L^{1/2}`` at ``2 sin(pi k / n)``, k = 0 .. n // 2."""
+    k = np.arange(n // 2 + 1)
+    a = np.abs(np.fft.fft(np.asarray(f, dtype=np.complex128), axis=-1, norm="ortho"))
+    pair = np.where((k == 0) | (2 * k == n), 0.0, a[..., (n - k) % n])  # k = 0, n/2: one mode
+    return 2.0 * np.sin(np.pi * k / n), np.hypot(a[..., k], pair)
+
+
+def cycle_decomposition(n):
+    """cycle:n (n even) decomposed in closed form, with no eigensolver: the group values of
+    :func:`cycle_measure` on the real Fourier basis, the constant, the cosine and sine of each
+    frequency 0 < k < n/2, and the alternating vector."""
+    j, k = np.arange(n), np.arange(1, n // 2)
+    waves = np.outer(j, k) * (2.0 * np.pi / n)
+    pairs = math.sqrt(2.0 / n) * np.stack((np.cos(waves), np.sin(waves)), axis=-1).reshape(n, -1)
+    basis = np.column_stack((np.full(n, n ** -0.5), pairs, (-1.0) ** j / math.sqrt(n)))
+    values = cycle_measure(n, np.zeros(n))[0]
+    return SpectralDecomposition(np.repeat(values, [1] + [2] * (n // 2 - 1) + [1]), basis)
+
+
 def tails_by_element(dec, fc, omegas):
     """The R distances one element at a time, each tail ``||c[end:]||`` by ``np.linalg.norm`` at
     the scale of ``c``: one below ``2^-480`` (its squares may have underflowed) is taken again at
     its own power-of-two scale (``_norm``).  The coefficient route before the library read the
-    tails off the spectral measure; the two sum the squares in another order."""
+    tails off the spectral measure, whose eigenspace norms it sums by ``hypot``."""
     _, c, e = fc
     shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
     c, norms = c.reshape(-1, dec.dim), []

@@ -4,10 +4,12 @@
 scan; its oracle is the former capped grid search, compared wherever the
 cap does not bind.  Band-edge distances at every step node come from one
 transform and are compared with an explicit projector, and the coefficient tails
-read off the spectral measure with the element loop they replaced.
+read off the spectral measure with the element loop they replaced.  The R side takes the
+measure alone, so a closed-form measure, with no basis, feeds it as ``_measure`` does.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,11 +26,18 @@ from bandapprox import (
     spectral_tail,
 )
 from bandapprox.harness import build_operator, parse_operator_arg
-from bandapprox.operators import _coefficients, _measure
+from bandapprox.operators import _coefficients, _measure, _unscaled
 from bandapprox.paley_wiener import _band_edges, _distances, _step_nodes, _tails
-from bandapprox.smoothness import MAX_SCAN_ENTRIES
+from bandapprox.smoothness import (
+    MAX_SCAN_ENTRIES,
+    _k_functional_values,
+    _moduli,
+    _seminorm_sup,
+)
 from conftest import random_vector
 from oracles import (
+    cycle_decomposition,
+    cycle_measure,
     distance_by_projector,
     modulus_capped_grid,
     modulus_dense_scan,
@@ -117,7 +126,7 @@ class TestDistancesAgainstProjector:
         expected = np.array([distance_by_projector(dec, f, w) for w in nodes])
         scale = 1.0 + np.linalg.norm(f)
         _, c, e = fc = _coefficients(dec, f)
-        for got in (_distances(dec, fc, nodes), _tails(dec, c, _measure(dec, c), nodes) * 2.0 ** e):
+        for got in (_distances(dec, fc, nodes), _tails(dec, _measure(dec, c), nodes) * 2.0 ** e):
             assert np.max(np.abs(got - expected)) <= REL * scale
 
     def test_nodes_are_zero_and_distinct_eigenvalues(self):
@@ -131,7 +140,7 @@ def test_tails_match_the_element_loop(text, rng):
     # and band edge (complete:6 has one eigenspace of multiplicity 5), with rows at 2^+-1000, the
     # zero row, one whose upper half is 1e-9 of its lower half (its tails there would be lost in
     # total - prefix) and one where it is 2^-600: in the identity basis of the diagonal its tails
-    # there lose their squares to underflow and are taken again
+    # there would lose their squares to underflow, and hypot forms none
     dec = _dec(text, RAW_D if text.startswith("diag") else RAW_L)
     f, upper = random_vector(rng, dec.dim), np.arange(dec.dim) >= dec.dim // 2
     vectors = np.array([f, 2.0 ** 1000 * f, 2.0 ** -1000 * f, np.zeros(dec.dim),
@@ -143,3 +152,37 @@ def test_tails_match_the_element_loop(text, rng):
     if text.startswith("diag"):
         retaken = got[5, (omegas >= dec.eigenvalues[dec.dim // 2 - 1]) & (omegas < dec.lambda_max)]
         assert retaken.size and np.all((retaken > 0.0) & (retaken < 2.0 ** -590))
+
+
+def _r_side(dec, measure, e):
+    """The tails at every step node, the moduli at ``S_SCALED / lambda_max``, the seminorm and
+    ``K(t)`` of each row of ``measure`` (of ``f 2^-e``), each at the scale of ``f``."""
+    (nodes, norms), s_values = measure, np.array(S_SCALED) / measure[0][-1]
+    k_vals, d = _k_functional_values(measure, e, np.logspace(-4.0, 2.0, 7), 1, "seminorm")
+    tails = _tails(dec, (nodes, norms[:, None]), _step_nodes(dec))
+    return {"tails": _unscaled(tails, e[:, None]), "K": _unscaled(k_vals, d[:, None]),
+            **{f"moduli {m}": _moduli(measure, e, s_values, m) for m in (1, 2)},
+            "seminorm": _seminorm_sup(measure, e, 1.5, 1, 2)}
+
+
+def test_closed_form_measure_matches_the_decomposition(rng):
+    # cycle:64 pooled by the DFT, with no basis: the R side fed from it reads what it reads fed
+    # from _measure of the coefficients in the real Fourier basis (the Jacobi basis carries the
+    # solver's 1e-12 tolerance into the eigenspace norms)
+    dec = cycle_decomposition(64)
+    v, c, e = _coefficients(dec, np.array([random_vector(rng, 64) for _ in range(4)]))
+    exact, ours = _r_side(dec, cycle_measure(64, v), e), _r_side(dec, _measure(dec, c), e)
+    for name, value in ours.items():
+        np.testing.assert_allclose(exact[name], value, rtol=1e-13, atol=0.0, err_msg=name)
+
+
+def test_a_circle_measure_needs_no_basis():
+    # the circle's eigenvalues 0, 1, 2, ... with norms (1 + k)^-1.5 on 10^4 nodes, whose basis
+    # would hold 10^8 entries: K(t) and the moduli take under a second each
+    k = np.arange(10_000, dtype=np.float64)
+    measure, e = (k, ((1.0 + k) ** -1.5)[None]), np.zeros(1, int)
+    for call in (lambda: _k_functional_values(measure, e, np.logspace(-6.0, 2.0, 9), 1, "graph"),
+                 lambda: _moduli(measure, e, np.array(S_SCALED) / k[-1], 2)):
+        start = time.perf_counter()
+        assert np.all(np.isfinite(call()[0]))
+        assert time.perf_counter() - start < 1.0

@@ -83,6 +83,14 @@ class TestBuilders:
         with pytest.raises(ParseError):
             parse_operator_arg("cycle:five")
 
+    @pytest.mark.parametrize("text", ["random:16:42:7", "random:16:42:", "random:16:", "random:"])
+    def test_malformed_random_spec_is_rejected(self, capsys, text):
+        # a size and a seed, each a whole field, and nothing after the seed
+        with pytest.raises(ParseError):
+            parse_operator_arg(text)
+        assert main(["spectrum", "--op", text]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestEdgeList:
     def test_parse_with_comments_and_weights(self, tmp_path):

@@ -5,7 +5,8 @@ through its public names, only ``operators`` calls ``ldexp``, one function
 decides membership of PW_omega, one function decides every spectral cut, one shift scan
 samples the differences, one Tikhonov path serves ``K(t)`` and its norm, the kernel's
 constants have one evaluator and no quadrature, one step pools
-``|c|^2`` per eigenspace and feeds the R side, whose tails take no ``np.linalg.norm``, only the
+the norm of each eigenspace where a vector enters and feeds the R side, whose helpers take no
+coefficient row and whose tails take no ``np.linalg.norm`` and no re-take, only the
 vector domain reads the eigenvectors, and the library
 imports no third-party package but NumPy.  The public names of the package are pinned, and no
 module binds a retired one."""
@@ -101,7 +102,8 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]", out
 
 
-#: the library layers below the harness; their private helpers take ``_coefficients`` triples
+#: the library layers below the harness; their private helpers take a vector as its
+#: ``_coefficients`` triple, or on the R side as its spectral measure (``_measure``) alone
 LAYERS = ("operators", "paley_wiener", "smoothness", "approx_operators", "decomposition")
 
 
@@ -231,19 +233,39 @@ def _reads(name: str):
 
 
 def test_one_spectral_measure():
-    # |c|^2 is summed per eigenspace in one place, operators._measure, the step from
-    # coefficient rows to (nodes, masses); eigh's other reduceat takes each group's value.
-    # The scalar helpers read the measure, and bandwidth the norm of each eigenspace.  It is the
-    # one input of the R side: the coefficient tails (_tails, whose re-take measures a tail
-    # alone) of spectral_tail, the R flavors and the membership rule, which hands its measure to
-    # bernstein_check, and the Bernstein norms of bandwidth and bernstein_check
+    # coefficient rows are pooled per eigenspace in one place, operators._measure, the step to
+    # (nodes, norms); eigh's other reduceat takes each group's value.  The measure is taken once,
+    # where a vector's coefficients enter: in the public functions, the Besov norms and the lemmas
+    # of a block, and the membership rule, which hands its measure to bernstein_check
     reducers = sum((_top_level_readers(layer, _reads("reduceat")) for layer in LAYERS), [])
     assert reducers == ["operators.eigh", "operators._measure"]
     callers = sum((_top_level_readers(layer, _reads("_measure")) for layer in LAYERS), [])
     assert sorted(callers) == [
-        "paley_wiener._require_pw", "paley_wiener._tails", "paley_wiener.bandwidth",
-        "paley_wiener.spectral_tail", "smoothness._besov_norms", "smoothness._k_path",
-        "smoothness._moduli", "smoothness._seminorm_sup"]
+        "approx_operators.jackson_check", "paley_wiener._require_pw", "paley_wiener.bandwidth",
+        "paley_wiener.spectral_tail", "smoothness._besov_norms", "smoothness._lemma_reports",
+        "smoothness.besov_seminorm_sup", "smoothness.k_functional", "smoothness.modulus",
+        "smoothness.modulus_inequality_checks"]
+    # it is the one input of the R side: each helper takes the measure, no coefficient row, and
+    # squares the groups it needs at their own scale, so none measures a vector again.  The
+    # tails sum the norms by hypot and need no re-take below 2^-480; the E route keeps its own
+    helpers = {"paley_wiener": ["_bernstein_norms", "_tails"], "smoothness": [
+        "_k_functional_values", "_k_path", "_moduli", "_seminorm_sup"]}
+    for layer, names in helpers.items():
+        tree = ast.parse((SRC / f"{layer}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                params = {arg.arg for arg in node.args.args}
+                assert "measure" in params and not params & {"f", "v", "c", "fc", "coeffs"}, (
+                    node.name, sorted(params))
+                assert not any(map(_reads("_measure"), ast.walk(node))), node.name
+                names.remove(node.name)
+        assert not names, f"{layer}: {names} not found"
+    retakes = _top_level_readers("paley_wiener", lambda node: isinstance(
+        node, ast.Constant) and node.value == 480)
+    assert retakes == ["paley_wiener._distances"]
+    # D^k f is nodes^k norms on the measure (operators._powered); its coefficients are not formed
+    assert not [path.name for path in MODULES
+                if "_power_coefficients" in path.read_text(encoding="utf-8")]
     # the R tails were a Python loop of np.linalg.norm over every (row, cut) element
     tree = ast.parse((SRC / "paley_wiener.py").read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)

@@ -253,8 +253,9 @@ def test_results_past_the_largest_double_raise(name):
             PAST_THE_DOUBLES[name](dec, g)
 
 
-#: values near the bottom of the double range, kept bit for bit by the rescale of each
-#: spectral measure (``operators._measure``): (call on the raw_D diag(0, 0.5, 1, 2, 3.5, 7)
+#: values near the bottom of the double range, kept bit for bit by the scale each R-side helper
+#: takes on the eigenspace norms it squares (``operators._scaled`` of the ``_measure``, which
+#: forms no square): (call on the raw_D diag(0, 0.5, 1, 2, 3.5, 7)
 #: decomposition at ``scale``, value); f = ones(6), except for the K-functional of
 #: ``u_0 + 1e-250 u_5``.  Without that rescale the K value and the Jackson bound read 0.  The
 #: seminorm and the modulus ratio are their values at scale 1 (44.01510843453259 * 1e-300 to

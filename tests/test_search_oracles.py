@@ -31,7 +31,7 @@ from bandapprox import (
     spectral_transform,
 )
 from bandapprox.harness import build_operator, parse_operator_arg
-from bandapprox.operators import _coefficients
+from bandapprox.operators import _coefficients, _measure
 from bandapprox.smoothness import _moduli, _running_modulus
 from conftest import random_vector
 from oracles import (
@@ -218,9 +218,9 @@ class TestOneScanForManyShifts:
         # unsorted, with a repeat and s = 0, then a fine sweep
         s_values = [1.0 / low, 0.3 / top, 0.0, 4.0 / top, 0.3 / top, 2.5 / low, 0.05 / top]
         s_values += list(rng.permutation(np.linspace(0.01, 20.0, 150)) / top)
-        many = _moduli(dec, c, e, s_values, m)
+        many = _moduli(_measure(dec, c), e, s_values, m)
         for s, value in zip(s_values, many):
-            one = _moduli(dec, c, e, [s], m)[0]
+            one = _moduli(_measure(dec, c), e, [s], m)[0]
             assert abs(value - one) <= 1e-15 * one, (s, value, one)
 
 

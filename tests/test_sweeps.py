@@ -203,14 +203,14 @@ def _shifts(dec):
 def test_scan_block_rows_match_one_row_scans(dec, rng, m):
     _, c, e = _coefficients(dec, _vectors(rng, dec.dim))
     s_values = _shifts(dec)
-    block = _moduli(dec, c, e, s_values, m)
+    block = _moduli(_measure(dec, c), e, s_values, m)
     assert block.shape == s_values.shape
     for c_i, e_i, s_i, row in zip(c, e, s_values, block):
-        np.testing.assert_array_equal(row, _moduli(dec, c_i, e_i, s_i, m))
+        np.testing.assert_array_equal(row, _moduli(_measure(dec, c_i), e_i, s_i, m))
     # one s axis broadcast against every row, as the Jackson chain passes it
-    shared = _moduli(dec, c, e, s_values[1], m)
+    shared = _moduli(_measure(dec, c), e, s_values[1], m)
     for c_i, e_i, row in zip(c, e, shared):
-        np.testing.assert_array_equal(row, _moduli(dec, c_i, e_i, s_values[1], m))
+        np.testing.assert_array_equal(row, _moduli(_measure(dec, c_i), e_i, s_values[1], m))
 
 
 def test_norm_block_rows_match_one_row_norms(dec, rng):
@@ -236,9 +236,9 @@ def test_k_path_block_rows_match_one_row_paths(dec, rng, r, domain_norm):
     vectors = np.concatenate((_vectors(rng, dec.dim), dec.eigenvectors[:, [0, -1]].T))
     _, c, e = _coefficients(dec, vectors)
     ts = np.exp(np.linspace(math.log(1e-9), math.log(1e9), 37))
-    values, d = _k_functional_values(dec, c, e, ts, r, domain_norm)
+    values, d = _k_functional_values(_measure(dec, c), e, ts, r, domain_norm)
     for f, c_i, e_i, row, d_i in zip(vectors, c, e, values, d):
-        one, d_one = _k_functional_values(dec, c_i[None], [e_i], ts, r, domain_norm)
+        one, d_one = _k_functional_values(_measure(dec, c_i[None]), [e_i], ts, r, domain_norm)
         np.testing.assert_array_equal(row, one[0])
         assert d_i == d_one[0]
         for t, value in zip(ts[::9], row[::9]):
@@ -250,7 +250,7 @@ def test_seminorm_block_rows_match_besov_seminorm_sup(dec, rng, alpha, n, r):
     vectors = _vectors(rng, dec.dim)
     _, c, e = _coefficients(dec, vectors)
     expected = [besov_seminorm_sup(dec, f, alpha, n, r) for f in vectors]
-    np.testing.assert_array_equal(_seminorm_sup(dec, c, e, alpha, n, r), expected)
+    np.testing.assert_array_equal(_seminorm_sup(_measure(dec, c), e, alpha, n, r), expected)
 
 
 def test_composite_checks_match_their_one_vector_calls(dec, rng):
@@ -603,7 +603,8 @@ def test_running_modulus_rows_match_one_row_scans(dec, rng):
     if dec.lambda_max == 0.0:
         pytest.skip("every difference vanishes on the spectrum {0}")
     _, c, e = _coefficients(dec, np.array([random_vector(rng, dec.dim) for _ in range(4)]))
-    nodes, mass, _ = _measure(dec, c, e)
+    nodes, norms = _measure(dec, c)
+    mass = norms ** 2
     s_rows = np.sort(_shifts(dec), axis=-1)
     for m in (1, 2, 3):
         block = _running_modulus(nodes, mass, s_rows, m)

@@ -46,7 +46,7 @@ from bandapprox import (
     sup_scaled_best_approx,
     synthesis_check,
 )
-from bandapprox.operators import _coefficients, _power_coefficients, _unscaled
+from bandapprox.operators import _coefficients, _measure, _powered, _unscaled
 from bandapprox.smoothness import BESOV_FLAVORS, _besov_norms, _lemma_reports
 from conftest import random_vector
 from oracles import dense_union_check, operator_power
@@ -181,10 +181,10 @@ def test_synthesis_check_transforms_each_band_and_the_sum(cycle16_dec, rng, tran
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_power_coefficients_match_the_round_trip(cycle16_dec, random_dec, rng, k):
-    # D^k f on coefficients is lambda^k c; the old route synthesized it and transformed back
+    # the measure of D^k f is nodes^k norms; the old route synthesized D^k f and transformed back
     for dec in (cycle16_dec, random_dec):
         f = 1e3 * random_vector(rng, dec.dim)
         _, c, e = _coefficients(dec, f)
-        direct = _unscaled(_power_coefficients(dec, c, k), e)
-        round_trip = spectral_transform(dec, operator_power(dec, k, f))
+        direct = _unscaled(_powered(_measure(dec, c), k)[1], e)
+        round_trip = _measure(dec, spectral_transform(dec, operator_power(dec, k, f)))[1]
         assert np.linalg.norm(direct - round_trip) <= 1e-14 * np.linalg.norm(round_trip)
