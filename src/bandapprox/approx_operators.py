@@ -19,6 +19,7 @@ and its mass and moments are the finite sums of Gradshteyn & Ryzhik 3.827,
 summed exactly.  The tests check both against quadrature.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -199,6 +200,27 @@ class RieszConfig:
         return _shaped(self.omega / math.pi ** 2 * (_trigamma(k + 0.5) + _trigamma(k + 1.5)))
 
 
+@functools.lru_cache(maxsize=16)
+def _riesz_tables(k_trunc: int) -> tuple:
+    """``(t, t_{-K})``, ``t_k = (-1)^{k+1} (k - 1/2)^2`` (``inf`` past ``K``) at ``k = b q + r``:
+    ``b = ceil(sqrt K)``, ``r = b..1`` down (a sum adds its largest term last), ``q`` across."""
+    b = math.isqrt(k_trunc - 1) + 1
+    k = np.arange(b, 0, -1)[:, None] + b * np.arange(-(-k_trunc // b))
+    t = np.where(k > k_trunc, np.inf, np.where(k % 2 == 0, -1.0, 1.0) * (k - 0.5) ** 2)
+    t.flags.writeable = False
+    return t, (1.0 if k_trunc % 2 else -1.0) * (k_trunc + 0.5) ** 2
+
+
+def _phases(scale, points, u, o, count, descending=False):
+    """``e^{i theta (u j + o)}``, ``theta = scale x``, a row per ``x`` in ``points``, ``j < count``
+    (descending: ``j`` down), as ``e^{i theta u g a} e^{i theta (u c + o)}`` at ``j = g a + c``."""
+    g = math.isqrt(max(count - 1, 0)) + 1
+    a, c = (x[::-1 if descending else 1] for x in (np.arange(-(-count // g)), np.arange(g)))
+    outer, inner = (np.exp(1j * scale * np.outer(points, x)) for x in (u * g * a, u * c + o))
+    grid = (outer[:, :, None] * inner[:, None, :]).reshape(len(points), -1)
+    return grid[:, grid.shape[1] - count:] if descending else grid[:, :count]
+
+
 def riesz_symbol(lam, cfg: RieszConfig) -> np.ndarray:
     """Truncated spectral symbol of the interpolation series at points ``lam``.
 
@@ -206,41 +228,33 @@ def riesz_symbol(lam, cfg: RieszConfig) -> np.ndarray:
     its modulus never exceeds ``omega``.
 
     The series ``sum_{k=-K}^{K} c_k e^{i theta (k - 1/2)}`` with ``theta = pi lam / omega`` is
-    summed with about ``2 sqrt K`` exponentials per distinct ``lam`` and band edge, in
+    summed with about ``4 K^{1/4}`` exponentials per distinct ``lam`` and band edge, in
     O(N sqrt K + K) memory.  Since ``c_{1-k} = -c_k``, the terms ``k`` and ``1 - k`` pair to
     ``2i c_k sin(theta (k - 1/2))``, which leaves ``k = -K`` unpaired.  The paired sum over
     ``k = b q + r`` (``b = ceil(sqrt K)``, ``r = 1..b``) is one GEMM of the baby steps
     ``e^{i theta (r - 1/2)}`` against the coefficient block, weighted by the giant steps
-    ``e^{i theta b q}`` (Paterson-Stockmeyer).  The split starts at ``k = 1``, so the dominant
-    terms (``q = 0``) keep their directly computed phase; they are summed smallest first and
-    added after the rest, which keeps the band-edge value within a few ulps of ``omega``.  The
-    tables of ``k`` and the exponent grids are built once per call, and each band edge (the
-    result has the shape ``omega.shape + lam.shape``) takes its own coefficients, exponentials,
-    GEMM and sum: every value is the call's at its point and edge alone, bit for bit.
+    ``e^{i theta b q}`` (Paterson-Stockmeyer), each grid by angle addition (``_phases``): the
+    first ``sqrt b`` or so steps of each take their phase directly, and the split starts at
+    ``k = 1``, so the dominant terms keep it; summed smallest first and added last, they hold the
+    band-edge value within a few ulps of ``omega``.  The tables of ``k`` are built once per ``K``;
+    each band edge (the result has the shape ``omega.shape + lam.shape``) takes its exponentials,
+    then its coefficients, GEMM and sum: every value is the call's at its point and edge alone.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    k_trunc = cfg.k_trunc
-    b = math.isqrt(k_trunc - 1) + 1
-    n_giant = -(-k_trunc // b)
-    r = np.arange(b, 0, -1)  # descending, so each sum adds its largest term last
-    k = r[:, None] + b * np.arange(n_giant)
-    # the weights c_k = (omega / pi^2) / t_k, t_k = (-1)^{k+1} (k - 1/2)^2, are 0 past the series
-    t = np.where(k > k_trunc, np.inf, np.where(k % 2 == 0, -1.0, 1.0) * (k - 0.5) ** 2)
-    t_unpaired = (1.0 if k_trunc % 2 else -1.0) * (k_trunc + 0.5) ** 2  # k = -K
+    t, t_unpaired = _riesz_tables(cfg.k_trunc)
+    b, n_giant = t.shape
     # each distinct point (by its bits) once, and two at least: a one-row product is a GEMV
     bits, inverse = np.unique(lam.ravel().view(np.int64), return_inverse=True)
     points = np.resize(bits, max(bits.size, 2)).view(np.float64)
-    baby_grid = np.outer(points, r - 0.5)
-    giant_grid = np.outer(points, b * np.arange(1, n_giant))
-    unpaired_grid = points * (-k_trunc - 0.5)
     out = np.empty((np.size(cfg.omega), points.size), dtype=np.complex128)
     for row, omega in zip(out, np.ravel(cfg.omega).tolist()):
         scale, weight = math.pi / omega, omega / math.pi ** 2
-        steps = np.exp(1j * scale * baby_grid) @ (weight / t)
-        # 1j * ... (a NumPy AVX loop) must run between @ and np.exp: after zgemm, exp is 10x slower
-        paired = (steps[:, 0] + np.sum(steps[:, 1:] * np.exp(1j * scale * giant_grid),
-                                       axis=1)).imag
-        row[:] = 2j * paired + weight / t_unpaired * np.exp(1j * scale * unpaired_grid)
+        baby = _phases(scale, points, 1, 0.5, b, descending=True)  # r - 1/2, r = b..1
+        giant = _phases(scale, points, b, b, n_giant - 1)  # b q, q = 1..Q-1
+        unpaired = np.exp(1j * scale * (points * (-cfg.k_trunc - 0.5)))
+        steps = baby @ (weight / t)
+        paired = (steps[:, 0] + np.sum(steps[:, 1:] * giant, axis=1)).imag
+        row[:] = 2j * paired + weight / t_unpaired * unpaired
     return out[:, inverse].reshape(np.shape(cfg.omega) + lam.shape)
 
 

@@ -181,8 +181,8 @@ class SymmetricOperator:
 
     def __post_init__(self):
         mat = np.asarray(self.entries, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(f"operator must be square, got {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise DimensionMismatchError(f"operator must be square and nonempty, got {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise NonFiniteError("operator has NaN or infinite entries")
         if not np.array_equal(mat, mat.T):
@@ -200,8 +200,7 @@ class SymmetricOperator:
 
     @property
     def psd_tolerance(self) -> float:
-        scale = float(np.max(np.abs(self.entries))) if self.dim else 0.0
-        return PSD_TOL_FACTOR * scale
+        return PSD_TOL_FACTOR * float(np.max(np.abs(self.entries)))
 
 
 def _jacobi_eigh(matrix: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int = 100):
@@ -256,7 +255,7 @@ def _jacobi_eigh(matrix: np.ndarray, tol: float = _JACOBI_TOL, max_sweeps: int =
     order = np.argsort(w, kind="stable")
     w, v = w[order], b[order, n:].T
     # deterministic sign: largest-magnitude component of each column positive
-    signs = np.where(v[np.abs(v).argmax(axis=0), np.arange(n)] < 0, -1.0, 1.0) if n else 1.0
+    signs = np.where(v[np.abs(v).argmax(axis=0), np.arange(n)] < 0, -1.0, 1.0)
     return w, v * signs
 
 
@@ -282,9 +281,9 @@ class SpectralDecomposition:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         lam = self.eigenvalues
-        if lam.ndim != 1 or self.eigenvectors.shape != (lam.size, lam.size):
+        if lam.ndim != 1 or not lam.size or self.eigenvectors.shape != (lam.size, lam.size):
             raise InvalidSpectrumError(
-                f"need N eigenvalues and an N x N basis, got shapes {lam.shape} "
+                f"need N >= 1 eigenvalues and an N x N basis, got shapes {lam.shape} "
                 f"and {self.eigenvectors.shape}")
         if not np.all(np.isfinite(lam)):
             raise InvalidSpectrumError("eigenvalues have NaN or infinite entries")
@@ -302,7 +301,7 @@ class SpectralDecomposition:
 
     @property
     def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1]) if self.dim else 0.0
+        return float(self.eigenvalues[-1])
 
     @property
     def min_positive_eigenvalue(self) -> float:
@@ -338,7 +337,7 @@ def eigh(op: SymmetricOperator) -> SpectralDecomposition:
     # would otherwise inflate positive noise to ~1e-8 ghost frequencies)
     w = np.where(np.abs(w) <= tol_psd, 0.0, w)
     d_eigs = np.sqrt(w) if op.kind == RAW_L else w
-    eps_group = GROUP_TOL_FACTOR * (float(d_eigs[-1]) if d_eigs.size else 0.0)
+    eps_group = GROUP_TOL_FACTOR * float(d_eigs[-1])
     # a group starts at each eigenvalue more than eps_group above its predecessor
     starts = np.flatnonzero(np.diff(d_eigs, prepend=-math.inf) > eps_group)
     sizes = np.diff(starts, append=d_eigs.size)
@@ -386,9 +385,11 @@ def _weighted(weights, values) -> np.ndarray:
 
 
 def _powered(measure, k) -> tuple:
-    """The measure ``(nodes, nodes^k norms)`` of ``D^k f`` from that of ``f`` (``_weighted``)."""
+    """The measure ``(nodes, nodes^k norms)`` of ``D^k f`` from that of ``f`` (``_weighted``), each
+    distinct ``k`` (one per row) once, as a Python int: a row's bits are its one-row call's."""
     with np.errstate(over="ignore"):
-        return measure[0], _weighted(np.power(measure[0], k), measure[1])
+        powers = sum(np.where(k == j, measure[0] ** j, 0.0) for j in {*np.ravel(k).tolist()})
+        return measure[0], _weighted(powers, measure[1])
 
 
 def inverse_transform(dec: SpectralDecomposition, coeffs) -> np.ndarray:

@@ -507,6 +507,33 @@ def riesz_symbol_direct(lam, cfg):
     return phases @ coefs
 
 
+def riesz_symbol_paired(lam, cfg):
+    """The paired baby-step/giant-step sum of ``approx_operators.riesz_symbol`` with every phase
+    taken directly: ``b + Q`` exponentials per distinct point and band edge (``b = ceil(sqrt K)``,
+    ``Q = ceil(K / b)``), each ``e^{i theta x}`` from its own argument."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    k_trunc = cfg.k_trunc
+    b = math.isqrt(k_trunc - 1) + 1
+    n_giant = -(-k_trunc // b)
+    r = np.arange(b, 0, -1)  # descending, so each sum adds its largest term last
+    k = r[:, None] + b * np.arange(n_giant)
+    t = np.where(k > k_trunc, np.inf, np.where(k % 2 == 0, -1.0, 1.0) * (k - 0.5) ** 2)
+    t_unpaired = (1.0 if k_trunc % 2 else -1.0) * (k_trunc + 0.5) ** 2  # k = -K
+    bits, inverse = np.unique(lam.ravel().view(np.int64), return_inverse=True)
+    points = np.resize(bits, max(bits.size, 2)).view(np.float64)
+    baby_grid = np.outer(points, r - 0.5)
+    giant_grid = np.outer(points, b * np.arange(1, n_giant))
+    unpaired_grid = points * (-k_trunc - 0.5)
+    out = np.empty((np.size(cfg.omega), points.size), dtype=np.complex128)
+    for row, omega in zip(out, np.ravel(cfg.omega).tolist()):
+        scale, weight = math.pi / omega, omega / math.pi ** 2
+        steps = np.exp(1j * scale * baby_grid) @ (weight / t)
+        paired = (steps[:, 0] + np.sum(steps[:, 1:] * np.exp(1j * scale * giant_grid),
+                                       axis=1)).imag
+        row[:] = 2j * paired + weight / t_unpaired * np.exp(1j * scale * unpaired_grid)
+    return out[:, inverse].reshape(np.shape(cfg.omega) + lam.shape)
+
+
 def riesz_symbol_mpmath(lam, omega, k_trunc):
     """The truncated Riesz series at one float ``lam`` in 30-digit arithmetic.
 

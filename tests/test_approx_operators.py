@@ -52,6 +52,7 @@ from oracles import (
     q_symbol_mpmath,
     riesz_symbol_direct,
     riesz_symbol_mpmath,
+    riesz_symbol_paired,
     uniform_bspline_by_lists,
 )
 
@@ -241,6 +242,36 @@ class TestRieszSymbolFastPath:
             assert fast.shape == lams.shape and fast.dtype == np.complex128
             dev = np.max(np.abs(fast - riesz_symbol_direct(lams, cfg)))
             assert dev <= 1e-14 * omega, (omega, dev)
+
+    @pytest.mark.parametrize("k_trunc", [1, 2, 3, 5, 99, 100, 101, 10_000])
+    @pytest.mark.parametrize("n", [1, 2, 9, 256])
+    def test_matches_the_directly_phased_pairing(self, n, k_trunc):
+        # the same paired sum with every phase from its own exponential: angle addition adds one
+        # rounding to the phases past the first sqrt b steps of each grid, whose terms are small
+        omegas = np.array([0.3, 1.7, 4.0])
+        for omega in omegas:  # the band edge, past the band and a negative point come first
+            spread = np.random.default_rng(n + k_trunc).uniform(-3.0, 3.0, max(n - 3, 0)) * omega
+            lams = np.concatenate(([omega, 2.5 * omega, -0.7 * omega], spread))[:n]
+            cfg = RieszConfig(omega, k_trunc)
+            dev = np.max(np.abs(riesz_symbol(lams, cfg) - riesz_symbol_paired(lams, cfg)))
+            assert dev <= 2e-15 * omega, (omega, dev)
+
+    def test_exponentials_per_point_and_edge(self, monkeypatch):
+        # at K = 10^4 (b = Q = 100): 20 for the baby steps, 20 for the giant steps and one for
+        # k = -K, against 100 + 99 + 1 with every phase taken directly
+        counts, exp = [], np.exp
+
+        def counted(x, *args, **kw):
+            counts.append(np.size(x))
+            return exp(x, *args, **kw)
+
+        monkeypatch.setattr(np, "exp", counted)
+        lams, cfg = np.linspace(0.0, 3.0, 256), RieszConfig(2.0, 10_000)
+        for symbol, most in ((riesz_symbol, 256 * 41), (riesz_symbol_paired, 256 * 200)):
+            counts.clear()
+            symbol(lams, cfg)
+            assert sum(counts) <= most, (symbol.__name__, sum(counts))
+        assert sum(counts) == 256 * 200  # the count sees every exponential
 
     @pytest.mark.parametrize("k_trunc", [1_000, 10_000])
     def test_matches_high_precision_reference(self, k_trunc):

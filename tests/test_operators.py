@@ -117,6 +117,15 @@ class TestEigh:
         with pytest.raises(InvalidSpectrumError):
             SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
+    @pytest.mark.parametrize("kind", [RAW_L, RAW_D])
+    def test_dimension_zero_rejected(self, kind):
+        # the paper's spaces are never zero-dimensional: neither constructor takes N = 0, so no
+        # public function meets a 0 x 0 operator and fails on it untyped
+        with pytest.raises(DimensionMismatchError):
+            SymmetricOperator(np.zeros((0, 0)), kind=kind)
+        with pytest.raises(InvalidSpectrumError):
+            SpectralDecomposition(eigenvalues=np.zeros(0), eigenvectors=np.zeros((0, 0)), kind=kind)
+
     def test_well_formed_spectrum_accepted(self):
         dec = SpectralDecomposition(eigenvalues=[0.0, 1.0, 1.0, 2.0], eigenvectors=np.eye(4))
         assert dec.groups == ((0,), (1, 2), (3,))  # the runs of equal eigenvalues
@@ -198,8 +207,8 @@ class TestJacobi:
 def _jacobi_matrices():
     """Every builtin family at each size of 1, 2, 8, 16, 37 and 64 it takes (cycle needs 3
     nodes; 64 is the largest size the sweep benchmark solves), random_psd:128 (whose unpadded
-    row stride would be 2 KiB), the empty matrix, raw_D diagonals with repeated values, the zero
-    matrix, cycle:16 relabelled, and the matrices of the ``TestJacobi`` scales."""
+    row stride would be 2 KiB), raw_D diagonals with repeated values, the zero matrix, cycle:16
+    relabelled, and the matrices of the ``TestJacobi`` scales (no operator has dimension 0)."""
     def spec(text, kind=RAW_L):
         return build_operator(parse_operator_arg(text, kind)).entries
 
@@ -208,7 +217,6 @@ def _jacobi_matrices():
             if family != "cycle" or n >= 3:
                 yield pytest.param(spec(f"{family}:{n}"), id=f"{family}:{n}")
     yield pytest.param(spec("random_psd:128"), id="random_psd:128")
-    yield pytest.param(np.zeros((0, 0)), id="empty")
     for text in ("diag:0,0,0", "diag:2,1,2,1,2", "diag:0,0.5,0.5,1,7,7,7", "diag:3"):
         yield pytest.param(spec(text, RAW_D), id=text)
     yield pytest.param(np.zeros((5, 5)), id="zero:5")
