@@ -3,11 +3,11 @@
 ``PW_omega`` is the span of eigenvectors with eigenvalue in ``[0, omega]``, a prefix of the
 ascending spectrum cut in one place (``_pw_prefix``).  The norm of the part above ``omega`` is the
 distance to ``PW_omega``, taken two ways that must agree to near machine precision, so the
-identity is a real check: the residual in H (the E route, ``_distances``) and the tail of the
-spectral measure, its eigenspace norms summed by ``hypot`` (the R route, ``_tails``), which also
-decides membership.  The R side sees a vector only through its measure (``operators._measure``):
-the Bernstein norm ``||(D/omega)^s f_omega||`` of :func:`bernstein_check` and :func:`bandwidth`
-weights its groups.
+identity is a real check: the residual in H (the E route, ``_distances``, a running sum inside
+each block of cuts, O(N^2) per vector at all of them) and the tail of the spectral measure, its
+eigenspace norms summed by ``hypot`` (the R route, ``_tails``), which also decides membership.
+The R side sees a vector only through its measure (``operators._measure``): the Bernstein norm
+``||(D/omega)^s f_omega||`` of :func:`bernstein_check` and :func:`bandwidth` weights its groups.
 """
 
 import math
@@ -45,9 +45,9 @@ BANDLIMITED_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 #: largest top band index a base may produce; bases closer to 1 are rejected
 MAX_BANDS = 100_000
-#: complex entries the E route holds at once: prefixes (rows x blocks x N), residuals (elements x N)
+#: complex entries the E route holds at once: block products (rows x blocks x N), running sums
 _E_CHUNK_ENTRIES = 1 << 14
-#: basis columns per block of the E route's running synthesis (the same bits as one at N <= W)
+#: basis columns per block of the E route: one product per full block, a running sum inside one
 _E_BLOCK = 32
 
 
@@ -138,36 +138,42 @@ def _step_nodes(dec: SpectralDecomposition) -> np.ndarray:
 
 def _distances(dec: SpectralDecomposition, fc, omegas) -> np.ndarray:
     """The E route, the twin of ``_tails`` that keeps ``E = R`` a real check: distance from ``f``
-    (its ``(v, c, e)``) to PW_omega at ``omegas`` broadcast against its rows, the norm of the
-    residual ``v - (P_k + V[:, kW:end] c[kW:end])`` in H (``W = _E_BLOCK``, ``k = end // W``, the
-    partial block masked), ``P_k`` the full-block products ``V[:, iW:(i+1)W] c[iW:(i+1)W]``, i < k,
-    added in ascending i and carried once per row: an element's bits depend only on its row and
-    its cut.  Each is the sum ``np.linalg.norm`` takes; one below ``2^-480`` (its squares may have
-    underflowed) is taken again at its own power-of-two scale (``_norm``)."""
+    (its ``(v, c, e)``) to PW_omega at ``omegas`` broadcast against its rows, the norm in H of
+    ``b_k - t_kW - ... - t_(end-1)``, ``t_j = V[:, j] c_j`` (``W = _E_BLOCK``, ``k = end // W``),
+    from ``b_0 = v``, ``b_(i+1) = b_i - V[:, iW:(i+1)W] c[iW:(i+1)W]``: the cuts of a block are
+    one running sum (in chunks, each from the last sum before), so a row at all cuts costs O(N^2)
+    and an element's bits depend only on its row, its cut and W.  Each is the sum that
+    ``np.linalg.norm`` takes, or if below ``2^-480`` taken again at its own scale (``_norm``)."""
     v, c, e = fc
     shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
     n, w, basis, size = dec.dim, _E_BLOCK, dec.eigenvectors, max(1, _E_CHUNK_ENTRIES // dec.dim)
-    v, c, j, norms = v.reshape(-1, n), c.reshape(-1, n), np.arange(n), np.empty(len(rows))
-    ks, users = ends // w, np.flatnonzero(np.bincount(rows, minlength=len(c)))  # rows in use
+    v, c, norms, ks = v.reshape(-1, n), c.reshape(-1, n), np.empty(len(rows)), ends // w
     blocks = basis[:, :n // w * w].reshape(n, n // w, w).transpose(1, 0, 2)  # the full blocks
     cb = c[:, :n // w * w].reshape(len(c), n // w, w)  # and their coefficients
     step = max(1, min(int(ks.max(initial=0)), size - 1))  # blocks per stacked product
-    for u in np.array_split(users, max(1, -(-len(users) * (step + 1) // size))):
+    for u in np.array_split(np.arange(len(c)), -(-len(c) // max(1, size // (step + 1))) or 1):
         mine = np.flatnonzero((rows >= u[:1]) & (rows <= u[-1:]))  # the elements of the rows u
-        top, prefix = int(ks[mine].max(initial=0)), np.zeros((len(u), n), complex)
-        for k in range(top + 1):  # prefix = P_k
-            if k % step == 0:  # the next step full blocks of the rows u, one stacked product
-                terms = _basis_product(blocks[k:k + step], cb[u, k:k + step])
-            at, cols = mine[ks[mine] == k], slice(k * w, (k + 1) * w)
-            for a in (at[s:s + size] for s in range(0, len(at), size)):  # a chunk of elements
-                z = np.where(j[cols] < ends[a, None], c[rows[a], cols], 0)
-                r = _basis_product(basis[:, cols], z) + prefix[np.searchsorted(u, rows[a])]
-                np.subtract(v[rows[a]], r, out=r)
-                norms[a] = np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
-                if np.any(small := (norms[a] < 2.0 ** -480) & (ends[a] < n)):
-                    norms[a[small]] = _norm(r[small])
+        top, base = int(ks[mine].max(initial=0)), v[u]  # b_0 = v (a copy)
+        for k in range(top + 1):
+            if k % step == 0:  # the next full blocks of the rows u up to b_top, one product
+                terms = _basis_product(blocks[k:min(k + step, top)], cb[u, k:min(k + step, top)])
+            if (at := mine[ks[mine] == k]).size:  # the elements cut in block k
+                off, by_cut = ends[at] - k * w, np.empty((w + 1, len(u)))  # norms per cut and row
+                z, buf = c[u, k * w:k * w + (m := int(off.max()))].T, base[None]
+                for s in range(0, max(m, 1), p := max(1, size // len(u) - 1)):  # p terms each
+                    cols = basis[:, k * w + s:k * w + min(s + p, m)].copy().T.copy()  # read by rows
+                    last, buf = buf[-1], np.empty((len(cols) + 1, len(u), n), complex)
+                    buf[0] = last
+                    np.multiply(z[s:s + p, :, None], cols[:, None], out=buf[1:])
+                    for prev, t in zip(buf, buf[1:]):  # one term at a time, in order
+                        np.subtract(prev, t, out=t)
+                    sq = np.vecdot(buf.real, buf.real) + np.vecdot(buf.imag, buf.imag)
+                    got = np.sqrt(sq, out=by_cut[s:s + len(buf)])
+                    if np.any(small := got[:n - k * w - s] < 2.0 ** -480):  # not at the cut N
+                        got[:len(small)][small] = _norm(buf[:len(small)][small])
+                norms[at] = by_cut[off, rows[at] - u[0]]
             if k < top:
-                prefix += terms[:, k % step]
+                base -= terms[:, k % step]  # b_(k+1)
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 

@@ -555,9 +555,9 @@ def riesz_symbol_mpmath(lam, omega, k_trunc):
 
 def distances_by_element(dec, fc, omegas):
     """The E distances one element at a time, each residual ``v - V (masked c)`` synthesized on
-    its own over all N columns and measured by ``np.linalg.norm``: the bits of the E route of
-    ``paley_wiener._distances`` at ``N <= _E_BLOCK``; beyond, the route sums the same products
-    in another order, and the two agree within ``N eps ||f||`` (``tests/test_sweeps.py``)."""
+    its own over all N columns and measured by ``np.linalg.norm``: the E route of
+    ``paley_wiener._distances`` sums the same products in another order, and the two agree
+    within ``N eps ||f||`` (``tests/test_sweeps.py``)."""
     v, c, e = fc
     shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
     v, c, j = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), np.arange(dec.dim)
@@ -602,11 +602,13 @@ def tails_by_element(dec, fc, omegas):
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))
 
 
-def distances_by_blocks(dec, fc, omegas):
-    """The E route of ``paley_wiener._distances`` by its block definition, one element at a
-    time: with ``W = _E_BLOCK`` and ``k = end // W``, the prefix ``P_k`` summed block by block
-    in a Python loop (``P_0 = 0``), the partial block masked below the cut, the residual
-    ``v - (P_k + partial)``, its norm and the re-take below ``2^-480`` at its own scale."""
+def distances_by_masked_blocks(dec, fc, omegas):
+    """The E route's block definition before it became a running sum, one element at a time:
+    with ``W = _E_BLOCK`` and ``k = end // W``, the prefix ``P_k`` summed block by block in a
+    Python loop (``P_0 = 0``), the partial block masked below the cut, the residual
+    ``v - (P_k + partial)``, its norm and the re-take below ``2^-480`` at its own scale.  Each
+    masked block cost O(N W) per cut; ``paley_wiener._distances`` agrees with it within
+    ``N eps ||f||`` (``tests/test_sweeps.py``)."""
     w, (v, c, e) = paley_wiener._E_BLOCK, fc
     shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
     v, c, basis = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), dec.eigenvectors
@@ -618,6 +620,30 @@ def distances_by_blocks(dec, fc, omegas):
         cols = slice(k * w, (k + 1) * w)
         z = np.where(np.arange(dec.dim)[cols] < end, c[i, cols], 0)
         r = v[i] - (prefix + _basis_product(basis[:, cols], z))
+        norm = math.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
+        norms.append(_norm(r) if norm < 2.0 ** -480 and end < dec.dim else norm)
+    return _unscaled(np.reshape(norms, shape), e.reshape(shape))
+
+
+def distances_by_running_sum(dec, fc, omegas):
+    """The E route of ``paley_wiener._distances`` by its definition, one element at a time: with
+    ``W = _E_BLOCK`` and ``k = end // W``, the block base ``b_k`` from ``b_0 = v`` by subtracting
+    the full-block products ``V[:, bW:(b+1)W] c[bW:(b+1)W]`` block by block, then the terms
+    ``t_j = V[:, j] c_j`` of the partial block subtracted column by column in a Python loop,
+    ``j = kW .. end - 1``; the norm of the residual and the re-take below ``2^-480`` at its own
+    scale."""
+    w, (v, c, e) = paley_wiener._E_BLOCK, fc
+    shape, rows, (ends, e) = _broadcast(c, _pw_prefix(dec, omegas), e)
+    v, c, basis = v.reshape(-1, dec.dim), c.reshape(-1, dec.dim), dec.eigenvectors
+    norms = []
+    for i, end in zip(rows.tolist(), ends.tolist()):
+        r = v[i].copy()
+        for b in range(end // w):
+            r = r - _basis_product(basis[:, b * w:(b + 1) * w], c[i, b * w:(b + 1) * w])
+        for j in range(end // w * w, end):
+            t = np.empty(dec.dim, complex)
+            t.real, t.imag = basis[:, j] * c[i, j].real, basis[:, j] * c[i, j].imag
+            r = r - t
         norm = math.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
         norms.append(_norm(r) if norm < 2.0 ** -480 and end < dec.dim else norm)
     return _unscaled(np.reshape(norms, shape), e.reshape(shape))

@@ -6,8 +6,8 @@ decides membership of PW_omega, one function decides every spectral cut, one shi
 samples the differences, one Tikhonov path serves ``K(t)`` and its norm, the kernel's
 constants have one evaluator and no quadrature, one step pools
 the norm of each eigenspace where a vector enters and feeds the R side, whose helpers take no
-coefficient row and whose tails take no ``np.linalg.norm`` and no re-take, only the
-vector domain reads the eigenvectors, and the library
+coefficient row and whose tails take no ``np.linalg.norm`` and no re-take, the E route
+reads nothing of the R side, only the vector domain reads the eigenvectors, and the library
 imports no third-party package but NumPy.  The public names of the package are pinned, and no
 module binds a retired one."""
 
@@ -283,6 +283,16 @@ def test_only_the_vector_domain_reads_the_basis():
         "approx_operators.jackson_check", "decomposition._band_split",
         "operators.SpectralDecomposition", "operators._synthesize", "operators.inverse_transform",
         "operators.spectral_transform", "paley_wiener._distances"]
+
+
+def test_the_e_route_reads_nothing_of_the_r_route():
+    # E = R is a check between two independent routes only while the residual in H takes no
+    # part of the R side: no spectral measure, no tail, no hypot and no eigenspace grouping
+    tree = ast.parse((SRC / "paley_wiener.py").read_text(encoding="utf-8"))
+    route = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_distances")
+    for name in ("_measure", "_tails", "hypot", "_starts"):
+        assert not any(map(_reads(name), ast.walk(route))), name
 
 
 def test_one_cut_rule():

@@ -5,9 +5,10 @@ reproducible.  A case is a decomposition with no eigensolver behind it
 (``np.linalg.qr`` of a seeded Gaussian, N from 1 to 80, so across
 ``_E_BLOCK``), a spectrum of repeated values with or without a kernel, rows at
 scales ``2^+-500`` and omegas at the group values and between them.  The laws: the
-E route is its block definition, E = R, a rotation of the basis inside each
-eigenspace moves no coefficient tail and no Bernstein ratio beyond a few ulps, and
-each element of a block call has the bits of the call on its row and parameters.
+E route is its running-sum definition (``oracles.distances_by_running_sum``), E = R,
+a rotation of the basis inside each eigenspace moves no coefficient tail and no
+Bernstein ratio beyond a few ulps, and each element of a block call has the bits of
+the call on its row and parameters.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ from bandapprox import (
 from bandapprox.harness import DEFAULT_TOLERANCES
 from bandapprox.operators import _coefficients, _norm
 from conftest import random_vector
-from oracles import distances_by_blocks
+from oracles import distances_by_running_sum
 from test_api_rules import BLOCK_CALLS
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -58,7 +59,7 @@ def cases(draw):
 @given(cases())
 def test_e_route_is_its_block_definition(case):
     dec, rows, omegas = case
-    expected = distances_by_blocks(dec, _coefficients(dec, rows[:, None]), omegas)
+    expected = distances_by_running_sum(dec, _coefficients(dec, rows[:, None]), omegas)
     np.testing.assert_array_equal(best_approx(dec, rows[:, None], omegas), expected)
 
 

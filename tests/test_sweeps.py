@@ -10,11 +10,13 @@ move a single bit: every element equals the call on its row and scalar
 parameters alone (0 ulp), on every operator family, for the zero vector and
 at scales 1e+-150.  Each element is also rebuilt from the per-omega
 ``best_approx`` or ``spectral_tail`` calls of its own route and base, and the
-E route, which carries each row's sum of full-block products through the call
-and masks only the partial block of each cut, from its block definition taken
-one element at a time (``oracles.distances_by_blocks``), bit for bit; it is the
-per-element synthesis it replaced (``oracles.distances_by_element``) bit for
-bit at N <= ``_E_BLOCK``, and within N eps ||f|| beyond (a reordered sum).
+E route, which carries each row's block base (v less its full-block products)
+through the call and takes the cuts inside a block as one running sum, from its
+definition taken one element at a time (``oracles.distances_by_running_sum``),
+bit for bit at every chunk size; it is the masked-block route it replaced
+(``oracles.distances_by_masked_blocks``) and one synthesis per element
+(``oracles.distances_by_element``) within N eps ||f|| (the same products
+summed in another order).
 
 The shift scan, the K path, the seminorm and the norm take a block of vectors
 (``_moduli``, ``_running_modulus``, ``_k_functional_values``, ``_seminorm_sup``, ``_norm``),
@@ -86,7 +88,12 @@ from bandapprox.smoothness import (
     _seminorm_sup,
 )
 from conftest import random_vector
-from oracles import dense_union_check, distances_by_blocks, distances_by_element
+from oracles import (
+    dense_union_check,
+    distances_by_element,
+    distances_by_masked_blocks,
+    distances_by_running_sum,
+)
 
 #: cycle, path, random PSD, raw_D with eigenvalues on the base-2 band edges, N = 1,
 #: the spectrum {0}, the fully degenerate complete graph, and (as "disconnected")
@@ -403,25 +410,23 @@ def random256_dec():
     return SpectralDecomposition(eigenvalues=np.sqrt(np.maximum(w, 0.0)), eigenvectors=v)
 
 
-def _assert_element_synthesis_agrees(dec, fc, omegas, got):
-    """``got``, the E route at ``omegas``, against one synthesis over all N columns per element:
-    the same bits at N <= ``_E_BLOCK``; beyond, the same products summed in another order, so
-    within N eps ||f|| (at N = 256 the two differ by at most about 2e-16 ||f||)."""
-    expected = distances_by_element(dec, fc, omegas)
-    if dec.dim <= paley_wiener._E_BLOCK:
-        np.testing.assert_array_equal(got, expected)
-    else:
-        bound = dec.dim * np.finfo(float).eps * _norm(fc[0], fc[2])
-        assert np.all(np.abs(got - expected) <= bound)
+def _assert_element_synthesis_agrees(dec, fc, omegas, got, oracle=distances_by_element):
+    """``got``, the E route at ``omegas``, against one synthesis over all N columns per element
+    (or the masked-block route): the same products summed in another order, so within
+    N eps ||f|| at every N; the running sum subtracts the terms of a partial block one at a
+    time, where a synthesis adds them in a matrix product, so not bit for bit even at
+    N <= ``_E_BLOCK`` (at N = 256 the two differ by at most about 2e-16 ||f||)."""
+    bound = dec.dim * np.finfo(float).eps * _norm(fc[0], fc[2])
+    assert np.all(np.abs(got - oracle(dec, fc, omegas)) <= bound)
 
 
 def _assert_e_route_matches_the_element_loop(dec, vectors):
-    """``best_approx`` and the E flavors of every row of ``vectors`` at 0 ulp from the block
-    definition taken one element at a time, and near the per-element synthesis."""
+    """``best_approx`` and the E flavors of every row of ``vectors`` at 0 ulp from the running
+    sum taken one element at a time, and near the per-element synthesis."""
     nodes = _step_nodes(dec)
     omegas = np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:]), [1.5 * nodes[-1] + 1.0]))
     fc = _coefficients(dec, vectors[:, None])
-    expected = distances_by_blocks(dec, fc, omegas)
+    expected = distances_by_running_sum(dec, fc, omegas)
     np.testing.assert_array_equal(best_approx(dec, vectors[:, None], omegas), expected)
     _assert_element_synthesis_agrees(dec, fc, omegas, expected)
     for f, row in zip(vectors, expected):
@@ -432,9 +437,9 @@ def _assert_e_route_matches_the_element_loop(dec, vectors):
         for f in vectors:
             fc = _coefficients(dec, f)
             integral.append(_norm(f) + _integral_norm(
-                nodes, distances_by_blocks(dec, fc, nodes[:-1]), alpha, q))
+                nodes, distances_by_running_sum(dec, fc, nodes[:-1]), alpha, q))
             discrete.append(_norm(f) + _discrete_norm(
-                distances_by_blocks(dec, fc, edges), alpha, q, a))
+                distances_by_running_sum(dec, fc, edges), alpha, q, a))
         np.testing.assert_array_equal(
             besov_norm(dec, vectors, BesovParams(alpha=alpha, q=q, flavor="integral_E")), integral)
         np.testing.assert_array_equal(
@@ -450,8 +455,8 @@ def test_e_route_matches_the_element_loop(dec, rng, monkeypatch, chunk):
 
 
 def test_e_route_matches_the_element_loop_at_n256(random256_dec, rng):
-    # 8 full blocks of 32 columns: each row's prefixes P_0 .. P_8 in one table, and 64
-    # residuals per chunk, so the cuts of every block cross a chunk boundary
+    # 8 full blocks of 32 columns: the block bases b_0 .. b_8 of the 4 rows carried together, and
+    # 16 sums of each row per chunk, so the running sum of every block crosses two boundaries
     _assert_e_route_matches_the_element_loop(random256_dec, _vectors(rng, 256))
 
 
@@ -459,7 +464,7 @@ def test_e_route_crosses_a_chunk_boundary_at_its_own_size(dec, rng):
     f = random_vector(rng, dec.dim)
     omegas = rng.uniform(0.0, 1.2 * dec.lambda_max, paley_wiener._E_CHUNK_ENTRIES // dec.dim + 5)
     np.testing.assert_array_equal(best_approx(dec, f, omegas),
-                                  distances_by_blocks(dec, _coefficients(dec, f), omegas))
+                                  distances_by_running_sum(dec, _coefficients(dec, f), omegas))
 
 
 def _synthetic_dec(n, basis="qr"):
@@ -473,7 +478,7 @@ def _synthetic_dec(n, basis="qr"):
 W = paley_wiener._E_BLOCK
 
 
-@pytest.mark.parametrize("chunk", [None, 3], ids=["default", "3-elements"])
+@pytest.mark.parametrize("chunk", [None, 3, 1], ids=["default", "3-elements", "1-element"])
 @pytest.mark.parametrize("basis", ["qr", "identity"])
 @pytest.mark.parametrize("n", [W - 1, W, W + 1, 2 * W, 2 * W + 1, 100])
 def test_e_route_is_its_block_definition(monkeypatch, n, basis, chunk):
@@ -481,7 +486,9 @@ def test_e_route_is_its_block_definition(monkeypatch, n, basis, chunk):
     # and a row whose upper half is 2^-600 of its lower half: in the identity basis its
     # residuals there are 2^-600 relative, so their squares underflow and the norm is re-taken
     # at its own scale (with a QR basis round-off of the synthesis dominates them)
-    if chunk is not None:  # 3 elements and 3 / (N + 1) rows of prefixes per chunk
+    if chunk is not None:  # a block base and 2 terms (or 1) per piece of the running sum; one
+        # entry of N per chunk is the size at N > 8192, where the rows once split into more
+        # chunks than there were rows
         monkeypatch.setattr(paley_wiener, "_E_CHUNK_ENTRIES", chunk * n)
     dec, f = _synthetic_dec(n, basis), random_vector(np.random.default_rng(n + 1), n)
     upper = np.arange(n) >= n // 2
@@ -489,7 +496,7 @@ def test_e_route_is_its_block_definition(monkeypatch, n, basis, chunk):
                         np.where(upper, 2.0 ** -600 * f, f)])
     omegas, fc = np.arange(n + 1.0), _coefficients(dec, vectors[:, None])
     got = best_approx(dec, vectors[:, None], omegas)
-    np.testing.assert_array_equal(got, distances_by_blocks(dec, fc, omegas))
+    np.testing.assert_array_equal(got, distances_by_running_sum(dec, fc, omegas))
     for i, row in enumerate(vectors):
         np.testing.assert_array_equal(best_approx(dec, row, omegas), got[i])
     # the element oracle takes no norm again, so the last row is left out
@@ -501,10 +508,21 @@ def test_e_route_is_its_block_definition(monkeypatch, n, basis, chunk):
                                    rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [W - 1, W, W + 1, 2 * W, 2 * W + 1, 100, 256])
+def test_e_route_is_near_the_masked_block_route(n):
+    # the running sum against the route it replaced, which masked the partial block of each cut
+    # in one product: every cut from 0 through N, rows at 2^+-1000 and the zero row
+    dec, f = _synthetic_dec(n), random_vector(np.random.default_rng(n + 2), n)
+    vectors = np.array([f, 2.0 ** 1000 * f, 2.0 ** -1000 * f, np.zeros(n)])
+    omegas, fc = np.arange(n + 1.0), _coefficients(dec, vectors[:, None])
+    _assert_element_synthesis_agrees(dec, fc, omegas, best_approx(dec, vectors[:, None], omegas),
+                                     distances_by_masked_blocks)
+
+
 def test_e_route_at_n1024_stays_in_the_chunk_bound():
     # one vector at all 1,025 step nodes of a synthetic N = 1024 decomposition: the route holds
-    # a table of prefixes and a chunk of residuals of _E_CHUNK_ENTRIES complex entries each,
-    # with the products that form them, never N^2 entries (16 MiB here)
+    # its stacked full-block products and a piece of running sums of _E_CHUNK_ENTRIES complex
+    # entries each, with the products that form them, never N^2 entries (16 MiB here)
     dec = _synthetic_dec(1024)
     f = random_vector(np.random.default_rng(1024), 1024)
     nodes = _step_nodes(dec)
