@@ -287,11 +287,11 @@ def riesz_identity_check(dec: SpectralDecomposition, f, omega, power: int = 1,
     if not (_is_int(power) and power >= 1):
         raise InvalidParamsError(f"power must be an integer >= 1, got {power!r}")
     cfg = RieszConfig(omega=omega, k_trunc=k_trunc)
-    v, c, e = _coefficients(dec, f)
+    v, c, _ = _coefficients(dec, f)
     _require_pw(dec, c, cfg.omega)  # a zero row passes
     rho = riesz_symbol(dec.eigenvalues, cfg)
-    gaps = _norm((1j * dec.eigenvalues) ** power * c - rho ** power * c, e)
-    norms = _norm(v, e)
+    gaps = _norm((1j * dec.eigenvalues) ** power * c - rho ** power * c)  # at the row's scale,
+    norms = _norm(v)  # as is its norm: the ratio drops their common 2^e
     residual = np.divide(gaps, norms, out=np.zeros(np.shape(gaps)), where=norms > 0.0)
     tail_bound = _shaped(np.broadcast_to(cfg.tail_bound, residual.shape))
     return RieszIdentityReport(_shaped(residual), tail_bound, k_trunc, cfg.omega, power)

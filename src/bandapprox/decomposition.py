@@ -122,7 +122,7 @@ def equivalence_report(dec: SpectralDecomposition, vectors, alpha, q,
         frames[i] = norms[rows[i]] + _discrete_norm(band_norms[rows[i]], x, y, a)
     ratios = _shaped(np.divide(frames, _besov_norms(dec, fc, params).ravel()), shape)
     if not np.size(ratios):
-        raise InvalidParamsError("equivalence_report needs at least one vector")
+        raise InvalidParamsError("equivalence_report got an empty axis of (alpha, q)")
     return EquivalenceReport(alpha=alpha, q=q, a=a, ratios=ratios,
                              ratio_lo=_shaped(np.min(ratios, axis=0)),
                              ratio_hi=_shaped(np.max(ratios, axis=0)))

@@ -20,9 +20,9 @@ Conventions
 * a vector argument may be a block of rows ``(..., N)``, with the parameters
   of a call broadcast against ``f.shape[:-1]`` as NumPy broadcasts; each row
   takes its own matrix-vector products, so its bits do not depend on the block,
-* each row enters scaled by a power of two (``_scaled``), and every result taken at that
-  scale gets its ``2^e`` back through ``_unscaled``, exactly or as a :class:`NonFiniteError`
-  past the largest double; ``_norm`` sums rows there, one stacked dot product each.
+* each row enters scaled by a power of two (``_scaled``) and each result gets its ``2^e`` back
+  (``_unscaled``), so a result of degree d in ``f`` on ``2^j f`` is ``2^(jd)`` times that on ``f``,
+  bit for bit in the normal range, or past the largest double a :class:`NonFiniteError`.
 """
 
 import math
@@ -121,14 +121,13 @@ def _check_order(m, low: int, error=InvalidParamsError, k=0) -> None:
 
 
 def _scaled(x) -> tuple:
-    """``(x 2^-e, e)`` row by row, with ``max |x| 2^-e`` in ``[0.5, 1)`` (below at ``e = -1022``,
-    so ``2^-e`` is a finite double): squares of the scaled entries neither overflow nor
-    underflow, and sums of them, their roots and inner products get their ``2^e`` back exactly
-    (``_unscaled``)."""
+    """``(x 2^-e, e)`` row by row, the largest real or imaginary part of ``x 2^-e`` in [0.5, 1)
+    (a modulus may pass the largest double), or below at ``e = -1022``: no square of an entry
+    under- or overflows, and sums, roots and inner products get ``2^e`` back (``_unscaled``)."""
+    top = np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=-1, initial=0.0)
     if x.ndim == 1:  # one vector: Python scalars, at half the cost of NumPy's
-        e = max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1022)
-        return x * 2.0 ** -e, e
-    e = np.maximum(np.frexp(np.abs(x).max(axis=-1, initial=0.0))[1], -1022)
+        return x * 2.0 ** -(e := max(math.frexp(top)[1], -1022)), e
+    e = np.maximum(np.frexp(top)[1], -1022)
     return x * np.ldexp(1.0, -e)[..., None], e
 
 
@@ -356,7 +355,8 @@ def _basis_product(basis: np.ndarray, z) -> np.ndarray:
 
 def spectral_transform(dec: SpectralDecomposition, f) -> np.ndarray:
     """Coefficients ``c_j = <f, u_j>`` of ``f`` in the eigenbasis (unitary), row by row."""
-    return _basis_product(dec.eigenvectors.T, _as_block(f, dec.dim))
+    _, c, e = _coefficients(dec, f)  # each row at its scale, so no product is subnormal
+    return _unscaled(c, np.expand_dims(e, -1))
 
 
 def _coefficients(dec: SpectralDecomposition, f) -> tuple:
@@ -364,7 +364,7 @@ def _coefficients(dec: SpectralDecomposition, f) -> tuple:
     and ``c = V^T v``.  Each public function takes each vector argument through this once
     and hands the triple to its private helpers; the coefficients of ``f`` are ``c 2^e``."""
     v, e = _scaled(_as_block(f, dec.dim))
-    return v, spectral_transform(dec, v), e
+    return v, _basis_product(dec.eigenvectors.T, v), e
 
 
 def _measure(dec: SpectralDecomposition, c) -> tuple:
@@ -394,7 +394,7 @@ def _powered(measure, k) -> tuple:
 
 def inverse_transform(dec: SpectralDecomposition, coeffs) -> np.ndarray:
     """Synthesize the vector whose eigenbasis coefficients are ``coeffs``, row by row."""
-    return _basis_product(dec.eigenvectors, _as_block(coeffs, dec.dim))
+    return _synthesize(dec, 1.0, *_scaled(_as_block(coeffs, dec.dim)))
 
 
 def apply_multiplier(dec: SpectralDecomposition, phi, f) -> np.ndarray:

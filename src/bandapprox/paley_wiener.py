@@ -264,13 +264,13 @@ def bandwidth(dec: SpectralDecomposition, f, k_max: int = 40,
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     probe = omega_f if probe_omega is None else np.broadcast_to(_omegas(probe_omega), e.shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # log 0 = -inf
-        log_norms = (ks * np.log(omega_f)[:, None] + e[:, None] * math.log(2.0)
-                     + np.log(_bernstein_norms(dec, measure, omega_f, ks)))
-        k_sequence = _finite(np.exp(log_norms / ks))  # past the largest double: NonFiniteError
-        ratios = np.exp(np.max(log_norms - ks * np.log(probe)[:, None], axis=-1))
-    _finite(ratios[probe > 0.0])
+        log_v = ks * np.log(omega_f)[:, None] + np.log(_bernstein_norms(dec, measure, omega_f, ks))
+        k_sequence = _finite(np.exp((log_v + e[:, None] * math.log(2.0)) / ks))  # NonFiniteError
+        log_r = np.max(log_v - ks * np.log(probe)[:, None], axis=-1)  # = log(2^d e^r), e^r < 2
+        d = np.floor(np.where(np.isfinite(log_r), log_r, 0.0) / math.log(2.0)).astype(int)
+        ratios = _unscaled(np.where(probe > 0.0, np.exp(log_r - d * math.log(2.0)), 0.0), e + d)
     # probe 0: every ratio is 0/0 with D^k f = 0, or +inf otherwise
-    zero = np.where(np.all(np.isneginf(log_norms), axis=-1), 0.0, math.inf)
+    zero = np.where(np.all(np.isneginf(log_v), axis=-1), 0.0, math.inf)
     return BandwidthReport(omega_f=_shaped(omega_f, shape),
                            k_sequence=k_sequence.reshape(shape + ks.shape),
                            sup_ratio=_shaped(np.where(probe > 0.0, ratios, zero), shape),

@@ -503,13 +503,22 @@ def _k_path(measure, e, r: int, domain_norm: str) -> tuple:
         log_x = log_s[..., None] + log_w
         m, n = (np.minimum(x, 0.0)[..., None] for x in (log_s + top, -log_s - bot))
         den = 1.0 + np.exp(-np.abs(log_x))
-        y = np.exp(np.minimum(log_x, m) - m) / den  # x/(1+x) e^-m
-        z = np.exp(np.minimum(-log_x, n) - n) / den  # 1/(1+x) e^-n
+        ly, lz = np.minimum(log_x, m) - m, np.minimum(-log_x, n) - n  # log(y den), log(z den)
+        y, z = np.exp(ly) / den, np.exp(lz) / den  # x/(1+x) e^-m and 1/(1+x) e^-n
         s2, sz, s2z = (np.vecdot(p, v) for v in (y * y, y * z, y * y * z))
-        m, n = m[..., 0], n[..., 0]
-        return (np.exp(m) * np.sqrt(s2), np.exp((m + n - log_s) / 2.0) * np.sqrt(sz),
-                (log_s - m + n + np.log(sz / s2)) / 2.0,
-                1.0 - s2z * (np.exp(n) / s2 + np.exp(m) / sz))
+        m, n, low = m[..., 0], n[..., 0], np.minimum(s2, sz) < np.finfo(float).tiny
+        with np.errstate(all="ignore"):  # a NaN or inf only where a sum is below normal
+            out = (np.exp(m) * np.sqrt(s2), np.exp((m + n - log_s) / 2.0) * np.sqrt(sz),
+                   (log_s - m + n + np.log(sz / s2)) / 2.0,
+                   1.0 - s2z * (np.exp(n) / s2 + np.exp(m) / sz))
+            if np.any(low):  # a range guard: there each sum as its log, at its own scale
+                ly, lz = ly - np.log(den), lz - np.log(den)  # log y, log z
+                s2, sz, s2z = ((h := x.max(-1)) + np.log(np.exp(x - h[..., None]).sum(-1))
+                               for x in (np.log(p) + v for v in (2 * ly, ly + lz, 2 * ly + lz)))
+                out = tuple(np.where(low, x, o) for x, o in zip((np.exp(m + s2 / 2.0), np.exp(
+                    (m + n - log_s + sz) / 2.0), (log_s - m + n + sz - s2) / 2.0,
+                    1.0 - np.exp(s2z + n - s2) - np.exp(s2z + m - sz)), out))
+        return out
 
     w_hat, k = _scaled(np.where(mag2 > 0.0, w, 0.0))  # w 2^-k, each row's own k
     b2 = np.sum(mag2 * w_hat, axis=-1)
@@ -698,5 +707,7 @@ def lemma1_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) ->
 
 def lemma2_check(dec: SpectralDecomposition, f, alpha: float, n: int, r: int) -> LemmaReport:
     """Measure the modulus seminorm against ``||f|| + sup_s s^alpha E(f, s)``, rows as in
-    :func:`lemma1_check`."""
-    return _lemma_reports(dec, _coefficients(dec, f), alpha, n, r)[1]
+    :func:`lemma1_check`; a right side past the largest double raises :class:`NonFiniteError`."""
+    report = _lemma_reports(dec, _coefficients(dec, f), alpha, n, r)[1]
+    _finite(report.rhs, "lemma 2's right side ||f|| + sup_s s^alpha E(f, s)")
+    return report

@@ -15,18 +15,18 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def diag_dec():
     """D = diag(1, 2, 3), given directly."""
     return eigh(SymmetricOperator(np.diag([1.0, 2.0, 3.0]), kind=RAW_D))
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")  # a decomposition is read-only, so tests may share one
 def cycle16_dec():
     return eigh(build_operator(OperatorSpec(builtin="cycle", size=16)))
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def random_dec():
     op = build_operator(OperatorSpec(builtin="random_psd", size=12, seed=99))
     return eigh(op)
@@ -59,8 +59,9 @@ def _count_calls(monkeypatch, original) -> list:
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """The ``spectral_transform`` calls, counted as in ``_count_calls``."""
-    return _count_calls(monkeypatch, operators.spectral_transform)
+    """The coefficient transforms (``operators._coefficients``, which ``spectral_transform``
+    calls too), counted as in ``_count_calls``."""
+    return _count_calls(monkeypatch, operators._coefficients)
 
 
 @pytest.fixture

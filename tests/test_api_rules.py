@@ -4,7 +4,8 @@ A vector argument ``f`` may be a block of shape ``(..., N)``; the numeric
 parameters of the call broadcast against ``f.shape[:-1]`` as NumPy
 broadcasts, and the result takes the broadcast shape.  A 1-D ``f`` with
 scalar parameters returns a float or a report of floats, as before.  A
-ragged block is a typed error, not NumPy's bare ValueError.  The
+ragged block is a typed error, not NumPy's bare ValueError.  The block rules
+run over the registry of public calls (``public_calls.CALLS``).  The
 m-th difference is defined for integer m only, so every entry point that
 takes a difference order rejects any other with a typed error.
 """
@@ -23,11 +24,9 @@ from bandapprox import (
     InvalidParamsError,
     KernelOrderMismatchError,
     RieszConfig,
-    apply_multiplier,
     band_decompose,
     bandwidth,
     bernstein_check,
-    besov_norm,
     besov_seminorm_sup,
     best_approx,
     build_kernel,
@@ -35,7 +34,6 @@ from bandapprox import (
     eigh,
     equivalence_report,
     frame_norm,
-    inverse_transform,
     jackson_check,
     jackson_constant,
     k_functional,
@@ -50,138 +48,74 @@ from bandapprox import (
     riesz_identity_check,
     schrodinger_group,
     spectral_tail,
-    spectral_transform,
     sup_scaled_best_approx,
     synthesis_check,
 )
 from bandapprox.harness import build_operator, parse_operator_arg
 from conftest import random_vector
-from oracles import dense_union_check, operator_power, q_symbol_by_quadrature
+from oracles import operator_power, q_symbol_by_quadrature
+from public_calls import AXIS_NAMES, BLOCK_NAMES, CALLS, check_block, fields, prepare
 
 KERNEL = build_kernel(8, 2)
 
-#: (name, call on (dec, f, omega)) for every public function the shape rule covers; each
-#: call's parameter broadcasts against the rows of ``f``
-BLOCK_CALLS = {
-    "spectral_transform": lambda dec, f, w: spectral_transform(dec, f),
-    "inverse_transform": lambda dec, f, w: inverse_transform(dec, f),
-    "apply_multiplier": lambda dec, f, w: apply_multiplier(
-        dec, lambda lam: np.cos(np.multiply.outer(w, lam)), f),
-    "pw_project": lambda dec, f, w: pw_project(dec, f, w),
-    "schrodinger_group": lambda dec, f, w: schrodinger_group(dec, w + 0.5j, f),
-    "best_approx": lambda dec, f, w: best_approx(dec, f, w),
-    "spectral_tail": lambda dec, f, w: spectral_tail(dec, f, w),
-    "bernstein_check": lambda dec, f, w: bernstein_check(
-        dec, pw_project(dec, f, 1.0), w + 1.0, (0.5, 2.0)).max_ratio,
-    "modulus_inequality_checks": lambda dec, f, w: modulus_inequality_checks(
-        dec, f, w, 2.0, 2, 1).ratio_scale,
-    "jackson_check": lambda dec, f, w: jackson_check(dec, f, w + 0.1, 2, 1, KERNEL).ratio_q,
-    "lemma1_check": lambda dec, f, w: lemma1_check(dec, f, 1.5, 1, 2).ratio,
-    "lemma2_check": lambda dec, f, w: lemma2_check(dec, f, 1.5, 1, 2).ratio,
-    "equivalence_report": lambda dec, f, w: equivalence_report(dec, f, w + 0.5, 2.0).ratios,
-    "riesz_apply": lambda dec, f, w: riesz_apply(dec, f, RieszConfig(omega=w + 0.1)),
-    "band_decompose": lambda dec, f, w: band_decompose(dec, f).bands,
-    # each row one band set of a single band
-    "synthesis_check": lambda dec, f, w: synthesis_check(dec, f[..., None, :], 0.8).ratio,
-    "modulus": lambda dec, f, w: modulus(dec, f, 0.7, 2),
-    "k_functional": lambda dec, f, w: k_functional(dec, f, 0.3, 2),
-    "besov_seminorm_sup": lambda dec, f, w: besov_seminorm_sup(dec, f, 1.5, 1, 2),
-    "bandwidth": lambda dec, f, w: bandwidth(dec, f).omega_f,
-    "sup_scaled_best_approx": lambda dec, f, w: sup_scaled_best_approx(dec, f, 0.8),
-    # spectral_tail at the axis of step nodes, for each row
-    "dense_union_check": lambda dec, f, w: dense_union_check(dec, f, 1e-3),
-    "riesz_identity_check": lambda dec, f, w: riesz_identity_check(
-        dec, pw_project(dec, f, 1.0), w + 1.0).residual,
-}
 
-#: calls that take ``f`` as a block but no parameter to broadcast against it (their scalar
-#: parameters take one number, ``SCALAR_ONLY``)
-NO_PARAMETER = ("spectral_transform", "inverse_transform", "lemma1_check", "lemma2_check",
-                "band_decompose", "synthesis_check", "modulus", "k_functional",
-                "besov_seminorm_sup", "bandwidth", "sup_scaled_best_approx", "dense_union_check")
-
-
-@pytest.mark.parametrize("name", sorted(BLOCK_CALLS))
+@pytest.mark.parametrize("name", sorted(CALLS))
 def test_shapes_that_do_not_broadcast_raise_dimension_mismatch(cycle16_dec, rng, name):
-    block = np.array([random_vector(rng, 16) for _ in range(3)])
+    # 3 rows against an axis of 2 where the parameter broadcasts, else rows of length 5
+    f = prepare(name, cycle16_dec, np.array([random_vector(rng, 16) for _ in range(3)]), 1.2)
+    p = np.array([0.6, 1.2]) if CALLS[name].broadcasts else 0.6
     with pytest.raises(DimensionMismatchError):
-        BLOCK_CALLS[name](cycle16_dec, block[:, :5] if name in NO_PARAMETER else block,
-                          np.array([0.6, 1.2]))
+        CALLS[name].call(cycle16_dec, f if CALLS[name].broadcasts else f[..., :5], p)
 
 
-@pytest.mark.parametrize("name", sorted(set(BLOCK_CALLS) - {"equivalence_report"}))
+@pytest.mark.parametrize("name", BLOCK_NAMES)
 def test_an_empty_block_gives_an_empty_result(cycle16_dec, name):
-    out = BLOCK_CALLS[name](cycle16_dec, np.zeros((0, 16)), 0.9)
-    assert isinstance(out, np.ndarray) and out.shape[0] == 0
+    f = prepare(name, cycle16_dec, np.zeros((0, 16)), 0.9)
+    values = fields(CALLS[name].call(cycle16_dec, f, 0.9))
+    assert any(isinstance(x, np.ndarray) and x.shape[:1] == (0,) for x in values.values())
 
 
 @pytest.mark.parametrize("vectors", [[], np.zeros((0, 16))], ids=["list", "block"])
 def test_an_empty_corpus_is_still_rejected(cycle16_dec, vectors):
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidParamsError, match="at least one vector"):
         equivalence_report(cycle16_dec, vectors, 0.8, 2.0)
 
 
-@pytest.mark.parametrize("name", sorted(set(BLOCK_CALLS) - set(NO_PARAMETER)))
+def test_an_empty_parameter_axis_is_named(cycle16_dec, rng):
+    # a vector was given, so the refusal names the empty axis of (alpha, q), not the corpus
+    for alpha, q in (([], 2.0), (0.8, []), ([], [])):
+        with pytest.raises(InvalidParamsError, match=r"empty axis of \(alpha, q\)"):
+            equivalence_report(cycle16_dec, random_vector(rng, 16), alpha, q)
+
+
+@pytest.mark.parametrize("name", AXIS_NAMES)
 def test_rows_against_a_parameter_axis_give_a_grid(cycle16_dec, rng, name):
     # f of shape (M, 1, N) against omega of shape (W,): one result per vector and omega
     block = np.array([random_vector(rng, 16) for _ in range(3)])
     omegas = np.array([0.6, 1.2, 1.9, 0.3])
-    grid = BLOCK_CALLS[name](cycle16_dec, block[:, None], omegas)
-    assert grid.shape[:2] == (3, 4)
-    for i, f in enumerate(block):
-        for j, omega in enumerate(omegas):
-            np.testing.assert_array_equal(grid[i, j], BLOCK_CALLS[name](cycle16_dec, f, omega))
+    if name in BLOCK_NAMES:
+        check_block(name, cycle16_dec, prepare(name, cycle16_dec, block[:, None], omegas), omegas)
+        return
+    call = CALLS[name].call  # a corpus, whose ratios are the grid
+    grid = call(cycle16_dec, block[:, None], omegas).ratios
+    assert grid.tolist() == [[call(cycle16_dec, f, p).ratios[0] for p in omegas] for f in block]
 
 
 def test_one_vector_keeps_its_return_types(cycle16_dec, rng):
+    # one vector and one number per parameter: every field a Python float (or int), not a
+    # NumPy scalar, or an array of the call's own axes
     f = random_vector(rng, 16)
-    g = pw_project(cycle16_dec, f, 1.0)
-    assert type(best_approx(cycle16_dec, f, 0.9)) is float
-    assert type(spectral_tail(cycle16_dec, f, 0.9)) is float
-    assert type(besov_norm(cycle16_dec, f, BesovParams(alpha=0.8, q=2.0))) is float
-    rep = bernstein_check(cycle16_dec, g, 1.0, (0.5, 2.0))
-    assert (type(rep.omega), type(rep.max_ratio), rep.ratios.shape) == (float, float, (2,))
-    rep = modulus_inequality_checks(cycle16_dec, f, 0.7, 2.0, 2, 1)
-    assert {type(x) for x in vars(rep).values()} == {float}
-    rep = jackson_check(cycle16_dec, f, 1.2, 2, 1, KERNEL)
-    assert {type(x) for x in vars(rep).values()} == {float}
-    for check in (lemma1_check, lemma2_check):
-        assert {type(x) for x in vars(check(cycle16_dec, f, 1.5, 1, 2)).values()} == {float}
-    for name in ("modulus", "k_functional", "besov_seminorm_sup", "sup_scaled_best_approx",
-                 "dense_union_check", "bandwidth"):
-        assert type(BLOCK_CALLS[name](cycle16_dec, f, None)) is float, name
-    rep = bandwidth(cycle16_dec, f)
-    assert {key: type(x) for key, x in vars(rep).items() if key != "k_sequence"} == dict.fromkeys(
-        ("omega_f", "sup_ratio", "probe_omega", "final_gap"), float)
-    assert rep.k_sequence.shape == (40,)
-    rep = riesz_identity_check(cycle16_dec, g, 1.0)
-    assert (type(rep.residual), type(rep.tail_bound), rep.omega, rep.power) == (float, float,
-                                                                                1.0, 1)
-    rep = equivalence_report(cycle16_dec, f, 0.8, 2.0)
-    assert (type(rep.ratio_lo), type(rep.ratio_hi), rep.ratios.shape) == (float, float, (1,))
+    for name, entry in CALLS.items():
+        for key, value in fields(entry.call(cycle16_dec, prepare(name, cycle16_dec, f, 0.9),
+                                            0.9)).items():
+            assert np.ndim(value) or type(value) in (float, int), (name, key, type(value))
+    rep = bernstein_check(cycle16_dec, pw_project(cycle16_dec, f, 1.0), 1.0, (0.5, 2.0))
+    assert rep.ratios.shape == (2,)
+    assert bandwidth(cycle16_dec, f).k_sequence.shape == (40,)
+    assert equivalence_report(cycle16_dec, f, 0.8, 2.0).ratios.shape == (1,)
     # a list of vectors is a corpus, as before
     rep = equivalence_report(cycle16_dec, [f, 2 * f], 0.8, 2.0)
     assert (type(rep.ratio_lo), rep.ratios.shape) == (float, (2,))
-
-
-#: functions built on ``apply_multiplier``, each called on (dec, f)
-MULTIPLIERS = {
-    "riesz_apply": lambda dec, f: riesz_apply(dec, f, RieszConfig(omega=1.5)),
-    "q_apply": lambda dec, f: q_apply(dec, f, 1.5, 2, KERNEL),
-    "difference": lambda dec, f: difference(dec, f, 0.7, 2),
-    "operator_power": lambda dec, f: operator_power(dec, 1.5, f),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MULTIPLIERS))
-def test_multiplier_blocks_equal_their_row_calls(cycle16_dec, random_dec, rng, name):
-    for dec in (cycle16_dec, random_dec):
-        f = random_vector(rng, dec.dim)
-        block = np.array([f, 1e150 * f, 1e-150 * f, np.zeros(dec.dim), random_vector(rng, dec.dim)])
-        out = MULTIPLIERS[name](dec, block)
-        assert out.shape == block.shape
-        for row, vector in zip(out, block):
-            np.testing.assert_array_equal(row, MULTIPLIERS[name](dec, vector))
 
 
 #: every entry point of a difference order, called with the order ``m`` on (dec, f)

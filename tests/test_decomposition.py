@@ -27,6 +27,7 @@ from bandapprox.harness import DEFAULT_TOLERANCES as TOLS
 from bandapprox.harness import build_operator, parse_operator_arg
 from bandapprox.paley_wiener import MAX_BANDS, _band_edges
 from conftest import random_vector
+from public_calls import check_homogeneous
 
 
 def _synthesis_holds(rep) -> bool:
@@ -120,10 +121,8 @@ class TestEquivalence:
         assert math.isfinite(rep.ratio_lo) and rep.ratio_lo > 0
 
     def test_scaling_leaves_ratio_unchanged(self, cycle16_dec, rng):
-        f = random_vector(rng, 16)
-        one = equivalence_report(cycle16_dec, f, 0.8, 2.0)
-        scaled = equivalence_report(cycle16_dec, 1e3 * f, 0.8, 2.0)
-        assert abs(one.ratios[0] - scaled.ratios[0]) <= 1e-10 * one.ratios[0]
+        check_homogeneous("equivalence_report", cycle16_dec, random_vector(rng, 16), 1e3, 0,
+                          lambda dec, f, p: equivalence_report(dec, f, 0.8, 2.0), tol=1e-10)
 
     def test_corpus_bracket_stable_across_sizes(self, rng):
         from bandapprox import eigh

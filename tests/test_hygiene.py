@@ -8,8 +8,9 @@ constants have one evaluator and no quadrature, one step pools
 the norm of each eigenspace where a vector enters and feeds the R side, whose helpers take no
 coefficient row and whose tails take no ``np.linalg.norm`` and no re-take, the E route
 reads nothing of the R side, only the vector domain reads the eigenvectors, and the library
-imports no third-party package but NumPy.  The public names of the package are pinned, and no
-module binds a retired one."""
+imports no third-party package but NumPy.  The public names of the package are pinned, no
+module binds a retired one, and the registry of the API rules (``public_calls.CALLS``) calls
+each public function of a decomposition once."""
 
 import ast
 import importlib
@@ -22,6 +23,8 @@ from pathlib import Path
 import pytest
 
 import bandapprox
+import oracles
+from public_calls import CALLS, TOOLS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bandapprox"
@@ -276,13 +279,14 @@ def test_one_spectral_measure():
 
 def test_only_the_vector_domain_reads_the_basis():
     # every scalar but the E route sees a vector through its coefficients or its measure; the
-    # basis is read to transform, to synthesize phi(D) f, by the E route of the distances (the
-    # residual in H that makes E = R a real check), to synthesize bands and for ||Qf - f||
+    # basis is read to transform, to synthesize phi(D) f (inverse_transform at phi = 1), by the
+    # E route of the distances (the residual in H that makes E = R a real check), to synthesize
+    # bands and for ||Qf - f||
     readers = sum((_top_level_readers(layer, _reads("eigenvectors")) for layer in LAYERS), [])
     assert sorted(readers) == [
         "approx_operators.jackson_check", "decomposition._band_split",
-        "operators.SpectralDecomposition", "operators._synthesize", "operators.inverse_transform",
-        "operators.spectral_transform", "paley_wiener._distances"]
+        "operators.SpectralDecomposition", "operators._coefficients", "operators._synthesize",
+        "paley_wiener._distances"]
 
 
 def test_the_e_route_reads_nothing_of_the_r_route():
@@ -355,3 +359,14 @@ def test_public_names():
     bound = [f"{module.__name__}.{name}" for module in modules
              for name in sorted(RETIRED_NAMES & set(vars(module)))]
     assert not bound, f"retired names still bound: {', '.join(bound)}"
+
+
+def test_every_public_function_of_a_decomposition_is_called():
+    # the registry of the API rules holds each public function whose first parameter is the
+    # decomposition once, and besides them only the test tools of ``oracles`` built like them
+    public = {name for name, obj in vars(bandapprox).items()
+              if inspect.isfunction(obj) and not name.startswith("_")
+              and next(iter(inspect.signature(obj).parameters), None) == "dec"}
+    assert set(CALLS) == public | TOOLS and not public & TOOLS
+    assert all(next(iter(inspect.signature(getattr(oracles, name)).parameters)) == "dec"
+               for name in TOOLS)

@@ -240,8 +240,8 @@ def test_jacobi_matches_the_two_sided_rotation_bit_for_bit(matrix):
 
 
 #: the ways a vector enters the library: the two transforms, and the one step
-#: (``operators._coefficients``) behind every other public function, which
-#: leaves its check to ``spectral_transform``
+#: (``operators._coefficients``, which ``spectral_transform`` takes too) behind
+#: every other public function
 VECTOR_ENTRIES = {
     "spectral_transform": spectral_transform,
     "inverse_transform": inverse_transform,

@@ -2,13 +2,14 @@
 
 Each property runs a fixed number of derandomized examples, so tier-1 stays
 reproducible.  A case is a decomposition with no eigensolver behind it
-(``np.linalg.qr`` of a seeded Gaussian, N from 1 to 80, so across
-``_E_BLOCK``), a spectrum of repeated values with or without a kernel, rows at
-scales ``2^+-500`` and omegas at the group values and between them.  The laws: the
-E route is its running-sum definition (``oracles.distances_by_running_sum``), E = R,
-a rotation of the basis inside each eigenspace moves no coefficient tail and no
-Bernstein ratio beyond a few ulps, and each element of a block call has the bits of
-the call on its row and parameters.
+(``np.linalg.qr`` of a seeded Gaussian, N from 1 to 80, so across ``_E_BLOCK``), a
+spectrum of repeated values with or without a kernel, rows at scales ``2^0``,
+``2^+-500`` and ``2^+-1000`` and maybe the zero row, and omegas at the group values
+and between them.  The laws: the E route is its running-sum definition
+(``oracles.distances_by_running_sum``), E = R, a rotation of the basis inside each
+eigenspace moves no coefficient tail and no Bernstein ratio beyond a few ulps, and the
+three rules of every call of the registry (``public_calls``): the block rule, the scale
+rule and the typed-error rule.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandapprox import (
-    BandApproxError,
+    NonFiniteError,
     SpectralDecomposition,
     bernstein_check,
     best_approx,
@@ -29,7 +30,7 @@ from bandapprox.harness import DEFAULT_TOLERANCES
 from bandapprox.operators import _coefficients, _norm
 from conftest import random_vector
 from oracles import distances_by_running_sum
-from test_api_rules import BLOCK_CALLS
+from public_calls import BLOCK_NAMES, CALLS, check_block, check_finite, outcome, prepare
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -49,8 +50,9 @@ def cases(draw):
     eigenvalues = np.repeat(values, np.diff(np.concatenate(([0], split, [n]))))
     dec = SpectralDecomposition(eigenvalues=eigenvalues,
                                 eigenvectors=np.linalg.qr(rng.standard_normal((n, n)))[0])
-    exponents = draw(st.lists(st.sampled_from([-500, 0, 500]), min_size=1, max_size=3))
-    rows = np.array([2.0 ** x * random_vector(rng, n) for x in exponents])
+    exponents = draw(st.lists(st.sampled_from([-1000, -500, 0, 500, 1000]), min_size=1, max_size=3))
+    rows = [2.0 ** x * random_vector(rng, n) for x in exponents]
+    rows = np.array(rows + [np.zeros(n)] * draw(st.integers(0, 1)))  # and maybe the zero row
     between = rng.uniform(0.0, 1.2 * values[-1], draw(st.integers(1, 8)))
     return dec, rows, np.concatenate(([0.0], values, between))
 
@@ -92,6 +94,7 @@ def test_eigenspace_rotation_moves_no_tail_or_bernstein_ratio(case, seed):
                   - spectral_tail(dec, rows[:, None], omegas))
     assert np.all(gaps <= bound * _norm(rows)[:, None])
     omegas = omegas[omegas >= dec.eigenvalues[0]]  # each keeps an eigenspace: no zero row
+    rows = rows[np.any(rows != 0.0, axis=-1)]  # but that of the zero vector
     bands, s_list = pw_project(dec, rows[:, None], omegas), (0.0, 0.5, 1.0, 3.0)
     gaps = np.abs(bernstein_check(turned, bands, omegas, s_list).ratios
                   - bernstein_check(dec, bands, omegas, s_list).ratios)
@@ -103,37 +106,93 @@ def test_eigenspace_rotation_moves_no_tail_or_bernstein_ratio(case, seed):
 MK_PAIRS = [(1, 0), (1, 1), (2, 1), (3, 1), (3, 2), (2, 2), (4, 2)]
 
 
-@pytest.mark.parametrize("name", sorted(set(BLOCK_CALLS) - {"equivalence_report"}))
+@pytest.mark.parametrize("name", BLOCK_NAMES)
 @settings(PROFILE, max_examples=10)
-@given(case=cases(), pairs=st.lists(st.sampled_from(MK_PAIRS), min_size=2, max_size=6),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_each_element_of_a_block_is_its_one_row_call(name, case, pairs, seed):
+@given(case=cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_each_element_of_a_block_is_its_one_row_call(name, case, seed):
     # the block rule of the ``operators`` docstring: each row takes its own products, so the
     # element (i, j) of a call on rows (M, 1, N) against an axis of W parameters has the bits of
-    # the call on row i and parameter j alone (one element per row for a call with no parameter).
-    # Each example takes one ``BLOCK_CALLS`` entry, and ``modulus_inequality_checks`` on an axis
-    # of mixed (m, k) pairs; ``equivalence_report`` takes its rows as one corpus, not as a block
+    # the call on row i and parameter j alone (element i of a call on rows (M, N) against one
+    # parameter), for every entry of the registry that takes a block
+    dec, rows, omegas = case
+    axis = CALLS[name].broadcasts
+    p = np.random.default_rng(seed).choice(omegas, 3 if axis else None)
+    check_block(name, dec, prepare(name, dec, rows[:, None] if axis else rows, p), p)
+
+
+@settings(PROFILE, max_examples=40)
+@given(case=cases(), pairs=st.lists(st.sampled_from(MK_PAIRS), min_size=2, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_each_trial_of_a_mixed_order_block_is_its_one_row_call(case, pairs, seed):
+    # an axis of trials j, each at its own (m, k) and s, against every row
+    dec, rows, _ = case
+    (m, k), s = np.array(pairs).T, np.random.default_rng(seed).uniform(0.05, 3.0, len(pairs))
+    check_block("modulus_inequality_checks", dec, rows[:, None], np.arange(len(pairs)),
+                lambda dec, f, j: modulus_inequality_checks(dec, f, s[j], 2.0, m[j], k[j]))
+
+
+def _ldexp(x, j):
+    """``x 2^j`` entry by entry, as complex (both parts scaled), inf past the largest double."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.array(x, complex, ndmin=1).view(float), j).view(complex).reshape(
+            np.shape(x))
+
+
+def _normal(x) -> np.ndarray:
+    """Whether each entry of ``x`` (both parts of a complex one) is zero or a normal double."""
+    parts = np.abs([np.real(x), np.imag(x)])
+    return np.all((parts == 0.0) | ((parts >= np.finfo(float).tiny) & (parts < np.inf)), axis=0)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(PROFILE, max_examples=10)
+@given(case=cases(), j=st.sampled_from([-3, 3]) | st.integers(-2200, 2200),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_power_of_two_scale_comes_back_exactly(name, case, j, seed):
+    # the scale rule of the ``operators`` docstring: f enters at a power-of-two scale and every
+    # result gets its 2^e back exactly, so a field of degree d in f of the call on 2^j f is
+    # 2^(j d) times that on f, bit for bit, wherever the values and the entries of 2^j f are
+    # normal doubles (a ratio, of degree 0, where every value of degree 1 is), and past the
+    # largest double the call raises NonFiniteError.  j is clipped to keep 2^j f normal, so
+    # the clip reaches both ends of the double range
     dec, rows, omegas = case
     rng = np.random.default_rng(seed)
-    (m, k), s = np.array(pairs).T, rng.uniform(0.05, 3.0, len(pairs))
+    p = float(rng.choice(omegas))
+    f = prepare(name, dec, rows[rng.integers(len(rows))], p)
+    parts = np.abs([f.real, f.imag])
+    if not np.any(parts):
+        return  # the zero vector: refused, or the same zeros at every scale
+    top, low = np.frexp(parts.max())[1], np.frexp(parts[parts > 0.0].min())[1]
+    j = int(np.clip(j, -1021 - low, 1024 - top))
+    base, scaled = (outcome(CALLS[name].call, dec, x, p) for x in (f, _ldexp(f, j)))
+    if isinstance(base, type):  # refused at scale 1: past the largest double, or at every scale
+        assert scaled is base or base is NonFiniteError, (base, scaled)
+        return
+    degrees = {key: CALLS[name].degree_of(key) for key in base}
+    expected = {key: _ldexp(value, j * degrees[key]) for key, value in base.items()
+                if degrees[key] is not None}
+    past = any(np.any(~np.isfinite(x)) for x in expected.values())
+    norm = np.linalg.norm(np.ldexp(parts, -top)) * 2.0 ** (top + j - 1024)  # ||2^j f|| 2^-1024
+    # a value past the largest double raises NonFiniteError, and so may one formed of ||f||
+    refused = scaled is NonFiniteError
+    assert refused == past or (refused and norm >= 1.0), scaled
+    if not refused:
+        assert not isinstance(scaled, type), scaled
+        ok = {key: _normal(base[key]) & _normal(x) for key, x in expected.items()}
+        whole = all(np.all(ok[key]) for key in ok if degrees[key] == 1)
+        for key, x in expected.items():
+            if degrees[key] == 1 or whole:
+                np.testing.assert_array_equal(np.asarray(scaled[key])[ok[key]], x[ok[key]],
+                                              err_msg=key)
 
-    def mixed(dec, f, j):  # trial j of the axis, at its own (m, k)
-        return modulus_inequality_checks(dec, f, s[j], 2.0, m[j], k[j]).ratio_power
 
-    calls = [(BLOCK_CALLS[name], rng.choice(omegas, 3)), (mixed, np.arange(len(pairs)))]
-    for call, axis in calls:
-        try:
-            block = np.asarray(call(dec, rows[:, None], axis))
-        except BandApproxError as err:  # refused for a row or a parameter, which alone is refused
-            assert type(err) in {_bits(call, dec, row, p) for row in rows for p in axis}
-            continue
-        for i, j in np.ndindex(block.shape[:2]):
-            assert _bits(call, dec, rows[i], axis[j]) == block[i, j].tobytes()
-
-
-def _bits(call, dec, row, parameter):
-    """The bytes of ``call`` on one row and one parameter, or the type of the error it raises."""
-    try:
-        return np.asarray(call(dec, row, parameter)).tobytes()
-    except BandApproxError as err:
-        return type(err)
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(PROFILE, max_examples=10)
+@given(case=cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_call_gives_finite_numbers_or_a_typed_error(name, case, seed):
+    # the typed-error rule: on N = 1, the spectrum {0}, full degeneracy, kernels of every size,
+    # the zero row and rows at 2^+-1000, each call returns finite numbers or raises a
+    # BandApproxError (a RuntimeWarning fails, as in every test)
+    dec, rows, omegas = case
+    p = float(np.random.default_rng(seed).choice(omegas))
+    check_finite(name, dec, rows, p)

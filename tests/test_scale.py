@@ -1,8 +1,9 @@
 """Extreme scales of ``f``: distances, l^q sums and norms taken at a power-of-two scale.
 
 At ``1e160`` the square of an entry of ``f`` overflows and at ``1e-160``
-and ``1e-300`` it underflows.  Every value below is still 1-homogeneous in
-``f``, and every ratio is independent of its scale, to 1e-12.  A band or
+and ``1e-300`` it underflows.  Every value of every call of the registry
+(``public_calls.CALLS``) is still homogeneous in ``f`` of its degree, to 1e-12
+(bit for bit under ``2^j``: ``test_properties.py``).  A band or
 step weight past the largest double (``alpha = 600``) adds nothing against
 a zero term and raises ``NonFiniteError`` against a nonzero one; a band edge past it
 is ``inf``, which keeps the whole spectrum.  A result
@@ -14,7 +15,6 @@ largest double raises ``NonFiniteError`` naming it.
 """
 
 import math
-import warnings
 from operator import attrgetter
 
 import numpy as np
@@ -46,7 +46,6 @@ from bandapprox import (
     pw_project,
     q_apply,
     riesz_apply,
-    riesz_identity_check,
     spectral_tail,
     SymmetricOperator,
     sup_scaled_best_approx,
@@ -57,8 +56,11 @@ from bandapprox.harness import build_operator, parse_operator_arg, save_vector
 from bandapprox.paley_wiener import _step_nodes
 from conftest import random_vector
 from oracles import dense_union_check, operator_power
+from public_calls import CALLS, check_homogeneous
 
 SCALES = (1e150, 1e-150, 1e160, 1e-160, 1e-300)
+#: the decimal scales of the homogeneity checks of every registry call
+DECIMAL_SCALES = (1e100, 1e-100) + SCALES
 TOL = 1e-12
 
 
@@ -78,37 +80,21 @@ def test_besov_flavors_one_homogeneous(cycle16_dec, rng, scale, q, flavor):
                 besov_norm(cycle16_dec, f, params), scale) <= TOL
 
 
-@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("scale", DECIMAL_SCALES)
 def test_values_one_homogeneous(cycle16_dec, rng, scale):
-    dec = cycle16_dec
+    # scales that are no power of two, so f is rounded: to TOL, not bit for bit
     f = random_vector(rng, 16)
-    for value in (lambda g: best_approx(dec, g, 1.0),
-                  lambda g: spectral_tail(dec, g, 1.0),
-                  lambda g: sup_scaled_best_approx(dec, g, 0.8),
-                  lambda g: bandwidth(dec, g).sup_ratio,
-                  lambda g: band_decompose(dec, g).band_norms(),
-                  lambda g: frame_norm(band_decompose(dec, g), 0.7, 1.5),
-                  lambda g: synthesis_check(dec, band_decompose(dec, g).bands, 0.7).lhs):
-        assert _off(value(scale * f), value(f), scale) <= TOL
+    for name in CALLS:
+        check_homogeneous(name, cycle16_dec, f, scale, 1)
+    frame = [frame_norm(band_decompose(cycle16_dec, g), 0.7, 1.5) for g in (scale * f, f)]
+    assert _off(frame[0], frame[1], scale) <= TOL
 
 
-@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("scale", DECIMAL_SCALES)
 def test_ratios_scale_invariant(cycle16_dec, rng, scale):
-    dec = cycle16_dec
     f = random_vector(rng, 16)
-    g = pw_project(dec, f, 1.5)
-    kernel = build_kernel(6, 2)
-    for ratio in (lambda h: bernstein_check(dec, h, 1.5, (0.5, 1.0, 2.0)).ratios,
-                  lambda h: equivalence_report(dec, [h], 0.7, 2.0).ratios,
-                  lambda h: [jackson_check(dec, h, 1.2, 2, 1, kernel).ratio_best,
-                             jackson_check(dec, h, 1.2, 2, 1, kernel).ratio_q],
-                  lambda h: [lemma1_check(dec, h, 1.5, 1, 2).ratio,
-                             lemma2_check(dec, h, 1.5, 1, 2).ratio],
-                  lambda h: bandwidth(dec, h).omega_f):
-        assert _off(ratio(scale * g), ratio(g)) <= TOL
-    # a residual relative to ||f||, near 1e-8 at this truncation: compared absolutely
-    residuals = [riesz_identity_check(dec, h, 1.5, power=2).residual for h in (scale * g, g)]
-    assert abs(residuals[0] - residuals[1]) <= TOL
+    for name in CALLS:
+        check_homogeneous(name, cycle16_dec, f, scale, 0)
 
 
 def test_bernstein_ratio_beyond_the_largest_double():
@@ -136,6 +122,18 @@ def test_bandwidth_at_the_ends_of_the_double_range(cycle16_dec, rng, scale):
     assert rep.omega_f == base.omega_f
 
 
+def test_sup_ratio_kept_apart_from_its_power_of_two(cycle16_dec, rng):
+    # at probe 1e-8 omega_f the ratio of f passes the largest double and that of 2^-400 f does
+    # not; at the row's scale it is 2^d times a number below 2 until 2^(d + e) is back
+    f = random_vector(rng, 16)
+    probe = 1e-8 * bandwidth(cycle16_dec, f).omega_f
+    with pytest.raises(NonFiniteError):
+        bandwidth(cycle16_dec, f, probe_omega=probe)
+    ratios = [bandwidth(cycle16_dec, 2.0 ** j * f, probe_omega=probe).sup_ratio
+              for j in (-400, -600)]
+    assert 1e100 < ratios[0] < np.inf and ratios[1] == 2.0 ** -200 * ratios[0]
+
+
 def test_norm_beyond_largest_double_is_a_typed_error(tmp_path, capsys):
     # ||f|| = sqrt(8) 1e308 is no double: NonFiniteError, not a bare OverflowError
     dec = eigh(build_operator(parse_operator_arg("cycle:8")))
@@ -154,10 +152,12 @@ def test_norm_beyond_largest_double_is_a_typed_error(tmp_path, capsys):
 
 def test_multipliers_at_the_largest_scale():
     # the constant vector spans the kernel of cycle:8; its unscaled transform
-    # overflowed to inf+nanj and every multiplier returned NaN
+    # overflowed to inf+nanj and every multiplier returned NaN.  Its projection is that of
+    # f 2^-1023 with the 2^1023 back, bit for bit (the error at scale 1 is bounded below)
     dec = eigh(build_operator(parse_operator_arg("cycle:8")))
     f = np.full(8, 1e308)
-    assert _off(pw_project(dec, f, 1.0), f) <= 1e-15
+    np.testing.assert_array_equal(pw_project(dec, f, 1.0),
+                                  np.ldexp(pw_project(dec, np.ldexp(f, -1023), 1.0).real, 1023))
     for out in (riesz_apply(dec, f, RieszConfig(omega=1.0)),
                 q_apply(dec, f, 1.0, 2, build_kernel(6, 2)),
                 operator_power(dec, 1, f)):
@@ -165,6 +165,16 @@ def test_multipliers_at_the_largest_scale():
     # the alternating vector has lambda = lambda_max = 2: D^2 of it is 4e308 [1, -1, ...]
     with pytest.raises(NonFiniteError):
         operator_power(dec, 2, 1e308 * np.array([1.0, -1.0] * 4))
+
+
+def test_projection_error_is_held_by_the_orthogonality_of_the_basis():
+    # the constant vector of cycle:8 at scale 1 keeps its kernel eigenspace: P u - u is the
+    # rounding of the basis, held to half its largest deviation from orthonormality (1e-15 on
+    # the Jacobi basis, whose ||V^T V - I||_max is 2.0e-15: P u - u is 1.0e-15 there)
+    dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+    u, basis = np.ldexp(np.full(8, 1e308), -1023), dec.eigenvectors
+    bound = 0.5 * np.max(np.abs(basis.T @ basis - np.eye(8)))
+    assert np.max(np.abs(pw_project(dec, u, 1.0) - u)) / u[0] <= bound <= 1e-15
 
 
 @pytest.mark.parametrize("omega, s", [(1e300, 2.0), (1e200, 7.0)])
@@ -220,7 +230,8 @@ def test_a_base_whose_square_passes_the_largest_double():
 
 #: calls whose result, taken at a power-of-two scale, passes the largest double once its
 #: ``2^e`` is back, or is formed past it from values that came back finite, on cycle:8 at
-#: ``g = 1e308 (1, -1, ...)`` (the Besov norms at ``g / 3``, the Jackson chain at ``g / 8``);
+#: ``g = 1e308 (1, -1, ...)`` (the Besov norms at ``g / 3``, the Jackson chain at ``g / 8``,
+#: lemma 2 at ``g / 20 + 5e307``, whose right side read inf and its ratio 0);
 #: they returned inf with or without a RuntimeWarning, or raised a bare OverflowError;
 #: ``oracles.dense_union_check``, one ``spectral_tail`` call at every step node, returned 2.0
 PAST_THE_DOUBLES = {
@@ -240,6 +251,8 @@ PAST_THE_DOUBLES = {
     "jackson_check": lambda dec, g: jackson_check(dec, g / 8, 1.0, 2, 0, build_kernel(6, 2)),
     # ||D^k f||^(1/k) and the sup ratio, from their logarithms
     "bandwidth": lambda dec, g: bandwidth(dec, g),
+    # ||f|| + sup_s s^alpha E(f, s), both finite
+    "lemma2_check": lambda dec, g: lemma2_check(dec, g / 20 + 5e307, 1.5, 1, 2),
 }
 
 
@@ -247,10 +260,8 @@ PAST_THE_DOUBLES = {
 def test_results_past_the_largest_double_raise(name):
     dec = eigh(build_operator(parse_operator_arg("cycle:8")))
     g = 1e308 * np.array([1.0, -1.0] * 4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteError):
-            PAST_THE_DOUBLES[name](dec, g)
+    with pytest.raises(NonFiniteError):
+        PAST_THE_DOUBLES[name](dec, g)
 
 
 #: values near the bottom of the double range, kept bit for bit by the scale each R-side helper
@@ -358,10 +369,8 @@ POWERS_PAST_THE_DOUBLES = {
 def test_powers_past_the_largest_double_are_typed_errors(name):
     dec = _diag6()
     call, power = POWERS_PAST_THE_DOUBLES[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteError, match=power):
-            call(dec, dec.eigenvectors[:, 1])
+    with pytest.raises(NonFiniteError, match=power):
+        call(dec, dec.eigenvectors[:, 1])
 
 
 @pytest.mark.parametrize("r", [1, 8, 64, 134, 182])
@@ -372,12 +381,32 @@ def test_k_path_in_log_x(r):
     # NonFiniteError from r = 134
     dec = _diag6()
     params = BesovParams(alpha=r - 0.5, q=2.0, r=r, flavor="k_functional")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        value = besov_norm(dec, dec.eigenvectors[:, 5], params)
-        both = besov_norm(dec, dec.eigenvectors[:, 1] + dec.eigenvectors[:, 5], params)
+    value = besov_norm(dec, dec.eigenvectors[:, 5], params)
+    both = besov_norm(dec, dec.eigenvectors[:, 1] + dec.eigenvectors[:, 5], params)
     assert abs(value / (1.0 + 7.0 ** (r - 0.5) * math.sqrt(r + r / (2 * r - 1))) - 1.0) <= TOL
     assert math.isfinite(both) and both >= value * (1.0 - TOL)  # K(f, t) >= K(P f, t)
+
+
+#: the k_functional flavor of e_1 + c e_5 at alpha = 181.5, r = 182, by (c, q): ||f|| plus the
+#: integral of (t^-theta K)^2 dt/t (q = 2) or the sup of t^-theta K (q = inf), taken along the
+#: Tikhonov path with 30-digit mpmath (mp.quad on 81 and on 161 breakpoints across the gap,
+#: which agree to 18 digits; mp.findroot at the peak)
+K_NORMS_IN_THE_GAP = {(1e-100, 2.0): 3.280404023414881627e54,
+                      (1e-100, math.inf): 2.4282548374432316027e53,
+                      (1e-150, 2.0): 3.28050402341488165e4, (1e-150, math.inf): 2.429254837443231618e3}
+
+
+@pytest.mark.parametrize("c, q", sorted(K_NORMS_IN_THE_GAP))
+def test_k_path_where_its_sums_pass_below_the_normal_range(c, q):
+    # in the middle of the gap between 0.5^364 and 7^364, sum |c|^2 x/(1+x)^2 is about
+    # 1e-308.5 at c = 1e-100: it emitted "overflow encountered in divide" and raised an unnamed
+    # NonFiniteError at q = 2, and returned 2.43e53 with the warning at q = inf (at c = 1e-150,
+    # "divide by zero encountered in log"); there the sums are now taken as logs, each at its
+    # own scale, and no warning escapes
+    dec = _diag6()
+    f = dec.eigenvectors[:, 1] + c * dec.eigenvectors[:, 5]
+    value = besov_norm(dec, f, BesovParams(alpha=181.5, q=q, r=182, flavor="k_functional"))
+    assert abs(value / K_NORMS_IN_THE_GAP[c, q] - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("j", [100, -100])

@@ -42,6 +42,7 @@ from oracles import (
     running_modulus_golden,
     seminorm_golden,
 )
+from public_calls import check_homogeneous
 
 REL = 1e-12
 
@@ -112,11 +113,9 @@ class TestKFunctionalAgainstGoldenSearch:
     @pytest.mark.parametrize("scale", EXTREME_SCALES)
     @pytest.mark.parametrize("q", [2.0, math.inf])
     def test_one_homogeneous_at_extreme_scales(self, cycle16_dec, rng, scale, q):
-        f = random_vector(rng, 16)
         params = BesovParams(alpha=0.9, q=q, flavor="k_functional")
-        base = k_besov_norm(cycle16_dec, f, params)
-        scaled = k_besov_norm(cycle16_dec, scale * f, params)
-        assert abs(scaled / (scale * base) - 1.0) <= 1e-12
+        check_homogeneous("k_besov_norm", cycle16_dec, random_vector(rng, 16), scale, 1,
+                          lambda dec, f, p: k_besov_norm(dec, f, params))
 
 
 #: operators of every kind the K-functional norm is held to 1e-12 of the dense oracle on
@@ -182,10 +181,7 @@ class TestSeminormAgainstPerShiftSearch:
 
     @pytest.mark.parametrize("scale", EXTREME_SCALES)
     def test_one_homogeneous_at_extreme_scales(self, cycle16_dec, rng, scale):
-        f = random_vector(rng, 16)
-        base = besov_seminorm_sup(cycle16_dec, f, 1.5, 1, 2)
-        scaled = besov_seminorm_sup(cycle16_dec, scale * f, 1.5, 1, 2)
-        assert abs(scaled / (scale * base) - 1.0) <= 1e-12
+        check_homogeneous("besov_seminorm_sup", cycle16_dec, random_vector(rng, 16), scale, 1)
 
 
 class TestNewtonScanAgainstGoldenScan:
@@ -294,6 +290,5 @@ class TestEndpoints:
 @pytest.mark.parametrize("scale", EXTREME_SCALES)
 def test_k_functional_and_modulus_one_homogeneous(cycle16_dec, rng, scale):
     f = random_vector(rng, 16)
-    for fn in (lambda g: k_functional(cycle16_dec, g, 0.3, 2),
-               lambda g: modulus(cycle16_dec, g, 0.7, 2)):
-        assert abs(fn(scale * f) / (scale * fn(f)) - 1.0) <= 1e-12
+    for name in ("k_functional", "modulus"):
+        check_homogeneous(name, cycle16_dec, f, scale, 1)

@@ -40,6 +40,7 @@ from oracles import (
     modulus_dense_scan,
     operator_power,
 )
+from public_calls import check_homogeneous
 
 
 class TestDifference:
@@ -353,10 +354,8 @@ class TestSeminormSup:
             assert abs(got - exact) <= 1e-12 * exact, (alpha, n, r, got, exact)
 
     def test_homogeneity(self, cycle16_dec, rng):
-        f = random_vector(rng, 16)
-        base = besov_seminorm_sup(cycle16_dec, f, 1.5, 1, 2)
-        scaled = besov_seminorm_sup(cycle16_dec, 3.0 * f, 1.5, 1, 2)
-        assert abs(scaled / base - 3.0) <= 3e-10
+        check_homogeneous("besov_seminorm_sup", cycle16_dec, random_vector(rng, 16), 3.0, 1,
+                          lambda dec, f, p: besov_seminorm_sup(dec, f, 1.5, 1, 2), tol=1e-10)
 
     def test_invalid_order_rejected(self, diag_dec, rng):
         with pytest.raises(InvalidOrderError):
@@ -422,11 +421,9 @@ class TestModulusFlavor:
         assert abs(got - expected) <= 1e-12 * expected
 
     def test_homogeneity(self, cycle16_dec, rng):
-        f = random_vector(rng, 16)
         params = BesovParams(alpha=0.8, q=math.inf, r=2, flavor="modulus")
-        base = besov_norm(cycle16_dec, f, params)
-        scaled = besov_norm(cycle16_dec, 5.0 * f, params)
-        assert abs(scaled / base - 5.0) <= 5e-10
+        check_homogeneous("besov_norm", cycle16_dec, random_vector(rng, 16), 5.0, 1,
+                          lambda dec, f, p: besov_norm(dec, f, params), tol=1e-10)
 
 
 def test_difference_norms_hold_two_arrays_of_their_product_at_once():

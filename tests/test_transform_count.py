@@ -16,87 +16,61 @@ import math
 import numpy as np
 import pytest
 
+import bandapprox
 from bandapprox import (
     BesovParams,
-    RieszConfig,
-    apply_multiplier,
     band_decompose,
-    bandwidth,
-    bernstein_check,
     besov_norm,
-    besov_seminorm_sup,
-    best_approx,
-    build_kernel,
-    difference,
     equivalence_report,
-    jackson_check,
-    k_besov_norm,
-    k_functional,
-    lemma1_check,
-    lemma2_check,
-    modulus,
-    modulus_inequality_checks,
     pw_project,
-    q_apply,
-    riesz_apply,
-    riesz_identity_check,
-    schrodinger_group,
-    spectral_tail,
     spectral_transform,
-    sup_scaled_best_approx,
     synthesis_check,
 )
 from bandapprox.operators import _coefficients, _measure, _powered, _unscaled
 from bandapprox.smoothness import BESOV_FLAVORS, _besov_norms, _lemma_reports
-from conftest import random_vector
-from oracles import dense_union_check, operator_power
+from conftest import _count_calls, random_vector
+from oracles import operator_power
+from public_calls import CALLS, KERNEL, TOOLS, prepare
 
-KERNEL = build_kernel(6, 2)
-
-#: (name, call on (dec, f, g) with g bandlimited at 1.5, expected transforms)
-CALLS = [
-    ("jackson_check k=0", lambda dec, f, g: jackson_check(dec, f, 1.2, 2, 0, KERNEL), 1),
-    ("jackson_check k=1", lambda dec, f, g: jackson_check(dec, f, 1.2, 2, 1, KERNEL), 1),
-    ("lemma1_check", lambda dec, f, g: lemma1_check(dec, f, 1.5, 1, 2), 1),
-    ("lemma2_check", lambda dec, f, g: lemma2_check(dec, f, 1.5, 1, 2), 1),
-    ("modulus_inequality_checks k=0",
-     lambda dec, f, g: modulus_inequality_checks(dec, f, 0.7, 2.0, 2, 0), 1),
-    ("modulus_inequality_checks k=1",
-     lambda dec, f, g: modulus_inequality_checks(dec, f, 0.7, 2.0, 2, 1), 1),
-    ("modulus_inequality_checks k=2",
-     lambda dec, f, g: modulus_inequality_checks(dec, f, 0.7, 2.0, 3, 2), 1),
-    ("bernstein_check", lambda dec, f, g: bernstein_check(dec, g, 1.5, (0.5, 1.0, 7.0)), 1),
-    ("riesz_identity_check", lambda dec, f, g: riesz_identity_check(dec, g, 1.5, 2), 1),
-    ("bandwidth", lambda dec, f, g: bandwidth(dec, f), 1),
-    ("equivalence_report", lambda dec, f, g: equivalence_report(dec, [f, g, 3 * f], 0.8, 2.0),
-     1),
-    ("best_approx", lambda dec, f, g: best_approx(dec, f, 1.5), 1),
-    ("spectral_tail", lambda dec, f, g: spectral_tail(dec, f, 1.5), 1),
-    ("dense_union_check", lambda dec, f, g: dense_union_check(dec, f, 0.1), 1),
-    ("sup_scaled_best_approx", lambda dec, f, g: sup_scaled_best_approx(dec, f, 0.8), 1),
-    ("modulus", lambda dec, f, g: modulus(dec, f, 0.7, 2), 1),
-    ("besov_seminorm_sup", lambda dec, f, g: besov_seminorm_sup(dec, f, 1.5, 1, 2), 1),
-    ("k_functional", lambda dec, f, g: k_functional(dec, f, 0.3, 2), 1),
-    ("k_besov_norm", lambda dec, f, g: k_besov_norm(dec, f, BesovParams(alpha=0.8, q=2.0)), 1),
-    ("band_decompose", lambda dec, f, g: band_decompose(dec, f), 1),
-    ("pw_project", lambda dec, f, g: pw_project(dec, f, 1.5), 1),
-    ("apply_multiplier", lambda dec, f, g: apply_multiplier(dec, np.cos, f), 1),
-    ("operator_power", lambda dec, f, g: operator_power(dec, 2, f), 1),
-    ("difference", lambda dec, f, g: difference(dec, f, 0.7, 2), 1),
-    ("schrodinger_group", lambda dec, f, g: schrodinger_group(dec, 0.5 + 0.5j, f), 1),
-    ("riesz_apply", lambda dec, f, g: riesz_apply(dec, f, RieszConfig(omega=1.5)), 1),
-    ("q_apply", lambda dec, f, g: q_apply(dec, f, 1.5, 2, KERNEL), 1),
-]
+#: the cases ``"<entry> k=<k>"`` of the entries whose registry call holds one k: k = 0 takes
+#: no power of the measure, and k = 2 a power above the first
+K_CASES = {
+    **{f"jackson_check k={k}": lambda dec, f, p, k=k: bandapprox.jackson_check(
+        dec, f, p + 0.1, 2, k, KERNEL) for k in (0, 1)},
+    **{f"modulus_inequality_checks k={k}": lambda dec, f, p, m=m, k=k:
+       bandapprox.modulus_inequality_checks(dec, f, p, 2.0, m, k)
+       for m, k in ((2, 0), (2, 1), (3, 2))},
+}
 
 
-@pytest.mark.parametrize("name, call, expected", CALLS, ids=[c[0] for c in CALLS])
-def test_one_transform_per_vector_argument(cycle16_dec, rng, transforms, name, call,
-                                           expected):
-    f = random_vector(rng, 16)
-    g = pw_project(cycle16_dec, f, 1.5)
+def _assert_transforms(monkeypatch, transforms, name, dec, f, p):
+    """Registry entry ``name`` (or its case in ``K_CASES``) on the rows ``f`` and ``p``
+    transforms once per call of its function (an entry may call it once per flavor or domain
+    norm): the band sets of synthesis_check are one block, and their sum a vector it was never
+    given (see below), and the coefficients of inverse_transform are no vector."""
+    call, name = K_CASES.get(name), name.split(" k=")[0]
+    f = prepare(name, dec, f, p)
+    calls = [None] if name in TOOLS else _count_calls(monkeypatch, getattr(bandapprox, name))
     transforms.clear()
-    call(cycle16_dec, f, g)
-    assert len(transforms) == expected
+    (call or CALLS[name].call)(dec, f, p)
+    per_call = {"inverse_transform": 0, "synthesis_check": 2}.get(name, 1)
+    assert calls and len(transforms) == per_call * len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS) + list(K_CASES))
+def test_one_transform_per_vector_argument(cycle16_dec, rng, monkeypatch, transforms, name):
+    _assert_transforms(monkeypatch, transforms, name, cycle16_dec, random_vector(rng, 16), 1.5)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_block_calls_transform_once(cycle16_dec, rng, monkeypatch, transforms, name):
+    # three rows, against an axis of two where the parameter broadcasts: one stacked transform
+    rows = np.array([random_vector(rng, 16) for _ in range(3)])
+    if CALLS[name].broadcasts:
+        rows, p = rows[:, None], np.array([0.6, 1.5])
+    else:
+        p = 1.5
+    _assert_transforms(monkeypatch, transforms, name, cycle16_dec, rows, p)
 
 
 @pytest.mark.parametrize("flavor, q", [(flavor, q) for flavor in BESOV_FLAVORS
@@ -146,30 +120,6 @@ def test_block_helpers_given_triples_transform_nothing(cycle16_dec, rng, transfo
     transforms.clear()
     call(cycle16_dec, fcs, gcs)
     assert len(transforms) == 0
-
-
-#: (name, call on (dec, 3 vectors as a (3, N) block, the block bandlimited at 1.5))
-BLOCK_CALLS = [
-    ("jackson_check", lambda dec, fs, gs: jackson_check(dec, fs[:, None], [0.6, 1.2], 3, 1,
-                                                        build_kernel(8, 3))),
-    ("modulus_inequality_checks", lambda dec, fs, gs: modulus_inequality_checks(
-        dec, fs, [0.7, 0.3, 1.1], [2.0, 0.5, 3.0], [2, 3, 1], [0, 2, 1])),
-    ("bernstein_check", lambda dec, fs, gs: bernstein_check(dec, gs, 1.5, (0.5, 1.0, 7.0))),
-    ("equivalence_report", lambda dec, fs, gs: equivalence_report(dec, fs, 0.8, 2.0)),
-    ("lemma1_check", lambda dec, fs, gs: lemma1_check(dec, fs, 1.5, 1, 2)),
-    ("best_approx", lambda dec, fs, gs: best_approx(dec, fs[:, None], [0.6, 1.2])),
-    ("pw_project", lambda dec, fs, gs: pw_project(dec, fs, [0.6, 1.2, 1.8])),
-    ("schrodinger_group", lambda dec, fs, gs: schrodinger_group(dec, [[0.5], [1j]], fs)),
-]
-
-
-@pytest.mark.parametrize("name, call", BLOCK_CALLS, ids=[c[0] for c in BLOCK_CALLS])
-def test_block_calls_transform_once(cycle16_dec, rng, transforms, name, call):
-    fs = np.array([random_vector(rng, 16) for _ in range(3)])
-    gs = pw_project(cycle16_dec, fs, 1.5)
-    transforms.clear()
-    call(cycle16_dec, fs, gs)
-    assert len(transforms) == 1
 
 
 def test_synthesis_check_transforms_each_band_and_the_sum(cycle16_dec, rng, transforms):

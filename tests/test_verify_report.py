@@ -33,7 +33,7 @@ PINNED = {
          "--seed", "5"],
 }
 
-#: ``spectral_transform`` calls one run of the cycle:8 seed-401 command makes, one per
+#: ``_coefficients`` calls one run of the cycle:8 seed-401 command makes, one per
 #: vector or block argument of each public call: a block of rows is one stacked call, so
 #: this counts calls, not vectors (4,370 vectors when composite checks transformed their
 #: vector up to four times, 3,098 when the Jackson chain transformed it once per band
