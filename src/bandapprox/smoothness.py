@@ -74,6 +74,8 @@ def _clipped_newton(fn, x, lo, hi, steps: int) -> tuple:
     value of the smallest objective evaluated; NaN (``dh = 0``) never wins.
     """
     best_x, best = x, np.full(np.shape(x), np.inf)
+    if not best.size:  # no bracket: no evaluation of fn
+        return best_x, best
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(steps + 1):
             value, delta = fn(x)
@@ -186,6 +188,8 @@ def _running_modulus(nodes, mass, s_rows, m: int, beta: float = 0.0):
     ``D`` under- or overflows them; the best value evaluated counts.  A modulus row owns the
     points up to two past its last ``s``; each sample, refined maximum and ``phi(s)`` lands in
     its bin of the first ``s >= tau``, and the running maximum over the bins is the modulus.
+    Each term of ``phi^2`` rises up to ``pi / lambda_max`` (point 4m), so a modulus scan starts
+    there, with its neighbour 4m - 1, and each ``s`` up to it reads ``phi(s)`` from its bin.
     The seminorm is ``sup_tau tau^-beta phi`` (``s^-beta <= tau^-beta`` for ``tau <= s``); as
     ``phi <= 2^m ||g_perp||`` (``g_perp``: the part above ``lambda = 0``), a row stops at its
     first point where ``tau^-beta 2^m ||g_perp||`` is at most its best value.  A scan past
@@ -224,8 +228,8 @@ def _running_modulus(nodes, mass, s_rows, m: int, beta: float = 0.0):
         bins = np.pad(_difference_norms(nodes, mass[:, None], s_rows, m), ((0, 0), (0, 1)))
     width = nodes.size if beta else max(nodes.size, s_rows.shape[1])  # points x s
     top = max(16, _SCAN_CHUNK_ENTRIES // (width * len(mass)))
-    start, size = 0, min(64, top)
-    while (act := np.flatnonzero(ends > start)).size:
+    start, size = (0 if beta else 4 * m), min(64, top)  # pi / lambda_max is point 4m
+    while (act := np.flatnonzero(ends > start + 1)).size:  # rows that own a point past start
         if start >= limit or not beta and ends.max() > limit:
             raise InvalidParamsError(f"shift scan past {limit} points: MAX_SCAN_ENTRIES / G")
         # one point of overlap on each side, so every interior point sees its neighbours
@@ -309,7 +313,8 @@ class ModulusInequalityReport:
 def _safe_ratio(num, den, scale) -> np.ndarray:
     """``num / den`` elementwise, or 0 where both vanish next to ``scale`` and ``inf`` where only
     ``den`` does; ``scale`` is the size of the two sides, with their degree in ``f`` and in the
-    scale of ``D``.  The three broadcast as NumPy broadcasts."""
+    scale of ``D`` (where it could pass the largest double, all three are taken at the row's power
+    of two).  The three broadcast as NumPy broadcasts."""
     num, den, scale = np.asarray(num), np.asarray(den), np.asarray(scale)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(den <= 1e-14 * scale, np.where(num <= 1e-12 * scale, 0.0, math.inf),
@@ -324,25 +329,26 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s, a_scale, m,
     One shift scan per order ``m`` gives ``Omega_m(f, s)`` and ``Omega_m(f, a s)``, one per
     order ``m - k`` gives ``Omega_{m-k}(D^k f, s)``; at ``k = 0`` that is ``Omega_m(f, s)``.
     """
-    v, c, e = _coefficients(dec, f)
+    v, c, _ = _coefficients(dec, f)
     shape, rows, params = _broadcast(c, s, a_scale, m, k)
     s_values, a_scales, orders, powers = (p.tolist() for p in params)
     for m, k, a_scale in zip(orders, powers, a_scales):
         _check_order(m, 0, k=k)
         if a_scale <= 0.0:
             raise InvalidParamsError("a_scale must be positive")
-    norms = _norm(v.reshape(-1, dec.dim), np.ravel(e))[rows].tolist()
-    (nodes, groups), e = _measure(dec, c.reshape(-1, dec.dim)[rows]), np.ravel(e)[rows]
+    # every side at its row's power of two 2^-e (``_moduli`` at e = 0), where none overflows
+    norms = _norm(v.reshape(-1, dec.dim))[rows].tolist()
+    nodes, groups = _measure(dec, c.reshape(-1, dec.dim)[rows])
     lhs = np.empty((len(rows), 2))
     for m in set(orders):
         trials = [i for i, m_i in enumerate(orders) if m_i == m]
-        lhs[trials] = _moduli((nodes, groups[trials]), e[trials],
+        lhs[trials] = _moduli((nodes, groups[trials]), 0,
                               [[s_values[i], a_scales[i] * s_values[i]] for i in trials], m)
     rhs = lhs[:, 0].copy()
     for j in {m - k for m, k in zip(orders, powers) if k}:
         trials = [i for i, (m, k) in enumerate(zip(orders, powers)) if k and m - k == j]
         dk = _powered((nodes, groups[trials]), params[3][trials, None])  # the measures of D^k f
-        moduli = _moduli(dk, e[trials], [[s_values[i]] for i in trials], j)[:, 0].tolist()
+        moduli = _moduli(dk, 0, [[s_values[i]] for i in trials], j)[:, 0].tolist()
         rhs[trials] = [s_values[i] ** powers[i] * x for i, x in zip(trials, moduli)]
     scales = [norm * min(2.0, s * dec.lambda_max) ** m  # each side is at most about this
               for norm, s, m in zip(norms, s_values, orders)]
@@ -684,13 +690,14 @@ def _lemma_reports(dec: SpectralDecomposition, fc, alpha: float, n: int, r: int)
     _check_scalar(alpha, "alpha")
     v, c, e = fc
     semis = _seminorm_sup(_measure(dec, c), e, alpha, n, r)
-    sups, norms = _scaled_e_sup(dec, fc, alpha), _norm(v, e)
+    sups, norm = _scaled_e_sup(dec, fc, alpha), _norm(v)  # ||f|| 2^-e
+    sup, semi = (_unscaled(x, -e) for x in (sups, semis))  # the ratios' sides at 2^-e too
     with np.errstate(over="ignore"):  # lemma 1's sides have degree alpha in the scale of D;
         # capped, so ||f|| = 0 gives a scale of 0, not 0 * inf = NaN
         power = min(float(np.float64(dec.lambda_max) ** alpha), np.finfo(float).max)
-        bound = np.add(norms, sups)  # lemma 2's right side
-        sides = (sups, semis, _safe_ratio(sups, semis, np.multiply(norms, power)),
-                 semis, bound, _safe_ratio(semis, bound, norms))
+        bound = np.add(_unscaled(norm, e), sups)  # lemma 2's right side
+        sides = (sups, semis, _safe_ratio(sup, semi, np.multiply(norm, power)),
+                 semis, bound, _safe_ratio(semi, np.add(norm, sup), norm))
     sides = [_shaped(x, c.shape[:-1]) for x in sides]
     return LemmaReport(*sides[:3]), LemmaReport(*sides[3:])
 

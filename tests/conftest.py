@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ def random_vector(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _count_calls(monkeypatch, original) -> list:
-    """A list that grows by one on every call of ``original``.
+def _count_calls(monkeypatch, original, note=lambda *args, **kwargs: None) -> list:
+    """A list that grows by ``note(*args, **kwargs)`` on every call of ``original``.
 
     Every module-level binding of the function across ``bandapprox.*`` is
     wrapped, the ``from .module import`` copies included, so calls from
@@ -46,7 +47,7 @@ def _count_calls(monkeypatch, original) -> list:
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(note(*args, **kwargs))
         return original(*args, **kwargs)
 
     for name, module in sorted(sys.modules.items()):
@@ -86,3 +87,20 @@ def k_functionals(monkeypatch):
 def scans(monkeypatch):
     """The ``smoothness._running_modulus`` calls (shift scans), counted as in ``_count_calls``."""
     return _count_calls(monkeypatch, smoothness._running_modulus)
+
+
+@pytest.fixture
+def scan_work(monkeypatch):
+    """The work of the shift scans and the K path, counted as in ``_count_calls``: ``newton``
+    holds the size of each start array passed to ``smoothness._clipped_newton``, ``objective``
+    the size of each array its objective is evaluated at, ``norms`` one entry per
+    ``smoothness._difference_norms`` call."""
+    objective, newton = [], smoothness._clipped_newton
+
+    def evaluated(fn, x, *args):
+        return newton(lambda t: objective.append(np.size(t)) or fn(t), x, *args)
+
+    monkeypatch.setattr(smoothness, "_clipped_newton", evaluated)
+    return SimpleNamespace(
+        newton=_count_calls(monkeypatch, evaluated, lambda fn, x, *_: np.size(x)),
+        objective=objective, norms=_count_calls(monkeypatch, smoothness._difference_norms))

@@ -30,10 +30,18 @@ from bandapprox.operators import (
     _norm,
     _scaled,
     _unscaled,
+    _weighted,
 )
 from bandapprox import paley_wiener
 from bandapprox.paley_wiener import _pw_prefix
-from bandapprox.smoothness import _difference_norms, _k_functional_values
+from bandapprox.smoothness import (
+    _PEAK_NEWTON_STEPS,
+    _SCAN_CHUNK_ENTRIES,
+    _SCAN_PER_PERIOD,
+    _clipped_newton,
+    _difference_norms,
+    _k_functional_values,
+)
 
 
 def difference_by_composition(dec, f, tau, m):
@@ -312,6 +320,71 @@ def running_modulus_golden(eigenvalues, mag2, s_values, m, iters=90):
     np.maximum.at(bins, np.searchsorted(s_values, np.concatenate((taus, peak_taus))),
                   np.concatenate((vals, peak_vals)))
     return np.maximum.accumulate(bins[:-1])
+
+
+def running_modulus_from_zero(nodes, mass, s_rows, m, beta=0.0):
+    """``smoothness._running_modulus`` as it scanned before it knew where a maximum can lie.
+
+    Every scan, modulus (``beta = 0``) or seminorm, samples from ``tau = 0``, in chunks of 64
+    points doubling up to the library's memory bound, with the library's Newton refinement,
+    bins and stop rule; it checks no weight, power or scan size.  The modulus scan now starts
+    at ``pi / lambda_max``, so this holds it to the scan it replaced, bit for bit.
+    """
+    lam_max = float(nodes[-1])
+    nu, step = nodes / lam_max, 2.0 * math.pi / (_SCAN_PER_PERIOD * m * lam_max)
+
+    def neg_phi(taus, weights):
+        theta = np.multiply.outer(taus, nodes)
+        sins = 2.0 * np.abs(np.sin(theta / 2.0))
+        u, du = (sins / 2.0) ** 2, nu * np.sin(theta) / 2.0
+        d1 = m * np.sum(u ** (m - 1) * du * weights, axis=-1)
+        d2 = m * np.sum(((m - 1) * u ** max(m - 2, 0) * du ** 2
+                         + u ** (m - 1) * nu ** 2 * (0.5 - u)) * weights, axis=-1)
+        phi = np.sqrt(np.maximum(np.sum(sins ** (2 * m) * weights, axis=-1), 0.0))
+        if beta:
+            x, w = taus * lam_max, taus ** -beta
+            t = np.sum(u ** m * weights, axis=-1) / x
+            d1, d2 = d1 - 2.0 * beta * t, d2 - 2.0 * beta * (d1 - t) / x
+            phi = np.where(w < math.inf, w * phi, math.nan)
+        return -phi, -d1 / np.abs(d2) / lam_max
+
+    if beta:
+        ends, best = np.full(len(mass), np.iinfo(int).max), np.zeros(len(mass))
+        cap = np.float64(2.0) ** m * np.sqrt(np.sum(mass[:, nodes > 0.0], axis=-1))
+    else:
+        ends = (np.ceil(s_rows[:, -1] / step) + 2).astype(int)
+        bins = np.pad(_difference_norms(nodes, mass[:, None], s_rows, m), ((0, 0), (0, 1)))
+    width = nodes.size if beta else max(nodes.size, s_rows.shape[1])
+    top = max(16, _SCAN_CHUNK_ENTRIES // (width * len(mass)))
+    start, size = 0, min(64, top)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while (act := np.flatnonzero(ends > start)).size:
+            index = np.arange(max(start - 1, 0), min(start + size + 1, ends[act].max()))
+            taus = index * step
+            vals = _difference_norms(nodes, mass[act], taus[:, None], m)
+            if beta:
+                bounds = np.multiply.outer(weights := taus ** -beta, cap[act])
+                vals = _weighted(weights[:, None], vals)
+            at, row = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])
+                                 & (index[1:-1, None] < ends[act] - 1))
+            peak_taus, peak_vals = _clipped_newton(lambda t, w=mass[act[row]]: neg_phi(t, w),
+                                                   taus[at + 1], taus[at], taus[at + 2],
+                                                   _PEAK_NEWTON_STEPS)
+            if beta:
+                np.maximum.at(vals, (at + 1, row), -peak_vals)
+                own = (index >= start) & (index < start + size)
+                running = np.maximum.accumulate(np.vstack((best[act], vals[own])), axis=0)[1:]
+                stop = bounds[own] <= running
+                last = np.where(done := stop.any(axis=0), stop.argmax(axis=0), len(running) - 1)
+                best[act] = running[last, np.arange(act.size)]
+                ends[act[done]] = start + last[done] + 1
+            else:
+                rows = np.concatenate((np.broadcast_to(act, vals.shape).ravel(), act[row]))
+                points = np.concatenate((np.repeat(taus, act.size), peak_taus))
+                np.maximum.at(bins, (rows, np.sum(s_rows[rows] < points[:, None], axis=-1)),
+                              np.concatenate((vals.ravel(), -peak_vals)))
+            start, size = start + size, min(2 * size, top)
+    return best if beta else np.maximum.accumulate(bins[:, :-1], axis=-1)
 
 
 def k_functional_golden(dec, f, t, r, domain_norm="seminorm", search_iters=100):

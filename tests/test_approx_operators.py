@@ -609,6 +609,19 @@ class TestJacksonCheck:
         assert abs(rep.bound - expected_bound) <= 1e-4 * expected_bound
         assert _jackson_holds(rep)
 
+    @pytest.mark.parametrize("m,k", [(1, 0), (2, 1), (3, 1), (4, 2), (4, 0)])
+    def test_no_scan_point_below_the_first_maximum(self, cycle16_dec, rng, scan_work, m, k):
+        # past omega = 4 lambda_max / (3 pi), 1 / omega < (4j - 1) pi / (4j lambda_max) for every
+        # order j = m - k >= 1, so it lies below the first point of the shift scan (pi /
+        # lambda_max) and its grid neighbour: every ||Delta_tau^j D^k f|| rises up to 1 / omega,
+        # the modulus is its value there, one ``_difference_norms`` call, and nothing is refined
+        kernel = build_kernel(2 * (m // 2) + 4, m)
+        omegas = 4.0 * cycle16_dec.lambda_max / (3.0 * math.pi) * np.array([1.01, 1.5, 10.0])
+        f = np.array([random_vector(rng, 16) for _ in range(3)])[:, None]
+        rep = jackson_check(cycle16_dec, f, omegas, m, k, kernel)
+        assert len(scan_work.norms) == 1 and scan_work.newton == []
+        assert np.all(rep.bound > 0.0)
+
     def test_random_sweep(self, random_dec, rng):
         combos = ((2, 0, 6), (2, 1, 6), (3, 1, 8))
         start = random_dec.eigenvalues[0]

@@ -9,8 +9,11 @@ and between them.  The laws: the E route is its running-sum definition
 (``oracles.distances_by_running_sum``), E = R, a rotation of the basis inside each
 eigenspace moves no coefficient tail and no Bernstein ratio beyond a few ulps, and the
 three rules of every call of the registry (``public_calls``): the block rule, the scale
-rule and the typed-error rule.
+rule and the typed-error rule.  The shift scan gives the bits of the scan from ``tau = 0``
+(``oracles.running_modulus_from_zero``), at any ``s`` and for the seminorm.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -27,9 +30,10 @@ from bandapprox import (
     spectral_tail,
 )
 from bandapprox.harness import DEFAULT_TOLERANCES
-from bandapprox.operators import _coefficients, _norm
+from bandapprox.operators import _coefficients, _measure, _norm, _scaled
+from bandapprox.smoothness import _SCAN_PER_PERIOD, _running_modulus
 from conftest import random_vector
-from oracles import distances_by_running_sum
+from oracles import distances_by_running_sum, running_modulus_from_zero
 from public_calls import BLOCK_NAMES, CALLS, check_block, check_finite, outcome, prepare
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -129,6 +133,46 @@ def test_each_trial_of_a_mixed_order_block_is_its_one_row_call(case, pairs, seed
     (m, k), s = np.array(pairs).T, np.random.default_rng(seed).uniform(0.05, 3.0, len(pairs))
     check_block("modulus_inequality_checks", dec, rows[:, None], np.arange(len(pairs)),
                 lambda dec, f, j: modulus_inequality_checks(dec, f, s[j], 2.0, m[j], k[j]))
+
+
+def _scan_measure(dec, rows):
+    """The nodes, the squared measure of each row at its own scale (``_moduli``) and ``lambda_max``."""
+    nodes, norms = _measure(dec, _coefficients(dec, rows)[1])
+    return nodes, _scaled(norms)[0] ** 2, float(nodes[-1])
+
+
+@settings(PROFILE, max_examples=60)
+@given(case=cases(), m=st.integers(1, 4), count=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_modulus_scan_is_the_scan_from_zero(case, m, count, seed):
+    # below pi / lambda_max every ||Delta_tau^m g|| rises, so the scan that starts there gives
+    # the bits of the scan from 0: each row takes count values of s, drawn below pi / lambda_max,
+    # at it, at the grid points 4m - 2 .. 4m + 1 around it and far past it; one more row has
+    # all its mass at lambda_max, so its maximum lies at pi / lambda_max, on the grid
+    dec, rows, _ = case
+    nodes, mass, lam_max = _scan_measure(dec, rows)
+    if lam_max == 0.0:
+        return  # the spectrum {0}: no scan
+    mass = np.vstack((mass[np.any(mass > 0.0, axis=-1)],  # the rows ``_moduli`` scans
+                      np.eye(1, nodes.size, nodes.size - 1)))
+    rng, top, step = (np.random.default_rng(seed), math.pi / lam_max,
+                      2.0 * math.pi / (_SCAN_PER_PERIOD * m * lam_max))
+    pool = [0.0, top, *(k * step for k in range(4 * m - 2, 4 * m + 2))]
+    s_rows = np.sort([[(rng.uniform(0.0, top), rng.choice(pool),
+                        rng.uniform(top, 40.0 * top))[rng.integers(3)]
+                       for _ in range(count)] for _ in mass], axis=-1)
+    np.testing.assert_array_equal(_running_modulus(nodes, mass, s_rows, m),
+                                  running_modulus_from_zero(nodes, mass, s_rows, m))
+
+
+@settings(PROFILE, max_examples=30)
+@given(case=cases(), m=st.integers(1, 4), share=st.floats(0.2, 0.9))
+def test_the_seminorm_scan_is_the_scan_from_zero(case, m, share):
+    dec, rows, _ = case
+    nodes, mass, lam_max = _scan_measure(dec, rows)
+    if lam_max == 0.0:
+        return
+    np.testing.assert_array_equal(_running_modulus(nodes, mass, None, m, share * m),
+                                  running_modulus_from_zero(nodes, mass, None, m, share * m))
 
 
 def _ldexp(x, j):

@@ -26,6 +26,7 @@ from bandapprox import (
     BesovParams,
     NonFiniteError,
     RieszConfig,
+    SpectralDecomposition,
     band_decompose,
     bandwidth,
     bernstein_check,
@@ -418,6 +419,31 @@ def test_lemma1_ratio_at_power_of_two_scales(j):
     f = random_vector(np.random.default_rng(7), 16)
     ratio = lemma1_check(dec, f, 1.5, 1, 2).ratio
     assert ratio > 0.0 and abs(lemma1_check(scaled, f, 1.5, 1, 2).ratio / ratio - 1.0) <= TOL
+
+
+def test_lemma1_ratio_of_finite_sides_whose_scale_passes_the_largest_double():
+    # lhs 4.0e307 and rhs 9.29e307 are finite, but their scale ||f|| lambda_max^alpha is not:
+    # decided in unscaled doubles, "both sides vanish" held and the ratio read 0.0
+    dec = eigh(build_operator(parse_operator_arg("cycle:8")))
+    f = 1e308 * np.array([1.0, -1.0] * 4) / 20 + 5e307
+    rep = lemma1_check(dec, f, 1.5, 1, 2)
+    assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+    assert rep.ratio == lemma1_check(dec, f * 2.0 ** -100, 1.5, 1, 2).ratio
+    assert rep.ratio == pytest.approx(0.4307568591698, rel=1e-12)
+
+
+@pytest.mark.parametrize("j", [0, 1020, 1021, 1022, 1023])
+def test_modulus_ratios_of_one_eigenvalue_up_to_the_largest_double(j):
+    # N = 1, f = 2^j (0.64042265 + 0.10490012i) (drawn by the scale property): the growth side
+    # (1 + a)^m Omega_m(f, s) passed the largest double, so ratio_scale read 0.0 at 2^1021 and
+    # 2^1022, and at 2^1023, where Omega_m(f, a s) does too, the call raised NonFiniteError;
+    # every side is now taken at the row's power of two
+    dec = SpectralDecomposition(eigenvalues=np.array([1.31022721]), eigenvectors=np.eye(1))
+    f = np.array([0.64042265 + 0.10490012j])
+    rep, base = (modulus_inequality_checks(d, x, 1.27868255, 2.0, 2, 1) for d, x in (
+        (dec, np.ldexp(f.real, j) + 1j * np.ldexp(f.imag, j)), (dec, f)))
+    assert vars(rep) == vars(base)
+    assert rep.ratio_scale == pytest.approx(0.20121937095400, rel=1e-12)
 
 
 @pytest.mark.parametrize("j", [200, -200, 600, -600])

@@ -9,6 +9,7 @@ import pytest
 
 from bandapprox import (
     RAW_D,
+    RAW_L,
     BesovParams,
     DimensionMismatchError,
     InvalidOrderError,
@@ -31,7 +32,7 @@ from bandapprox import (
 )
 from bandapprox.harness import DEFAULT_TOLERANCES as TOLS
 from bandapprox.harness import build_operator, parse_operator_arg
-from bandapprox.smoothness import _difference_norms
+from bandapprox.smoothness import _clipped_newton, _difference_norms
 from conftest import random_vector
 from oracles import (
     besov_integral_by_quadrature,
@@ -100,6 +101,25 @@ class TestModulus:
     def test_order_zero_returns_norm(self, diag_dec, rng):
         f = random_vector(rng, 3)
         assert abs(modulus(diag_dec, f, 2.0, 0) - np.linalg.norm(f)) <= 1e-12
+
+    @pytest.mark.parametrize("text,kind", [("cycle:16", RAW_L), ("path:9", RAW_L),
+                                           ("random:12:3", RAW_L),
+                                           ("diag:0,0.5,1,2,3.5,7", RAW_D)])
+    def test_below_pi_over_lambda_max_it_is_the_difference_at_s(self, text, kind, rng):
+        # ||Delta_tau^m f||^2 = sum |c|^2 (2 sin(tau lambda / 2))^{2m} rises on [0, pi / lambda_max],
+        # so there Omega_m(f, s) = ||Delta_s^m f||.  The two routes share the transform and differ
+        # by a synthesis of N terms and two sums of N terms, each of size at most 2^m ||f|| and
+        # each rounding by at most about N eps 2^m ||f|| (Higham, "Accuracy and Stability of
+        # Numerical Algorithms", 2nd ed., sec. 3.1), and by the basis's departure from
+        # orthogonality, below N eps at these N: 4 N eps 2^m ||f|| in all
+        dec = eigh(build_operator(parse_operator_arg(text, kind=kind)))
+        top = math.pi / dec.lambda_max
+        for m in (1, 2, 3, 4):
+            f = random_vector(rng, dec.dim)
+            bound = 4 * dec.dim * np.finfo(float).eps * 2.0 ** m * np.linalg.norm(f)
+            for s in (1e-3 * top, 0.1 * top, 0.5 * top, 0.9 * top, top, rng.uniform(0.0, top)):
+                assert abs(modulus(dec, f, s, m)
+                           - np.linalg.norm(difference(dec, f, s, m))) <= bound, (m, s)
 
     def test_matches_dense_scan(self, random_dec, rng):
         f = random_vector(rng, random_dec.dim)
@@ -424,6 +444,13 @@ class TestModulusFlavor:
         params = BesovParams(alpha=0.8, q=math.inf, r=2, flavor="modulus")
         check_homogeneous("besov_norm", cycle16_dec, random_vector(rng, 16), 5.0, 1,
                           lambda dec, f, p: besov_norm(dec, f, params), tol=1e-10)
+
+
+def test_newton_without_a_start_point_evaluates_nothing():
+    # a shift scan or a K-path search that found no maximum to refine costs no evaluation
+    calls = []
+    x, best = _clipped_newton(lambda t: calls.append(t) or (t, t), np.zeros(0), 0.0, 1.0, 6)
+    assert calls == [] and x.shape == best.shape == (0,)
 
 
 def test_difference_norms_hold_two_arrays_of_their_product_at_once():

@@ -160,6 +160,14 @@ def test_cycle8_seed401_scan_count(tmp_path, capsys, scans):
     assert len(scans) <= CYCLE8_SEED401_SCANS
 
 
+def test_cycle8_seed401_evaluates_no_objective_on_an_empty_peak_set(tmp_path, capsys, scan_work):
+    # the shift scans and the K path refine what they found, and a Newton call with no start
+    # point evaluates nothing, whatever the data: no objective runs on an empty array
+    argv = PINNED["verify_cycle8_seed401.json"] + ["--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert scan_work.newton and scan_work.objective and 0 not in scan_work.objective
+
+
 def test_cycle8_seed401_one_block_call_per_size(tmp_path, capsys, monkeypatch):
     counts = {fn.__name__: _count_calls(monkeypatch, fn) for fn in (
         approx_operators.riesz_apply, approx_operators.q_apply, operators.schrodinger_group)}
