@@ -23,14 +23,6 @@ from .errors import BandApproxError, NotBandlimitedError
 from .operators import RAW_D, RAW_L, eigh
 
 
-def _add_operator_args(parser):
-    parser.add_argument("--op", required=True,
-                        help="operator spec: cycle:N | path:N | complete:N | "
-                             "diag:v1,v2,... | random:N[:seed] | edges:FILE | matrix:FILE")
-    parser.add_argument("--kind", choices=[RAW_L, RAW_D], default=RAW_L,
-                        help="whether the matrix is L (operator is sqrt) or already D")
-
-
 def _decomposition(args):
     return eigh(harness.build_operator(harness.parse_operator_arg(args.op, kind=args.kind)))
 
@@ -183,21 +175,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bandlimited approximation and smoothness diagnostics for "
                     "self-adjoint PSD operators.")
     sub = parser.add_subparsers(dest="command", required=True)
+    operator = argparse.ArgumentParser(add_help=False)
+    operator.add_argument("--op", required=True,
+                          help="operator spec: cycle:N | path:N | complete:N | "
+                               "diag:v1,v2,... | random:N[:seed] | edges:FILE | matrix:FILE")
+    operator.add_argument("--kind", choices=[RAW_L, RAW_D], default=RAW_L,
+                          help="whether the matrix is L (operator is sqrt) or already D")
+    vector = argparse.ArgumentParser(add_help=False, parents=[operator])
+    vector.add_argument("--vector", required=True)
 
-    p = sub.add_parser("spectrum", help="print eigenvalues and degeneracy groups")
-    _add_operator_args(p)
+    p = sub.add_parser("spectrum", parents=[operator],
+                       help="print eigenvalues and degeneracy groups")
     p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("project", help="project a vector onto PW_omega")
-    _add_operator_args(p)
-    p.add_argument("--vector", required=True)
+    p = sub.add_parser("project", parents=[vector], help="project a vector onto PW_omega")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--out", help="where to write the projected vector")
     p.set_defaults(fn=_cmd_project)
 
-    p = sub.add_parser("besov", help="evaluate a smoothness norm")
-    _add_operator_args(p)
-    p.add_argument("--vector", required=True)
+    p = sub.add_parser("besov", parents=[vector], help="evaluate a smoothness norm")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--q", type=float, default=2.0,
                    help="integrability in [1, inf]; 'inf' for sup forms")
@@ -207,33 +203,26 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(sm.BESOV_FLAVORS))
     p.set_defaults(fn=_cmd_besov)
 
-    p = sub.add_parser("decompose", help="split a vector into spectral bands")
-    _add_operator_args(p)
-    p.add_argument("--vector", required=True)
+    p = sub.add_parser("decompose", parents=[vector], help="split a vector into spectral bands")
     p.add_argument("--base", type=float, default=2.0)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--q", type=float, default=2.0)
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("riesz", help="apply the Riesz interpolation operator")
-    _add_operator_args(p)
-    p.add_argument("--vector", required=True)
+    p = sub.add_parser("riesz", parents=[vector], help="apply the Riesz interpolation operator")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--trunc", type=int, default=10_000)
     p.add_argument("--power", type=int, default=1)
     p.set_defaults(fn=_cmd_riesz)
 
-    p = sub.add_parser("jackson", help="measure the direct-estimate chain")
-    _add_operator_args(p)
-    p.add_argument("--vector", required=True)
+    p = sub.add_parser("jackson", parents=[vector], help="measure the direct-estimate chain")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("-m", type=int, default=2)
     p.add_argument("-k", type=int, default=0)
     p.add_argument("--kernel-order", type=int, default=None)
     p.set_defaults(fn=_cmd_jackson)
 
-    p = sub.add_parser("verify", help="run the verification suite")
-    _add_operator_args(p)
+    p = sub.add_parser("verify", parents=[operator], help="run the verification suite")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--sizes", type=_int_list, default="8,16")

@@ -81,12 +81,11 @@ class OperatorSpec:
 
 
 def _laplacian_from_edges(num_nodes: int, edges) -> np.ndarray:
+    """The Laplacian of the weighted edges ``(u, v, w)``, each entry added in edge order."""
     lap = np.zeros((num_nodes, num_nodes))
-    for u, v, w in edges:
-        lap[u, u] += w
-        lap[v, v] += w
-        lap[u, v] -= w
-        lap[v, u] -= w
+    u, v, w = np.reshape(np.asarray(edges, dtype=float), (-1, 3)).T
+    u, v = u.astype(int), v.astype(int)
+    np.add.at(lap, (np.c_[u, v, u, v], np.c_[u, v, v, u]), np.c_[w, w, -w, -w])
     return lap
 
 

@@ -263,7 +263,8 @@ def _running_modulus(nodes, mass, s_rows, m: int, beta: float = 0.0):
 
 
 def _moduli(measure, e, s_values, m: int) -> np.ndarray:
-    """``Omega_m(f_i, s)``, any ``m``, at ``s_values`` (broadcast) of each row of a measure."""
+    """``Omega_m(f_i, s)``, any ``m``, at ``s_values`` (broadcast) of each row of a measure; at
+    ``m >= 1`` from its groups above ``lambda = 0`` alone, at their scale (0, no scan, if none)."""
     s_values = np.asarray(s_values, dtype=np.float64)
     bad = ~(np.isfinite(s_values) & (s_values >= 0.0))
     if np.any(bad):
@@ -272,11 +273,11 @@ def _moduli(measure, e, s_values, m: int) -> np.ndarray:
     nodes, norms = measure
     shape = norms.shape[:-1] + s_values.shape[-1:]
     s_values = np.broadcast_to(s_values, shape).reshape(-1, shape[-1])
-    mass, d = _scaled(norms.reshape(-1, nodes.size))
+    mass, d = _scaled(np.where((nodes > 0.0) | (m == 0), norms, 0.0).reshape(-1, nodes.size))
     mass, e = mass ** 2, np.reshape(e, -1) + d
     omega = np.zeros(s_values.shape) + (np.sqrt(np.sum(mass, axis=-1))[:, None] if m == 0 else 0)
     live = np.any(mass > 0.0, axis=-1) & np.any(s_values > 0.0, axis=-1)
-    if m > 0 and nodes[-1] > 0.0 and np.any(live):
+    if m > 0 and np.any(live):
         order = np.argsort(s_values[live], axis=-1)
         scans = _running_modulus(nodes, mass[live],
                                  np.take_along_axis(s_values[live], order, axis=-1), m)
@@ -326,8 +327,8 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s, a_scale, m,
     """Measure the power-transfer and scale-doubling modulus inequalities, one trial per
     element of the broadcast shape of ``s``, ``a_scale``, ``m``, ``k`` and the rows of ``f``.
 
-    One shift scan per order ``m`` gives ``Omega_m(f, s)`` and ``Omega_m(f, a s)``, one per
-    order ``m - k`` gives ``Omega_{m-k}(D^k f, s)``; at ``k = 0`` that is ``Omega_m(f, s)``.
+    One shift scan per order ``j`` gives ``Omega_j(f, s)`` and ``Omega_j(f, a s)`` where ``m = j``
+    and ``Omega_j(D^k f, s)`` where ``m - k = j``, ``k > 0`` (at ``k = 0``: ``Omega_m(f, s)``).
     """
     v, c, _ = _coefficients(dec, f)
     shape, rows, params = _broadcast(c, s, a_scale, m, k)
@@ -339,17 +340,17 @@ def modulus_inequality_checks(dec: SpectralDecomposition, f, s, a_scale, m,
     # every side at its row's power of two 2^-e (``_moduli`` at e = 0), where none overflows
     norms = _norm(v.reshape(-1, dec.dim))[rows].tolist()
     nodes, groups = _measure(dec, c.reshape(-1, dec.dim)[rows])
-    lhs = np.empty((len(rows), 2))
-    for m in set(orders):
-        trials = [i for i, m_i in enumerate(orders) if m_i == m]
-        lhs[trials] = _moduli((nodes, groups[trials]), 0,
-                              [[s_values[i], a_scales[i] * s_values[i]] for i in trials], m)
-    rhs = lhs[:, 0].copy()
-    for j in {m - k for m, k in zip(orders, powers) if k}:
-        trials = [i for i, (m, k) in enumerate(zip(orders, powers)) if k and m - k == j]
-        dk = _powered((nodes, groups[trials]), params[3][trials, None])  # the measures of D^k f
-        moduli = _moduli(dk, 0, [[s_values[i]] for i in trials], j)[:, 0].tolist()
-        rhs[trials] = [s_values[i] ** powers[i] * x for i, x in zip(trials, moduli)]
+    lhs, rhs = np.empty((len(rows), 2)), np.zeros(len(rows))
+    for j in {*orders, *(m - k for m, k in zip(orders, powers) if k)}:
+        own = [i for i, m in enumerate(orders) if m == j]
+        down = [i for i, (m, k) in enumerate(zip(orders, powers)) if k and m - k == j]
+        dk = _powered((nodes, groups[down]), params[3][down, None])[1]  # the measures of D^k f
+        moduli = _moduli((nodes, np.vstack((groups[own], dk))), 0,
+                         [[s_values[i], a_scales[i] * s_values[i]] for i in own]
+                         + [[s_values[i]] * 2 for i in down], j)
+        lhs[own], rhs[down] = moduli[:len(own)], moduli[len(own):, 0]
+    rhs = [s ** k * x if k else left  # s^k Omega_{m-k}(D^k f, s), or Omega_m(f, s) at k = 0
+           for s, k, x, left in zip(s_values, powers, rhs.tolist(), lhs[:, 0].tolist())]
     scales = [norm * min(2.0, s * dec.lambda_max) ** m  # each side is at most about this
               for norm, s, m in zip(norms, s_values, orders)]
     growth = [(1.0 + a_i) ** m * left for a_i, m, left in zip(a_scales, orders, lhs[:, 0].tolist())]
@@ -661,17 +662,17 @@ def besov_seminorm_sup(dec: SpectralDecomposition, f, alpha: float, n: int, r: i
 
 def _seminorm_sup(measure, e, alpha: float, n: int, r: int) -> np.ndarray:
     """:func:`besov_seminorm_sup` of every row of the measure ``(nodes, norms)`` (``(..., G)``) of
-    ``f 2^-e``, from one shift scan of the measure of ``D^n f``, squared at each row's scale."""
+    ``f 2^-e``, from one shift scan of the measure of ``D^n f``, each row read as in ``_moduli``."""
     _check_order(r, 1)
     if n < 0:
         raise InvalidParamsError(f"need n >= 0, got {n}")
     if not (n < alpha < n + r):
         raise InvalidOrderError(f"need n < alpha < n + r, got alpha={alpha}, n={n}, r={r}")
     nodes, norms = _powered(measure, n)
-    if not norms.size or nodes[-1] == 0.0:  # spectrum {0}: every difference vanishes
-        return np.zeros(norms.shape[:-1])
-    mass, d = _scaled(norms.reshape(-1, nodes.size))
-    semis = _running_modulus(nodes, mass ** 2, None, r, alpha - n)
+    mass, d = _scaled(np.where(nodes > 0.0, norms, 0.0).reshape(-1, nodes.size))
+    semis, live = np.zeros(len(mass)), np.any(mass > 0.0, axis=-1)
+    if np.any(live):
+        semis[live] = _running_modulus(nodes, mass[live] ** 2, None, r, alpha - n)
     return _unscaled(semis.reshape(norms.shape[:-1]), np.add(e, d.reshape(norms.shape[:-1])))
 
 

@@ -661,6 +661,17 @@ def cycle_decomposition(n):
     return SpectralDecomposition(np.repeat(values, [1] + [2] * (n // 2 - 1) + [1]), basis)
 
 
+def laplacian_by_loop(num_nodes, edges):
+    """The graph Laplacian of the weighted edges ``(u, v, w)``, one edge and one entry at a time."""
+    lap = np.zeros((num_nodes, num_nodes))
+    for u, v, w in edges:
+        lap[u, u] += w
+        lap[v, v] += w
+        lap[u, v] -= w
+        lap[v, u] -= w
+    return lap
+
+
 def tails_by_element(dec, fc, omegas):
     """The R distances one element at a time, each tail ``||c[end:]||`` by ``np.linalg.norm`` at
     the scale of ``c``: one below ``2^-480`` (its squares may have underflowed) is taken again at

@@ -39,6 +39,7 @@ from bandapprox.harness import (
     save_vector,
 )
 from conftest import random_vector
+from oracles import laplacian_by_loop
 
 
 class TestBuilders:
@@ -102,6 +103,16 @@ class TestEdgeList:
                              [-1.0, 3.5, -2.5],
                              [-1.0, -2.5, 3.5]])
         np.testing.assert_array_equal(op.entries, expected)
+
+    def test_repeated_edges_add_in_file_order(self, tmp_path):
+        # each edge adds its four entries one after another, in file order, so the sums of
+        # repeated edges round as the per-edge loop rounds them, bit for bit
+        rng = np.random.default_rng(3)
+        edges = [(int(u), int(v), float(w)) for (u, v), w in zip(
+            rng.integers(0, 6, (60, 2)), 10.0 ** rng.uniform(-17, 17, 60)) if u != v]
+        path = tmp_path / "graph.txt"
+        path.write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in edges))
+        assert load_edge_list(str(path)).entries.tobytes() == laplacian_by_loop(6, edges).tobytes()
 
     def test_disconnected_graph_is_fine(self, tmp_path):
         path = tmp_path / "graph.txt"

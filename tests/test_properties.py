@@ -31,7 +31,7 @@ from bandapprox import (
 )
 from bandapprox.harness import DEFAULT_TOLERANCES
 from bandapprox.operators import _coefficients, _measure, _norm, _scaled
-from bandapprox.smoothness import _SCAN_PER_PERIOD, _running_modulus
+from bandapprox.smoothness import _SCAN_PER_PERIOD, _moduli, _running_modulus, _seminorm_sup
 from conftest import random_vector
 from oracles import distances_by_running_sum, running_modulus_from_zero
 from public_calls import BLOCK_NAMES, CALLS, check_block, check_finite, outcome, prepare
@@ -136,9 +136,10 @@ def test_each_trial_of_a_mixed_order_block_is_its_one_row_call(case, pairs, seed
 
 
 def _scan_measure(dec, rows):
-    """The nodes, the squared measure of each row at its own scale (``_moduli``) and ``lambda_max``."""
+    """The nodes, the squared measure of each row above ``lambda = 0`` at its scale there
+    (``_moduli``) and ``lambda_max``."""
     nodes, norms = _measure(dec, _coefficients(dec, rows)[1])
-    return nodes, _scaled(norms)[0] ** 2, float(nodes[-1])
+    return nodes, _scaled(np.where(nodes > 0.0, norms, 0.0))[0] ** 2, float(nodes[-1])
 
 
 @settings(PROFILE, max_examples=60)
@@ -173,6 +174,33 @@ def test_the_seminorm_scan_is_the_scan_from_zero(case, m, share):
         return
     np.testing.assert_array_equal(_running_modulus(nodes, mass, None, m, share * m),
                                   running_modulus_from_zero(nodes, mass, None, m, share * m))
+
+
+@settings(PROFILE, max_examples=40)
+@given(case=cases(), m=st.integers(1, 3), n=st.integers(0, 1), share=st.floats(0.1, 0.9),
+       j=st.sampled_from([None, -1100, 1100]) | st.integers(-1100, 1100),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_kernel_moves_no_difference(case, m, n, share, j, seed):
+    # (e^{i tau D} - I)^m vanishes on ker D: the lambda = 0 group's norm scaled by 2^j (kept
+    # below the largest double), or set to 0 (j = None), changes no bit of a modulus or a
+    # seminorm, however far it passes the other groups; each case's spectrum is shifted to
+    # start at 0, so each has a kernel
+    dec, rows, _ = case
+    dec = SpectralDecomposition(eigenvalues=dec.eigenvalues - dec.eigenvalues[0],
+                                eigenvectors=dec.eigenvectors)
+    _, c, e = _coefficients(dec, rows)
+    nodes, norms = _measure(dec, c)
+    moved = norms.copy()
+    moved[:, 0] = 0.0 if j is None else np.ldexp(
+        norms[:, 0], np.minimum(j, 1024 - np.frexp(norms[:, 0])[1]))
+    s = np.random.default_rng(seed).uniform(0.0, 3.0, (len(rows), 3))
+
+    def sides(groups):
+        return (_moduli((nodes, groups), e, s, m),
+                _seminorm_sup((nodes, groups), e, n + share * m, n, m))
+
+    for x, y in zip(sides(moved), sides(norms)):
+        np.testing.assert_array_equal(x, y)
 
 
 def _ldexp(x, j):

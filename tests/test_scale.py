@@ -410,6 +410,22 @@ def test_k_path_where_its_sums_pass_below_the_normal_range(c, q):
     assert abs(value / K_NORMS_IN_THE_GAP[c, q] - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-150, 1e-160, 1e-165, 1e-300])
+def test_a_difference_never_reads_the_kernel(c):
+    # (e^{i tau D} - I)^m vanishes on ker D, so e_0 + c e_5 has the moduli and seminorms of
+    # c e_5, bit for bit, and Omega_m(c e_5, 1) = 2^m c (7 tau / 2 = pi at tau = pi / 7); a
+    # row was squared at the scale of all its mass, so with the kernel's the square of e_5
+    # underflowed: the modulus read 5.6e-6 low at c = 1e-160 and 0.0 at 1e-165, as did the
+    # seminorm at 1e-165
+    dec = _diag6()
+    f, g = dec.eigenvectors[:, 0] + c * dec.eigenvectors[:, 5], c * dec.eigenvectors[:, 5]
+    for m in (1, 2, 3):
+        assert modulus(dec, f, 1.0, m) == modulus(dec, g, 1.0, m)
+        assert modulus(dec, f, 1.0, m) == pytest.approx(2.0 ** m * c, rel=TOL)
+    for alpha, n, r in ((0.5, 0, 1), (1.5, 1, 2)):
+        assert besov_seminorm_sup(dec, f, alpha, n, r) == besov_seminorm_sup(dec, g, alpha, n, r)
+
+
 @pytest.mark.parametrize("j", [100, -100])
 def test_lemma1_ratio_at_power_of_two_scales(j):
     # both sides of lemma 1 have degree alpha in the scale of D, so the ratio does not move;

@@ -154,6 +154,13 @@ class TestModulusInequalities:
         rep = modulus_inequality_checks(dec, np.arange(8.0), s, 2.0, 2, 2)
         assert abs(rep.ratio_power - 1.0) <= 1e-6 and abs(rep.ratio_scale - 4.0 / 9.0) <= 1e-6
 
+    def test_one_shift_scan_per_order(self, cycle16_dec, rng, scans):
+        # f at s and a s (m = j) and D^k f at s (m - k = j, k > 0) share the scan of order j:
+        # orders 1, 2, 3 on the f side and 1, 2 on the D^k f side are 3 scans, not 5
+        m, k = np.array([(1, 0), (2, 1), (2, 0), (3, 1), (3, 2)]).T
+        modulus_inequality_checks(cycle16_dec, random_vector(rng, 16), 0.7, 2.0, m, k)
+        assert len(scans) == 3
+
     def test_random_sweep(self, cycle16_dec, rng):
         for _ in range(50):
             f = random_vector(rng, 16)

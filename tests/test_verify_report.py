@@ -65,11 +65,12 @@ CYCLE8_SEED401_SYNTHESES = 12
 #: evaluated its own)
 CYCLE8_SEED401_K_FUNCTIONALS = 4
 
-#: shift scans of the same run, per size: one per order m and one per order m - k
-#: in the modulus inequalities, one per kernel combination in the Jackson chain and
-#: one in each of ``lemma1_check`` and ``lemma2_check``, each for all its vectors at once
-#: (183 when each vector and trial scanned on its own, 17 when the two lemmas shared one)
-CYCLE8_SEED401_SCANS = 19
+#: shift scans of the same run, per size: one per order in the modulus inequalities, one
+#: per kernel combination in the Jackson chain and one in each of ``lemma1_check`` and
+#: ``lemma2_check``, each for all its vectors at once (183 when each vector and trial
+#: scanned on its own, 17 when the two lemmas shared one, 19 when the modulus inequalities
+#: scanned each order m for f and each order m - k again for D^k f)
+CYCLE8_SEED401_SCANS = 16
 
 #: ``q_symbol`` calls of the same run, each for an axis of band edges: 6 in the Jackson
 #: chain, one per size and kernel combination, and 2 in ``q_operator``, one per ``q_apply``
